@@ -1,0 +1,5 @@
+"""The repository benchmark: closed-loop workloads through the serving gateway.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/NOTES.md``.
+"""

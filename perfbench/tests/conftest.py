@@ -1,0 +1,14 @@
+"""Make ``repro`` (under ``src/``) and ``perfbench`` importable for these tests.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
