@@ -22,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -38,6 +39,14 @@ JOURNAL_VERSION = 1
 #: Entry kinds: a fresh noised release (spends ε′ > 0) vs. the replay of
 #: an already-released answer (billed, but ε′ = 0 by post-processing).
 ENTRY_KINDS = ("release", "replay")
+
+#: Fields that must hold finite numbers: strict JSON has no NaN/Infinity.
+_FINITE_FIELDS = ("low", "high", "alpha", "delta", "epsilon_prime", "price")
+
+#: The one canonical line encoder, shared by the file writer and
+#: :meth:`TradeJournal.checksum`; ``json.dumps(..., sort_keys=True)`` would
+#: build an equivalent encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,19 @@ class JournalEntry:
             )
         if self.answer_id < 1:
             raise JournalError("answer_id must be >= 1")
+        # Unrolled rather than looped over _FINITE_FIELDS: this runs once
+        # per journaled trade on the broker's hot path.
+        if not (
+            isfinite(self.low)
+            and isfinite(self.high)
+            and isfinite(self.alpha)
+            and isfinite(self.delta)
+            and isfinite(self.epsilon_prime)
+            and isfinite(self.price)
+        ):
+            bad = [name for name in _FINITE_FIELDS
+                   if not isfinite(getattr(self, name))]
+            raise JournalError(f"{', '.join(bad)} must be finite")
         if self.epsilon_prime < 0:
             raise JournalError("epsilon_prime must be non-negative")
         if self.price < 0:
@@ -80,11 +102,16 @@ class JournalEntry:
             )
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable dict (one JSONL line when file-backed)."""
-        payload: Dict[str, Any] = asdict(self)
-        payload["format"] = JOURNAL_FORMAT
-        payload["version"] = JOURNAL_VERSION
-        return payload
+        """JSON-serializable dict (one JSONL line when file-backed).
+
+        Every field is a flat scalar, so a shallow copy of ``__dict__`` is
+        the whole payload; no deep copy is needed.
+        """
+        return {
+            **self.__dict__,
+            "format": JOURNAL_FORMAT,
+            "version": JOURNAL_VERSION,
+        }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "JournalEntry":
@@ -116,6 +143,11 @@ class JournalEntry:
             )
         }
         return cls(**fields)
+
+
+def _line(entry: JournalEntry) -> str:
+    """The canonical JSON line (without newline) for one entry."""
+    return _ENCODER.encode(entry.to_payload())
 
 
 #: Exactly the caller-supplied fields of a journal record (everything but
@@ -187,11 +219,9 @@ class TradeJournal:
                 entries.append(entry)
             self._entries.extend(entries)
             if self._file is not None:
-                lines = [
-                    json.dumps(entry.to_payload(), sort_keys=True)
-                    for entry in entries
-                ]
-                self._file.write("".join(line + "\n" for line in lines))
+                self._file.write(
+                    "".join(_line(entry) + "\n" for entry in entries)
+                )
                 self._file.flush()
             return entries
 
@@ -227,9 +257,7 @@ class TradeJournal:
         """SHA-256 over the canonical JSON of every entry (determinism probe)."""
         digest = hashlib.sha256()
         for entry in self.entries():
-            digest.update(
-                json.dumps(entry.to_payload(), sort_keys=True).encode("utf-8")
-            )
+            digest.update(_line(entry).encode("utf-8"))
         return digest.hexdigest()
 
     def close(self) -> None:

@@ -135,7 +135,9 @@ class RankCountingEstimator:
         :meth:`estimate` would produce -- the batch form exists because
         workload sweeps issue hundreds of queries against one sample set,
         and per-node binary searches vectorize cleanly over the query
-        axis.
+        axis.  The four-case rule then runs once over a (nodes × ranges)
+        matrix, and its rows are added in node order, as the scalar path
+        adds its per-node estimates.
         """
         if not samples:
             raise ValueError("at least one node sample is required")
@@ -158,35 +160,43 @@ class RankCountingEstimator:
             raise ValueError("sampling probability must be positive to estimate")
 
         totals = np.zeros(len(ranges), dtype=np.float64)
-        for sample in samples:
-            n_i = sample.node_size
-            if n_i == 0:
-                continue
-            p = sample.p
-            values = sample.values
-            ranks = sample.ranks
-            if len(values) == 0:
-                # No witnesses possible: the "neither" case for every range.
-                totals += float(n_i)
-                continue
-            idx_low = np.searchsorted(values, lows, side="left")
-            idx_high = np.searchsorted(values, highs, side="right")
-            has_pred = idx_low > 0
-            has_succ = idx_high < len(values)
+        if not non_empty:
+            return totals
+        # Node-stacked form: one row per non-empty node, one column per
+        # range.  Each node's ranks sit in one concatenated array at its
+        # offset; a trailing sentinel keeps the masked-out gathers in bounds
+        # (``offset - 1`` of the first node wraps onto it, and so does the
+        # successor slot one past the last node's samples).
+        counts = np.array([len(s.values) for s in non_empty], dtype=np.intp)
+        offsets = np.zeros(len(non_empty), dtype=np.intp)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        all_ranks = np.concatenate(
+            [s.ranks for s in non_empty] + [np.zeros(1, dtype=np.int64)]
+        )
+        idx_low = np.empty((len(non_empty), len(ranges)), dtype=np.intp)
+        idx_high = np.empty((len(non_empty), len(ranges)), dtype=np.intp)
+        for row, sample in enumerate(non_empty):
+            idx_low[row] = np.searchsorted(sample.values, lows, side="left")
+            idx_high[row] = np.searchsorted(sample.values, highs, side="right")
+        has_pred = idx_low > 0
+        has_succ = idx_high < counts[:, None]
+        r_pred = all_ranks[offsets[:, None] + idx_low - 1]
+        r_succ = all_ranks[offsets[:, None] + idx_high]
 
-            estimates = np.full(len(ranges), float(n_i))
-            r_pred = np.where(has_pred, ranks[np.maximum(idx_low - 1, 0)], 0)
-            r_succ = np.where(
-                has_succ, ranks[np.minimum(idx_high, len(values) - 1)], 0
-            )
-
-            both = has_pred & has_succ
-            pred_only = has_pred & ~has_succ
-            succ_only = ~has_pred & has_succ
-            estimates[both] = (
-                r_succ[both] - r_pred[both] + 1 - 2.0 / p
-            )
-            estimates[pred_only] = (n_i - r_pred[pred_only] + 1) - 1.0 / p
-            estimates[succ_only] = r_succ[succ_only] - 1.0 / p
-            totals += estimates
+        sizes = np.array([[s.node_size] for s in non_empty], dtype=np.int64)
+        ps = np.array([[s.p] for s in non_empty], dtype=np.float64)
+        one_over_p = 1.0 / ps
+        two_over_p = 2.0 / ps
+        estimates = np.where(
+            has_pred,
+            np.where(
+                has_succ,
+                (r_succ - r_pred + 1) - two_over_p,
+                (sizes - r_pred + 1) - one_over_p,
+            ),
+            np.where(has_succ, r_succ - one_over_p, sizes),
+        )
+        # Row by row in node order: the scalar path's summation order.
+        for row in estimates:
+            totals += row
         return totals

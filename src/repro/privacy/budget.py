@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Protocol, Tuple
 
 from repro.errors import LedgerError, PrivacyBudgetExceededError
-from repro.privacy.composition import sequential_composition
 
 __all__ = ["BudgetAccountant", "BudgetEntry", "SpendRecord"]
 
@@ -51,9 +50,31 @@ class BudgetEntry:
     epsilon: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # ``not epsilon >= 0`` also rejects NaN, which ``epsilon < 0`` lets through.
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
+
+
+def _fold(epsilons: Iterable[float], total: float = 0.0) -> float:
+    """Add ``epsilons`` to ``total`` one at a time, in order.
+
+    Adding a batch's pre-summed total in one step would round differently.
+    """
+    for epsilon in epsilons:
+        total += epsilon
+    return total
+
+
 @dataclass
 class BudgetAccountant:
     """Per-dataset sequential-composition ε ledger.
+
+    Beside the history, each dataset keeps a running total that every
+    mutation folds its entries into one at a time, in charge order, so
+    :meth:`spent` answers in O(1) with the bits a left-to-right re-sum of
+    the history would give (``sum()`` up to Python 3.11; 3.12's ``sum()``
+    compensates rounding and may differ in the last bit).
 
     Parameters
     ----------
@@ -69,16 +90,21 @@ class BudgetAccountant:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
+        # Running left-fold total per dataset, kept in step with _spent.
+        self._totals: Dict[str, float] = {
+            dataset: _fold(e.epsilon for e in entries)
+            for dataset, entries in self._spent.items()
+        }
         # Highest journal answer_id already folded into this accountant;
         # the idempotency floor for replay_journal (0 = nothing replayed).
         self._journal_high_water: int = 0
 
     def spent(self, dataset: str) -> float:
-        """Total ε′ spent so far against ``dataset``."""
-        entries = self._spent.get(dataset, [])
-        if not entries:
-            return 0.0
-        return sequential_composition([e.epsilon for e in entries])
+        """Total ε′ spent so far against ``dataset``.
+
+        O(1): the running left fold of the history in charge order.
+        """
+        return self._totals.get(dataset, 0.0)
 
     def remaining(self, dataset: str) -> float:
         """Budget headroom left for ``dataset``."""
@@ -86,8 +112,7 @@ class BudgetAccountant:
 
     def can_afford(self, dataset: str, epsilon: float) -> bool:
         """Whether charging ``epsilon`` against ``dataset`` would fit."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        _check_epsilon(epsilon)
         return self.spent(dataset) + epsilon <= self.capacity + 1e-12
 
     def charge(self, dataset: str, epsilon: float, label: str = "query") -> float:
@@ -98,8 +123,6 @@ class BudgetAccountant:
         PrivacyBudgetExceededError
             If the charge would push the dataset past :attr:`capacity`.
         """
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
         if not self.can_afford(dataset, epsilon):
             raise PrivacyBudgetExceededError(
                 f"dataset {dataset!r}: charging ε={epsilon:.6g} would exceed "
@@ -107,7 +130,9 @@ class BudgetAccountant:
                 f"{self.spent(dataset):.6g})"
             )
         self._spent.setdefault(dataset, []).append(BudgetEntry(label, epsilon))
-        return self.spent(dataset)
+        total = self._totals.get(dataset, 0.0) + epsilon
+        self._totals[dataset] = total
+        return total
 
     def charge_many(
         self,
@@ -119,9 +144,9 @@ class BudgetAccountant:
 
         Affordability is checked once against the *sum* (sequential
         composition is additive), and the entries land in ``history`` in
-        order, exactly as repeated :meth:`charge` calls would -- but
-        without recomputing the running total per entry, which is what
-        makes the broker's batched trading path cheap.
+        order, and fold into the running total one by one, exactly as
+        repeated :meth:`charge` calls would -- but with one affordability
+        check, which is what makes the broker's batched trading path cheap.
 
         Raises
         ------
@@ -131,12 +156,12 @@ class BudgetAccountant:
         """
         if len(epsilons) != len(labels):
             raise ValueError("epsilons and labels must be parallel lists")
-        if any(epsilon < 0 for epsilon in epsilons):
-            raise ValueError("epsilon must be non-negative")
-        total = float(sum(epsilons))
-        if not self.can_afford(dataset, total):
+        for epsilon in epsilons:
+            _check_epsilon(epsilon)
+        bulk = float(sum(epsilons))
+        if not self.can_afford(dataset, bulk):
             raise PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: charging ε={total:.6g} in bulk would "
+                f"dataset {dataset!r}: charging ε={bulk:.6g} in bulk would "
                 f"exceed capacity {self.capacity:.6g} (already spent "
                 f"{self.spent(dataset):.6g})"
             )
@@ -144,7 +169,9 @@ class BudgetAccountant:
             BudgetEntry(label, epsilon)
             for label, epsilon in zip(labels, epsilons)
         )
-        return self.spent(dataset)
+        total = _fold(epsilons, self._totals.get(dataset, 0.0))
+        self._totals[dataset] = total
+        return total
 
     def history(self, dataset: str) -> Tuple[BudgetEntry, ...]:
         """Immutable view of the expenditures recorded for ``dataset``."""
@@ -157,6 +184,7 @@ class BudgetAccountant:
     def reset(self, dataset: str) -> None:
         """Forget all spending for ``dataset`` (e.g. after data rotation)."""
         self._spent.pop(dataset, None)
+        self._totals.pop(dataset, None)
 
     # ------------------------------------------------------------------ #
     # Durability: snapshot / restore / journal replay                    #
@@ -182,6 +210,10 @@ class BudgetAccountant:
                 for label, epsilon in entries
             ]
             for dataset, entries in spent.items()
+        }
+        self._totals = {
+            dataset: _fold(e.epsilon for e in entries)
+            for dataset, entries in self._spent.items()
         }
         self._journal_high_water = int(snapshot["journal_high_water"])
 
@@ -214,6 +246,9 @@ class BudgetAccountant:
                 continue
             self._spent.setdefault(entry.dataset, []).append(
                 BudgetEntry(entry.label, entry.epsilon_prime)
+            )
+            self._totals[entry.dataset] = (
+                self._totals.get(entry.dataset, 0.0) + entry.epsilon_prime
             )
             applied += 1
         return applied

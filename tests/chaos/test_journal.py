@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -65,6 +67,27 @@ class TestValidation:
             TradeJournal().append(**journal_record(price=-1.0))
         with pytest.raises(JournalError):
             TradeJournal().append(**journal_record(epsilon_prime=-0.01))
+
+    @pytest.mark.parametrize(
+        "field", ["low", "high", "alpha", "delta", "epsilon_prime", "price"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, field, bad):
+        """Strict JSON has no NaN/Infinity: they never reach the books."""
+        journal = TradeJournal()
+        with pytest.raises(JournalError, match=field):
+            journal.append(**journal_record(**{field: bad}))
+        assert len(journal) == 0
+
+    def test_non_finite_file_line_rejected_on_load(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with TradeJournal(path=path) as journal:
+            journal.append_many([journal_record() for _ in range(2)])
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"price": 1.5', '"price": NaN')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError, match="price"):
+            TradeJournal.load(path)
 
     def test_wrong_envelope_rejected(self):
         payload = JournalEntry(answer_id=1, **journal_record()).to_payload()
@@ -137,3 +160,51 @@ class TestChecksum:
         assert a.checksum() == b.checksum()
         b.append(**journal_record(kind="replay", epsilon_prime=0.0))
         assert a.checksum() != b.checksum()
+
+
+def _reference_line(entry):
+    """The original encoding: a deep ``asdict`` copy through ``json.dumps``."""
+    return json.dumps(
+        {**asdict(entry), "format": JOURNAL_FORMAT, "version": JOURNAL_VERSION},
+        sort_keys=True,
+    )
+
+
+#: Records that stress the encoder: int and float bounds, signed zero,
+#: exponent-form floats and non-ASCII text (escaped as ``ensure_ascii``).
+BYTE_IDENTITY_RECORDS = [
+    journal_record(),
+    journal_record(low=0, high=10, store_version=0),
+    journal_record(low=-0.0, high=0.0, epsilon_prime=0.0, price=0.0),
+    journal_record(low=1e-17, high=2.5e300, alpha=1e-5, delta=0.999999),
+    journal_record(epsilon_prime=1.2345678901234567e-08, price=123456789.125),
+    journal_record(consumer="käufer-ü", label="größe:[0,1] ✓ \u2603 \"q\""),
+    journal_record(kind="replay", epsilon_prime=0.0, consumer="買い手"),
+]
+
+
+class TestByteIdentity:
+    def test_file_lines_match_reference_encoding(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with TradeJournal(path=path) as journal:
+            entries = journal.append_many(BYTE_IDENTITY_RECORDS[:3])
+            entries += journal.append_many(BYTE_IDENTITY_RECORDS[3:])
+            checksum = journal.checksum()
+        expected = "".join(_reference_line(e) + "\n" for e in entries)
+        raw = path.read_bytes()
+        assert raw == expected.encode("utf-8")
+        assert raw.isascii()
+        digest = hashlib.sha256()
+        for line in raw.decode("utf-8").splitlines():
+            digest.update(line.encode("utf-8"))
+        assert checksum == digest.hexdigest()
+
+    def test_payload_round_trips_through_load(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with TradeJournal(path=path) as journal:
+            entries = journal.append_many(BYTE_IDENTITY_RECORDS)
+            checksum = journal.checksum()
+        loaded = TradeJournal.load(path)
+        assert loaded.entries() == tuple(entries)
+        assert loaded.checksum() == checksum
+        loaded.close()

@@ -12,6 +12,21 @@ from repro.estimators.base import NodeData, NodeSample
 from repro.estimators.rank import RankCountingEstimator
 
 
+def assert_bits_equal(batch, scalar):
+    """Bitwise float comparison: equal int64 views, no tolerance."""
+    batch = np.asarray(batch, dtype=np.float64)
+    scalar = np.asarray(scalar, dtype=np.float64)
+    assert batch.shape == scalar.shape
+    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64)), (
+        batch,
+        scalar,
+    )
+
+
+def scalar_path(est, samples, ranges):
+    return [est.estimate(samples, low, high).estimate for low, high in ranges]
+
+
 @pytest.fixture
 def samples(uniform_nodes, rng):
     return [n.sample(0.2, rng) for n in uniform_nodes]
@@ -23,10 +38,7 @@ class TestEquivalence:
         ranges = [(0.0, 100.0), (10.0, 20.0), (50.0, 50.0), (99.0, 120.0),
                   (-10.0, -5.0)]
         batch = est.estimate_many(samples, ranges)
-        for (low, high), value in zip(ranges, batch):
-            assert value == pytest.approx(
-                est.estimate(samples, low, high).estimate
-            )
+        assert_bits_equal(batch, scalar_path(est, samples, ranges))
 
     def test_empty_sample_handled(self):
         empty = NodeSample(node_id=1, values=np.array([]),
@@ -80,10 +92,7 @@ class TestBasicCountingBatch:
         est = BasicCountingEstimator()
         ranges = [(0.0, 100.0), (10.0, 20.0), (50.0, 50.0), (-5.0, -1.0)]
         batch = est.estimate_many(samples, ranges)
-        for (low, high), value in zip(ranges, batch):
-            assert value == pytest.approx(
-                est.estimate(samples, low, high).estimate
-            )
+        assert_bits_equal(batch, scalar_path(est, samples, ranges))
 
     def test_validation(self, samples):
         from repro.estimators.basic import BasicCountingEstimator
@@ -136,8 +145,7 @@ class TestSeededFuzzEquivalence:
             bounds.append((float(concat.min()), v))
 
         batch = est.estimate_many(samples, bounds)
-        scalar = [est.estimate(samples, lo, hi).estimate for lo, hi in bounds]
-        assert list(batch) == scalar  # bit-for-bit, no tolerance
+        assert_bits_equal(batch, scalar_path(est, samples, bounds))
 
 
 @given(
@@ -161,6 +169,72 @@ def test_batch_always_matches_scalar(count, p, seed, bounds):
     sample = node.sample(p, np.random.default_rng(seed + 1))
     est = RankCountingEstimator()
     batch = est.estimate_many([sample], bounds)
-    for (low, high), value in zip(bounds, batch):
-        scalar = est.estimate([sample], low, high).estimate
-        assert value == pytest.approx(scalar)
+    assert_bits_equal(batch, scalar_path(est, [sample], bounds))
+
+
+def _node_sample(node_id, kind, size, p, seed):
+    """One node's sample of a given shape (see ``fleets`` below)."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return NodeSample(node_id=node_id, values=np.zeros(0),
+                          ranks=np.zeros(0, dtype=np.int64), node_size=0, p=p)
+    if kind == "unsampled":
+        # A populated node whose Bernoulli draw kept nothing.
+        return NodeSample(node_id=node_id, values=np.zeros(0),
+                          ranks=np.zeros(0, dtype=np.int64),
+                          node_size=size, p=p)
+    if kind == "duplicates":
+        values = rng.integers(0, 6, size).astype(float) * 10.0
+    else:
+        values = rng.uniform(0.0, 100.0, size)
+    return NodeData(node_id=node_id, values=values).sample(p, rng)
+
+
+fleets = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "unsampled", "duplicates", "uniform"]),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**31),
+    ),
+    min_size=1,
+    max_size=8,
+)
+fleet_ranges = st.lists(
+    st.one_of(
+        # Inside the data, bounds often landing on duplicate values.
+        st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
+            lambda t: (10.0 * min(t), 10.0 * max(t))
+        ),
+        st.tuples(
+            st.floats(min_value=0, max_value=100, allow_nan=False),
+            st.floats(min_value=0, max_value=100, allow_nan=False),
+        ).map(lambda t: (min(t), max(t))),
+        st.just((-50.0, -1.0)),    # below all data
+        st.just((101.0, 500.0)),   # above all data
+        st.just((-1.0, 101.0)),    # across all data
+        st.just((-1e9, 1e9)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    fleet=fleets,
+    p=st.sampled_from([0.05, 0.3, 0.37, 1.0]),
+    bounds=fleet_ranges,
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_bit_identical_over_mixed_fleets(fleet, p, bounds):
+    """Property: node-stacked batch ≡ scalar, bitwise, on any fleet mix.
+
+    Fleets mix duplicate-valued nodes, ``node_size == 0`` nodes and
+    populated nodes with empty samples next to ordinary ones.
+    """
+    samples = [
+        _node_sample(node_id, kind, size, p, seed)
+        for node_id, (kind, size, seed) in enumerate(fleet, start=1)
+    ]
+    est = RankCountingEstimator()
+    batch = est.estimate_many(samples, bounds)
+    assert_bits_equal(batch, scalar_path(est, samples, bounds))

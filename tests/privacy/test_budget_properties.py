@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durability.journal import JournalEntry
 from repro.errors import PrivacyBudgetExceededError
 from repro.privacy.budget import BudgetAccountant
 
@@ -79,3 +84,101 @@ def test_can_afford_is_consistent_with_charge(epsilons, capacity):
         except PrivacyBudgetExceededError:
             charged = False
         assert charged == affordable
+
+
+# --------------------------------------------------------------------- #
+# Running total: spent() is the left fold of history() after every step  #
+# --------------------------------------------------------------------- #
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _fold(accountant, dataset):
+    return functools.reduce(
+        operator.add, (e.epsilon for e in accountant.history(dataset)), 0.0
+    )
+
+
+_DATASETS = ("a", "b")
+_eps = st.floats(min_value=0.0, max_value=2.0) | st.sampled_from(
+    [0.0, -0.0, 1e-17, 0.1, 0.2, 0.3, 1e300]
+)
+_ops = st.one_of(
+    st.tuples(st.just("charge"), st.sampled_from(_DATASETS), _eps),
+    st.tuples(
+        st.just("charge_many"),
+        st.sampled_from(_DATASETS),
+        st.lists(_eps, min_size=0, max_size=8),
+    ),
+    st.tuples(st.just("restore"), st.just(None), st.just(None)),
+    st.tuples(
+        st.just("replay"),
+        st.sampled_from(_DATASETS),
+        st.lists(st.tuples(st.booleans(), _eps), min_size=0, max_size=6),
+    ),
+    st.tuples(st.just("reset"), st.sampled_from(_DATASETS), st.just(None)),
+)
+
+
+def _journal_spends(first_id, dataset, specs):
+    return [
+        JournalEntry(
+            answer_id=first_id + i,
+            kind="release" if release else "replay",
+            consumer="c",
+            dataset=dataset,
+            low=0.0,
+            high=1.0,
+            alpha=0.1,
+            delta=0.5,
+            epsilon_prime=eps if release else 0.0,
+            price=1.0,
+            store_version=1,
+            label=f"j{first_id + i}",
+        )
+        for i, (release, eps) in enumerate(specs)
+    ]
+
+
+@given(
+    ops=st.lists(_ops, min_size=1, max_size=30),
+    capacity=st.sampled_from([float("inf"), 3.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_running_total_is_left_fold_of_history(ops, capacity):
+    """Every mutation keeps spent() bit-equal to a fold over history()."""
+    acc = BudgetAccountant(capacity=capacity)
+    next_id = 1
+    for op, dataset, arg in ops:
+        if op == "charge":
+            try:
+                acc.charge(dataset, arg)
+            except PrivacyBudgetExceededError:
+                pass
+        elif op == "charge_many":
+            try:
+                acc.charge_many(dataset, arg, [f"m{i}" for i in range(len(arg))])
+            except PrivacyBudgetExceededError:
+                pass
+        elif op == "restore":
+            acc.restore(acc.snapshot())
+        elif op == "replay":
+            entries = _journal_spends(next_id, dataset, arg)
+            next_id += len(entries)
+            acc.replay_journal(entries)
+        else:
+            acc.reset(dataset)
+        for name in _DATASETS:
+            assert _bits(acc.spent(name)) == _bits(_fold(acc, name))
+
+
+@pytest.mark.parametrize("method", ["charge", "charge_many", "can_afford"])
+def test_nan_epsilon_is_a_value_error(method):
+    acc = BudgetAccountant()
+    with pytest.raises(ValueError, match="non-negative"):
+        if method == "charge_many":
+            acc.charge_many("d", [0.1, float("nan")], ["a", "b"])
+        else:
+            getattr(acc, method)("d", float("nan"))
+    assert acc.history("d") == ()
+    assert acc.spent("d") == 0.0
