@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the domain-aware static-analysis rules (RL001-RL006)",
+        help="run the domain-aware static-analysis rules (RL001-RL005)",
     )
     from repro.lint.cli import add_lint_arguments
 

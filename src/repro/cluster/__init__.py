@@ -5,19 +5,20 @@ The paper's system model routes every device through *one* base station.
 across ``s`` independent :class:`~repro.iot.base_station.BaseStation`
 shards (any :mod:`repro.datasets.partition` strategy), collection rounds
 run on all shards concurrently, and a :class:`ClusterBroker` answers
-``(α, δ)`` queries by scatter-gathering per-shard
-:meth:`~repro.core.broker.DataBroker.answer_batch` calls and merging the
-noised per-shard counts into one :class:`ClusterAnswer`.
+``(α, δ)`` queries by scatter-gathering per-shard estimate-plus-noise
+lanes (:meth:`~repro.core.broker.DataBroker.draw_batch`), merging the
+noised per-shard counts into one :class:`ClusterAnswer`, and settling it
+once through the settlement kernel (:mod:`repro.core.settlement`).
 
 Key invariants (tested):
 
 * **Equivalence** -- with one shard and loss-free channels the cluster
   path is bit-identical to the plain broker path, answers and books.
-* **Accounting reconciliation** -- the cluster keeps its own
-  consumer-facing :class:`~repro.pricing.ledger.BillingLedger` and
-  :class:`~repro.privacy.budget.BudgetAccountant` with exactly one
-  consolidated entry per query; shard-level books are internal transfer
-  accounting.  Zero drift versus the serial expectation.
+* **One set of books** -- the cluster keeps the only
+  :class:`~repro.pricing.ledger.BillingLedger` and
+  :class:`~repro.privacy.budget.BudgetAccountant`, with exactly one
+  consolidated entry per query; shards keep no books.  Zero drift
+  versus the serial expectation.
 * **Failover** -- each shard can carry a replica station mirrored from
   the primary's collection rounds; a dead primary mid-gather re-routes
   to the replica and degrades the answer's reported δ instead of

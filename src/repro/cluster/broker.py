@@ -16,28 +16,30 @@ Per query it
    sub-targets (the legacy broadcast ``δ^{1/s}`` split when bands give
    nothing to exploit);
 2. **scatters** per-shard *sub-batches* (queries grouped by their routed
-   shard set, one batched RPC per shard, not per query) to each shard's
-   :meth:`~repro.core.broker.DataBroker.answer_batch` -- concurrently for
-   ``s > 1`` -- with replica failover per shard;
+   shard set, one batched call per shard, not per query) to each shard's
+   estimate-plus-noise lane
+   (:meth:`~repro.core.broker.DataBroker.draw_batch`: top-up, plan,
+   estimate, Laplace draw -- no books) -- concurrently for ``s > 1`` --
+   with replica failover per shard;
 3. **gathers** and merges the per-shard estimates, noised counts, and
    exact-cover totals into one :class:`ClusterAnswer` (clamped sum;
    merged plan via :func:`~repro.cluster.planning.merge_plans`);
-4. **reconciles** the books: exactly one consolidated
+4. **settles** once, through the settlement kernel
+   (:mod:`repro.core.settlement`): exactly one journal record, one
    :class:`~repro.pricing.ledger.BillingLedger` transaction and one
    :class:`~repro.privacy.budget.BudgetAccountant` entry per query, at
    the cluster list price and the parallel-composition ε′ (max over the
    shards the query actually touched; zero for metadata-only answers).
-   Shard-level books are internal transfer accounting.
+   Shards keep no books.
 
-With one shard the whole path degenerates to the plain broker call plus
-a pass-through merge, and is bit-identical to it (tested); routing is
-disabled at ``s = 1`` so band coverage can never shortcut the real
-release.
+With one shard the whole path degenerates to the plain broker's
+estimate source plus a pass-through merge, and is bit-identical to it
+(tested); routing is disabled at ``s = 1`` so band coverage can never
+shortcut the real release.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 import time
@@ -45,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,9 +61,10 @@ from repro.cluster.planning import (
     zero_plan,
 )
 from repro.cluster.shard import ShardRuntime, build_shards
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import InfeasiblePlanError, PrivacyBudgetExceededError
+from repro.core.settlement import admit, open_batch, release_batch, replay
+from repro.errors import InfeasiblePlanError
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
@@ -291,8 +294,7 @@ class ClusterBroker:
     telemetry: "Optional[MetricsRegistry]" = None
     #: Optional :class:`~repro.durability.journal.TradeJournal`; when set,
     #: every consolidated trade is journaled *before* the merged answer is
-    #: released or the cluster books mutate (RL006).  Shard-level books
-    #: are internal transfer accounting and are not journaled.
+    #: released or the cluster books mutate (journal-before-release).
     journal: "Optional[TradeJournal]" = None
     #: Optional per-shard circuit breakers
     #: (:class:`~repro.cluster.health.ShardBreakerBoard`).  An open
@@ -503,17 +505,6 @@ class ClusterBroker:
 
         return cost
 
-    def _journal_trades(self, records: "list[dict]") -> None:
-        """Commit consolidated trades to the write-ahead journal.
-
-        Must run **before** ``policy.settle`` / ``accountant.charge_many``
-        / ``ledger.record_many`` and before any merged answer is returned
-        (journal-before-release, RL006).  No-op when no journal is
-        attached.
-        """
-        if self.journal is not None:
-            self.journal.append_many(records)
-
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) collection rounds on all shards, concurrently."""
         self._fan_out(lambda shard: shard.ensure_rate(p))
@@ -529,44 +520,24 @@ class ClusterBroker:
 
     def answer_batch(
         self,
-        queries: "List[RangeQuery]",
+        queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
     ) -> "List[ClusterAnswer]":
-        """Scatter a batch to every shard, gather, merge, and charge once.
+        """Scatter a batch to the shard lanes, gather, merge, and settle once.
 
-        Per-shard work goes through the vectorized
-        :meth:`~repro.core.broker.DataBroker.answer_batch`; shards run
+        Each shard lane plans, estimates and noises its sub-batch
+        (:meth:`~repro.core.broker.DataBroker.draw_batch`); shards run
         concurrently for ``s > 1``.  A shard whose primary dies
         mid-gather retries on its replica and only marks the merged
-        answers degraded.  The consolidated books are written *after*
-        the gather, in query order: one ledger transaction per query at
+        answers degraded.  Admission and the books come *after* the
+        gather, in query order: one ledger transaction per query at
         cluster list price and one accountant entry at the
         parallel-composition ε′ (max over shards) -- so a failed gather
-        charges the consumer nothing.
+        or a refused batch charges the consumer nothing.
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # Expired requests must not route, scatter, or bill (scope is
-        # installed by the serving gateway; no-op when absent).
-        check_deadline("cluster.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs: "List[AccuracySpec]" = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, cluster serves "
-                    f"{self.dataset!r}"
-                )
-        self.policy.admit_batch(consumer, specs)
-
+        batch = open_batch(self, "cluster", queries, spec, consumer)
+        queries, specs = batch.queries, batch.specs
         s = len(self.shards)
         routes = [
             self.route_for_range(query.low, query.high, q_spec)
@@ -590,9 +561,8 @@ class ClusterBroker:
         # With co-hosted workers attached, answer every shard's
         # sub-queries in one pipe round-trip per worker before the
         # scatter; each shard's lane then consumes its primed totals
-        # without another hop.  Best-effort -- a miss (raced top-up,
-        # shard-cache hit filtering the batch) degrades to the normal
-        # per-shard round-trip, bit-identically.
+        # without another hop.  Best-effort -- a miss (raced top-up)
+        # degrades to the normal per-shard round-trip, bit-identically.
         with self._lock:
             primer = self._primer
         if primer is not None and len(tasks) > 1:
@@ -607,9 +577,9 @@ class ClusterBroker:
         # deadline scope there so shard-level checkpoints keep working.
         request_deadline = current_deadline()
 
-        def scoped_shard_answer(task):
+        def scoped_shard_draw(task):
             with deadline_scope(request_deadline):
-                return self._shard_answer(
+                return self._shard_draw(
                     task[1],
                     [queries[i] for i in task[2]],
                     [routes[i].spec_for(task[0]) for i in task[2]],
@@ -617,7 +587,7 @@ class ClusterBroker:
                 )
 
         with self._timer("cluster.scatter_s"):
-            results = self._fan_out_over(tasks, scoped_shard_answer)
+            results = self._fan_out_over(tasks, scoped_shard_draw)
 
         answer_of: "Dict[Tuple[int, int], PrivateAnswer]" = {}
         degraded_by_shard: "Dict[int, bool]" = {}
@@ -626,142 +596,79 @@ class ClusterBroker:
             for i, answer in zip(indices, answers):
                 answer_of[(j, i)] = answer
 
-        degraded_ids = tuple(sorted(j for j, d in degraded_by_shard.items() if d))
-        if degraded_ids:
+        if any(degraded_by_shard.values()):
             with self._lock:
                 if self._first_degraded_wall is None:
                     self._first_degraded_wall = time.perf_counter()
 
-        # Gather + merge, then reconcile the consolidated books in query
-        # order: one entry per query, cluster price, parallel-composition ε′
-        # over the shards the query actually touched.
+        # Gather + merge per query over the shards its route touched, then
+        # admit and settle the consolidated trades through the kernel.
         with self._timer("cluster.gather_s"):
             n_total = float(self.n)
-            merged_plans: "List[PrivacyPlan]" = []
-            prices: "List[float]" = []
-            epsilons: "List[float]" = []
-            labels: "List[str]" = []
-            for i, (query, q_spec) in enumerate(zip(queries, specs)):
-                route = routes[i]
-                shard_plans = [answer_of[(j, i)].plan for j in route.queried]
-                exact_n = sum(self.shards[j].n for j in route.exact)
-                exact_k = sum(self.shards[j].k for j in route.exact)
-                if shard_plans or exact_n:
-                    merged_plans.append(
-                        merge_plans(
-                            q_spec, shard_plans, exact_n=exact_n, exact_k=exact_k
-                        )
-                    )
-                else:
-                    # Every shard pruned: the range provably holds no
-                    # records, released from metadata alone.
-                    merged_plans.append(zero_plan(q_spec))
-                prices.append(self.pricing.price(q_spec.alpha, q_spec.delta))
-                epsilons.append(
-                    max((p.epsilon_prime for p in shard_plans), default=0.0)
-                )
-                labels.append(f"{consumer}:[{query.low},{query.high}]")
-
-            total_epsilon = sum(epsilons)
-            if not self.policy.can_release(consumer, total_epsilon):
-                raise PolicyViolationError(
-                    f"consumer {consumer!r} would exceed the per-consumer "
-                    "privacy cap"
-                )
-            if not self.accountant.can_afford(self.dataset, total_epsilon):
-                raise PrivacyBudgetExceededError(
-                    f"dataset {self.dataset!r}: batch of {len(queries)} "
-                    f"merged releases (ε′={total_epsilon:.6g}) would exceed "
-                    f"capacity {self.accountant.capacity:.6g}"
-                )
-            # Last pre-commit checkpoint: past here the consolidated trade
-            # is journaled and charged, so an expired deadline must abort
-            # now or never.  Shard-level books written by the scatter are
-            # internal transfer accounting and are reconciled by replay.
-            check_deadline("cluster.journal")
-            store_version = self._station_view.store_version
-            self._journal_trades([
-                dict(
-                    kind="release",
-                    consumer=consumer,
-                    dataset=self.dataset,
-                    low=query.low,
-                    high=query.high,
-                    alpha=q_spec.alpha,
-                    delta=q_spec.delta,
-                    epsilon_prime=eps,
-                    price=price,
-                    store_version=store_version,
-                    label=label,
-                )
-                for query, q_spec, price, eps, label in zip(
-                    queries, specs, prices, epsilons, labels
-                )
-            ])
-            for q_spec, eps in zip(specs, epsilons):
-                self.policy.settle(consumer, eps)
-            self.accountant.charge_many(self.dataset, epsilons, labels)
-            txns = self.ledger.record_many([
-                dict(
-                    consumer=consumer,
-                    dataset=self.dataset,
-                    alpha=q_spec.alpha,
-                    delta=q_spec.delta,
-                    price=price,
-                    epsilon_prime=eps,
-                )
-                for q_spec, price, eps in zip(specs, prices, epsilons)
-            ])
-
-            merged: "List[ClusterAnswer]" = []
+            plans: "List[PrivacyPlan]" = []
+            values: "List[float]" = []
+            raw_values: "List[float]" = []
+            estimates: "List[float]" = []
+            extras: "List[Dict[str, Any]]" = []
             degraded_answers = 0
-            for i, (query, q_spec) in enumerate(zip(queries, specs)):
+            for i, q_spec in enumerate(specs):
                 route = routes[i]
-                shard_answers = tuple(
-                    answer_of[(j, i)] for j in route.queried
-                )
+                shard_answers = tuple(answer_of[(j, i)] for j in route.queried)
                 # Exactly-covered shards contribute their cached totals:
                 # every record is in range, zero error, zero ε.  Shard
                 # sizes are public partition metadata (they already
                 # calibrate pricing and appear in every merged plan).
-                exact_count = float(sum(self.shards[j].n for j in route.exact))
-                raw = exact_count + float(sum(a.raw_value for a in shard_answers))
-                estimate = exact_count + float(
-                    sum(a.sample_estimate for a in shard_answers)
+                exact_n = sum(self.shards[j].n for j in route.exact)
+                exact_k = sum(self.shards[j].k for j in route.exact)
+                if shard_answers or exact_n:
+                    plans.append(merge_plans(
+                        q_spec,
+                        [a.plan for a in shard_answers],
+                        exact_n=exact_n,
+                        exact_k=exact_k,
+                    ))
+                else:
+                    # Every shard pruned: the range provably holds no
+                    # records, released from metadata alone.
+                    plans.append(zero_plan(q_spec))
+                raw = float(exact_n) + float(
+                    sum(a.raw_value for a in shard_answers)
                 )
-                value = float(min(max(raw, 0.0), n_total))
+                raw_values.append(raw)
+                estimates.append(
+                    float(exact_n)
+                    + float(sum(a.sample_estimate for a in shard_answers))
+                )
+                values.append(float(min(max(raw, 0.0), n_total)))
                 answer_degraded = tuple(
                     j for j in route.queried if degraded_by_shard.get(j, False)
                 )
                 if answer_degraded:
                     degraded_answers += 1
-                merged.append(
-                    ClusterAnswer(
-                        value=value,
-                        raw_value=raw,
-                        sample_estimate=estimate,
-                        query=query,
-                        spec=q_spec,
-                        plan=merged_plans[i],
-                        price=prices[i],
-                        consumer=consumer,
-                        transaction_id=txns[i].transaction_id,
-                        shard_answers=shard_answers,
-                        degraded_shards=answer_degraded,
-                        delta_reported=degraded_delta(
-                            q_spec.delta,
-                            len(answer_degraded),
-                            self.replica_confidence,
-                        ),
-                        pruned_shards=route.pruned,
-                        exact_shards=route.exact,
-                        route_signature=route.signature,
-                    )
-                )
+                extras.append(dict(
+                    shard_answers=shard_answers,
+                    degraded_shards=answer_degraded,
+                    delta_reported=degraded_delta(
+                        q_spec.delta,
+                        len(answer_degraded),
+                        self.replica_confidence,
+                    ),
+                    pruned_shards=route.pruned,
+                    exact_shards=route.exact,
+                    route_signature=route.signature,
+                ))
+            admit(self, batch, plans)
+            merged = release_batch(
+                self,
+                batch,
+                answer_type=ClusterAnswer,
+                plans=plans,
+                value=values,
+                raw_value=raw_values,
+                sample_estimate=estimates,
+                extras=extras,
+            )
 
-        self._emit("cluster.batches")
-        self._emit("cluster.answers", len(queries))
-        self._emit("cluster.epsilon_spent", total_epsilon)
         if degraded_answers:
             self._emit("cluster.degraded_answers", degraded_answers)
         if self.telemetry is not None:
@@ -791,41 +698,11 @@ class ClusterBroker:
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously merged answer at ε′ = 0.
 
-        Mirrors :meth:`DataBroker.replay`: list price, zero budget, one
+        The settlement kernel's :func:`~repro.core.settlement.replay`, as
+        for :meth:`DataBroker.replay`: list price, zero budget, one
         consolidated ledger entry showing the hand-over.
         """
-        spec = cached.spec
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self._station_view.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("cluster.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
+        return replay(self, "cluster", cached, consumer)
 
     def breaker_open_fraction(self) -> float:
         """Share of shard lanes with a non-closed breaker (0.0 unwired).
@@ -840,7 +717,7 @@ class ClusterBroker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _shard_answer(
+    def _shard_draw(
         self,
         shard: ShardRuntime,
         queries: "List[RangeQuery]",
@@ -870,7 +747,7 @@ class ClusterBroker:
                 )
             else:
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
-                    answers, degraded = shard.answer_batch(
+                    answers, degraded = shard.draw_batch(
                         queries, shard_specs, consumer, gate=not bypass
                     )
         except Exception:
@@ -898,10 +775,10 @@ class ClusterBroker:
     ) -> "Tuple[List[PrivateAnswer], bool]":
         """Race the gated lane against a bypass retry, exactly once.
 
-        Both lanes answer through the *same* shard broker, so whichever
+        Both lanes draw through the *same* shard broker, so whichever
         wins produces the bit-identical result; the single ``claim``
         token (taken before any broker work) guarantees the loser has no
-        side effects — nothing journaled twice, no RNG double-draw.
+        side effects — no RNG double-draw, no double top-up.
         """
         request_deadline = current_deadline()
         cancel = threading.Event()
@@ -910,7 +787,7 @@ class ClusterBroker:
         def gated_lane() -> "Tuple[List[PrivateAnswer], bool]":
             with deadline_scope(request_deadline):
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
-                    return shard.answer_batch(
+                    return shard.draw_batch(
                         queries, shard_specs, consumer,
                         cancel=cancel, claim=claim,
                     )
@@ -924,7 +801,7 @@ class ClusterBroker:
         self._emit(f"cluster.shard{shard.shard_id}.hedges")
         try:
             with self._timer(f"cluster.shard{shard.shard_id}.hedge_s"):
-                result = shard.answer_batch(
+                result = shard.draw_batch(
                     queries, shard_specs, consumer, gate=False, claim=claim
                 )
         except HedgeLostRace:

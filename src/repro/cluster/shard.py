@@ -104,11 +104,10 @@ PARTITION_STRATEGIES = {
 class ShardRuntime:
     """One shard of the federation: primary broker, optional replica.
 
-    The primary and replica brokers share the shard-level ledger and
-    accountant (shard books are internal transfer accounting; the
-    consumer-facing books live on the
-    :class:`~repro.cluster.broker.ClusterBroker`), so a failover never
-    forks the shard's history.
+    A shard is an estimate-plus-noise lane: its brokers plan, estimate
+    and Laplace-perturb sub-queries, and keep no books -- the
+    :class:`~repro.cluster.broker.ClusterBroker` settles every merged
+    answer once, in its own journal, policy, accountant and ledger.
     """
 
     shard_id: int
@@ -170,7 +169,7 @@ class ShardRuntime:
             )
         return self.replica
 
-    def answer_batch(
+    def draw_batch(
         self,
         queries: "List[RangeQuery]",
         specs: "Sequence[AccuracySpec]",
@@ -180,15 +179,17 @@ class ShardRuntime:
         cancel: "Optional[threading.Event]" = None,
         claim: "Optional[threading.Lock]" = None,
     ) -> "Tuple[List[PrivateAnswer], bool]":
-        """Answer on the primary, failing over to the replica mid-gather.
+        """Draw on the primary, failing over to the replica mid-gather.
 
+        Runs the active broker's :meth:`~repro.core.broker.DataBroker.
+        draw_batch` (top-up, plan, estimate, Laplace draw -- no books).
         Returns ``(answers, degraded)`` where ``degraded`` is True when
         the replica served the batch.  A mid-round
         :class:`~repro.errors.DeliveryError` on the primary (dead radio
         discovered during a top-up round) marks the primary down and
-        retries once on the replica; broker rounds are transactional, so
-        the aborted primary attempt left no partial store and no
-        charges.
+        retries once on the replica; collection rounds are transactional
+        and the failed round drew no noise, so the aborted primary
+        attempt left nothing behind.
 
         ``gate=False`` skips the injected ingress latency (the bypass /
         relief lane used by open breakers and hedge retries).  ``cancel``
@@ -213,7 +214,7 @@ class ShardRuntime:
             )
         if self.primary_alive:
             try:
-                return self.primary.answer_batch(queries, list(specs), consumer), False
+                return self.primary.draw_batch(queries, specs, consumer), False
             except DeliveryError:
                 self.primary_alive = False
         if self.replica is None:
@@ -221,7 +222,7 @@ class ShardRuntime:
                 f"shard {self.shard_id}: primary station is down and no "
                 "replica is configured"
             )
-        return self.replica.answer_batch(queries, list(specs), consumer), True
+        return self.replica.draw_batch(queries, specs, consumer), True
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) a collection round on the active station.
@@ -380,8 +381,6 @@ def build_shards(
                 base_station=replica_station,
                 pricing=pricing,
                 dataset=dataset,
-                ledger=primary.ledger,
-                accountant=primary.accountant,
                 rng=np.random.default_rng(
                     seed + _REPLICA_BROKER_OFFSET + shard_id * _SHARD_STRIDE
                 ),

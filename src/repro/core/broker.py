@@ -9,32 +9,34 @@ For each purchased query the broker
 3. **perturbs** -- adds Laplace noise at the optimizer's ε so the noisy
    answer is still an ``(α, δ)``-range counting with the smallest amplified
    budget ε′ (optimization problem (3));
-4. **charges** -- prices the product with the configured pricing function,
+4. **charges** -- hands the noisy answers to the settlement kernel
+   (:mod:`repro.core.settlement`), which journals the trade, prices it,
    records the sale in the billing ledger and the ε′ in the privacy
    accountant.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, ContextManager, Optional, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.planner import QueryPlanner
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import InfeasiblePlanError, PrivacyBudgetExceededError
+from repro.core.settlement import admit, open_batch, release_batch, replay
+from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
 from repro.iot.base_station import BaseStation
 from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
-from repro.privacy.laplace import sample_laplace, sample_laplace_many
-from repro.resilience.deadline import check_deadline
+from repro.privacy.laplace import sample_laplace_many
+from repro.privacy.optimizer import PrivacyPlan
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
     from repro.durability.journal import TradeJournal
@@ -89,15 +91,15 @@ class DataBroker:
     telemetry: "Optional[MetricsRegistry]" = None
     #: Optional :class:`~repro.durability.journal.TradeJournal`; when set,
     #: every trade is journaled *before* the answer is released or any
-    #: accounting state mutates (crash-safety invariant RL006), so
+    #: accounting state mutates (journal-before-release), so
     #: :func:`~repro.durability.recovery.recover_accounting` can rebuild
     #: the exact books after a crash.
     journal: "Optional[TradeJournal]" = None
 
     def __post_init__(self) -> None:
-        # Cache of released answers keyed by (query, spec, sample rate);
-        # see ``memoize_answers`` in :meth:`answer`.
-        self._answer_cache: "dict[tuple, PrivateAnswer]" = {}
+        # Cache of released answers keyed by (range, tier); see
+        # ``memoize_answers`` in :meth:`answer_batch`.
+        self._answer_cache: "dict[tuple[float, float, float, float], PrivateAnswer]" = {}
         # Memo of optimizer runs: the grid search is a pure function of
         # (α, δ, p) for this broker's fixed fleet shape, and cluster
         # routing multiplies the distinct sub-specs each shard sees per
@@ -135,74 +137,21 @@ class DataBroker:
         """List price of an ``(α, δ)`` product (no data is touched)."""
         return self.pricing.price(spec.alpha, spec.delta)
 
-    def _timer(self, name: str):
+    def _timer(self, name: str) -> "ContextManager[None]":
         """A stage timer into the attached telemetry, or a no-op."""
         if self.telemetry is None:
             return nullcontext()
         return self.telemetry.timer(name)
 
-    def _emit(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.inc(name, amount)
-
-    def _journal_trades(self, records: "list[dict]") -> None:
-        """Commit trades to the write-ahead journal, pre-release.
-
-        Must run **before** ``policy.settle`` / ``accountant.charge`` /
-        ``ledger.record`` and before the answer object is returned
-        (journal-before-release, RL006): a crash after the append can only
-        make recovery *over*-count ε, never under-count it.  No-op when no
-        journal is attached.
-        """
-        if self.journal is not None:
-            self.journal.append_many(records)
-
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
-        """Re-release a previously purchased answer to ``consumer``.
+        """Re-release a previously purchased answer to ``consumer`` at ε′ = 0.
 
-        Re-releasing a released value is post-processing: it costs **zero**
-        privacy budget (nothing is charged to the accountant and the
-        policy settles ε′ = 0) and it starves averaging attacks, since m
-        identical answers average to themselves.  The sale is still billed
-        at list price and recorded in the ledger with ``epsilon_prime=0``,
-        so the books show every hand-over.
-
-        This is the single replay path shared by the broker's own
-        memoized-answer cache and the serving layer's
+        The settlement kernel's :func:`~repro.core.settlement.replay`:
+        journaled and billed at list price, no budget charged.  Shared by
+        the broker's own memoized-answer cache and the serving layer's
         :class:`~repro.serving.answer_cache.AnswerCache`.
         """
-        spec = cached.spec
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self.base_station.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("broker.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
+        return replay(self, "broker", cached, consumer)
 
     def _ensure_feasible(self, spec: AccuracySpec) -> None:
         p = self.base_station.sampling_rate
@@ -217,107 +166,108 @@ class DataBroker:
         target = self._planner.required_rate(spec)
         self.base_station.ensure_rate(max(target, p if p > 0 else target))
 
+    def _plan_each(self, specs: "Sequence[AccuracySpec]") -> "list[PrivacyPlan]":
+        """One plan per spec, solved once per distinct ``(α, δ)`` tier.
+
+        Every tier is topped up to feasibility first and then planned at
+        the final post-top-up rate (tighter than planning earlier tiers at
+        the sparser pre-top-up rate; both are valid).
+        """
+        tiers: "dict[tuple[float, float], AccuracySpec]" = {}
+        for spec in specs:
+            tiers.setdefault((spec.alpha, spec.delta), spec)
+        for tier_spec in tiers.values():
+            self._ensure_feasible(tier_spec)
+        p = self.base_station.sampling_rate
+        plans = {tier: self._plan(tier_spec, p) for tier, tier_spec in tiers.items()}
+        return [plans[(spec.alpha, spec.delta)] for spec in specs]
+
+    def _estimate(self, queries: "Sequence[RangeQuery]") -> "npt.NDArray[np.float64]":
+        """Deterministic sample estimates: one store fetch, one vectorized
+        ``estimate_many`` pass (bit-identical to scalar ``estimate``)."""
+        samples = self.base_station.samples()
+        ranges = [(query.low, query.high) for query in queries]
+        estimate_many = getattr(self.estimator, "estimate_many", None)
+        if estimate_many is not None:
+            return np.asarray(estimate_many(samples, ranges), dtype=np.float64)
+        return np.asarray([
+            self.estimator.estimate(samples, low, high).estimate
+            for low, high in ranges
+        ], dtype=np.float64)
+
+    def _perturb(
+        self,
+        estimates: "npt.NDArray[np.float64]",
+        plans: "Sequence[PrivacyPlan]",
+    ) -> "npt.NDArray[np.float64]":
+        """Add each plan's Laplace noise in one vectorized draw.
+
+        Consumes the generator's bitstream exactly like per-query draws,
+        so batching never changes an answer.
+        """
+        scales = np.asarray([plan.noise_scale for plan in plans])
+        noise = sample_laplace_many(scales, self.rng)
+        return np.asarray(estimates + noise, dtype=np.float64)
+
+    def draw_batch(
+        self,
+        queries: "Sequence[RangeQuery]",
+        specs: "Sequence[AccuracySpec]",
+        consumer: str,
+    ) -> "list[PrivateAnswer]":
+        """Plan, estimate and perturb a batch without touching any books.
+
+        The cluster's shard lane: the same top-up, plans and noise draws
+        (in the same RNG order) as :meth:`answer_batch`, but nothing is
+        admitted, journaled, charged or billed -- the coordinator settles
+        the merged answers once.  The lane's answers carry no price and
+        no transaction id.
+        """
+        plans = self._plan_each(specs)
+        estimates = self._estimate(queries)
+        raw_values = self._perturb(estimates, plans)
+        released = np.clip(raw_values, 0.0, float(self.base_station.n))
+        return [
+            PrivateAnswer(
+                value=float(released[i]),
+                raw_value=float(raw_values[i]),
+                sample_estimate=float(estimates[i]),
+                query=query,
+                spec=spec,
+                plan=plans[i],
+                price=0.0,
+                consumer=consumer,
+            )
+            for i, (query, spec) in enumerate(zip(queries, specs))
+        ]
+
     def answer(
         self,
         query: RangeQuery,
         spec: AccuracySpec,
         consumer: str = "anonymous",
     ) -> PrivateAnswer:
-        """Run the full trade: plan, estimate, perturb, charge.
+        """Run the full trade for one query: a one-query :meth:`answer_batch`.
 
         Returns the :class:`PrivateAnswer` released to the consumer.  Cost
         of any triggered top-up round lands on the network meter; the
         privacy cost ε′ is charged to the accountant under this broker's
         dataset key.
         """
-        if query.dataset not in ("default", self.dataset):
-            raise ValueError(
-                f"query targets dataset {query.dataset!r}, broker serves "
-                f"{self.dataset!r}"
-            )
-        self.policy.admit(consumer, spec)
-
-        cache_key = (query.low, query.high, spec.alpha, spec.delta)
-        if self.memoize_answers and cache_key in self._answer_cache:
-            return self.replay(self._answer_cache[cache_key], consumer)
-
-        with self._timer("broker.plan_s"):
-            self._ensure_feasible(spec)
-            p = self.base_station.sampling_rate
-            plan = self._plan(spec, p)
-        if not self.policy.can_release(consumer, plan.epsilon_prime):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-
-        with self._timer("broker.estimate_s"):
-            samples = self.base_station.samples()
-            estimate = self.estimator.estimate(samples, query.low, query.high)
-        noise = float(sample_laplace(plan.noise_scale, self.rng))
-        raw_value = estimate.estimate + noise
-        released = float(min(max(raw_value, 0.0), float(self.base_station.n)))
-
-        with self._timer("broker.charge_s"):
-            price = self.pricing.price(spec.alpha, spec.delta)
-            self._journal_trades([dict(
-                kind="release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=spec.alpha,
-                delta=spec.delta,
-                epsilon_prime=plan.epsilon_prime,
-                price=price,
-                store_version=self.base_station.store_version,
-                label=f"{consumer}:[{query.low},{query.high}]",
-            )])
-            self.policy.settle(consumer, plan.epsilon_prime)
-            self.accountant.charge(
-                self.dataset,
-                plan.epsilon_prime,
-                label=f"{consumer}:[{query.low},{query.high}]",
-            )
-            txn = self.ledger.record(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=spec.alpha,
-                delta=spec.delta,
-                price=price,
-                epsilon_prime=plan.epsilon_prime,
-            )
-        self._emit("broker.answers")
-        self._emit("broker.epsilon_spent", plan.epsilon_prime)
-        answer = PrivateAnswer(
-            value=released,
-            raw_value=raw_value,
-            sample_estimate=estimate.estimate,
-            query=query,
-            spec=spec,
-            plan=plan,
-            price=price,
-            consumer=consumer,
-            transaction_id=txn.transaction_id,
-        )
-        if self.memoize_answers:
-            self._answer_cache[cache_key] = answer
-        return answer
+        return self.answer_batch([query], spec, consumer)[0]
 
     def answer_batch(
         self,
-        queries: "list[RangeQuery]",
+        queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
     ) -> "list[PrivateAnswer]":
-        """Answer several queries in one vectorized pass.
+        """Plan, estimate, perturb and settle a batch of queries.
 
-        Semantically identical to calling :meth:`answer` per query --
-        each release is separately noised and separately charged
-        (different ranges overlap, so sequential composition applies) and
-        the memoized-answer cache behaves exactly as in the scalar loop
-        (cache hits, including duplicates *within* the batch, cost
-        ε′ = 0) -- but the work is amortized across the batch:
+        Each release is separately noised and separately charged
+        (different ranges overlap, so sequential composition applies),
+        and the books match trading the queries one at a time -- but the
+        work is amortized across the batch:
 
         * feasibility, privacy planning, and pricing run **once per
           distinct** ``(α, δ)`` tier instead of once per query;
@@ -325,210 +275,62 @@ class DataBroker:
           estimates come from the estimator's vectorized
           ``estimate_many`` (bit-identical to scalar ``estimate``);
         * Laplace noise is drawn in one vectorized call that consumes
-          the generator's bitstream exactly like per-query draws, so
-          batched answers are bit-for-bit the scalar loop's answers;
-        * ledger transactions and accountant entries are appended in
-          bulk, in query order, with per-entry records unchanged.
+          the generator's bitstream exactly like per-query draws;
+        * the settlement kernel journals the batch once and appends
+          ledger transactions and accountant entries in bulk, in query
+          order, with per-entry records unchanged.
 
         ``spec`` may be a single shared tier or one
         :class:`AccuracySpec` per query.  Admission is **atomic**: the
         whole batch is checked against the policy's purchase and ε′ caps
-        (and the dataset budget) before anything is released, so a batch
-        either completes in full or charges nothing.  When mixed tiers
-        trigger a top-up, every tier is planned at the final post-top-up
-        rate (a scalar loop would plan earlier queries at the sparser
-        pre-top-up rate; both plans are valid, the batch's is tighter).
+        and the dataset budget before any noise is drawn, so a batch
+        either completes in full or charges nothing.  With
+        ``memoize_answers`` a query already answered -- earlier, or
+        earlier in this batch -- is re-released at ε′ = 0.
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # A request whose deadline already passed must not plan, estimate,
-        # or bill; the scope is installed by the serving gateway.
-        check_deadline("broker.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, broker serves "
-                    f"{self.dataset!r}"
-                )
-        self.policy.admit_batch(consumer, specs)
-
-        # Split the batch into cache hits and fresh releases, walking the
-        # cache exactly as the scalar loop would: a duplicate of an
-        # earlier in-batch release is a hit against that release.
-        cache_keys = [
-            (q.low, q.high, s.alpha, s.delta) for q, s in zip(queries, specs)
+        batch = open_batch(self, "broker", queries, spec, consumer)
+        keys = [
+            (query.low, query.high, qspec.alpha, qspec.delta)
+            for query, qspec in zip(batch.queries, batch.specs)
         ]
-        miss_indices: "list[int]" = []
-        in_batch_source: "dict[tuple, int]" = {}
-        hit_of: "dict[int, PrivateAnswer | int]" = {}
-        for i, key in enumerate(cache_keys):
-            if self.memoize_answers and key in self._answer_cache:
-                hit_of[i] = self._answer_cache[key]
-            elif self.memoize_answers and key in in_batch_source:
-                hit_of[i] = in_batch_source[key]
-            else:
-                miss_indices.append(i)
-                if self.memoize_answers:
-                    in_batch_source[key] = i
-
-        # Feasibility, planning, and pricing: once per distinct tier that
-        # actually needs a fresh release (pure-hit tiers touch no data,
-        # as in the scalar path).
-        miss_tiers: "dict[tuple[float, float], AccuracySpec]" = {}
-        for i in miss_indices:
-            miss_tiers.setdefault((specs[i].alpha, specs[i].delta), specs[i])
-        with self._timer("broker.batch.plan_s"):
-            for tier_spec in miss_tiers.values():
-                self._ensure_feasible(tier_spec)
-            p = self.base_station.sampling_rate
-            plans = {
-                tier: self._plan(tier_spec, p)
-                for tier, tier_spec in miss_tiers.items()
-            }
-            prices = {
-                (s.alpha, s.delta): self.pricing.price(s.alpha, s.delta)
-                for s in specs
-            }
-
-        # Atomic admission against the ε′ caps: the whole batch must fit
-        # before anything is estimated, noised, or charged.
-        total_epsilon = sum(
-            plans[(specs[i].alpha, specs[i].delta)].epsilon_prime
-            for i in miss_indices
-        )
-        if not self.policy.can_release(consumer, total_epsilon):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-        if not self.accountant.can_afford(self.dataset, total_epsilon):
-            raise PrivacyBudgetExceededError(
-                f"dataset {self.dataset!r}: batch of {len(miss_indices)} "
-                f"releases (ε′={total_epsilon:.6g}) would exceed capacity "
-                f"{self.accountant.capacity:.6g}"
-            )
-
-        # One sample fetch, one vectorized estimation pass, one noise draw.
-        estimates = np.zeros(0, dtype=np.float64)
-        if miss_indices:
-            with self._timer("broker.batch.estimate_s"):
-                samples = self.base_station.samples()
-                ranges = [
-                    (queries[i].low, queries[i].high) for i in miss_indices
-                ]
-                estimate_many = getattr(self.estimator, "estimate_many", None)
-                if estimate_many is not None:
-                    estimates = np.asarray(estimate_many(samples, ranges))
+        replays: "dict[int, PrivateAnswer | int]" = {}
+        fresh = list(range(len(keys)))
+        if self.memoize_answers:
+            fresh = []
+            first_of: "dict[tuple[float, float, float, float], int]" = {}
+            for i, key in enumerate(keys):
+                if key in self._answer_cache:
+                    replays[i] = self._answer_cache[key]
+                elif key in first_of:
+                    replays[i] = first_of[key]
                 else:
-                    estimates = np.asarray([
-                        self.estimator.estimate(samples, low, high).estimate
-                        for low, high in ranges
-                    ])
-            scales = np.asarray([
-                plans[(specs[i].alpha, specs[i].delta)].noise_scale
-                for i in miss_indices
-            ])
-            noise = sample_laplace_many(scales, self.rng)
-            raw_values = estimates + noise
+                    first_of[key] = i
+                    fresh.append(i)
+
+        # Pure-replay tiers touch no data: only fresh rows are planned.
+        with self._timer("broker.batch.plan_s"):
+            plans = self._plan_each([batch.specs[i] for i in fresh])
+        admit(self, batch, plans)
+
+        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
+        if fresh:
+            with self._timer("broker.batch.estimate_s"):
+                estimates = self._estimate([batch.queries[i] for i in fresh])
+            raw_values = self._perturb(estimates, plans)
             released = np.clip(raw_values, 0.0, float(self.base_station.n))
 
-        # Settle in query order: identical per-entry ledger transactions,
-        # accountant entries, and policy counters to the scalar loop --
-        # appended in bulk, and journaled as one atomic batch *before*
-        # any accounting state mutates (journal-before-release, RL006).
-        answers: "list[Optional[PrivateAnswer]]" = [None] * len(queries)
-        sales: "list[dict]" = []
-        journal_records: "list[dict]" = []
-        settle_epsilons: "list[float]" = []
-        charge_epsilons: "list[float]" = []
-        charge_labels: "list[str]" = []
-        store_version = self.base_station.store_version
-        miss_position = {idx: pos for pos, idx in enumerate(miss_indices)}
-        for i, (query, qspec) in enumerate(zip(queries, specs)):
-            tier = (qspec.alpha, qspec.delta)
-            price = prices[tier]
-            label = f"{consumer}:[{query.low},{query.high}]"
-            if i in hit_of:
-                epsilon_prime = 0.0
-            else:
-                plan = plans[tier]
-                epsilon_prime = plan.epsilon_prime
-                charge_epsilons.append(epsilon_prime)
-                charge_labels.append(label)
-            settle_epsilons.append(epsilon_prime)
-            journal_records.append(dict(
-                kind="replay" if i in hit_of else "release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                epsilon_prime=epsilon_prime,
-                price=price,
-                store_version=store_version,
-                label=label,
-            ))
-            sales.append(dict(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                price=price,
-                epsilon_prime=epsilon_prime,
-            ))
-        # Last pre-commit checkpoint: past here the trade is journaled and
-        # charged, so an expired deadline must abort *now* or not at all.
-        check_deadline("broker.journal")
         with self._timer("broker.batch.charge_s"):
-            self._journal_trades(journal_records)
-            for epsilon_prime in settle_epsilons:
-                self.policy.settle(consumer, epsilon_prime)
-            if charge_epsilons:
-                self.accountant.charge_many(
-                    self.dataset, charge_epsilons, charge_labels
-                )
-            txns = self.ledger.record_many(sales)
-        self._emit("broker.batches")
-        self._emit("broker.answers", len(queries))
-        self._emit("broker.replays", len(hit_of))
-        self._emit("broker.epsilon_spent", sum(charge_epsilons))
-        if self.telemetry is not None:
-            self.telemetry.observe("broker.batch_width", len(queries))
-
-        for i, (query, qspec) in enumerate(zip(queries, specs)):
-            if i in hit_of:
-                continue
-            pos = miss_position[i]
-            answer = PrivateAnswer(
-                value=float(released[pos]),
-                raw_value=float(raw_values[pos]),
-                sample_estimate=float(estimates[pos]),
-                query=query,
-                spec=qspec,
-                plan=plans[(qspec.alpha, qspec.delta)],
-                price=prices[(qspec.alpha, qspec.delta)],
-                consumer=consumer,
-                transaction_id=txns[i].transaction_id,
+            answers = release_batch(
+                self,
+                batch,
+                answer_type=PrivateAnswer,
+                plans=plans,
+                value=released,
+                raw_value=raw_values,
+                sample_estimate=estimates,
+                replays=replays,
             )
-            answers[i] = answer
-            if self.memoize_answers:
-                self._answer_cache[cache_keys[i]] = answer
-        for i, source in hit_of.items():
-            cached = answers[source] if isinstance(source, int) else source
-            answers[i] = dataclasses.replace(
-                cached,
-                consumer=consumer,
-                price=txns[i].price,
-                transaction_id=txns[i].transaction_id,
-            )
+        if self.memoize_answers:
+            for i in fresh:
+                self._answer_cache[keys[i]] = answers[i]
         return answers

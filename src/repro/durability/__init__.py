@@ -2,7 +2,8 @@
 
 ``repro.durability`` makes the broker's books survive process death.
 Brokers append every trade to a :class:`TradeJournal` *before* releasing
-the answer (journal-before-release, lint rule RL006);
+the answer (journal-before-release: the settlement kernel's order,
+checked by lint rule RL007);
 :func:`recover_accounting` rebuilds a bit-identical
 ``(BillingLedger, BudgetAccountant)`` pair from the journal — optionally
 fast-forwarded from an :class:`AccountingSnapshot` — without ever

@@ -7,7 +7,8 @@ noise but *before* recording the ε-spend silently leaks privacy budget.
 :class:`TradeJournal` closes that window with a write-ahead log: every
 trade is appended to the journal **before** the answer is released or
 any ledger/accountant/policy state is mutated (the journal-before-release
-invariant, statically enforced by lint rule RL006), so the journal is
+invariant of the settlement kernel, statically checked by lint rule
+RL007), so the journal is
 always a superset of the released answers and recovery can only
 over-count ε, never under-count it.
 

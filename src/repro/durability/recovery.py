@@ -11,9 +11,10 @@ Recovery composes two sources:
 pre-crash accounting state — bit-identical transaction ids, ledger
 totals, and accountant history versus an uninterrupted run — and is
 idempotent: replaying the same journal twice applies each entry once.
-Because brokers journal **before** they charge (RL006), a crash between
-journal append and charge makes recovery *over*-count that trade's ε
-rather than under-count it, which is the safe direction for privacy.
+Because brokers journal **before** they charge (journal-before-release),
+a crash between journal append and charge makes recovery *over*-count
+that trade's ε rather than under-count it, which is the safe direction
+for privacy.
 """
 
 from __future__ import annotations

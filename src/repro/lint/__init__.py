@@ -5,7 +5,7 @@ correct: the DP boundary (every released count must be Laplace-
 perturbed), the determinism contract (seed-threaded RNGs everywhere),
 lock discipline in the threaded serving/cluster paths, exact float
 comparison on accounting values, and silently swallowed exceptions.
-``repro.lint`` encodes them as AST rules (RL001-RL006, see
+``repro.lint`` encodes them as AST rules (RL001-RL005, see
 :mod:`repro.lint.rules`) with per-line suppressions, a checked-in
 baseline, and a CI-friendly CLI (``repro lint``).  The interprocedural
 layer (:mod:`repro.lint.flow`, ``--interprocedural``) adds the
@@ -25,7 +25,7 @@ from repro.lint.engine import (
 from repro.lint.findings import Finding, Hop
 from repro.lint.suppressions import CommentMap
 
-# Importing the rules module registers RL001-RL006 on default_registry;
+# Importing the rules module registers RL001-RL005 on default_registry;
 # importing flow registers RL001i/RL007-RL009 on project_registry.
 from repro.lint import rules as _rules  # noqa: F401
 from repro.lint.flow import (

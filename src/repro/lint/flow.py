@@ -16,10 +16,14 @@ Four project rules run on top:
   exactly RL001's intra-function territory.
 * **RL007 budget-conservation** -- every path of a broker ``answer*``
   function that releases an answer must first be charged to the budget
-  accountant AND committed to the write-ahead journal, across calls.
-  Conditional effects in the *own* body are accepted (an all-replay
-  batch legitimately charges nothing); an obligation discharged through
-  a resolved callee requires the callee to perform it on **every** path.
+  accountant AND committed to the write-ahead journal, across calls
+  (the brokers discharge both through the settlement kernel); an
+  ε′ = 0 ``replay*`` path owes the journal commit only.  Conditional
+  effects in the *own* body are accepted (an all-replay batch
+  legitimately charges nothing); an obligation discharged through a
+  resolved callee requires the callee to perform it on **every** path.
+  This subsumes the retired intra-function RL006 journal-before-release,
+  which could not see a journal append made inside the kernel.
 * **RL008 shm-discipline** -- only :class:`StorePublisher` /
   ``_ControlCodec`` write shared-memory buffers, segments are attached
   by name only inside :class:`StoreReader` (data segments only after a
@@ -89,11 +93,13 @@ __all__ = [
 ]
 
 #: Modules whose ``answer*``/``replay*`` paths release answers (the same
-#: scope RL001/RL006 use).  ``repro.resilience`` is inside the scope
-#: because brownout/hedging helpers sit on the release path: any future
+#: scope RL001 uses), plus the settlement kernel they all release
+#: through.  ``repro.resilience`` is inside the scope because
+#: brownout/hedging helpers sit on the release path: any future
 #: ``answer*`` helper that moves there keeps the same static guarantees.
 BROKER_MODULES = (
     "repro.core.broker",
+    "repro.core.settlement",
     "repro.cluster.broker",
     "repro.streaming.broker",
     "repro.resilience.brownout",
@@ -381,8 +387,9 @@ def _is_delegation(expr: Optional[ast.expr]) -> bool:
 
 
 class _ReleaseWalker:
-    """Path walk of one ``answer*`` body checking charge/journal
-    domination at each release (non-delegating ``return <value>``).
+    """Path walk of one ``answer*`` / ``replay*`` body checking that the
+    ``required`` effects (charge and journal; journal only for a replay)
+    dominate each release (non-delegating ``return <value>``).
 
     ``have`` accumulates effects observed on the current path.  Own-body
     intrinsics merge may-style across branches (the author sees the
@@ -391,9 +398,16 @@ class _ReleaseWalker:
     that charges on just one branch does not discharge the obligation.
     """
 
-    def __init__(self, project: ProjectContext, decl: FunctionDecl) -> None:
+    def __init__(
+        self,
+        project: ProjectContext,
+        decl: FunctionDecl,
+        required: Tuple[str, ...],
+    ) -> None:
         self.project = project
         self.decl = decl
+        #: Effects every release of this function owes.
+        self.required = required
         self.ctx = project.ctx_for(decl)
         self.findings: List[Finding] = []
         #: effect -> trace hops of a site where it only *may* happen
@@ -491,7 +505,7 @@ class _ReleaseWalker:
                 "append the trade (self._journal_trades or journal.append)",
             ),
         ):
-            if effect in have:
+            if effect in have or effect not in self.required:
                 continue
             trace: Tuple[Hop, ...] = ()
             detail = ""
@@ -520,16 +534,21 @@ class BudgetConservationRule(ProjectRule):
         "An answer released without a matching accountant charge and "
         "journal commit breaks the paper's eps' accounting invariant: "
         "the spend either never happens or cannot be recovered after a "
-        "crash.  The eps'=0 replay path is exempt by construction."
+        "crash.  The eps'=0 replay path charges nothing by construction "
+        "but still owes the journal commit."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for decl in project.graph.functions_in_module_prefix(BROKER_MODULES):
-            if not decl.name.startswith("answer"):
+            if decl.name.startswith("answer"):
+                required: Tuple[str, ...] = (EFFECT_CHARGE, EFFECT_JOURNAL)
+            elif decl.name.startswith("replay"):
+                required = (EFFECT_JOURNAL,)
+            else:
                 continue
             node = decl.node
             assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            walker = _ReleaseWalker(project, decl)
+            walker = _ReleaseWalker(project, decl, required)
             walker.walk(node.body, set())
             yield from walker.findings
 

@@ -23,10 +23,10 @@ linters cannot see:
 * **RL005 broad-except** -- broad handlers must re-raise, count a
   metric through :class:`~repro.serving.telemetry.MetricsRegistry`, or
   carry a ``# repro-lint: shed`` justification.
-* **RL006 journal-before-release** -- broker answer/replay paths must
-  append the trade to the write-ahead journal *before* any return that
-  releases an answer (crash-safety: a crash after the journal append can
-  only make recovery over-count ε, never under-count it).
+
+Journal-before-release -- once the intra-function RL006 -- is enforced
+by the whole-program RL007 (:mod:`repro.lint.flow`), which follows the
+brokers into the settlement kernel where the journal append now lives.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "LockDisciplineRule",
     "AccountingFloatsRule",
     "BroadExceptRule",
-    "JournalBeforeReleaseRule",
 ]
 
 
@@ -88,6 +87,10 @@ _PROPAGATORS = {
     "copy", "astype", "reshape",
 }
 _ANSWER_SINK_FIELDS = ("value", "raw_value")
+#: The settlement kernel assembles released answers from these calls'
+#: ``value=`` / ``raw_value=`` columns, so they are sinks like
+#: ``*Answer(...)`` construction.
+_RELEASE_SINKS = {"release_batch"}
 
 
 class _TaintState:
@@ -126,6 +129,7 @@ class DpBoundaryRule(Rule):
 
     _MODULES = (
         "repro.core.broker",
+        "repro.core.settlement",
         "repro.cluster.broker",
         "repro.streaming.broker",
         "repro.resilience.brownout",
@@ -227,9 +231,11 @@ class DpBoundaryRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             callee = _call_name(node)
-            if not callee.endswith("Answer"):
+            is_answer = callee.endswith("Answer")
+            if not is_answer and callee not in _RELEASE_SINKS:
                 continue
-            for pos, arg in enumerate(node.args[: len(_ANSWER_SINK_FIELDS)]):
+            positional = node.args[: len(_ANSWER_SINK_FIELDS)] if is_answer else []
+            for pos, arg in enumerate(positional):
                 if self._classify(arg, state) == _TAINTED:
                     yield self._sink_finding(ctx, arg, callee, _ANSWER_SINK_FIELDS[pos], func_name)
             for kw in node.keywords:
@@ -716,105 +722,6 @@ class BroadExceptRule(Rule):
         return False
 
 
-# ======================================================================
-# RL006 journal-before-release
-# ======================================================================
-
-class JournalBeforeReleaseRule(Rule):
-    """RL006: broker answer paths journal the trade before releasing it."""
-
-    rule_id = "RL006"
-    name = "journal-before-release"
-    rationale = (
-        "The durable trade journal is only a crash-safety guarantee if "
-        "every release path appends to it before the answer leaves the "
-        "broker: journal-after-release (or charge-before-journal) lets a "
-        "crash release an answer whose ε-spend recovery cannot see."
-    )
-
-    _MODULES = (
-        "repro.core.broker",
-        "repro.cluster.broker",
-        "repro.streaming.broker",
-        "repro.resilience.brownout",
-        "repro.resilience.hedging",
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module in self._MODULES
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith(
-                ("answer", "replay")
-            ):
-                yield from self._check_function(ctx, node)
-
-    def _check_function(
-        self, ctx: FileContext, func: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        journal_lines: List[int] = []
-        returns: List[ast.Return] = []
-        for node in self._walk_own_scope(func.body):
-            if isinstance(node, ast.Call) and self._is_journal_call(node):
-                journal_lines.append(node.lineno)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                returns.append(node)
-        for ret in returns:
-            if self._is_delegation(ret.value):
-                # Returning another answer*/replay* call's result: that
-                # callee carries the journaling obligation.
-                continue
-            if not any(line <= ret.lineno for line in journal_lines):
-                yield ctx.finding(
-                    self.rule_id,
-                    ret.lineno,
-                    ret.col_offset,
-                    f"{func.name} releases an answer without a preceding "
-                    "write-ahead journal append; call self._journal_trades("
-                    "...) (or journal.append/append_many) before the return "
-                    "(journal-before-release)",
-                )
-
-    @staticmethod
-    def _walk_own_scope(stmts: List[ast.stmt]) -> Iterator[ast.AST]:
-        """Walk the function body without descending into nested scopes.
-
-        The guard must sit on the *yielded* node, not its children: a
-        nested ``def`` that is a direct statement of the body would
-        otherwise have its own body expanded, and a helper closure's
-        ``return`` would be misread as the answer function's release.
-        """
-        stack: List[ast.AST] = list(stmts)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _is_journal_call(node: ast.Call) -> bool:
-        callee = _call_name(node)
-        if callee.startswith("_journal"):
-            return True
-        if callee in ("append", "append_many"):
-            dotted = _dotted_name(node.func)
-            return dotted is not None and "journal" in dotted.lower()
-        return False
-
-    @staticmethod
-    def _is_delegation(expr: Optional[ast.expr]) -> bool:
-        node = expr
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        return isinstance(node, ast.Call) and _call_name(node).startswith(
-            ("answer", "replay")
-        )
-
-
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
@@ -823,4 +730,3 @@ default_registry.register(RngDisciplineRule)
 default_registry.register(LockDisciplineRule)
 default_registry.register(AccountingFloatsRule)
 default_registry.register(BroadExceptRule)
-default_registry.register(JournalBeforeReleaseRule)

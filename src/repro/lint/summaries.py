@@ -126,6 +126,9 @@ class TaintConfig:
     propagators: FrozenSet[str]
     #: ``*Answer(value=..., raw_value=...)`` construction is a sink.
     answer_fields: Tuple[str, ...] = ()
+    #: Calls whose ``answer_fields`` *keywords* are sinks too: the
+    #: settlement kernel assembles released answers from them.
+    release_sinks: FrozenSet[str] = frozenset()
     #: Subscript/attribute stores and mutator calls through tainted
     #: values are sinks (the shared-memory view channel).
     check_writes: bool = False
@@ -147,6 +150,7 @@ DP_TAINT = TaintConfig(
         }
     ),
     answer_fields=("value", "raw_value"),
+    release_sinks=frozenset({"release_batch"}),
 )
 
 VIEW_TAINT = TaintConfig(
@@ -320,10 +324,12 @@ class TaintWalker:
             if not isinstance(node, ast.Call):
                 continue
             callee = call_name(node)
-            if not callee.endswith("Answer"):
+            is_answer = callee.endswith("Answer")
+            if not is_answer and callee not in self.config.release_sinks:
                 continue
             fields = self.config.answer_fields
-            for pos, arg in enumerate(node.args[: len(fields)]):
+            positional = node.args[: len(fields)] if is_answer else []
+            for pos, arg in enumerate(positional):
                 val = self.classify(arg)
                 if val.level == TAINTED:
                     self.events.append(
@@ -625,9 +631,10 @@ def header_exprs(stmt: ast.stmt) -> List[ast.AST]:
 def intrinsic_effects(node: ast.Call) -> FrozenSet[str]:
     """Effects a call performs by name, independent of resolution.
 
-    Mirrors RL006's journal matcher and adds the accountant charge
-    family: ``charge`` / ``charge_many`` / ``charge_window`` on a dotted
-    receiver containing ``accountant``.
+    A journal append is a ``_journal*`` helper call, ``append`` /
+    ``append_many`` on a journal, or a window log's ``append_charge``;
+    a charge is ``charge`` / ``charge_many`` / ``charge_window`` on a
+    dotted receiver containing ``accountant``.
     """
     callee = call_name(node)
     effects: Set[str] = set()

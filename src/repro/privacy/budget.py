@@ -156,6 +156,10 @@ class BudgetAccountant:
         """
         if len(epsilons) != len(labels):
             raise ValueError("epsilons and labels must be parallel lists")
+        if not epsilons:
+            # An all-replay batch charges nothing; leave no trace of the
+            # dataset in the books either.
+            return self._totals.get(dataset, 0.0)
         for epsilon in epsilons:
             _check_epsilon(epsilon)
         bulk = float(sum(epsilons))

@@ -24,10 +24,11 @@ up unchanged.  The differences are what streaming forces:
   the epoch charge to the window log pre-release so recovery rebuilds
   both books.
 
-Trades are journaled to the standard
+Trades settle through the shared kernel (:mod:`repro.core.settlement`),
+which journals them to the standard
 :class:`~repro.durability.journal.TradeJournal` before any release
-(journal-before-release; this module is in lint rule RL006's scope), with
-``store_version`` = the window snapshot the answer was computed against.
+(journal-before-release), with ``store_version`` = the window snapshot
+the answer was computed against.
 A roll that lands mid-batch cannot tear an answer: the batch runs
 entirely against the immutable epoch snapshot taken at entry, and the
 cache key (window id + store version, via :meth:`routing_signature`)
@@ -36,7 +37,6 @@ ensures post-roll lookups miss.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass, field
 from typing import (
@@ -53,13 +53,16 @@ from typing import (
 
 import numpy as np
 
-from repro.core.policy import BrokerPolicy, PolicyViolationError
+from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import (
-    InsufficientSamplesError,
-    PrivacyBudgetExceededError,
-    StreamingError,
+from repro.core.settlement import (
+    WindowBooks,
+    admit,
+    open_batch,
+    release_batch,
+    replay,
 )
+from repro.errors import InsufficientSamplesError, StreamingError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
 from repro.pricing.functions import PricingFunction
@@ -67,7 +70,6 @@ from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.laplace import sample_laplace_many
 from repro.privacy.optimizer import PrivacyPlan, optimize_privacy_plan
-from repro.resilience.deadline import check_deadline
 from repro.streaming.accounting import EpochBudgetAccountant
 from repro.streaming.journal import WindowLog
 from repro.streaming.window import (
@@ -289,15 +291,6 @@ class StreamingBroker:
             return nullcontext()
         return self.telemetry.timer(name)
 
-    def _emit(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.inc(name, amount)
-
-    def _journal_trades(self, records: "List[Dict[str, Any]]") -> None:
-        """Commit trades to the write-ahead journal, pre-release (RL006)."""
-        if self.journal is not None:
-            self.journal.append_many(records)
-
     # ------------------------------------------------------------------
     # execution backend (repro.workers)
     # ------------------------------------------------------------------
@@ -368,53 +361,19 @@ class StreamingBroker:
         return plan
 
     # ------------------------------------------------------------------
-    # replay (ε′ = 0 post-processing)
+    # answering
     # ------------------------------------------------------------------
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously purchased answer to ``consumer``.
 
-        Post-processing: zero privacy cost (no accountant charge, no
-        epoch-ledger charge), billed at list price, journaled with
-        ε′ = 0 -- the same replay contract as the one-shot broker, so
-        the serving cache and gateway work unchanged.
+        Post-processing through the settlement kernel's
+        :func:`~repro.core.settlement.replay`: zero privacy cost (no
+        accountant charge, no epoch-ledger charge), billed at list price,
+        journaled with ε′ = 0 -- the same replay contract as the one-shot
+        broker, so the serving cache and gateway work unchanged.
         """
-        spec = cached.spec
-        assert self.policy is not None
-        self.policy.admit(consumer, spec)
-        price = self.pricing.price(spec.alpha, spec.delta)
-        self._journal_trades([dict(
-            kind="replay",
-            consumer=consumer,
-            dataset=self.dataset,
-            low=cached.query.low,
-            high=cached.query.high,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            epsilon_prime=0.0,
-            price=price,
-            store_version=self.station.store_version,
-            label=f"{consumer}:[{cached.query.low},{cached.query.high}]",
-        )])
-        self.policy.settle(consumer, 0.0)
-        txn = self.ledger.record(
-            consumer=consumer,
-            dataset=self.dataset,
-            alpha=spec.alpha,
-            delta=spec.delta,
-            price=price,
-            epsilon_prime=0.0,
-        )
-        self._emit("broker.replays")
-        return dataclasses.replace(
-            cached,
-            consumer=consumer,
-            price=price,
-            transaction_id=txn.transaction_id,
-        )
+        return replay(self, "streaming", cached, consumer)
 
-    # ------------------------------------------------------------------
-    # answering
-    # ------------------------------------------------------------------
     def answer(
         self,
         query: RangeQuery,
@@ -426,7 +385,7 @@ class StreamingBroker:
 
     def answer_batch(
         self,
-        queries: "List[RangeQuery]",
+        queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
     ) -> "List[PrivateAnswer]":
@@ -440,29 +399,7 @@ class StreamingBroker:
         the lifetime accountant, *and* every covered epoch ledger -- the
         batch completes in full or charges nothing.
         """
-        if not queries:
-            raise ValueError("at least one query is required")
-        # Expired requests must not snapshot, plan, or bill (deadline
-        # scope installed by the serving gateway, no-op otherwise).
-        check_deadline("streaming.answer_batch")
-        if isinstance(spec, AccuracySpec):
-            specs = [spec] * len(queries)
-        else:
-            specs = list(spec)
-            if len(specs) != len(queries):
-                raise ValueError(
-                    f"got {len(specs)} specs for {len(queries)} queries; "
-                    "pass one spec per query or a single shared spec"
-                )
-        for query in queries:
-            if query.dataset not in ("default", self.dataset):
-                raise ValueError(
-                    f"query targets dataset {query.dataset!r}, broker "
-                    f"serves {self.dataset!r}"
-                )
-        assert self.policy is not None
-        self.policy.admit_batch(consumer, specs)
-
+        batch = open_batch(self, "streaming", queries, spec, consumer)
         snapshot = self.station.snapshot()
         if snapshot.node_count == 0:
             raise InsufficientSamplesError(
@@ -472,128 +409,41 @@ class StreamingBroker:
         n = snapshot.record_count
         k = snapshot.node_count
         p = pooled_rate(snapshot.epochs)
-        live = list(snapshot.live_epochs)
 
-        # Plans and prices once per distinct tier (InfeasiblePlanError
-        # propagates: streaming has no top-up escape hatch).
-        tiers: "Dict[Tuple[float, float], AccuracySpec]" = {}
-        for qspec in specs:
-            tiers.setdefault((qspec.alpha, qspec.delta), qspec)
+        # Plans once per distinct tier (InfeasiblePlanError propagates:
+        # streaming has no top-up escape hatch).
         with self._timer("streaming.plan_s"):
-            plans = {
-                tier: self._plan(tier_spec, p, k, n)
-                for tier, tier_spec in tiers.items()
-            }
-            prices = {
-                tier: self.pricing.price(tier_spec.alpha, tier_spec.delta)
-                for tier, tier_spec in tiers.items()
-            }
-
-        # Atomic admission: per-consumer cap, lifetime budget, and every
-        # live epoch's ledger must fit the whole batch.
-        total_epsilon = float(sum(
-            plans[(s.alpha, s.delta)].epsilon_prime for s in specs
-        ))
-        if not self.policy.can_release(consumer, total_epsilon):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                "privacy cap"
-            )
-        if not self.accountant.can_afford(self.dataset, total_epsilon):
-            raise PrivacyBudgetExceededError(
-                f"dataset {self.dataset!r}: batch of {len(queries)} "
-                f"releases (ε′={total_epsilon:.6g}) would exceed capacity "
-                f"{self.accountant.capacity:.6g}"
-            )
-        if not self.epoch_accountant.can_afford(
-            self.dataset, live, total_epsilon
-        ):
-            raise PrivacyBudgetExceededError(
-                f"dataset {self.dataset!r}: batch ε′={total_epsilon:.6g} "
-                f"would exceed the per-epoch capacity "
-                f"{self.epoch_accountant.capacity:.6g} on window epochs "
-                f"{live}"
-            )
+            tier_plans: "Dict[Tuple[float, float], PrivacyPlan]" = {}
+            for qspec in batch.specs:
+                tier = (qspec.alpha, qspec.delta)
+                if tier not in tier_plans:
+                    tier_plans[tier] = self._plan(qspec, p, k, n)
+            plans = [tier_plans[(s.alpha, s.delta)] for s in batch.specs]
+        window = WindowBooks(
+            accountant=self.epoch_accountant,
+            log=self.window_log,
+            epochs=list(snapshot.live_epochs),
+            window_id=snapshot.window_id,
+        )
+        admit(self, batch, plans, window)
 
         with self._timer("streaming.estimate_s"):
-            ranges = [(q.low, q.high) for q in queries]
+            ranges = [(q.low, q.high) for q in batch.queries]
             estimates = self._pooled_estimates(snapshot, ranges)
-        scales = np.asarray([
-            plans[(s.alpha, s.delta)].noise_scale for s in specs
-        ])
+        scales = np.asarray([plan.noise_scale for plan in plans])
         noise = sample_laplace_many(scales, self.rng)
         raw_values = estimates + noise
         released = np.clip(raw_values, 0.0, float(n))
 
-        # Journal-before-release: trades to the trade journal, epoch
-        # charges to the window log, then (and only then) the books.
-        journal_records: "List[Dict[str, Any]]" = []
-        sales: "List[Dict[str, Any]]" = []
-        charge_epsilons: "List[float]" = []
-        charge_labels: "List[str]" = []
-        for query, qspec in zip(queries, specs):
-            tier = (qspec.alpha, qspec.delta)
-            plan = plans[tier]
-            label = f"{consumer}:[{query.low},{query.high}]@{snapshot.window_id}"
-            charge_epsilons.append(plan.epsilon_prime)
-            charge_labels.append(label)
-            journal_records.append(dict(
-                kind="release",
-                consumer=consumer,
-                dataset=self.dataset,
-                low=query.low,
-                high=query.high,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                epsilon_prime=plan.epsilon_prime,
-                price=prices[tier],
-                store_version=snapshot.store_version,
-                label=label,
-            ))
-            sales.append(dict(
-                consumer=consumer,
-                dataset=self.dataset,
-                alpha=qspec.alpha,
-                delta=qspec.delta,
-                price=prices[tier],
-                epsilon_prime=plan.epsilon_prime,
-            ))
-        # Last pre-commit checkpoint before the journal/charge sequence.
-        check_deadline("streaming.journal")
         with self._timer("streaming.charge_s"):
-            self._journal_trades(journal_records)
-            if self.window_log is not None:
-                for epsilon, label in zip(charge_epsilons, charge_labels):
-                    self.window_log.append_charge(
-                        self.dataset, live, epsilon, label
-                    )
-            for epsilon in charge_epsilons:
-                self.policy.settle(consumer, epsilon)
-            self.accountant.charge_many(
-                self.dataset, charge_epsilons, charge_labels
+            return release_batch(
+                self,
+                batch,
+                answer_type=PrivateAnswer,
+                plans=plans,
+                value=released,
+                raw_value=raw_values,
+                sample_estimate=estimates,
+                store_version=snapshot.store_version,
+                window=window,
             )
-            for epsilon, label in zip(charge_epsilons, charge_labels):
-                self.epoch_accountant.charge_window(
-                    self.dataset, live, epsilon, label
-                )
-            txns = self.ledger.record_many(sales)
-        self._emit("streaming.answers", len(queries))
-        self._emit("streaming.epsilon_spent", sum(charge_epsilons))
-        if self.telemetry is not None:
-            self.telemetry.observe("streaming.batch_width", len(queries))
-
-        answers: "List[PrivateAnswer]" = []
-        for i, (query, qspec) in enumerate(zip(queries, specs)):
-            tier = (qspec.alpha, qspec.delta)
-            answers.append(PrivateAnswer(
-                value=float(released[i]),
-                raw_value=float(raw_values[i]),
-                sample_estimate=float(estimates[i]),
-                query=query,
-                spec=qspec,
-                plan=plans[tier],
-                price=prices[tier],
-                consumer=consumer,
-                transaction_id=txns[i].transaction_id,
-            ))
-        return answers

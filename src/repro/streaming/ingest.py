@@ -9,8 +9,8 @@ its buffer -- Bernoulli-samples it at the coordinator's shared epoch rate
 :class:`~repro.iot.network.Network` channel.  The ingestor folds the
 reports into one :class:`~repro.streaming.window.EpochSummary`, journals
 it to the :class:`~repro.streaming.journal.WindowLog` **before** touching
-the window ring (write-ahead, the streaming analogue of RL006), and only
-then applies it.
+the window ring (write-ahead, the streaming analogue of
+journal-before-release), and only then applies it.
 
 Late or out-of-order batches are rejected at the edge
 (:class:`~repro.errors.StaleEpochError`): sealed epochs are immutable and

@@ -76,14 +76,15 @@ class TestDataBrokerJournal:
             assert entry.epsilon_prime == txn.epsilon_prime
 
     def test_journal_append_precedes_every_charge(self, monkeypatch):
-        """RL006 dynamics: a charge crash leaves the trade journaled."""
+        """Journal-before-release: a charge crash leaves the trade journaled."""
         service = build_service()
         broker = service.broker
 
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(broker.accountant, "charge", crash)
+        # The scalar answer is a one-query batch: it charges via charge_many.
+        monkeypatch.setattr(broker.accountant, "charge_many", crash)
         with pytest.raises(RuntimeError):
             service.answer(10.0, 70.0, 0.1, 0.5, consumer="alice")
         assert len(broker.journal) == 1
@@ -102,8 +103,8 @@ class TestClusterBrokerJournal:
         broker = service.broker
         answers = service.answer_many(list(RANGES), 0.1, 0.5, consumer="dana")
         entries = broker.journal.entries()
-        # One consolidated release per query -- per-shard sub-trades are
-        # internal transfers and never hit the journal.
+        # One consolidated release per query -- shard lanes only draw
+        # noise; they never trade, so they never hit the journal.
         assert len(entries) == len(RANGES)
         assert all(e.kind == "release" for e in entries)
         assert all(e.epsilon_prime > 0 for e in entries)

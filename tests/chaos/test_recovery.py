@@ -6,8 +6,9 @@ The contract under test (``repro.durability.recovery``):
   trade once;
 * snapshot + suffix replay reaches the same books as a full replay from
   genesis, bit-identically;
-* because brokers journal *before* they charge (RL006), a crash in the
-  window between the two makes recovery over-count ε, never under-count.
+* because brokers journal *before* they charge (journal-before-release),
+  a crash in the window between the two makes recovery over-count ε,
+  never under-count.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class TestCrashWindow:
         def crash(*args, **kwargs):
             raise RuntimeError("simulated crash after journal append")
 
-        monkeypatch.setattr(broker.accountant, "charge", crash)
+        # The scalar answer is a one-query batch: it charges via charge_many.
+        monkeypatch.setattr(broker.accountant, "charge_many", crash)
         with pytest.raises(RuntimeError):
             service.answer(10.0, 70.0, 0.1, 0.5, consumer="c0")
 

@@ -16,6 +16,8 @@ import pytest
 from repro.cluster.broker import ClusterBroker
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
+from repro.durability.journal import TradeJournal
+from repro.errors import PrivacyBudgetExceededError
 
 
 def plain_broker(values, k, seed):
@@ -41,6 +43,7 @@ def test_single_shard_cluster_is_bit_identical(uniform_values, replicas, seed):
     cluster = ClusterBroker.from_values(
         uniform_values, k=k, shards=1, seed=seed, replicas=replicas
     )
+    cluster.journal = TradeJournal()
 
     plain.base_station.ensure_rate(0.3)
     cluster.ensure_rate(0.3)
@@ -75,6 +78,31 @@ def test_single_shard_cluster_is_bit_identical(uniform_values, replicas, seed):
     assert plain.accountant.spent("default") == cluster.accountant.spent(
         "default"
     )
+
+    # Shards are estimate-plus-noise lanes: they keep no books.
+    for shard in cluster.shards:
+        for lane in (shard.primary, shard.replica):
+            if lane is not None:
+                assert len(lane.ledger) == 0
+                assert lane.accountant.history("default") == ()
+
+    # A batch refused at coordinator admission -- after the gather --
+    # leaves the cluster's books and journal untouched.
+    cluster.accountant.capacity = cluster.accountant.spent("default")
+
+    def books():
+        return (
+            cluster.ledger.transactions,
+            cluster.accountant.history("default"),
+            cluster.policy.epsilon_spent_by("c"),
+            cluster.policy.purchases_by("c"),
+            cluster.journal.checksum(),
+        )
+
+    before = books()
+    with pytest.raises(PrivacyBudgetExceededError):
+        cluster.answer_batch(queries, specs, consumer="c")
+    assert books() == before
 
 
 def test_single_shard_quote_and_planner_match(uniform_values):

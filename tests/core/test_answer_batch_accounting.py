@@ -16,6 +16,7 @@ import pytest
 from repro.core.policy import BrokerPolicy, PolicyViolationError
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
+from repro.durability.journal import TradeJournal
 from repro.errors import LedgerError, PrivacyBudgetExceededError
 from repro.privacy.budget import BudgetAccountant
 
@@ -26,6 +27,7 @@ def make_service(seed=11, memoize=False, policy=None, capacity=None):
     values = np.random.default_rng(4).uniform(0, 100, 5000)
     service = PrivateRangeCountingService.from_values(values, k=8, seed=seed)
     service.broker.memoize_answers = memoize
+    service.broker.journal = TradeJournal()
     if policy is not None:
         service.broker.policy = policy
     if capacity is not None:
@@ -98,6 +100,15 @@ class TestAccountingParity:
         assert batch_svc.privacy_spent() == scalar_svc.privacy_spent()
 
     @pytest.mark.parametrize("memoize", [False, True])
+    def test_journal_checksum_identical(self, memoize):
+        scalar_svc, batch_svc, _, _ = run_both(memoize)
+        assert len(batch_svc.broker.journal) == len(make_queries())
+        assert (
+            batch_svc.broker.journal.checksum()
+            == scalar_svc.broker.journal.checksum()
+        )
+
+    @pytest.mark.parametrize("memoize", [False, True])
     def test_policy_counters_identical(self, memoize):
         scalar_svc, batch_svc, _, _ = run_both(memoize)
         for svc_pair in ((scalar_svc, batch_svc),):
@@ -152,6 +163,35 @@ class TestAtomicAdmission:
         with pytest.raises(PolicyViolationError):
             svc.broker.answer_batch(make_queries(), SPEC, consumer="c")
         assert len(svc.broker.ledger) == 0
+
+
+class TestScalarRejection:
+    def test_rejected_scalar_answer_leaves_every_book_untouched(self):
+        """A refused scalar answer journals, settles, charges, bills and
+        draws nothing: it is a one-query batch, admitted atomically."""
+        probe = make_service()
+        one = probe.broker.answer(make_queries()[0], SPEC, consumer="c")
+        svc = make_service(capacity=1.5 * one.epsilon_prime)
+        broker = svc.broker
+        broker.answer(make_queries()[0], SPEC, consumer="c")
+
+        def state():
+            return (
+                broker.journal.checksum(),
+                len(broker.journal),
+                broker.ledger.transactions,
+                broker.accountant.history("default"),
+                broker.accountant.spent("default"),
+                broker.policy.epsilon_spent_by("c"),
+                broker.policy.purchases_by("c"),
+                broker.rng.bit_generator.state,
+            )
+
+        before = state()
+        with pytest.raises(PrivacyBudgetExceededError):
+            broker.answer(make_queries()[1], SPEC, consumer="c")
+        assert state() == before
+        assert len(broker.journal) == len(broker.ledger) == 1
 
 
 class TestPerQuerySpecs:

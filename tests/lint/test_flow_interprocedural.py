@@ -15,6 +15,8 @@ from repro.lint.flow import run_project_rules
 
 BROKER = "src/repro/core/broker.py"
 CLUSTER = "src/repro/cluster/broker.py"
+STREAMING = "src/repro/streaming/broker.py"
+SETTLEMENT = "src/repro/core/settlement.py"
 WORKER = "src/repro/workers/worker.py"
 TELEMETRY = "src/repro/serving/telemetry.py"
 
@@ -24,13 +26,12 @@ TELEMETRY = "src/repro/serving/telemetry.py"
 MUTATION_RL001I = {
     BROKER: [
         (
-            "        noise = float(sample_laplace(plan.noise_scale, self.rng))\n"
-            "        raw_value = estimate.estimate + noise\n",
-            "        raw_value = self._release_value(estimate.estimate, plan.noise_scale)\n",
+            "            raw_values = self._perturb(estimates, plans)\n",
+            "            raw_values = self._release_value(estimates, plans)\n",
         ),
         (
             "    def answer_batch(",
-            "    def _release_value(self, raw, scale):\n"
+            "    def _release_value(self, raw, plans):\n"
             "        return raw\n"
             "\n"
             "    def answer_batch(",
@@ -38,53 +39,58 @@ MUTATION_RL001I = {
     ]
 }
 
+#: The settlement kernel's accountant charge moved into a helper that
+#: only charges "large" batches -- every broker settles through the
+#: kernel, so all three ``answer_batch`` paths release uncharged.
 MUTATION_RL007 = {
-    BROKER: [
+    SETTLEMENT: [
         (
-            "            self.policy.settle(consumer, plan.epsilon_prime)\n"
-            "            self.accountant.charge(\n"
-            "                self.dataset,\n"
-            "                plan.epsilon_prime,\n"
-            '                label=f"{consumer}:[{query.low},{query.high}]",\n'
-            "            )\n",
-            "            self._settle_and_charge(consumer, plan, query)\n",
+            "    broker.accountant.charge_many(dataset, charges, charge_labels)\n",
+            "    _charge_large(broker, charges, charge_labels)\n",
         ),
         (
-            "    def answer_batch(",
-            "    def _settle_and_charge(self, consumer, plan, query):\n"
-            "        self.policy.settle(consumer, plan.epsilon_prime)\n"
-            "        if plan.epsilon_prime > 1.0:\n"
-            "            self.accountant.charge(\n"
-            "                self.dataset,\n"
-            "                plan.epsilon_prime,\n"
-            '                label=f"{consumer}:[{query.low},{query.high}]",\n'
-            "            )\n"
+            "def release_batch(",
+            "def _charge_large(broker, charges, labels):\n"
+            "    if sum(charges) > 1.0:\n"
+            "        broker.accountant.charge_many(broker.dataset, charges, labels)\n"
             "\n"
-            "    def answer_batch(",
+            "\n"
+            "def release_batch(",
         ),
     ]
 }
 
-#: The hedged duplicate-release bug: a refactor moves the cluster batch
-#: settle/charge into a helper that skips the accountant whenever a
+#: The kernel stops journaling: journal-before-release is gone for every
+#: broker at once (the defect the retired intra-function RL006 could no
+#: longer see once the append moved into the kernel).
+MUTATION_KERNEL_JOURNAL = {
+    SETTLEMENT: [
+        ("    _journal_trades(broker.journal, records)\n", ""),
+    ]
+}
+
+#: The hedged duplicate-release bug: a refactor routes the cluster's
+#: settlement through a helper that skips the accountant whenever a
 #: hedge won the race -- on the (wrong) theory that the losing lane
 #: already billed.  The hedge's exactly-once claim means the loser never
 #: touched the books, so the hedged branch releases answers uncharged.
 MUTATION_RL007_HEDGE = {
     CLUSTER: [
         (
-            "            for q_spec, eps in zip(specs, epsilons):\n"
-            "                self.policy.settle(consumer, eps)\n"
-            "            self.accountant.charge_many(self.dataset, epsilons, labels)\n",
-            "            self._settle_and_bill(consumer, specs, epsilons, labels)\n",
+            "            merged = release_batch(\n"
+            "                self,\n"
+            "                batch,\n",
+            "            merged = self._settle_and_bill(\n"
+            "                batch,\n",
         ),
         (
             "    def answer_batch(",
-            "    def _settle_and_bill(self, consumer, specs, epsilons, labels):\n"
-            "        for q_spec, eps in zip(specs, epsilons):\n"
-            "            self.policy.settle(consumer, eps)\n"
+            "    def _settle_and_bill(self, batch, **columns):\n"
             "        if self.hedging is None or self.hedging.hedges_won == 0:\n"
-            "            self.accountant.charge_many(self.dataset, epsilons, labels)\n"
+            "            return release_batch(self, batch, **columns)\n"
+            "        self.journal.append_many(self._trade_records(batch))\n"
+            "        txns = self.ledger.record_many(self._sales(batch))\n"
+            "        return self._assemble(batch, txns, **columns)\n"
             "\n"
             "    def answer_batch(",
         ),
@@ -172,16 +178,31 @@ def test_rl001i_mutation_is_invisible_to_intra_rl001():
 # ----------------------------------------------------------------------
 def test_rl007_conditional_charge_in_callee(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL007, only=["RL007"])
-    assert [f.rule_id for f in findings] == ["RL007"]
-    finding = findings[0]
-    assert finding.path == BROKER
-    assert "accountant is never charged" in finding.message
-    notes = [hop.note for hop in finding.trace]
-    assert any("_settle_and_charge" in note and "some of its paths" in note for note in notes)
+    # One kernel defect, one finding per broker that settles through it.
+    assert [f.rule_id for f in findings] == ["RL007"] * 3
+    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
+    for finding in findings:
+        assert "answer_batch" in finding.message
+        assert "accountant is never charged" in finding.message
+        notes = [hop.note for hop in finding.trace]
+        assert any(
+            "release_batch" in note and "some of its paths" in note
+            for note in notes
+        )
+        assert any("_charge_large" in note for note in notes)
 
 
 def test_rl007_mutation_is_invisible_to_intra_rules():
-    assert _intra_findings(MUTATION_RL007, ["RL001", "RL006"]) == []
+    assert _intra_findings(MUTATION_RL007, ["RL001"]) == []
+
+
+def test_rl007_catches_a_kernel_that_stops_journaling(mutated_project):
+    findings, _, _ = mutated_project(MUTATION_KERNEL_JOURNAL, only=["RL007"])
+    assert [f.rule_id for f in findings] == ["RL007"] * 3
+    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
+    for finding in findings:
+        assert "answer_batch" in finding.message
+        assert "never committed to the write-ahead journal" in finding.message
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +223,7 @@ def test_rl007_hedged_duplicate_release_is_caught(mutated_project):
 
 
 def test_rl007_hedged_mutation_is_invisible_to_intra_rules():
-    assert _intra_findings(MUTATION_RL007_HEDGE, ["RL001", "RL006"]) == []
+    assert _intra_findings(MUTATION_RL007_HEDGE, ["RL001"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +281,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "        released = float(min(max(raw_value, 0.0), float(self.base_station.n)))",
-                "        bounded = raw_value\n"
-                "        released = float(min(max(bounded, 0.0), float(self.base_station.n)))",
+                "            released = np.clip(raw_values, 0.0, float(self.base_station.n))",
+                "            bounded = raw_values\n"
+                "            released = np.clip(bounded, 0.0, float(self.base_station.n))",
             ),
         ]
     }

@@ -18,6 +18,8 @@ MYPY_SCOPE = [
     "src/repro/privacy",
     "src/repro/pricing",
     "src/repro/core/policy.py",
+    "src/repro/core/broker.py",
+    "src/repro/core/settlement.py",
     "src/repro/cluster/planning.py",
     "src/repro/streaming",
     "src/repro/workers",

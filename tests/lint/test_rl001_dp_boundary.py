@@ -83,31 +83,60 @@ def test_inline_suppression_is_honoured(lint_snippet):
 
 
 def test_real_broker_sources_are_clean(lint_snippet):
-    for rel in ("src/repro/core/broker.py", "src/repro/cluster/broker.py"):
+    for rel in (
+        "src/repro/core/broker.py",
+        "src/repro/core/settlement.py",
+        "src/repro/cluster/broker.py",
+        "src/repro/streaming/broker.py",
+    ):
         source = (REPO_ROOT / rel).read_text(encoding="utf-8")
         result = lint_snippet(source, rel_path=rel.removeprefix("src/"), rules=["RL001"])
         assert rule_ids(result) == [], rel
 
 
-def test_seeded_mutation_of_answer_batch_is_caught(lint_snippet):
-    """Acceptance criterion: deleting the Laplace perturbation from a
-    fixture copy of ``DataBroker.answer_batch`` produces RL001 findings."""
-    source = (REPO_ROOT / "src/repro/core/broker.py").read_text(encoding="utf-8")
-    mutated = source.replace(
-        "noise = sample_laplace_many(scales, self.rng)",
-        "noise = np.zeros_like(scales)",
+def test_kernel_release_columns_are_sinks(lint_snippet):
+    """The settlement kernel builds answers from ``release_batch``'s
+    ``value=`` / ``raw_value=`` columns, so raw estimates handed to it
+    are a leak exactly like ``PrivateAnswer(value=raw)``."""
+    source = """
+class StreamingBroker:
+    def answer_batch(self, queries, spec, consumer="anonymous"):
+        estimates = self.estimator.estimate_many(samples, ranges)
+        return release_batch(self, batch, value=estimates, raw_value=estimates)
+"""
+    result = lint_snippet(source, rel_path="repro/streaming/broker.py", rules=["RL001"])
+    assert rule_ids(result) == ["RL001", "RL001"]
+
+
+def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
+    """Acceptance criterion: deleting the Laplace perturbation from
+    ``DataBroker``'s batch release path produces findings on
+    ``answer_batch``.  The draw lives in ``_perturb`` -- shared with the
+    cluster's shard lane -- so the whole-program RL001i, which follows
+    the call, is the rule that sees it."""
+    findings, _, _ = mutated_project(
+        {
+            "src/repro/core/broker.py": [
+                (
+                    "noise = sample_laplace_many(scales, self.rng)",
+                    "noise = np.zeros_like(scales)",
+                )
+            ]
+        },
+        only=["RL001i"],
     )
-    assert mutated != source, "mutation target not found; fixture out of date"
-    result = lint_snippet(mutated, rules=["RL001"])
-    assert "RL001" in rule_ids(result)
-    assert any("answer_batch" in f.message for f in result.findings)
+    assert "RL001i" in [f.rule_id for f in findings]
+    assert any("answer_batch" in f.message for f in findings)
 
 
 def test_seeded_mutation_of_scalar_answer_is_caught(lint_snippet):
+    """A scalar ``answer`` that stops delegating to the batch path and
+    returns the raw estimate is an intra-function leak."""
     source = (REPO_ROOT / "src/repro/core/broker.py").read_text(encoding="utf-8")
     mutated = source.replace(
-        "noise = float(sample_laplace(plan.noise_scale, self.rng))",
-        "noise = 0.0",
+        "        return self.answer_batch([query], spec, consumer)[0]",
+        "        samples = self.base_station.samples()\n"
+        "        return self.estimator.estimate(samples, query.low, query.high).estimate",
     )
     assert mutated != source, "mutation target not found; fixture out of date"
     result = lint_snippet(mutated, rules=["RL001"])

@@ -17,6 +17,7 @@ from repro.estimators.rank import RankCountingEstimator
 from repro.privacy.budget import BudgetAccountant
 from repro.pricing.functions import InverseVariancePricing
 from repro.pricing.variance_model import VarianceModel
+from repro.serving.telemetry import MetricsRegistry
 from repro.streaming.broker import StreamingBroker, StreamingStation
 from repro.streaming.window import EpochSummary
 
@@ -170,7 +171,8 @@ class TestJournaling:
 
     def test_replay_costs_zero_epsilon(self):
         journal = TradeJournal()
-        broker = make_broker(journal=journal)
+        telemetry = MetricsRegistry()
+        broker = make_broker(journal=journal, telemetry=telemetry)
         first = broker.answer(
             RangeQuery(low=10.0, high=60.0, dataset="stream"), FLOOR, "bob"
         )
@@ -183,6 +185,10 @@ class TestJournaling:
         last = journal.entries()[-1]
         assert last.kind == "replay"
         assert last.epsilon_prime == 0.0
+        # Counted under the streaming broker's own prefix.
+        assert telemetry.value("streaming.replays") == 1.0
+        assert telemetry.value("broker.replays") == 0.0
+        assert telemetry.value("streaming.batches") == 1.0
 
 
 class RollDuringEstimate(RankCountingEstimator):
