@@ -94,26 +94,6 @@ def test_cluster_scaling_and_failover(citypulse, save_result, save_json):
         assert 0.0 < phase["shards_touched_mean"] <= 2.0, s
         assert phase["routed_queries"] > 0, s
 
-    # Workers phase: the same cache-free cluster workload under both
-    # execution backends.  Accounting identity is exact everywhere; the
-    # ≥3x multi-core scaling claim is only meaningful on a real
-    # multi-core box (CI smoke runners can be 1-2 cores).
-    workers = payload["workers"]
-    for backend in ("threads", "processes"):
-        assert workers[backend]["failed"] == 0, backend
-        assert abs(workers[backend]["epsilon_drift"]) < 1e-6, backend
-        assert abs(workers[backend]["revenue_drift"]) < 1e-6, backend
-    assert workers["checksums_identical"], (
-        "process backend diverged from threads: "
-        f"{workers['checksum_threads']} != {workers['checksum_processes']}"
-    )
-    assert workers["speedup"] is not None and workers["speedup"] > 0.0
-    if workers["cores"] >= 8 and not SMOKE:
-        assert workers["speedup"] >= 3.0, (
-            f"{workers['cores']}-core host only reached "
-            f"{workers['speedup']:.2f}x process/thread speedup"
-        )
-
     save_json("cluster", payload)
 
     lines = [
@@ -151,16 +131,4 @@ def test_cluster_scaling_and_failover(citypulse, save_result, save_json):
             f"touched {phase['shards_touched_mean']:.2f}, "
             f"pruned {phase['shards_pruned_mean']:.2f}"
         )
-    lines.append(
-        "# workers: threads vs per-shard worker processes "
-        "(repro.workers, shared-memory store)"
-    )
-    lines.append(
-        f"{'workers':>22}: {workers['cores']} core(s), "
-        f"threads {workers['threads']['throughput_qps']:9.1f} q/s, "
-        f"processes {workers['processes']['throughput_qps']:9.1f} q/s, "
-        f"speedup {workers['speedup']:.2f}x, "
-        f"checksums "
-        f"{'identical' if workers['checksums_identical'] else 'DIVERGED'}"
-    )
     save_result("cluster_scaling_failover", "\n".join(lines))

@@ -1,52 +1,84 @@
 """Continuous monitoring: a standing query over streaming pollution data.
 
-A dashboard keeps a standing count of "ozone in the unhealthy band" as new
-readings arrive day by day.  Each daily window is collected, sampled at a
-freshly calibrated rate, and a private release is produced; the privacy
-accountant caps the monitor's lifetime.
+A dashboard keeps a standing count of "ozone in the unhealthy band" over
+a sliding window of the last four weeks as new readings arrive.  Each
+week is one streaming epoch: its arrivals are sampled at a freshly
+calibrated rate when the window rolls, and a private release is produced
+from the merged window.  Per-epoch budgets expire with their epochs; the
+broker's lifetime accountant caps the monitor's total leakage, and the
+monitor retires when that cap is reached.
 
 Run:  python examples/continuous_monitoring.py
 """
 
 from __future__ import annotations
 
-from repro import AccuracySpec, ContinuousMonitor, RangeQuery
+from collections import deque
+
+import numpy as np
+
+from repro import (
+    AccuracySpec,
+    RangeQuery,
+    StreamingConfig,
+    build_streaming_cluster,
+)
 from repro.datasets import generate_citypulse
 from repro.datasets.streams import RecordStream
 from repro.errors import PrivacyBudgetExceededError
 from repro.privacy.budget import BudgetAccountant
+
+WINDOW_WEEKS = 4
+LOW, HIGH = 100.0, 150.0
 
 
 def main() -> None:
     data = generate_citypulse()
     stream = RecordStream(data.values("ozone"), batch_size=288 * 7)  # weekly
 
-    monitor = ContinuousMonitor(
-        query=RangeQuery(low=100.0, high=150.0, dataset="ozone"),
-        spec=AccuracySpec(alpha=0.1, delta=0.6),
-        k=8,
-        accountant=BudgetAccountant(capacity=0.05),
-    )
+    spec = AccuracySpec(alpha=0.1, delta=0.6)
+    cluster = build_streaming_cluster(StreamingConfig(
+        shards=2,
+        devices_per_shard=4,
+        window_epochs=WINDOW_WEEKS,
+        floor=spec,
+        dataset="ozone",
+        seed=23,
+    ))
+    cluster.broker.accountant = BudgetAccountant(capacity=0.04)
+    query = RangeQuery(low=LOW, high=HIGH, dataset="ozone")
 
-    print("standing query: ozone in [100, 150], alpha=0.1, delta=0.6")
-    print("privacy capacity: eps' <= 0.05 over the monitor's lifetime\n")
+    print(
+        f"standing query: ozone in [{LOW:.0f}, {HIGH:.0f}] over the last "
+        f"{WINDOW_WEEKS} weeks, alpha={spec.alpha}, delta={spec.delta}"
+    )
+    print("privacy capacity: eps' <= 0.04 over the monitor's lifetime\n")
+    live: "deque[np.ndarray]" = deque(maxlen=WINDOW_WEEKS)
+    releases = 0
     week = 0
     try:
         for batch in stream.batches():
+            # Week w's readings all carry timestamps inside epoch w.
+            timestamps = week + np.arange(len(batch)) / len(batch)
+            cluster.ingest(batch, timestamps)
+            rate = cluster.epoch_rate()
+            snapshot = cluster.roll()
             week += 1
-            p = monitor.ingest_window(batch)
-            release = monitor.release()
-            truth = monitor.true_count()
+            live.append(batch)
+            answer = cluster.broker.answer(query, spec, consumer="dashboard")
+            releases += 1
+            window = np.concatenate(live)
+            truth = int(np.count_nonzero((window >= LOW) & (window <= HIGH)))
             print(
-                f"week {week}: n={monitor.total_records:6d}  p={p:.4f}  "
-                f"released {release.value:8.1f}  (true {truth:5d})  "
-                f"eps' so far {monitor.privacy_spent():.4f}"
+                f"week {week}: window n={snapshot.record_count:6d}  "
+                f"p={rate:.4f}  released {answer.value:8.1f}  "
+                f"(true {truth:5d})  eps' so far "
+                f"{cluster.broker.accountant.spent('ozone'):.4f}"
             )
     except PrivacyBudgetExceededError:
         print(
-            f"\nweek {week}: privacy budget exhausted after "
-            f"{len(monitor.releases)} releases -- the monitor retires "
-            "rather than leak beyond its cap."
+            f"\nweek {week}: privacy budget exhausted after {releases} "
+            "releases -- the monitor retires rather than leak beyond its cap."
         )
 
 

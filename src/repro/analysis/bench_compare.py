@@ -36,12 +36,10 @@ __all__ = [
 ]
 
 #: Key fragments that mark a machine/scheduler-dependent measurement.
-#: ``speedup`` (process/thread throughput ratio) and ``cores`` (host CPU
-#: count) come from the workers phase and vary by box exactly like raw
+#: ``speedup`` (a ratio of two timings) varies by box exactly like raw
 #: timings do.
 _TIMING_PATTERN = re.compile(
-    r"(qps|throughput|duration|latency|_ms$|_s$|wall|elapsed|speedup"
-    r"|^cores$)",
+    r"(qps|throughput|duration|latency|_ms$|_s$|wall|elapsed|speedup)",
     re.IGNORECASE,
 )
 

@@ -133,9 +133,6 @@ class ChaosReport:
     failures: Tuple[str, ...]
     checksum: str
     duration_s: float
-    #: SIGKILLed repro.workers shard processes (absorbed transparently by
-    #: the pool: respawn+replay or bit-identical local fallback).
-    worker_process_kills: int = 0
 
     @property
     def epsilon_drift(self) -> float:
@@ -174,7 +171,6 @@ class ChaosReport:
             "revenue_drift": self.revenue_drift,
             "worker_kills": self.worker_kills,
             "worker_restarts": self.worker_restarts,
-            "worker_process_kills": self.worker_process_kills,
             "auto_respawns": self.auto_respawns,
             "broker_recoveries": self.broker_recoveries,
             "recoveries_exact": list(self.recoveries_exact),
@@ -527,9 +523,6 @@ class ChaosHarness:
             expected_revenue=expected_revenue,
             worker_kills=int(counters.get("gateway.worker_kills", 0)),
             worker_restarts=int(counters.get("gateway.worker_restarts", 0)),
-            worker_process_kills=int(
-                counters.get("chaos.kill_worker_process", 0)
-            ),
             auto_respawns=auto_respawns,
             broker_recoveries=len(self.injector.recoveries_exact),
             recoveries_exact=tuple(self.injector.recoveries_exact),

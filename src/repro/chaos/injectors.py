@@ -31,11 +31,6 @@ __all__ = ["FaultInjector", "books_equal"]
 #: straggler to route around while the drill still finishes quickly.
 SLOW_SHARD_LATENCY_S = 0.05
 
-#: Pool round-trip bound installed while any worker is SIGSTOPped; a
-#: stalled request sheds to the bit-identical local estimator instead of
-#: hanging the scatter.
-STALL_REQUEST_TIMEOUT_S = 0.25
-
 
 def books_equal(
     ledger_a: BillingLedger,
@@ -71,9 +66,6 @@ class FaultInjector:
         # Original channels stashed while a burst fault is active,
         # keyed by shard target.
         self._saved_channels: "Dict[int, List[Tuple[Any, Channel]]]" = {}
-        # SIGSTOPped worker pids by pool key, so resume targets the very
-        # process that was stalled even if the pool respawned others.
-        self._stalled: "Dict[Any, int]" = {}
         #: Seconds of armed-but-unapplied manual-clock jump; the harness
         #: consumes this under ``gateway.quiesce()`` around the step's
         #: submit (see :meth:`_clock_jump`).
@@ -92,11 +84,8 @@ class FaultInjector:
             "heal_shard": self._heal_shard,
             "burst_loss": self._burst_loss,
             "heal_channel": self._heal_channel,
-            "kill_worker_process": self._kill_worker_process,
             "slow_shard": self._slow_shard,
             "heal_slow_shard": self._heal_slow_shard,
-            "stall_worker": self._stall_worker,
-            "resume_worker": self._resume_worker,
             "clock_jump": self._clock_jump,
             "brownout_level": self._brownout_level,
         }[event.kind]
@@ -111,81 +100,6 @@ class FaultInjector:
 
     def _restart_worker(self, event: FaultEvent) -> None:
         self.gateway.spawn_worker()
-
-    # ------------------------------------------------------------------ #
-    # shard worker processes (repro.workers)                             #
-    # ------------------------------------------------------------------ #
-    def _kill_worker_process(self, event: FaultEvent) -> None:
-        """SIGKILL one :mod:`repro.workers` shard worker process.
-
-        Deliberately non-cooperative: the worker gets no chance to flush
-        or reply.  The pool must absorb the crash transparently — respawn
-        and replay, or fall back to the bit-identical local estimator —
-        so the run's answers and books are unchanged.  Requires the
-        broker to be running the process execution backend.
-        """
-        import os
-        import signal
-
-        backend = getattr(self.gateway.broker, "_process_backend", None)
-        if backend is None:
-            raise ValueError(
-                "kill_worker_process needs the process execution backend "
-                "(broker.use_processes()); the broker is in threads mode"
-            )
-        pids = backend.worker_pids()
-        if not pids:
-            raise ValueError("process backend has no live workers to kill")
-        keys = sorted(pids, key=repr)
-        victim = keys[event.target % len(keys)]
-        os.kill(pids[victim], signal.SIGKILL)
-
-    def _backend(self) -> Any:
-        backend = getattr(self.gateway.broker, "_process_backend", None)
-        if backend is None:
-            raise ValueError(
-                "worker stall events need the process execution backend "
-                "(broker.use_processes()); the broker is in threads mode"
-            )
-        return backend
-
-    def _stall_worker(self, event: FaultEvent) -> None:
-        """SIGSTOP one shard worker: alive but unresponsive, not crashed.
-
-        The pool's ``request_timeout`` is installed alongside so stalled
-        round-trips shed to the bit-identical local estimator instead of
-        hanging the scatter; the worker's eventual late replies are
-        discarded by sequence tag after :meth:`_resume_worker`.
-        """
-        import os
-        import signal
-
-        backend = self._backend()
-        pids = backend.worker_pids()
-        if not pids:
-            raise ValueError("process backend has no live workers to stall")
-        keys = sorted(pids, key=repr)
-        victim = keys[event.target % len(keys)]
-        if victim in self._stalled:
-            return  # already stalled; idempotent
-        os.kill(pids[victim], signal.SIGSTOP)
-        self._stalled[victim] = pids[victim]
-        backend.pool.request_timeout = STALL_REQUEST_TIMEOUT_S
-
-    def _resume_worker(self, event: FaultEvent) -> None:
-        import os
-        import signal
-
-        backend = self._backend()
-        keys = sorted(backend.worker_pids(), key=repr)
-        if not keys:
-            return
-        victim = keys[event.target % len(keys)]
-        pid = self._stalled.pop(victim, None)
-        if pid is not None:
-            os.kill(pid, signal.SIGCONT)
-        if not self._stalled:
-            backend.pool.request_timeout = None
 
     # ------------------------------------------------------------------ #
     # shard latency + overload controls                                  #

@@ -2,7 +2,7 @@
 
 :class:`OverloadHarness` runs a standard :class:`~repro.chaos.harness.
 ChaosHarness` schedule (typically one heavy on ``slow_shard`` /
-``stall_worker`` / ``clock_jump`` / ``brownout_level`` events) and then
+``clock_jump`` / ``brownout_level`` events) and then
 audits two further end-to-end resilience invariants on the same run
 evidence:
 

@@ -28,16 +28,10 @@ EVENT_KINDS = (
     "heal_shard",       # revive + re-sync that primary
     "burst_loss",       # flip a station channel into Gilbert-Elliott burst loss
     "heal_channel",     # restore the original channel
-    # SIGKILL one repro.workers shard worker *process* (non-cooperative;
-    # the pool respawns it or falls back to the bit-identical local
-    # estimator, so no restart pairing is needed).
-    "kill_worker_process",
     # --- overload faults (drawn last in ``generate`` so earlier
     # same-seed schedules keep their exact events and checksums) ---
     "slow_shard",       # inject ingress latency on a shard's gated lane
     "heal_slow_shard",  # clear that injected latency
-    "stall_worker",     # SIGSTOP a shard worker process (stall, not crash)
-    "resume_worker",    # SIGCONT the stalled worker
     "clock_jump",       # advance the gateway's manual clock (target = ms)
     "brownout_level",   # pin the brownout ladder at rung ``target`` (0 = normal)
 )
@@ -109,13 +103,6 @@ class FaultSchedule:
             raise ValueError(
                 f"unmatched worker kills: {kills} kills but {restarts} restarts"
             )
-        stalls = sum(1 for e in self.events if e.kind == "stall_worker")
-        resumes = sum(1 for e in self.events if e.kind == "resume_worker")
-        if resumes < stalls:
-            raise ValueError(
-                f"unmatched worker stalls: {stalls} stalls but "
-                f"{resumes} resumes"
-            )
         for event in self.events:
             if event.step >= self.trades:
                 raise ValueError(
@@ -171,9 +158,7 @@ class FaultSchedule:
         broker_crashes: int = 1,
         shard_partitions: int = 1,
         channel_bursts: int = 1,
-        worker_process_kills: int = 0,
         slow_shards: int = 0,
-        worker_stalls: int = 0,
         clock_jumps: int = 0,
         brownout_pins: int = 0,
     ) -> "FaultSchedule":
@@ -232,18 +217,9 @@ class FaultSchedule:
                 FaultEvent(step=off, kind="heal_channel", target=target)
             )
 
-        # Drawn last so existing same-seed schedules keep their exact
-        # event positions (and checksums) when this stays at its default.
-        for _ in range(worker_process_kills):
-            events.append(FaultEvent(
-                step=draw_step(0.1, 0.8),
-                kind="kill_worker_process",
-                target=int(rng.integers(0, shards)),
-            ))
-
-        # Overload faults: appended after every earlier draw for the same
-        # reason -- zero-default arguments leave same-seed schedules (and
-        # their checksums) untouched.
+        # Overload faults: drawn after every earlier draw, so their
+        # zero-default arguments leave same-seed schedules (and their
+        # checksums) untouched.
         for _ in range(slow_shards):
             on = draw_step(0.05, 0.6)
             heal = min(on + int(rng.integers(10, 30)), trades - 1)
@@ -253,16 +229,6 @@ class FaultSchedule:
             )
             events.append(
                 FaultEvent(step=heal, kind="heal_slow_shard", target=target)
-            )
-        for _ in range(worker_stalls):
-            on = draw_step(0.2, 0.7)
-            off = min(on + int(rng.integers(3, 10)), trades - 1)
-            target = int(rng.integers(0, shards))
-            events.append(
-                FaultEvent(step=on, kind="stall_worker", target=target)
-            )
-            events.append(
-                FaultEvent(step=off, kind="resume_worker", target=target)
             )
         for _ in range(clock_jumps):
             events.append(FaultEvent(

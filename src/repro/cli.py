@@ -244,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the privacy-aware answer cache")
     cserve.add_argument("--metrics", action="store_true",
                         help="print the telemetry snapshot as JSON")
-    cserve.add_argument("--execution", default="threads",
-                        choices=["threads", "processes"],
-                        help="estimation backend: 'processes' fans "
-                             "rank/estimate sub-queries out to per-shard "
-                             "worker processes (repro.workers)")
     cserve.add_argument("--workers", type=int, default=1,
                         help="gateway dispatcher worker threads")
 
@@ -284,13 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the single-station baseline phase")
     cbench.add_argument("--no-failover", action="store_true",
                         help="skip the mid-run primary-kill phase")
-    cbench.add_argument("--execution", default="threads",
-                        choices=["threads", "processes"],
-                        help="estimation backend for the cluster phases")
     cbench.add_argument("--workers", type=int, default=1,
                         help="gateway dispatcher worker threads")
-    cbench.add_argument("--no-workers-compare", action="store_true",
-                        help="skip the threads-vs-processes workers phase")
     cbench.add_argument("--json", metavar="PATH",
                         help="write a BENCH-format JSON report here")
     cbench.add_argument(
@@ -325,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeds the fault schedule, channels, samplers, "
                             "and noise draws; the whole run is a pure "
                             "function of this")
-    chaos.add_argument("--execution", default="threads",
-                       choices=["threads", "processes"],
-                       help="estimation backend; 'processes' adds "
-                            "kill_worker_process (SIGKILL of a shard "
-                            "worker) to the fault schedule")
     chaos.add_argument("--journal", metavar="PATH",
                        help="persist the trade journal as JSONL here "
                             "(first run only; defaults to in-memory)")
@@ -390,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the privacy-aware answer cache")
     sserve.add_argument("--metrics", action="store_true",
                         help="print the telemetry snapshot as JSON")
-    sserve.add_argument("--execution", default="threads",
-                        choices=["threads", "processes"],
-                        help="estimation backend: 'processes' pools epoch "
-                             "estimates in a worker process (repro.workers)")
     sserve.add_argument("--workers", type=int, default=1,
                         help="gateway dispatcher worker threads")
 
@@ -792,7 +773,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         batch_window=args.window,
         max_batch=args.max_batch,
         enable_cache=not args.no_cache,
-        execution=args.execution,
         workers=args.workers,
     )
     gateway = service.serve(config)
@@ -999,9 +979,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         partition=args.partition,
         baseline=not args.no_baseline,
         failover=not args.no_failover,
-        execution=args.execution,
         gateway_workers=args.workers,
-        workers_compare=not args.no_workers_compare,
     )
     rows = []
     if "single" in payload:
@@ -1013,22 +991,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         fo = payload["failover"]
         rows.append((f"{fo['shards']}-shard+failover",
                      fo["throughput_qps"], fo["failed"]))
-    if "workers" in payload:
-        wk = payload["workers"]
-        rows.append((f"{wk['shards']}-shard+threads",
-                     wk["threads"]["throughput_qps"],
-                     wk["threads"]["failed"]))
-        rows.append((f"{wk['shards']}-shard+processes",
-                     wk["processes"]["throughput_qps"],
-                     wk["processes"]["failed"]))
     print(format_table(["phase", "throughput_qps", "failed"], rows))
-    if "workers" in payload:
-        wk = payload["workers"]
-        print(
-            f"workers: {wk['cores']} core(s), process/thread speedup "
-            f"{wk['speedup']:.2f}x, backend checksums "
-            f"{'identical' if wk['checksums_identical'] else 'DIVERGED'}"
-        )
     routed_items = _routed_phase_items(payload)
     if routed_items:
         print(format_table(
@@ -1068,24 +1031,11 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         phases.extend(
             (f"routed:{name}", phase) for name, phase in routed_items
         )
-        if "workers" in payload:
-            wk = payload["workers"]
-            phases.append(("workers:threads", wk["threads"]))
-            phases.append(("workers:processes", wk["processes"]))
         unhealthy = [name for name, phase in phases if not _phase_healthy(phase)]
         failover_ok = True
         if "failover" in payload:
             fo = payload["failover"]
             failover_ok = fo["failovers"] >= 1 and fo["degraded_answers"] > 0
-        # Both execution backends must produce the same bits from the
-        # same seed; the ≥3x scaling claim is only checkable on hosts
-        # with enough cores to express it.
-        workers_ok = True
-        if "workers" in payload:
-            wk = payload["workers"]
-            workers_ok = bool(wk["checksums_identical"])
-            if int(wk["cores"]) >= 8 and wk["speedup"] is not None:
-                workers_ok = workers_ok and float(wk["speedup"]) >= 3.0
         # Multi-shard routed phases must show the planner actually
         # engaging: queries routed, shards pruned, and a sane δ-split.
         routing_dead = [
@@ -1098,7 +1048,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                 and 0.0 < float(phase.get("delta_split_mean", 0.0)) <= 1.0
             )
         ]
-        if unhealthy or not failover_ok or routing_dead or not workers_ok:
+        if unhealthy or not failover_ok or routing_dead:
             print(
                 "cluster-bench UNHEALTHY: "
                 + (f"phases {unhealthy} failed or drifted; " if unhealthy else "")
@@ -1107,11 +1057,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                     f"routing never engaged at shards {routing_dead}; "
                     if routing_dead
                     else ""
-                )
-                + (
-                    ""
-                    if workers_ok
-                    else "workers phase diverged or under-scaled"
                 ),
                 file=sys.stderr,
             )
@@ -1121,8 +1066,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
             "cluster-bench healthy: all phases zero-drift"
             + (", failover engaged" if "failover" in payload else "")
             + (", routing engaged" if routed_items else "")
-            + (", worker backends bit-identical" if "workers" in payload
-               else "")
         )
     return 0
 
@@ -1148,10 +1091,7 @@ def _overload_schedule(args: argparse.Namespace):
 
     base = FaultSchedule.generate(
         seed=args.seed, trades=args.trades, shards=args.shards,
-        worker_process_kills=1 if args.execution == "processes" else 0,
-        slow_shards=1,
-        worker_stalls=1 if args.execution == "processes" else 0,
-        clock_jumps=3,
+        slow_shards=1, clock_jumps=3,
     )
     sweep = [
         FaultEvent(step=int(args.trades * frac), kind="brownout_level",
@@ -1196,7 +1136,6 @@ def _run_chaos_once(args: argparse.Namespace, journal_path):
         workers=1,
         enable_cache=False,
         request_ttl=_OVERLOAD_TTL_S if overload else None,
-        execution=args.execution,
     )
     if overload:
         from repro.cluster.health import ShardBreakerBoard
@@ -1236,10 +1175,7 @@ def _run_chaos_once(args: argparse.Namespace, journal_path):
         )
     else:
         schedule = FaultSchedule.generate(
-            seed=args.seed, trades=args.trades, shards=args.shards,
-            # Shard-worker SIGKILLs only make sense against the process
-            # backend; the injector refuses them in threads mode.
-            worker_process_kills=2 if args.execution == "processes" else 0,
+            seed=args.seed, trades=args.trades, shards=args.shards
         )
         harness = ChaosHarness(
             gateway, journal, schedule, workload,
@@ -1392,7 +1328,6 @@ def _cmd_stream_serve(args: argparse.Namespace) -> int:
             batch_window=args.window,
             max_batch=args.max_batch,
             enable_cache=not args.no_cache,
-            execution=args.execution,
             workers=args.workers,
         ),
         telemetry=cluster.telemetry,

@@ -130,7 +130,6 @@ def _serve_config(
     window: float,
     max_batch: int,
     enable_cache: bool = True,
-    execution: str = "threads",
     gateway_workers: int = 1,
 ):
     from repro.serving import ServingConfig
@@ -139,7 +138,6 @@ def _serve_config(
         batch_window=window,
         max_batch=max_batch,
         enable_cache=enable_cache,
-        execution=execution,
         workers=gateway_workers,
     )
 
@@ -225,42 +223,6 @@ def _determinism_checksum(
     return float(sum(a.value for a in answers))
 
 
-def _backend_checksum(
-    values: np.ndarray,
-    devices: int,
-    shards: int,
-    seed: int,
-    ranges: "List[Tuple[float, float]]",
-    tiers: "Sequence[AccuracySpec]",
-    partition: str,
-    execution: str,
-    probes: int = 32,
-) -> float:
-    """:func:`_determinism_checksum` under a chosen execution backend.
-
-    Threads vs processes on the same seed must agree bit-for-bit -- the
-    workers phase's ``checksums_identical`` gate compares the two.
-    """
-    cluster = ClusterBroker.from_values(
-        values, k=devices, shards=shards, seed=seed, partition=partition
-    )
-    if execution == "processes":
-        cluster.use_processes()
-    try:
-        queries: "List[RangeQuery]" = []
-        specs: "List[AccuracySpec]" = []
-        for i in range(probes):
-            low, high = ranges[i % len(ranges)]
-            queries.append(RangeQuery(low=low, high=high))
-            specs.append(tiers[i % len(tiers)])
-        target = max(cluster.planner.required_rate(spec) for spec in set(specs))
-        cluster.ensure_rate(target)
-        answers = cluster.answer_batch(queries, specs, consumer="audit")
-        return float(sum(a.value for a in answers))
-    finally:
-        cluster.use_threads()
-
-
 def run_cluster_bench(
     values: np.ndarray,
     devices: int = 64,
@@ -278,9 +240,7 @@ def run_cluster_bench(
     routed: bool = True,
     replica_confidence: float = 0.9,
     heartbeat_interval: float = 30.0,
-    execution: str = "threads",
     gateway_workers: int = 1,
-    workers_compare: bool = True,
 ) -> "Dict[str, object]":
     """Run the full single/cluster/failover comparison; returns the payload.
 
@@ -291,16 +251,6 @@ def run_cluster_bench(
     :func:`make_routed_workload` (1 shard, then every ``shard_counts``
     entry), reporting per-scale pruning stats -- the headline showing
     federation winning both ε and latency once the planner can route.
-
-    ``execution`` selects the cluster phases' estimation backend
-    (``"processes"`` = the :mod:`repro.workers` per-shard worker
-    runtime).  With ``workers_compare=True`` a dedicated ``workers``
-    phase reruns one cache-free cluster workload under *both* backends
-    and reports the speedup, the host core count, and the
-    backend-checksum identity gate -- the ``BENCH_cluster.json``
-    evidence for the multi-core scaling acceptance (≥3x at 4 shards on
-    an 8-core box; single-core hosts still assert zero drift and
-    checksum identity).
     """
     from repro.serving import ServingGateway
     from repro.serving.telemetry import MetricsRegistry
@@ -316,7 +266,6 @@ def run_cluster_bench(
         "tiers": [(spec.alpha, spec.delta) for spec in tiers],
         "seed": int(seed),
         "partition": partition,
-        "execution": execution,
     }
 
     if baseline:
@@ -334,54 +283,12 @@ def run_cluster_bench(
             values, k=devices, seed=seed, shards=s, partition=partition
         )
         gateway = service.serve(_serve_config(
-            window, max_batch, execution=execution,
-            gateway_workers=gateway_workers,
+            window, max_batch, gateway_workers=gateway_workers,
         ))
         clusters[str(s)] = _run_gateway_phase(
             gateway, query_ranges, tiers, consumers, requests
         )
     payload["clusters"] = clusters
-
-    if workers_compare and shard_counts:
-        import os
-
-        # 4 shards is the acceptance scale; fall back to the largest
-        # benchmarked count when 4 is not in the sweep.
-        s = 4 if 4 in shard_counts else max(shard_counts)
-        phase: "Dict[str, object]" = {
-            "shards": int(s),
-            "cores": int(os.cpu_count() or 1),
-        }
-        for backend in ("threads", "processes"):
-            service = PrivateRangeCountingService.from_values(
-                values, k=devices, seed=seed, shards=s, partition=partition
-            )
-            # Cache off: replays bypass estimation entirely, and the
-            # point of this phase is to time the estimation fan-out.
-            gateway = service.serve(_serve_config(
-                window, max_batch, enable_cache=False, execution=backend,
-                gateway_workers=gateway_workers,
-            ))
-            phase[backend] = _run_gateway_phase(
-                gateway, query_ranges, tiers, consumers, requests
-            )
-        thread_qps = float(phase["threads"]["throughput_qps"])  # type: ignore[index]
-        process_qps = float(phase["processes"]["throughput_qps"])  # type: ignore[index]
-        phase["speedup"] = (
-            process_qps / thread_qps if thread_qps > 0 else None
-        )
-        checksum_threads = _backend_checksum(
-            values, devices, s, seed, query_ranges, tiers, partition,
-            "threads",
-        )
-        checksum_processes = _backend_checksum(
-            values, devices, s, seed, query_ranges, tiers, partition,
-            "processes",
-        )
-        phase["checksum_threads"] = checksum_threads
-        phase["checksum_processes"] = checksum_processes
-        phase["checksums_identical"] = checksum_threads == checksum_processes
-        payload["workers"] = phase
 
     if routed:
         routed_ranges = make_routed_workload(values, ranges, seed)

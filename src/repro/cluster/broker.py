@@ -328,12 +328,6 @@ class ClusterBroker:
         # top-up naturally invalidates; bands are immutable post-build.
         self._route_cache: "Dict[Tuple[float, float, float, float, float], RoutePlan]" = {}  # guarded-by: _lock
         self._cost_cache: "Dict[Tuple[int, float, float, float], float]" = {}  # guarded-by: _lock
-        # Optional repro.workers process backend (None = threaded path).
-        self._process_backend = None  # guarded-by: _lock
-        # Pre-scatter batch hook (the process backend's ``prime``):
-        # collapses co-hosted shards' sub-queries into one worker
-        # round-trip.  None when detached or per-shard workers.
-        self._primer = None  # guarded-by: _lock
         # Lazy executor for hedged gated lanes; separate from the scatter
         # pool so a wide scatter can never starve its own hedges.
         self._hedge_executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
@@ -557,21 +551,6 @@ class ClusterBroker:
             for j in range(s)
             if shard_batches[j]
         ]
-
-        # With co-hosted workers attached, answer every shard's
-        # sub-queries in one pipe round-trip per worker before the
-        # scatter; each shard's lane then consumes its primed totals
-        # without another hop.  Best-effort -- a miss (raced top-up)
-        # degrades to the normal per-shard round-trip, bit-identically.
-        with self._lock:
-            primer = self._primer
-        if primer is not None and len(tasks) > 1:
-            primer({
-                task[1].shard_id: [
-                    (queries[i].low, queries[i].high) for i in task[2]
-                ]
-                for task in tasks
-            })
 
         # The fan-out may hop to pool threads; re-enter the caller's
         # deadline scope there so shard-level checkpoints keep working.
@@ -826,52 +805,6 @@ class ClusterBroker:
                 )
             return self._hedge_executor
 
-    # ------------------------------------------------------------------
-    # execution backend (repro.workers)
-    # ------------------------------------------------------------------
-    @property
-    def execution(self) -> str:
-        """``"threads"`` (default) or ``"processes"`` (worker backend live)."""
-        with self._lock:
-            return "processes" if self._process_backend is not None else "threads"
-
-    def use_processes(self, workers: "Optional[int]" = None) -> None:
-        """Attach the worker-process backend.  Idempotent.
-
-        Estimation moves to spawned worker processes fed by shared-memory
-        sample stores; planning, Laplace draws, journaling, and all
-        accounting stay in this process, so answers and books are
-        bit-identical to the threaded path for the same seeds.
-
-        ``workers`` (default: one per shard) round-robins shards onto
-        that many processes; co-hosted shards share one store and one
-        pre-scatter ``estimate_multi`` round-trip per batch (the
-        backend's ``prime`` hook) instead of a pipe round-trip each.
-        """
-        from repro.workers.backend import ClusterProcessBackend
-
-        with self._lock:
-            if self._process_backend is not None:
-                return
-        backend = ClusterProcessBackend(telemetry=self.telemetry)
-        backend.attach(self.shards, workers=workers)
-        with self._lock:
-            self._process_backend = backend
-            self._primer = backend.prime
-
-    def use_threads(self) -> None:
-        """Detach the process backend (restore in-process estimation).
-
-        Idempotent; shuts every worker down and unlinks every
-        shared-memory segment before returning.
-        """
-        with self._lock:
-            backend = self._process_backend
-            self._process_backend = None
-            self._primer = None
-        if backend is not None:
-            backend.detach()
-
     def _fan_out(self, fn):
         """Apply ``fn`` to every shard, concurrently when ``s > 1``."""
         return self._fan_out_over(self.shards, fn)
@@ -887,18 +820,10 @@ class ClusterBroker:
         Small scatters (routing typically touches one or two shards)
         run inline: per-shard work is GIL-bound and far cheaper than a
         thread handoff, so the pool only pays off for wide broadcasts.
-        With the process backend attached the calculus flips -- a
-        shard's work is a pipe round-trip whose ``recv`` releases the
-        GIL, so even two-shard scatters overlap on separate cores and
-        every multi-item scatter goes through the pool.
         """
         if not items:
             return []
-        with self._lock:
-            inline_max = (
-                1 if self._process_backend is not None else _INLINE_SCATTER_MAX
-            )
-        if len(items) <= inline_max:
+        if len(items) <= _INLINE_SCATTER_MAX:
             return [fn(item) for item in items]
         with self._lock:
             if self._executor is None:

@@ -56,10 +56,6 @@ ALIAS_TABLE: Mapping[str, Tuple[str, ...]] = {
     "base_station": ("BaseStation", "StreamingStation"),
     "station": ("StreamingStation",),
     "broker": ("DataBroker", "ClusterBroker", "StreamingBroker"),
-    "pool": ("WorkerPool",),
-    "reader": ("StoreReader",),
-    "publisher": ("StorePublisher",),
-    "handle": ("WorkerHandle",),
     "gateway": ("ServingGateway",),
     "cache": ("AnswerCache",),
     "admission": ("AdmissionController",),
@@ -374,7 +370,7 @@ class CallGraph:
                             target, rest[0], rest[1]
                         )
 
-        # Duck-typed alias table: ``reader.group_samples(...)``,
+        # Duck-typed alias table: ``broker.answer(...)``,
         # ``self.accountant.charge(...)`` handled above via attr types;
         # here a bare local name aliases a known surface.
         if len(rest) == 1:

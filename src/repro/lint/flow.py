@@ -7,7 +7,7 @@ time any caller asks for it, callee summaries are requested recursively,
 and recursion cycles resolve to the empty summary (one-pass
 approximation; the accounting/answer paths under check are acyclic).
 
-Four project rules run on top:
+Three project rules run on top:
 
 * **RL001i dp-boundary-flow** -- the RL001 taint walk, but raw-estimate
   taint is tracked *through project calls*, returns, and attribute
@@ -24,12 +24,6 @@ Four project rules run on top:
   resolved callee requires the callee to perform it on **every** path.
   This subsumes the retired intra-function RL006 journal-before-release,
   which could not see a journal append made inside the kernel.
-* **RL008 shm-discipline** -- only :class:`StorePublisher` /
-  ``_ControlCodec`` write shared-memory buffers, segments are attached
-  by name only inside :class:`StoreReader` (data segments only after a
-  stable seqlock ``read_control``), zero-copy reader views are never
-  mutated (tracked interprocedurally through helpers), and no closure
-  crosses the worker pipe.
 * **RL009 lock-order** -- the global lock acquisition graph (``with``
   statements plus ``# holds:`` entry annotations, class-level lock
   keys, transitive callee acquisitions) must be acyclic; cycles are
@@ -58,7 +52,7 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.callgraph import CallGraph, FunctionDecl, call_name, dotted_name
+from repro.lint.callgraph import CallGraph, FunctionDecl, call_name
 from repro.lint.engine import FileContext
 from repro.lint.findings import Finding, Hop
 from repro.lint.summaries import (
@@ -68,7 +62,6 @@ from repro.lint.summaries import (
     EMPTY_EFFECTS,
     EMPTY_LOCKS,
     TAINTED,
-    VIEW_TAINT,
     EffectSummary,
     LockEdge,
     LockSummary,
@@ -554,202 +547,6 @@ class BudgetConservationRule(ProjectRule):
 
 
 # ======================================================================
-# RL008 -- shared-memory discipline
-# ======================================================================
-
-_STORE_MODULE = "repro.workers.store"
-_BUF_WRITERS = ("StorePublisher", "_ControlCodec")
-
-
-def _subscript_buf_base(target: ast.expr) -> Optional[str]:
-    """Dotted base of a ``<...>.buf[...]`` store target, else None."""
-    if not isinstance(target, ast.Subscript):
-        return None
-    base = target.value
-    dotted = dotted_name(base)
-    if dotted is None:
-        return None
-    last = dotted.rsplit(".", 1)[-1]
-    return dotted if last == "buf" else None
-
-
-def _attaches_by_name(node: ast.Call) -> bool:
-    if call_name(node) != "SharedMemory":
-        return False
-    has_name = any(kw.arg == "name" for kw in node.keywords)
-    creates = any(kw.arg == "create" for kw in node.keywords)
-    return has_name and not creates
-
-
-class SharedMemoryDisciplineRule(ProjectRule):
-    """RL008: writer/reader/seqlock/pipe discipline of the shm store."""
-
-    rule_id = "RL008"
-    name = "shm-discipline"
-    rationale = (
-        "The zero-copy worker store is only safe because exactly one "
-        "writer mutates segments, readers attach through the seqlock "
-        "control block, reader views are immutable, and the worker "
-        "pipe carries plain picklable payloads."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for decl in self._scope(project):
-            ctx = project.ctx_for(decl)
-            yield from self._check_structure(project, ctx, decl)
-            yield from self._check_view_writes(project, ctx, decl)
-
-    def _scope(self, project: ProjectContext) -> List[FunctionDecl]:
-        out = []
-        for decl in project.graph.functions.values():
-            if decl.module.startswith("repro.workers"):
-                out.append(decl)
-                continue
-            ctx = project.ctx_for(decl)
-            if "group_samples" in ctx.source or "StoreReader" in ctx.source:
-                out.append(decl)
-        return sorted(out, key=lambda d: (d.rel_path, d.line))
-
-    # -- structural checks ---------------------------------------------
-    def _check_structure(
-        self, project: ProjectContext, ctx: FileContext, decl: FunctionDecl
-    ) -> Iterator[Finding]:
-        node = decl.node
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        control_read_lines: List[int] = []
-        calls: List[ast.Call] = []
-        writes: List[Tuple[ast.expr, str]] = []
-        for stmt in ast.walk(node):
-            if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    dotted = _subscript_buf_base(target)
-                    if dotted is not None:
-                        writes.append((target, dotted))
-            if isinstance(stmt, ast.Call):
-                calls.append(stmt)
-                if call_name(stmt) == "read_control":
-                    control_read_lines.append(stmt.lineno)
-
-        for target, dotted in writes:
-            if decl.module == _STORE_MODULE and decl.cls in _BUF_WRITERS:
-                continue
-            yield project.finding(
-                self.rule_id,
-                ctx,
-                target,
-                f"{decl.qualname} writes the shared-memory buffer "
-                f"`{dotted}[...]`; only StorePublisher/_ControlCodec in "
-                "repro.workers.store may mutate shm segments",
-            )
-
-        for node_call in calls:
-            if _attaches_by_name(node_call):
-                yield from self._check_attach(
-                    project, ctx, decl, node_call, control_read_lines
-                )
-            yield from self._check_pipe_send(project, ctx, decl, node_call)
-
-    def _check_attach(
-        self,
-        project: ProjectContext,
-        ctx: FileContext,
-        decl: FunctionDecl,
-        node: ast.Call,
-        control_read_lines: List[int],
-    ) -> Iterator[Finding]:
-        if not (decl.module == _STORE_MODULE and decl.cls == "StoreReader"):
-            yield project.finding(
-                self.rule_id,
-                ctx,
-                node,
-                f"{decl.qualname} attaches a shared-memory segment by "
-                "name; only StoreReader may attach (readers follow the "
-                "seqlock control block, everything else receives views)",
-            )
-            return
-        if decl.name == "__init__":
-            return  # the initial control-block attach has no generation yet
-        if not any(line < node.lineno for line in control_read_lines):
-            yield project.finding(
-                self.rule_id,
-                ctx,
-                node,
-                f"{decl.qualname} attaches a data segment without a "
-                "preceding stable read_control() -- the seqlock "
-                "generation must be validated before and after reading "
-                "the segment pointer",
-            )
-
-    def _check_pipe_send(
-        self,
-        project: ProjectContext,
-        ctx: FileContext,
-        decl: FunctionDecl,
-        node: ast.Call,
-    ) -> Iterator[Finding]:
-        if call_name(node) != "send":
-            return
-        dotted = dotted_name(node.func) or ""
-        if "conn" not in dotted and "pipe" not in dotted:
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for inner in ast.walk(arg):
-                if isinstance(inner, ast.Lambda):
-                    yield project.finding(
-                        self.rule_id,
-                        ctx,
-                        inner,
-                        f"{decl.qualname} sends a closure across the "
-                        "worker pipe; pipe payloads must be plain "
-                        "picklable data (no code, no ambient state)",
-                    )
-                elif isinstance(inner, ast.Call) and call_name(inner) in (
-                    "default_rng",
-                    "Generator",
-                ):
-                    yield project.finding(
-                        self.rule_id,
-                        ctx,
-                        inner,
-                        f"{decl.qualname} sends an RNG across the worker "
-                        "pipe; the Laplace stream stays in the "
-                        "coordinator (workers are RNG-free, RL002)",
-                    )
-
-    # -- interprocedural view-write taint --------------------------------
-    def _check_view_writes(
-        self, project: ProjectContext, ctx: FileContext, decl: FunctionDecl
-    ) -> Iterator[Finding]:
-        if decl.module == _STORE_MODULE and decl.cls in (
-            "StorePublisher",
-            "_ControlCodec",
-        ):
-            return
-        walker = TaintWalker(
-            ctx, VIEW_TAINT, project.taint_callback(decl, VIEW_TAINT)
-        )
-        node = decl.node
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        walker.run(node)
-        for event in walker.events:
-            if event.kind != "write" or event.value.level != TAINTED:
-                continue
-            yield project.finding(
-                self.rule_id,
-                ctx,
-                event.node,
-                f"{decl.qualname} mutates a zero-copy StoreReader view "
-                "(group_samples hands out read-only windows into the "
-                "shared segment); materialise with .copy() before "
-                "modifying",
-                event.value.hops,
-            )
-
-
-# ======================================================================
 # RL009 -- lock order
 # ======================================================================
 
@@ -906,7 +703,6 @@ def _canonical_cycle(cycle: List[str]) -> Tuple[str, ...]:
 
 project_registry.register(InterproceduralDpBoundaryRule)
 project_registry.register(BudgetConservationRule)
-project_registry.register(SharedMemoryDisciplineRule)
 project_registry.register(LockOrderRule)
 
 

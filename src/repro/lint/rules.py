@@ -10,10 +10,7 @@ linters cannot see:
   construction (it re-releases already-noised values).
 * **RL002 rng-discipline** -- the determinism contract (bit-identical
   scalar/batch/cluster answers) dies the moment any global or
-  constant-seeded RNG sneaks in.  Inside ``repro.workers`` the rule is
-  strict: *no* RNG construction at all, seeded or not -- worker
-  processes only re-run pure estimation, and the Laplace stream must
-  stay in the coordinator for threads/processes bit-identity.
+  constant-seeded RNG sneaks in.
 * **RL003 lock-discipline** -- ``# guarded-by: _lock`` attributes may
   only be touched under ``with self._lock`` or in ``# holds: _lock``
   methods.
@@ -346,7 +343,6 @@ class RngDisciplineRule(Rule):
         return not ctx.module.startswith("repro.testing")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        rng_free = ctx.module.startswith("repro.workers")
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -356,13 +352,6 @@ class RngDisciplineRule(Rule):
                             "stdlib `random` is a process-global RNG; use a "
                             "seed-threaded np.random.Generator instead",
                         )
-                    elif rng_free and alias.name.startswith("numpy.random"):
-                        yield ctx.finding(
-                            self.rule_id, node.lineno, node.col_offset,
-                            "repro.workers must stay RNG-free: Laplace "
-                            "draws happen only in the coordinator so the "
-                            "noise stream is backend-independent",
-                        )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "random":
                     yield ctx.finding(
@@ -370,44 +359,8 @@ class RngDisciplineRule(Rule):
                         "stdlib `random` is a process-global RNG; use a "
                         "seed-threaded np.random.Generator instead",
                     )
-                elif rng_free and node.module and node.module.startswith(
-                    "numpy.random"
-                ):
-                    yield ctx.finding(
-                        self.rule_id, node.lineno, node.col_offset,
-                        "repro.workers must stay RNG-free: Laplace draws "
-                        "happen only in the coordinator so the noise "
-                        "stream is backend-independent",
-                    )
             elif isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
-                if rng_free:
-                    yield from self._check_worker_purity(ctx, node)
-
-    def _check_worker_purity(
-        self, ctx: FileContext, node: ast.Call
-    ) -> Iterator[Finding]:
-        """Inside ``repro.workers`` *any* RNG construction is a finding.
-
-        The worker runtime only re-runs deterministic rank/estimate
-        arithmetic; if it ever consumed randomness the threads and
-        processes backends could not stay bit-identical under one seed.
-        Even a correctly seed-threaded Generator is banned here.
-        """
-        dotted = _dotted_name(node.func)
-        constructs_rng = _call_name(node) == "default_rng" or (
-            dotted is not None
-            and len(dotted.split(".")) >= 2
-            and dotted.split(".")[-2] == "random"
-            and dotted.split(".")[0] in ("np", "numpy")
-        )
-        if constructs_rng:
-            yield ctx.finding(
-                self.rule_id, node.lineno, node.col_offset,
-                "repro.workers must stay RNG-free: estimation offloaded "
-                "to workers is pure; Laplace draws happen only in the "
-                "coordinator so accounting is backend-independent",
-            )
 
     def _check_call(self, ctx: FileContext, node: ast.Call) -> Iterator[Finding]:
         dotted = _dotted_name(node.func)

@@ -5,13 +5,12 @@ structural walk of the function body, with callee knowledge supplied by
 the demand-driven propagator in :mod:`repro.lint.flow`:
 
 * **Taint** (:class:`TaintSummary`) -- does the return value derive from
-  a taint source (``estimate*`` / ``true_count`` for the DP channel,
-  ``group_samples`` reader views for the shared-memory channel), does it
-  pass through a sanitizer (``sample_laplace*`` / an explicit ``copy``),
-  and which *parameters* flow to the return unsanitized?  The parameter
-  dependency set is what makes the analysis interprocedural: a helper
-  that merely returns its argument propagates the caller's taint, and a
-  helper that noises its argument cleanses it.
+  a taint source (``estimate*`` / ``true_count``), does it pass through
+  a sanitizer (``sample_laplace*``), and which *parameters* flow to the
+  return unsanitized?  The parameter dependency set is what makes the
+  analysis interprocedural: a helper that merely returns its argument
+  propagates the caller's taint, and a helper that noises its argument
+  cleanses it.
 * **Effects** (:class:`EffectSummary`) -- which accounting effects the
   function performs transitively (``charge``: the budget accountant is
   debited; ``journal``: the write-ahead trade journal is appended to),
@@ -58,7 +57,6 @@ __all__ = [
     "TaintWalker",
     "SinkEvent",
     "DP_TAINT",
-    "VIEW_TAINT",
     "EffectSummary",
     "EMPTY_EFFECTS",
     "compute_effect_summary",
@@ -129,10 +127,6 @@ class TaintConfig:
     #: Calls whose ``answer_fields`` *keywords* are sinks too: the
     #: settlement kernel assembles released answers from them.
     release_sinks: FrozenSet[str] = frozenset()
-    #: Subscript/attribute stores and mutator calls through tainted
-    #: values are sinks (the shared-memory view channel).
-    check_writes: bool = False
-    mutators: FrozenSet[str] = frozenset()
 
 
 DP_TAINT = TaintConfig(
@@ -153,17 +147,6 @@ DP_TAINT = TaintConfig(
     release_sinks=frozenset({"release_batch"}),
 )
 
-VIEW_TAINT = TaintConfig(
-    channel="view",
-    sources=frozenset({"group_samples"}),
-    source_attrs=frozenset(),
-    # An explicit materialisation detaches from the shared segment.
-    sanitizers=frozenset({"copy", "deepcopy", "array", "tolist", "list"}),
-    propagators=frozenset({"asarray", "reshape", "astype", "min", "max"}),
-    check_writes=True,
-    mutators=frozenset({"sort", "fill", "put", "itemset", "partition"}),
-)
-
 
 @dataclass(frozen=True)
 class TaintSummary:
@@ -177,9 +160,6 @@ class TaintSummary:
     #: For dep-carrying returns: hops inside the callee the caller's
     #: argument taint flows through (typically the return statement).
     through: Tuple[Hop, ...] = ()
-    #: Parameter indices the function *writes through* (view channel),
-    #: with hops to the write site.
-    writes: Dict[int, Tuple[Hop, ...]] = field(default_factory=dict)
 
 
 EMPTY_TAINT = TaintSummary()
@@ -189,7 +169,7 @@ EMPTY_TAINT = TaintSummary()
 class SinkEvent:
     """One potential sink the walker saw (rules decide what fires)."""
 
-    kind: str  #: ``return`` / ``answer`` / ``write``
+    kind: str  #: ``return`` / ``answer``
     node: ast.AST
     value: Abstract
     detail: str = ""
@@ -220,8 +200,6 @@ class TaintWalker:
         self.summarize_call = summarize_call
         self.env: Dict[str, Abstract] = dict(param_env or {})
         self.events: List[SinkEvent] = []
-        #: Param writes observed (view channel): param idx -> hops.
-        self.param_writes: Dict[int, Tuple[Hop, ...]] = {}
 
     # -- plumbing ------------------------------------------------------
     def _hop(self, node: ast.AST, note: str) -> Hop:
@@ -294,30 +272,12 @@ class TaintWalker:
             self.events.append(
                 SinkEvent("return", stmt, self.classify(stmt.value))
             )
-        if self.config.check_writes and isinstance(
-            stmt, (ast.Assign, ast.AugAssign)
-        ):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    base_val = self.classify(target.value)
-                    self._record_write(target, base_val)
         if self.config.answer_fields and isinstance(
             stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr, ast.Return)
         ):
             value = getattr(stmt, "value", None)
             if value is not None:
                 self._check_answer_calls(value)
-
-    def _record_write(self, target: ast.AST, base_val: Abstract) -> None:
-        if base_val.level == TAINTED:
-            self.events.append(SinkEvent("write", target, base_val))
-        for dep in base_val.deps:
-            self.param_writes.setdefault(
-                dep, (self._hop(target, "writes through the parameter here"),)
-            )
 
     def _check_answer_calls(self, expr: ast.expr) -> None:
         for node in ast.walk(expr):
@@ -433,10 +393,6 @@ class TaintWalker:
                 TAINTED,
                 hops=(self._hop(node, f"taint source: `{callee}(...)`"),),
             )
-        if cfg.check_writes and callee in cfg.mutators:
-            if isinstance(node.func, ast.Attribute):
-                base_val = self.classify(node.func.value)
-                self._record_write(node, base_val)
         resolved = self.summarize_call(node)
         if resolved:
             return self._apply_summaries(node, callee, resolved)
@@ -472,27 +428,6 @@ class TaintWalker:
             call_hop = self._hop(
                 node, f"calls `{decl.qualname}` ({decl.rel_path}:{decl.line})"
             )
-            # Writes through parameters (view channel).
-            for pidx, write_hops in summary.writes.items():
-                arg = self._arg_for_param(node, decl, pidx)
-                if arg is None:
-                    continue
-                aval = self.classify(arg)
-                if aval.level == TAINTED:
-                    self.events.append(
-                        SinkEvent(
-                            "write",
-                            node,
-                            Abstract(
-                                TAINTED,
-                                hops=(call_hop,) + write_hops + aval.hops,
-                            ),
-                        )
-                    )
-                for dep in aval.deps:
-                    self.param_writes.setdefault(
-                        dep, (call_hop,) + write_hops
-                    )
             parts: List[Abstract] = []
             if summary.level == NOISED:
                 parts.append(Abstract(NOISED))
@@ -563,7 +498,6 @@ def compute_taint_summary(
         deps=frozenset(deps),
         trace=trace,
         through=through,
-        writes=dict(walker.param_writes),
     )
 
 

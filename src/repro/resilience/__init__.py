@@ -8,7 +8,7 @@ keep the marketplace honest under overload:
 ``deadline``
     A per-request :class:`~repro.resilience.deadline.Deadline` carried
     from ``ServingGateway.submit`` through the cluster/streaming fan-out
-    into worker pipe requests, so every layer can fail fast *before*
+    into the settlement kernel, so every layer can fail fast *before*
     billing or spending ε.
 ``breaker``
     Per-shard circuit breakers (closed / open / half-open) driven by

@@ -1,10 +1,10 @@
 """Per-request deadlines, propagated through every fan-out layer.
 
 A :class:`Deadline` is an absolute expiry on an injectable clock.  The
-gateway stamps one on each request at submit time; brokers and worker
-pools call :func:`check_deadline` at their pre-commit checkpoints so a
-request that cannot finish in time fails fast *before* any journal
-write, ledger charge, or ε spend — preserving the
+gateway stamps one on each request at submit time; brokers and the
+settlement kernel call :func:`check_deadline` at their pre-commit
+checkpoints so a request that cannot finish in time fails fast *before*
+any journal write, ledger charge, or ε spend — preserving the
 :class:`~repro.errors.DeadlineExceededError` never-billed invariant.
 
 Propagation is via a thread-local scope rather than a parameter threaded

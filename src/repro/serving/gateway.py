@@ -100,15 +100,6 @@ class ServingConfig:
         :class:`~repro.errors.DeadlineExceededError` instead of riding a
         late batch -- before any data is touched, so it is never billed
         and never spends ε.
-    execution:
-        ``"threads"`` (default) keeps estimation in-process -- every
-        existing entry point is bit-identical to before this knob
-        existed.  ``"processes"`` asks the gateway to attach the
-        :mod:`repro.workers` process backend to a broker that supports
-        it (``use_processes``): estimation fans out to one worker
-        process per shard over a shared-memory sample store, while noise
-        and accounting stay in this process, so answers and books remain
-        bit-identical for the same seeds.  See ``docs/WORKERS.md``.
     """
 
     batch_window: float = 0.002
@@ -118,7 +109,6 @@ class ServingConfig:
     enable_cache: bool = True
     cache_capacity: int = 4096
     request_ttl: Optional[float] = None
-    execution: str = "threads"
 
     def __post_init__(self) -> None:
         if self.batch_window < 0:
@@ -133,11 +123,6 @@ class ServingConfig:
             raise ValueError("cache_capacity must be positive")
         if self.request_ttl is not None and self.request_ttl <= 0:
             raise ValueError("request_ttl must be positive (or None)")
-        if self.execution not in ("threads", "processes"):
-            raise ValueError(
-                "execution must be 'threads' or 'processes', "
-                f"got {self.execution!r}"
-            )
 
 
 class _Request:
@@ -243,21 +228,6 @@ class ServingGateway:
         self.admission = admission
         if self.admission is not None and self.admission.ledger is None:
             self.admission.ledger = broker.ledger
-        # execution="processes": attach the repro.workers backend to a
-        # broker that supports it.  The gateway owns the attachment (and
-        # detaches on stop, releasing workers + shared memory) only when
-        # it performed it; a broker already in process mode is left alone.
-        self._owns_process_backend = False
-        if self.config.execution == "processes":
-            use_processes = getattr(broker, "use_processes", None)
-            if use_processes is None:
-                raise ValueError(
-                    f"broker {type(broker).__name__} has no process "
-                    "execution backend; use execution='threads'"
-                )
-            if getattr(broker, "execution", "threads") != "processes":
-                use_processes()
-                self._owns_process_backend = True
         self._queue: "queue.Queue[object]" = queue.Queue(
             maxsize=self.config.queue_depth
         )
@@ -305,9 +275,6 @@ class ServingGateway:
         # Never-started gateways (or anything racing past the sentinels)
         # still drain synchronously so no future is left dangling.
         self._drain_remaining()
-        if self._owns_process_backend:
-            self._owns_process_backend = False
-            self.broker.use_threads()  # type: ignore[attr-defined]
 
     def __enter__(self) -> "ServingGateway":
         return self.start()
@@ -628,7 +595,7 @@ class ServingGateway:
         # 3. Fresh releases: group by consumer (accounting is per
         #    consumer) preserving arrival order, one answer_batch each.
         #    Each group dispatches under the earliest member deadline so
-        #    downstream layers (cluster fan-out, worker pipes) can fail
+        #    downstream layers (cluster fan-out, settlement) can fail
         #    fast before journaling -- no answer in the group is ever
         #    released past its own deadline.
         fresh_answers: "List[Optional[PrivateAnswer]]" = [None] * len(fresh)

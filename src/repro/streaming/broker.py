@@ -259,8 +259,6 @@ class StreamingBroker:
         # Window shape (k, n, p) changes across rolls, so plans memoize
         # on the full shape key; bounded like the one-shot broker's memo.
         self._plan_memo: "Dict[Tuple[float, float, float, int, int], PrivacyPlan]" = {}
-        # Optional repro.workers process backend (None = in-process path).
-        self._process_backend: "Optional[Any]" = None
 
     # ------------------------------------------------------------------
     # duck-typed broker surface
@@ -290,55 +288,6 @@ class StreamingBroker:
 
             return nullcontext()
         return self.telemetry.timer(name)
-
-    # ------------------------------------------------------------------
-    # execution backend (repro.workers)
-    # ------------------------------------------------------------------
-    @property
-    def execution(self) -> str:
-        """``"threads"`` (default, in-process) or ``"processes"``."""
-        return "processes" if self._process_backend is not None else "threads"
-
-    def use_processes(self) -> None:
-        """Attach the window worker-process backend.  Idempotent.
-
-        Pooled window estimation moves to a spawned worker fed by a
-        shared-memory store republished on every committed roll; noise,
-        journaling, and all three books stay in this process, so answers
-        are bit-identical to the in-process path for the same seeds.
-        """
-        if self._process_backend is not None:
-            return
-        from repro.workers.backend import StreamingProcessBackend
-
-        self._process_backend = StreamingProcessBackend(
-            self.station, self.estimator, telemetry=self.telemetry
-        )
-
-    def use_threads(self) -> None:
-        """Detach the process backend (restore in-process estimation)."""
-        backend = self._process_backend
-        self._process_backend = None
-        if backend is not None:
-            backend.close()
-
-    def _pooled_estimates(
-        self,
-        snapshot: WindowSnapshot,
-        ranges: "Sequence[Tuple[float, float]]",
-    ) -> np.ndarray:
-        """Window estimates for ``ranges`` at ``snapshot``.
-
-        Offloads to the process backend when one is attached and can
-        serve this exact ``store_version``; every miss (stale store,
-        crashed worker) falls back to the bit-identical in-process sum.
-        """
-        backend = self._process_backend
-        if backend is not None:
-            estimates = backend.pooled_estimate_many(snapshot, ranges)
-            if estimates is not None:
-                return estimates
-        return pooled_estimate_many(snapshot.epochs, self.estimator, ranges)
 
     def _plan(
         self, spec: AccuracySpec, p: float, k: int, n: int
@@ -429,7 +378,9 @@ class StreamingBroker:
 
         with self._timer("streaming.estimate_s"):
             ranges = [(q.low, q.high) for q in batch.queries]
-            estimates = self._pooled_estimates(snapshot, ranges)
+            estimates = pooled_estimate_many(
+                snapshot.epochs, self.estimator, ranges
+            )
         scales = np.asarray([plan.noise_scale for plan in plans])
         noise = sample_laplace_many(scales, self.rng)
         raw_values = estimates + noise

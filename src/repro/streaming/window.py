@@ -2,8 +2,8 @@
 
 The unit of streaming state is the :class:`EpochSummary`: one sealed
 epoch's per-node rank samples, all drawn at one shared Bernoulli rate.  A
-sealed epoch behaves exactly like a paper *generation* (see
-:mod:`repro.core.continuous`): ranks are local to the epoch, so a window
+sealed epoch behaves exactly like a paper *generation* -- one arrival
+window sampled once at one rate: ranks are local to the epoch, so a window
 query is answered by summing RankCounting estimates over the live epochs,
 and with ``k_eff`` non-empty node samples across the window the variance
 bound ``8·k_eff/p²`` and Theorem 3.3 carry over unchanged.
@@ -242,8 +242,8 @@ class WindowSummary:
 
 
 # ----------------------------------------------------------------------
-# pooled (cross-epoch) helpers -- shared by StreamingBroker and the
-# ContinuousMonitor compatibility wrapper
+# pooled (cross-epoch) helpers -- StreamingBroker's estimation path;
+# the scalar pooled_estimate is the reference for pooled_estimate_many
 # ----------------------------------------------------------------------
 def pooled_samples(epochs: Sequence[EpochSummary]) -> List[NodeSample]:
     """All node samples across ``epochs``, in epoch-then-rank order."""
@@ -308,7 +308,7 @@ def pooled_plan(
     Uses the pooled fleet shape: ``k`` = all live node samples, ``n`` = the
     window record total, ``p`` = the sparsest live rate (certified
     accuracy is bounded by the sparsest epoch, exactly as in
-    :class:`~repro.core.continuous.ContinuousMonitor`).
+    :class:`~repro.streaming.broker.StreamingBroker`).
     """
     samples = pooled_samples(epochs)
     if not samples:

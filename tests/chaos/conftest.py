@@ -31,8 +31,7 @@ RANGES = (
 )
 
 
-def build_chaos_stack(shards: int = 1, seed: int = 11, journal_path=None,
-                      execution: str = "threads"):
+def build_chaos_stack(shards: int = 1, seed: int = 11, journal_path=None):
     """A fresh seeded service + journal + determinism-contract gateway.
 
     Twin stacks (same arguments) are bit-identical, which is what the
@@ -51,14 +50,12 @@ def build_chaos_stack(shards: int = 1, seed: int = 11, journal_path=None,
             queue_depth=2048,
             workers=1,
             enable_cache=False,
-            execution=execution,
         )
     )
     return service, journal, gateway
 
 
 def build_overload_stack(shards: int = 2, seed: int = 11, journal_path=None,
-                         execution: str = "threads",
                          request_ttl: float = 0.25):
     """A resilience-wired stack for the overload drill.
 
@@ -93,7 +90,6 @@ def build_overload_stack(shards: int = 2, seed: int = 11, journal_path=None,
             workers=1,
             enable_cache=False,
             request_ttl=request_ttl,
-            execution=execution,
         ),
         brownout=BrownoutController(),
         clock=clock,

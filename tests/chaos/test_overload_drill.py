@@ -35,9 +35,8 @@ def overload_schedule(trades: int = TRADES) -> FaultSchedule:
     return FaultSchedule(events=events, seed=7, trades=trades, shards=2)
 
 
-def _run_drill(execution: str = "threads",
-               schedule: FaultSchedule = None):
-    service, journal, gateway = build_overload_stack(execution=execution)
+def _run_drill(schedule: FaultSchedule = None):
+    service, journal, gateway = build_overload_stack()
     schedule = schedule or overload_schedule()
     harness = OverloadHarness(
         gateway,
@@ -56,19 +55,17 @@ def _run_drill(execution: str = "threads",
 class TestScheduleOverloadEvents:
     def test_default_generate_has_no_overload_events(self):
         schedule = FaultSchedule.generate(seed=3, trades=100, shards=2)
-        for kind in ("slow_shard", "heal_slow_shard", "stall_worker",
-                     "resume_worker", "clock_jump", "brownout_level"):
+        for kind in ("slow_shard", "heal_slow_shard", "clock_jump",
+                     "brownout_level"):
             assert schedule.count(kind) == 0
 
     def test_generate_pairs_overload_events(self):
         schedule = FaultSchedule.generate(
             seed=3, trades=100, shards=2,
-            slow_shards=2, worker_stalls=1, clock_jumps=3, brownout_pins=1,
+            slow_shards=2, clock_jumps=3, brownout_pins=1,
         )
         assert schedule.count("slow_shard") == 2
         assert schedule.count("heal_slow_shard") == 2
-        assert schedule.count("stall_worker") == 1
-        assert schedule.count("resume_worker") == 1
         assert schedule.count("clock_jump") == 3
         assert schedule.count("brownout_level") == 2  # pin + release
 
@@ -79,13 +76,6 @@ class TestScheduleOverloadEvents:
         )
         base_kinds = [e for e in extended.events if e.kind != "clock_jump"]
         assert tuple(base_kinds) == base.events
-
-    def test_unmatched_stall_rejected(self):
-        with pytest.raises(ValueError, match="unmatched worker stalls"):
-            FaultSchedule(
-                events=(FaultEvent(step=5, kind="stall_worker"),),
-                seed=1, trades=30, shards=1,
-            )
 
     def test_brownout_rung_bounded(self):
         with pytest.raises(ValueError, match="ladder tops out"):
@@ -167,24 +157,3 @@ class TestOverloadDrill:
                 entry.spec.alpha, entry.spec.delta
             )
             assert answer.price <= quote
-
-
-class TestOverloadDrillProcesses:
-    def test_worker_stall_drill_is_deterministic(self):
-        schedule = FaultSchedule(
-            events=(
-                FaultEvent(step=5, kind="slow_shard", target=0),
-                FaultEvent(step=8, kind="stall_worker", target=0),
-                FaultEvent(step=12, kind="resume_worker", target=0),
-                FaultEvent(step=15, kind="heal_slow_shard", target=0),
-                FaultEvent(step=20, kind="brownout_level", target=2),
-                FaultEvent(step=26, kind="brownout_level", target=0),
-            ),
-            seed=7, trades=40, shards=2,
-        )
-        first = _run_drill(execution="processes", schedule=schedule)
-        second = _run_drill(execution="processes", schedule=schedule)
-        assert first.all_passed, first.failures
-        assert second.all_passed, second.failures
-        assert first.checksum == second.checksum
-        assert first.brownout_answers.get("widen_alpha", 0) > 0

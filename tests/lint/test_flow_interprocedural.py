@@ -17,7 +17,6 @@ BROKER = "src/repro/core/broker.py"
 CLUSTER = "src/repro/cluster/broker.py"
 STREAMING = "src/repro/streaming/broker.py"
 SETTLEMENT = "src/repro/core/settlement.py"
-WORKER = "src/repro/workers/worker.py"
 TELEMETRY = "src/repro/serving/telemetry.py"
 
 # ----------------------------------------------------------------------
@@ -93,25 +92,6 @@ MUTATION_RL007_HEDGE = {
             "        return self._assemble(batch, txns, **columns)\n"
             "\n"
             "    def answer_batch(",
-        ),
-    ]
-}
-
-MUTATION_RL008 = {
-    WORKER: [
-        (
-            "        samples = reader.group_samples(group_index)\n",
-            "        samples = reader.group_samples(group_index)\n"
-            "        _normalise(samples)\n",
-        ),
-        (
-            "def worker_main(",
-            "def _normalise(samples):\n"
-            "    for sample in samples:\n"
-            "        sample.values[0] = 0.0\n"
-            "\n"
-            "\n"
-            "def worker_main(",
         ),
     ]
 }
@@ -227,21 +207,7 @@ def test_rl007_hedged_mutation_is_invisible_to_intra_rules():
 
 
 # ----------------------------------------------------------------------
-# (c) RL008: helper mutates a zero-copy StoreReader view
-# ----------------------------------------------------------------------
-def test_rl008_view_write_through_helper(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL008, only=["RL008"])
-    assert [f.rule_id for f in findings] == ["RL008"]
-    finding = findings[0]
-    assert finding.path == WORKER
-    assert "zero-copy" in finding.message
-    notes = [hop.note for hop in finding.trace]
-    assert any("_normalise" in note for note in notes)
-    assert any("group_samples" in note for note in notes)
-
-
-# ----------------------------------------------------------------------
-# (d) RL009: inverted two-lock acquisition across modules
+# (c) RL009: inverted two-lock acquisition across modules
 # ----------------------------------------------------------------------
 def test_rl009_lock_order_inversion_across_modules(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL009, only=["RL009"])

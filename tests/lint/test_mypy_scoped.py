@@ -22,7 +22,6 @@ MYPY_SCOPE = [
     "src/repro/core/settlement.py",
     "src/repro/cluster/planning.py",
     "src/repro/streaming",
-    "src/repro/workers",
     "src/repro/serving",
     "src/repro/durability",
     "src/repro/resilience",

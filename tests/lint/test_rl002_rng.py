@@ -103,73 +103,3 @@ def test_inline_suppression_is_honoured(lint_snippet):
     result = lint_snippet(suppressed, rel_path="repro/iot/device.py", rules=["RL002"])
     assert rule_ids(result) == []
     assert result.suppressed == 1
-
-
-# ---------------------------------------------------------------------
-# repro.workers strict no-RNG zone
-# ---------------------------------------------------------------------
-
-WORKER_SEEDED_RNG = """
-import numpy as np
-
-def jitter(seed):
-    return np.random.default_rng(seed)
-"""
-
-WORKER_RNG_IMPORT = """
-from numpy.random import default_rng
-"""
-
-WORKER_PURE = """
-import numpy as np
-
-def total(estimates):
-    return float(np.sum(np.asarray(estimates)))
-"""
-
-
-def test_workers_ban_even_seed_threaded_rng(lint_snippet):
-    # The same snippet is clean elsewhere in src ...
-    clean = lint_snippet(
-        WORKER_SEEDED_RNG, rel_path="repro/iot/device.py", rules=["RL002"]
-    )
-    assert rule_ids(clean) == []
-    # ... but inside repro.workers any RNG construction is a finding:
-    # workers must be pure for threads/processes bit-identity.
-    result = lint_snippet(
-        WORKER_SEEDED_RNG, rel_path="repro/workers/worker.py", rules=["RL002"]
-    )
-    assert rule_ids(result) == ["RL002"]
-    assert "RNG-free" in result.findings[0].message
-
-
-def test_workers_ban_numpy_random_imports(lint_snippet):
-    result = lint_snippet(
-        WORKER_RNG_IMPORT, rel_path="repro/workers/store.py", rules=["RL002"]
-    )
-    assert rule_ids(result) == ["RL002"]
-
-
-def test_workers_pure_numpy_is_clean(lint_snippet):
-    result = lint_snippet(
-        WORKER_PURE, rel_path="repro/workers/worker.py", rules=["RL002"]
-    )
-    assert rule_ids(result) == []
-
-
-def test_shipped_workers_package_is_rng_free():
-    # The real package must satisfy its own rule: scanning the shipped
-    # sources with RL002 yields zero findings.
-    from pathlib import Path
-
-    from repro.lint import LintEngine, default_registry
-
-    engine = LintEngine(rules=default_registry.create(only=["RL002"]))
-    root = Path(__file__).resolve().parents[2] / "src"
-    findings = []
-    for path in sorted((root / "repro" / "workers").glob("*.py")):
-        result = engine.lint_source(
-            path.read_text(), str(path.relative_to(root))
-        )
-        findings.extend(result.findings)
-    assert findings == []

@@ -45,7 +45,7 @@ def test_sarif_run_shape_and_rule_metadata(tmp_path, capsys):
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     # Both registries are described, so code-scanning UIs can show help
     # text for every rule that may appear.
-    assert {"RL001", "RL005", "RL001i", "RL007", "RL008", "RL009"} <= rule_ids
+    assert {"RL001", "RL005", "RL001i", "RL007", "RL009"} <= rule_ids
     assert all(rule["fullDescription"]["text"] for rule in run["tool"]["driver"]["rules"])
 
 

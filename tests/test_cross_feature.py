@@ -1,7 +1,7 @@
-"""Cross-feature integration: persistence + continuous + audit + catalog.
+"""Cross-feature integration: persistence + audit + catalog + tree.
 
 Scenarios that thread several extensions together, the way a deployment
-would: state survives process restarts, monitors persist their ledgers,
+would: state survives process restarts, ledgers persist across them,
 audits run over catalog purchases, and the tree collector's output feeds
 the same broker pipeline.
 """
@@ -13,12 +13,9 @@ import pytest
 
 from repro.core.audit import audit_answer
 from repro.core.catalog import DataCatalog
-from repro.core.continuous import ContinuousMonitor
-from repro.core.query import AccuracySpec, RangeQuery
 from repro.datasets.citypulse import generate_citypulse
 from repro.estimators.rank import RankCountingEstimator
 from repro.io import load_ledger, load_samples, save_ledger, save_samples
-from repro.privacy.budget import BudgetAccountant
 
 
 class TestRestartSurvival:
@@ -54,38 +51,6 @@ class TestRestartSurvival:
         txn = load_after.record("b", "d", 0.1, 0.5, 3.0, 0.01)
         assert txn.transaction_id == 2
         assert load_after.total_revenue() == pytest.approx(5.0)
-
-
-class TestMonitorWithSharedAccountant:
-    def test_monitor_and_broker_share_one_budget(self, citypulse_small):
-        """One accountant governs both ad-hoc queries and the standing
-        monitor: the cap binds their *combined* leakage."""
-        from repro.core.service import PrivateRangeCountingService
-        from repro.errors import PrivacyBudgetExceededError
-
-        accountant = BudgetAccountant(capacity=0.05)
-        values = citypulse_small.values("ozone")
-        service = PrivateRangeCountingService.from_values(
-            values, k=6, dataset="ozone", seed=21
-        )
-        service.broker.accountant = accountant
-        monitor = ContinuousMonitor(
-            query=RangeQuery(low=70.0, high=110.0, dataset="ozone"),
-            spec=AccuracySpec(alpha=0.15, delta=0.5),
-            k=4,
-            accountant=accountant,
-            rng=np.random.default_rng(5),
-        )
-        monitor.ingest_window(values[:800])
-
-        service.answer(70.0, 110.0, alpha=0.2, delta=0.4)
-        monitor.release()
-        combined = accountant.spent("ozone")
-        assert combined > 0
-        with pytest.raises(PrivacyBudgetExceededError):
-            for _ in range(10_000):
-                monitor.release()
-        assert accountant.spent("ozone") <= 0.05 + 1e-12
 
 
 class TestCatalogAudit:
