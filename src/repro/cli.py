@@ -891,6 +891,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     # The seed pins channels, samplers, and noise draws, so the accounting
     # fields of this payload are reproducible run-to-run; record it.
     payload["seed"] = args.seed
+    # Every dispatch settles in at most one broker call.
+    telemetry = gateway.telemetry
+    dispatches = telemetry.histogram("gateway.batch_width").count
+    broker_calls = int(telemetry.value("gateway.broker_calls"))
+    payload["dispatches"] = dispatches
+    payload["broker_calls"] = broker_calls
     print(
         format_table(
             ["metric", "value"],
@@ -906,6 +912,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             and result.failed == 0
             and abs(result.epsilon_drift) < 1e-6
             and abs(result.revenue_drift) < 1e-6
+            and broker_calls <= dispatches
         )
         if not healthy:
             print(
@@ -913,11 +920,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 f"throughput={result.throughput_qps:.3g}/s "
                 f"failed={result.failed} "
                 f"eps_drift={result.epsilon_drift:.3g} "
-                f"revenue_drift={result.revenue_drift:.3g}",
+                f"revenue_drift={result.revenue_drift:.3g} "
+                f"broker_calls={broker_calls} dispatches={dispatches}",
                 file=sys.stderr,
             )
             return 1
-        print("loadgen healthy: nonzero throughput, zero accounting drift")
+        print(
+            "loadgen healthy: nonzero throughput, zero accounting drift, "
+            "at most one broker call per dispatch"
+        )
     return 0
 
 

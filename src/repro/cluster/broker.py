@@ -47,7 +47,16 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -63,14 +72,25 @@ from repro.cluster.planning import (
 from repro.cluster.shard import ShardRuntime, build_shards
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import admit, open_batch, release_batch, replay
+from repro.core.settlement import (
+    admit,
+    drawing,
+    open_batch,
+    release_batch,
+    replay,
+)
 from repro.errors import InfeasiblePlanError
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.optimizer import PrivacyPlan
-from repro.resilience.deadline import check_deadline, current_deadline, deadline_scope
+from repro.resilience.deadline import (
+    Deadline,
+    check_deadline,
+    current_deadline,
+    deadline_scope,
+)
 from repro.resilience.hedging import HedgeLostRace, HedgePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -516,8 +536,11 @@ class ClusterBroker:
         self,
         queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
-        consumer: str = "anonymous",
-    ) -> "List[ClusterAnswer]":
+        consumer: "str | Sequence[str]" = "anonymous",
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "List[Any]":
         """Scatter a batch to the shard lanes, gather, merge, and settle once.
 
         Each shard lane plans, estimates and noises its sub-batch
@@ -528,52 +551,62 @@ class ClusterBroker:
         gather, in query order: one ledger transaction per query at
         cluster list price and one accountant entry at the
         parallel-composition ε′ (max over shards) -- so a failed gather
-        or a refused batch charges the consumer nothing.
+        or a refused consumer charges nothing.  ``consumer``,
+        ``replays`` and ``deadlines`` work as for
+        :meth:`DataBroker.answer_batch <repro.core.broker.DataBroker.answer_batch>`.
         """
-        batch = open_batch(self, "cluster", queries, spec, consumer)
-        queries, specs = batch.queries, batch.specs
+        batch = open_batch(
+            self, "cluster", queries, spec, consumer,
+            replays=replays, deadlines=deadlines,
+        )
+        fresh = batch.fresh
+        queries = [batch.queries[i] for i in fresh]
+        specs = [batch.specs[i] for i in fresh]
+        consumers = [batch.consumers[i] for i in fresh]
         s = len(self.shards)
-        routes = [
-            self.route_for_range(query.low, query.high, q_spec)
-            for query, q_spec in zip(queries, specs)
-        ]
-
-        # Per-shard sub-batches: shard j answers exactly the queries whose
-        # route queries it, in query order.  On a pure-broadcast batch
-        # (s = 1, or no band gave the planner anything to prune) every
-        # shard sees the full batch -- the legacy scatter, bit-identical.
-        shard_batches: "List[List[int]]" = [
-            [i for i, route in enumerate(routes) if j in route.queried]
-            for j in range(s)
-        ]
-        tasks = [
-            (j, self.shards[j], shard_batches[j])
-            for j in range(s)
-            if shard_batches[j]
-        ]
-
-        # The fan-out may hop to pool threads; re-enter the caller's
-        # deadline scope there so shard-level checkpoints keep working.
-        request_deadline = current_deadline()
-
-        def scoped_shard_draw(task):
-            with deadline_scope(request_deadline):
-                return self._shard_draw(
-                    task[1],
-                    [queries[i] for i in task[2]],
-                    [routes[i].spec_for(task[0]) for i in task[2]],
-                    consumer,
-                )
-
-        with self._timer("cluster.scatter_s"):
-            results = self._fan_out_over(tasks, scoped_shard_draw)
-
+        routes: "List[RoutePlan]" = []
         answer_of: "Dict[Tuple[int, int], PrivateAnswer]" = {}
         degraded_by_shard: "Dict[int, bool]" = {}
-        for (j, _, indices), (answers, degraded) in zip(tasks, results):
-            degraded_by_shard[j] = degraded
-            for i, answer in zip(indices, answers):
-                answer_of[(j, i)] = answer
+        with drawing(batch):
+            routes = [
+                self.route_for_range(query.low, query.high, q_spec)
+                for query, q_spec in zip(queries, specs)
+            ]
+
+            # Per-shard sub-batches: shard j answers exactly the queries
+            # whose route queries it, in query order.  On a pure-broadcast
+            # batch (s = 1, or no band gave the planner anything to prune)
+            # every shard sees the full batch -- the legacy scatter,
+            # bit-identical.
+            shard_batches: "List[List[int]]" = [
+                [i for i, route in enumerate(routes) if j in route.queried]
+                for j in range(s)
+            ]
+            tasks = [
+                (j, self.shards[j], shard_batches[j])
+                for j in range(s)
+                if shard_batches[j]
+            ]
+
+            # The fan-out may hop to pool threads; re-enter the caller's
+            # deadline scope there so shard-level checkpoints keep working.
+            request_deadline = current_deadline()
+
+            def scoped_shard_draw(task):
+                with deadline_scope(request_deadline):
+                    return self._shard_draw(
+                        task[1],
+                        [queries[i] for i in task[2]],
+                        [routes[i].spec_for(task[0]) for i in task[2]],
+                        [consumers[i] for i in task[2]],
+                    )
+
+            with self._timer("cluster.scatter_s"):
+                results = self._fan_out_over(tasks, scoped_shard_draw)
+            for (j, _, indices), (answers, degraded) in zip(tasks, results):
+                degraded_by_shard[j] = degraded
+                for i, answer in zip(indices, answers):
+                    answer_of[(j, i)] = answer
 
         if any(degraded_by_shard.values()):
             with self._lock:
@@ -581,7 +614,10 @@ class ClusterBroker:
                     self._first_degraded_wall = time.perf_counter()
 
         # Gather + merge per query over the shards its route touched, then
-        # admit and settle the consolidated trades through the kernel.
+        # admit and settle the consolidated trades through the kernel.  A
+        # failed scatter refused every fresh row: nothing to merge.
+        scattered = not any(i in batch.failed for i in fresh)
+        drawn = list(zip(fresh, routes)) if scattered else []
         with self._timer("cluster.gather_s"):
             n_total = float(self.n)
             plans: "List[PrivacyPlan]" = []
@@ -590,8 +626,8 @@ class ClusterBroker:
             estimates: "List[float]" = []
             extras: "List[Dict[str, Any]]" = []
             degraded_answers = 0
-            for i, q_spec in enumerate(specs):
-                route = routes[i]
+            for i, (row, route) in enumerate(drawn):
+                q_spec = batch.specs[row]
                 shard_answers = tuple(answer_of[(j, i)] for j in route.queried)
                 # Exactly-covered shards contribute their cached totals:
                 # every record is in range, zero error, zero ε.  Shard
@@ -636,11 +672,13 @@ class ClusterBroker:
                     exact_shards=route.exact,
                     route_signature=route.signature,
                 ))
-            admit(self, batch, plans)
+            rows = [row for row, _ in drawn]
+            admit(self, batch, rows, plans)
             merged = release_batch(
                 self,
                 batch,
                 answer_type=ClusterAnswer,
+                rows=rows,
                 plans=plans,
                 value=values,
                 raw_value=raw_values,
@@ -701,7 +739,7 @@ class ClusterBroker:
         shard: ShardRuntime,
         queries: "List[RangeQuery]",
         shard_specs: "List[AccuracySpec]",
-        consumer: str,
+        consumers: "List[str]",
     ) -> "Tuple[List[PrivateAnswer], bool]":
         check_deadline(f"cluster.shard{shard.shard_id}.scatter")
         breaker = (
@@ -722,12 +760,12 @@ class ClusterBroker:
         try:
             if hedge_after is not None:
                 answers, degraded = self._hedged_answer(
-                    shard, queries, shard_specs, consumer, hedge_after
+                    shard, queries, shard_specs, consumers, hedge_after
                 )
             else:
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
                     answers, degraded = shard.draw_batch(
-                        queries, shard_specs, consumer, gate=not bypass
+                        queries, shard_specs, consumers, gate=not bypass
                     )
         except Exception:
             if breaker is not None:
@@ -749,7 +787,7 @@ class ClusterBroker:
         shard: ShardRuntime,
         queries: "List[RangeQuery]",
         shard_specs: "List[AccuracySpec]",
-        consumer: str,
+        consumers: "List[str]",
         hedge_after: float,
     ) -> "Tuple[List[PrivateAnswer], bool]":
         """Race the gated lane against a bypass retry, exactly once.
@@ -767,7 +805,7 @@ class ClusterBroker:
             with deadline_scope(request_deadline):
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
                     return shard.draw_batch(
-                        queries, shard_specs, consumer,
+                        queries, shard_specs, consumers,
                         cancel=cancel, claim=claim,
                     )
 
@@ -781,7 +819,7 @@ class ClusterBroker:
         try:
             with self._timer(f"cluster.shard{shard.shard_id}.hedge_s"):
                 result = shard.draw_batch(
-                    queries, shard_specs, consumer, gate=False, claim=claim
+                    queries, shard_specs, consumers, gate=False, claim=claim
                 )
         except HedgeLostRace:
             # The gated lane claimed first while the hedge spun up; its

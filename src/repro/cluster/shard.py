@@ -173,7 +173,7 @@ class ShardRuntime:
         self,
         queries: "List[RangeQuery]",
         specs: "Sequence[AccuracySpec]",
-        consumer: str,
+        consumers: "Sequence[str]",
         *,
         gate: bool = True,
         cancel: "Optional[threading.Event]" = None,
@@ -214,7 +214,7 @@ class ShardRuntime:
             )
         if self.primary_alive:
             try:
-                return self.primary.draw_batch(queries, specs, consumer), False
+                return self.primary.draw_batch(queries, specs, consumers), False
             except DeliveryError:
                 self.primary_alive = False
         if self.replica is None:
@@ -222,7 +222,7 @@ class ShardRuntime:
                 f"shard {self.shard_id}: primary station is down and no "
                 "replica is configured"
             )
-        return self.replica.draw_batch(queries, specs, consumer), True
+        return self.replica.draw_batch(queries, specs, consumers), True
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) a collection round on the active station.

@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ContextManager, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    ContextManager,
+    Mapping,
+    Optional,
+    Sequence,
+    overload,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -27,7 +34,13 @@ import numpy.typing as npt
 from repro.core.planner import QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import admit, open_batch, release_batch, replay
+from repro.core.settlement import (
+    admit,
+    drawing,
+    open_batch,
+    release_batch,
+    replay,
+)
 from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
@@ -37,6 +50,7 @@ from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.laplace import sample_laplace_many
 from repro.privacy.optimizer import PrivacyPlan
+from repro.resilience.deadline import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
     from repro.durability.journal import TradeJournal
@@ -213,7 +227,7 @@ class DataBroker:
         self,
         queries: "Sequence[RangeQuery]",
         specs: "Sequence[AccuracySpec]",
-        consumer: str,
+        consumers: "Sequence[str]",
     ) -> "list[PrivateAnswer]":
         """Plan, estimate and perturb a batch without touching any books.
 
@@ -221,7 +235,7 @@ class DataBroker:
         (in the same RNG order) as :meth:`answer_batch`, but nothing is
         admitted, journaled, charged or billed -- the coordinator settles
         the merged answers once.  The lane's answers carry no price and
-        no transaction id.
+        no transaction id; ``consumers`` names each row's buyer.
         """
         plans = self._plan_each(specs)
         estimates = self._estimate(queries)
@@ -236,7 +250,7 @@ class DataBroker:
                 spec=spec,
                 plan=plans[i],
                 price=0.0,
-                consumer=consumer,
+                consumer=consumers[i],
             )
             for i, (query, spec) in enumerate(zip(queries, specs))
         ]
@@ -256,12 +270,37 @@ class DataBroker:
         """
         return self.answer_batch([query], spec, consumer)[0]
 
+    @overload
     def answer_batch(
         self,
         queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
-    ) -> "list[PrivateAnswer]":
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "list[PrivateAnswer]": ...
+
+    @overload
+    def answer_batch(
+        self,
+        queries: "Sequence[RangeQuery]",
+        spec: "AccuracySpec | Sequence[AccuracySpec]",
+        consumer: "Sequence[str]",
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "Sequence[PrivateAnswer | Exception]": ...
+
+    def answer_batch(
+        self,
+        queries: "Sequence[RangeQuery]",
+        spec: "AccuracySpec | Sequence[AccuracySpec]",
+        consumer: "str | Sequence[str]" = "anonymous",
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "Sequence[PrivateAnswer | Exception]":
         """Plan, estimate, perturb and settle a batch of queries.
 
         Each release is separately noised and separately charged
@@ -281,56 +320,71 @@ class DataBroker:
           order, with per-entry records unchanged.
 
         ``spec`` may be a single shared tier or one
-        :class:`AccuracySpec` per query.  Admission is **atomic**: the
-        whole batch is checked against the policy's purchase and ε′ caps
-        and the dataset budget before any noise is drawn, so a batch
-        either completes in full or charges nothing.  With
-        ``memoize_answers`` a query already answered -- earlier, or
-        earlier in this batch -- is re-released at ε′ = 0.
+        :class:`AccuracySpec` per query.  Admission is **atomic** per
+        consumer: a consumer's rows are checked against the policy's
+        purchase and ε′ caps and the dataset budget before any noise is
+        drawn, so they either complete in full or charge nothing.
+
+        ``consumer`` is one name for the whole batch (a refusal raises)
+        or one name per row (see :mod:`repro.core.settlement`: each
+        consumer is admitted on its own and one outcome -- answer or
+        error -- comes back per row).  ``replays`` marks rows that
+        re-release a cached answer, or an earlier row, at ε′ = 0;
+        ``deadlines`` give each row's expiry.  With ``memoize_answers`` a
+        query already answered -- earlier, or earlier in this batch -- is
+        re-released at ε′ = 0 too.
         """
-        batch = open_batch(self, "broker", queries, spec, consumer)
-        keys = [
-            (query.low, query.high, qspec.alpha, qspec.delta)
-            for query, qspec in zip(batch.queries, batch.specs)
-        ]
-        replays: "dict[int, PrivateAnswer | int]" = {}
-        fresh = list(range(len(keys)))
+        batch = open_batch(
+            self, "broker", queries, spec, consumer,
+            replays=replays, deadlines=deadlines,
+        )
+        fresh = batch.fresh
+        keys: "list[tuple[float, float, float, float]]" = []
         if self.memoize_answers:
-            fresh = []
+            keys = [
+                (query.low, query.high, qspec.alpha, qspec.delta)
+                for query, qspec in zip(batch.queries, batch.specs)
+            ]
+            drawn: "list[int]" = []
             first_of: "dict[tuple[float, float, float, float], int]" = {}
-            for i, key in enumerate(keys):
+            for i in fresh:
+                key = keys[i]
                 if key in self._answer_cache:
-                    replays[i] = self._answer_cache[key]
+                    batch.replays[i] = self._answer_cache[key]
                 elif key in first_of:
-                    replays[i] = first_of[key]
+                    batch.replays[i] = first_of[key]
                 else:
                     first_of[key] = i
-                    fresh.append(i)
+                    drawn.append(i)
+            fresh = drawn
 
-        # Pure-replay tiers touch no data: only fresh rows are planned.
-        with self._timer("broker.batch.plan_s"):
-            plans = self._plan_each([batch.specs[i] for i in fresh])
-        admit(self, batch, plans)
-
+        plans: "list[PrivacyPlan]" = []
         estimates = raw_values = released = np.zeros(0, dtype=np.float64)
-        if fresh:
-            with self._timer("broker.batch.estimate_s"):
-                estimates = self._estimate([batch.queries[i] for i in fresh])
-            raw_values = self._perturb(estimates, plans)
-            released = np.clip(raw_values, 0.0, float(self.base_station.n))
+        with drawing(batch):
+            # Pure-replay tiers touch no data: only fresh rows are planned.
+            with self._timer("broker.batch.plan_s"):
+                plans = self._plan_each([batch.specs[i] for i in fresh])
+            fresh, plans = admit(self, batch, fresh, plans)
+            if fresh:
+                with self._timer("broker.batch.estimate_s"):
+                    estimates = self._estimate([batch.queries[i] for i in fresh])
+                raw_values = self._perturb(estimates, plans)
+                released = np.clip(raw_values, 0.0, float(self.base_station.n))
 
         with self._timer("broker.batch.charge_s"):
-            answers = release_batch(
+            outcomes = release_batch(
                 self,
                 batch,
                 answer_type=PrivateAnswer,
+                rows=fresh,
                 plans=plans,
                 value=released,
                 raw_value=raw_values,
                 sample_estimate=estimates,
-                replays=replays,
             )
         if self.memoize_answers:
             for i in fresh:
-                self._answer_cache[keys[i]] = answers[i]
-        return answers
+                answer = outcomes[i]
+                if not isinstance(answer, Exception):
+                    self._answer_cache[keys[i]] = answer
+        return outcomes

@@ -71,8 +71,14 @@ class BrokerPolicy:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def admit(self, consumer: str, spec: AccuracySpec) -> None:
-        """Raise :class:`PolicyViolationError` unless the request may run."""
+    def admit(
+        self, consumer: str, spec: AccuracySpec, pending: int = 0
+    ) -> None:
+        """Raise :class:`PolicyViolationError` unless the request may run.
+
+        ``pending`` counts purchases by ``consumer`` already admitted but
+        not yet settled (earlier rows of the same settlement call).
+        """
         if not self.min_alpha <= spec.alpha <= self.max_alpha:
             raise PolicyViolationError(
                 f"alpha={spec.alpha} outside sellable band "
@@ -83,19 +89,23 @@ class BrokerPolicy:
                 f"delta={spec.delta} outside sellable band "
                 f"[{self.min_delta}, {self.max_delta}]"
             )
-        if self._purchases.get(consumer, 0) >= self.max_purchases_per_consumer:
+        purchases = self._purchases.get(consumer, 0) + pending
+        if purchases >= self.max_purchases_per_consumer:
             raise PolicyViolationError(
                 f"consumer {consumer!r} reached the purchase cap "
                 f"({self.max_purchases_per_consumer})"
             )
 
-    def admit_batch(self, consumer: str, specs: "list[AccuracySpec]") -> None:
+    def admit_batch(
+        self, consumer: str, specs: "list[AccuracySpec]", pending: int = 0
+    ) -> None:
         """Admit a whole batch atomically, or refuse it before any release.
 
         Spec-band checks run once per distinct ``(α, δ)`` tier, and the
         purchase cap is checked against the *entire* batch size -- a batch
         that could not finish under per-query admission is refused up
-        front, so a batched trade never half-completes.
+        front, so a batched trade never half-completes.  ``pending`` is
+        as for :meth:`admit`.
         """
         seen: "set[tuple[float, float]]" = set()
         for spec in specs:
@@ -113,7 +123,7 @@ class BrokerPolicy:
                     f"delta={spec.delta} outside sellable band "
                     f"[{self.min_delta}, {self.max_delta}]"
                 )
-        purchases = self._purchases.get(consumer, 0)
+        purchases = self._purchases.get(consumer, 0) + pending
         if purchases + len(specs) > self.max_purchases_per_consumer:
             raise PolicyViolationError(
                 f"consumer {consumer!r} cannot buy {len(specs)} more answers "

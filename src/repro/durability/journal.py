@@ -192,6 +192,9 @@ class TradeJournal:
         self._next_id = 1  # guarded-by: _lock
         self._path: "Optional[Path]" = Path(path) if path is not None else None
         self._file: "Optional[IO[str]]" = None
+        # Set by load() when the file does not end on a whole line: the
+        # byte offset the first append must resume at.
+        self._resume_at: "Optional[int]" = None  # guarded-by: _lock
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self._path.open("a", encoding="utf-8")
@@ -220,11 +223,25 @@ class TradeJournal:
                 entries.append(entry)
             self._entries.extend(entries)
             if self._file is not None:
+                if self._resume_at is not None:
+                    self._mend_tail(self._resume_at)
+                    self._resume_at = None
                 self._file.write(
                     "".join(_line(entry) + "\n" for entry in entries)
                 )
                 self._file.flush()
             return entries
+
+    def _mend_tail(self, resume_at: int) -> None:
+        """Cut the torn tail line off, or end an unterminated last line,
+        so the next entry starts on a line of its own."""
+        assert self._path is not None
+        with self._path.open("r+b") as handle:
+            size = handle.seek(0, 2)
+            if resume_at < size:
+                handle.truncate(resume_at)
+            elif resume_at > size:
+                handle.write(b"\n")
 
     # ------------------------------------------------------------------ #
     # Read path                                                          #
@@ -284,20 +301,23 @@ class TradeJournal:
         Reads every surviving JSONL line, validates the envelope, and
         resumes the ``answer_id`` sequence after the highest recovered id.
         A torn final line (the classic partial-write crash artifact) is
-        tolerated and dropped; any other corruption raises
-        :class:`~repro.errors.JournalError`.
+        dropped; any other corruption raises
+        :class:`~repro.errors.JournalError`.  Loading only reads the file:
+        the first append after it cuts the torn line off (or ends a last
+        line that lacks its newline), so new entries land on whole lines.
         """
         source = Path(path)
         entries: "List[JournalEntry]" = []
-        if source.exists():
-            with source.open("r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
+        data = source.read_bytes() if source.exists() else b""
+        lines = data.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()  # the file ends on a whole line
+        kept = 0  # bytes of the file that hold whole, parsed lines
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
                 try:
                     payload = json.loads(line)
-                except json.JSONDecodeError:
+                except ValueError:
                     if lineno == len(lines):
                         # Torn tail: the process died mid-write.  The entry
                         # was never released (journal-before-release), so
@@ -307,8 +327,11 @@ class TradeJournal:
                         f"{source}: corrupt journal line {lineno}"
                     ) from None
                 entries.append(JournalEntry.from_payload(payload))
+            kept += len(line) + 1
         journal = cls(path=source)
         with journal._lock:
+            if kept != len(data):
+                journal._resume_at = kept
             journal._entries.extend(entries)
             if entries:
                 journal._next_id = entries[-1].answer_id + 1

@@ -34,7 +34,7 @@ from repro.lint.findings import Finding
 __all__ = ["LintCache", "CACHE_VERSION"]
 
 #: Bump when finding semantics, summary shapes, or pickled layouts change.
-CACHE_VERSION = "2"
+CACHE_VERSION = "3"
 
 
 @dataclass

@@ -56,7 +56,6 @@ from repro.lint.callgraph import CallGraph, FunctionDecl, call_name
 from repro.lint.engine import FileContext
 from repro.lint.findings import Finding, Hop
 from repro.lint.summaries import (
-    DP_TAINT,
     EFFECT_CHARGE,
     EFFECT_JOURNAL,
     EMPTY_EFFECTS,
@@ -65,7 +64,6 @@ from repro.lint.summaries import (
     EffectSummary,
     LockEdge,
     LockSummary,
-    TaintConfig,
     TaintSummary,
     TaintWalker,
     compute_effect_summary,
@@ -109,8 +107,8 @@ class ProjectContext:
         #: rel_path -> FileContext for every parsed file in the run.
         self.files: Dict[str, FileContext] = dict(files)
         self.graph = CallGraph.build(self.files)
-        self._taint: Dict[Tuple[str, str], TaintSummary] = {}
-        self._taint_active: Set[Tuple[str, str]] = set()
+        self._taint: Dict[str, TaintSummary] = {}
+        self._taint_active: Set[str] = set()
         self._effects: Dict[str, EffectSummary] = {}
         self._effects_active: Set[str] = set()
         self._locks: Dict[str, LockSummary] = {}
@@ -122,8 +120,8 @@ class ProjectContext:
     # ------------------------------------------------------------------
     # summary stores (demand-driven, cycle-guarded)
     # ------------------------------------------------------------------
-    def taint_summary(self, decl: FunctionDecl, config: TaintConfig) -> TaintSummary:
-        key = (config.channel, decl.fid)
+    def taint_summary(self, decl: FunctionDecl) -> TaintSummary:
+        key = decl.fid
         cached = self._taint.get(key)
         if cached is not None:
             return cached
@@ -132,7 +130,7 @@ class ProjectContext:
         self._taint_active.add(key)
         try:
             summary = compute_taint_summary(
-                decl, self.ctx_for(decl), config, self.taint_callback(decl, config)
+                decl, self.ctx_for(decl), self.taint_callback(decl)
             )
         finally:
             self._taint_active.discard(key)
@@ -140,13 +138,13 @@ class ProjectContext:
         return summary
 
     def taint_callback(
-        self, caller: FunctionDecl, config: TaintConfig
+        self, caller: FunctionDecl
     ) -> Callable[[ast.Call], List[Tuple[FunctionDecl, TaintSummary]]]:
         """The ``summarize_call`` hook a :class:`TaintWalker` needs."""
 
         def resolve(node: ast.Call) -> List[Tuple[FunctionDecl, TaintSummary]]:
             return [
-                (decl, self.taint_summary(decl, config))
+                (decl, self.taint_summary(decl))
                 for decl in self.graph.resolve_call(node, caller)
             ]
 
@@ -332,9 +330,7 @@ class InterproceduralDpBoundaryRule(ProjectRule):
             if not decl.name.startswith(("answer", "replay")):
                 continue
             ctx = project.ctx_for(decl)
-            walker = TaintWalker(
-                ctx, DP_TAINT, project.taint_callback(decl, DP_TAINT)
-            )
+            walker = TaintWalker(ctx, project.taint_callback(decl))
             node = decl.node
             assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             walker.run(node)

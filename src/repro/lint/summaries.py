@@ -52,11 +52,9 @@ __all__ = [
     "NOISED",
     "TAINTED",
     "Abstract",
-    "TaintConfig",
     "TaintSummary",
     "TaintWalker",
     "SinkEvent",
-    "DP_TAINT",
     "EffectSummary",
     "EMPTY_EFFECTS",
     "compute_effect_summary",
@@ -113,39 +111,27 @@ def _merge_branch(a: Abstract, b: Abstract) -> Abstract:
     return Abstract(level, a.deps | b.deps, hops)
 
 
-@dataclass(frozen=True)
-class TaintConfig:
-    """One taint channel: its sources, sanitizers, and sink shapes."""
-
-    channel: str
-    sources: FrozenSet[str]
-    source_attrs: FrozenSet[str]
-    sanitizers: FrozenSet[str]
-    propagators: FrozenSet[str]
-    #: ``*Answer(value=..., raw_value=...)`` construction is a sink.
-    answer_fields: Tuple[str, ...] = ()
-    #: Calls whose ``answer_fields`` *keywords* are sinks too: the
-    #: settlement kernel assembles released answers from them.
-    release_sinks: FrozenSet[str] = frozenset()
-
-
-DP_TAINT = TaintConfig(
-    channel="dp",
-    sources=frozenset({"estimate", "estimate_many", "true_count", "exact_count"}),
-    source_attrs=frozenset({"sample_estimate"}),
-    sanitizers=frozenset(
-        {"sample_laplace", "sample_laplace_many", "sample_noise", "sample_geometric"}
-    ),
-    propagators=frozenset(
-        {
-            "float", "int", "abs", "min", "max", "sum", "round", "tuple", "list",
-            "asarray", "array", "clip", "where", "maximum", "minimum",
-            "copy", "astype", "reshape", "zeros_like",
-        }
-    ),
-    answer_fields=("value", "raw_value"),
-    release_sinks=frozenset({"release_batch"}),
+#: The DP taint channel.  Calls that return raw counts:
+TAINT_SOURCES = frozenset({"estimate", "estimate_many", "true_count", "exact_count"})
+#: Attributes that hold raw counts:
+TAINT_SOURCE_ATTRS = frozenset({"sample_estimate"})
+#: The ``repro.privacy`` noise draws that cleanse taint:
+SANITIZERS = frozenset(
+    {"sample_laplace", "sample_laplace_many", "sample_noise", "sample_geometric"}
 )
+#: Calls whose result carries their arguments' taint:
+PROPAGATORS = frozenset(
+    {
+        "float", "int", "abs", "min", "max", "sum", "round", "tuple", "list",
+        "asarray", "array", "clip", "where", "maximum", "minimum",
+        "copy", "astype", "reshape", "zeros_like",
+    }
+)
+#: ``*Answer(value=..., raw_value=...)`` construction is a sink.
+ANSWER_FIELDS = ("value", "raw_value")
+#: Calls whose ``ANSWER_FIELDS`` *keywords* are sinks too: the settlement
+#: kernel assembles released answers from them.
+RELEASE_SINKS = frozenset({"release_batch"})
 
 
 @dataclass(frozen=True)
@@ -191,12 +177,10 @@ class TaintWalker:
     def __init__(
         self,
         ctx: FileContext,
-        config: TaintConfig,
         summarize_call: SummarizeCall,
         param_env: Optional[Dict[str, Abstract]] = None,
     ) -> None:
         self.ctx = ctx
-        self.config = config
         self.summarize_call = summarize_call
         self.env: Dict[str, Abstract] = dict(param_env or {})
         self.events: List[SinkEvent] = []
@@ -272,7 +256,7 @@ class TaintWalker:
             self.events.append(
                 SinkEvent("return", stmt, self.classify(stmt.value))
             )
-        if self.config.answer_fields and isinstance(
+        if isinstance(
             stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr, ast.Return)
         ):
             value = getattr(stmt, "value", None)
@@ -285,9 +269,9 @@ class TaintWalker:
                 continue
             callee = call_name(node)
             is_answer = callee.endswith("Answer")
-            if not is_answer and callee not in self.config.release_sinks:
+            if not is_answer and callee not in RELEASE_SINKS:
                 continue
-            fields = self.config.answer_fields
+            fields = ANSWER_FIELDS
             positional = node.args[: len(fields)] if is_answer else []
             for pos, arg in enumerate(positional):
                 val = self.classify(arg)
@@ -318,7 +302,6 @@ class TaintWalker:
             self._bind(target.value, value)
 
     def classify(self, node: ast.expr) -> Abstract:
-        cfg = self.config
         if isinstance(node, ast.Name):
             return self.env.get(node.id, _CLEAN_VAL)
         if isinstance(node, ast.Constant):
@@ -340,7 +323,7 @@ class TaintWalker:
                         + stored.hops,
                     )
                 return stored
-            if node.attr in cfg.source_attrs:
+            if node.attr in TAINT_SOURCE_ATTRS:
                 return Abstract(
                     TAINTED,
                     hops=(self._hop(node, f"reads raw `.{node.attr}`"),),
@@ -382,13 +365,12 @@ class TaintWalker:
         return _CLEAN_VAL
 
     def _classify_call(self, node: ast.Call) -> Abstract:
-        cfg = self.config
         callee = call_name(node)
-        if callee in cfg.sanitizers:
+        if callee in SANITIZERS:
             for arg in node.args:
                 self.classify(arg)
             return Abstract(NOISED)
-        if callee in cfg.sources:
+        if callee in TAINT_SOURCES:
             return Abstract(
                 TAINTED,
                 hops=(self._hop(node, f"taint source: `{callee}(...)`"),),
@@ -400,7 +382,7 @@ class TaintWalker:
         arg_states.extend(
             self.classify(kw.value) for kw in node.keywords if kw.value is not None
         )
-        if callee in cfg.propagators:
+        if callee in PROPAGATORS:
             return _combine_expr(arg_states)
         return _CLEAN_VAL
 
@@ -460,15 +442,14 @@ class TaintWalker:
 def compute_taint_summary(
     decl: FunctionDecl,
     ctx: FileContext,
-    config: TaintConfig,
     summarize_call: SummarizeCall,
 ) -> TaintSummary:
-    """Summarise ``decl`` for one taint channel (callees via callback)."""
+    """Summarise ``decl``'s DP taint (callees via callback)."""
     param_env = {
         name: Abstract(CLEAN, frozenset({i}))
         for i, name in enumerate(decl.params)
     }
-    walker = TaintWalker(ctx, config, summarize_call, param_env)
+    walker = TaintWalker(ctx, summarize_call, param_env)
     walker.run(decl.node)
     level = CLEAN
     deps: Set[int] = set()

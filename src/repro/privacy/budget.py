@@ -11,7 +11,7 @@ releases that would overspend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Protocol, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple
 
 from repro.errors import LedgerError, PrivacyBudgetExceededError
 
@@ -110,10 +110,17 @@ class BudgetAccountant:
         """Budget headroom left for ``dataset``."""
         return self.capacity - self.spent(dataset)
 
-    def can_afford(self, dataset: str, epsilon: float) -> bool:
-        """Whether charging ``epsilon`` against ``dataset`` would fit."""
+    def can_afford(
+        self, dataset: str, epsilon: float, pending: Sequence[float] = ()
+    ) -> bool:
+        """Whether charging ``epsilon`` against ``dataset`` would fit.
+
+        ``pending`` are charges already admitted but not yet recorded;
+        they are folded into the running total first, one by one in
+        order, exactly as :meth:`charge_many` will fold them.
+        """
         _check_epsilon(epsilon)
-        return self.spent(dataset) + epsilon <= self.capacity + 1e-12
+        return _fold(pending, self.spent(dataset)) + epsilon <= self.capacity + 1e-12
 
     def charge(self, dataset: str, epsilon: float, label: str = "query") -> float:
         """Record an expenditure; returns the new cumulative total.

@@ -43,7 +43,16 @@ from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.broker import DataBroker
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
@@ -56,7 +65,7 @@ from repro.errors import (
 from repro.resilience.brownout import BrownoutController, OverloadSignals
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.serving.admission import AdmissionController
-from repro.serving.answer_cache import AnswerCache
+from repro.serving.answer_cache import AnswerCache, CacheKey
 from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["ServingConfig", "ServingGateway"]
@@ -522,28 +531,21 @@ class ServingGateway:
         # Range-aware brokers key cached releases on the route signature
         # too (pruned/exact-cover answers must never alias a broadcast).
         sig_fn = getattr(self.broker, "routing_signature", None)
-        routings: "Dict[int, str]" = {}
 
-        def routing_of(request: "_Request") -> str:
-            if sig_fn is None:
-                return ""
-            sig = routings.get(id(request))
-            if sig is None:
-                sig = sig_fn(request.query, request.spec)
-                routings[id(request)] = sig
-            return sig
+        def key_of(request: "_Request", version: int) -> CacheKey:
+            routing = "" if sig_fn is None else sig_fn(request.query, request.spec)
+            return AnswerCache.key_for(request.query, request.spec, version, routing)
 
-        # 1. Cache replays: identical to an already-released answer at the
-        #    current store version -- billed at list price, ε′ = 0.
+        # 1. Cache hits: identical to an already-released answer at the
+        #    current store version -- replayed at list price, ε′ = 0.
+        hits: List[Tuple[_Request, PrivateAnswer]] = []
+        keys: Dict[int, CacheKey] = {}  # id(request) -> its cache key
         for request in batch:
             if self.cache is not None:
-                key = AnswerCache.key_for(
-                    request.query, request.spec, store_version,
-                    routing_of(request),
-                )
+                key = keys[id(request)] = key_of(request, store_version)
                 cached = self.cache.get(key)
                 if cached is not None:
-                    self._replay(request, cached)
+                    hits.append((request, cached))
                     continue
             pending.append(request)
 
@@ -553,12 +555,9 @@ class ServingGateway:
         fresh: List[_Request] = []
         dups: List[Tuple[_Request, int]] = []  # (request, index into fresh)
         if self.cache is not None:
-            seen: Dict[Tuple, int] = {}
+            seen: Dict[CacheKey, int] = {}
             for request in pending:
-                key = AnswerCache.key_for(
-                    request.query, request.spec, store_version,
-                    routing_of(request),
-                )
+                key = keys[id(request)]
                 if key in seen:
                     dups.append((request, seen[key]))
                 else:
@@ -592,50 +591,91 @@ class ServingGateway:
                     served_specs[idx] = decision.served
                     rungs[idx] = decision.rung if decision.served != request.spec else "none"
 
-        # 3. Fresh releases: group by consumer (accounting is per
-        #    consumer) preserving arrival order, one answer_batch each.
-        #    Each group dispatches under the earliest member deadline so
-        #    downstream layers (cluster fan-out, settlement) can fail
-        #    fast before journaling -- no answer in the group is ever
-        #    released past its own deadline.
-        fresh_answers: "List[Optional[PrivateAnswer]]" = [None] * len(fresh)
+        # 3. One broker call for the whole dispatch, rows in this order:
+        #    cache hits as replays; fresh releases grouped by consumer
+        #    (accounting is per consumer) in first-arrival order; then
+        #    in-window duplicates as replays of their source row.  The
+        #    kernel admits and deadline-checks each consumer on its own,
+        #    so a refusal fails only that consumer's rows; the call runs
+        #    under the latest member deadline so shared stages (cluster
+        #    fan-out) never abort a row that still has time.
+        queries: List[RangeQuery] = []
+        specs: List[AccuracySpec] = []
+        consumers: List[str] = []
+        deadlines: List[Optional[Deadline]] = []
+        replays: Dict[int, "PrivateAnswer | int"] = {}
+
+        def add_row(request: _Request, query: RangeQuery, spec: AccuracySpec) -> int:
+            queries.append(query)
+            specs.append(spec)
+            consumers.append(request.consumer)
+            deadlines.append(request.deadline)
+            return len(queries) - 1
+
+        for request, cached in hits:
+            replays[add_row(request, cached.query, cached.spec)] = cached
         groups: "Dict[str, List[int]]" = {}
         for idx, request in enumerate(fresh):
             if not shed[idx]:
                 groups.setdefault(request.consumer, []).append(idx)
-        for consumer, indices in groups.items():
-            queries = [fresh[i].query for i in indices]
-            specs = [served_specs[i] for i in indices]
-            deadlines = [
-                fresh[i].deadline
-                for i in indices
-                if fresh[i].deadline is not None
+        row_of: Dict[int, int] = {}  # fresh index -> row
+        for indices in groups.values():
+            for idx in indices:
+                row_of[idx] = add_row(fresh[idx], fresh[idx].query, served_specs[idx])
+        dup_rows: List[Optional[int]] = []
+        for request, source_index in dups:
+            source_row = row_of.get(source_index)
+            if source_row is None:
+                dup_rows.append(None)
+                continue
+            row = add_row(request, fresh[source_index].query, served_specs[source_index])
+            replays[row] = source_row
+            dup_rows.append(row)
+
+        outcomes: "Sequence[PrivateAnswer | Exception]" = []
+        if queries:
+            known = [
+                deadline for deadline in (deadlines[row] for row in row_of.values())
+                if deadline is not None
             ]
-            group_deadline = (
-                min(deadlines, key=lambda d: d.expires_at)
-                if deadlines
+            latest = (
+                max(known, key=lambda d: d.expires_at)
+                if known and len(known) == len(row_of)
                 else None
             )
+            self.telemetry.inc("gateway.broker_calls")
             try:
-                with deadline_scope(group_deadline):
-                    answers = self.broker.answer_batch(
-                        queries, specs, consumer=consumer
+                with deadline_scope(latest):
+                    outcomes = self.broker.answer_batch(
+                        queries, specs, consumers,
+                        replays=replays, deadlines=deadlines,
                     )
-            except Exception as exc:  # repro-lint: shed -- fail the whole group atomically
-                if isinstance(exc, DeadlineExceededError):
-                    self.telemetry.inc("gateway.deadline_exceeded")
-                for i in indices:
-                    self._fail(fresh[i], exc)
+            except Exception as exc:  # repro-lint: shed -- fail every row of the call
+                outcomes = [exc] * len(queries)
+
+        expired = {
+            id(outcome) for outcome in outcomes
+            if isinstance(outcome, DeadlineExceededError)
+        }
+        if expired:
+            # One count per refused consumer group or replay.
+            self.telemetry.inc("gateway.deadline_exceeded", len(expired))
+        for row, (request, _) in enumerate(hits):
+            self._settle_replay(request, outcomes[row])
+
+        fresh_answers: "List[Optional[PrivateAnswer]]" = [None] * len(fresh)
+        for idx, row in row_of.items():
+            outcome = outcomes[row]
+            if isinstance(outcome, Exception):
                 continue
-            for i, answer in zip(indices, answers):
-                if rungs[i] != "none":
-                    self.telemetry.inc(f"gateway.brownout.{rungs[i]}")
-                    answer = replace(
-                        answer,
-                        brownout_rung=rungs[i],
-                        requested_spec=fresh[i].spec,
-                    )
-                fresh_answers[i] = answer
+            if rungs[idx] != "none":
+                self.telemetry.inc(f"gateway.brownout.{rungs[idx]}")
+                outcome = replace(
+                    outcome,
+                    brownout_rung=rungs[idx],
+                    requested_spec=fresh[idx].spec,
+                )
+            fresh_answers[idx] = outcome
 
         # 4. Populate the cache at the *post-dispatch* store version (a
         #    top-up during answer_batch bumps it; keys must match future
@@ -647,35 +687,43 @@ class ServingGateway:
                 # ladder descends, an identical request must get its full
                 # contract again, not a replay of the weakened one.
                 if answer is not None and answer.brownout_rung == "none":
-                    # Recompute the signature: a mid-dispatch top-up can
-                    # flip the route, and future lookups key against the
-                    # post-dispatch state.
-                    routing = (
-                        sig_fn(request.query, request.spec)
-                        if sig_fn is not None
-                        else ""
-                    )
-                    key = AnswerCache.key_for(
-                        request.query, request.spec, post_version, routing
+                    # A mid-dispatch top-up bumps the version and can flip
+                    # the route; future lookups key against that state.
+                    key = (
+                        keys[id(request)]
+                        if post_version == store_version
+                        else key_of(request, post_version)
                     )
                     self.cache.put(key, answer)
 
         # 5. Resolve futures: fresh first, then duplicates as replays of
         #    their in-window source.
-        for request, answer in zip(fresh, fresh_answers):
-            if answer is not None:
-                self._finish(request, answer)
-        for request, source_index in dups:
+        for idx, row in row_of.items():
+            answer = fresh_answers[idx]
+            if answer is None:
+                outcome = outcomes[row]
+                assert isinstance(outcome, Exception)
+                self._fail(fresh[idx], outcome)
+            else:
+                self._finish(fresh[idx], answer)
+        for (request, source_index), dup_row in zip(dups, dup_rows):
             source = fresh_answers[source_index]
-            if source is None:
+            if source is None or dup_row is None:
                 self._fail(
                     request,
                     ServiceOverloadedError(
                         "coalesced source release failed; retry"
                     ),
                 )
-            else:
-                self._replay(request, source)
+                continue
+            outcome = outcomes[dup_row]
+            if not isinstance(outcome, Exception) and source.brownout_rung != "none":
+                outcome = replace(
+                    outcome,
+                    brownout_rung=source.brownout_rung,
+                    requested_spec=source.requested_spec,
+                )
+            self._settle_replay(request, outcome)
 
     def _observe_overload(self) -> None:
         """Feed one overload sample to the brownout ladder (if attached)."""
@@ -700,11 +748,11 @@ class ServingGateway:
         ))
         self.telemetry.set_gauge("gateway.brownout_level", level)
 
-    def _replay(self, request: _Request, cached: PrivateAnswer) -> None:
-        try:
-            answer = self.broker.replay(cached, request.consumer)
-        except Exception as exc:  # repro-lint: shed -- failure lands on the future
-            self._fail(request, exc)
+    def _settle_replay(
+        self, request: _Request, outcome: "PrivateAnswer | Exception"
+    ) -> None:
+        if isinstance(outcome, Exception):
+            self._fail(request, outcome)
             return
         self.telemetry.inc("gateway.cache_replays")
         if self.brownout is not None and self.brownout.level >= 1:
@@ -712,8 +760,8 @@ class ServingGateway:
             # costs ε = 0 by construction; annotate so operators can see
             # the ladder working in answer provenance.
             self.telemetry.inc("gateway.brownout.cache")
-            answer = replace(answer, brownout_rung="cache")
-        self._finish(request, answer)
+            outcome = replace(outcome, brownout_rung="cache")
+        self._finish(request, outcome)
 
     def _finish(self, request: _Request, answer: PrivateAnswer) -> None:
         if self.admission is not None:

@@ -122,14 +122,33 @@ class EpochBudgetAccountant:
     # charging
     # ------------------------------------------------------------------
     def can_afford(
-        self, dataset: str, epochs: Sequence[int], epsilon: float
+        self,
+        dataset: str,
+        epochs: Sequence[int],
+        epsilon: float,
+        pending: Sequence[float] = (),
     ) -> bool:
-        """Whether charging ``epsilon`` to *every* epoch in ``epochs`` fits."""
+        """Whether charging ``epsilon`` to *every* epoch in ``epochs`` fits.
+
+        ``pending`` are window charges already admitted but not yet
+        recorded; each epoch's total counts them as if charged first.
+        """
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         return all(
-            self.spent(dataset, epoch) + epsilon <= self.capacity + 1e-12
+            self._spent_with(dataset, epoch, pending) + epsilon
+            <= self.capacity + 1e-12
             for epoch in epochs
+        )
+
+    def _spent_with(
+        self, dataset: str, epoch: int, pending: Sequence[float]
+    ) -> float:
+        if not pending:
+            return self.spent(dataset, epoch)
+        entries = self._spent.get((dataset, epoch), [])
+        return sequential_composition(
+            [e.epsilon for e in entries] + list(pending)
         )
 
     def charge_window(

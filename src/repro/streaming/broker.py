@@ -46,9 +46,11 @@ from typing import (
     ContextManager,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
+    overload,
 )
 
 import numpy as np
@@ -58,6 +60,7 @@ from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import (
     WindowBooks,
     admit,
+    drawing,
     open_batch,
     release_batch,
     replay,
@@ -70,6 +73,7 @@ from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.laplace import sample_laplace_many
 from repro.privacy.optimizer import PrivacyPlan, optimize_privacy_plan
+from repro.resilience.deadline import Deadline
 from repro.streaming.accounting import EpochBudgetAccountant
 from repro.streaming.journal import WindowLog
 from repro.streaming.window import (
@@ -332,65 +336,109 @@ class StreamingBroker:
         """Scalar convenience wrapper over :meth:`answer_batch`."""
         return self.answer_batch([query], [spec], consumer)[0]
 
+    @overload
     def answer_batch(
         self,
         queries: "Sequence[RangeQuery]",
         spec: "AccuracySpec | Sequence[AccuracySpec]",
         consumer: str = "anonymous",
-    ) -> "List[PrivateAnswer]":
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "List[PrivateAnswer]": ...
+
+    @overload
+    def answer_batch(
+        self,
+        queries: "Sequence[RangeQuery]",
+        spec: "AccuracySpec | Sequence[AccuracySpec]",
+        consumer: "Sequence[str]",
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "Sequence[PrivateAnswer | Exception]": ...
+
+    def answer_batch(
+        self,
+        queries: "Sequence[RangeQuery]",
+        spec: "AccuracySpec | Sequence[AccuracySpec]",
+        consumer: "str | Sequence[str]" = "anonymous",
+        *,
+        replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
+        deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
+    ) -> "Sequence[PrivateAnswer | Exception]":
         """Answer a batch of window queries in one vectorized pass.
 
         The batch runs against one atomic :class:`WindowSnapshot`: plans,
         estimates, the journaled ``store_version`` and the per-epoch
         charges all describe the same set of live epochs, even if a roll
         commits while the batch is in flight (the snapshot's summaries
-        are immutable).  Admission is atomic across the policy's caps,
-        the lifetime accountant, *and* every covered epoch ledger -- the
-        batch completes in full or charges nothing.
+        are immutable).  Admission is atomic per consumer across the
+        policy's caps, the lifetime accountant, *and* every covered epoch
+        ledger -- a consumer's rows complete in full or charge nothing.
+        ``consumer``, ``replays`` and ``deadlines`` work as for
+        :meth:`DataBroker.answer_batch <repro.core.broker.DataBroker.answer_batch>`.
         """
-        batch = open_batch(self, "streaming", queries, spec, consumer)
-        snapshot = self.station.snapshot()
-        if snapshot.node_count == 0:
-            raise InsufficientSamplesError(
-                "window holds no samples yet; seal at least one non-empty "
-                "epoch before answering"
-            )
-        n = snapshot.record_count
-        k = snapshot.node_count
-        p = pooled_rate(snapshot.epochs)
-
-        # Plans once per distinct tier (InfeasiblePlanError propagates:
-        # streaming has no top-up escape hatch).
-        with self._timer("streaming.plan_s"):
-            tier_plans: "Dict[Tuple[float, float], PrivacyPlan]" = {}
-            for qspec in batch.specs:
-                tier = (qspec.alpha, qspec.delta)
-                if tier not in tier_plans:
-                    tier_plans[tier] = self._plan(qspec, p, k, n)
-            plans = [tier_plans[(s.alpha, s.delta)] for s in batch.specs]
-        window = WindowBooks(
-            accountant=self.epoch_accountant,
-            log=self.window_log,
-            epochs=list(snapshot.live_epochs),
-            window_id=snapshot.window_id,
+        batch = open_batch(
+            self, "streaming", queries, spec, consumer,
+            replays=replays, deadlines=deadlines,
         )
-        admit(self, batch, plans, window)
+        snapshot = self.station.snapshot()
+        fresh = batch.fresh
+        window: "Optional[WindowBooks]" = None
+        plans: "List[PrivacyPlan]" = []
+        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
+        with drawing(batch):
+            if fresh and snapshot.node_count == 0:
+                raise InsufficientSamplesError(
+                    "window holds no samples yet; seal at least one "
+                    "non-empty epoch before answering"
+                )
+            n = snapshot.record_count
+            k = snapshot.node_count
+            p = pooled_rate(snapshot.epochs)
 
-        with self._timer("streaming.estimate_s"):
-            ranges = [(q.low, q.high) for q in batch.queries]
-            estimates = pooled_estimate_many(
-                snapshot.epochs, self.estimator, ranges
+            # Plans once per distinct tier (InfeasiblePlanError
+            # propagates: streaming has no top-up escape hatch).
+            with self._timer("streaming.plan_s"):
+                tier_plans: "Dict[Tuple[float, float], PrivacyPlan]" = {}
+                for i in fresh:
+                    qspec = batch.specs[i]
+                    tier = (qspec.alpha, qspec.delta)
+                    if tier not in tier_plans:
+                        tier_plans[tier] = self._plan(qspec, p, k, n)
+                plans = [
+                    tier_plans[(batch.specs[i].alpha, batch.specs[i].delta)]
+                    for i in fresh
+                ]
+            window = WindowBooks(
+                accountant=self.epoch_accountant,
+                log=self.window_log,
+                epochs=list(snapshot.live_epochs),
+                window_id=snapshot.window_id,
             )
-        scales = np.asarray([plan.noise_scale for plan in plans])
-        noise = sample_laplace_many(scales, self.rng)
-        raw_values = estimates + noise
-        released = np.clip(raw_values, 0.0, float(n))
+            fresh, plans = admit(self, batch, fresh, plans, window)
+
+            if fresh:
+                with self._timer("streaming.estimate_s"):
+                    ranges = [
+                        (batch.queries[i].low, batch.queries[i].high)
+                        for i in fresh
+                    ]
+                    estimates = pooled_estimate_many(
+                        snapshot.epochs, self.estimator, ranges
+                    )
+                scales = np.asarray([plan.noise_scale for plan in plans])
+                noise = sample_laplace_many(scales, self.rng)
+                raw_values = estimates + noise
+                released = np.clip(raw_values, 0.0, float(n))
 
         with self._timer("streaming.charge_s"):
             return release_batch(
                 self,
                 batch,
                 answer_type=PrivateAnswer,
+                rows=fresh,
                 plans=plans,
                 value=released,
                 raw_value=raw_values,

@@ -12,7 +12,6 @@ from repro.lint.callgraph import CallGraph, call_name, dotted_name
 from repro.lint.flow import ProjectContext
 from repro.lint.summaries import (
     CLEAN,
-    DP_TAINT,
     EFFECT_CHARGE,
     EFFECT_JOURNAL,
     TAINTED,
@@ -155,13 +154,13 @@ def test_taint_summary_identity_helper_is_param_symbolic():
         }
     )
     passthrough = project.graph.functions["repro.core.broker:DataBroker._passthrough"]
-    summary = project.taint_summary(passthrough, DP_TAINT)
+    summary = project.taint_summary(passthrough)
     # Output taint depends on param 0 (`raw` after dropping self) ...
     assert summary.level == CLEAN
     assert summary.deps == frozenset({0})
     # ... while the Laplace-perturbing sibling launders any input taint.
     noised = project.graph.functions["repro.core.broker:DataBroker._noised"]
-    assert project.taint_summary(noised, DP_TAINT).deps == frozenset()
+    assert project.taint_summary(noised).deps == frozenset()
 
 
 def test_taint_summary_source_in_helper_is_tainted_regardless_of_args():
@@ -176,7 +175,7 @@ def test_taint_summary_source_in_helper_is_tainted_regardless_of_args():
         }
     )
     decl = project.graph.functions["repro.core.broker:DataBroker._raw_count"]
-    summary = project.taint_summary(decl, DP_TAINT)
+    summary = project.taint_summary(decl)
     assert summary.level == TAINTED
     assert any("taint source" in hop.note for hop in summary.trace)
 
@@ -262,5 +261,5 @@ def test_recursive_functions_do_not_hang_summary_computation():
         }
     )
     decl = project.graph.functions["repro.core.broker:DataBroker._spin"]
-    summary = project.taint_summary(decl, DP_TAINT)
+    summary = project.taint_summary(decl)
     assert summary.deps == frozenset({0})

@@ -44,8 +44,8 @@ MUTATION_RL001I = {
 MUTATION_RL007 = {
     SETTLEMENT: [
         (
-            "    broker.accountant.charge_many(dataset, charges, charge_labels)\n",
-            "    _charge_large(broker, charges, charge_labels)\n",
+            "    broker.accountant.charge_many(dataset, *first)\n",
+            "    _charge_large(broker, *first)\n",
         ),
         (
             "def release_batch(",
@@ -178,10 +178,13 @@ def test_rl007_mutation_is_invisible_to_intra_rules():
 
 def test_rl007_catches_a_kernel_that_stops_journaling(mutated_project):
     findings, _, _ = mutated_project(MUTATION_KERNEL_JOURNAL, only=["RL007"])
-    assert [f.rule_id for f in findings] == ["RL007"] * 3
-    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
+    # Every broker's answer_batch, plus the kernel's one-row replay, which
+    # settles through the same release_batch.
+    assert [f.rule_id for f in findings] == ["RL007"] * 4
+    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING, SETTLEMENT}
     for finding in findings:
-        assert "answer_batch" in finding.message
+        entry = "replay" if finding.path == SETTLEMENT else "answer_batch"
+        assert entry in finding.message
         assert "never committed to the write-ahead journal" in finding.message
 
 

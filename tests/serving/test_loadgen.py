@@ -63,6 +63,10 @@ class TestClosedLoop:
         # 40 requests over 24 distinct (range, tier) pairs: repeats replay.
         assert result.cache_hits > 0
         assert result.latency_p99_ms >= result.latency_p50_ms
+        # Replays and every consumer's releases settle in one broker call.
+        telemetry = gateway.telemetry
+        dispatches = telemetry.histogram("gateway.batch_width").count
+        assert 0 < telemetry.value("gateway.broker_calls") <= dispatches
 
     def test_cache_disabled_audit_expects_full_epsilon(self, service, workload):
         gateway = service.serve(

@@ -227,6 +227,22 @@ class TestClusterServe:
             build_parser().parse_args(["cluster-serve"])
 
 
+class TestLoadgen:
+    def test_loadgen_reports_one_broker_call_per_dispatch(self, capsys, tmp_path):
+        out_json = tmp_path / "BENCH_gateway.json"
+        code = main(
+            ["loadgen", *SMALL, "--consumers", "2", "--requests", "40",
+             "--ranges", "4", "--json", str(out_json), "--assert-healthy"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "at most one broker call per dispatch" in out
+        import json
+
+        results = json.loads(out_json.read_text())["results"]
+        assert 0 < results["broker_calls"] <= results["dispatches"]
+
+
 class TestClusterBench:
     def test_cluster_bench_smoke_healthy(self, capsys, tmp_path):
         out_json = tmp_path / "BENCH_cluster.json"
