@@ -111,7 +111,7 @@ def test_journal_overhead_and_chaos_acceptance(
     timed_file = None
     for repeat in range(REPEATS):
         file_journal = TimedJournal(
-            path=tmp_path / f"bench-journal-{repeat}.jsonl"
+            path=tmp_path / f"bench-journal-{repeat}.journal"
         )
         elapsed = _timed_batches(build(journal=file_journal), ranges)
         file_journal.close()

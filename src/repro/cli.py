@@ -19,6 +19,8 @@ Four commands cover the library's everyday surfaces:
 * ``chaos``       -- run a seeded fault-injection schedule (worker kills,
   broker crash-recovery from the trade journal, shard partitions, burst
   loss) over a live stack and audit the crash-safety invariants.
+* ``journal-dump`` -- print a trade journal or window log file (journal
+  format v2) as one JSON object per entry.
 
 Every command prints plain ASCII tables (the same renderer the bench
 harness uses) and returns a process exit code: 0 on success, 2 on invalid
@@ -45,6 +47,7 @@ from repro.analysis.sweeps import (
 )
 from repro.core.service import PrivateRangeCountingService
 from repro.datasets.citypulse import AIR_QUALITY_INDEXES, generate_citypulse
+from repro.errors import JournalError
 from repro.pricing.arbitrage import check_arbitrage_avoiding, find_averaging_attack
 from repro.pricing.functions import (
     InverseVariancePricing,
@@ -316,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "and noise draws; the whole run is a pure "
                             "function of this")
     chaos.add_argument("--journal", metavar="PATH",
-                       help="persist the trade journal as JSONL here "
-                            "(first run only; defaults to in-memory)")
+                       help="persist the trade journal to this new file, "
+                            "in journal format v2 (first run only; "
+                            "defaults to in-memory; inspect it with "
+                            "journal-dump)")
     chaos.add_argument("--json", metavar="PATH",
                        help="write a BENCH-format JSON report here")
     chaos.add_argument(
@@ -425,6 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lint.cli import add_lint_arguments
 
     add_lint_arguments(lint)
+
+    dump = sub.add_parser(
+        "journal-dump",
+        help="print a trade journal or window log file as JSON lines",
+    )
+    dump.add_argument(
+        "path",
+        help="a journal-format-v2 file; its header says which log it is",
+    )
 
     bcompare = sub.add_parser(
         "bench-compare",
@@ -1120,8 +1134,9 @@ def _overload_schedule(args: argparse.Namespace):
     )
 
 
-def _run_chaos_once(args: argparse.Namespace, journal_path):
-    """Build one fresh seeded stack and run the schedule through it."""
+def _run_chaos_once(args: argparse.Namespace, journal):
+    """Build one fresh seeded stack and run the schedule through it,
+    journaling into ``journal`` (closed when the run ends)."""
     from repro.analysis.metrics import make_workload
     from repro.chaos import (
         ChaosConfig,
@@ -1129,7 +1144,6 @@ def _run_chaos_once(args: argparse.Namespace, journal_path):
         FaultSchedule,
         OverloadHarness,
     )
-    from repro.durability.journal import TradeJournal
     from repro.serving import ServingConfig, Workload
 
     overload = args.profile == "overload"
@@ -1138,7 +1152,6 @@ def _run_chaos_once(args: argparse.Namespace, journal_path):
     service = PrivateRangeCountingService.from_citypulse(
         data, args.index, k=args.devices, seed=args.seed, shards=args.shards
     )
-    journal = TradeJournal(path=journal_path)
     service.broker.journal = journal
     config = ServingConfig(
         batch_window=0.0,
@@ -1199,6 +1212,7 @@ def _run_chaos_once(args: argparse.Namespace, journal_path):
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.durability.journal import TradeJournal
     from repro.serving import write_bench_json
 
     try:
@@ -1210,10 +1224,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _run_chaos_once(args, args.journal)
+    try:
+        journal = TradeJournal(path=args.journal)
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = _run_chaos_once(args, journal)
     deterministic = None
     if args.check_determinism:
-        rerun = _run_chaos_once(args, None)
+        rerun = _run_chaos_once(args, TradeJournal())
         deterministic = rerun.checksum == report.checksum
     payload = report.to_payload()
     if deterministic is not None:
@@ -1459,6 +1478,44 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_journal_dump(args: argparse.Namespace) -> int:
+    """One JSON object per entry; a torn tail is reported, not printed."""
+    import json as _json
+    import os
+    from pathlib import Path
+
+    from repro.durability import codec
+    from repro.durability.journal import TradeJournal
+    from repro.streaming.journal import WindowLog
+
+    path = Path(args.path)
+    try:
+        kind = codec.sniff(path.read_bytes(), path)
+        if kind is None:
+            return 0  # empty, or a header the first write never finished
+        log = TradeJournal if kind == codec.TRADE_LOG else WindowLog
+        scan = log.read(path)
+    except (OSError, JournalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        for entry in scan.records:
+            print(_json.dumps(entry.to_payload(), sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (``| head``) has gone; send the rest nowhere so the
+        # interpreter's exit-time flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    if scan.end < scan.size:
+        print(
+            f"note: {scan.size - scan.end} bytes of torn tail after the "
+            f"last whole entry",
+            file=sys.stderr,
+        )
+    return 0
+
+
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.analysis.bench_compare import compare_bench, format_comparison
     from repro.serving.loadgen import read_bench_json
@@ -1501,6 +1558,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "stream-bench": _cmd_stream_bench,
         "lint": _cmd_lint,
         "bench-compare": _cmd_bench_compare,
+        "journal-dump": _cmd_journal_dump,
     }
     return handlers[args.command](args)
 

@@ -13,41 +13,36 @@ always a superset of the released answers and recovery can only
 over-count ε, never under-count it.
 
 The journal is append-only and fsync-free by default (in-memory); pass a
-``path`` to mirror every entry to a JSONL file so it survives process
-death.  Entries carry everything the accounting layer needs to rebuild:
+``path`` to mirror every batch to a journal-format-v2 file
+(:mod:`repro.durability.codec`: CRC-framed, fixed-width binary records
+with interned strings) so it survives process death.  Entries carry
+everything the accounting layer needs to rebuild:
 ``(answer_id, query range, (α, δ), ε′, price, store_version)``.
+``repro journal-dump PATH`` prints a journal file as JSON lines.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 from dataclasses import dataclass
 from math import isfinite
-from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.durability import codec
 from repro.errors import JournalError
 
 __all__ = ["JournalEntry", "TradeJournal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
 
-#: Envelope identifiers written into every JSONL line so that readers can
-#: reject files produced by a different (or future) journal layout.
+#: Envelope identifiers of an entry's payload (:meth:`JournalEntry.to_payload`,
+#: one ``repro journal-dump`` line); the version is the on-disk format's.
 JOURNAL_FORMAT = "repro.trade-journal"
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = codec.FORMAT_VERSION
 
 #: Entry kinds: a fresh noised release (spends ε′ > 0) vs. the replay of
 #: an already-released answer (billed, but ε′ = 0 by post-processing).
 ENTRY_KINDS = ("release", "replay")
 
-#: Fields that must hold finite numbers: strict JSON has no NaN/Infinity.
+#: Fields that must hold finite numbers: the books never hold NaN/Infinity.
 _FINITE_FIELDS = ("low", "high", "alpha", "delta", "epsilon_prime", "price")
-
-#: The one canonical line encoder, shared by the file writer and
-#: :meth:`TradeJournal.checksum`; ``json.dumps(..., sort_keys=True)`` would
-#: build an equivalent encoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ class JournalEntry:
             )
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable dict (one JSONL line when file-backed).
+        """JSON-ready dict with the format envelope (``journal-dump``).
 
         Every field is a flat scalar, so a shallow copy of ``__dict__`` is
         the whole payload; no deep copy is needed.
@@ -146,11 +141,6 @@ class JournalEntry:
         return cls(**fields)
 
 
-def _line(entry: JournalEntry) -> str:
-    """The canonical JSON line (without newline) for one entry."""
-    return _ENCODER.encode(entry.to_payload())
-
-
 #: Exactly the caller-supplied fields of a journal record (everything but
 #: the journal-assigned ``answer_id``).
 _RECORD_KEYS = frozenset((
@@ -177,27 +167,34 @@ def _make_entry(answer_id: int, record: "Mapping[str, Any]") -> JournalEntry:
     return entry
 
 
-class TradeJournal:
+class TradeJournal(codec.FramedLog[JournalEntry]):
     """Append-only, thread-safe write-ahead log of broker trades.
 
-    In-memory by default; pass ``path`` to mirror appends to a JSONL file
-    (one entry per line, flushed per append, no fsync — the durability
-    tier the ISSUE calls for).  Re-opening an existing file with
-    :meth:`load` resumes the ``answer_id`` sequence where it left off.
+    In-memory by default; pass ``path`` to mirror appends to a v2 file
+    (one write + flush per :meth:`append_many`, no fsync).  A path that
+    already holds a journal is refused; :meth:`load` re-opens it after a
+    crash and resumes the ``answer_id`` sequence and the string table.
     """
 
-    def __init__(self, path: "Optional[Union[str, Path]]" = None) -> None:
-        self._lock = threading.Lock()
-        self._entries: "List[JournalEntry]" = []  # guarded-by: _lock
-        self._next_id = 1  # guarded-by: _lock
-        self._path: "Optional[Path]" = Path(path) if path is not None else None
-        self._file: "Optional[IO[str]]" = None
-        # Set by load() when the file does not end on a whole line: the
-        # byte offset the first append must resume at.
-        self._resume_at: "Optional[int]" = None  # guarded-by: _lock
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self._path.open("a", encoding="utf-8")
+    LOG_KIND = codec.TRADE_LOG
+
+    @staticmethod
+    def _encode(
+        entries: "Sequence[JournalEntry]", strings: codec.StringTable
+    ) -> bytes:
+        return codec.encode_trades(entries, strings)
+
+    @staticmethod
+    def _decode(
+        frame_type: int, payload: bytes, strings: "Sequence[str]"
+    ) -> JournalEntry:
+        if frame_type != codec.FRAME_TRADE:
+            raise JournalError(f"unexpected frame type {frame_type}")
+        return JournalEntry(**codec.decode_trade(payload, strings))
+
+    @staticmethod
+    def _id_of(entry: JournalEntry) -> int:
+        return entry.answer_id
 
     # ------------------------------------------------------------------ #
     # Write path                                                         #
@@ -212,45 +209,21 @@ class TradeJournal:
         """Journal several trades atomically, in order.
 
         All entries of a batch land under one lock acquisition (and one
-        buffered write when file-backed), so a reader never observes a
-        half-journaled batch.
+        write + flush when file-backed), so a reader never observes a
+        half-journaled batch.  A record that fails validation journals
+        none of the batch.
         """
         with self._lock:
-            entries: "List[JournalEntry]" = []
-            for record in records:
-                entry = _make_entry(self._next_id, record)
-                self._next_id += 1
-                entries.append(entry)
-            self._entries.extend(entries)
-            if self._file is not None:
-                if self._resume_at is not None:
-                    self._mend_tail(self._resume_at)
-                    self._resume_at = None
-                self._file.write(
-                    "".join(_line(entry) + "\n" for entry in entries)
-                )
-                self._file.flush()
+            entries = [
+                _make_entry(answer_id, record)
+                for answer_id, record in enumerate(records, start=self._next_id)
+            ]
+            self._commit(entries)
             return entries
-
-    def _mend_tail(self, resume_at: int) -> None:
-        """Cut the torn tail line off, or end an unterminated last line,
-        so the next entry starts on a line of its own."""
-        assert self._path is not None
-        with self._path.open("r+b") as handle:
-            size = handle.seek(0, 2)
-            if resume_at < size:
-                handle.truncate(resume_at)
-            elif resume_at > size:
-                handle.write(b"\n")
 
     # ------------------------------------------------------------------ #
     # Read path                                                          #
     # ------------------------------------------------------------------ #
-    def entries(self) -> "Tuple[JournalEntry, ...]":
-        """Immutable snapshot of every journaled trade, oldest first."""
-        with self._lock:
-            return tuple(self._entries)
-
     def entries_after(self, answer_id: int) -> "Tuple[JournalEntry, ...]":
         """Entries with ``answer_id`` strictly greater than the given one."""
         with self._lock:
@@ -261,78 +234,3 @@ class TradeJournal:
         """Highest ``answer_id`` journaled so far (0 when empty)."""
         with self._lock:
             return self._next_id - 1
-
-    @property
-    def path(self) -> "Optional[Path]":
-        """The backing JSONL file, or ``None`` for an in-memory journal."""
-        return self._path
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def checksum(self) -> str:
-        """SHA-256 over the canonical JSON of every entry (determinism probe)."""
-        digest = hashlib.sha256()
-        for entry in self.entries():
-            digest.update(_line(entry).encode("utf-8"))
-        return digest.hexdigest()
-
-    def close(self) -> None:
-        """Close the backing file (no-op for in-memory journals)."""
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-    def __enter__(self) -> "TradeJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Recovery entry point                                               #
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def load(cls, path: "Union[str, Path]") -> "TradeJournal":
-        """Re-open a file-backed journal after a crash.
-
-        Reads every surviving JSONL line, validates the envelope, and
-        resumes the ``answer_id`` sequence after the highest recovered id.
-        A torn final line (the classic partial-write crash artifact) is
-        dropped; any other corruption raises
-        :class:`~repro.errors.JournalError`.  Loading only reads the file:
-        the first append after it cuts the torn line off (or ends a last
-        line that lacks its newline), so new entries land on whole lines.
-        """
-        source = Path(path)
-        entries: "List[JournalEntry]" = []
-        data = source.read_bytes() if source.exists() else b""
-        lines = data.split(b"\n")
-        if lines[-1] == b"":
-            lines.pop()  # the file ends on a whole line
-        kept = 0  # bytes of the file that hold whole, parsed lines
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
-                    payload = json.loads(line)
-                except ValueError:
-                    if lineno == len(lines):
-                        # Torn tail: the process died mid-write.  The entry
-                        # was never released (journal-before-release), so
-                        # dropping it is safe.
-                        break
-                    raise JournalError(
-                        f"{source}: corrupt journal line {lineno}"
-                    ) from None
-                entries.append(JournalEntry.from_payload(payload))
-            kept += len(line) + 1
-        journal = cls(path=source)
-        with journal._lock:
-            if kept != len(data):
-                journal._resume_at = kept
-            journal._entries.extend(entries)
-            if entries:
-                journal._next_id = entries[-1].answer_id + 1
-        return journal

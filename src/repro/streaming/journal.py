@@ -11,18 +11,19 @@ rebuilds both the per-shard window rings and the per-epoch budget ledgers
 bit-exactly, even when the crash landed between the journal append and the
 in-memory apply (the chaos drill's kill point).
 
-Entries are JSONL, one per line, flushed per append, torn-tail tolerant on
-load -- the exact durability tier of the trade journal.
+A file-backed log uses the trade journal's on-disk format, journal format
+v2 (:mod:`repro.durability.codec`): one CRC-checked frame per entry, roll
+samples as raw little-endian ``float64``/``int64`` arrays, one write +
+flush per append, and the same torn-tail rule on load.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
-from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
+from repro.durability import codec
 from repro.errors import JournalError
 from repro.streaming.window import EpochSummary, WindowSummary
 
@@ -35,15 +36,34 @@ __all__ = [
 ]
 
 STREAM_LOG_FORMAT = "repro.stream-journal"
-STREAM_LOG_VERSION = 1
+STREAM_LOG_VERSION = codec.FORMAT_VERSION
 
 #: ``roll`` seals one shard's epoch (full sample payload); ``charge``
-#: records one window release's per-epoch ε spend.
+#: records one window release's per-epoch ε spend.  Each kind's ``data``
+#: holds exactly these keys.
 LOG_KINDS = ("roll", "charge")
+_DATA_KEYS = {
+    "roll": frozenset(("shard_id", "epoch", "record_count", "rate", "nodes")),
+    "charge": frozenset(("dataset", "epochs", "epsilon", "label")),
+}
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with numpy arrays turned into lists (JSON-ready)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 class WindowLogEntry:
-    """One logged streaming event; ``seq`` is assigned monotonically from 1."""
+    """One logged streaming event; ``seq`` is assigned monotonically from 1.
+
+    A ``roll`` entry's ``data["nodes"]`` lists ``[node_id, node_size,
+    values, ranks]`` per non-empty node, with the samples as ``float64``
+    and ``int64`` arrays.
+    """
 
     __slots__ = ("seq", "kind", "data")
 
@@ -55,21 +75,28 @@ class WindowLogEntry:
             )
         if seq < 1:
             raise JournalError("seq must be >= 1")
+        if data.keys() != _DATA_KEYS[kind]:
+            raise JournalError(
+                f"{kind} entry data must hold exactly "
+                f"{sorted(_DATA_KEYS[kind])}, got {sorted(data)}"
+            )
         self.seq = seq
         self.kind = kind
         self.data = dict(data)
 
     def to_payload(self) -> Dict[str, Any]:
+        """JSON-ready dict with the format envelope (``journal-dump``)."""
         return {
             "format": STREAM_LOG_FORMAT,
             "version": STREAM_LOG_VERSION,
             "seq": self.seq,
             "kind": self.kind,
-            "data": self.data,
+            "data": {key: _plain(value) for key, value in self.data.items()},
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "WindowLogEntry":
+        """Inverse of :meth:`to_payload` (parses a ``journal-dump`` line)."""
         if payload.get("format") != STREAM_LOG_FORMAT:
             raise JournalError(
                 f"not a stream-journal payload: format={payload.get('format')!r}"
@@ -87,23 +114,37 @@ class WindowLogEntry:
         )
 
 
-class WindowLog:
+class WindowLog(codec.FramedLog[WindowLogEntry]):
     """Append-only, thread-safe write-ahead log of window rolls and charges.
 
-    In-memory by default; pass ``path`` to mirror appends to a JSONL file.
-    :meth:`load` re-opens a file after a crash, tolerating a torn final
-    line (the entry was never applied, by write-ahead ordering).
+    In-memory by default; pass ``path`` to mirror appends to a v2 file.
+    :meth:`load` re-opens a file after a crash, dropping a torn last frame
+    (the entry was never applied, by write-ahead ordering).
     """
 
-    def __init__(self, path: "Optional[Union[str, Path]]" = None) -> None:
-        self._lock = threading.Lock()
-        self._entries: "List[WindowLogEntry]" = []  # guarded-by: _lock
-        self._next_seq = 1  # guarded-by: _lock
-        self._path: "Optional[Path]" = Path(path) if path is not None else None
-        self._file: "Optional[IO[str]]" = None
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self._path.open("a", encoding="utf-8")
+    LOG_KIND = codec.WINDOW_LOG
+
+    @staticmethod
+    def _encode(
+        entries: "Sequence[WindowLogEntry]", strings: codec.StringTable
+    ) -> bytes:
+        return codec.encode_window(entries, strings)
+
+    @staticmethod
+    def _decode(
+        frame_type: int, payload: bytes, strings: "Sequence[str]"
+    ) -> WindowLogEntry:
+        if frame_type == codec.FRAME_ROLL:
+            seq, data = codec.decode_roll(payload)
+            return WindowLogEntry(seq, "roll", data)
+        if frame_type == codec.FRAME_CHARGE:
+            seq, data = codec.decode_charge(payload, strings)
+            return WindowLogEntry(seq, "charge", data)
+        raise JournalError(f"unexpected frame type {frame_type}")
+
+    @staticmethod
+    def _id_of(entry: WindowLogEntry) -> int:
+        return entry.seq
 
     # ------------------------------------------------------------------
     # write path
@@ -111,20 +152,27 @@ class WindowLog:
     def append(self, kind: str, **data: Any) -> WindowLogEntry:
         """Log one event; assigns the next ``seq`` and returns the entry."""
         with self._lock:
-            entry = WindowLogEntry(self._next_seq, kind, data)
-            self._next_seq += 1
-            self._entries.append(entry)
-            if self._file is not None:
-                self._file.write(
-                    json.dumps(entry.to_payload(), sort_keys=True) + "\n"
-                )
-                self._file.flush()
+            entry = WindowLogEntry(self._next_id, kind, data)
+            self._commit([entry])
             return entry
 
     def append_roll(self, shard_id: int, summary: EpochSummary) -> WindowLogEntry:
         """Journal one shard's sealed epoch, pre-apply (write-ahead)."""
         return self.append(
-            "roll", shard_id=int(shard_id), **summary.to_payload()
+            "roll",
+            shard_id=int(shard_id),
+            epoch=int(summary.epoch),
+            record_count=int(summary.record_count),
+            rate=float(summary.rate),
+            nodes=[
+                [
+                    int(sample.node_id),
+                    int(sample.node_size),
+                    np.array(sample.values, dtype=np.float64),
+                    np.array(sample.ranks, dtype=np.int64),
+                ]
+                for sample in summary.samples
+            ],
         )
 
     def append_charge(
@@ -142,74 +190,6 @@ class WindowLog:
             epsilon=float(epsilon),
             label=label,
         )
-
-    # ------------------------------------------------------------------
-    # read path
-    # ------------------------------------------------------------------
-    def entries(self) -> "Tuple[WindowLogEntry, ...]":
-        with self._lock:
-            return tuple(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def path(self) -> "Optional[Path]":
-        return self._path
-
-    def checksum(self) -> str:
-        """SHA-256 over the canonical JSON of every entry (determinism probe)."""
-        digest = hashlib.sha256()
-        for entry in self.entries():
-            digest.update(
-                json.dumps(entry.to_payload(), sort_keys=True).encode("utf-8")
-            )
-        return digest.hexdigest()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-    def __enter__(self) -> "WindowLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, path: "Union[str, Path]") -> "WindowLog":
-        """Re-open a file-backed log after a crash (torn tail tolerated)."""
-        source = Path(path)
-        entries: "List[WindowLogEntry]" = []
-        if source.exists():
-            with source.open("r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    if lineno == len(lines):
-                        # Torn tail: died mid-write; the event was never
-                        # applied (write-ahead), so dropping it is safe.
-                        break
-                    raise JournalError(
-                        f"{source}: corrupt stream-journal line {lineno}"
-                    ) from None
-                entries.append(WindowLogEntry.from_payload(payload))
-        log = cls(path=source)
-        with log._lock:
-            log._entries.extend(entries)
-            if entries:
-                log._next_seq = entries[-1].seq + 1
-        return log
 
 
 def rebuild_window_state(

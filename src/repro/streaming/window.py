@@ -101,8 +101,8 @@ class EpochSummary:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "EpochSummary":
-        """Inverse of :meth:`to_payload` -- bit-exact (floats round-trip
-        through JSON losslessly via ``repr``)."""
+        """Inverse of :meth:`to_payload` -- bit-exact.  Sample columns may
+        be lists or arrays (a window-log ``roll`` entry's ``data``)."""
         rate = float(payload["rate"])  # type: ignore[arg-type]
         samples = tuple(
             NodeSample(

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict
+import math
+import struct
+import zlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro.durability import codec
 from repro.durability.journal import (
     JOURNAL_FORMAT,
     JOURNAL_VERSION,
@@ -80,12 +83,13 @@ class TestValidation:
         assert len(journal) == 0
 
     def test_non_finite_file_line_rejected_on_load(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with TradeJournal(path=path) as journal:
-            journal.append_many([journal_record() for _ in range(2)])
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace('"price": 1.5', '"price": NaN')
-        path.write_text("\n".join(lines) + "\n")
+        """A CRC-valid record holding NaN never reaches the books."""
+        path = tmp_path / "journal.bin"
+        entry = SimpleNamespace(answer_id=1, **journal_record())
+        poisoned = SimpleNamespace(
+            answer_id=2, **journal_record(price=float("nan"))
+        )
+        path.write_bytes(reference_file([entry, poisoned]))
         with pytest.raises(JournalError, match="price"):
             TradeJournal.load(path)
 
@@ -98,18 +102,19 @@ class TestValidation:
 
 class TestFileBacked:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append_many([journal_record(low=float(i))
                                  for i in range(3)])
             checksum = journal.checksum()
-        loaded = TradeJournal.load(path)
-        assert len(loaded) == 3
-        assert loaded.checksum() == checksum
-        assert loaded.last_answer_id == 3
+        with TradeJournal.load(path) as loaded:
+            assert len(loaded) == 3
+            assert loaded.checksum() == checksum
+            assert loaded.last_answer_id == 3
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == checksum
 
     def test_load_resumes_id_sequence(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append(**journal_record())
         loaded = TradeJournal.load(path)
@@ -117,39 +122,118 @@ class TestFileBacked:
         assert resumed.answer_id == 2
         loaded.close()
 
+    def test_load_resumes_the_string_table(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            journal.append(**journal_record(consumer="a"))
+        with TradeJournal.load(path) as loaded:
+            loaded.append(**journal_record(consumer="b"))
+            loaded.append(**journal_record(consumer="a"))
+            checksum = loaded.checksum()
+        # One definition per string, ids in first-use order across the
+        # reopen: the file is byte-identical to an uninterrupted one.
+        assert TradeJournal.read(path).strings == ["a", "default", "b"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == checksum
+        reloaded = TradeJournal.load(path)
+        assert [e.consumer for e in reloaded.entries()] == ["a", "b", "a"]
+        reloaded.close()
+
+    def test_existing_journal_is_refused_without_load(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            journal.append(**journal_record())
+        with pytest.raises(JournalError, match="load"):
+            TradeJournal(path=path)
+        with TradeJournal.load(path) as loaded:
+            assert loaded.last_answer_id == 1
+
+    def test_invalid_record_journals_none_of_its_batch(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            journal.append(**journal_record())
+            with pytest.raises(JournalError):
+                journal.append_many(
+                    [journal_record(consumer="new"), journal_record(price=-1.0)]
+                )
+            assert journal.append(**journal_record()).answer_id == 2
+        loaded = TradeJournal.load(path)
+        assert [e.answer_id for e in loaded.entries()] == [1, 2]
+        assert b"new" not in path.read_bytes()
+        loaded.close()
+
     def test_torn_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append_many([journal_record() for _ in range(2)])
-        # Simulate a crash mid-write: a partial final line.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"format": "repro.trade-jour')
+        whole = path.read_bytes()
+        # Simulate a crash mid-write: the first half of one more frame.
+        third = codec.encode_trades(
+            [SimpleNamespace(answer_id=3, **journal_record())],
+            codec.StringTable(["c1", "default"]),
+        )
+        with path.open("ab") as handle:
+            handle.write(third[: len(third) // 2])
         loaded = TradeJournal.load(path)
         assert len(loaded) == 2
         assert loaded.last_answer_id == 2
+        loaded.append(**journal_record())
+        loaded.close()
+        assert path.read_bytes().startswith(whole)
+        with TradeJournal.load(path) as reloaded:
+            assert reloaded.last_answer_id == 3
 
     def test_corrupt_middle_line_is_loud(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        """A CRC mismatch with more frames after it is corruption, not a
+        torn tail: load refuses the file."""
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append_many([journal_record() for _ in range(2)])
-        lines = path.read_text().splitlines()
-        lines[0] = "garbage {"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalError):
+        data = bytearray(path.read_bytes())
+        data[data.index(b"c1:[0.0,10.0]")] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError, match="CRC"):
+            TradeJournal.load(path)
+
+    def test_damaged_length_is_not_a_torn_tail(self, tmp_path):
+        """A length that points past the end would pass for a torn write;
+        the head's own CRC exposes it."""
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            journal.append_many([journal_record() for _ in range(2)])
+        data = bytearray(path.read_bytes())
+        data[len(codec.header(codec.TRADE_LOG)) + 3] = 0x7F
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError, match="frame head"):
             TradeJournal.load(path)
 
     def test_missing_file_loads_empty(self, tmp_path):
-        loaded = TradeJournal.load(tmp_path / "never-written.jsonl")
+        loaded = TradeJournal.load(tmp_path / "never-written.bin")
         assert len(loaded) == 0
         assert loaded.last_answer_id == 0
 
-    def test_lines_are_sorted_key_json(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_file_starts_with_the_v2_header(self, tmp_path):
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append(**journal_record())
-        line = path.read_text().splitlines()[0]
-        payload = json.loads(line)
-        assert list(payload) == sorted(payload)
+        assert path.read_bytes()[:8] == b"\x89RPJ\x02\x00\x01\x00"
+
+    @pytest.mark.parametrize(
+        "head, match",
+        [
+            (b"JUNK\x02\x00\x01\x00", "magic"),
+            (b"\x89RPJ\x01\x00\x01\x00", "version 1"),
+            (b"\x89RPJ\x03\x00\x01\x00", "version 3"),
+            (b"\x89RPJ\x02\x00\x02\x00", "window log"),
+            (b'{"format"', "magic"),
+        ],
+    )
+    def test_wrong_magic_or_version_rejected(self, tmp_path, head, match):
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            journal.append(**journal_record())
+        path.write_bytes(head + path.read_bytes()[8:])
+        with pytest.raises(JournalError, match=match):
+            TradeJournal.load(path)
 
 
 class TestChecksum:
@@ -162,16 +246,39 @@ class TestChecksum:
         assert a.checksum() != b.checksum()
 
 
-def _reference_line(entry):
-    """The original encoding: a deep ``asdict`` copy through ``json.dumps``."""
-    return json.dumps(
-        {**asdict(entry), "format": JOURNAL_FORMAT, "version": JOURNAL_VERSION},
-        sort_keys=True,
-    )
+def _reference_frame(frame_type, payload):
+    key = struct.pack("<IB", len(payload), frame_type)
+    return (key + struct.pack("<I", zlib.crc32(key)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def reference_file(entries):
+    """An independent v2 encoder: what a trade journal of ``entries``
+    must hold, byte for byte."""
+    out = [b"\x89RPJ" + struct.pack("<HH", 2, 1)]
+    ids = {}
+
+    def string_id(text):
+        if text not in ids:
+            ids[text] = len(ids)
+            out.append(_reference_frame(
+                1, struct.pack("<I", ids[text]) + text.encode("utf-8")
+            ))
+        return ids[text]
+
+    for e in entries:
+        consumer, dataset = string_id(e.consumer), string_id(e.dataset)
+        label = e.label.encode("utf-8")
+        out.append(_reference_frame(2, struct.pack(
+            "<QBIIddddddqI", e.answer_id, ("release", "replay").index(e.kind),
+            consumer, dataset, e.low, e.high, e.alpha, e.delta,
+            e.epsilon_prime, e.price, e.store_version, len(label),
+        ) + label))
+    return b"".join(out)
 
 
 #: Records that stress the encoder: int and float bounds, signed zero,
-#: exponent-form floats and non-ASCII text (escaped as ``ensure_ascii``).
+#: exponent-form floats and non-ASCII text.
 BYTE_IDENTITY_RECORDS = [
     journal_record(),
     journal_record(low=0, high=10, store_version=0),
@@ -182,29 +289,35 @@ BYTE_IDENTITY_RECORDS = [
     journal_record(kind="replay", epsilon_prime=0.0, consumer="買い手"),
 ]
 
+#: SHA-256 of the v2 file holding BYTE_IDENTITY_RECORDS: pins the format.
+GOLDEN_SHA256 = (
+    "a1e9c052410e24376e4c4df6db752b713fac9d9aabdad364743431d46d8e63a8"
+)
+
 
 class TestByteIdentity:
-    def test_file_lines_match_reference_encoding(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_file_bytes_match_golden_v2_encoding(self, tmp_path):
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             entries = journal.append_many(BYTE_IDENTITY_RECORDS[:3])
             entries += journal.append_many(BYTE_IDENTITY_RECORDS[3:])
             checksum = journal.checksum()
-        expected = "".join(_reference_line(e) + "\n" for e in entries)
         raw = path.read_bytes()
-        assert raw == expected.encode("utf-8")
-        assert raw.isascii()
-        digest = hashlib.sha256()
-        for line in raw.decode("utf-8").splitlines():
-            digest.update(line.encode("utf-8"))
-        assert checksum == digest.hexdigest()
+        assert raw == reference_file(entries)
+        assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256
+        assert checksum == GOLDEN_SHA256
+        # Signed zero keeps its sign bit; strings are interned once each.
+        assert struct.pack("<d", -0.0) in raw
+        for text in ("default", "käufer-ü", "買い手"):
+            assert raw.count(text.encode("utf-8")) == 1
 
     def test_payload_round_trips_through_load(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             entries = journal.append_many(BYTE_IDENTITY_RECORDS)
             checksum = journal.checksum()
         loaded = TradeJournal.load(path)
         assert loaded.entries() == tuple(entries)
+        assert math.copysign(1.0, loaded.entries()[2].low) == -1.0
         assert loaded.checksum() == checksum
         loaded.close()

@@ -1,32 +1,69 @@
-"""Crash points of the file-backed trade journal, at every write boundary.
+"""Crash points of both file-backed write-ahead logs, at every frame.
 
-Each gateway dispatch journals all of its trades in one ``append_many``
-write.  A crash can cut the file anywhere in such a write; these tests
-truncate a two-dispatch journal at every line boundary and inside every
-line, and check that recovery keeps exactly the wholly written entries,
-resumes the ``answer_id`` sequence on a whole line, leaves the crashed
-file as it found it until the next append, and never under-counts the
-ε′ of an answer that was released.
+A file-backed log writes each batch -- a gateway dispatch's trades, one
+window roll or charge -- as one write of whole journal-format-v2 frames.
+A crash can cut the file anywhere in such a write.  These tests truncate
+a journal at every frame boundary and in the middle of every frame
+(torn headers and torn string-table frames included) and check that:
+
+* loading keeps exactly the whole record frames and leaves the crashed
+  file as it found it until the next append;
+* recovery (:func:`~repro.durability.recovery.recover_accounting` for
+  the trade journal, :meth:`StreamingCluster.recover` for the window log)
+  is bit-exact against the same prefix recovered from memory, and never
+  books less ε′ than was released;
+* the first append after the load cuts the torn tail, resumes the id
+  sequence and the string table, and leaves a file byte-identical to an
+  uninterrupted log of the same entries.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.query import AccuracySpec
+from repro.chaos import books_equal
+from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
+from repro.durability import codec
 from repro.durability.journal import TradeJournal
 from repro.durability.recovery import recover_accounting
+from repro.errors import JournalError, StreamingError
 from repro.serving import ServingConfig, ServingGateway
+from repro.streaming.journal import WindowLog
+from repro.streaming.runtime import StreamingConfig, build_streaming_cluster
+from repro.streaming.window import window_checksum
 
 TIERS = (AccuracySpec(alpha=0.1, delta=0.5), AccuracySpec(alpha=0.2, delta=0.6))
 RANGES = tuple((15.0 * i, 15.0 * i + 50.0) for i in range(6))
+HEADER = len(codec.header(codec.TRADE_LOG))
 
 
+def cut_points(frames) -> List[Tuple[int, int, int]]:
+    """``(offset, whole records before it, type of the torn frame or 0)``
+    at the start, inside and at the end of the header, and at the middle
+    and end of every frame."""
+    points = [(0, 0, 0), (HEADER // 2, 0, 0), (HEADER, 0, 0)]
+    whole = 0
+    for frame_type, start, end in frames:
+        points.append(((start + end) // 2, whole, frame_type))
+        if frame_type != codec.FRAME_STRING:
+            whole += 1
+        points.append((end, whole, 0))
+    return points
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------- #
+# Trade journal                                                          #
+# ---------------------------------------------------------------------- #
 def dispatch(broker, requests) -> None:
     """Submit ``requests`` and let one worker settle them as one batch."""
     gateway = ServingGateway(
@@ -43,9 +80,10 @@ def dispatch(broker, requests) -> None:
 
 
 @pytest.fixture(scope="module")
-def two_dispatches(tmp_path_factory) -> Tuple[Path, List[int]]:
-    """A journal file written by two dispatches; entry counts after each."""
-    path = tmp_path_factory.mktemp("journal") / "trades.jsonl"
+def two_dispatches(tmp_path_factory):
+    """A journal file written by two dispatches, the entry counts after
+    each, and the live books."""
+    path = tmp_path_factory.mktemp("journal") / "trades.journal"
     values = np.random.default_rng(4).uniform(0.0, 100.0, 2_000)
     service = PrivateRangeCountingService.from_values(values, k=4, seed=9)
     service.collect(0.4)
@@ -56,10 +94,11 @@ def two_dispatches(tmp_path_factory) -> Tuple[Path, List[int]]:
         (names[i % 3], RANGES[i % len(RANGES)], TIERS[i % 2]) for i in range(9)
     ]
     # The second dispatch repeats half the first (cache-hit replays) and
-    # buys new ranges, with an in-window duplicate.
+    # buys new ranges, with an in-window duplicate and a new consumer, so
+    # it defines a string of its own.
     second = first[:4] + [
         ("c2", (5.0, 95.0), TIERS[0]), ("c0", (5.0, 95.0), TIERS[0]),
-        ("c1", (1.0, 30.0), TIERS[1]),
+        ("c3", (1.0, 30.0), TIERS[1]),
     ]
     dispatch(broker, first)
     after_first = len(broker.journal)
@@ -67,21 +106,7 @@ def two_dispatches(tmp_path_factory) -> Tuple[Path, List[int]]:
     broker.journal.close()
     kinds = {entry.kind for entry in broker.journal.entries()}
     assert kinds == {"release", "replay"}
-    return path, [after_first, len(broker.journal)]
-
-
-def cut_points(data: bytes) -> List[Tuple[int, int]]:
-    """``(offset, whole entries before it)`` at every line boundary and in
-    the middle of every line."""
-    points = [(0, 0)]
-    start = 0
-    for count, end in enumerate(
-        (i + 1 for i, byte in enumerate(data) if byte == ord("\n")), start=1
-    ):
-        points.append(((start + end) // 2, count - 1))
-        points.append((end, count))
-        start = end
-    return points
+    return path, [after_first, len(broker.journal)], broker
 
 
 def full_dataset(entries) -> str:
@@ -105,54 +130,180 @@ def released_epsilon(entries) -> float:
     return total
 
 
-def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
-    path, boundaries = two_dispatches
-    data = path.read_bytes()
-    full = TradeJournal.load(path)
-    entries = full.entries()
-    full.close()
-    assert len(entries) == boundaries[-1]
-    points = cut_points(data)
-    assert len(points) == 2 * len(entries) + 1
+def in_memory(entries) -> TradeJournal:
+    journal = TradeJournal()
+    journal.append_many([payload_of(entry) for entry in entries])
+    return journal
 
-    for offset, whole in points:
-        crashed = tmp_path / f"cut-{offset}.jsonl"
+
+def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
+    path, boundaries, broker = two_dispatches
+    data = path.read_bytes()
+    scan = TradeJournal.read(path)
+    entries = tuple(scan.records)
+    assert len(entries) == boundaries[-1]
+    assert scan.end == len(data)
+    points = cut_points(scan.frames)
+    assert len(points) == 2 * len(scan.frames) + 3
+    torn = {frame_type for _, _, frame_type in points}
+    assert {codec.FRAME_STRING, codec.FRAME_TRADE} <= torn
+
+    for offset, whole, _ in points:
+        crashed = tmp_path / f"cut-{offset}.journal"
         crashed.write_bytes(data[:offset])
         recovered = TradeJournal.load(crashed)
         assert crashed.read_bytes() == data[:offset], "load only reads"
         assert recovered.entries() == entries[:whole], offset
         assert recovered.last_answer_id == whole
 
+        # Bit-exact against the same prefix held in memory, and against
+        # the live books for the whole file.
+        ledger, accountant = recover_accounting(recovered)
+        assert books_equal(
+            ledger, accountant, *recover_accounting(in_memory(entries[:whole]))
+        )
+        if whole == len(entries):
+            assert books_equal(
+                ledger, accountant, broker.ledger, broker.accountant
+            )
+
         # Answers leave the gateway only after their dispatch's write
         # completed, so the released ones are those of whole dispatches.
         released = max([0] + [b for b in boundaries if b <= whole])
-        _, accountant = recover_accounting(recovered)
         spent = accountant.spent(full_dataset(entries))
         assert spent == released_epsilon(entries[:whole])
         assert spent >= released_epsilon(entries[:released])
 
-        # The resumed journal appends on a whole line after the cut.
-        resumed = recovered.append(**payload_of(entries[0]))
+        # The resumed journal cuts the tail, reuses the surviving string
+        # table, and writes exactly what an uninterrupted journal would.
+        resumed = recovered.append(**payload_of(entries[-1]))
         assert resumed.answer_id == whole + 1
         recovered.close()
         reloaded = TradeJournal.load(crashed)
         assert reloaded.entries() == entries[:whole] + (resumed,)
+        assert sha256(crashed) == reloaded.checksum()
+        assert reloaded.checksum() == in_memory(reloaded.entries()).checksum()
         reloaded.close()
 
 
-def test_a_cut_before_the_newline_keeps_the_entry(two_dispatches, tmp_path):
-    """A whole JSON object missing only its newline is a complete entry:
-    recovery keeps it (over-counting ε′ is the safe side) and ends the
-    line before appending."""
-    path, _ = two_dispatches
+def test_a_bad_crc_is_dropped_only_at_the_tail(two_dispatches, tmp_path):
+    """A whole last frame whose CRC fails is a torn write: dropped.  The
+    same damage with frames after it is corruption: load refuses."""
+    path, boundaries, _ = two_dispatches
+    scan = TradeJournal.read(path)
     data = path.read_bytes()
-    end = data.index(b"\n")
-    crashed = tmp_path / "no-newline.jsonl"
-    crashed.write_bytes(data[:end])
-    recovered = TradeJournal.load(crashed)
-    assert crashed.read_bytes() == data[:end], "load only reads"
-    assert len(recovered) == 1
-    recovered.append(**payload_of(recovered.entries()[0]))
-    recovered.close()
-    with TradeJournal.load(crashed) as reloaded:
-        assert len(reloaded) == 2
+
+    _, start, end = scan.frames[-1]
+    tail = bytearray(data)
+    tail[end - 1] ^= 0xFF
+    crashed = tmp_path / "bad-tail.journal"
+    crashed.write_bytes(bytes(tail))
+    with TradeJournal.load(crashed) as recovered:
+        assert len(recovered) == boundaries[-1] - 1
+
+    _, start, end = scan.frames[len(scan.frames) // 2]
+    middle = bytearray(data)
+    middle[(start + end) // 2] ^= 0xFF
+    crashed = tmp_path / "bad-middle.journal"
+    crashed.write_bytes(bytes(middle))
+    with pytest.raises(JournalError, match="CRC"):
+        TradeJournal.load(crashed)
+
+
+# ---------------------------------------------------------------------- #
+# Window log under a streaming cluster                                   #
+# ---------------------------------------------------------------------- #
+FLOOR = AccuracySpec(alpha=0.15, delta=0.5)
+STREAM = StreamingConfig(
+    shards=2, devices_per_shard=2, window_epochs=2, floor=FLOOR, seed=23
+)
+
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    """A window log written by three epochs of rolls and releases."""
+    path = tmp_path_factory.mktemp("window") / "window.journal"
+    cluster = build_streaming_cluster(STREAM, window_log=WindowLog(path))
+    rng = np.random.default_rng(31)
+    for epoch in range(3):
+        cluster.ingest(
+            rng.uniform(0.0, 100.0, 256), epoch + np.arange(256) / 256.0
+        )
+        cluster.roll()
+        for low in (20.0, 40.0):
+            cluster.broker.answer(
+                RangeQuery(low=low, high=low + 45.0, dataset=STREAM.dataset),
+                FLOOR,
+                f"buyer-{epoch}",
+            )
+    cluster.window_log.close()
+    return path, cluster
+
+
+def recovered_state(log: WindowLog):
+    """Recover a fresh cluster from ``log``: its window checksum, store
+    version and per-epoch ε ledgers."""
+    cluster = build_streaming_cluster(STREAM, window_log=log)
+    snapshot = cluster.recover()
+    accountant = cluster.broker.epoch_accountant
+    ledgers = {
+        epoch: accountant.history(STREAM.dataset, epoch)
+        for epoch in snapshot.live_epochs
+    }
+    return window_checksum(snapshot.epochs), snapshot.store_version, ledgers
+
+
+def test_every_window_log_cut_recovers_bit_exactly(streamed, tmp_path):
+    path, live = streamed
+    data = path.read_bytes()
+    scan = WindowLog.read(path)
+    entries = scan.records
+    kinds = [entry.kind for entry in entries]
+    assert kinds.count("roll") == 3 * STREAM.shards
+    assert kinds.count("charge") == 6
+    points = cut_points(scan.frames)
+    torn = {frame_type for _, _, frame_type in points}
+    assert {codec.FRAME_STRING, codec.FRAME_ROLL, codec.FRAME_CHARGE} <= torn
+
+    for offset, whole, _ in points:
+        crashed = tmp_path / f"cut-{offset}.journal"
+        crashed.write_bytes(data[:offset])
+        log = WindowLog.load(crashed)
+        assert crashed.read_bytes() == data[:offset], "load only reads"
+        reference = WindowLog()
+        for entry in entries[:whole]:
+            reference.append(entry.kind, **entry.data)
+        assert len(log) == whole
+        assert log.checksum() == reference.checksum(), offset
+
+        if "roll" not in kinds[:whole]:
+            with pytest.raises(StreamingError):
+                build_streaming_cluster(STREAM, window_log=log).recover()
+        else:
+            state = recovered_state(log)
+            assert state == recovered_state(reference), offset
+            if whole == len(entries):
+                assert state[0] == window_checksum(
+                    live.station.snapshot().epochs
+                )
+                assert state[1] == live.station.store_version
+            # Every released charge over a live epoch is booked again.
+            for epoch, ledger in state[2].items():
+                released = [
+                    (e.data["label"], e.data["epsilon"])
+                    for e in entries[:whole]
+                    if e.kind == "charge" and epoch in e.data["epochs"]
+                ]
+                assert [(c.label, c.epsilon) for c in ledger] == released
+
+        # Recovery journals the empty seals it completes, identically on
+        # both sides; the first append cuts the torn tail off first.
+        assert log.checksum() == reference.checksum()
+        resumed = log.append_charge(STREAM.dataset, [0], 0.5, "after-crash")
+        assert resumed.seq == len(reference) + 1
+        log.close()
+        reloaded = WindowLog.load(crashed)
+        reference.append_charge(STREAM.dataset, [0], 0.5, "after-crash")
+        assert reloaded.checksum() == reference.checksum()
+        assert sha256(crashed) == reference.checksum()
+        reloaded.close()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import AccuracySpec, RangeQuery
+from repro.durability import codec
 from repro.errors import IngestorCrashError, JournalError, StreamingError
 from repro.streaming.journal import (
     WindowLog,
@@ -41,7 +42,7 @@ def drive(cluster, epochs, per_epoch=128, answer=True):
 
 class TestChaosDrill:
     def test_crash_mid_roll_recovers_bit_exactly(self, tmp_path):
-        log_path = tmp_path / "window.jsonl"
+        log_path = tmp_path / "window.journal"
         cluster = build_streaming_cluster(CONFIG, window_log=WindowLog(log_path))
         drive(cluster, epochs=4)
         spent_before = cluster.broker.epoch_accountant.live_total(
@@ -159,29 +160,37 @@ class TestChaosDrill:
 
 class TestWindowLogDurability:
     def test_load_tolerates_torn_tail(self, tmp_path):
-        path = tmp_path / "log.jsonl"
+        path = tmp_path / "log.journal"
         log = WindowLog(path)
         log.append_charge("d", [0, 1], 0.1, "q0")
         log.append_charge("d", [0, 1], 0.2, "q1")
         log.close()
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"format": "repro.stream-journal", "torn')
+        # A crash mid-write: the first half of one more charge frame.
+        extra = WindowLog()
+        for label in ("q0", "q1", "q2"):
+            extra.append_charge("d", [0, 1], 0.1, label)
+        frame = codec.encode_window(
+            extra.entries()[2:], codec.StringTable(["d"])
+        )
+        with path.open("ab") as handle:
+            handle.write(frame[: len(frame) // 2])
         reloaded = WindowLog.load(path)
         assert len(reloaded) == 2
         # Appends resume with the next seq after the surviving entries.
         entry = reloaded.append_charge("d", [1, 2], 0.3, "q2")
+        reloaded.close()
         assert entry.seq == 3
 
     def test_load_rejects_corrupt_interior(self, tmp_path):
-        path = tmp_path / "log.jsonl"
+        path = tmp_path / "log.journal"
         log = WindowLog(path)
         log.append_charge("d", [0], 0.1, "q0")
+        log.append_charge("d", [0], 0.1, "q1")
         log.close()
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text(
-            "not json\n" + "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        with pytest.raises(JournalError):
+        data = path.read_bytes()
+        # Damage the first frame; a whole frame follows it.
+        path.write_bytes(data[:9] + b"X" + data[10:])
+        with pytest.raises(JournalError, match="CRC"):
             WindowLog.load(path)
 
     def test_checksum_is_content_addressed(self, tmp_path):

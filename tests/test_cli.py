@@ -278,3 +278,81 @@ class TestClusterBench:
              "--devices", "4", "--requests", "8"]
         )
         assert code == 2
+
+
+class TestJournalDump:
+    def test_trade_journal_prints_one_json_object_per_entry(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.durability.journal import TradeJournal
+
+        path = tmp_path / "trades.journal"
+        record = dict(
+            kind="release", consumer="käufer", dataset="d", low=-0.0,
+            high=10.0, alpha=0.1, delta=0.5, epsilon_prime=0.02, price=1.5,
+            store_version=3, label="käufer:[0,10]",
+        )
+        with TradeJournal(path=path) as journal:
+            entries = journal.append_many(
+                [record, dict(record, kind="replay", epsilon_prime=0.0)]
+            )
+        # A torn tail is reported on stderr, not printed as an entry.
+        with path.open("ab") as handle:
+            handle.write(b"\x20\x00\x00")
+        assert main(["journal-dump", str(path)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            entry.to_payload() for entry in entries
+        ]
+        assert json.loads(lines[0])["format"] == "repro.trade-journal"
+        assert "torn tail" in captured.err
+
+    def test_window_log_is_told_apart_by_its_header(self, tmp_path, capsys):
+        import json
+
+        import numpy as np
+
+        from repro.streaming.journal import WindowLog
+
+        path = tmp_path / "window.journal"
+        with WindowLog(path) as log:
+            log.append(
+                "roll", shard_id=1, epoch=0, record_count=3, rate=0.5,
+                nodes=[[7, 3, np.array([1.5, 2.5]), np.array([1, 3])]],
+            )
+            log.append_charge("d", [0], 0.25, "q")
+        assert main(["journal-dump", str(path)]) == 0
+        roll, charge = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert roll["format"] == "repro.stream-journal"
+        assert roll["data"]["nodes"] == [[7, 3, [1.5, 2.5], [1, 3]]]
+        assert charge["data"] == {
+            "dataset": "d", "epochs": [0], "epsilon": 0.25, "label": "q",
+        }
+
+    def test_empty_file_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "empty.journal"
+        path.write_bytes(b"")
+        assert main(["journal-dump", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("content", [None, b'{"format": "json"}\n'])
+    def test_missing_or_foreign_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "trades.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["journal-dump", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_chaos_refuses_an_existing_journal(self, tmp_path, capsys):
+        path = tmp_path / "trades.journal"
+        path.write_bytes(b"\x89RPJ\x02\x00\x01\x00")
+        code = main(
+            ["chaos", *SMALL, "--trades", "20", "--journal", str(path)]
+        )
+        assert code == 2
+        assert "load" in capsys.readouterr().err
