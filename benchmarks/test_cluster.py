@@ -6,7 +6,7 @@ devices, the full CityPulse surrogate, 500 mixed-tier requests):
 * every phase -- single-station, 4-shard, 8-shard -- completes with zero
   failed requests and *zero* accounting drift against the serial
   expectation (one consolidated ledger/accountant entry per fresh
-  release, cluster list price, parallel-composition ε′);
+  release, cluster list price, pooled-release ε′);
 * killing shard 0's primary mid-run leaves the benchmark unharmed: the
   run completes, answers from the affected shard degrade their reported
   δ instead of erroring, and the failover is visible in telemetry;
@@ -119,7 +119,7 @@ def test_cluster_scaling_and_failover(citypulse, save_result, save_json):
         )
     )
     lines.append(
-        "# routed: range-sharded partitions + band-aware δ-split planner"
+        "# routed: range-sharded partitions + band-aware pooled routing"
     )
     for key in routed_keys:
         phase = routed[key]

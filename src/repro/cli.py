@@ -1021,14 +1021,13 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     if routed_items:
         print(format_table(
             ["routed phase", "eps_spent", "pruned_mean", "touched_mean",
-             "delta_split_mean", "routed_queries"],
+             "routed_queries"],
             [
                 (
                     f"{name}-shard",
                     f"{phase['epsilon_spent']:.5g}",
                     f"{phase['shards_pruned_mean']:.2f}",
                     f"{phase['shards_touched_mean']:.2f}",
-                    f"{phase['delta_split_mean']:.3f}",
                     int(phase["routed_queries"]),
                 )
                 for name, phase in routed_items
@@ -1062,7 +1061,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
             fo = payload["failover"]
             failover_ok = fo["failovers"] >= 1 and fo["degraded_answers"] > 0
         # Multi-shard routed phases must show the planner actually
-        # engaging: queries routed, shards pruned, and a sane δ-split.
+        # engaging: queries routed and shards pruned.
         routing_dead = [
             name
             for name, phase in routed_items
@@ -1070,7 +1069,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
             and not (
                 float(phase.get("routed_queries", 0.0)) > 0
                 and float(phase.get("shards_pruned_mean", 0.0)) > 0.0
-                and 0.0 < float(phase.get("delta_split_mean", 0.0)) <= 1.0
             )
         ]
         if unhealthy or not failover_ok or routing_dead:

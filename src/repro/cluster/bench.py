@@ -120,7 +120,6 @@ def _pruning_stats(telemetry) -> "Dict[str, float]":
     return {
         "shards_touched_mean": telemetry.histogram("cluster.shards_touched").mean,
         "shards_pruned_mean": telemetry.histogram("cluster.shards_pruned").mean,
-        "delta_split_mean": telemetry.histogram("cluster.delta_split").mean,
         "routed_queries": telemetry.value("cluster.routed_queries"),
         "metadata_answers": telemetry.value("cluster.metadata_answers"),
     }

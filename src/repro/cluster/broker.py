@@ -6,51 +6,58 @@
 ``base_station`` / ``planner`` / ``telemetry``), so the serving gateway,
 the marketplace, and the load generators route through it unchanged.
 
-Per query it
+The shards are groups of the fleet's own base stations, and the
+RankCounting estimate is a sum of per-node terms, so the coordinator
+pools the touched shards' samples and releases each answer with **one**
+plan and **one** Laplace draw.  Per batch it
 
-1. **routes**: :meth:`ClusterBroker.route_for_range` classifies every
-   shard against the query range by its value band
+1. **routes** each query: :meth:`ClusterBroker.route_for_range`
+   classifies every shard against the range by its value band
    (:func:`~repro.cluster.planning.route_query`) -- pruned shards are
-   skipped outright, exactly-covered shards answer from cached totals,
-   and only the ``t <= s`` straddling shards get fresh ``(α_j, δ^{1/t})``
-   sub-targets (the legacy broadcast ``δ^{1/s}`` split when bands give
-   nothing to exploit);
-2. **scatters** per-shard *sub-batches* (queries grouped by their routed
-   shard set, one batched call per shard, not per query) to each shard's
-   estimate-plus-noise lane
-   (:meth:`~repro.core.broker.DataBroker.draw_batch`: top-up, plan,
-   estimate, Laplace draw -- no books) -- concurrently for ``s > 1`` --
-   with replica failover per shard;
-3. **gathers** and merges the per-shard estimates, noised counts, and
-   exact-cover totals into one :class:`ClusterAnswer` (clamped sum;
-   merged plan via :func:`~repro.cluster.planning.merge_plans`);
-4. **settles** once, through the settlement kernel
-   (:mod:`repro.core.settlement`): exactly one journal record, one
+   skipped, exactly-covered shards answer from cached totals, and the
+   ``t <= s`` straddling shards are *queried* at the boosted tolerance
+   ``α_t`` and the consumer's own ``δ``;
+2. **plans** once per ``(touched set, α_t, δ)`` over the touched fleet
+   shape ``(k_t, n_t)`` at the fleet's sampling rate, topping up the
+   whole fleet to its provisioning rate first when the stored sample
+   cannot support the target (so every shard keeps one rate), and
+   admits atomically;
+3. **gathers** the queried shards' samples (concurrently for wide
+   scatters, with replica failover, breaker bypass and hedging per
+   shard -- a lane only reads, so it has no side effects to undo), runs
+   one ``estimate_many`` per touched set over those samples in global
+   node order, and adds the exact-cover totals;
+4. **draws** the batch's noise in one ``sample_laplace_many`` from its
+   own ``rng``, clips, and **settles** through the settlement kernel
+   (:mod:`repro.core.settlement`): one journal record, one
    :class:`~repro.pricing.ledger.BillingLedger` transaction and one
-   :class:`~repro.privacy.budget.BudgetAccountant` entry per query, at
-   the cluster list price and the parallel-composition ε′ (max over the
-   shards the query actually touched; zero for metadata-only answers).
-   Shards keep no books.
+   :class:`~repro.privacy.budget.BudgetAccountant` entry per query at
+   the cluster list price.  Shards keep no books and draw no noise.
 
-With one shard the whole path degenerates to the plain broker's
-estimate source plus a pass-through merge, and is bit-identical to it
-(tested); routing is disabled at ``s = 1`` so band coverage can never
-shortcut the real release.
+A route that touches every shard pools the whole fleet at the consumer's
+own target, which is exactly what the plain broker computes over the
+same sample: at a common sampling rate a 1-shard cluster and an even 2-
+or 4-shard cluster are bit-identical to it (tested).  A 1-shard cluster
+also provisions and tops up exactly as the plain broker does; with
+``s >= 2`` the cluster provisions denser (see
+``_ClusterPlannerView.required_rate``).  Routing is disabled at
+``s = 1`` so band coverage can never shortcut the real release.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -64,12 +71,11 @@ from repro.cluster.health import ShardBreakerBoard, ShardHealthMonitor
 from repro.cluster.planning import (
     RoutePlan,
     degraded_delta,
-    merge_plans,
     route_query,
-    split_spec,
     zero_plan,
 )
 from repro.cluster.shard import ShardRuntime, build_shards
+from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import (
@@ -79,11 +85,14 @@ from repro.core.settlement import (
     release_batch,
     replay,
 )
-from repro.errors import InfeasiblePlanError
+from repro.datasets.partition import ShardBand
+from repro.estimators.base import NodeSample
+from repro.estimators.rank import RankCountingEstimator
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
 from repro.privacy.budget import BudgetAccountant
+from repro.privacy.laplace import sample_laplace_many
 from repro.privacy.optimizer import PrivacyPlan
 from repro.resilience.deadline import (
     Deadline,
@@ -91,7 +100,7 @@ from repro.resilience.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.resilience.hedging import HedgeLostRace, HedgePolicy
+from repro.resilience.hedging import HedgePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.durability.journal import TradeJournal
@@ -100,23 +109,27 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 __all__ = ["ClusterAnswer", "ClusterBroker"]
 
 #: Scatters at or below this many shards run inline on the calling
-#: thread.  Per-shard gather work is GIL-bound (scalar numpy over a few
-#: thousand samples), so a thread handoff costs more than it buys until
-#: the scatter is genuinely wide.
+#: thread.  Per-shard work (a sample read, a collection round) is
+#: GIL-bound, so a thread handoff costs more than it buys until the
+#: scatter is genuinely wide.
 _INLINE_SCATTER_MAX = 4
+
+#: The pooled estimator: one ``estimate_many`` over the touched shards'
+#: samples concatenated in global node order, the plain broker's
+#: summation order.
+_ESTIMATOR = RankCountingEstimator()
 
 
 @dataclass(frozen=True)
 class ClusterAnswer(PrivateAnswer):
-    """A merged scatter-gather release.
+    """A pooled scatter-gather release.
 
     Extends :class:`~repro.core.query.PrivateAnswer` with the gather
-    provenance: the per-shard releases it merges, which shards answered
-    from a replica, and the confidence actually *reported* after
-    degradation (``delta_reported == spec.delta`` on a healthy gather).
+    provenance: which shards answered from a replica, and the confidence
+    actually *reported* after degradation (``delta_reported ==
+    spec.delta`` on a healthy gather).
     """
 
-    shard_answers: "Tuple[PrivateAnswer, ...]" = ()
     degraded_shards: "Tuple[int, ...]" = ()
     delta_reported: float = 0.0
     #: Routing provenance: which shards the planner pruned (band cannot
@@ -175,6 +188,10 @@ class _ClusterStationView:
         self._broker = broker
         self.network = _ClusterNetworkView(broker)
         self._listeners: "List" = []
+        self._lock = threading.Lock()
+        self._version = 0  # guarded-by: _lock
+        self._open_rounds = 0  # guarded-by: _lock
+        self._round_committed = False  # guarded-by: _lock
         for shard in broker.shards:
             shard.primary_station.subscribe_commits(self._on_commit)
             if shard.replica_station is not None:
@@ -195,19 +212,47 @@ class _ClusterStationView:
 
     @property
     def store_version(self) -> int:
-        """Monotone sum of every station's version (bumps on any commit)."""
-        total = 0
-        for shard in self._broker.shards:
-            total += shard.primary_station.store_version
-            if shard.replica_station is not None:
-                total += shard.replica_station.store_version
-        return total
+        """The fleet's monotone commit counter.
+
+        One fleet-wide collection round (:meth:`fleet_round`: every
+        shard's commit and its replica's mirror) bumps it once, as one
+        round bumps a single station's; any other station commit bumps
+        it on its own.
+        """
+        with self._lock:
+            return self._version
 
     def subscribe_commits(self, callback) -> None:
         self._listeners.append(callback)
 
+    @contextmanager
+    def fleet_round(self) -> "Iterator[None]":
+        """Fold every station commit inside the block into one bump."""
+        with self._lock:
+            self._open_rounds += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._open_rounds -= 1
+                bump = not self._open_rounds and self._round_committed
+                if bump:
+                    self._round_committed = False
+                    self._version += 1
+                version = self._version
+            if bump:
+                self._notify(version)
+
     def _on_commit(self, _version: int) -> None:
-        version = self.store_version
+        with self._lock:
+            if self._open_rounds:
+                self._round_committed = True
+                return
+            self._version += 1
+            version = self._version
+        self._notify(version)
+
+    def _notify(self, version: int) -> None:
         for callback in self._listeners:
             callback(version)
 
@@ -225,60 +270,61 @@ class _ClusterStationView:
 class _ClusterPlannerView:
     """Duck-typed :class:`~repro.core.planner.QueryPlanner` aggregate.
 
-    ``plan`` returns the *merged* plan a scatter at rate ``p`` would
-    yield, so the load generator's serial accounting expectation (which
-    reads ``plan(spec, p).epsilon_prime``) prices the cluster exactly.
+    ``supports`` / ``plan`` are the whole fleet's, as for the plain
+    broker over the same fleet; ``required_rate`` is the cluster's one
+    provisioning and top-up rate; ``plan_for_range`` returns the pooled
+    plan a *routed* query gets, so the load generator's serial accounting
+    expectation prices the cluster exactly.
     """
 
     def __init__(self, broker: "ClusterBroker") -> None:
         self._broker = broker
 
+    def _fleet(self) -> QueryPlanner:
+        broker = self._broker
+        return broker._plan_memo.planner(broker.k, broker.n)
+
     def supports(self, spec: AccuracySpec, p: float) -> bool:
-        sub = split_spec(spec, len(self._broker.shards))
-        return all(
-            shard.primary.planner.supports(sub, p)
-            for shard in self._broker.shards
-        )
+        return self._fleet().supports(spec, p)
 
     def required_rate(self, spec: AccuracySpec) -> float:
-        sub = split_spec(spec, len(self._broker.shards))
+        """The rate the fleet is provisioned and topped up at for ``spec``.
+
+        Dense enough that every shard could certify the tier on its own
+        share ``(α, δ^(1/s))`` of the confidence, so a pooled release
+        over any touched set is feasible there.  A routed release pools
+        only the few shards it touches; this density is what keeps its
+        ε′ at the per-shard lane's.  With one shard it is the plain
+        broker's rate; with ``s >= 2`` it is denser (more samples per
+        collection round, a lower ε′ per release).
+        """
+        broker = self._broker
+        share = spec
+        if len(broker.shards) > 1:
+            share = AccuracySpec(
+                alpha=spec.alpha, delta=spec.delta ** (1.0 / len(broker.shards))
+            )
         return max(
-            shard.primary.planner.required_rate(sub)
-            for shard in self._broker.shards
+            broker._plan_memo.planner(k, n).required_rate(share)
+            for k, n in zip(broker._shard_k, broker._shard_n)
         )
 
     def plan(self, spec: AccuracySpec, p: float) -> PrivacyPlan:
-        sub = split_spec(spec, len(self._broker.shards))
-        return merge_plans(
-            spec,
-            [shard.primary._plan(sub, p) for shard in self._broker.shards],
-        )
+        broker = self._broker
+        return broker._plan_memo.plan(spec, p, broker.k, broker.n)
 
     def plan_for_range(
         self, low: float, high: float, spec: AccuracySpec, p: float
     ) -> PrivacyPlan:
-        """The merged plan a *routed* scatter of ``[low, high]`` yields.
+        """The pooled plan a release of ``[low, high]`` gets at rate ``p``.
 
-        Duck-typed hook for the load generator's serial accounting
-        expectation: with range-aware routing the spent ε′ depends on the
-        query range (pruned and exactly-covered shards spend nothing), so
-        pricing the cluster needs the route, not just the tier.  Falls
-        back to :meth:`plan` for broadcast routes -- identical books to
-        the pre-routing cluster.
+        With range-aware routing the spent ε′ depends on the query range
+        (pruned and exactly-covered shards spend nothing, and the queried
+        ones plan at the boosted tolerance), so pricing the cluster needs
+        the route, not just the tier.
         """
         broker = self._broker
-        route = broker.route_for_range(low, high, spec)
-        if not route.routed:
-            return self.plan(spec, p)
-        exact_n = sum(broker.shards[j].n for j in route.exact)
-        exact_k = sum(broker.shards[j].k for j in route.exact)
-        plans = [
-            broker.shards[j].primary._plan(route.spec_for(j), p)
-            for j in route.queried
-        ]
-        if not plans and exact_n == 0:
-            return zero_plan(spec)
-        return merge_plans(spec, plans, exact_n=exact_n, exact_k=exact_k)
+        return broker._route_plan(broker.route_for_range(low, high, spec), p)
 
 
 @dataclass
@@ -305,27 +351,28 @@ class ClusterBroker:
     dataset: str = "default"
     ledger: BillingLedger = field(default_factory=BillingLedger)
     accountant: BudgetAccountant = field(default_factory=BudgetAccountant)
-    # Mirrors DataBroker's fixed default seed: the scalar/cluster
-    # equivalence tests require both brokers to draw the same stream.
+    # The one noise stream of every cluster release.  Mirrors
+    # DataBroker's fixed default seed: the cluster/plain-broker identity
+    # tests require both brokers to draw the same stream.
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(7))  # repro-lint: disable=RL002
     policy: BrokerPolicy = field(default_factory=BrokerPolicy)
     replica_confidence: float = 0.9
     monitor: Optional[ShardHealthMonitor] = None
     telemetry: "Optional[MetricsRegistry]" = None
     #: Optional :class:`~repro.durability.journal.TradeJournal`; when set,
-    #: every consolidated trade is journaled *before* the merged answer is
+    #: every trade is journaled *before* the pooled answer is
     #: released or the cluster books mutate (journal-before-release).
     journal: "Optional[TradeJournal]" = None
     #: Optional per-shard circuit breakers
     #: (:class:`~repro.cluster.health.ShardBreakerBoard`).  An open
-    #: breaker routes that shard's sub-queries through the bypass lane
+    #: breaker routes that shard's sample reads through the bypass lane
     #: (skipping its congested ingress path); answers and books are
     #: bit-identical either way.
     breakers: "Optional[ShardBreakerBoard]" = None
     #: Optional :class:`~repro.resilience.hedging.HedgePolicy`.  When
-    #: set, a straggling gated sub-query is re-issued on the bypass lane
-    #: after the lane's rolling-p95 trigger; an exactly-once claim
-    #: guarantees only the winning lane ever touches the shard broker.
+    #: set, a straggling gated sample read is re-issued on the bypass
+    #: lane after the lane's rolling-p95 trigger.  Lanes only read, so
+    #: whichever finishes first returns the identical samples.
     hedging: "Optional[HedgePolicy]" = None
 
     def __post_init__(self) -> None:
@@ -344,10 +391,20 @@ class ClusterBroker:
         self._lock = threading.Lock()
         self._executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
         self._first_degraded_wall: "Optional[float]" = None  # guarded-by: _lock
-        # Route + predicted-ε′ memos.  Keys embed the sampling rate, so a
-        # top-up naturally invalidates; bands are immutable post-build.
-        self._route_cache: "Dict[Tuple[float, float, float, float, float], RoutePlan]" = {}  # guarded-by: _lock
-        self._cost_cache: "Dict[Tuple[int, float, float, float], float]" = {}  # guarded-by: _lock
+        # Fleet shape and band metadata are fixed at build time.  A
+        # single-shard cluster routes over the full domain, so it always
+        # broadcasts (see route_for_range).
+        self._shard_k = [shard.k for shard in self.shards]
+        self._shard_n = [shard.n for shard in self.shards]
+        self._bands: "List[ShardBand]" = (
+            [shard.band for shard in self.shards]
+            if len(self.shards) > 1
+            else [ShardBand.full_domain()]
+        )
+        self._plan_memo = PlanMemo()
+        # Route memo keyed on (low, high, α, δ): routing is pure interval
+        # classification over the immutable bands.
+        self._route_cache: "Dict[Tuple[float, float, float, float], RoutePlan]" = {}  # guarded-by: _lock
         # Lazy executor for hedged gated lanes; separate from the scatter
         # pool so a wide scatter can never starve its own hedges.
         self._hedge_executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
@@ -413,7 +470,7 @@ class ClusterBroker:
 
     @property
     def planner(self) -> _ClusterPlannerView:
-        """Aggregate planner view (merged plans, max required rate)."""
+        """Aggregate planner view (fleet and pooled route plans)."""
         return self._planner_view
 
     @property
@@ -444,23 +501,13 @@ class ClusterBroker:
     def route_for_range(
         self, low: float, high: float, spec: AccuracySpec
     ) -> RoutePlan:
-        """The (routing, δ-split) plan for one range at the current rate.
+        """The routing plan for one range (memoized per range and tier).
 
-        Deterministic and memoized per ``(range, tier, rate)``.  A
-        single-shard cluster always broadcasts -- routing could otherwise
+        A single-shard cluster always broadcasts -- routing could otherwise
         answer a band-covering query from the cached total and break the
         bit-identity contract with the plain :class:`DataBroker`.
         """
-        if len(self.shards) == 1:
-            return route_query(
-                spec,
-                low,
-                high,
-                bands=[self.shards[0].band.full_domain()],
-                sizes=[self.shards[0].n],
-            )
-        rate = self._station_view.sampling_rate
-        key = (low, high, spec.alpha, spec.delta, rate)
+        key = (low, high, spec.alpha, spec.delta)
         # Lock-free read: dict.get is atomic under the GIL, entries are
         # immutable RoutePlans, and this sits on the per-request path of
         # the gateway's (locked) dispatch -- taking the broker lock here
@@ -469,15 +516,7 @@ class ClusterBroker:
         cached = self._route_cache.get(key)  # repro-lint: disable=RL003
         if cached is not None:
             return cached
-        cost = self._shard_cost(rate) if rate > 0.0 else None
-        route = route_query(
-            spec,
-            low,
-            high,
-            bands=[shard.band for shard in self.shards],
-            sizes=[shard.n for shard in self.shards],
-            cost=cost,
-        )
+        route = route_query(spec, low, high, self._bands, self._shard_n)
         with self._lock:
             if len(self._route_cache) > 4096:
                 self._route_cache.clear()
@@ -485,43 +524,74 @@ class ClusterBroker:
         return route
 
     def routing_signature(self, query: RangeQuery, spec: AccuracySpec) -> str:
-        """Stable fingerprint of how this query would route right now.
+        """Stable fingerprint of how this query routes.
 
         The serving cache appends it to the reuse key so answers derived
-        from different routes (e.g. before/after a rate change flips a
-        candidate) never alias.
+        from different routes never alias.
         """
         return self.route_for_range(query.low, query.high, spec).signature
 
-    def _shard_cost(self, rate: float):
-        """Memoized ``(shard_index, sub_spec) -> predicted ε′`` at a rate.
+    def _shape(self, shards: "Tuple[int, ...]") -> "Tuple[int, int]":
+        """``(k, n)`` of a group of shards."""
+        return (
+            sum(self._shard_k[j] for j in shards),
+            sum(self._shard_n[j] for j in shards),
+        )
 
-        Infeasible sub-specs (the stored sample cannot support them
-        without a top-up) price at ``+inf`` so the candidate search
-        avoids them; the broadcast fallback tops up as before.
+    def _route_plan(self, route: RoutePlan, p: float) -> PrivacyPlan:
+        """The pooled plan of one route at rate ``p``.
+
+        Problem (3) over the queried shards' shape ``(k_t, n_t)`` at
+        ``(α_t, δ)``; a metadata-only route (every shard pruned or
+        exactly covered) spends nothing.
         """
+        if not route.queried:
+            k = sum(self._shard_k[j] for j in route.exact)
+            return zero_plan(route.spec, n=route.exact_n, k=k)
+        k, n = self._shape(route.queried)
+        return self._plan_memo.plan(route.spec, p, k, n)
 
-        def cost(index: int, sub: AccuracySpec) -> float:
-            key = (index, sub.alpha, sub.delta, rate)
-            # Lock-free read; see route_for_range for the rationale.
-            cached = self._cost_cache.get(key)  # repro-lint: disable=RL003
-            if cached is not None:
-                return cached
-            try:
-                value = self.shards[index].primary._plan(sub, rate).epsilon_prime
-            except InfeasiblePlanError:
-                value = math.inf
-            with self._lock:
-                if len(self._cost_cache) > 8192:
-                    self._cost_cache.clear()
-                self._cost_cache[key] = value
-            return value
+    def _plan_routes(
+        self, routes: "Sequence[RoutePlan]", specs: "Sequence[AccuracySpec]"
+    ) -> "List[PrivacyPlan]":
+        """One pooled plan per route, solved once per distinct shape and target.
 
-        return cost
+        As :meth:`DataBroker._plan_each <repro.core.broker.DataBroker>`:
+        a target the stored sample cannot support first tops the whole
+        fleet up (so every shard keeps one rate) to the provisioning rate
+        of its consumer tier ``specs[i]``; every route is then planned at
+        the final post-top-up rate.
+        """
+        targets: "Dict[Tuple[Tuple[int, ...], float, float], Tuple[RoutePlan, AccuracySpec]]" = {}
+        for route, spec in zip(routes, specs):
+            if route.queried:
+                targets.setdefault(
+                    (route.queried, route.spec.alpha, route.spec.delta),
+                    (route, spec),
+                )
+        for route, spec in targets.values():
+            planner = self._plan_memo.planner(*self._shape(route.queried))
+            p = self._station_view.sampling_rate
+            if p > 0.0 and planner.supports(route.spec, p):
+                continue
+            target = self._planner_view.required_rate(spec)
+            self.ensure_rate(max(target, p if p > 0 else target))
+        p = self._station_view.sampling_rate
+        plans = {
+            key: self._route_plan(route, p)
+            for key, (route, _) in targets.items()
+        }
+        return [
+            plans[(route.queried, route.spec.alpha, route.spec.delta)]
+            if route.queried
+            else self._route_plan(route, p)
+            for route in routes
+        ]
 
     def ensure_rate(self, p: float) -> None:
-        """Run (or top up to) collection rounds on all shards, concurrently."""
-        self._fan_out(lambda shard: shard.ensure_rate(p))
+        """Run (or top up to) one fleet-wide collection round, concurrently."""
+        with self._station_view.fleet_round():
+            self._fan_out(lambda shard: shard.ensure_rate(p))
 
     def answer(
         self,
@@ -541,17 +611,17 @@ class ClusterBroker:
         replays: "Optional[Mapping[int, PrivateAnswer | int]]" = None,
         deadlines: "Optional[Sequence[Optional[Deadline]]]" = None,
     ) -> "List[Any]":
-        """Scatter a batch to the shard lanes, gather, merge, and settle once.
+        """Route, plan, gather, pool, noise once per query, and settle.
 
-        Each shard lane plans, estimates and noises its sub-batch
-        (:meth:`~repro.core.broker.DataBroker.draw_batch`); shards run
-        concurrently for ``s > 1``.  A shard whose primary dies
-        mid-gather retries on its replica and only marks the merged
-        answers degraded.  Admission and the books come *after* the
-        gather, in query order: one ledger transaction per query at
-        cluster list price and one accountant entry at the
-        parallel-composition ε′ (max over shards) -- so a failed gather
-        or a refused consumer charges nothing.  ``consumer``,
+        Routes and plans every fresh row, admits each consumer atomically
+        (a refused consumer draws no noise and charges nothing), gathers
+        the queried shards' samples -- concurrently for wide scatters --
+        and pools them: one ``estimate_many`` per touched shard set, plus
+        the exact-cover totals, then one Laplace draw per query from the
+        coordinator's ``rng``.  A shard whose primary is down answers
+        from its replica and only marks the answers degraded.  The books
+        get one ledger transaction per query at cluster list price and
+        one accountant entry at the pooled plan's ε′.  ``consumer``,
         ``replays`` and ``deadlines`` work as for
         :meth:`DataBroker.answer_batch <repro.core.broker.DataBroker.answer_batch>`.
         """
@@ -560,111 +630,60 @@ class ClusterBroker:
             replays=replays, deadlines=deadlines,
         )
         fresh = batch.fresh
-        queries = [batch.queries[i] for i in fresh]
-        specs = [batch.specs[i] for i in fresh]
-        consumers = [batch.consumers[i] for i in fresh]
-        s = len(self.shards)
+        route_of: "Dict[int, RoutePlan]" = {}
         routes: "List[RoutePlan]" = []
-        answer_of: "Dict[Tuple[int, int], PrivateAnswer]" = {}
-        degraded_by_shard: "Dict[int, bool]" = {}
+        plans: "List[PrivacyPlan]" = []
+        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
+        extras: "List[Dict[str, Any]]" = []
         with drawing(batch):
-            routes = [
-                self.route_for_range(query.low, query.high, q_spec)
-                for query, q_spec in zip(queries, specs)
-            ]
-
-            # Per-shard sub-batches: shard j answers exactly the queries
-            # whose route queries it, in query order.  On a pure-broadcast
-            # batch (s = 1, or no band gave the planner anything to prune)
-            # every shard sees the full batch -- the legacy scatter,
-            # bit-identical.
-            shard_batches: "List[List[int]]" = [
-                [i for i, route in enumerate(routes) if j in route.queried]
-                for j in range(s)
-            ]
-            tasks = [
-                (j, self.shards[j], shard_batches[j])
-                for j in range(s)
-                if shard_batches[j]
-            ]
-
-            # The fan-out may hop to pool threads; re-enter the caller's
-            # deadline scope there so shard-level checkpoints keep working.
-            request_deadline = current_deadline()
-
-            def scoped_shard_draw(task):
-                with deadline_scope(request_deadline):
-                    return self._shard_draw(
-                        task[1],
-                        [queries[i] for i in task[2]],
-                        [routes[i].spec_for(task[0]) for i in task[2]],
-                        [consumers[i] for i in task[2]],
-                    )
-
+            route_of = {
+                i: self.route_for_range(
+                    batch.queries[i].low, batch.queries[i].high, batch.specs[i]
+                )
+                for i in fresh
+            }
+            plans = self._plan_routes(
+                list(route_of.values()), [batch.specs[i] for i in fresh]
+            )
+            fresh, plans = admit(self, batch, fresh, plans)
+            routes = [route_of[i] for i in fresh]
             with self._timer("cluster.scatter_s"):
-                results = self._fan_out_over(tasks, scoped_shard_draw)
-            for (j, _, indices), (answers, degraded) in zip(tasks, results):
-                degraded_by_shard[j] = degraded
-                for i, answer in zip(indices, answers):
-                    answer_of[(j, i)] = answer
-
-        if any(degraded_by_shard.values()):
-            with self._lock:
-                if self._first_degraded_wall is None:
-                    self._first_degraded_wall = time.perf_counter()
-
-        # Gather + merge per query over the shards its route touched, then
-        # admit and settle the consolidated trades through the kernel.  A
-        # failed scatter refused every fresh row: nothing to merge.
-        scattered = not any(i in batch.failed for i in fresh)
-        drawn = list(zip(fresh, routes)) if scattered else []
-        with self._timer("cluster.gather_s"):
-            n_total = float(self.n)
-            plans: "List[PrivacyPlan]" = []
-            values: "List[float]" = []
-            raw_values: "List[float]" = []
-            estimates: "List[float]" = []
-            extras: "List[Dict[str, Any]]" = []
+                samples_of, degraded_of = self._gather(routes)
+            with self._timer("cluster.gather_s"):
+                # Each touched shard set is one pooled estimate_many over
+                # its shards' samples in global node order -- the plain
+                # broker's summation order -- plus the exact-cover totals.
+                estimates = np.asarray(
+                    [float(route.exact_n) for route in routes], dtype=np.float64
+                )
+                groups: "Dict[Tuple[int, ...], List[int]]" = {}
+                for k, route in enumerate(routes):
+                    if route.queried:
+                        groups.setdefault(route.queried, []).append(k)
+                for queried, ks in groups.items():
+                    estimates[ks] += _ESTIMATOR.estimate_many(
+                        [s for j in queried for s in samples_of[j]],
+                        [(routes[k].low, routes[k].high) for k in ks],
+                    )
+                # One draw per row with queried shards; a metadata-only
+                # row releases its public totals.
+                drawn = [k for k, route in enumerate(routes) if route.queried]
+                noise = np.zeros(len(routes), dtype=np.float64)
+                noise[drawn] = sample_laplace_many(
+                    [plans[k].noise_scale for k in drawn], self.rng
+                )
+                raw_values = estimates + noise
+                released = np.clip(raw_values, 0.0, float(self.n))
             degraded_answers = 0
-            for i, (row, route) in enumerate(drawn):
-                q_spec = batch.specs[row]
-                shard_answers = tuple(answer_of[(j, i)] for j in route.queried)
-                # Exactly-covered shards contribute their cached totals:
-                # every record is in range, zero error, zero ε.  Shard
-                # sizes are public partition metadata (they already
-                # calibrate pricing and appear in every merged plan).
-                exact_n = sum(self.shards[j].n for j in route.exact)
-                exact_k = sum(self.shards[j].k for j in route.exact)
-                if shard_answers or exact_n:
-                    plans.append(merge_plans(
-                        q_spec,
-                        [a.plan for a in shard_answers],
-                        exact_n=exact_n,
-                        exact_k=exact_k,
-                    ))
-                else:
-                    # Every shard pruned: the range provably holds no
-                    # records, released from metadata alone.
-                    plans.append(zero_plan(q_spec))
-                raw = float(exact_n) + float(
-                    sum(a.raw_value for a in shard_answers)
-                )
-                raw_values.append(raw)
-                estimates.append(
-                    float(exact_n)
-                    + float(sum(a.sample_estimate for a in shard_answers))
-                )
-                values.append(float(min(max(raw, 0.0), n_total)))
+            for route in routes:
                 answer_degraded = tuple(
-                    j for j in route.queried if degraded_by_shard.get(j, False)
+                    j for j in route.queried if degraded_of[j]
                 )
-                if answer_degraded:
-                    degraded_answers += 1
+                degraded_answers += bool(answer_degraded)
                 extras.append(dict(
-                    shard_answers=shard_answers,
                     degraded_shards=answer_degraded,
                     delta_reported=degraded_delta(
-                        q_spec.delta,
+                        route.spec.delta,
                         len(answer_degraded),
                         self.replica_confidence,
                     ),
@@ -672,48 +691,25 @@ class ClusterBroker:
                     exact_shards=route.exact,
                     route_signature=route.signature,
                 ))
-            rows = [row for row, _ in drawn]
-            admit(self, batch, rows, plans)
-            merged = release_batch(
-                self,
-                batch,
-                answer_type=ClusterAnswer,
-                rows=rows,
-                plans=plans,
-                value=values,
-                raw_value=raw_values,
-                sample_estimate=estimates,
-                extras=extras,
-            )
+            if degraded_answers:
+                self._emit("cluster.degraded_answers", degraded_answers)
 
-        if degraded_answers:
-            self._emit("cluster.degraded_answers", degraded_answers)
-        if self.telemetry is not None:
-            for route in routes:
-                self.telemetry.observe(
-                    "cluster.shards_pruned", float(len(route.pruned))
-                )
-                self.telemetry.observe(
-                    "cluster.shards_touched", float(route.touched)
-                )
-                for sub in route.sub_specs:
-                    self.telemetry.observe("cluster.delta_split", sub.delta)
-            routed_count = sum(1 for route in routes if route.routed)
-            if routed_count:
-                self.telemetry.inc("cluster.routed_queries", routed_count)
-            covered = sum(
-                1 for route in routes if route.routed and not route.queried
-            )
-            if covered:
-                self.telemetry.inc("cluster.metadata_answers", covered)
-            self.telemetry.set_gauge(
-                "cluster.shards_healthy",
-                float(sum(1 for shard in self.shards if shard.primary_alive)),
-            )
-        return merged
+        outcomes = release_batch(
+            self,
+            batch,
+            answer_type=ClusterAnswer,
+            rows=fresh,
+            plans=plans,
+            value=released,
+            raw_value=raw_values,
+            sample_estimate=estimates,
+            extras=extras,
+        )
+        self._observe_routes(route_of.values())
+        return outcomes
 
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
-        """Re-release a previously merged answer at ε′ = 0.
+        """Re-release a previously pooled answer at ε′ = 0.
 
         The settlement kernel's :func:`~repro.core.settlement.replay`, as
         for :meth:`DataBroker.replay`: list price, zero budget, one
@@ -734,22 +730,61 @@ class ClusterBroker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _shard_draw(
-        self,
-        shard: ShardRuntime,
-        queries: "List[RangeQuery]",
-        shard_specs: "List[AccuracySpec]",
-        consumers: "List[str]",
-    ) -> "Tuple[List[PrivateAnswer], bool]":
+    def _observe_routes(self, routes: "Iterable[RoutePlan]") -> None:
+        """Routing telemetry of a batch's fresh rows."""
+        if self.telemetry is None:
+            return
+        routed = covered = 0
+        for route in routes:
+            self.telemetry.observe("cluster.shards_pruned", float(len(route.pruned)))
+            self.telemetry.observe("cluster.shards_touched", float(route.touched))
+            routed += route.routed
+            covered += route.routed and not route.queried
+        if routed:
+            self.telemetry.inc("cluster.routed_queries", routed)
+        if covered:
+            self.telemetry.inc("cluster.metadata_answers", covered)
+        self.telemetry.set_gauge(
+            "cluster.shards_healthy",
+            float(sum(1 for shard in self.shards if shard.primary_alive)),
+        )
+
+    def _gather(
+        self, routes: "Sequence[RoutePlan]"
+    ) -> "Tuple[Dict[int, List[NodeSample]], Dict[int, bool]]":
+        """Read every queried shard's samples once: ``(samples, degraded)``
+        per shard index, concurrently for wide scatters."""
+        needed = sorted({j for route in routes for j in route.queried})
+        # The fan-out may hop to pool threads; re-enter the caller's
+        # deadline scope there so shard-level checkpoints keep working.
+        request_deadline = current_deadline()
+
+        def scoped_read(j: int) -> "Tuple[List[NodeSample], bool]":
+            with deadline_scope(request_deadline):
+                return self._read_shard(self.shards[j])
+
+        results = self._fan_out_over(needed, scoped_read)
+        if any(degraded for _, degraded in results):
+            with self._lock:
+                if self._first_degraded_wall is None:
+                    self._first_degraded_wall = time.perf_counter()
+        return (
+            {j: samples for j, (samples, _) in zip(needed, results)},
+            {j: degraded for j, (_, degraded) in zip(needed, results)},
+        )
+
+    def _read_shard(
+        self, shard: ShardRuntime
+    ) -> "Tuple[List[NodeSample], bool]":
         check_deadline(f"cluster.shard{shard.shard_id}.scatter")
         breaker = (
             self.breakers.for_shard(shard.shard_id)
             if self.breakers is not None
             else None
         )
-        # Open breaker: cut the limping lane out — serve through the
+        # Open breaker: cut the limping lane out — read through the
         # bypass (relief) lane, skipping the shard's congested ingress
-        # path.  Same broker, same RNG stream, bit-identical answer.
+        # path.  Same store, bit-identical samples.
         bypass = breaker is not None and not breaker.allow()
         if bypass:
             self._emit(f"cluster.shard{shard.shard_id}.breaker_bypasses")
@@ -759,14 +794,10 @@ class ClusterBroker:
         start = time.perf_counter()
         try:
             if hedge_after is not None:
-                answers, degraded = self._hedged_answer(
-                    shard, queries, shard_specs, consumers, hedge_after
-                )
+                samples, degraded = self._hedged_read(shard, hedge_after)
             else:
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
-                    answers, degraded = shard.draw_batch(
-                        queries, shard_specs, consumers, gate=not bypass
-                    )
+                    samples, degraded = shard.read_samples(gate=not bypass)
         except Exception:
             if breaker is not None:
                 breaker.record_failure()
@@ -780,58 +811,40 @@ class ClusterBroker:
             self.hedging.observe(f"shard{shard.shard_id}", latency)
         if degraded:
             self._emit(f"cluster.shard{shard.shard_id}.failover_batches")
-        return answers, degraded
+        return samples, degraded
 
-    def _hedged_answer(
-        self,
-        shard: ShardRuntime,
-        queries: "List[RangeQuery]",
-        shard_specs: "List[AccuracySpec]",
-        consumers: "List[str]",
-        hedge_after: float,
-    ) -> "Tuple[List[PrivateAnswer], bool]":
-        """Race the gated lane against a bypass retry, exactly once.
+    def _hedged_read(
+        self, shard: ShardRuntime, hedge_after: float
+    ) -> "Tuple[List[NodeSample], bool]":
+        """Race the gated lane against a bypass retry.
 
-        Both lanes draw through the *same* shard broker, so whichever
-        wins produces the bit-identical result; the single ``claim``
-        token (taken before any broker work) guarantees the loser has no
-        side effects — no RNG double-draw, no double top-up.
+        Both lanes read the same shard store, so whichever finishes
+        first returns the identical samples and the other has no side
+        effects: no noise is drawn and no book is touched on a lane.
         """
         request_deadline = current_deadline()
         cancel = threading.Event()
-        claim = threading.Lock()
 
-        def gated_lane() -> "Tuple[List[PrivateAnswer], bool]":
+        def gated_lane() -> "Tuple[List[NodeSample], bool]":
             with deadline_scope(request_deadline):
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
-                    return shard.draw_batch(
-                        queries, shard_specs, consumers,
-                        cancel=cancel, claim=claim,
-                    )
+                    return shard.read_samples(cancel=cancel)
 
         future = self._hedge_pool().submit(gated_lane)
         try:
             return future.result(timeout=hedge_after)
         except FuturesTimeoutError:
             pass
-        # Straggler: fire the hedge on the bypass lane.
+        # Straggler: fire the hedge on the bypass lane, then wake the
+        # gated lane out of its ingress wait (it raises HedgeLostRace into
+        # its own future, which nobody reads).
         self._emit(f"cluster.shard{shard.shard_id}.hedges")
-        try:
-            with self._timer(f"cluster.shard{shard.shard_id}.hedge_s"):
-                result = shard.draw_batch(
-                    queries, shard_specs, consumers, gate=False, claim=claim
-                )
-        except HedgeLostRace:
-            # The gated lane claimed first while the hedge spun up; its
-            # result is the only one that exists.
-            if self.hedging is not None:
-                self.hedging.record_hedge(won=False)
-            return future.result()
-        # Hedge won: wake the gated lane out of its ingress wait (it
-        # raises HedgeLostRace into its own future, which nobody reads).
+        with self._timer(f"cluster.shard{shard.shard_id}.hedge_s"):
+            result = shard.read_samples(gate=False)
+        won = not future.done()
         cancel.set()
         if self.hedging is not None:
-            self.hedging.record_hedge(won=True)
+            self.hedging.record_hedge(won=won)
         return result
 
     def _hedge_pool(self) -> ThreadPoolExecutor:
@@ -852,8 +865,7 @@ class ClusterBroker:
 
         Results come back in item order.  Determinism is preserved
         under concurrency because every shard owns independent rng
-        streams (devices, channel, broker noise) and each item's
-        sub-batch composition is fixed before the scatter.
+        streams (devices, channel) and a sample read draws none.
 
         Small scatters (routing typically touches one or two shards)
         run inline: per-shard work is GIL-bound and far cheaper than a

@@ -1,63 +1,44 @@
-"""Accuracy splitting and plan merging for scatter-gather queries.
+"""Range-aware routing for the pooled cluster release.
 
-A cluster query with target ``(α, δ)`` over ``n = Σ n_i`` records is
-answered by ``s`` shards, each releasing an independent
-``(α, δ^{1/s})``-range counting over its own ``n_i`` records:
+A cluster is one fleet split over shards of the broker's own base
+stations.  The RankCounting estimate is a sum of per-node terms
+(``Var ≤ 8k/p²``), so the shards a query touches are simply a group of
+nodes: the coordinator pools their estimates, plans once over the
+touched fleet shape ``(k_t, n_t)`` and draws one Laplace noise per
+query.  Nothing here splits the confidence target or depends on the
+sampling rate.
 
-* **Tolerance splits by shard size.**  Shard ``i``'s absolute error is
-  within ``α·n_i`` with its own confidence, and ``Σ α·n_i = α·n`` --
-  the sub-α allocation is weighted by shard size for free because the
-  planner works in relative error.
-* **Confidence multiplies.**  The per-shard noise draws and sampling
-  errors are independent, so all shards landing inside their tolerance
-  has probability ``≥ (δ^{1/s})^s = δ``.
-* **Privacy composes in parallel.**  Shards hold *disjoint* device
-  fleets, so one consumer query touches each record at most once; the
-  cluster-level ε′ charged for the release is the *maximum* shard ε′
-  (parallel composition), not the sum.
-
-With ``s = 1`` the split is the identity and the merged plan is the
-shard plan object itself, which is what makes the single-shard cluster
-bit-identical to the plain broker path.
-
-Range-aware routing (:func:`route_query`) upgrades the blind broadcast
-when shard *bands* are known (range-sharded partitions).  For a query
-``[low, high]`` each shard is classified:
+For a query ``[low, high]`` :func:`route_query` classifies each shard by
+its value *band* (tight under range-sharded partitions):
 
 * **pruned** -- its band cannot intersect the range: it holds zero
-  in-range records, contributes exactly 0, and is skipped (no RPC, no
-  noise, no ε);
+  in-range records, contributes exactly 0, and is skipped (no sample
+  read, no noise, no ε);
 * **exact** -- its band is fully contained in the range: every one of
   its ``n_j`` records is in range, so its contribution is the cached
   shard total ``n_j`` (public partition metadata, like the fleet sizes
   already used for pricing) at zero error and zero ε;
-* **queried** -- the band straddles a query edge: only these ``t <= s``
-  shards release a fresh noisy sub-answer.
+* **queried** -- the band straddles a query edge: these ``t <= s``
+  shards' samples feed the one pooled release.
 
-The ``(α, δ)`` contract then splits over the *queried* shards only:
-confidence ``δ_j`` with ``Π δ_j = δ`` (uniform ``δ^{1/t}``, optionally
-water-filled to equalize per-shard ε′), and tolerance re-allocated as
-``α_j = α · n / N_t`` (capped) where ``N_t = Σ_queried n_j`` -- pruned
-and exact shards contribute zero error, so their tolerance share is
-free to relax the queried shards.  Total error stays ``<= α·n`` with
-probability ``>= δ`` while every queried shard solves a strictly easier
-optimization, so composed ε′ (max over queried shards, parallel
-composition) can only improve on the broadcast split.
+Pruned and exact shards contribute no error, so the whole tolerance
+``α·n`` goes to the queried shards: the pooled release targets the
+boosted ``α_t = α · n / N_t`` (capped) with ``N_t = Σ_queried n_j`` at
+the consumer's own ``δ``.  Total error stays ``<= α·n`` with
+probability ``>= δ``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 from repro.core.query import AccuracySpec
 from repro.datasets.partition import ShardBand
 from repro.privacy.optimizer import PrivacyPlan
 
 __all__ = [
-    "split_spec",
-    "merge_plans",
+    "ALPHA_BOOST_CAP",
     "degraded_delta",
     "zero_plan",
     "RoutePlan",
@@ -87,78 +68,6 @@ def zero_plan(spec: AccuracySpec, n: int = 0, k: int = 0) -> PrivacyPlan:
     )
 
 
-def split_spec(spec: AccuracySpec, shards: int) -> AccuracySpec:
-    """The per-shard accuracy target for an ``s``-shard scatter.
-
-    Identity for ``shards == 1`` (same object, preserving bit-identical
-    planning); otherwise ``(α, δ^{1/s})``.
-    """
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    if shards == 1:
-        return spec
-    return AccuracySpec(alpha=spec.alpha, delta=spec.delta ** (1.0 / shards))
-
-
-def merge_plans(
-    spec: AccuracySpec,
-    plans: Sequence[PrivacyPlan],
-    exact_n: int = 0,
-    exact_k: int = 0,
-) -> PrivacyPlan:
-    """Fold per-shard plans into the plan reported on the merged answer.
-
-    The merged plan describes the *release the consumer actually got*:
-
-    * ``alpha_prime`` -- shard-size-weighted mean (each shard reserved
-      ``α'_i·n_i`` of its tolerance for sampling error).
-    * ``delta_prime`` -- product of the per-shard sampling confidences.
-    * ``epsilon`` / ``epsilon_prime`` / ``sensitivity`` -- maxima; the
-      privacy guarantee of the merged release under parallel
-      composition over disjoint shards.
-    * ``noise_scale`` -- ``sqrt(Σ b_i²)``, so the merged plan's
-      ``noise_variance`` (``2b²``) equals the exact summed variance
-      ``Σ 2 b_i²`` of the independent shard draws.
-    * ``p`` -- minimum shard rate (the weakest sample backing the
-      answer); ``k``/``n`` -- fleet totals.
-
-    ``exact_n`` / ``exact_k`` fold in shards the router answered from
-    cached totals (exact cover): they add records and devices to the
-    release at zero sampling error, zero noise, and zero ε.  With no
-    queried plan at all (the range was fully covered by pruned + exact
-    shards) the merged plan is the zero-cost release over those totals.
-
-    A single plan with no exact contribution is returned untouched
-    (bit-identity at ``s = 1``).
-    """
-    if exact_n < 0 or exact_k < 0:
-        raise ValueError("exact shard totals cannot be negative")
-    if not plans:
-        if exact_n == 0:
-            raise ValueError("at least one shard plan is required")
-        return zero_plan(spec, n=exact_n, k=exact_k)
-    if len(plans) == 1 and exact_n == 0:
-        return plans[0]
-    n_total = sum(p.n for p in plans) + exact_n
-    k_total = sum(p.k for p in plans) + exact_k
-    delta_prime = 1.0
-    for p in plans:
-        delta_prime *= p.delta_prime
-    return PrivacyPlan(
-        alpha=spec.alpha,
-        delta=spec.delta,
-        alpha_prime=sum(p.alpha_prime * p.n for p in plans) / n_total,
-        delta_prime=delta_prime,
-        epsilon=max(p.epsilon for p in plans),
-        epsilon_prime=max(p.epsilon_prime for p in plans),
-        sensitivity=max(p.sensitivity for p in plans),
-        noise_scale=math.sqrt(sum(p.noise_scale ** 2 for p in plans)),
-        p=min(p.p for p in plans),
-        k=k_total,
-        n=n_total,
-    )
-
-
 def degraded_delta(delta: float, degraded_shards: int, factor: float) -> float:
     """Reported confidence after ``degraded_shards`` replica failovers.
 
@@ -173,60 +82,52 @@ def degraded_delta(delta: float, degraded_shards: int, factor: float) -> float:
     return delta * factor ** degraded_shards
 
 
-# ----------------------------------------------------------------------
-# range-aware routing
-# ----------------------------------------------------------------------
-
-#: Ceiling on the re-allocated per-shard tolerance.  The boost
-#: ``α · n / N_t`` can exceed 1 when the queried shards are tiny;
+#: Ceiling on the re-allocated tolerance.  The boost ``α · n / N_t`` can
+#: exceed 1 when the queried shards are tiny;
 #: :class:`~repro.core.query.AccuracySpec` requires ``α < 1`` strictly.
-#: The cap only binds once a single queried shard holds under
-#: ``α/0.95`` of the fleet (e.g. one shard of eight at α ≥ 0.12); the
-#: *absolute* tolerance handed to the queried shards,
-#: ``min(α·n, 0.95·N_t)``, never exceeds the contract's ``α·n``.  Kept
-#: just under 1 rather than lower: once the touched shards are small,
-#: every unit of forfeited tolerance inflates ε′ hyperbolically.
+#: The cap only binds once the queried shards hold under ``α/0.95`` of
+#: the fleet (e.g. one shard of eight at α ≥ 0.12); the *absolute*
+#: tolerance of the pooled release, ``min(α·n, 0.95·N_t)``, never exceeds
+#: the contract's ``α·n``.  Kept just under 1 rather than lower: once the
+#: touched shards are small, every unit of forfeited tolerance inflates
+#: ε′ hyperbolically.
 ALPHA_BOOST_CAP = 0.95
-
-#: Water-filling iteration budget and convergence band.  The refinement
-#: stops once the queried shards' predicted ε′ spread is within
-#: ``_WATERFILL_SPREAD`` relative, or after ``_WATERFILL_ITERATIONS``
-#: rounds -- a fixed, deterministic schedule.
-_WATERFILL_ITERATIONS = 6
-_WATERFILL_SPREAD = 0.02
-#: Floor on a queried shard's δ-weight share (of ``1/t``) so no shard's
-#: confidence target collapses toward the impossible ``δ_j -> 1``.
-_WATERFILL_FLOOR = 0.1
-
-#: Predicted amplified budget of one shard release: maps
-#: ``(shard_index, sub_spec)`` to the ε′ the shard's planner would spend.
-RouteCost = Callable[[int, AccuracySpec], float]
 
 
 @dataclass(frozen=True)
 class RoutePlan:
     """One query's routing decision over a shard set.
 
-    ``pruned`` / ``exact`` / ``queried`` partition the shard indices;
-    ``sub_specs`` runs parallel to ``queried``.  ``routed`` is False when
-    band metadata gave the planner nothing to exploit (no shard pruned or
-    exactly covered) and the plan is the legacy broadcast ``δ^{1/s}``
-    scatter -- bit-identical to the pre-routing cluster behaviour.
+    ``pruned`` / ``exact`` / ``queried`` partition the shard indices.
+    ``spec`` is the ``(α_t, δ)`` target of the pooled release over the
+    queried shards (the consumer's own spec on a broadcast), and
+    ``exact_n`` the records the exact shards answer from metadata.
+    ``routed`` is False when band metadata gave the planner nothing to
+    exploit (no shard pruned or exactly covered): the release then pools
+    the whole fleet, exactly as the plain broker does.
     """
 
-    alpha: float
-    delta: float
     low: float
     high: float
     pruned: Tuple[int, ...]
     exact: Tuple[int, ...]
     queried: Tuple[int, ...]
-    sub_specs: Tuple[AccuracySpec, ...]
+    spec: AccuracySpec
     routed: bool
+    exact_n: int = 0
+    #: Stable routing fingerprint for cache keys and provenance:
+    #: ``"b"`` for a broadcast, else the exact shard partition.
+    signature: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.sub_specs) != len(self.queried):
-            raise ValueError("need exactly one sub-spec per queried shard")
+        signature = "b"
+        if self.routed:
+            signature = "p{};x{};q{}".format(
+                ",".join(str(i) for i in self.pruned),
+                ",".join(str(i) for i in self.exact),
+                ",".join(str(i) for i in self.queried),
+            )
+        object.__setattr__(self, "signature", signature)
 
     @property
     def shards(self) -> int:
@@ -235,45 +136,8 @@ class RoutePlan:
 
     @property
     def touched(self) -> int:
-        """``t``: shards that must release a fresh noisy sub-answer."""
+        """``t``: shards whose samples feed the fresh noisy release."""
         return len(self.queried)
-
-    def spec_for(self, shard_index: int) -> AccuracySpec:
-        """The sub-spec shard ``shard_index`` must satisfy."""
-        return self.sub_specs[self.queried.index(shard_index)]
-
-    @property
-    def signature(self) -> str:
-        """Stable routing fingerprint for cache keys and provenance.
-
-        Broadcast plans share the single signature ``"b"`` regardless of
-        shard count (the pre-routing behaviour had no signature at all);
-        routed plans encode the exact shard partition.
-        """
-        if not self.routed:
-            return "b"
-        return "p{};x{};q{}".format(
-            ",".join(str(i) for i in self.pruned),
-            ",".join(str(i) for i in self.exact),
-            ",".join(str(i) for i in self.queried),
-        )
-
-
-def _broadcast_plan(
-    spec: AccuracySpec, low: float, high: float, shards: int
-) -> RoutePlan:
-    sub = split_spec(spec, shards)
-    return RoutePlan(
-        alpha=spec.alpha,
-        delta=spec.delta,
-        low=low,
-        high=high,
-        pruned=(),
-        exact=(),
-        queried=tuple(range(shards)),
-        sub_specs=(sub,) * shards,
-        routed=False,
-    )
 
 
 def _boosted_alpha(
@@ -288,74 +152,15 @@ def _boosted_alpha(
     return max(alpha, min(boost, alpha_cap, 0.999999))
 
 
-def _composed_cost(
-    cost: RouteCost, queried: Sequence[int], specs: Sequence[AccuracySpec]
-) -> float:
-    """Predicted cluster ε′ of a candidate: parallel-composition max."""
-    worst = 0.0
-    for index, sub in zip(queried, specs):
-        worst = max(worst, cost(index, sub))
-    return worst
-
-
-def _waterfill_specs(
-    spec: AccuracySpec,
-    queried: Sequence[int],
-    alpha_j: float,
-    cost: RouteCost,
-) -> "Tuple[List[AccuracySpec], float]":
-    """Non-uniform δ-split equalizing the queried shards' predicted ε′.
-
-    Maintains ``Σ w_j = 1`` with ``δ_j = δ^{w_j}`` (so ``Π δ_j = δ``
-    exactly) and deterministically shifts confidence weight toward the
-    shards predicted to spend the most: a larger ``w_j`` means a *lower*
-    per-shard confidence target ``δ^{w_j}``, i.e. an easier release.
-    Returns the best specs found and their composed ε′.
-    """
-    t = len(queried)
-    weights = [1.0 / t] * t
-    floor = _WATERFILL_FLOOR / t
-
-    def specs_of(ws: Sequence[float]) -> "List[AccuracySpec]":
-        return [
-            AccuracySpec(alpha=alpha_j, delta=spec.delta ** w) for w in ws
-        ]
-
-    best_specs = specs_of(weights)
-    best_cost = _composed_cost(cost, queried, best_specs)
-    for _ in range(_WATERFILL_ITERATIONS):
-        costs = [cost(index, sub) for index, sub in zip(queried, best_specs)]
-        worst = max(costs)
-        mean = sum(costs) / t
-        if worst <= 0.0 or mean <= 0.0:
-            break
-        if (worst - min(costs)) / worst < _WATERFILL_SPREAD:
-            break
-        # Shift weight toward expensive shards (sqrt-damped), renormalize.
-        raw = [
-            max(w * math.sqrt(c / mean), floor)
-            for w, c in zip(weights, costs)
-        ]
-        total = sum(raw)
-        weights = [w / total for w in raw]
-        candidate = specs_of(weights)
-        candidate_cost = _composed_cost(cost, queried, candidate)
-        if candidate_cost < best_cost:
-            best_specs = candidate
-            best_cost = candidate_cost
-    return best_specs, best_cost
-
-
 def route_query(
     spec: AccuracySpec,
     low: float,
     high: float,
     bands: Sequence[ShardBand],
     sizes: Sequence[int],
-    cost: Optional[RouteCost] = None,
     alpha_cap: float = ALPHA_BOOST_CAP,
 ) -> RoutePlan:
-    """Choose the (routing, δ-split) pair minimizing composed ε′.
+    """Classify every shard against ``[low, high]`` and boost ``α``.
 
     Parameters
     ----------
@@ -365,20 +170,11 @@ def route_query(
         The query range (closed interval, matching the estimators).
     bands, sizes:
         Per-shard value bands and record counts, index-aligned.
-    cost:
-        Optional ε′ predictor ``(shard_index, sub_spec) -> ε′``.  When
-        given, the planner scores every candidate (broadcast, uniform
-        routed split, water-filled routed split) and returns the cheapest;
-        without it the uniform routed split is returned directly -- it
-        dominates the broadcast analytically (``t <= s`` shards, each with
-        ``α_j >= α`` and ``δ^{1/t} <= δ^{1/s}``, a strictly easier
-        per-shard problem).
     alpha_cap:
-        Ceiling on the re-allocated per-shard tolerance.
+        Ceiling on the re-allocated tolerance.
 
-    The plan is deterministic in its inputs: classification is pure
-    interval arithmetic and the water-fill schedule is fixed, so equal
-    ``(spec, range, bands, sizes, rate)`` always route identically.
+    Pure interval arithmetic: equal ``(spec, range, bands, sizes)``
+    always route identically.
     """
     if len(bands) == 0:
         raise ValueError("at least one shard band is required")
@@ -391,7 +187,6 @@ def route_query(
     if not 0.0 < alpha_cap < 1.0:
         raise ValueError("alpha_cap must be in (0, 1)")
 
-    s = len(bands)
     pruned: "List[int]" = []
     exact: "List[int]" = []
     queried: "List[int]" = []
@@ -405,59 +200,26 @@ def route_query(
 
     if not pruned and not exact:
         # Band metadata gave nothing to exploit (typical for full-domain
-        # bounds): keep the legacy broadcast scatter, bit-identical to the
-        # pre-routing cluster.
-        return _broadcast_plan(spec, low, high, s)
+        # bounds): pool the whole fleet at the consumer's own target.
+        return RoutePlan(
+            low=low, high=high, pruned=(), exact=(),
+            queried=tuple(queried), spec=spec, routed=False,
+        )
 
-    base = dict(
-        alpha=spec.alpha,
-        delta=spec.delta,
+    release = spec
+    if queried:
+        n_queried = sum(sizes[j] for j in queried)
+        if n_queried <= 0:
+            raise ValueError("queried shards must hold at least one record")
+        alpha_t = _boosted_alpha(spec.alpha, sum(sizes), n_queried, alpha_cap)
+        release = AccuracySpec(alpha=alpha_t, delta=spec.delta)
+    return RoutePlan(
         low=low,
         high=high,
         pruned=tuple(pruned),
         exact=tuple(exact),
-    )
-    if not queried:
-        # Fully covered by pruned + exact shards: zero-ε answer from
-        # cached totals, nothing to split.
-        return RoutePlan(queried=(), sub_specs=(), routed=True, **base)
-
-    t = len(queried)
-    n_total = sum(sizes)
-    n_queried = sum(sizes[j] for j in queried)
-    if n_queried <= 0:
-        raise ValueError("queried shards must hold at least one record")
-    alpha_j = _boosted_alpha(spec.alpha, n_total, n_queried, alpha_cap)
-    uniform = [
-        AccuracySpec(alpha=alpha_j, delta=spec.delta ** (1.0 / t))
-    ] * t
-    routed_plan = RoutePlan(
         queried=tuple(queried),
-        sub_specs=tuple(uniform),
+        spec=release,
         routed=True,
-        **base,
+        exact_n=sum(sizes[j] for j in exact),
     )
-    if cost is None:
-        return routed_plan
-
-    routed_cost = _composed_cost(cost, queried, uniform)
-    if t > 1:
-        filled, filled_cost = _waterfill_specs(spec, queried, alpha_j, cost)
-        # Strict improvement only: ties keep the uniform split so the
-        # routing signature's spec assignment stays the simplest one.
-        if filled_cost < routed_cost * (1.0 - 1e-9):
-            routed_plan = RoutePlan(
-                queried=tuple(queried),
-                sub_specs=tuple(filled),
-                routed=True,
-                **base,
-            )
-            routed_cost = filled_cost
-
-    broadcast = _broadcast_plan(spec, low, high, s)
-    broadcast_cost = _composed_cost(
-        cost, broadcast.queried, broadcast.sub_specs
-    )
-    if broadcast_cost < routed_cost * (1.0 - 1e-9):
-        return broadcast
-    return routed_plan

@@ -7,17 +7,19 @@ independent stack per shard -- topology, lossy channel, network, base
 station, pricing sheet calibrated to the shard's ``n_i``, and a
 :class:`~repro.core.broker.DataBroker`.
 
-Seeding is arranged so the single-shard cluster is **bit-identical** to
-:meth:`~repro.core.service.PrivateRangeCountingService.from_values` with
-the same seed: shard 0's channel rng is ``default_rng(seed)``, its
-broker rng ``default_rng(seed + 1)``, and every device keeps the global
-``default_rng(seed * 100_003 + node_id)`` stream.
+Seeding is arranged so the cluster samples exactly what
+:meth:`~repro.core.service.PrivateRangeCountingService.from_values`
+samples with the same seed: shard 0's channel rng is
+``default_rng(seed)``, and every device keeps the global
+``default_rng(seed * 100_003 + node_id)`` stream.  The shard brokers
+only hold their stations: the coordinator estimates, draws the noise and
+keeps the books, so their ``estimator``, ``rng`` and books go unused.
 
 A replica station shares the shard's devices but talks over its *own*
 network (its own channel randomness), and mirrors the primary's store
 through :meth:`~repro.iot.base_station.BaseStation.sync_from` on every
 committed round -- so failover answers come from the same collected
-sample, with fresh and independent noise randomness.
+sample.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.broker import DataBroker
-from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.datasets.partition import (
     ShardBand,
     ShardBounds,
@@ -57,9 +58,7 @@ __all__ = ["ShardRuntime", "build_shards", "PARTITION_STRATEGIES"]
 # components; large odd constants so streams of neighbouring shards and
 # the device streams (seed * 100_003 + node_id) never collide.
 _SHARD_STRIDE = 1_000_003
-_BROKER_OFFSET = 1
 _REPLICA_NET_OFFSET = 700_001
-_REPLICA_BROKER_OFFSET = 500_009
 
 
 def _partition_wrapper(fn: "Callable[..., list]", needs_seed: bool):
@@ -104,10 +103,12 @@ PARTITION_STRATEGIES = {
 class ShardRuntime:
     """One shard of the federation: primary broker, optional replica.
 
-    A shard is an estimate-plus-noise lane: its brokers plan, estimate
-    and Laplace-perturb sub-queries, and keep no books -- the
-    :class:`~repro.cluster.broker.ClusterBroker` settles every merged
-    answer once, in its own journal, policy, accountant and ledger.
+    A shard is a group of the fleet's base stations.  The
+    :class:`~repro.cluster.broker.ClusterBroker` reads its samples
+    (:meth:`read_samples`), pools them with the other touched shards',
+    plans and draws the noise once, and settles every answer in its own
+    journal, policy, accountant and ledger; the shard brokers keep no
+    books and draw no noise.
     """
 
     shard_id: int
@@ -169,34 +170,21 @@ class ShardRuntime:
             )
         return self.replica
 
-    def draw_batch(
+    def read_samples(
         self,
-        queries: "List[RangeQuery]",
-        specs: "Sequence[AccuracySpec]",
-        consumers: "Sequence[str]",
         *,
         gate: bool = True,
         cancel: "Optional[threading.Event]" = None,
-        claim: "Optional[threading.Lock]" = None,
-    ) -> "Tuple[List[PrivateAnswer], bool]":
-        """Draw on the primary, failing over to the replica mid-gather.
+    ) -> "Tuple[List[NodeSample], bool]":
+        """The active station's samples, and whether the replica served them.
 
-        Runs the active broker's :meth:`~repro.core.broker.DataBroker.
-        draw_batch` (top-up, plan, estimate, Laplace draw -- no books).
-        Returns ``(answers, degraded)`` where ``degraded`` is True when
-        the replica served the batch.  A mid-round
-        :class:`~repro.errors.DeliveryError` on the primary (dead radio
-        discovered during a top-up round) marks the primary down and
-        retries once on the replica; collection rounds are transactional
-        and the failed round drew no noise, so the aborted primary
-        attempt left nothing behind.
-
-        ``gate=False`` skips the injected ingress latency (the bypass /
-        relief lane used by open breakers and hedge retries).  ``cancel``
-        aborts a lane still waiting out the gate; ``claim`` is the
-        exactly-once token of a hedge race — the lane must win it
-        *before* touching the broker, so the losing lane provably has no
-        side effects (:class:`~repro.resilience.hedging.HedgeLostRace`).
+        The coordinator's gather lane: it only reads, draws no noise and
+        touches no books, so two lanes racing for the same shard (a
+        hedge) can both finish with no side effects.  ``gate=False``
+        skips the injected ingress latency (the bypass / relief lane used
+        by open breakers and hedge retries); ``cancel`` aborts a lane
+        still waiting out the gate
+        (:class:`~repro.resilience.hedging.HedgeLostRace`).
         """
         delay = self.injected_latency if gate else 0.0
         if delay > 0.0:
@@ -208,21 +196,8 @@ class ShardRuntime:
                     )
             else:
                 time.sleep(delay)
-        if claim is not None and not claim.acquire(blocking=False):
-            raise HedgeLostRace(
-                f"shard {self.shard_id}: lost the exactly-once hedge claim"
-            )
-        if self.primary_alive:
-            try:
-                return self.primary.draw_batch(queries, specs, consumers), False
-            except DeliveryError:
-                self.primary_alive = False
-        if self.replica is None:
-            raise ShardUnavailableError(
-                f"shard {self.shard_id}: primary station is down and no "
-                "replica is configured"
-            )
-        return self.replica.draw_batch(queries, specs, consumers), True
+        broker = self.active_broker()
+        return broker.base_station.samples(), broker is not self.primary
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) a collection round on the active station.
@@ -355,12 +330,7 @@ def build_shards(
             VarianceModel(n=shard_n), base_price=base_price
         )
         primary = DataBroker(
-            base_station=primary_station,
-            pricing=pricing,
-            dataset=dataset,
-            rng=np.random.default_rng(
-                seed + _BROKER_OFFSET + shard_id * _SHARD_STRIDE
-            ),
+            base_station=primary_station, pricing=pricing, dataset=dataset
         )
 
         replica: Optional[DataBroker] = None
@@ -378,12 +348,7 @@ def build_shards(
             for node_id in device_ids:
                 replica_station.register(devices[node_id])
             replica = DataBroker(
-                base_station=replica_station,
-                pricing=pricing,
-                dataset=dataset,
-                rng=np.random.default_rng(
-                    seed + _REPLICA_BROKER_OFFSET + shard_id * _SHARD_STRIDE
-                ),
+                base_station=replica_station, pricing=pricing, dataset=dataset
             )
             # Mirror every committed primary round into the replica so a
             # failover answers from the same collected sample.

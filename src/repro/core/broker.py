@@ -31,7 +31,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.planner import QueryPlanner
+from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import (
@@ -115,15 +115,9 @@ class DataBroker:
         # ``memoize_answers`` in :meth:`answer_batch`.
         self._answer_cache: "dict[tuple[float, float, float, float], PrivateAnswer]" = {}
         # Memo of optimizer runs: the grid search is a pure function of
-        # (α, δ, p) for this broker's fixed fleet shape, and cluster
-        # routing multiplies the distinct sub-specs each shard sees per
-        # batch -- re-planning per batch would dominate latency.
-        self._plan_memo: "dict[tuple[float, float, float], PrivacyPlan]" = {}
-        self._planner = QueryPlanner(
-            k=self.base_station.k,
-            n=self.base_station.n,
-            grid_points=self.planner_grid_points,
-        )
+        # (α, δ, p) for this broker's fixed fleet shape.
+        self._plan_memo = PlanMemo(grid_points=self.planner_grid_points)
+        self._planner = self._plan_memo.planner(self.base_station.k, self.base_station.n)
         if self.pricing.variance_model.n != self.base_station.n:
             raise ValueError(
                 "pricing variance model is calibrated for "
@@ -137,15 +131,8 @@ class DataBroker:
         return self._planner
 
     def _plan(self, spec: AccuracySpec, p: float) -> PrivacyPlan:
-        """Memoized :meth:`QueryPlanner.plan` (pure in ``(α, δ, p)``)."""
-        key = (spec.alpha, spec.delta, p)
-        plan = self._plan_memo.get(key)
-        if plan is None:
-            plan = self._planner.plan(spec, p)
-            if len(self._plan_memo) > 2048:
-                self._plan_memo.clear()
-            self._plan_memo[key] = plan
-        return plan
+        """Memoized problem-(3) solve (pure in ``(α, δ, p)``)."""
+        return self._plan_memo.plan(spec, p, self._planner.k, self._planner.n)
 
     def quote(self, spec: AccuracySpec) -> float:
         """List price of an ``(α, δ)`` product (no data is touched)."""
@@ -222,38 +209,6 @@ class DataBroker:
         scales = np.asarray([plan.noise_scale for plan in plans])
         noise = sample_laplace_many(scales, self.rng)
         return np.asarray(estimates + noise, dtype=np.float64)
-
-    def draw_batch(
-        self,
-        queries: "Sequence[RangeQuery]",
-        specs: "Sequence[AccuracySpec]",
-        consumers: "Sequence[str]",
-    ) -> "list[PrivateAnswer]":
-        """Plan, estimate and perturb a batch without touching any books.
-
-        The cluster's shard lane: the same top-up, plans and noise draws
-        (in the same RNG order) as :meth:`answer_batch`, but nothing is
-        admitted, journaled, charged or billed -- the coordinator settles
-        the merged answers once.  The lane's answers carry no price and
-        no transaction id; ``consumers`` names each row's buyer.
-        """
-        plans = self._plan_each(specs)
-        estimates = self._estimate(queries)
-        raw_values = self._perturb(estimates, plans)
-        released = np.clip(raw_values, 0.0, float(self.base_station.n))
-        return [
-            PrivateAnswer(
-                value=float(released[i]),
-                raw_value=float(raw_values[i]),
-                sample_estimate=float(estimates[i]),
-                query=query,
-                spec=spec,
-                plan=plans[i],
-                price=0.0,
-                consumer=consumers[i],
-            )
-            for i, (query, spec) in enumerate(zip(queries, specs))
-        ]
 
     def answer(
         self,

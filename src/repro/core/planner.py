@@ -30,7 +30,7 @@ from repro.privacy.optimizer import (
     optimize_privacy_plan,
 )
 
-__all__ = ["QueryPlanner"]
+__all__ = ["PlanMemo", "QueryPlanner"]
 
 
 @dataclass
@@ -113,3 +113,50 @@ class QueryPlanner:
             sensitivity_policy=self.sensitivity_policy,
             max_node_size=self.max_node_size,
         )
+
+
+#: Plans (and shape planners) a :class:`PlanMemo` holds before it
+#: clears them wholesale.
+_PLAN_MEMO_LIMIT = 2048
+
+
+class PlanMemo:
+    """Memoized :meth:`QueryPlanner.plan` solves keyed on ``(α, δ, p, k, n)``.
+
+    The one plan cache of every broker: the plain broker plans its fleet
+    through it, the streaming broker each window shape, and the cluster
+    coordinator each touched-shard shape.  A solve is a pure function of
+    the key.
+    """
+
+    def __init__(self, grid_points: int = 512) -> None:
+        self.grid_points = grid_points
+        self._plans: "dict[tuple[float, float, float, int, int], PrivacyPlan]" = {}
+        self._planners: "dict[tuple[int, int], QueryPlanner]" = {}
+
+    def planner(self, k: int, n: int) -> QueryPlanner:
+        """The (cached) planner of one fleet shape: feasibility, top-up."""
+        planner = self._planners.get((k, n))
+        if planner is None:
+            if len(self._planners) > _PLAN_MEMO_LIMIT:
+                self._planners.clear()
+            planner = self._planners[(k, n)] = QueryPlanner(
+                k=k, n=n, grid_points=self.grid_points
+            )
+        return planner
+
+    def plan(self, spec: AccuracySpec, p: float, k: int, n: int) -> PrivacyPlan:
+        """``planner(k, n).plan(spec, p)``, solved once per key; raises
+        :class:`InfeasiblePlanError` like it."""
+        key = (spec.alpha, spec.delta, p, k, n)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self.planner(k, n).plan(spec, p)
+            if len(self._plans) > _PLAN_MEMO_LIMIT:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
+
+    def clear(self) -> None:
+        """Forget every memoized plan (the next request re-solves)."""
+        self._plans.clear()

@@ -7,8 +7,9 @@ The first three steps are each broker's *estimate source*:
   ``estimate_many``, Laplace draw;
 * :class:`~repro.streaming.broker.StreamingBroker` -- window snapshot,
   pooled estimates, Laplace draw;
-* :class:`~repro.cluster.broker.ClusterBroker` -- route, scatter to the
-  shard lanes, merge.
+* :class:`~repro.cluster.broker.ClusterBroker` -- route, top-up, plan
+  once over the touched shards, pooled ``estimate_many`` over their
+  samples, Laplace draw.
 
 The charging half is identical for all three and lives only here:
 

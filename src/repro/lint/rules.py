@@ -260,7 +260,18 @@ class DpBoundaryRule(Rule):
                 self._bind(element, value_state, state)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value_state, state)
-        # Attribute/Subscript targets are not tracked.
+        elif isinstance(target, ast.Subscript):
+            # An element store joins into its container (a weak update):
+            # ``col[rows] += estimate_many(...)`` taints ``col``, and
+            # ``noise[rows] = sample_laplace_many(...)`` noises it.
+            base = target.value
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if isinstance(base, ast.Name):
+                state.env[base.id] = _merge_branch(
+                    state.env.get(base.id, _CLEAN), value_state
+                )
+        # Attribute targets are not tracked.
 
     def _classify(self, node: ast.expr, state: _TaintState) -> int:
         if isinstance(node, ast.Name):

@@ -300,6 +300,15 @@ class TaintWalker:
                 self._bind(element, value)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value)
+        elif isinstance(target, ast.Subscript):
+            # An element store joins into its container (a weak update).
+            base = target.value
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if isinstance(base, ast.Name):
+                self.env[base.id] = _merge_branch(
+                    self.env.get(base.id, _CLEAN_VAL), value
+                )
 
     def classify(self, node: ast.expr) -> Abstract:
         if isinstance(node, ast.Name):

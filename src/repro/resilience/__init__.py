@@ -15,9 +15,9 @@ keep the marketplace honest under overload:
     rolling error and latency windows, so a limping shard is cut out and
     probed instead of dragging every batch's p99.
 ``hedging``
-    Latency-percentile hedging of straggler sub-queries with
-    exactly-once merge semantics — the losing lane is cancelled before
-    it touches RNG, books, or journal.
+    Latency-percentile hedging of straggler shard reads; a lane only
+    reads samples, so the losing lane is dropped with no effect on RNG,
+    books, or journal.
 ``brownout``
     A privacy-honest degradation ladder: cache-only ε=0 replays → widen
     α within the tier band (cheaper ε′, priced accordingly) → degrade

@@ -7,9 +7,10 @@ observations) return ``None`` — hedging stays off until there is enough
 signal to tell a straggler from normal variance, which also keeps
 deterministic drills hedge-free during warm-up.
 
-Exactly-once semantics live at the call site (``ClusterBroker``): both
-lanes race for a single claim before touching the broker, so the loser
-is cancelled without advancing RNG, journal, or ledger state.
+The hedged work at the call site (``ClusterBroker``) is a shard sample
+read: it draws no noise and touches no journal or ledger, so both lanes
+may finish and the loser is simply dropped (a gated lane still waiting
+out its ingress latency is cancelled).
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ __all__ = ["HedgePolicy", "HedgeLostRace"]
 
 
 class HedgeLostRace(Exception):
-    """Internal control flow: this lane lost the exactly-once claim.
+    """Internal control flow: a winning hedge cancelled this lane.
 
-    Raised by a hedged lane that was cancelled or beaten to the claim
-    before touching the broker — the lane has had **no** side effects
-    (no RNG draw, no journal append, no charge).  Deliberately not a
+    Raised by a gated lane woken out of its ingress wait before it read
+    anything — the lane has had **no** side effects.  Deliberately not a
     :class:`~repro.errors.ReproError`: it must never escape the hedging
     call site into consumer-visible error handling.
     """

@@ -34,7 +34,6 @@ from repro.streaming.window import (
     merge_epoch_summaries,
     pooled_estimate,
     pooled_estimate_many,
-    pooled_plan,
     pooled_rate,
     pooled_samples,
     window_checksum,
@@ -58,7 +57,6 @@ __all__ = [
     "merge_epoch_summaries",
     "pooled_estimate",
     "pooled_estimate_many",
-    "pooled_plan",
     "pooled_rate",
     "pooled_samples",
     "rebuild_window_state",

@@ -55,6 +55,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.planner import PlanMemo
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import (
@@ -72,7 +73,7 @@ from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.laplace import sample_laplace_many
-from repro.privacy.optimizer import PrivacyPlan, optimize_privacy_plan
+from repro.privacy.optimizer import PrivacyPlan
 from repro.resilience.deadline import Deadline
 from repro.streaming.accounting import EpochBudgetAccountant
 from repro.streaming.journal import WindowLog
@@ -261,8 +262,8 @@ class StreamingBroker:
                 max_delta=self.floor.delta,
             )
         # Window shape (k, n, p) changes across rolls, so plans memoize
-        # on the full shape key; bounded like the one-shot broker's memo.
-        self._plan_memo: "Dict[Tuple[float, float, float, int, int], PrivacyPlan]" = {}
+        # on the full shape key.
+        self._plan_memo = PlanMemo(grid_points=self.planner_grid_points)
 
     # ------------------------------------------------------------------
     # duck-typed broker surface
@@ -297,21 +298,7 @@ class StreamingBroker:
         self, spec: AccuracySpec, p: float, k: int, n: int
     ) -> PrivacyPlan:
         """Memoized problem-(3) solve for one window shape."""
-        key = (spec.alpha, spec.delta, p, k, n)
-        plan = self._plan_memo.get(key)
-        if plan is None:
-            plan = optimize_privacy_plan(
-                alpha=spec.alpha,
-                delta=spec.delta,
-                p=p,
-                k=k,
-                n=n,
-                grid_points=self.planner_grid_points,
-            )
-            if len(self._plan_memo) > 2048:
-                self._plan_memo.clear()
-            self._plan_memo[key] = plan
-        return plan
+        return self._plan_memo.plan(spec, p, k, n)
 
     # ------------------------------------------------------------------
     # answering

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import InsufficientSamplesError, StreamingError
 from repro.estimators.base import NodeSample, RangeCountingEstimator
-from repro.privacy.optimizer import PrivacyPlan, optimize_privacy_plan
 
 __all__ = [
     "EpochSummary",
@@ -41,7 +40,6 @@ __all__ = [
     "pooled_rate",
     "pooled_estimate",
     "pooled_estimate_many",
-    "pooled_plan",
     "window_checksum",
 ]
 
@@ -295,33 +293,6 @@ def pooled_estimate_many(
                 for low, high in ranges
             ])
     return totals
-
-
-def pooled_plan(
-    epochs: Sequence[EpochSummary],
-    alpha: float,
-    delta: float,
-    grid_points: int = 512,
-) -> PrivacyPlan:
-    """Solve optimization problem (3) for a window query.
-
-    Uses the pooled fleet shape: ``k`` = all live node samples, ``n`` = the
-    window record total, ``p`` = the sparsest live rate (certified
-    accuracy is bounded by the sparsest epoch, exactly as in
-    :class:`~repro.streaming.broker.StreamingBroker`).
-    """
-    samples = pooled_samples(epochs)
-    if not samples:
-        raise InsufficientSamplesError("window holds no samples yet")
-    n = sum(summary.record_count for summary in epochs)
-    return optimize_privacy_plan(
-        alpha=alpha,
-        delta=delta,
-        p=pooled_rate(epochs),
-        k=len(samples),
-        n=n,
-        grid_points=grid_points,
-    )
 
 
 def window_checksum(epochs: Iterable[EpochSummary]) -> str:

@@ -67,21 +67,21 @@ class TestAnswering:
             RangeQuery(low=20.0, high=70.0), spec, consumer="c"
         )
         assert isinstance(answer, ClusterAnswer)
-        assert len(answer.shard_answers) == 4
-        assert answer.raw_value == pytest.approx(
-            sum(a.raw_value for a in answer.shard_answers)
-        )
+        # One pooled release: the estimate plus one Laplace draw.
+        assert answer.raw_value != answer.sample_estimate
+        assert answer.value == min(max(answer.raw_value, 0.0), cluster4.n)
         assert 0.0 <= answer.value <= cluster4.n
         assert not answer.degraded
         assert answer.delta_reported == spec.delta
 
-    def test_merged_plan_is_parallel_composition(self, cluster4):
+    def test_merged_plan_is_one_pooled_plan(self, cluster4):
         spec = AccuracySpec(alpha=0.1, delta=0.5)
         answer = cluster4.answer(
             RangeQuery(low=10.0, high=90.0), spec, consumer="c"
         )
-        shard_eps = [a.plan.epsilon_prime for a in answer.shard_answers]
-        assert answer.plan.epsilon_prime == pytest.approx(max(shard_eps))
+        # A broadcast pools the whole fleet: the plain broker's plan.
+        rate = cluster4.base_station.sampling_rate
+        assert answer.plan == cluster4.planner.plan(spec, rate)
         assert answer.plan.n == cluster4.n
         assert answer.plan.k == cluster4.k
 
@@ -127,14 +127,11 @@ class TestAccounting:
         # Cluster list price, not a sum of shard prices.
         list_price = cluster.quote(spec)
         assert all(t.price == pytest.approx(list_price) for t in txns)
-        # Accountant: one label per query, ε′ = max over shards.
+        # Accountant: one label per query at the pooled plan's ε′.
         history = cluster.accountant.history("default")
         assert len(history) == len(queries)
         for answer, entry in zip(answers, history):
-            expected_eps = max(
-                a.plan.epsilon_prime for a in answer.shard_answers
-            )
-            assert entry.epsilon == pytest.approx(expected_eps)
+            assert entry.epsilon == answer.plan.epsilon_prime
         spent = cluster.accountant.spent("default")
         assert spent == pytest.approx(
             sum(e.epsilon for e in history)

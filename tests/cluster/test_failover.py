@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.broker import ClusterBroker
 from repro.cluster.health import ShardHealthMonitor
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.errors import ShardUnavailableError
+from repro.resilience.hedging import HedgePolicy
 from repro.serving.telemetry import MetricsRegistry
 
 
@@ -78,7 +80,7 @@ class TestMidRoundFailover:
         # Collect sparsely, then demand a tier the stored rate cannot
         # serve, so the gather must run a top-up over the (cut) radio.
         cluster.ensure_rate(0.1)
-        tight = AccuracySpec(alpha=0.03, delta=0.5)
+        tight = AccuracySpec(alpha=0.02, delta=0.5)
         assert not cluster.planner.supports(tight, 0.1)
 
         cluster.shards[0].cut_primary_link()
@@ -100,7 +102,7 @@ class TestMidRoundFailover:
         shard.cut_primary_link()
         cluster.answer(
             RangeQuery(low=20.0, high=70.0),
-            AccuracySpec(alpha=0.03, delta=0.5),
+            AccuracySpec(alpha=0.02, delta=0.5),
             consumer="c",
         )
         # The replica ran the top-up; the primary's store is stale.
@@ -125,3 +127,50 @@ class TestNoReplica:
                 AccuracySpec(alpha=0.1, delta=0.5),
                 consumer="c",
             )
+
+
+class TestPooledFailover:
+    """The noise is the coordinator's, so failover changes provenance only."""
+
+    QUERIES = [RangeQuery(low=float(lo), high=float(lo) + 30.0) for lo in range(0, 70, 10)]
+    SPEC = AccuracySpec(alpha=0.1, delta=0.5)
+
+    def twin(self, values):
+        cluster = ClusterBroker.from_values(values, k=8, shards=2, seed=3)
+        cluster.ensure_rate(0.3)
+        return cluster
+
+    def test_degraded_gather_releases_the_healthy_answers(self, uniform_values):
+        healthy, degraded = self.twin(uniform_values), self.twin(uniform_values)
+        degraded.shards[0].fail_primary()
+        a = healthy.answer_batch(self.QUERIES, self.SPEC, consumer="c")
+        b = degraded.answer_batch(self.QUERIES, self.SPEC, consumer="c")
+        for x, y in zip(a, b):
+            assert (x.value, x.raw_value, x.sample_estimate) == (
+                y.value, y.raw_value, y.sample_estimate
+            )
+            assert x.plan == y.plan
+            assert (x.degraded_shards, y.degraded_shards) == ((), (0,))
+            assert x.delta_reported == self.SPEC.delta
+            assert y.delta_reported == pytest.approx(
+                self.SPEC.delta * degraded.replica_confidence
+            )
+        assert healthy.accountant.history("default") == (
+            degraded.accountant.history("default")
+        )
+
+    def test_hedge_race_draws_once_per_fresh_row(self, uniform_values):
+        plain, hedged = self.twin(uniform_values), self.twin(uniform_values)
+        # Shard 0 limps far past its warmed latency, so every gated read
+        # of it is hedged on the bypass lane and the two lanes race.
+        hedged.hedging = HedgePolicy(min_samples=1, floor=0.001)
+        hedged.hedging.observe("shard0", 0.001)
+        hedged.shards[0].injected_latency = 0.2
+        a = plain.answer_batch(self.QUERIES, self.SPEC, consumer="c")
+        b = hedged.answer_batch(self.QUERIES, self.SPEC, consumer="c")
+        assert hedged.hedging.hedges_fired >= 1
+        assert [x.value for x in a] == [y.value for y in b]
+        reference = np.random.default_rng(3 + 1)
+        reference.random(len(self.QUERIES))
+        assert hedged.rng.bit_generator.state == reference.bit_generator.state
+        assert plain.rng.bit_generator.state == reference.bit_generator.state

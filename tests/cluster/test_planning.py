@@ -1,114 +1,17 @@
-"""Unit tests for the per-shard accuracy split and plan merging."""
+"""Unit tests for cluster routing and the metadata-only plans."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster.planning import (
     ALPHA_BOOST_CAP,
     degraded_delta,
-    merge_plans,
     route_query,
-    split_spec,
     zero_plan,
 )
 from repro.core.query import AccuracySpec
 from repro.datasets.partition import ShardBand, ShardBounds
-from repro.privacy.optimizer import PrivacyPlan
-
-
-def make_plan(**overrides) -> PrivacyPlan:
-    base = dict(
-        alpha=0.1,
-        delta=0.5,
-        alpha_prime=0.05,
-        delta_prime=0.75,
-        epsilon=1.0,
-        epsilon_prime=0.2,
-        sensitivity=1.0,
-        noise_scale=5.0,
-        p=0.3,
-        k=8,
-        n=1000,
-    )
-    base.update(overrides)
-    return PrivacyPlan(**base)
-
-
-class TestSplitSpec:
-    def test_single_shard_is_identity_object(self):
-        spec = AccuracySpec(alpha=0.1, delta=0.5)
-        assert split_spec(spec, 1) is spec
-
-    def test_alpha_preserved_delta_rooted(self):
-        spec = AccuracySpec(alpha=0.12, delta=0.49)
-        sub = split_spec(spec, 4)
-        assert sub.alpha == spec.alpha
-        assert sub.delta == pytest.approx(0.49 ** 0.25)
-
-    def test_confidence_product_recovers_target(self):
-        spec = AccuracySpec(alpha=0.1, delta=0.5)
-        for s in (2, 3, 8):
-            sub = split_spec(spec, s)
-            assert sub.delta ** s == pytest.approx(spec.delta)
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            split_spec(AccuracySpec(alpha=0.1, delta=0.5), 0)
-
-    @given(
-        alpha=st.floats(min_value=0.01, max_value=0.5),
-        delta=st.floats(min_value=0.05, max_value=0.95),
-        s=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_split_is_weaker_per_shard(self, alpha, delta, s):
-        """Each shard's confidence target is never stricter than the global."""
-        sub = split_spec(AccuracySpec(alpha=alpha, delta=delta), s)
-        assert sub.delta >= delta - 1e-12
-        assert sub.alpha == alpha
-
-
-class TestMergePlans:
-    def test_single_plan_returned_untouched(self):
-        spec = AccuracySpec(alpha=0.1, delta=0.5)
-        plan = make_plan()
-        assert merge_plans(spec, [plan]) is plan
-
-    def test_merged_fields(self):
-        spec = AccuracySpec(alpha=0.1, delta=0.5)
-        a = make_plan(n=600, k=5, noise_scale=3.0, epsilon_prime=0.2, p=0.3)
-        b = make_plan(n=400, k=3, noise_scale=4.0, epsilon_prime=0.5, p=0.25)
-        merged = merge_plans(spec, [a, b])
-        assert merged.alpha == spec.alpha
-        assert merged.delta == spec.delta
-        assert merged.n == 1000
-        assert merged.k == 8
-        # Independent Laplace noises add in variance.
-        assert merged.noise_scale == pytest.approx(math.sqrt(9.0 + 16.0))
-        # Parallel composition over disjoint shards: the max, not the sum.
-        assert merged.epsilon_prime == pytest.approx(0.5)
-        # The merged answer rests on the sparsest shard sample.
-        assert merged.p == pytest.approx(0.25)
-        # Per-shard confidences multiply.
-        assert merged.delta_prime == pytest.approx(0.75 * 0.75)
-
-    def test_alpha_prime_is_size_weighted(self):
-        spec = AccuracySpec(alpha=0.1, delta=0.5)
-        a = make_plan(n=900, alpha_prime=0.04)
-        b = make_plan(n=100, alpha_prime=0.08)
-        merged = merge_plans(spec, [a, b])
-        assert merged.alpha_prime == pytest.approx(
-            (0.04 * 900 + 0.08 * 100) / 1000
-        )
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_plans(AccuracySpec(alpha=0.1, delta=0.5), [])
 
 
 class TestDegradedDelta:
@@ -152,24 +55,6 @@ class TestZeroPlan:
         assert plan.delta_prime == 1.0
         assert (plan.n, plan.k) == (300, 24)
 
-    def test_merge_plans_exact_only(self):
-        merged = merge_plans(SPEC, [], exact_n=250, exact_k=16)
-        assert merged.epsilon_prime == 0.0
-        assert (merged.n, merged.k) == (250, 16)
-
-    def test_merge_plans_folds_exact_totals_into_release(self):
-        shard = make_plan(n=900, k=8, noise_scale=5.0)
-        merged = merge_plans(SPEC, [shard], exact_n=100, exact_k=4)
-        assert merged.n == 1000
-        assert merged.k == 12
-        # Exact shards add records at zero ε and zero noise.
-        assert merged.epsilon_prime == shard.epsilon_prime
-        assert merged.noise_scale == shard.noise_scale
-        # Their tolerance reservation dilutes the weighted α'.
-        assert merged.alpha_prime == pytest.approx(
-            shard.alpha_prime * 900 / 1000
-        )
-
 
 class TestRouteQuery:
     def test_all_pruned_is_metadata_only(self):
@@ -190,41 +75,39 @@ class TestRouteQuery:
         assert not route.routed
         assert route.signature == "b"
         assert route.queried == (0, 1)
-        sub = split_spec(SPEC, 2)
-        assert all(s == sub for s in route.sub_specs)
+        # The broadcast pools the whole fleet at the consumer's target.
+        assert route.spec is SPEC
+        assert route.exact_n == 0
 
     def test_narrow_query_routes_one_shard_at_full_delta(self):
         route = route_query(SPEC, 12.0, 18.0, bands=BANDS, sizes=SIZES)
         assert route.routed
         assert route.queried == (1,)
         assert route.pruned == (0, 2, 3)
-        (sub,) = route.sub_specs
-        # t=1 keeps the full confidence target; tolerance is boosted
-        # by n/N_t = 400/100 then capped.
-        assert sub.delta == SPEC.delta
-        assert sub.alpha == pytest.approx(
+        # The full confidence target; tolerance is boosted by
+        # n/N_t = 400/100 then capped.
+        assert route.spec.delta == SPEC.delta
+        assert route.spec.alpha == pytest.approx(
             min(SPEC.alpha * 4.0, ALPHA_BOOST_CAP)
         )
-        assert route.spec_for(1) == sub
 
     def test_exact_cover_spends_nothing(self):
         route = route_query(SPEC, 9.5, 19.5, bands=BANDS, sizes=SIZES)
         assert route.routed
         assert route.exact == (1,)
+        assert route.exact_n == 100
         assert route.touched == 0
 
-    def test_straddle_splits_delta_over_touched_only(self):
+    def test_straddle_pools_touched_shards_at_full_delta(self):
         route = route_query(SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES)
         assert route.routed
         assert route.queried == (1, 2)
         assert route.pruned == (0, 3)
-        for sub in route.sub_specs:
-            assert sub.delta == pytest.approx(SPEC.delta ** 0.5)
-        # Confidence product recovers the consumer target exactly.
-        product = 1.0
-        for sub in route.sub_specs:
-            product *= sub.delta
-        assert product == pytest.approx(SPEC.delta)
+        # One pooled release over both touched shards: no δ split, and
+        # the tolerance boost is n/N_t = 400/200.
+        assert route.spec.delta == SPEC.delta
+        assert route.spec.alpha == pytest.approx(SPEC.alpha * 2.0)
+        assert route.signature == "p0,3;x;q1,2"
 
     def test_empty_band_always_prunes(self):
         bands = BANDS[:3] + (ShardBand.empty(),)
@@ -245,44 +128,6 @@ class TestRouteQuery:
         a = route_query(SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES)
         b = route_query(SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES)
         assert a == b
-
-    def test_cost_model_can_flip_to_broadcast(self):
-        # A pathological predictor that makes routed sub-releases
-        # expensive and broadcast sub-releases free must flip the
-        # decision: the planner minimizes predicted composed ε′.
-        broadcast_sub = split_spec(SPEC, 4)
-
-        def cost(index, sub):
-            return 0.001 if sub == broadcast_sub else 1.0
-
-        route = route_query(
-            SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES, cost=cost
-        )
-        assert not route.routed
-
-    def test_waterfill_shifts_confidence_toward_expensive_shard(self):
-        # Shard 2 is predicted 9x more expensive at equal specs: the
-        # water-fill gives it more δ-weight (a lower, easier confidence
-        # target) while the product of the split confidences still
-        # recovers δ.  ε′ grows with the per-shard δ target, so the toy
-        # predictor is monotone increasing in sub.delta.
-        def cost(index, sub):
-            base = 9.0 if index == 2 else 1.0
-            return base * sub.delta
-
-        route = route_query(
-            SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES, cost=cost
-        )
-        assert route.routed
-        assert route.queried == (1, 2)
-        cheap, expensive = route.sub_specs
-        assert expensive.delta <= cheap.delta
-        product = cheap.delta * expensive.delta
-        assert product == pytest.approx(SPEC.delta)
-        again = route_query(
-            SPEC, 15.0, 25.0, bands=BANDS, sizes=SIZES, cost=cost
-        )
-        assert again == route
 
     def test_validation(self):
         with pytest.raises(ValueError):

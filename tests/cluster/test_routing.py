@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.broker import ClusterAnswer, ClusterBroker
+from repro.cluster.planning import RoutePlan
+from repro.core.planner import QueryPlanner
 from repro.core.query import AccuracySpec, RangeQuery
 from repro.serving.telemetry import MetricsRegistry
 
@@ -37,7 +41,6 @@ class TestExactCover:
         assert isinstance(answer, ClusterAnswer)
         assert answer.exact_shards == (0,)
         assert answer.pruned_shards == (1, 2, 3)
-        assert answer.shard_answers == ()
         # The cached total is exact: every shard-0 record is in range.
         assert answer.value == float(routed4.shards[0].n)
         assert answer.plan.epsilon_prime == 0.0
@@ -53,16 +56,15 @@ class TestExactCover:
         )
         assert answer.pruned_shards == (0, 1, 2, 3)
         assert answer.exact_shards == ()
-        assert answer.shard_answers == ()
         assert answer.value == 0.0
         assert answer.plan.epsilon_prime == 0.0
         assert routed4.accountant.spent(routed4.dataset) == before
 
 
 class TestRoutedRelease:
-    def test_straddler_charges_parallel_composition(self, routed4):
-        # A range straddling the shard-1/shard-2 boundary queries exactly
-        # those two shards and charges the max (not the sum) of their ε′.
+    def test_straddler_charges_one_pooled_release(self, routed4):
+        # A range straddling the shard-1/shard-2 boundary pools exactly
+        # those two shards into one release at the consumer's own δ.
         boundary = routed4.shards[1].band.high
         before = routed4.accountant.spent(routed4.dataset)
         answer = routed4.answer(
@@ -75,16 +77,14 @@ class TestRoutedRelease:
             for j in range(4)
             if j not in answer.pruned_shards and j not in answer.exact_shards
         )
-        assert len(answer.shard_answers) == len(touched) >= 2
-        shard_eps = [a.plan.epsilon_prime for a in answer.shard_answers]
-        assert answer.plan.epsilon_prime == pytest.approx(max(shard_eps))
+        assert len(touched) >= 2
+        shards = [routed4.shards[j] for j in touched]
+        assert answer.plan.k == sum(shard.k for shard in shards)
+        assert answer.plan.n == sum(shard.n for shard in shards)
+        assert answer.plan.delta == SPEC.delta
+        assert answer.plan.alpha > SPEC.alpha  # the boosted tolerance
         spent = routed4.accountant.spent(routed4.dataset) - before
-        assert spent == pytest.approx(max(shard_eps))
-        # δ split multiplies back to the consumer contract.
-        product = 1.0
-        for a in answer.shard_answers:
-            product *= a.spec.delta
-        assert product == pytest.approx(SPEC.delta)
+        assert spent == answer.plan.epsilon_prime
 
     def test_provenance_partitions_the_fleet(self, routed4):
         answer = routed4.answer(
@@ -124,7 +124,7 @@ class TestSingleShardBitIdentity:
         answer = broker.answer(
             RangeQuery(low=band.low, high=band.high), SPEC, consumer="x"
         )
-        assert len(answer.shard_answers) == 1
+        assert answer.exact_shards == ()
         assert answer.plan.epsilon_prime > 0.0
 
 
@@ -155,7 +155,68 @@ class TestRoutingTelemetry:
         assert touched.count == 3
         assert telemetry.value("cluster.routed_queries") == 3.0
         assert telemetry.value("cluster.metadata_answers") == 2.0
-        split = broker.telemetry.histogram("cluster.delta_split")
-        assert split.count >= 2  # the straddler's two sub-releases
-        assert all(0.0 < v <= 1.0 for v in (split.mean,))
+        # The straddler touches two shards; the other two queries none.
+        assert touched.sum == 2.0
         assert "cluster.shards_pruned" in snapshot["histograms"]
+
+
+def old_split_epsilon(
+    broker: ClusterBroker, route: RoutePlan, delta: float, p: float
+) -> float:
+    """The retired per-shard lane's ε′ for ``route`` at rate ``p``.
+
+    Every queried shard planned on its own at ``(α_t, δ^(1/t))`` and the
+    release was charged the max over them (parallel composition).
+    """
+    sub = AccuracySpec(alpha=route.spec.alpha, delta=delta ** (1.0 / route.touched))
+    return max(
+        QueryPlanner(k=broker.shards[j].k, n=broker.shards[j].n).plan(sub, p).epsilon_prime
+        for j in route.queried
+    )
+
+
+class TestPooledEpsilon:
+    @given(
+        shards=st.integers(min_value=2, max_value=8),
+        per_shard=st.integers(min_value=1, max_value=3),
+        records=st.integers(min_value=800, max_value=3000),
+        alpha=st.floats(min_value=0.03, max_value=0.3),
+        delta=st.floats(min_value=0.3, max_value=0.9),
+        quantiles=st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_plan_never_spends_more_than_the_split(
+        self, shards, per_shard, records, alpha, delta, quantiles, seed
+    ):
+        values = np.random.default_rng(seed).gamma(2.0, 10.0, records)
+        broker = ClusterBroker.from_values(
+            values,
+            k=shards * per_shard,
+            shards=shards,
+            seed=seed,
+            partition="range-sharded",
+            replicas=False,
+        )
+        low, high = sorted(float(np.quantile(values, q)) for q in quantiles)
+        spec = AccuracySpec(alpha=alpha, delta=delta)
+        route = broker.route_for_range(low, high, spec)
+        assume(route.queried)
+        sub = AccuracySpec(alpha=route.spec.alpha, delta=delta ** (1.0 / route.touched))
+        p = min(1.0, max(
+            QueryPlanner(k=broker.shards[j].k, n=broker.shards[j].n).required_rate(sub)
+            for j in route.queried
+        ))
+        assume(all(
+            QueryPlanner(k=broker.shards[j].k, n=broker.shards[j].n).supports(sub, p)
+            for j in route.queried
+        ))
+        pooled = broker.planner.plan_for_range(low, high, spec, p).epsilon_prime
+        split = old_split_epsilon(broker, route, delta, p)
+        if route.touched == 1:
+            assert pooled == split
+        else:
+            assert pooled <= split

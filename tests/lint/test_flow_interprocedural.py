@@ -71,16 +71,16 @@ MUTATION_KERNEL_JOURNAL = {
 #: The hedged duplicate-release bug: a refactor routes the cluster's
 #: settlement through a helper that skips the accountant whenever a
 #: hedge won the race -- on the (wrong) theory that the losing lane
-#: already billed.  The hedge's exactly-once claim means the loser never
-#: touched the books, so the hedged branch releases answers uncharged.
+#: already billed.  A hedged lane only reads shard samples and never
+#: touches the books, so the hedged branch releases answers uncharged.
 MUTATION_RL007_HEDGE = {
     CLUSTER: [
         (
-            "            merged = release_batch(\n"
-            "                self,\n"
-            "                batch,\n",
-            "            merged = self._settle_and_bill(\n"
-            "                batch,\n",
+            "        outcomes = release_batch(\n"
+            "            self,\n"
+            "            batch,\n",
+            "        outcomes = self._settle_and_bill(\n"
+            "            batch,\n",
         ),
         (
             "    def answer_batch(",

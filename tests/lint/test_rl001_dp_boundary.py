@@ -111,9 +111,9 @@ class StreamingBroker:
 def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
     """Acceptance criterion: deleting the Laplace perturbation from
     ``DataBroker``'s batch release path produces findings on
-    ``answer_batch``.  The draw lives in ``_perturb`` -- shared with the
-    cluster's shard lane -- so the whole-program RL001i, which follows
-    the call, is the rule that sees it."""
+    ``answer_batch``.  The draw lives in the ``_perturb`` helper, so the
+    whole-program RL001i, which follows the call, is the rule that sees
+    it."""
     findings, _, _ = mutated_project(
         {
             "src/repro/core/broker.py": [
@@ -127,6 +127,45 @@ def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
     )
     assert "RL001i" in [f.rule_id for f in findings]
     assert any("answer_batch" in f.message for f in findings)
+
+
+def test_element_stores_carry_taint_and_noise(lint_snippet):
+    """``col[rows] += estimate_many(...)`` taints ``col``; an element
+    store of a Laplace draw noises its container."""
+    source = """
+class ClusterBroker:
+    def answer_batch(self, queries, spec, consumer="anonymous"):
+        estimates = np.zeros(len(queries))
+        estimates[rows] += self.estimator.estimate_many(samples, ranges)
+        noise = np.zeros(len(queries))
+        noise[rows] = sample_laplace_many(scales, self.rng)
+        return release_batch(self, batch, value=estimates + noise, raw_value=estimates)
+"""
+    result = lint_snippet(source, rel_path="repro/cluster/broker.py", rules=["RL001"])
+    assert rule_ids(result) == ["RL001"]
+    assert "raw_value" in result.findings[0].message
+
+
+def test_seeded_mutation_of_cluster_draw_is_caught(lint_snippet):
+    """Acceptance criterion: deleting the coordinator's one Laplace draw
+    from ``ClusterBroker.answer_batch`` releases the pooled estimates
+    raw.  The pooled ``estimate_many`` and the draw both sit in
+    ``answer_batch``, so the intra-function RL001 sees it."""
+    rel = "src/repro/cluster/broker.py"
+    source = (REPO_ROOT / rel).read_text(encoding="utf-8")
+    mutated = source.replace(
+        "                noise[drawn] = sample_laplace_many(\n"
+        "                    [plans[k].noise_scale for k in drawn], self.rng\n"
+        "                )\n",
+        "",
+    )
+    assert mutated != source, "mutation target not found; fixture out of date"
+    assert rule_ids(lint_snippet(
+        source, rel_path=rel.removeprefix("src/"), rules=["RL001"]
+    )) == []
+    result = lint_snippet(mutated, rel_path=rel.removeprefix("src/"), rules=["RL001"])
+    assert rule_ids(result) == ["RL001", "RL001"]
+    assert all("answer_batch" in f.message for f in result.findings)
 
 
 def test_seeded_mutation_of_scalar_answer_is_caught(lint_snippet):

@@ -247,12 +247,6 @@ def by_hand(
     return out  # type: ignore[return-value]
 
 
-def rng_states(broker) -> list:
-    if isinstance(broker, ClusterBroker):
-        return [shard.primary.rng.bit_generator.state for shard in broker.shards]
-    return [broker.rng.bit_generator.state]
-
-
 ANSWER_FIELDS = (
     "value", "raw_value", "sample_estimate", "price", "transaction_id",
     "consumer", "spec", "query",
@@ -274,7 +268,7 @@ def assert_identical(got_broker, got, want_broker, want) -> None:
     assert got_broker.ledger.snapshot() == want_broker.ledger.snapshot()
     assert got_broker.accountant.spent(dataset) == want_broker.accountant.spent(dataset)
     assert got_broker.accountant.history(dataset) == want_broker.accountant.history(dataset)
-    assert rng_states(got_broker) == rng_states(want_broker)
+    assert got_broker.rng.bit_generator.state == want_broker.rng.bit_generator.state
     if isinstance(want_broker, StreamingBroker):
         for epoch in want_broker.station.snapshot().live_epochs:
             assert got_broker.epoch_accountant.spent(dataset, epoch) == (
@@ -645,7 +639,7 @@ def test_expired_group_at_open_draws_nothing_and_spares_the_rest():
             assert outcomes[i].value == answer.value
             assert outcomes[i].transaction_id == answer.transaction_id
     assert all(isinstance(outcomes[i], DeadlineExceededError) for i in (1, 4))
-    assert rng_states(broker) == rng_states(twin)
+    assert broker.rng.bit_generator.state == twin.rng.bit_generator.state
     assert broker.journal.checksum() == twin.journal.checksum()
 
 
