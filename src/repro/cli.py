@@ -217,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--assert-healthy",
         action="store_true",
-        help="exit 1 unless throughput is nonzero, nothing failed, and "
-             "ledger/accountant drift is zero (the CI smoke contract)",
+        help="exit 1 unless throughput is nonzero, nothing failed, "
+             "ledger/accountant drift is zero, and (closed mode) the "
+             "mean batch width is above 1 (the CI smoke contract)",
     )
 
     cserve = sub.add_parser(
@@ -921,12 +922,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         write_bench_json(args.json, "serving_loadgen", payload)
         print(f"wrote {args.json}")
     if args.assert_healthy:
+        # A closed loop keeps several requests outstanding, so the window
+        # must coalesce them (mean width > 1); a paced open loop slower
+        # than the window legitimately dispatches one at a time.
+        must_coalesce = args.mode == "closed" and args.consumers * args.pipeline > 1
+        mean_width = result.completed / dispatches if dispatches else 0.0
         healthy = (
             result.throughput_qps > 0
             and result.failed == 0
             and abs(result.epsilon_drift) < 1e-6
             and abs(result.revenue_drift) < 1e-6
             and broker_calls <= dispatches
+            and (dispatches < result.completed or not must_coalesce)
         )
         if not healthy:
             print(
@@ -935,13 +942,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 f"failed={result.failed} "
                 f"eps_drift={result.epsilon_drift:.3g} "
                 f"revenue_drift={result.revenue_drift:.3g} "
-                f"broker_calls={broker_calls} dispatches={dispatches}",
+                f"broker_calls={broker_calls} dispatches={dispatches} "
+                f"mean_batch_width={mean_width:.3g}",
                 file=sys.stderr,
             )
             return 1
         print(
             "loadgen healthy: nonzero throughput, zero accounting drift, "
             "at most one broker call per dispatch"
+            + (", mean batch width above 1" if must_coalesce else "")
         )
     return 0
 

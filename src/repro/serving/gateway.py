@@ -82,11 +82,13 @@ class ServingConfig:
     Parameters
     ----------
     batch_window:
-        Seconds a worker waits, after picking up the first request, for
-        more requests to coalesce into the same broker batch.  The
-        fundamental latency/throughput dial: larger windows mean wider
-        batches (more amortization) but add up to ``batch_window`` of
-        queueing latency per request.
+        Seconds, measured from the oldest queued request's arrival, that
+        a worker waits for more requests to coalesce into the same broker
+        batch.  Requests already queued join the batch (up to
+        ``max_batch``) even once the window has passed; ``0`` dispatches
+        one request at a time.  The fundamental latency/throughput dial:
+        larger windows mean wider batches (more amortization) but add up
+        to ``batch_window`` of queueing latency per request.
     max_batch:
         Hard cap on coalesced batch width; a full batch dispatches
         immediately without waiting out the window.
@@ -454,22 +456,26 @@ class ServingGateway:
     # worker pool
     # ------------------------------------------------------------------
     def _worker(self) -> None:
+        window = self.config.batch_window
         while True:
             first = self._queue.get()
-            if first is _STOP or first is _KILL:
+            if not isinstance(first, _Request):  # _STOP or _KILL
                 return
             batch = [first]
-            deadline = time.perf_counter() + self.config.batch_window
+            # The window runs from the oldest request's arrival, not from
+            # pickup, so time spent queued counts against it.  Once it has
+            # passed, a zero timeout still drains what is already queued
+            # (up to max_batch); a zero window keeps width-1 batches in
+            # FIFO order.
+            deadline = first.enqueued_at + window
             exit_seen = False
-            while len(batch) < self.config.max_batch:
+            while window > 0 and len(batch) < self.config.max_batch:
                 remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get(timeout=max(remaining, 0.0))
                 except queue.Empty:
                     break
-                if item is _STOP or item is _KILL:
+                if not isinstance(item, _Request):  # _STOP or _KILL
                     # A killed worker still dispatches the batch in hand
                     # (requeueing would break FIFO order); surviving a
                     # crash *mid-charge* is the journal's job, not the
@@ -504,6 +510,10 @@ class ServingGateway:
 
     def _dispatch_locked(self, batch: "List[_Request]") -> None:
         self.telemetry.observe("gateway.batch_width", len(batch))
+        # batch[0] is the oldest request (the queue is FIFO).
+        self.telemetry.observe(
+            "gateway.coalesce_s", time.perf_counter() - batch[0].enqueued_at
+        )
 
         # 0. Deadline check: requests past their deadline fail fast,
         #    before any billing or budget is touched.

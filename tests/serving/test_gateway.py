@@ -4,6 +4,7 @@ caching semantics, and load shedding."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -145,6 +146,77 @@ class TestEquivalence:
             ) == pytest.approx(twin.broker.policy.epsilon_spent_by(name))
 
 
+class TestBatchingWindow:
+    """The window runs from the oldest request's arrival, not from pickup.
+
+    Timings are generous (tenths of seconds) so the checks cannot flake.
+    """
+
+    MAX_BATCH = 8
+
+    def presubmit(self, gateway, count):
+        return [
+            gateway.submit_range(*RANGES[i % len(RANGES)], ALPHA, DELTA)
+            for i in range(count)
+        ]
+
+    def test_window_counts_time_spent_queued(self, service):
+        # Two batches' worth queued 0.9 s into a 1 s window: the partial
+        # second batch must close at its oldest arrival + 1 s, not a full
+        # window after the worker picks it up.
+        config = ServingConfig(
+            batch_window=1.0, max_batch=self.MAX_BATCH, enable_cache=False
+        )
+        gateway = service.serve(config=config)
+        futures = self.presubmit(gateway, self.MAX_BATCH + self.MAX_BATCH // 2)
+        time.sleep(0.9)
+        start = time.perf_counter()
+        with gateway:
+            for future in futures:
+                future.result(timeout=10.0)
+            elapsed = time.perf_counter() - start
+        widths = gateway.telemetry.histogram("gateway.batch_width").summary()
+        assert (widths["count"], widths["max"]) == (2, self.MAX_BATCH)
+        assert elapsed < 0.6
+
+    def test_backlog_older_than_the_window_still_coalesces(self, service):
+        config = ServingConfig(
+            batch_window=0.2, max_batch=self.MAX_BATCH, enable_cache=False
+        )
+        gateway = service.serve(config=config)
+        futures = self.presubmit(gateway, self.MAX_BATCH + self.MAX_BATCH // 2)
+        time.sleep(0.4)
+        with gateway:
+            for future in futures:
+                future.result(timeout=10.0)
+        widths = gateway.telemetry.histogram("gateway.batch_width").summary()
+        assert (widths["count"], widths["max"], widths["min"]) == (
+            2, self.MAX_BATCH, self.MAX_BATCH // 2
+        )
+
+    def test_request_inside_an_idle_window_joins_the_batch(self, service):
+        config = ServingConfig(batch_window=0.5, enable_cache=False)
+        with service.serve(config=config) as gateway:
+            first = gateway.submit_range(0.0, 50.0, ALPHA, DELTA)
+            time.sleep(0.05)
+            second = gateway.submit_range(10.0, 60.0, ALPHA, DELTA)
+            first.result(timeout=10.0)
+            second.result(timeout=10.0)
+        widths = gateway.telemetry.histogram("gateway.batch_width")
+        assert (widths.count, widths.sum) == (1, 2)
+
+    def test_zero_window_dispatches_one_at_a_time_in_order(self, service):
+        config = ServingConfig(batch_window=0.0, enable_cache=False)
+        gateway = service.serve(config=config)
+        futures = self.presubmit(gateway, 6)
+        with gateway:
+            answers = [future.result(timeout=10.0) for future in futures]
+        widths = gateway.telemetry.histogram("gateway.batch_width").summary()
+        assert (widths["count"], widths["max"]) == (6, 1)
+        ids = [answer.transaction_id for answer in answers]
+        assert ids == sorted(ids) and len(set(ids)) == 6
+
+
 class TestCaching:
     def test_repeat_query_replays_at_zero_epsilon(self, service):
         config = ServingConfig(batch_window=0.001)
@@ -253,3 +325,8 @@ class TestTelemetry:
         assert snap["cache"]["hits"] == 1
         assert snap["histograms"]["gateway.latency_s"]["count"] == 2
         assert "gateway.dispatch_s" in snap["histograms"]
+        # One coalescing wait per dispatch, never longer than a window
+        # plus the wait for the dispatch lock (idle here).
+        coalesce = snap["histograms"]["gateway.coalesce_s"]
+        assert coalesce["count"] == snap["histograms"]["gateway.batch_width"]["count"]
+        assert coalesce["max"] <= gateway.config.batch_window + 0.5
