@@ -74,7 +74,7 @@ from repro.cluster.planning import (
     route_query,
     zero_plan,
 )
-from repro.cluster.shard import ShardRuntime, build_shards
+from repro.cluster.shard import SampleRead, ShardRuntime, build_shards
 from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
@@ -86,8 +86,7 @@ from repro.core.settlement import (
     replay,
 )
 from repro.datasets.partition import ShardBand
-from repro.estimators.base import NodeSample
-from repro.estimators.rank import RankCountingEstimator
+from repro.estimators.rank import RankCountingEstimator, RankIndex
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
@@ -408,6 +407,9 @@ class ClusterBroker:
         # Lazy executor for hedged gated lanes; separate from the scatter
         # pool so a wide scatter can never starve its own hedges.
         self._hedge_executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
+        # One rank index per touched shard set, with the reads it was
+        # built from; see _pooled_index.
+        self._indexes: "Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, bool, int], ...], RankIndex]]" = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -648,11 +650,12 @@ class ClusterBroker:
             fresh, plans = admit(self, batch, fresh, plans)
             routes = [route_of[i] for i in fresh]
             with self._timer("cluster.scatter_s"):
-                samples_of, degraded_of = self._gather(routes)
+                reads = self._gather(routes)
             with self._timer("cluster.gather_s"):
                 # Each touched shard set is one pooled estimate_many over
-                # its shards' samples in global node order -- the plain
-                # broker's summation order -- plus the exact-cover totals.
+                # its shards' rank index (samples in global node order --
+                # the plain broker's summation order) plus the exact-cover
+                # totals.
                 estimates = np.asarray(
                     [float(route.exact_n) for route in routes], dtype=np.float64
                 )
@@ -662,7 +665,7 @@ class ClusterBroker:
                         groups.setdefault(route.queried, []).append(k)
                 for queried, ks in groups.items():
                     estimates[ks] += _ESTIMATOR.estimate_many(
-                        [s for j in queried for s in samples_of[j]],
+                        self._pooled_index(queried, reads),
                         [(routes[k].low, routes[k].high) for k in ks],
                     )
                 # One draw per row with queried shards; a metadata-only
@@ -677,7 +680,7 @@ class ClusterBroker:
             degraded_answers = 0
             for route in routes:
                 answer_degraded = tuple(
-                    j for j in route.queried if degraded_of[j]
+                    j for j in route.queried if reads[j].replica
                 )
                 degraded_answers += bool(answer_degraded)
                 extras.append(dict(
@@ -734,10 +737,15 @@ class ClusterBroker:
         """Routing telemetry of a batch's fresh rows."""
         if self.telemetry is None:
             return
+        routes = list(routes)
+        self.telemetry.observe_many(
+            "cluster.shards_pruned", [len(route.pruned) for route in routes]
+        )
+        self.telemetry.observe_many(
+            "cluster.shards_touched", [route.touched for route in routes]
+        )
         routed = covered = 0
         for route in routes:
-            self.telemetry.observe("cluster.shards_pruned", float(len(route.pruned)))
-            self.telemetry.observe("cluster.shards_touched", float(route.touched))
             routed += route.routed
             covered += route.routed and not route.queried
         if routed:
@@ -749,33 +757,45 @@ class ClusterBroker:
             float(sum(1 for shard in self.shards if shard.primary_alive)),
         )
 
-    def _gather(
-        self, routes: "Sequence[RoutePlan]"
-    ) -> "Tuple[Dict[int, List[NodeSample]], Dict[int, bool]]":
-        """Read every queried shard's samples once: ``(samples, degraded)``
-        per shard index, concurrently for wide scatters."""
+    def _pooled_index(
+        self, queried: "Tuple[int, ...]", reads: "Dict[int, SampleRead]"
+    ) -> RankIndex:
+        """The rank index over ``queried``'s samples, in global node order.
+
+        Kept per touched shard set and rebuilt when any of its shards is
+        read from another station or store version, so at most one index
+        per set is alive.  A racing rebuild only builds the same index
+        twice.
+        """
+        sources = tuple(
+            (j, reads[j].replica, reads[j].store_version) for j in queried
+        )
+        cached = self._indexes.get(queried)
+        if cached is None or cached[0] != sources:
+            index = RankIndex([s for j in queried for s in reads[j].samples])
+            cached = self._indexes[queried] = (sources, index)
+        return cached[1]
+
+    def _gather(self, routes: "Sequence[RoutePlan]") -> "Dict[int, SampleRead]":
+        """Read every queried shard's samples once, per shard index,
+        concurrently for wide scatters."""
         needed = sorted({j for route in routes for j in route.queried})
         # The fan-out may hop to pool threads; re-enter the caller's
         # deadline scope there so shard-level checkpoints keep working.
         request_deadline = current_deadline()
 
-        def scoped_read(j: int) -> "Tuple[List[NodeSample], bool]":
+        def scoped_read(j: int) -> SampleRead:
             with deadline_scope(request_deadline):
                 return self._read_shard(self.shards[j])
 
         results = self._fan_out_over(needed, scoped_read)
-        if any(degraded for _, degraded in results):
+        if any(read.replica for read in results):
             with self._lock:
                 if self._first_degraded_wall is None:
                     self._first_degraded_wall = time.perf_counter()
-        return (
-            {j: samples for j, (samples, _) in zip(needed, results)},
-            {j: degraded for j, (_, degraded) in zip(needed, results)},
-        )
+        return dict(zip(needed, results))
 
-    def _read_shard(
-        self, shard: ShardRuntime
-    ) -> "Tuple[List[NodeSample], bool]":
+    def _read_shard(self, shard: ShardRuntime) -> SampleRead:
         check_deadline(f"cluster.shard{shard.shard_id}.scatter")
         breaker = (
             self.breakers.for_shard(shard.shard_id)
@@ -794,10 +814,10 @@ class ClusterBroker:
         start = time.perf_counter()
         try:
             if hedge_after is not None:
-                samples, degraded = self._hedged_read(shard, hedge_after)
+                read = self._hedged_read(shard, hedge_after)
             else:
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
-                    samples, degraded = shard.read_samples(gate=not bypass)
+                    read = shard.read_samples(gate=not bypass)
         except Exception:
             if breaker is not None:
                 breaker.record_failure()
@@ -809,13 +829,11 @@ class ClusterBroker:
                 self.breakers.publish()
         if self.hedging is not None:
             self.hedging.observe(f"shard{shard.shard_id}", latency)
-        if degraded:
+        if read.replica:
             self._emit(f"cluster.shard{shard.shard_id}.failover_batches")
-        return samples, degraded
+        return read
 
-    def _hedged_read(
-        self, shard: ShardRuntime, hedge_after: float
-    ) -> "Tuple[List[NodeSample], bool]":
+    def _hedged_read(self, shard: ShardRuntime, hedge_after: float) -> SampleRead:
         """Race the gated lane against a bypass retry.
 
         Both lanes read the same shard store, so whichever finishes
@@ -825,7 +843,7 @@ class ClusterBroker:
         request_deadline = current_deadline()
         cancel = threading.Event()
 
-        def gated_lane() -> "Tuple[List[NodeSample], bool]":
+        def gated_lane() -> SampleRead:
             with deadline_scope(request_deadline):
                 with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
                     return shard.read_samples(cancel=cancel)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.pricing.functions import InverseVariancePricing
 from repro.pricing.variance_model import VarianceModel
 from repro.resilience.hedging import HedgeLostRace
 
-__all__ = ["ShardRuntime", "build_shards", "PARTITION_STRATEGIES"]
+__all__ = ["SampleRead", "ShardRuntime", "build_shards", "PARTITION_STRATEGIES"]
 
 # Seed offsets separating the independent rng streams of a shard's
 # components; large odd constants so streams of neighbouring shards and
@@ -97,6 +97,20 @@ PARTITION_STRATEGIES = {
     "dirichlet": _partition_wrapper(partition_dirichlet, needs_seed=True),
     "range-sharded": _partition_range_sharded_bounded,
 }
+
+
+class SampleRead(NamedTuple):
+    """One shard sample read: what the coordinator pools and keys on.
+
+    ``(shard, replica, store_version)`` names the sample set exactly: a
+    station's store changes only by a commit, which bumps its version.
+    """
+
+    samples: List[NodeSample]
+    #: Whether the replica station served the read (a degraded answer).
+    replica: bool
+    #: The serving station's ``store_version`` at the read.
+    store_version: int
 
 
 @dataclass
@@ -175,8 +189,9 @@ class ShardRuntime:
         *,
         gate: bool = True,
         cancel: "Optional[threading.Event]" = None,
-    ) -> "Tuple[List[NodeSample], bool]":
-        """The active station's samples, and whether the replica served them.
+    ) -> "SampleRead":
+        """The active station's samples, which station served them, and its
+        store version.
 
         The coordinator's gather lane: it only reads, draws no noise and
         touches no books, so two lanes racing for the same shard (a
@@ -197,7 +212,11 @@ class ShardRuntime:
             else:
                 time.sleep(delay)
         broker = self.active_broker()
-        return broker.base_station.samples(), broker is not self.primary
+        station = broker.base_station
+        # Version first: a commit racing this read can only pair the old
+        # version with the new samples, never a new version with old ones.
+        version = station.store_version
+        return SampleRead(station.samples(), broker is not self.primary, version)
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) a collection round on the active station.

@@ -184,9 +184,10 @@ class DataBroker:
         return [plans[(spec.alpha, spec.delta)] for spec in specs]
 
     def _estimate(self, queries: "Sequence[RangeQuery]") -> "npt.NDArray[np.float64]":
-        """Deterministic sample estimates: one store fetch, one vectorized
-        ``estimate_many`` pass (bit-identical to scalar ``estimate``)."""
-        samples = self.base_station.samples()
+        """Deterministic sample estimates: one vectorized ``estimate_many``
+        pass over the store's rank index (bit-identical to scalar
+        ``estimate``)."""
+        samples = self.base_station.rank_index()
         ranges = [(query.low, query.high) for query in queries]
         estimate_many = getattr(self.estimator, "estimate_many", None)
         if estimate_many is not None:

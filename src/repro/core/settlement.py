@@ -41,6 +41,7 @@ billed but charges no budget.  :func:`replay` is the one-row form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -243,10 +244,6 @@ def _journal_trades(
         journal.append_many(records)
 
 
-def _label(consumer: str, query: RangeQuery) -> str:
-    return f"{consumer}:[{query.low},{query.high}]"
-
-
 def _check_deadlines(batch: Batch, stage: str) -> None:
     """Refuse every consumer group, and every caller replay, past its deadline.
 
@@ -308,6 +305,10 @@ def open_batch(
             )
     replayed = dict(replays or {})
     for i, source in replayed.items():
+        if not 0 <= i < size:
+            raise ValueError(
+                f"replay row {i} is outside the batch of {size} queries"
+            )
         if isinstance(source, int) and not 0 <= source < i:
             raise ValueError(f"row {i} can only replay an earlier row")
     earliest: Dict[str, Deadline] = {}
@@ -485,20 +486,20 @@ def release_batch(
     column = {row: k for k, row in enumerate(rows)}
     policy = _policy(broker)
     failed, replays, standalone = batch.failed, batch.replays, batch.standalone
+    consumers, queries, specs = batch.consumers, batch.queries, batch.specs
     suffix = f"@{window.window_id}" if window is not None else ""
     prices: Dict[Tuple[float, float], float] = {}
     bought: Dict[str, int] = {}  # rows settled so far, per consumer
     live: List[int] = []
+    # One record per row: the journal entry, which the ledger reads too.
     records: List[Dict[str, Any]] = []
-    sales: List[Dict[str, Any]] = []
-    settles: List[Tuple[str, float]] = []
     charges: List[float] = []
     charge_labels: List[str] = []
     runs: Dict[str, Tuple[List[float], List[str]]] = {}  # per consumer group
     for i in batch.settlement_order():
         if i in failed:
             continue
-        consumer, query, spec = batch.consumers[i], batch.queries[i], batch.specs[i]
+        consumer, query, spec = consumers[i], queries[i], specs[i]
         source = replays.get(i)
         if isinstance(source, int):
             if source in failed:
@@ -515,7 +516,7 @@ def release_batch(
         price = prices.get(tier)
         if price is None:
             price = prices[tier] = broker.pricing.price(spec.alpha, spec.delta)
-        label = _label(consumer, query)
+        label = f"{consumer}:[{query.low},{query.high}]"
         if source is not None:
             kind, epsilon_prime = "replay", 0.0
             version = store_version
@@ -532,7 +533,6 @@ def release_batch(
             epsilons.append(epsilon_prime)
             labels.append(label)
         live.append(i)
-        settles.append((consumer, epsilon_prime))
         records.append({
             "kind": kind,
             "consumer": consumer,
@@ -546,21 +546,13 @@ def release_batch(
             "store_version": version,
             "label": label,
         })
-        sales.append({
-            "consumer": consumer,
-            "dataset": dataset,
-            "alpha": spec.alpha,
-            "delta": spec.delta,
-            "price": price,
-            "epsilon_prime": epsilon_prime,
-        })
 
     _journal_trades(broker.journal, records)
     if window is not None and window.log is not None:
         for epsilon_prime, label in zip(charges, charge_labels):
             window.log.append_charge(dataset, window.epochs, epsilon_prime, label)
-    for consumer, epsilon_prime in settles:
-        policy.settle(consumer, epsilon_prime)
+    for record in records:
+        policy.settle(record["consumer"], record["epsilon_prime"])
     # One charge per consumer group, each against the very sum admit()
     # checked it with, so an admitted group is never refused here.  The
     # first call (empty when every row is a replay) runs on every path.
@@ -573,7 +565,7 @@ def release_batch(
             window.accountant.charge_window(
                 dataset, window.epochs, epsilon_prime, label
             )
-    txns = dict(zip(live, broker.ledger.record_many(sales)))
+    txns = dict(zip(live, broker.ledger.record_many(records)))
 
     telemetry = broker.telemetry
     if telemetry is not None:
@@ -586,40 +578,62 @@ def release_batch(
         if len(live) > len(charges):
             telemetry.inc(f"{prefix}.replays", len(live) - len(charges))
 
+    # Plain floats, read once per column rather than once per answer.
+    values, raw_values, estimates = (
+        np.asarray(c, dtype=np.float64).tolist()
+        for c in (value, raw_value, sample_estimate)
+    )
     outcomes: "List[Union[_A, Exception]]" = []
-    for i, (consumer, query, spec) in enumerate(
-        zip(batch.consumers, batch.queries, batch.specs)
-    ):
-        failure = batch.failed.get(i)
+    for i, consumer in enumerate(consumers):
+        failure = failed.get(i)
         if failure is not None:
             outcomes.append(failure)
             continue
         txn = txns[i]
-        source = batch.replays.get(i)
+        source = replays.get(i)
         if source is not None:
             cached = outcomes[source] if isinstance(source, int) else source
             assert not isinstance(cached, Exception), "refused sources fail their replays"
-            outcomes.append(cast(_A, dataclasses.replace(
-                cached,
-                consumer=consumer,
-                price=txn.price,
-                transaction_id=txn.transaction_id,
-            )))
+            outcomes.append(
+                _resold(cast(_A, cached), consumer, txn.price, txn.transaction_id)
+            )
             continue
         k = column[i]
+        # Positional in PrivateAnswer's field order (value, raw_value,
+        # sample_estimate, query, spec, plan, price, consumer,
+        # transaction_id); a subclass's own fields come as ``extras``.
         outcomes.append(answer_type(
-            value=float(value[k]),
-            raw_value=float(raw_value[k]),
-            sample_estimate=float(sample_estimate[k]),
-            query=query,
-            spec=spec,
-            plan=plans[k],
-            price=txn.price,
-            consumer=consumer,
-            transaction_id=txn.transaction_id,
+            values[k], raw_values[k], estimates[k], queries[i], specs[i],
+            plans[k], txn.price, consumer, txn.transaction_id,
             **(extras[k] if extras is not None else {}),
         ))
     return outcomes
+
+
+@functools.cache
+def _field_names(cls: Type[PrivateAnswer]) -> Tuple[str, ...]:
+    """An answer class's field names, in definition order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _resold(cached: _A, consumer: str, price: float, transaction_id: int) -> _A:
+    """``cached`` handed to ``consumer``: a copy with the new sale's price
+    and transaction id.
+
+    What ``dataclasses.replace`` returns, built field by field onto a
+    bare instance instead of through the frozen ``__init__`` (an answer
+    has no ``__post_init__`` to rerun).  Fields are set in definition
+    order, so the copy shares its class's attribute layout and is no
+    larger than a constructed answer.
+    """
+    cls = type(cached)
+    answer = object.__new__(cls)
+    for name in _field_names(cls):
+        object.__setattr__(answer, name, getattr(cached, name))
+    object.__setattr__(answer, "consumer", consumer)
+    object.__setattr__(answer, "price", price)
+    object.__setattr__(answer, "transaction_id", transaction_id)
+    return answer
 
 
 def replay(

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import DeliveryError, InsufficientSamplesError
 from repro.estimators.base import NodeSample
+from repro.estimators.rank import RankIndex
 from repro.iot.device import SmartDevice
 from repro.iot.messages import Heartbeat, SampleReport, SampleRequest, TopUpRequest
 from repro.iot.network import Network
@@ -51,10 +52,12 @@ class BaseStation:
         self._store: Dict[int, NodeSample] = {}
         self._rate: float = 0.0
         self._last_round_skipped: Tuple[int, ...] = ()
-        # Cached node-id-ordered view of the store, plus a version counter
-        # so broker-side caches can detect staleness.  Invalidated whenever
-        # a collection round commits (see :meth:`_commit`).
+        # Cached node-id-ordered view of the store and its rank index,
+        # plus a version counter so broker-side caches can detect
+        # staleness.  Invalidated whenever a collection round commits (see
+        # :meth:`_commit`).
         self._samples_cache: "Optional[tuple[NodeSample, ...]]" = None
+        self._rank_index: "Optional[RankIndex]" = None
         self._store_version: int = 0
         self._commit_listeners: "List[Callable[[int], None]]" = []
 
@@ -111,6 +114,7 @@ class BaseStation:
         self._store = staged
         self._rate = rate
         self._samples_cache = None
+        self._rank_index = None
         self._store_version += 1
         for callback in self._commit_listeners:
             callback(self._store_version)
@@ -284,6 +288,30 @@ class BaseStation:
         InsufficientSamplesError
             If no collection round has run yet.
         """
+        return list(self._ordered_samples())
+
+    def rank_index(self) -> RankIndex:
+        """The stored samples as one :class:`RankIndex`, built once per round.
+
+        The broker's ``estimate_many`` reads it in place of the sample
+        list; like :meth:`samples` it is rebuilt only after a round
+        commits.
+
+        Raises
+        ------
+        InsufficientSamplesError
+            If no collection round has run yet.
+        """
+        index = self._rank_index
+        if index is None:
+            samples = self._ordered_samples()
+            index = RankIndex(samples)
+            # Cache it unless a commit cleared the samples during the build.
+            if samples is self._samples_cache:
+                self._rank_index = index
+        return index
+
+    def _ordered_samples(self) -> "tuple[NodeSample, ...]":
         if not self._store:
             raise InsufficientSamplesError(
                 "no samples collected yet; call collect() first"
@@ -292,7 +320,7 @@ class BaseStation:
             self._samples_cache = tuple(
                 self._store[node_id] for node_id in sorted(self._store)
             )
-        return list(self._samples_cache)
+        return self._samples_cache
 
     def sample_volume(self) -> int:
         """Total ``(value, rank)`` pairs currently stored."""

@@ -91,23 +91,24 @@ class BillingLedger:
         # Highest journal answer_id already folded into this ledger; the
         # idempotency floor for replay_journal (0 = nothing replayed yet).
         self._journal_high_water: int = 0
-        for txn in self._transactions:
-            self._index(txn)
+        self._index(self._transactions)
 
-    def _index(self, txn: Transaction) -> None:
-        """Fold one appended transaction into the running aggregates."""
-        self._total_revenue += txn.price
-        self._revenue_by_consumer[txn.consumer] = (
-            self._revenue_by_consumer.get(txn.consumer, 0.0) + txn.price
-        )
-        self._revenue_by_dataset[txn.dataset] = (
-            self._revenue_by_dataset.get(txn.dataset, 0.0) + txn.price
-        )
+    def _index(self, txns: "Iterable[Transaction]") -> None:
+        """Fold appended transactions into the running aggregates, in order."""
+        total = self._total_revenue
+        by_consumer = self._revenue_by_consumer
+        by_dataset = self._revenue_by_dataset
+        for txn in txns:
+            price = txn.price
+            total += price
+            by_consumer[txn.consumer] = by_consumer.get(txn.consumer, 0.0) + price
+            by_dataset[txn.dataset] = by_dataset.get(txn.dataset, 0.0) + price
+        self._total_revenue = total
 
     def _append(self, txn: Transaction) -> None:
-        """The single write path: append and index (used by loaders too)."""
+        """Append and index one transaction (used by loaders too)."""
         self._transactions.append(txn)
-        self._index(txn)
+        self._index((txn,))
 
     def record(
         self,
@@ -132,22 +133,29 @@ class BillingLedger:
         return txn
 
     def record_many(
-        self, sales: "Sequence[Mapping[str, Any]]"
+        self, sales: "Iterable[Mapping[str, Any]]"
     ) -> "List[Transaction]":
         """Append one transaction per entry of ``sales``, in order.
 
         Each entry supplies the keyword arguments of :meth:`record`
         (``consumer``, ``dataset``, ``alpha``, ``delta``, ``price``,
-        ``epsilon_prime``).  Ids are assigned sequentially, so the ledger
-        ends up identical to recording each sale individually -- this is
-        the broker's bulk path for batched answers.
+        ``epsilon_prime``); other keys -- the rest of a journal record --
+        are ignored.  Ids are assigned sequentially and the aggregates
+        folded sale by sale, so the ledger ends up identical to recording
+        each sale individually.  Every transaction is validated before
+        the first is appended: one bad sale records none of them.  This
+        is the brokers' bulk path for batched answers.
         """
+        ids = self._ids
         txns = [
-            Transaction(transaction_id=next(self._ids), **dict(sale))
+            Transaction(
+                next(ids), sale["consumer"], sale["dataset"], sale["alpha"],
+                sale["delta"], sale["price"], sale["epsilon_prime"],
+            )
             for sale in sales
         ]
-        for txn in txns:
-            self._append(txn)
+        self._transactions.extend(txns)
+        self._index(txns)
         return txns
 
     def __len__(self) -> int:
@@ -224,8 +232,7 @@ class BillingLedger:
         self._revenue_by_consumer = {}
         self._revenue_by_dataset = {}
         self._journal_high_water = int(snapshot["journal_high_water"])
-        for txn in self._transactions:
-            self._index(txn)
+        self._index(self._transactions)
 
     def replay_journal(self, entries: "Iterable[TradeRecord]") -> int:
         """Re-apply journaled trades this ledger has not yet seen.

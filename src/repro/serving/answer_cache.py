@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
@@ -117,25 +117,50 @@ class AnswerCache:
     # lookup / insert
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> "Optional[PrivateAnswer]":
+        return self.get_many((key,))[0]
+
+    def get_many(
+        self, keys: "Sequence[CacheKey]"
+    ) -> "List[Optional[PrivateAnswer]]":
+        """Look up each key in order under one lock: the cached answer or
+        ``None``.  Same hits, misses and recency as one :meth:`get` per
+        key, counted into telemetry once per call."""
         with self._lock:
-            answer = self._entries.get(key)
-            if answer is None:
-                self._misses += 1
-                self._emit("cache.misses")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            self._emit("cache.hits")
-            return answer
+            entries = self._entries
+            found = [entries.get(key) for key in keys]
+            hits = 0
+            for key, answer in zip(keys, found):
+                if answer is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            self._hits += hits
+            self._misses += len(keys) - hits
+            if hits:
+                self._emit("cache.hits", hits)
+            if len(keys) > hits:
+                self._emit("cache.misses", len(keys) - hits)
+        return found
 
     def put(self, key: CacheKey, answer: "PrivateAnswer") -> None:
+        self.put_many(((key, answer),))
+
+    def put_many(
+        self, items: "Iterable[Tuple[CacheKey, PrivateAnswer]]"
+    ) -> None:
+        """Insert each ``(key, answer)`` in order under one lock, evicting
+        past capacity as one :meth:`put` per item would."""
         with self._lock:
-            self._entries[key] = answer
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                self._emit("cache.evictions")
+            entries = self._entries
+            evicted = 0
+            for key, answer in items:
+                entries[key] = answer
+                entries.move_to_end(key)
+                while len(entries) > self.capacity:
+                    entries.popitem(last=False)
+                    evicted += 1
+            self._evictions += evicted
+            if evicted:
+                self._emit("cache.evictions", evicted)
 
     def __len__(self) -> int:
         with self._lock:

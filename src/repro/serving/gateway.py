@@ -167,6 +167,9 @@ class _Request:
         self.deadline = deadline
 
 
+#: A dispatched request, its outcome, and whether it was served as a replay.
+_Settled = Tuple[_Request, "PrivateAnswer | Exception", bool]
+
 #: Queue sentinel telling a worker to exit.
 _STOP = object()
 
@@ -505,15 +508,29 @@ class ServingGateway:
     # ------------------------------------------------------------------
     def _dispatch(self, batch: "List[_Request]") -> None:
         with self._dispatch_lock:
-            with self.telemetry.timer("gateway.dispatch_s"):
-                self._dispatch_locked(batch)
+            started = time.perf_counter()
+            settled = self._dispatch_locked(batch)
+            self._book(settled)
+            self.telemetry.observe(
+                "gateway.dispatch_s", time.perf_counter() - started
+            )
+            # Every book and metric of the dispatch is written before any
+            # caller sees its answer; futures resolve in settlement order.
+            for request, outcome, _ in settled:
+                if isinstance(outcome, Exception):
+                    request.future.set_exception(outcome)
+                else:
+                    request.future.set_result(outcome)
 
-    def _dispatch_locked(self, batch: "List[_Request]") -> None:
+    def _dispatch_locked(self, batch: "List[_Request]") -> "List[_Settled]":
+        """Serve one batch: each request with its outcome, in resolution
+        order, and whether it was a replay."""
         self.telemetry.observe("gateway.batch_width", len(batch))
         # batch[0] is the oldest request (the queue is FIFO).
         self.telemetry.observe(
             "gateway.coalesce_s", time.perf_counter() - batch[0].enqueued_at
         )
+        settled: "List[_Settled]" = []
 
         # 0. Deadline check: requests past their deadline fail fast,
         #    before any billing or budget is touched.
@@ -521,19 +538,20 @@ class ServingGateway:
         for request in batch:
             if request.deadline is not None and request.deadline.expired():
                 self._miss_window.append(True)
-                self.telemetry.inc("gateway.deadline_exceeded")
-                self._fail(request, DeadlineExceededError(
+                settled.append((request, DeadlineExceededError(
                     f"request from {request.consumer!r} sat in the queue "
                     f"{-request.deadline.remaining():.3f}s past its "
                     "deadline"
-                ))
+                ), False))
             else:
                 self._miss_window.append(False)
                 fresh_enough.append(request)
+        if settled:
+            self.telemetry.inc("gateway.deadline_exceeded", len(settled))
         batch = fresh_enough
         self._observe_overload()
         if not batch:
-            return
+            return settled
 
         store_version = self.broker.base_station.store_version
         pending: List[_Request] = []
@@ -550,14 +568,16 @@ class ServingGateway:
         #    current store version -- replayed at list price, ε′ = 0.
         hits: List[Tuple[_Request, PrivateAnswer]] = []
         keys: Dict[int, CacheKey] = {}  # id(request) -> its cache key
-        for request in batch:
-            if self.cache is not None:
-                key = keys[id(request)] = key_of(request, store_version)
-                cached = self.cache.get(key)
-                if cached is not None:
+        if self.cache is not None:
+            keys = {id(request): key_of(request, store_version) for request in batch}
+            found = self.cache.get_many(list(keys.values()))
+            for request, cached in zip(batch, found):
+                if cached is None:
+                    pending.append(request)
+                else:
                     hits.append((request, cached))
-                    continue
-            pending.append(request)
+        else:
+            pending = batch
 
         # 2. In-window coalescing of duplicates: the first occurrence of a
         #    (query, tier) key is released fresh, later occurrences replay
@@ -592,11 +612,11 @@ class ServingGateway:
                     # queued.  Refuse it now: never billed, never planned.
                     shed[idx] = True
                     self.telemetry.inc("gateway.brownout.shed")
-                    self._fail(request, BrownoutShedError(
+                    settled.append((request, BrownoutShedError(
                         "gateway reached the shed brownout rung while the "
                         "request was queued",
                         retry_after=self.brownout.config.retry_after,
-                    ))
+                    ), False))
                 else:
                     served_specs[idx] = decision.served
                     rungs[idx] = decision.rung if decision.served != request.spec else "none"
@@ -670,8 +690,9 @@ class ServingGateway:
         if expired:
             # One count per refused consumer group or replay.
             self.telemetry.inc("gateway.deadline_exceeded", len(expired))
-        for row, (request, _) in enumerate(hits):
-            self._settle_replay(request, outcomes[row])
+        hit_replays: "List[Tuple[_Request, PrivateAnswer | Exception]]" = [
+            (request, outcomes[row]) for row, (request, _) in enumerate(hits)
+        ]
 
         fresh_answers: "List[Optional[PrivateAnswer]]" = [None] * len(fresh)
         for idx, row in row_of.items():
@@ -692,39 +713,35 @@ class ServingGateway:
         #    lookups against the new store).
         if self.cache is not None:
             post_version = self.broker.base_station.store_version
-            for request, answer in zip(fresh, fresh_answers):
-                # Brownout-degraded releases are never cached: once the
-                # ladder descends, an identical request must get its full
-                # contract again, not a replay of the weakened one.
-                if answer is not None and answer.brownout_rung == "none":
-                    # A mid-dispatch top-up bumps the version and can flip
-                    # the route; future lookups key against that state.
-                    key = (
-                        keys[id(request)]
-                        if post_version == store_version
-                        else key_of(request, post_version)
-                    )
-                    self.cache.put(key, answer)
+            # Brownout-degraded releases are never cached: once the
+            # ladder descends, an identical request must get its full
+            # contract again, not a replay of the weakened one.  A
+            # mid-dispatch top-up bumps the version and can flip the
+            # route; future lookups key against that state.
+            self.cache.put_many([
+                (
+                    keys[id(request)]
+                    if post_version == store_version
+                    else key_of(request, post_version),
+                    answer,
+                )
+                for request, answer in zip(fresh, fresh_answers)
+                if answer is not None and answer.brownout_rung == "none"
+            ])
 
-        # 5. Resolve futures: fresh first, then duplicates as replays of
-        #    their in-window source.
+        # 5. Settlement order: cache hits, then fresh rows, then
+        #    duplicates as replays of their in-window source.
+        settled.extend(self._replayed(hit_replays))
         for idx, row in row_of.items():
             answer = fresh_answers[idx]
-            if answer is None:
-                outcome = outcomes[row]
-                assert isinstance(outcome, Exception)
-                self._fail(fresh[idx], outcome)
-            else:
-                self._finish(fresh[idx], answer)
+            settled.append((fresh[idx], outcomes[row] if answer is None else answer, False))
+        dup_replays: "List[Tuple[_Request, PrivateAnswer | Exception]]" = []
         for (request, source_index), dup_row in zip(dups, dup_rows):
             source = fresh_answers[source_index]
             if source is None or dup_row is None:
-                self._fail(
-                    request,
-                    ServiceOverloadedError(
-                        "coalesced source release failed; retry"
-                    ),
-                )
+                dup_replays.append((request, ServiceOverloadedError(
+                    "coalesced source release failed; retry"
+                )))
                 continue
             outcome = outcomes[dup_row]
             if not isinstance(outcome, Exception) and source.brownout_rung != "none":
@@ -733,7 +750,9 @@ class ServingGateway:
                     brownout_rung=source.brownout_rung,
                     requested_spec=source.requested_spec,
                 )
-            self._settle_replay(request, outcome)
+            dup_replays.append((request, outcome))
+        settled.extend(self._replayed(dup_replays))
+        return settled
 
     def _observe_overload(self) -> None:
         """Feed one overload sample to the brownout ladder (if attached)."""
@@ -758,37 +777,56 @@ class ServingGateway:
         ))
         self.telemetry.set_gauge("gateway.brownout_level", level)
 
-    def _settle_replay(
-        self, request: _Request, outcome: "PrivateAnswer | Exception"
-    ) -> None:
-        if isinstance(outcome, Exception):
-            self._fail(request, outcome)
-            return
-        self.telemetry.inc("gateway.cache_replays")
-        if self.brownout is not None and self.brownout.level >= 1:
-            # Rung 1: cache-preferred service under pressure.  A replay
-            # costs ε = 0 by construction; annotate so operators can see
-            # the ladder working in answer provenance.
-            self.telemetry.inc("gateway.brownout.cache")
-            outcome = replace(outcome, brownout_rung="cache")
-        self._finish(request, outcome)
+    def _replayed(
+        self, replays: "List[Tuple[_Request, PrivateAnswer | Exception]]"
+    ) -> "List[_Settled]":
+        """Replay outcomes as settled; under brownout, marked ``cache``."""
+        settled: "List[_Settled]" = []
+        cache_rung = 0
+        for request, outcome in replays:
+            if isinstance(outcome, Exception):
+                settled.append((request, outcome, False))
+                continue
+            if self.brownout is not None and self.brownout.level >= 1:
+                # Rung 1: cache-preferred service under pressure.  A
+                # replay costs ε = 0 by construction; annotate so
+                # operators can see the ladder working in answer
+                # provenance.
+                cache_rung += 1
+                outcome = replace(outcome, brownout_rung="cache")
+            settled.append((request, outcome, True))
+        if cache_rung:
+            self.telemetry.inc("gateway.brownout.cache", cache_rung)
+        return settled
 
-    def _finish(self, request: _Request, answer: PrivateAnswer) -> None:
-        if self.admission is not None:
-            self.admission.release(request.consumer, request.admitted_price)
-        if request.deadline is not None and request.deadline.expired():
-            # Invariant detector, not control flow: dispatch checks and
-            # broker-side deadline checkpoints should make this
-            # impossible; the overload drill asserts it stays zero.
-            self.telemetry.inc("gateway.post_deadline_release")
-        self.telemetry.inc("gateway.served")
-        self.telemetry.observe(
-            "gateway.latency_s", time.perf_counter() - request.enqueued_at
-        )
-        request.future.set_result(answer)
+    def _book(self, settled: "List[_Settled]") -> None:
+        """Release admission and count a dispatch's outcomes, once each.
 
-    def _fail(self, request: _Request, exc: Exception) -> None:
-        if self.admission is not None:
-            self.admission.release(request.consumer, request.admitted_price)
-        self.telemetry.inc("gateway.failed")
-        request.future.set_exception(exc)
+        Latencies are stamped now, as the dispatch resolves.
+        """
+        now = time.perf_counter()
+        latencies: List[float] = []
+        failed = replays = late = 0
+        for request, outcome, replay in settled:
+            if self.admission is not None:
+                self.admission.release(request.consumer, request.admitted_price)
+            if isinstance(outcome, Exception):
+                failed += 1
+                continue
+            replays += replay
+            if request.deadline is not None and request.deadline.expired():
+                # Invariant detector, not control flow: dispatch checks
+                # and broker-side deadline checkpoints should make this
+                # impossible; the overload drill asserts it stays zero.
+                late += 1
+            latencies.append(now - request.enqueued_at)
+        telemetry = self.telemetry
+        if late:
+            telemetry.inc("gateway.post_deadline_release", late)
+        if replays:
+            telemetry.inc("gateway.cache_replays", replays)
+        if latencies:
+            telemetry.inc("gateway.served", len(latencies))
+            telemetry.observe_many("gateway.latency_s", latencies)
+        if failed:
+            telemetry.inc("gateway.failed", failed)

@@ -22,7 +22,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -96,20 +96,34 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Observe each of ``values`` in order, under one lock acquisition.
+
+        Identical to calling :meth:`observe` once per value: the sum is
+        folded in the same order and the reservoir decimates at the same
+        points.
+        """
+        observed = [float(value) for value in values]
         with self._lock:
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            if len(self._values) >= self._cap:
-                # Decimate: drop every other retained sample.  Crude but
-                # unbiased enough for operator-facing percentiles, and it
-                # keeps observe() amortized O(1).
-                self._values = self._values[::2]
-            self._values.append(value)
+            total, low, high = self._sum, self._min, self._max
+            retained, cap = self._values, self._cap
+            for value in observed:
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                if len(retained) >= cap:
+                    # Decimate: drop every other retained sample.  Crude
+                    # but unbiased enough for operator-facing percentiles,
+                    # and it keeps observing amortized O(1).
+                    retained = retained[::2]
+                retained.append(value)
+            self._count += len(observed)
+            self._sum, self._min, self._max = total, low, high
+            self._values = retained
 
     @property
     def count(self) -> int:
@@ -197,6 +211,12 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
+
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        """:meth:`observe` each value; no values creates no histogram."""
+        observed = list(values)
+        if observed:
+            self.histogram(name).observe_many(observed)
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:

@@ -25,12 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InsufficientSamplesError, StreamingError
 from repro.estimators.base import NodeSample, RangeCountingEstimator
+from repro.estimators.rank import RankIndex
 
 __all__ = [
     "EpochSummary",
@@ -70,6 +72,15 @@ class EpochSummary:
                     f"node {sample.node_id} sampled at p={sample.p}, epoch "
                     f"sealed at p={self.rate}; epochs share one rate"
                 )
+
+    @cached_property
+    def rank_index(self) -> RankIndex:
+        """The epoch's samples as one :class:`RankIndex`, built on first use.
+
+        A sealed epoch never changes, so the index lives as long as the
+        summary does.
+        """
+        return RankIndex(self.samples)
 
     @property
     def node_count(self) -> int:
@@ -286,7 +297,7 @@ def pooled_estimate_many(
             continue
         estimate_many = getattr(estimator, "estimate_many", None)
         if estimate_many is not None:
-            totals += np.asarray(estimate_many(list(summary.samples), ranges))
+            totals += np.asarray(estimate_many(summary.rank_index, ranges))
         else:
             totals += np.asarray([
                 estimator.estimate(list(summary.samples), low, high).estimate

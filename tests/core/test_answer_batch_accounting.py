@@ -259,3 +259,64 @@ class TestServiceAnswerMany:
         assert [a.sample_estimate for a in batch] == [
             a.sample_estimate for a in scalar
         ]
+
+
+class TestBulkBooks:
+    """The kernel writes each book in one pass, or not at all."""
+
+    @staticmethod
+    def books(broker):
+        return (
+            len(broker.journal),
+            broker.ledger.transactions,
+            broker.ledger.total_revenue(),
+            broker.accountant.history("default"),
+            broker.policy.epsilon_spent_by("c"),
+            broker.policy.purchases_by("c"),
+        )
+
+    @pytest.mark.parametrize("fault", ["nan_price", "negative_epsilon"])
+    def test_one_bad_row_journals_and_bills_nothing(self, fault, monkeypatch):
+        import dataclasses
+
+        from repro.core.query import PrivateAnswer
+        from repro.core.settlement import admit, open_batch, release_batch
+        from repro.errors import JournalError
+
+        broker = make_service().broker
+        other = AccuracySpec(alpha=0.2, delta=0.5)
+        queries = make_queries()[:3]
+        specs = [SPEC, other, SPEC]
+        if fault == "nan_price":
+            real = broker.pricing.price
+            monkeypatch.setattr(broker.pricing, "price", lambda alpha, delta: (
+                float("nan") if alpha == other.alpha else real(alpha, delta)
+            ))
+        before = self.books(broker)
+        batch = open_batch(broker, "broker", queries, specs, "c")
+        plans = broker._plan_each(specs)
+        if fault == "negative_epsilon":
+            plans[1] = dataclasses.replace(
+                plans[1], epsilon_prime=-0.5 * plans[0].epsilon_prime
+            )
+        rows, plans = admit(broker, batch, batch.fresh, plans)
+        with pytest.raises(JournalError):
+            release_batch(
+                broker, batch, answer_type=PrivateAnswer, rows=rows,
+                plans=plans, value=[1.0] * 3, raw_value=[1.0] * 3,
+                sample_estimate=[1.0] * 3,
+            )
+        assert self.books(broker) == before
+
+    @pytest.mark.parametrize("row", [5, 1, -1])
+    def test_replay_rows_outside_the_batch_are_refused(self, row):
+        """A replay keyed past the batch used to be dropped silently, and
+        its row released fresh and charged ε′."""
+        broker = make_service().broker
+        cached = broker.answer(make_queries()[0], SPEC, consumer="c")
+        before = self.books(broker)
+        with pytest.raises(ValueError, match="outside the batch"):
+            broker.answer_batch(
+                [make_queries()[0]], SPEC, "c", replays={row: cached}
+            )
+        assert self.books(broker) == before

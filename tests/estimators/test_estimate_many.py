@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.query import RangeQuery
 from repro.errors import InvalidQueryError
 from repro.estimators.base import NodeData, NodeSample
-from repro.estimators.rank import RankCountingEstimator
+from repro.estimators.rank import RankCountingEstimator, RankIndex
 
 
 def assert_bits_equal(batch, scalar):
@@ -238,3 +239,164 @@ def test_batch_bit_identical_over_mixed_fleets(fleet, p, bounds):
     est = RankCountingEstimator()
     batch = est.estimate_many(samples, bounds)
     assert_bits_equal(batch, scalar_path(est, samples, bounds))
+
+
+# ----------------------------------------------------------------------
+# the rank index: built once per sample set, reused by every batch
+# ----------------------------------------------------------------------
+shared_value_fleets = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "unsampled", "ties", "ties", "uniform"]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**31),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _tied_sample(node_id, kind, size, p, seed):
+    """Like ``_node_sample``, but ``ties`` nodes all draw from one small
+    value set, so equal values sit on several nodes at once."""
+    if kind != "ties":
+        return _node_sample(node_id, kind, size, p, seed)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, size).astype(float) * 10.0
+    return NodeData(node_id=node_id, values=values).sample(p, rng)
+
+
+@given(
+    fleet=shared_value_fleets,
+    p=st.sampled_from([0.05, 0.3, 1.0]),
+    batches=st.lists(fleet_ranges, min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_index_matches_scalar_across_batches(fleet, p, batches):
+    """Property: one index, reused batch after batch, ≡ scalar bitwise.
+
+    Fleets put equal values on several nodes, duplicates within a node,
+    ``node_size == 0`` nodes and populated nodes with empty samples side
+    by side; ranges also sit on the merged data's edges.
+    """
+    samples = [
+        _tied_sample(node_id, kind, size, p, seed)
+        for node_id, (kind, size, seed) in enumerate(fleet, start=1)
+    ]
+    index = RankIndex(samples)
+    assert list(index) == samples and len(index) == len(samples)
+    est = RankCountingEstimator()
+    merged = index.merged
+    edges = [(float(merged[0]), float(merged[-1])), (float(merged[0]),) * 2,
+             (float(merged[-1]),) * 2] if len(merged) else []
+    for bounds in batches + ([edges] if edges else []):
+        assert_bits_equal(
+            est.estimate_many(index, bounds), scalar_path(est, samples, bounds)
+        )
+
+
+class TestRankIndexStaleness:
+    """Every index owner rebuilds when its sample set changes."""
+
+    RANGES = [(0.0, 100.0), (20.0, 70.0), (35.5, 36.5), (-5.0, 3.0)]
+
+    @staticmethod
+    def fresh(samples, ranges):
+        return RankCountingEstimator().estimate_many(list(samples), ranges)
+
+    def test_base_station_top_up(self, uniform_nodes):
+        from repro.core.service import PrivateRangeCountingService
+
+        values = np.concatenate([n.values for n in uniform_nodes])
+        service = PrivateRangeCountingService.from_values(values, k=5, seed=3)
+        station = service.station
+        station.ensure_rate(0.1)
+        before = station.rank_index()
+        assert station.rank_index() is before  # reused within a round
+        station.ensure_rate(0.4)
+        after = station.rank_index()
+        assert after is not before
+        assert_bits_equal(
+            service.broker._estimate(
+                [RangeQuery(low=lo, high=hi) for lo, hi in self.RANGES]
+            ),
+            self.fresh(station.samples(), self.RANGES),
+        )
+
+    def test_replica_sync_from(self, uniform_nodes):
+        from repro.core.service import PrivateRangeCountingService
+
+        values = np.concatenate([n.values for n in uniform_nodes])
+        primary = PrivateRangeCountingService.from_values(values, k=5, seed=3)
+        replica = PrivateRangeCountingService.from_values(values, k=5, seed=4)
+        primary.station.collect(0.2)
+        replica.station.collect(0.2)
+        stale = replica.station.rank_index()
+        primary.station.ensure_rate(0.5)
+        replica.station.sync_from(primary.station)
+        assert replica.station.rank_index() is not stale
+        assert_bits_equal(
+            RankCountingEstimator().estimate_many(
+                replica.station.rank_index(), self.RANGES
+            ),
+            self.fresh(primary.station.samples(), self.RANGES),
+        )
+
+    def test_streaming_roll(self):
+        from repro.streaming.broker import StreamingStation
+        from repro.streaming.window import EpochSummary, pooled_estimate_many
+
+        def summary(epoch):
+            rng = np.random.default_rng(epoch)
+            samples = tuple(
+                NodeData(node_id=i, values=rng.uniform(0, 100, 60)).sample(0.5, rng)
+                for i in (1, 2, 3)
+            )
+            return EpochSummary(epoch=epoch, samples=samples,
+                                record_count=180, rate=0.5)
+
+        station = StreamingStation(window_epochs=2)
+        est = RankCountingEstimator()
+        for epoch in range(4):
+            station.commit_roll([summary(epoch)])
+            epochs = station.snapshot().epochs
+            expected = np.zeros(len(self.RANGES))
+            for live in epochs:
+                expected += self.fresh(live.samples, self.RANGES)
+            assert_bits_equal(
+                pooled_estimate_many(epochs, est, self.RANGES), expected
+            )
+            assert [e.epoch for e in epochs] == list(range(max(0, epoch - 1), epoch + 1))
+
+    def test_cluster_failover_to_a_diverged_replica(self, uniform_nodes):
+        from repro.cluster.broker import ClusterBroker
+        from repro.core.query import AccuracySpec
+
+        values = np.concatenate([n.values for n in uniform_nodes])
+        cluster = ClusterBroker.from_values(values, k=8, shards=2, seed=3)
+        cluster.ensure_rate(0.3)
+        spec = AccuracySpec(alpha=0.1, delta=0.5)
+        queries = [RangeQuery(low=lo, high=hi) for lo, hi in self.RANGES]
+
+        def expected(answers):
+            out = []
+            for query, answer in zip(queries, answers):
+                route = cluster.route_for_range(query.low, query.high, spec)
+                pooled = [s for j in route.queried for s in cluster.shards[j].samples()]
+                estimate = float(route.exact_n)
+                if pooled:
+                    estimate += self.fresh(pooled, [(query.low, query.high)])[0]
+                out.append(estimate)
+            return out
+
+        healthy = cluster.answer_batch(queries, spec, consumer="c")
+        assert [a.sample_estimate for a in healthy] == expected(healthy)
+        # The primary's radio dies mid-round: the replica runs the round
+        # alone and now holds a denser sample than the stale primary.
+        shard = cluster.shards[0]
+        shard.cut_primary_link()
+        cluster.ensure_rate(0.6)
+        assert not shard.primary_alive
+        assert shard.replica_station.sampling_rate > shard.primary_station.sampling_rate
+        degraded = cluster.answer_batch(queries, spec, consumer="c")
+        assert any(a.degraded_shards for a in degraded)
+        assert [a.sample_estimate for a in degraded] == expected(degraded)

@@ -101,6 +101,38 @@ class TestIncrementalAggregates:
         self._assert_indexed(ledger)
         assert ledger.spend_of("alice") == pytest.approx(30.0)
 
+    def test_record_many_is_sequential_record(self):
+        sales = [
+            dict(consumer=f"c{i % 3}", dataset=("ozone", "no2")[i % 2],
+                 alpha=0.1, delta=0.5, price=0.1 * (i + 1) + 1e-9 * i,
+                 epsilon_prime=0.01 * i)
+            for i in range(40)
+        ]
+        one_by_one, bulk = BillingLedger(), BillingLedger()
+        one_by_one.record("z", "ozone", 0.1, 0.5, 3.0, 0.0)
+        bulk.record("z", "ozone", 0.1, 0.5, 3.0, 0.0)
+        singles = [one_by_one.record(**sale) for sale in sales]
+        # Extra keys (the rest of a journal record) are ignored.
+        txns = bulk.record_many([{**sale, "label": "x"} for sale in sales])
+        assert txns == singles
+        assert bulk.transactions == one_by_one.transactions
+        assert bulk.total_revenue() == one_by_one.total_revenue()
+        assert bulk.revenue_by_consumer() == one_by_one.revenue_by_consumer()
+        assert bulk.revenue_by_dataset() == one_by_one.revenue_by_dataset()
+        assert bulk.snapshot() == one_by_one.snapshot()
+
+    @pytest.mark.parametrize("field", ["price", "epsilon_prime"])
+    def test_record_many_with_one_bad_sale_records_nothing(self, field):
+        ledger = BillingLedger()
+        ledger.record("z", "ozone", 0.1, 0.5, 3.0, 0.0)
+        good = dict(consumer="a", dataset="ozone", alpha=0.1, delta=0.5,
+                    price=1.0, epsilon_prime=0.1)
+        with pytest.raises(LedgerError):
+            ledger.record_many([good, {**good, field: -1.0}, good])
+        assert len(ledger) == 1
+        assert ledger.total_revenue() == 3.0
+        assert ledger.revenue_by_consumer() == {"z": 3.0}
+
     def test_loaded_ledger_is_indexed(self, tmp_path):
         from repro.io import load_ledger, save_ledger
 

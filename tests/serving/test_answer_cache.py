@@ -85,6 +85,27 @@ class TestLookup:
         assert _key(1, 0, 2) not in cache
         assert cache.stats.evictions == 1
 
+    def test_bulk_calls_match_one_call_per_key(self):
+        """get_many / put_many: same answers, counters, evictions and
+        recency as one get / put per key; telemetry once per call."""
+        one_by_one = AnswerCache(capacity=3, telemetry=MetricsRegistry())
+        bulk = AnswerCache(capacity=3, telemetry=MetricsRegistry())
+        keys = [_key(1, low=float(i)) for i in range(5)]
+        answers = [_answer(low=float(i)) for i in range(5)]
+        for key, answer in zip(keys[:4], answers):
+            one_by_one.put(key, answer)
+        bulk.put_many(list(zip(keys[:4], answers)))
+        lookups = [keys[2], keys[0], keys[3], keys[2], keys[4]]
+        assert bulk.get_many(lookups) == [one_by_one.get(k) for k in lookups]
+        one_by_one.put(keys[4], answers[0])
+        bulk.put_many([(keys[4], answers[0])])
+        assert bulk.stats == one_by_one.stats
+        assert list(bulk._entries) == list(one_by_one._entries)
+        assert (
+            bulk.telemetry.snapshot()["counters"]
+            == one_by_one.telemetry.snapshot()["counters"]
+        )
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             AnswerCache(capacity=0)

@@ -15,7 +15,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServingError,
 )
-from repro.serving import AdmissionController, ServingConfig
+from repro.serving import AdmissionController, AnswerCache, ServingConfig
 
 from .conftest import RANGES, TIERS, build_service
 
@@ -330,3 +330,46 @@ class TestTelemetry:
         coalesce = snap["histograms"]["gateway.coalesce_s"]
         assert coalesce["count"] == snap["histograms"]["gateway.batch_width"]["count"]
         assert coalesce["max"] <= gateway.config.batch_window + 0.5
+
+    def test_dispatch_books_everything_before_its_first_future_resolves(self):
+        """A dispatch writes every counter and histogram it touches before
+        any caller sees an answer, and resolves in settlement order: cache
+        hits, fresh rows by consumer in first-arrival order, duplicates."""
+        service = build_service()
+        released = service.broker.answer(
+            RangeQuery(*RANGES[0]), TIERS[0], consumer="carol"
+        )
+        gateway = service.serve(config=ServingConfig(batch_window=0.05))
+        gateway.cache.put(
+            AnswerCache.key_for(
+                released.query, released.spec,
+                service.broker.base_station.store_version,
+            ),
+            released,
+        )
+        plan = [
+            ("hit", RANGES[0], "alice"),
+            ("f1", RANGES[1], "bob"),
+            ("f2", RANGES[2], "alice"),
+            ("f3", RANGES[3], "bob"),
+            ("dup", RANGES[1], "alice"),
+            ("f4", RANGES[4], "alice"),
+        ]
+        order, seen = [], []
+        for name, (low, high), consumer in plan:
+            future = gateway.submit_range(low, high, ALPHA, DELTA, consumer=consumer)
+            future.add_done_callback(
+                lambda f, name=name: (
+                    order.append(name),
+                    seen.append(gateway.telemetry.snapshot()),
+                )
+            )
+        with gateway:  # the worker picks the whole queue up as one batch
+            pass
+        assert order == ["hit", "f1", "f3", "f2", "f4", "dup"]
+        after = gateway.telemetry.snapshot()
+        assert seen[0] == after
+        counters = after["counters"]
+        assert counters["gateway.served"] == 6
+        assert counters["gateway.cache_replays"] == 2
+        assert after["histograms"]["gateway.latency_s"]["count"] == 6

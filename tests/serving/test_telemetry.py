@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.telemetry import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -72,6 +75,74 @@ class TestHistogram:
     def test_rejects_tiny_cap(self):
         with pytest.raises(ValueError):
             Histogram(cap=1)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class _ReferenceHistogram:
+    """One value at a time, as ``Histogram.observe`` did before the bulk
+    path: the model ``observe_many`` must reproduce."""
+
+    def __init__(self, cap):
+        self.cap, self.values = cap, []
+        self.count, self.sum, self.min, self.max = 0, 0.0, float("inf"), float("-inf")
+
+    def observe(self, value):
+        value = float(value)
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if len(self.values) >= self.cap:
+            self.values = self.values[::2]
+        self.values.append(value)
+
+    def state(self):
+        return (self.count, _bits(self.sum), _bits(self.min), _bits(self.max),
+                [_bits(v) for v in self.values])
+
+
+def _state(hist):
+    """Everything a histogram keeps, floats as their bit patterns."""
+    with hist._lock:
+        return (
+            hist.count, _bits(hist.sum), _bits(hist._min), _bits(hist._max),
+            [_bits(v) for v in hist._values],
+        )
+
+
+@given(
+    chunks=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64)),
+        max_size=8,
+    ),
+    cap=st.integers(min_value=2, max_value=9),
+)
+@settings(max_examples=200, deadline=None)
+def test_observe_many_is_repeated_observe(chunks, cap):
+    """Property: count, sum, min, max bit-equal and the same reservoir past
+    ``cap``, however the values are split into calls."""
+    reference, one_by_one, bulk = (
+        _ReferenceHistogram(cap), Histogram(cap=cap), Histogram(cap=cap)
+    )
+    for chunk in chunks:
+        for value in chunk:
+            reference.observe(value)
+            one_by_one.observe(value)
+        bulk.observe_many(chunk)
+    assert _state(bulk) == _state(one_by_one) == reference.state()
+
+
+def test_registry_observe_many_creates_nothing_when_empty():
+    registry = MetricsRegistry()
+    registry.observe_many("x", [])
+    assert registry.snapshot()["histograms"] == {}
+    registry.observe_many("x", [1, 2])
+    assert registry.histogram("x").count == 2
 
 
 class TestMetricsRegistry:
