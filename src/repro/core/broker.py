@@ -148,9 +148,11 @@ class DataBroker:
         """Re-release a previously purchased answer to ``consumer`` at ε′ = 0.
 
         The settlement kernel's :func:`~repro.core.settlement.replay`:
-        journaled and billed at list price, no budget charged.  Shared by
-        the broker's own memoized-answer cache and the serving layer's
-        :class:`~repro.serving.answer_cache.AnswerCache`.
+        journaled and billed at list price, no budget charged.  A one-row
+        entry point for direct callers: neither the broker's memoized-answer
+        cache nor the serving layer's
+        :class:`~repro.serving.answer_cache.AnswerCache` calls it; both
+        settle their hits as ``replays=`` rows of :meth:`answer_batch`.
         """
         return replay(self, "broker", cached, consumer)
 

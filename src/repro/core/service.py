@@ -273,9 +273,10 @@ class PrivateRangeCountingService:
         """Release a private equal-width histogram over ``[low, high]``.
 
         Buckets are disjoint, so parallel composition makes the whole
-        histogram cost one bucket's amplified budget ε′, which is charged
-        to the privacy accountant.  ``min_rate`` bounds the sample density
-        used (a collection/top-up runs if the stored sample is sparser).
+        histogram cost one bucket's amplified budget ε′, which is journaled
+        and charged to the privacy accountant.  ``min_rate`` bounds the
+        sample density used (a collection/top-up runs if the stored sample
+        is sparser).
         """
         from repro.core.histogram import equal_width_edges, release_histogram
 
@@ -286,10 +287,8 @@ class PrivateRangeCountingService:
             epsilon,
             self.broker.rng,
         )
-        self.broker.accountant.charge(
-            self.broker.dataset,
-            release.epsilon_prime,
-            label=f"histogram[{low},{high}]x{buckets}",
+        self._charge(
+            release.epsilon_prime, f"histogram[{low},{high}]x{buckets}", low, high
         )
         return release
 
@@ -303,7 +302,8 @@ class PrivateRangeCountingService:
         """Release the ``q``-quantile privately (noisy binary search).
 
         The search domain is the observed value span of the stored truth
-        column; the amplified cost ε′ is charged to the accountant.
+        column; the amplified cost ε′ is journaled and charged to the
+        accountant.
         """
         from repro.core.private_quantile import release_quantile
 
@@ -315,12 +315,36 @@ class PrivateRangeCountingService:
             self.station.samples(), q, epsilon, domain, self.broker.rng,
             probes=probes,
         )
-        self.broker.accountant.charge(
-            self.broker.dataset,
-            release.epsilon_prime,
-            label=f"quantile[{q}]",
-        )
+        self._charge(release.epsilon_prime, f"quantile[{q}]", *domain)
         return release
+
+    def _charge(self, epsilon_prime: float, label: str, low: float, high: float) -> None:
+        """Journal, then charge, an ε′ spend made outside the trade path.
+
+        Journal-before-charge, as for every trade: a crash in between makes
+        recovery over-count ε, never under-count it.  A charge the
+        accountant would refuse journals nothing and raises
+        :class:`~repro.errors.PrivacyBudgetExceededError` from ``charge``.
+        """
+        broker = self.broker
+        journal = broker.journal
+        if journal is not None and broker.accountant.can_afford(
+            broker.dataset, epsilon_prime
+        ):
+            journal.append(
+                kind="charge",
+                consumer="",
+                dataset=broker.dataset,
+                low=low,
+                high=high,
+                alpha=0.0,
+                delta=0.0,
+                epsilon_prime=epsilon_prime,
+                price=0.0,
+                store_version=self.station.store_version,
+                label=label,
+            )
+        broker.accountant.charge(broker.dataset, epsilon_prime, label=label)
 
     def estimate_quantile(self, q: float, min_rate: float = 0.1) -> float:
         """Broker-internal ``q``-quantile estimate from the stored sample.

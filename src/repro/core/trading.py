@@ -125,29 +125,6 @@ class Marketplace:
         )
         return answer
 
-    def settle_answer(self, consumer: str, answer: PrivateAnswer) -> Settlement:
-        """Debit the consumer's wallet for an already-produced answer.
-
-        The settlement path shared by :meth:`buy`, :meth:`buy_many`, and
-        the serving gateway (which produces answers through the broker
-        and settles wallets afterwards).  Raises
-        :class:`~repro.errors.LedgerError` when the wallet cannot cover
-        the billed price -- callers that need the funds check *before*
-        the broker runs should quote and verify up front, as
-        :meth:`buy` does.
-        """
-        wallet = self._wallet(consumer)
-        wallet.withdraw(answer.price)
-        settlement = Settlement(
-            consumer=consumer,
-            query=answer.query,
-            spec=answer.spec,
-            price=answer.price,
-            epsilon_prime=answer.epsilon_prime,
-        )
-        self.settlements.append(settlement)
-        return settlement
-
     def buy_many(
         self,
         consumer: str,

@@ -18,7 +18,8 @@ torn tail.  Frame types:
   the first record that uses it.  The trade journal interns ``consumer``
   and ``dataset``; the window log interns ``dataset``.
 * ``TRADE`` -- one journaled trade, fixed-width: ``u64 answer_id``,
-  ``u8 kind``, ``u32 consumer id``, ``u32 dataset id``, six ``f64``
+  ``u8 kind`` (0 release, 1 replay, 2 charge), ``u32 consumer id``,
+  ``u32 dataset id``, six ``f64``
   (``low, high, alpha, delta, epsilon_prime, price``), ``i64
   store_version``, then the ``label`` inline as ``u32`` length + UTF-8.
 * ``ROLL`` -- one shard's sealed epoch: ``u64 seq``, ``i64 shard_id,
@@ -121,7 +122,7 @@ _ROLL = struct.Struct("<QqqqdI")
 _NODE = struct.Struct("<qqI")
 _CHARGE = struct.Struct("<QIdI")
 
-_TRADE_KINDS = ("release", "replay")
+_TRADE_KINDS = ("release", "replay", "charge")
 _TRADE_CODES = {kind: code for code, kind in enumerate(_TRADE_KINDS)}
 
 _F64 = np.dtype("<f8")

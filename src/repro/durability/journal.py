@@ -37,9 +37,11 @@ __all__ = ["JournalEntry", "TradeJournal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
 JOURNAL_FORMAT = "repro.trade-journal"
 JOURNAL_VERSION = codec.FORMAT_VERSION
 
-#: Entry kinds: a fresh noised release (spends ε′ > 0) vs. the replay of
-#: an already-released answer (billed, but ε′ = 0 by post-processing).
-ENTRY_KINDS = ("release", "replay")
+#: Entry kinds: a fresh noised release (spends ε′ > 0), the replay of an
+#: already-released answer (billed, but ε′ = 0 by post-processing), and a
+#: bare ε′ charge made outside the trade path -- a histogram or quantile
+#: release -- which spends budget but is never billed (price 0).
+ENTRY_KINDS = ("release", "replay", "charge")
 
 #: Fields that must hold finite numbers: the books never hold NaN/Infinity.
 _FINITE_FIELDS = ("low", "high", "alpha", "delta", "epsilon_prime", "price")
@@ -96,6 +98,8 @@ class JournalEntry:
             raise JournalError(
                 "replay entries are post-processing and must carry ε′ = 0"
             )
+        if self.kind == "charge" and self.price != 0.0:
+            raise JournalError("charge entries are never billed; price must be 0")
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready dict with the format envelope (``journal-dump``).

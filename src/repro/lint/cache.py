@@ -7,7 +7,9 @@ never looked up (no invalidation protocol, safe to delete at any time):
   parsed AST plus comment map -- reparsing is the expensive part of a
   lint run) together with that file's intra-rule findings and
   suppression count, keyed by ``sha256(rel_path, source, salt)`` where
-  the salt covers the rule set and engine version.
+  the salt covers the selected rule set and a digest of every source
+  file of the :mod:`repro.lint` package, so an edited rule, summary or
+  pickled layout never meets an entry the old code wrote.
 * **Per-tree** entries store the interprocedural pass's findings,
   suppression count, and the memoized function summaries, keyed by the
   hash of *every* file's content hash.  Function summaries depend on
@@ -31,10 +33,21 @@ from typing import Any, Dict, List, Optional
 from repro.lint.engine import FileContext
 from repro.lint.findings import Finding
 
-__all__ = ["LintCache", "CACHE_VERSION"]
+__all__ = ["LintCache"]
 
-#: Bump when finding semantics, summary shapes, or pickled layouts change.
-CACHE_VERSION = "3"
+#: The package whose sources salt every cache key.
+PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def sources_digest() -> str:
+    """sha256 over the names and bytes of the lint package's sources."""
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        digest.update(path.relative_to(PACKAGE_DIR).as_posix().encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 @dataclass
@@ -51,7 +64,7 @@ class LintCache:
 
     def __init__(self, directory: Path, salt: str = "") -> None:
         self.directory = Path(directory)
-        self.salt = f"{CACHE_VERSION}\x00{salt}"
+        self.salt = f"{sources_digest()}\x00{salt}"
         self.hits = 0
         self.misses = 0
         try:

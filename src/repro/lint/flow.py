@@ -9,11 +9,12 @@ approximation; the accounting/answer paths under check are acyclic).
 
 Three project rules run on top:
 
-* **RL001i dp-boundary-flow** -- the RL001 taint walk, but raw-estimate
+* **RL001i dp-boundary-flow** -- the same
+  :class:`~repro.lint.summaries.TaintWalker` RL001 runs, but raw-estimate
   taint is tracked *through project calls*, returns, and attribute
   stores until a ``repro.privacy`` sanitizer is reached.  Only findings
   whose trace has at least two hops are reported: single-hop leaks are
-  exactly RL001's intra-function territory.
+  RL001's findings.
 * **RL007 budget-conservation** -- every path of a broker ``answer*``
   function that releases an answer must first be charged to the budget
   accountant AND committed to the write-ahead journal, across calls
@@ -83,9 +84,9 @@ __all__ = [
     "BROKER_MODULES",
 ]
 
-#: Modules whose ``answer*``/``replay*`` paths release answers (the same
-#: scope RL001 uses), plus the settlement kernel they all release
-#: through.  ``repro.resilience`` is inside the scope because
+#: Modules whose ``answer*``/``replay*`` paths release answers, plus the
+#: settlement kernel they all release through: the scope of RL001,
+#: RL001i and RL007.  ``repro.resilience`` is inside the scope because
 #: brownout/hedging helpers sit on the release path: any future
 #: ``answer*`` helper that moves there keeps the same static guarantees.
 BROKER_MODULES = (
@@ -339,7 +340,7 @@ class InterproceduralDpBoundaryRule(ProjectRule):
                     continue
                 if len(event.value.hops) < 2:
                     # Single-hop == the source is visible right here;
-                    # that is RL001's intra-function finding, not ours.
+                    # RL001 reports it.
                     continue
                 if event.kind == "return":
                     message = (

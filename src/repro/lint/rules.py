@@ -7,7 +7,8 @@ linters cannot see:
   count may leave the broker answer paths without passing through a
   ``repro.privacy`` mechanism (Laplace perturbation); the ε′ = 0
   ``replay`` path is post-processing and therefore exempt by
-  construction (it re-releases already-noised values).
+  construction (it re-releases already-noised values).  It runs the
+  one taint walk of :mod:`repro.lint.summaries`, without call resolution.
 * **RL002 rng-discipline** -- the determinism contract (bit-identical
   scalar/batch/cluster answers) dies the moment any global or
   constant-seeded RNG sneaks in.
@@ -29,10 +30,13 @@ brokers into the settlement kernel where the journal append now lives.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
+from repro.lint.callgraph import call_name, dotted_name
 from repro.lint.engine import FileContext, Rule, default_registry
 from repro.lint.findings import Finding
+from repro.lint.flow import BROKER_MODULES
+from repro.lint.summaries import TAINTED, TaintWalker
 
 __all__ = [
     "DpBoundaryRule",
@@ -43,78 +47,18 @@ __all__ = [
 ]
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _call_name(node: ast.Call) -> str:
-    """Last segment of the callee (``estimate`` for ``self.estimator.estimate``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 # ======================================================================
 # RL001 dp-boundary
 # ======================================================================
 
-# Taint lattice: CLEAN < NOISED < TAINTED for branch merging.  In
-# expression combination, NOISED dominates TAINTED (``estimate + noise``
-# is a perturbed value), while at merge points TAINTED dominates (a
-# value that is raw on *any* path is a leak).
-_CLEAN, _NOISED, _TAINTED = 0, 1, 2
-
-_TAINT_SOURCES = {"estimate", "estimate_many", "true_count", "exact_count"}
-_TAINT_ATTRS = {"sample_estimate"}
-_SANITIZERS = {"sample_laplace", "sample_laplace_many", "sample_noise", "sample_geometric"}
-_PROPAGATORS = {
-    "float", "int", "abs", "min", "max", "sum", "round",
-    "asarray", "array", "clip", "where", "maximum", "minimum",
-    "copy", "astype", "reshape",
-}
-_ANSWER_SINK_FIELDS = ("value", "raw_value")
-#: The settlement kernel assembles released answers from these calls'
-#: ``value=`` / ``raw_value=`` columns, so they are sinks like
-#: ``*Answer(...)`` construction.
-_RELEASE_SINKS = {"release_batch"}
-
-
-class _TaintState:
-    __slots__ = ("env",)
-
-    def __init__(self, env: Optional[Dict[str, int]] = None) -> None:
-        self.env: Dict[str, int] = dict(env or {})
-
-
-def _combine_expr(states: Iterable[int]) -> int:
-    """Dataflow join inside one expression: noise cleanses taint."""
-    result = _CLEAN
-    for state in states:
-        if state == _NOISED:
-            return _NOISED
-        if state == _TAINTED:
-            result = _TAINTED
-    return result
-
-
-def _merge_branch(a: int, b: int) -> int:
-    """Join across control-flow branches: taint on any path survives."""
-    return max(a, b)
-
-
 class DpBoundaryRule(Rule):
-    """RL001: count-derived values must be noised before release."""
+    """RL001: count-derived values must be noised before release.
+
+    Runs the shared :class:`~repro.lint.summaries.TaintWalker` with no
+    call resolution: every leak whose source is visible inside the
+    ``answer*``/``replay*`` function itself is reported here, including
+    the single-hop ones RL001i leaves alone.
+    """
 
     rule_id = "RL001"
     name = "dp-boundary"
@@ -124,17 +68,8 @@ class DpBoundaryRule(Rule):
         "Theorem 3.5)."
     )
 
-    _MODULES = (
-        "repro.core.broker",
-        "repro.core.settlement",
-        "repro.cluster.broker",
-        "repro.streaming.broker",
-        "repro.resilience.brownout",
-        "repro.resilience.hedging",
-    )
-
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module in self._MODULES
+        return ctx.module in BROKER_MODULES
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -143,188 +78,30 @@ class DpBoundaryRule(Rule):
             ):
                 yield from self._check_function(ctx, node)
 
-    # -- per-function taint walk --------------------------------------
     def _check_function(self, ctx: FileContext, func: ast.FunctionDef) -> Iterator[Finding]:
-        state = _TaintState()
-        yield from self._walk_block(ctx, func.body, state, func.name)
-
-    def _walk_block(
-        self,
-        ctx: FileContext,
-        stmts: List[ast.stmt],
-        state: _TaintState,
-        func_name: str,
-    ) -> Iterator[Finding]:
-        for stmt in stmts:
-            yield from self._check_sinks(ctx, stmt, state, func_name)
-            if isinstance(stmt, ast.Assign):
-                value_state = self._classify(stmt.value, state)
-                for target in stmt.targets:
-                    self._bind(target, value_state, state)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._bind(stmt.target, self._classify(stmt.value, state), state)
-            elif isinstance(stmt, ast.AugAssign):
-                merged = _combine_expr(
-                    (self._classify(stmt.target, state), self._classify(stmt.value, state))
-                )
-                self._bind(stmt.target, merged, state)
-            elif isinstance(stmt, ast.If):
-                body_state = _TaintState(state.env)
-                yield from self._walk_block(ctx, stmt.body, body_state, func_name)
-                else_state = _TaintState(state.env)
-                yield from self._walk_block(ctx, stmt.orelse, else_state, func_name)
-                for var in set(body_state.env) | set(else_state.env):
-                    state.env[var] = _merge_branch(
-                        body_state.env.get(var, _CLEAN), else_state.env.get(var, _CLEAN)
-                    )
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._bind(stmt.target, self._classify(stmt.iter, state), state)
-                yield from self._walk_block(ctx, stmt.body, state, func_name)
-                yield from self._walk_block(ctx, stmt.orelse, state, func_name)
-            elif isinstance(stmt, ast.While):
-                yield from self._walk_block(ctx, stmt.body, state, func_name)
-                yield from self._walk_block(ctx, stmt.orelse, state, func_name)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                yield from self._walk_block(ctx, stmt.body, state, func_name)
-            elif isinstance(stmt, ast.Try):
-                yield from self._walk_block(ctx, stmt.body, state, func_name)
-                for handler in stmt.handlers:
-                    yield from self._walk_block(ctx, handler.body, state, func_name)
-                yield from self._walk_block(ctx, stmt.orelse, state, func_name)
-                yield from self._walk_block(ctx, stmt.finalbody, state, func_name)
-            # Nested function/class definitions are deliberately skipped:
-            # the answer paths under check do not release through closures.
-
-    def _check_sinks(
-        self,
-        ctx: FileContext,
-        stmt: ast.stmt,
-        state: _TaintState,
-        func_name: str,
-    ) -> Iterator[Finding]:
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            if self._classify(stmt.value, state) == _TAINTED:
-                yield ctx.finding(
-                    self.rule_id,
-                    stmt.lineno,
-                    stmt.col_offset,
-                    f"{func_name} returns a count-derived value that never "
+        walker = TaintWalker(ctx, lambda call: [])
+        walker.run(func)
+        for event in walker.events:
+            if event.value.level != TAINTED:
+                continue
+            if event.kind == "return":
+                message = (
+                    f"{func.name} returns a count-derived value that never "
                     "passed through a repro.privacy mechanism "
-                    "(sample_laplace/sample_laplace_many)",
+                    "(sample_laplace/sample_laplace_many)"
                 )
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr, ast.Return)):
-            value = getattr(stmt, "value", None)
-            if value is not None:
-                yield from self._check_answer_calls(ctx, value, state, func_name)
-
-    def _check_answer_calls(
-        self,
-        ctx: FileContext,
-        expr: ast.expr,
-        state: _TaintState,
-        func_name: str,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _call_name(node)
-            is_answer = callee.endswith("Answer")
-            if not is_answer and callee not in _RELEASE_SINKS:
-                continue
-            positional = node.args[: len(_ANSWER_SINK_FIELDS)] if is_answer else []
-            for pos, arg in enumerate(positional):
-                if self._classify(arg, state) == _TAINTED:
-                    yield self._sink_finding(ctx, arg, callee, _ANSWER_SINK_FIELDS[pos], func_name)
-            for kw in node.keywords:
-                if kw.arg in _ANSWER_SINK_FIELDS and self._classify(kw.value, state) == _TAINTED:
-                    yield self._sink_finding(ctx, kw.value, callee, kw.arg, func_name)
-
-    def _sink_finding(
-        self, ctx: FileContext, node: ast.expr, callee: str, field_name: str, func_name: str
-    ) -> Finding:
-        return ctx.finding(
-            self.rule_id,
-            node.lineno,
-            node.col_offset,
-            f"{func_name} builds {callee}({field_name}=...) from an unperturbed "
-            "count estimate; route it through sample_laplace/sample_laplace_many "
-            "or the eps'=0 replay path",
-        )
-
-    # -- expression classification ------------------------------------
-    def _bind(self, target: ast.expr, value_state: int, state: _TaintState) -> None:
-        if isinstance(target, ast.Name):
-            state.env[target.id] = value_state
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._bind(element, value_state, state)
-        elif isinstance(target, ast.Starred):
-            self._bind(target.value, value_state, state)
-        elif isinstance(target, ast.Subscript):
-            # An element store joins into its container (a weak update):
-            # ``col[rows] += estimate_many(...)`` taints ``col``, and
-            # ``noise[rows] = sample_laplace_many(...)`` noises it.
-            base = target.value
-            while isinstance(base, ast.Subscript):
-                base = base.value
-            if isinstance(base, ast.Name):
-                state.env[base.id] = _merge_branch(
-                    state.env.get(base.id, _CLEAN), value_state
+            else:
+                message = (
+                    f"{func.name} builds {event.detail} from an unperturbed "
+                    "count estimate; route it through sample_laplace/"
+                    "sample_laplace_many or the eps'=0 replay path"
                 )
-        # Attribute targets are not tracked.
-
-    def _classify(self, node: ast.expr, state: _TaintState) -> int:
-        if isinstance(node, ast.Name):
-            return state.env.get(node.id, _CLEAN)
-        if isinstance(node, ast.Constant):
-            return _CLEAN
-        if isinstance(node, ast.Attribute):
-            if node.attr in _TAINT_ATTRS:
-                return _TAINTED
-            return self._classify(node.value, state)
-        if isinstance(node, ast.Call):
-            callee = _call_name(node)
-            arg_states = [self._classify(arg, state) for arg in node.args]
-            arg_states.extend(
-                self._classify(kw.value, state) for kw in node.keywords if kw.value is not None
+            yield ctx.finding(
+                self.rule_id,
+                getattr(event.node, "lineno", 1),
+                getattr(event.node, "col_offset", 0),
+                message,
             )
-            if callee in _SANITIZERS:
-                return _NOISED
-            if callee in _TAINT_SOURCES:
-                return _TAINTED
-            if callee in _PROPAGATORS:
-                return _combine_expr(arg_states)
-            return _CLEAN
-        if isinstance(node, ast.BinOp):
-            return _combine_expr(
-                (self._classify(node.left, state), self._classify(node.right, state))
-            )
-        if isinstance(node, ast.UnaryOp):
-            return self._classify(node.operand, state)
-        if isinstance(node, ast.BoolOp):
-            return _combine_expr(self._classify(value, state) for value in node.values)
-        if isinstance(node, ast.IfExp):
-            return _merge_branch(
-                self._classify(node.body, state), self._classify(node.orelse, state)
-            )
-        if isinstance(node, ast.Subscript):
-            return self._classify(node.value, state)
-        if isinstance(node, ast.Starred):
-            return self._classify(node.value, state)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return max(
-                (self._classify(element, state) for element in node.elts), default=_CLEAN
-            )
-        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-            inner = _TaintState(state.env)
-            for comp in node.generators:
-                self._bind(comp.target, self._classify(comp.iter, state), inner)
-            return self._classify(node.elt, inner)
-        if isinstance(node, ast.NamedExpr):
-            value_state = self._classify(node.value, state)
-            self._bind(node.target, value_state, state)
-            return value_state
-        return _CLEAN
 
 
 # ======================================================================
@@ -374,7 +151,7 @@ class RngDisciplineRule(Rule):
                 yield from self._check_call(ctx, node)
 
     def _check_call(self, ctx: FileContext, node: ast.Call) -> Iterator[Finding]:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             parts = dotted.split(".")
             if len(parts) >= 2 and parts[-2] == "random" and parts[0] in ("np", "numpy"):
@@ -390,13 +167,13 @@ class RngDisciplineRule(Rule):
                         f"np.random.{parts[-1]} draws from the global RNG; "
                         "draw from a seed-threaded Generator instead",
                     )
-        if _call_name(node) == "default_rng" and not node.args and not node.keywords:
+        if call_name(node) == "default_rng" and not node.args and not node.keywords:
             yield ctx.finding(
                 self.rule_id, node.lineno, node.col_offset,
                 "default_rng() with no seed is entropy-seeded and "
                 "non-reproducible; thread an explicit seed",
             )
-        if _call_name(node) == "field":
+        if call_name(node) == "field":
             yield from self._check_field_default(ctx, node)
 
     def _check_field_default(self, ctx: FileContext, node: ast.Call) -> Iterator[Finding]:
@@ -406,7 +183,7 @@ class RngDisciplineRule(Rule):
             for inner in ast.walk(kw.value.body):
                 if (
                     isinstance(inner, ast.Call)
-                    and _call_name(inner) == "default_rng"
+                    and call_name(inner) == "default_rng"
                     and inner.args
                     and all(isinstance(arg, ast.Constant) for arg in inner.args)
                 ):

@@ -21,10 +21,14 @@ the demand-driven propagator in :mod:`repro.lint.flow`:
   the *ordering edges* observed inside it: lock B acquired -- directly
   or through a callee -- while lock A is held.
 
-Taint levels reuse the intra-rule lattice of RL001: ``CLEAN`` <
-``NOISED`` < ``TAINTED``; in expression combination NOISED dominates
-(``estimate + noise`` is perturbed), at branch merges TAINTED dominates
-(raw on any path is a leak).
+This module is the one home of the DP taint analysis: the lattice
+``CLEAN`` < ``NOISED`` < ``TAINTED`` (in expression combination NOISED
+dominates -- ``estimate + noise`` is perturbed -- at branch merges
+TAINTED dominates -- raw on any path is a leak), the vocabulary of
+sources, sanitizers, propagators and sinks, and :class:`TaintWalker`.
+Both DP-boundary rules run that walker: RL001
+(:mod:`repro.lint.rules`) with no call resolution, RL001i
+(:mod:`repro.lint.flow`) with callee summaries.
 """
 
 from __future__ import annotations
@@ -168,10 +172,12 @@ SummarizeCall = Callable[[ast.Call], List[Tuple[FunctionDecl, TaintSummary]]]
 class TaintWalker:
     """Generic forward taint walk over one function body.
 
-    Mirrors the intra-function RL001 walk (same lattice, same statement
-    coverage) but classifies *resolved* project calls through their
-    :class:`TaintSummary` and tracks attribute stores (``self.x = raw``
-    then ``self.x`` later) via dotted environment keys.
+    The one DP taint walk.  ``summarize_call`` resolves project calls to
+    their :class:`TaintSummary`: RL001 passes ``lambda call: []`` (every
+    call it does not know by name is clean), RL001i and the summary
+    computation pass the project's resolver.  Attribute stores
+    (``self.x = raw`` then ``self.x`` later) are tracked via dotted
+    environment keys.
     """
 
     def __init__(
@@ -320,9 +326,8 @@ class TaintWalker:
             if dotted is not None and dotted in self.env:
                 stored = self.env[dotted]
                 if stored.level == TAINTED:
-                    # Attribute stores launder taint past the purely
-                    # local intra-rule; add a hop so the trace (and the
-                    # interprocedural-only filter) see the indirection.
+                    # Add a hop for the attribute store so the trace
+                    # (and RL001i's two-hop filter) see the indirection.
                     return Abstract(
                         TAINTED,
                         deps=stored.deps,

@@ -243,7 +243,8 @@ class BillingLedger:
         sale exactly once (the *never double-charges* half of recovery).
         Transactions are recorded through the normal write path, so the
         rebuilt ledger's transaction ids match the uninterrupted run's.
-        Returns the number of entries applied.
+        ``charge`` entries (a histogram or quantile ε′ spend) were never
+        billed and record nothing.  Returns the number of entries applied.
         """
         applied = 0
         previous = 0
@@ -255,6 +256,9 @@ class BillingLedger:
                 )
             previous = entry.answer_id
             if entry.answer_id <= self._journal_high_water:
+                continue
+            if entry.kind == "charge":
+                self._journal_high_water = entry.answer_id
                 continue
             self.record(
                 consumer=entry.consumer,

@@ -232,7 +232,9 @@ class BudgetAccountant:
         """Re-apply journaled privacy spends not yet folded in.
 
         Entries at or below the journal high-water mark are skipped
-        (idempotent), replay entries carry ε′ = 0 and record nothing, and
+        (idempotent), replay entries carry ε′ = 0 and record nothing,
+        release and ``charge`` entries (a histogram or quantile spend)
+        fold in alike, and
         — crucially — **capacity is not enforced**: the releases already
         happened, so recovery must record every journaled spend even if
         the dataset ends up over budget.  Under-counting ε after a crash
@@ -251,7 +253,7 @@ class BudgetAccountant:
             if entry.answer_id <= self._journal_high_water:
                 continue
             self._journal_high_water = entry.answer_id
-            if entry.kind != "release":
+            if entry.kind == "replay":
                 # Replays are post-processing: billed, but never charged
                 # to the accountant, exactly as in live operation.
                 continue

@@ -23,7 +23,7 @@ from repro.durability.recovery import (
     recover_accounting,
     snapshot_accounting,
 )
-from repro.errors import LedgerError
+from repro.errors import JournalError, LedgerError, PrivacyBudgetExceededError
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from tests.chaos.conftest import DEVICES, RANGES, RECORDS, TIERS, journal_record
@@ -224,3 +224,57 @@ class TestRecoveryEquivalence:
             crashed.broker.ledger,
             crashed.broker.accountant,
         )
+
+
+class TestOutOfTradeCharges:
+    """Histogram and quantile releases spend ε′ outside the trade path;
+    their charges must reach the journal like every trade's."""
+
+    def test_histogram_and_quantile_spends_recover_bit_exact(self, tmp_path):
+        service = build_service()
+        broker = service.broker
+        path = tmp_path / "journal.bin"
+        broker.journal = TradeJournal(path=path)
+        run_trades(service, range(0, 1))
+        service.histogram(0.0, 200.0, buckets=4, epsilon=0.5)
+        service.private_quantile(0.5, epsilon=0.5)
+        run_trades(service, range(1, 2))
+
+        kinds = [entry.kind for entry in broker.journal.entries()]
+        assert kinds == ["release", "charge", "charge", "release"]
+        live_history = broker.accountant.snapshot()["spent"]
+        for journal in (broker.journal, TradeJournal.load(path)):
+            ledger, accountant = recover_accounting(journal)
+            assert accountant.spent(broker.dataset) == (
+                broker.accountant.spent(broker.dataset)
+            )
+            assert accountant.snapshot()["spent"] == live_history
+            # The charges were never billed: the ledger holds the trades only.
+            assert ledger.snapshot()["transactions"] == (
+                broker.ledger.snapshot()["transactions"]
+            )
+            assert books_equal(ledger, accountant, broker.ledger, broker.accountant)
+
+    def test_refused_charge_journals_nothing(self):
+        service = build_service()
+        broker = service.broker
+        run_trades(service, range(0, 2))
+        spent = broker.accountant.spent(broker.dataset)
+        broker.accountant.capacity = spent + 1e-9
+        pre_journal = len(broker.journal)
+        with pytest.raises(PrivacyBudgetExceededError):
+            service.histogram(0.0, 200.0, buckets=4, epsilon=0.5)
+        with pytest.raises(PrivacyBudgetExceededError):
+            service.private_quantile(0.5, epsilon=0.5)
+        assert len(broker.journal) == pre_journal
+        assert broker.accountant.spent(broker.dataset) == spent
+
+    def test_charge_entries_are_never_billed(self):
+        with pytest.raises(JournalError):
+            TradeJournal().append(**journal_record(kind="charge", price=1.5))
+        journal = TradeJournal()
+        journal.append(**journal_record(kind="charge", price=0.0))
+        ledger = BillingLedger()
+        assert ledger.replay_journal(journal.entries()) == 0
+        assert len(ledger) == 0
+        assert BudgetAccountant().replay_journal(journal.entries()) == 1

@@ -4,9 +4,11 @@ pass, and parallel-parse equivalence."""
 
 from __future__ import annotations
 
+import shutil
 import textwrap
 from pathlib import Path
 
+import repro.lint.cache as cache_module
 from repro.lint import LintEngine
 from repro.lint.cache import LintCache
 
@@ -109,6 +111,31 @@ def test_salt_change_invalidates_everything(tmp_path):
     _engine().lint_paths([root / "src"], root, cache=cache)
 
     cache = LintCache(cache_dir, salt="rules-v2")
+    _engine().lint_paths([root / "src"], root, cache=cache)
+    assert cache.hits == 0 and cache.misses == 2
+
+
+def test_changed_lint_source_invalidates_everything(tmp_path, monkeypatch):
+    """Entries written by one version of the lint code must not be served
+    to another: an edited rule would otherwise replay the old findings."""
+    root = _make_tree(tmp_path)
+    cache_dir = tmp_path / ".lint-cache"
+    package = tmp_path / "lint-package"
+    shutil.copytree(
+        cache_module.PACKAGE_DIR, package,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    monkeypatch.setattr(cache_module, "PACKAGE_DIR", package)
+
+    cache = LintCache(cache_dir, salt="s")
+    _engine().lint_paths([root / "src"], root, cache=cache)
+    cache = LintCache(cache_dir, salt="s")
+    _engine().lint_paths([root / "src"], root, cache=cache)
+    assert cache.hits == 2 and cache.misses == 0
+
+    rules = package / "rules.py"
+    rules.write_text(rules.read_text(encoding="utf-8") + "\n# edited\n", encoding="utf-8")
+    cache = LintCache(cache_dir, salt="s")
     _engine().lint_paths([root / "src"], root, cache=cache)
     assert cache.hits == 0 and cache.misses == 2
 

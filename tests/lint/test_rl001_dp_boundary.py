@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+from repro.lint.summaries import PROPAGATORS
 from tests.lint.conftest import rule_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -180,3 +183,29 @@ def test_seeded_mutation_of_scalar_answer_is_caught(lint_snippet):
     assert mutated != source, "mutation target not found; fixture out of date"
     result = lint_snippet(mutated, rules=["RL001"])
     assert "RL001" in rule_ids(result)
+
+
+def test_cluster_release_of_listed_estimates_is_caught(lint_snippet):
+    """Releasing the coordinator's pooled estimates raw through
+    ``list(...)`` is a single-hop leak: RL001i leaves it to RL001, so
+    RL001 must see taint through ``list``."""
+    rel = "src/repro/cluster/broker.py"
+    source = (REPO_ROOT / rel).read_text(encoding="utf-8")
+    assert source.count("value=released,") == 1, "fixture out of date"
+    mutated = source.replace("value=released,", "value=list(estimates),")
+    result = lint_snippet(mutated, rel_path=rel.removeprefix("src/"), rules=["RL001"])
+    assert rule_ids(result) == ["RL001"]
+    assert "release_batch(value=...)" in result.findings[0].message
+
+
+@pytest.mark.parametrize("propagator", sorted(PROPAGATORS))
+def test_every_propagator_carries_taint_to_the_answer(lint_snippet, propagator):
+    source = f"""
+class DataBroker:
+    def answer(self, query, spec, consumer="anonymous"):
+        estimate = self.estimator.estimate(samples, query.low, query.high)
+        return PrivateAnswer(value={propagator}(estimate))
+"""
+    result = lint_snippet(source, rules=["RL001"])
+    assert rule_ids(result) == ["RL001"]
+    assert "PrivateAnswer(value=...)" in result.findings[0].message
