@@ -20,7 +20,7 @@ Four commands cover the library's everyday surfaces:
   broker crash-recovery from the trade journal, shard partitions, burst
   loss) over a live stack and audit the crash-safety invariants.
 * ``journal-dump`` -- print a trade journal or window log file (journal
-  format v2) as one JSON object per entry.
+  format v3) as one JSON object per entry.
 
 Every command prints plain ASCII tables (the same renderer the bench
 harness uses) and returns a process exit code: 0 on success, 2 on invalid
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "function of this")
     chaos.add_argument("--journal", metavar="PATH",
                        help="persist the trade journal to this new file, "
-                            "in journal format v2 (first run only; "
+                            "in journal format v3 (first run only; "
                             "defaults to in-memory; inspect it with "
                             "journal-dump)")
     chaos.add_argument("--json", metavar="PATH",
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dump.add_argument(
         "path",
-        help="a journal-format-v2 file; its header says which log it is",
+        help="a journal-format-v3 file; its header says which log it is",
     )
 
     bcompare = sub.add_parser(

@@ -22,8 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.core.query import AccuracySpec
 from repro.errors import ReproError
+from repro.records import DispatchRecord, fold
 
 __all__ = ["PolicyViolationError", "BrokerPolicy"]
 
@@ -147,15 +151,40 @@ class BrokerPolicy:
         """
         if epsilon_prime < 0:
             raise ValueError("epsilon_prime must be non-negative")
-        if not self.can_release(consumer, epsilon_prime):
-            raise PolicyViolationError(
-                f"consumer {consumer!r} would exceed the per-consumer "
-                f"privacy cap {self.max_epsilon_per_consumer}"
+        self._settle([(consumer, np.array([epsilon_prime]))])
+
+    def settle_many(self, record: DispatchRecord) -> None:
+        """Record every row of a dispatch record against its consumer's caps.
+
+        Each consumer's ε′ is folded row by row in record order
+        (:func:`~repro.records.fold`), bit-equal to one :meth:`settle` per
+        row, and every row counts one purchase.  All consumers are
+        checked before any is settled.
+        """
+        epsilons = record.epsilon_prime
+        self._settle([
+            (record.consumers[code], epsilons[rows])
+            for code, rows in record.groups()
+        ])
+
+    def _settle(
+        self, groups: "list[tuple[str, npt.NDArray[np.float64]]]"
+    ) -> None:
+        totals = [
+            fold(epsilons, self._epsilon_spent.get(consumer, 0.0))
+            for consumer, epsilons in groups
+        ]
+        for (consumer, _), total in zip(groups, totals):
+            if not total <= self.max_epsilon_per_consumer + 1e-12:
+                raise PolicyViolationError(
+                    f"consumer {consumer!r} would exceed the per-consumer "
+                    f"privacy cap {self.max_epsilon_per_consumer}"
+                )
+        for (consumer, epsilons), total in zip(groups, totals):
+            self._epsilon_spent[consumer] = total
+            self._purchases[consumer] = (
+                self._purchases.get(consumer, 0) + len(epsilons)
             )
-        self._epsilon_spent[consumer] = (
-            self._epsilon_spent.get(consumer, 0.0) + epsilon_prime
-        )
-        self._purchases[consumer] = self._purchases.get(consumer, 0) + 1
 
     # ------------------------------------------------------------------
     # inspection

@@ -26,6 +26,7 @@ from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.trading import Marketplace
 from repro.datasets.citypulse import CityPulseDataset
 from repro.datasets.partition import partition_even
+from repro.errors import PrivacyBudgetExceededError
 from repro.estimators.base import NodeData
 from repro.estimators.exact import SortedColumn
 from repro.iot.base_station import BaseStation
@@ -279,13 +280,15 @@ class PrivateRangeCountingService:
         is sparser).
         """
         from repro.core.histogram import equal_width_edges, release_histogram
+        from repro.privacy.composition import parallel_composition
 
+        edges = equal_width_edges(low, high, buckets)
+        self._refuse_unaffordable(
+            parallel_composition([epsilon] * (len(edges) - 1)), min_rate
+        )
         self.station.ensure_rate(min_rate)
         release = release_histogram(
-            self.station.samples(),
-            equal_width_edges(low, high, buckets),
-            epsilon,
-            self.broker.rng,
+            self.station.samples(), edges, epsilon, self.broker.rng
         )
         self._charge(
             release.epsilon_prime, f"histogram[{low},{high}]x{buckets}", low, high
@@ -307,6 +310,7 @@ class PrivateRangeCountingService:
         """
         from repro.core.private_quantile import release_quantile
 
+        self._refuse_unaffordable(epsilon, min_rate)
         self.station.ensure_rate(min_rate)
         domain = (float(self.truth.values[0]), float(self.truth.values[-1]))
         if domain[0] == domain[1]:
@@ -317,6 +321,29 @@ class PrivateRangeCountingService:
         )
         self._charge(release.epsilon_prime, f"quantile[{q}]", *domain)
         return release
+
+    def _refuse_unaffordable(self, epsilon: float, min_rate: float) -> None:
+        """Refuse a histogram or quantile the accountant cannot afford,
+        before it tops the sample up or draws any noise.
+
+        The release samples at ``max(rate, min_rate)`` (``ensure_rate``
+        only ever raises the rate), so its amplified ε′ is known up front;
+        a refused release leaves the broker's rng and the store untouched.
+        Invalid arguments are left for the release itself to reject.
+        """
+        from repro.privacy.amplification import amplified_epsilon
+
+        if not (epsilon > 0 and 0.0 < min_rate <= 1.0):
+            return
+        broker = self.broker
+        rate = max(self.station.sampling_rate, min_rate)
+        epsilon_prime = amplified_epsilon(epsilon, rate)
+        if not broker.accountant.can_afford(broker.dataset, epsilon_prime):
+            raise PrivacyBudgetExceededError(
+                f"dataset {broker.dataset!r}: a release at ε′={epsilon_prime:.6g} "
+                f"would exceed capacity {broker.accountant.capacity:.6g} "
+                f"(already spent {broker.accountant.spent(broker.dataset):.6g})"
+            )
 
     def _charge(self, epsilon_prime: float, label: str, low: float, high: float) -> None:
         """Journal, then charge, an ε′ spend made outside the trade path.

@@ -19,9 +19,11 @@ The charging half is identical for all three and lives only here:
    (the policy's per-consumer cap, the lifetime accountant, and for
    streaming the per-epoch ledgers), atomically, before anything is
    released;
-3. :func:`release_batch` -- journal every trade *before* any book
-   mutates (journal-before-release), then settle the policy, charge the
-   accountant(s), record the sales, and assemble the answers.
+3. :func:`release_batch` -- build the batch's one
+   :class:`~repro.records.DispatchRecord` (numpy columns, no per-row
+   object or label text), journal it *before* any book mutates
+   (journal-before-release), then hand the same record to the policy,
+   the accountant(s) and the ledger, and assemble the answers.
 
 One call may serve many consumers: ``consumer`` is either one name for
 every row (the *strict* form, which raises on the first refusal) or one
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -67,11 +70,23 @@ import numpy.typing as npt
 
 from repro.core.policy import BrokerPolicy, PolicyViolationError
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.errors import DeadlineExceededError, PrivacyBudgetExceededError
+from repro.errors import (
+    DeadlineExceededError,
+    LedgerError,
+    PrivacyBudgetExceededError,
+)
 from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.optimizer import PrivacyPlan
+from repro.records import (
+    RELEASE,
+    REPLAY,
+    DispatchRecord,
+    LabelColumn,
+    codes_of,
+    group_rows,
+)
 from repro.resilience.deadline import (
     Deadline,
     check_deadline,
@@ -161,6 +176,11 @@ class Batch:
     replay_deadlines: Dict[int, Deadline]
     #: Refused rows and why.
     failed: Dict[int, Exception]
+    #: :meth:`groups` as of a refusal count (rows are refused, never
+    #: un-refused, so the count tells whether it is still current).
+    _groups: Dict[int, Dict[str, List[int]]] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def fresh(self) -> List[int]:
@@ -177,10 +197,15 @@ class Batch:
         the consumer's fresh rows plus any replays the broker itself
         added (not the caller's replays, which stand alone).
         """
+        cached = self._groups.get(len(self.failed))
+        if cached is not None:
+            return cached
         groups: Dict[str, List[int]] = {}
         for i, consumer in enumerate(self.consumers):
             if i not in self.standalone and i not in self.failed:
                 groups.setdefault(consumer, []).append(i)
+        self._groups.clear()
+        self._groups[len(self.failed)] = groups
         return groups
 
     def settlement_order(self) -> List[int]:
@@ -231,7 +256,7 @@ def _policy(broker: Broker) -> BrokerPolicy:
 
 
 def _journal_trades(
-    journal: "Optional[TradeJournal]", records: List[Dict[str, Any]]
+    journal: "Optional[TradeJournal]", record: DispatchRecord
 ) -> None:
     """Commit trades to the write-ahead journal, pre-release.
 
@@ -241,7 +266,7 @@ def _journal_trades(
     is attached.
     """
     if journal is not None:
-        journal.append_many(records)
+        journal.append_many(record)
 
 
 def _check_deadlines(batch: Batch, stage: str) -> None:
@@ -442,6 +467,125 @@ def admit(
     return [rows[k] for k in kept], [plans[k] for k in kept]
 
 
+def _live_rows(batch: Batch, policy: BrokerPolicy) -> List[int]:
+    """The rows to settle, in :meth:`Batch.settlement_order`.
+
+    A replay of an earlier row fails with its source's error, and a
+    caller's replay of an earlier row is admitted against the consumer's
+    purchases settled before it; other rows pass as they are.
+    """
+    order = batch.settlement_order()
+    replays = batch.replays
+    if not any(isinstance(source, int) for source in replays.values()):
+        return order
+    failed, standalone = batch.failed, batch.standalone
+    consumers, specs = batch.consumers, batch.specs
+    bought: Dict[str, int] = {}  # rows settled so far, per consumer
+    live: List[int] = []
+    for i in order:
+        if i in failed:
+            continue
+        consumer = consumers[i]
+        source = replays.get(i)
+        if isinstance(source, int):
+            if source in failed:
+                batch.refuse([i], failed[source])
+                continue
+            if i in standalone:
+                try:
+                    policy.admit(consumer, specs[i], bought.get(consumer, 0))
+                except PolicyViolationError as exc:
+                    batch.refuse([i], exc)
+                    continue
+        bought[consumer] = bought.get(consumer, 0) + 1
+        live.append(i)
+    return live
+
+
+_LOW, _HIGH = operator.attrgetter("low"), operator.attrgetter("high")
+_ALPHA, _DELTA = operator.attrgetter("alpha"), operator.attrgetter("delta")
+
+
+def _dispatch_record(
+    broker: Broker,
+    batch: Batch,
+    live: List[int],
+    rows: Sequence[int],
+    plans: Sequence[PrivacyPlan],
+    store_version: int,
+    window: Optional[WindowBooks],
+) -> DispatchRecord:
+    """The one record of the ``live`` rows, in order: column by column,
+    with no per-row object and no label text.
+
+    A release is charged its plan's ε′ and journaled at ``store_version``;
+    a replay costs ε′ = 0, and a caller's replay of a cached answer is
+    journaled at the store version the call opened at.  Each distinct
+    ``(α, δ)`` tier is priced once.
+    """
+    size = len(batch.queries)
+    at = np.array(live, dtype=np.intp)
+    queries = list(map(batch.queries.__getitem__, live))
+    specs = list(map(batch.specs.__getitem__, live))
+    consumer, consumers = codes_of(list(map(batch.consumers.__getitem__, live)))
+    low, high = list(map(_LOW, queries)), list(map(_HIGH, queries))
+    alpha, delta = list(map(_ALPHA, specs)), list(map(_DELTA, specs))
+    tiers = np.array([alpha, delta], dtype=np.float64).reshape(2, len(live))
+    price = np.empty(len(live), dtype=np.float64)
+    for tier_alpha, tier_delta in set(zip(alpha, delta)):
+        price[(tiers[0] == tier_alpha) & (tiers[1] == tier_delta)] = (
+            broker.pricing.price(tier_alpha, tier_delta)
+        )
+
+    epsilon_prime = np.zeros(size, dtype=np.float64)
+    if len(rows):
+        epsilon_prime[list(rows)] = [plan.epsilon_prime for plan in plans]
+    epsilon_prime = epsilon_prime[at]
+    replays = batch.replays
+    if replays:
+        # Batch-wide columns, then picked in settlement order.
+        kind = np.full(size, RELEASE, dtype=np.uint8)
+        kind[list(replays)] = REPLAY
+        version = np.full(size, store_version, dtype=np.int64)
+        version[[
+            i for i in batch.standalone if not isinstance(replays[i], int)
+        ]] = batch.opened_at
+        kind, version = kind[at], version[at]
+    else:
+        kind = np.zeros(len(live), dtype=np.uint8)
+        version = np.full(len(live), store_version, dtype=np.int64)
+
+    labels: "Optional[List[Optional[str]]]" = None
+    window_id = window.window_id if window is not None else None
+    if set(map(type, low)) | set(map(type, high)) != {float}:
+        # A bound that is not a plain float (an int, say) prints
+        # differently from the float the record holds: keep that label.
+        suffix = "" if window_id is None else f"@{window_id}"
+        labels = [
+            None if type(lo) is float and type(hi) is float
+            else f"{consumers[code]}:[{lo},{hi}]" + (suffix if released else "")
+            for code, lo, hi, released in zip(
+                consumer, low, high, (kind == RELEASE).tolist()
+            )
+        ]
+    return DispatchRecord(
+        kind=kind,
+        consumer=consumer,
+        consumers=consumers,
+        dataset=np.zeros(len(live), dtype=np.intp),
+        datasets=[broker.dataset],
+        low=low,
+        high=high,
+        alpha=tiers[0],
+        delta=tiers[1],
+        epsilon_prime=epsilon_prime,
+        price=price,
+        store_version=version,
+        labels=labels,
+        window=window_id,
+    )
+
+
 def release_batch(
     broker: Broker,
     batch: Batch,
@@ -466,16 +610,17 @@ def release_batch(
     ``batch.replays`` re-releases its source at ε′ = 0; a replay of a
     refused row fails with its source's error.
 
-    Books are written in :meth:`Batch.settlement_order` with per-entry
-    records identical to one-at-a-time trading: the whole batch is
-    journaled first (and, for streaming, every epoch charge is logged to
-    the window log), then the policy settles, the accountant -- and each
-    live epoch ledger -- is charged, and the ledger records one sale per
-    row.  The accountant is charged once per consumer group, against
-    the very sum :func:`admit` checked, so a group admitted there is
-    never refused here, after its trades are journaled.  Returns one
-    outcome per row, in row order: its answer, or the error that
-    refused it.
+    The live rows become one :class:`~repro.records.DispatchRecord`, in
+    :meth:`Batch.settlement_order`, and every book takes that record
+    whole, with per-entry contents identical to one-at-a-time trading:
+    the journal appends it first (and, for streaming, every epoch charge
+    is logged to the window log), then the policy settles it, the
+    accountant -- and each live epoch ledger -- is charged, and the
+    ledger records one sale per row.  The accountant is charged once per
+    consumer group, against the very sum :func:`admit` checked, so a
+    group admitted there is never refused here, after its trades are
+    journaled.  Returns one outcome per row, in row order: its answer,
+    or the error that refused it.
     """
     dataset = broker.dataset
     if store_version is None:
@@ -483,130 +628,109 @@ def release_batch(
     # Last pre-commit checkpoint: past here the trade is journaled and
     # charged, so an expired deadline must abort now or not at all.
     _check_deadlines(batch, f"{batch.prefix}.journal")
-    column = {row: k for k, row in enumerate(rows)}
     policy = _policy(broker)
-    failed, replays, standalone = batch.failed, batch.replays, batch.standalone
-    consumers, queries, specs = batch.consumers, batch.queries, batch.specs
-    suffix = f"@{window.window_id}" if window is not None else ""
-    prices: Dict[Tuple[float, float], float] = {}
-    bought: Dict[str, int] = {}  # rows settled so far, per consumer
-    live: List[int] = []
-    # One record per row: the journal entry, which the ledger reads too.
-    records: List[Dict[str, Any]] = []
-    charges: List[float] = []
-    charge_labels: List[str] = []
-    runs: Dict[str, Tuple[List[float], List[str]]] = {}  # per consumer group
-    for i in batch.settlement_order():
-        if i in failed:
-            continue
-        consumer, query, spec = consumers[i], queries[i], specs[i]
-        source = replays.get(i)
-        if isinstance(source, int):
-            if source in failed:
-                batch.refuse([i], failed[source])
-                continue
-            if i in standalone:
-                try:
-                    policy.admit(consumer, spec, bought.get(consumer, 0))
-                except PolicyViolationError as exc:
-                    batch.refuse([i], exc)
-                    continue
-        bought[consumer] = bought.get(consumer, 0) + 1
-        tier = (spec.alpha, spec.delta)
-        price = prices.get(tier)
-        if price is None:
-            price = prices[tier] = broker.pricing.price(spec.alpha, spec.delta)
-        label = f"{consumer}:[{query.low},{query.high}]"
-        if source is not None:
-            kind, epsilon_prime = "replay", 0.0
-            version = store_version
-            if i in standalone and not isinstance(source, int):
-                version = batch.opened_at
-        else:
-            kind = "release"
-            epsilon_prime = plans[column[i]].epsilon_prime
-            version = store_version
-            label += suffix
-            charges.append(epsilon_prime)
-            charge_labels.append(label)
-            epsilons, labels = runs.setdefault(consumer, ([], []))
-            epsilons.append(epsilon_prime)
-            labels.append(label)
-        live.append(i)
-        records.append({
-            "kind": kind,
-            "consumer": consumer,
-            "dataset": dataset,
-            "low": query.low,
-            "high": query.high,
-            "alpha": spec.alpha,
-            "delta": spec.delta,
-            "epsilon_prime": epsilon_prime,
-            "price": price,
-            "store_version": version,
-            "label": label,
-        })
+    live = _live_rows(batch, policy)
+    records = _dispatch_record(
+        broker, batch, live, rows, plans, store_version, window
+    )
+    # Each consumer group's charges, in the order its first one settles.
+    if records.kind.any():
+        releases = np.flatnonzero(records.kind == RELEASE)
+        runs = [
+            releases[positions]
+            for _, positions in group_rows(records.consumer[releases])
+        ]
+    else:
+        releases = np.arange(len(records))
+        runs = [positions for _, positions in records.groups()]
 
     _journal_trades(broker.journal, records)
+    # Without a journal this is the first check of the records, still
+    # before any book moves.
+    records.check(LedgerError)
+    # Streaming's per-epoch books take one labelled charge per release.
+    epoch_charges = [] if window is None else list(zip(
+        records.epsilon_prime[releases].tolist(), LabelColumn(records, releases)
+    ))
     if window is not None and window.log is not None:
-        for epsilon_prime, label in zip(charges, charge_labels):
+        for epsilon_prime, label in epoch_charges:
             window.log.append_charge(dataset, window.epochs, epsilon_prime, label)
-    for record in records:
-        policy.settle(record["consumer"], record["epsilon_prime"])
+    policy.settle_many(records)
     # One charge per consumer group, each against the very sum admit()
     # checked it with, so an admitted group is never refused here.  The
     # first call (empty when every row is a replay) runs on every path.
-    first, *rest = list(runs.values()) or [([], [])]
+    first, *rest = [
+        (records.epsilon_prime[positions], LabelColumn(records, positions))
+        for positions in runs or [releases]
+    ]
     broker.accountant.charge_many(dataset, *first)
     for epsilons, labels in rest:
         broker.accountant.charge_many(dataset, epsilons, labels)
     if window is not None:
-        for epsilon_prime, label in zip(charges, charge_labels):
+        for epsilon_prime, label in epoch_charges:
             window.accountant.charge_window(
                 dataset, window.epochs, epsilon_prime, label
             )
-    txns = dict(zip(live, broker.ledger.record_many(records)))
+    sales = broker.ledger.record_many(records)
 
     telemetry = broker.telemetry
     if telemetry is not None:
         prefix = batch.prefix
-        if charges:
+        if len(releases):
             telemetry.inc(f"{prefix}.batches")
-            telemetry.inc(f"{prefix}.answers", len(charges))
-            telemetry.inc(f"{prefix}.epsilon_spent", sum(charges))
+            telemetry.inc(f"{prefix}.answers", len(releases))
+            telemetry.inc(
+                f"{prefix}.epsilon_spent",
+                sum(records.epsilon_prime[releases].tolist()),
+            )
             telemetry.observe(f"{prefix}.batch_width", len(live))
-        if len(live) > len(charges):
-            telemetry.inc(f"{prefix}.replays", len(live) - len(charges))
+        if len(live) > len(releases):
+            telemetry.inc(f"{prefix}.replays", len(live) - len(releases))
 
-    # Plain floats, read once per column rather than once per answer.
+    # Per-row columns indexed by batch row, read once as plain numbers.
+    size = len(batch.queries)
+    at = np.array(live, dtype=np.intp)
+    txn_ids = np.zeros(size, dtype=np.int64)
+    txn_ids[at] = sales.ids
+    txn_prices = np.zeros(size, dtype=np.float64)
+    txn_prices[at] = records.price
+    column = np.full(size, -1, dtype=np.intp)
+    column[list(rows)] = np.arange(len(rows))
+    ids_of, price_of, column_of = (
+        txn_ids.tolist(), txn_prices.tolist(), column.tolist()
+    )
     values, raw_values, estimates = (
         np.asarray(c, dtype=np.float64).tolist()
         for c in (value, raw_value, sample_estimate)
     )
+    failed, replays = batch.failed, batch.replays
+    queries, specs = batch.queries, batch.specs
+    new, tail = object.__new__, _tail_defaults(answer_type)
     outcomes: "List[Union[_A, Exception]]" = []
-    for i, consumer in enumerate(consumers):
+    for i, consumer in enumerate(batch.consumers):
         failure = failed.get(i)
         if failure is not None:
             outcomes.append(failure)
             continue
-        txn = txns[i]
         source = replays.get(i)
         if source is not None:
             cached = outcomes[source] if isinstance(source, int) else source
             assert not isinstance(cached, Exception), "refused sources fail their replays"
             outcomes.append(
-                _resold(cast(_A, cached), consumer, txn.price, txn.transaction_id)
+                _resold(cast(_A, cached), consumer, price_of[i], ids_of[i])
             )
             continue
-        k = column[i]
-        # Positional in PrivateAnswer's field order (value, raw_value,
-        # sample_estimate, query, spec, plan, price, consumer,
-        # transaction_id); a subclass's own fields come as ``extras``.
-        outcomes.append(answer_type(
+        k = column_of[i]
+        answer = new(answer_type)
+        fields = answer.__dict__
+        fields.update(zip(_LEADING, (
             values[k], raw_values[k], estimates[k], queries[i], specs[i],
-            plans[k], txn.price, consumer, txn.transaction_id,
-            **(extras[k] if extras is not None else {}),
-        ))
+            plans[k], price_of[i], consumer, ids_of[i],
+        )))
+        fields.update(tail)
+        if extras is not None:  # a subclass's own fields
+            fields.update(extras[k])
+        outcomes.append(answer)
     return outcomes
 
 
@@ -614,6 +738,35 @@ def release_batch(
 def _field_names(cls: Type[PrivateAnswer]) -> Tuple[str, ...]:
     """An answer class's field names, in definition order."""
     return tuple(f.name for f in dataclasses.fields(cls))
+
+
+#: The answer fields the kernel fills for every fresh row, in order.
+_LEADING = (
+    "value", "raw_value", "sample_estimate", "query", "spec", "plan",
+    "price", "consumer", "transaction_id",
+)
+
+
+@functools.cache
+def _tail_defaults(cls: Type[PrivateAnswer]) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` of an answer class's fields after
+    :data:`_LEADING`, in definition order.
+
+    :func:`release_batch` fills each fresh answer's ``__dict__`` in one
+    go -- the leading fields, these defaults, then a subclass's
+    ``extras`` -- instead of through the frozen ``__init__``, which sets
+    one field at a time through ``object.__setattr__``: about 1.8 µs an
+    answer instead of 3.2 µs, for a ``__dict__`` that is 64 B larger
+    while the answer is held.  Sound only for an answer class with no
+    ``__post_init__`` and plain defaults, which this checks once per
+    class.
+    """
+    fields = dataclasses.fields(cls)[len(_LEADING):]
+    if hasattr(cls, "__post_init__") or any(
+        f.default is dataclasses.MISSING for f in fields
+    ):
+        raise TypeError(f"{cls.__name__} is not a plain answer record")
+    return tuple((f.name, f.default) for f in fields)
 
 
 def _resold(cached: _A, consumer: str, price: float, transaction_id: int) -> _A:

@@ -1,11 +1,11 @@
-"""Journal format v2: the one on-disk codec of both write-ahead logs.
+"""Journal format v3: the one on-disk codec of both write-ahead logs.
 
 The trade journal (:class:`~repro.durability.journal.TradeJournal`) and
 the streaming window log (:class:`~repro.streaming.journal.WindowLog`)
 share this binary format, this reader and this writer; only their record
-layouts differ.  A v2 file is::
+layouts differ.  A v3 file is::
 
-    header   magic b"\\x89RPJ" | u16 version (2) | u16 log kind
+    header   magic b"\\x89RPJ" | u16 version (3) | u16 log kind
     frame*   u32 length | u8 type | u32 head crc | payload | u32 body crc
 
 All integers are little-endian.  ``length`` counts the payload bytes;
@@ -15,35 +15,45 @@ torn tail.  Frame types:
 
 * ``STRING`` -- one string-table entry: ``u32 id`` + UTF-8 text.  Ids run
   0, 1, 2, ... in file order, and a string is defined in the same write as
-  the first record that uses it.  The trade journal interns ``consumer``
-  and ``dataset``; the window log interns ``dataset``.
-* ``TRADE`` -- one journaled trade, fixed-width: ``u64 answer_id``,
-  ``u8 kind`` (0 release, 1 replay, 2 charge), ``u32 consumer id``,
-  ``u32 dataset id``, six ``f64``
-  (``low, high, alpha, delta, epsilon_prime, price``), ``i64
-  store_version``, then the ``label`` inline as ``u32`` length + UTF-8.
+  the first record that uses it.  The trade journal interns ``consumer``,
+  ``dataset`` and label strings (row by row, in that order); the window
+  log interns ``dataset``.
+* ``TRADES`` -- one append's trades (a gateway dispatch, in the broker):
+  ``u64`` answer id of the first, then one fixed-width 69-byte record
+  per trade, ids running on by one: ``u8 kind | label mode << 4`` (kind
+  0 release, 1 replay, 2 charge), ``u32 consumer id``, ``u32 dataset
+  id``, six ``f64`` (``low, high, alpha, delta, epsilon_prime, price``),
+  ``i64 store_version``, ``u32 label string id``.  Label mode 0 means
+  *derived*: the label is ``f"{consumer}:[{low},{high}]"``, rebuilt on
+  read from the record itself, and the id is 0; mode 1 is the derived
+  label plus ``"@"`` and the string (a streaming release's window id);
+  mode 2 is the string itself (a ``charge`` row's label, or any label
+  that is not of the derived form).
 * ``ROLL`` -- one shard's sealed epoch: ``u64 seq``, ``i64 shard_id,
   epoch, record_count``, ``f64 rate``, ``u32`` node count, then per node
   ``i64 node_id, node_size``, ``u32 n`` and the raw ``n`` sample values
   (``f64``) and ranks (``i64``).
 * ``CHARGE`` -- one window release's per-epoch ε spend: ``u64 seq``,
   ``u32 dataset id``, ``f64 epsilon``, ``u32`` epoch count, the epochs as
-  ``i64``, then the ``label`` inline.
+  ``i64``, then the ``label`` inline as ``u32`` length + UTF-8.
 
 Torn-tail rule: a writer appends whole frames, one write per batch, and
 a crash can cut that write anywhere.  On load, a last frame that is short
-or fails its CRC is dropped (its trades were never released:
-journal-before-release), and so are string frames after the last record
-(they were written for a record the crash cut); a bad frame followed by
-more data raises :class:`~repro.errors.JournalError`.  Loading only
-reads; the first append after a load cuts the torn tail off and resumes
-the string table, so the file stays byte-identical to an uninterrupted
-log of the same entries.
+or fails its CRC is dropped -- for a ``TRADES`` frame, its whole
+dispatch, none of which was released (journal-before-release) -- and so
+are string frames after the last record frame (they were written for the
+frame the crash cut); a bad frame followed by more data raises
+:class:`~repro.errors.JournalError`.  Loading only reads; the first
+append after a load cuts the torn tail off and resumes the string table,
+so the file stays byte-identical to an uninterrupted log of the same
+appends.  A v2 (or v1) file is refused with a version error.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import struct
 import threading
 import zlib
@@ -68,11 +78,12 @@ from typing import (
 )
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.errors import JournalError
+from repro.records import FLOAT_COLUMNS, KINDS, RELEASE, DispatchRecord, label_of
 
 if TYPE_CHECKING:
-    from repro.durability.journal import JournalEntry
     from repro.streaming.journal import WindowLogEntry
 
 __all__ = [
@@ -81,15 +92,16 @@ __all__ = [
     "TRADE_LOG",
     "WINDOW_LOG",
     "FRAME_STRING",
-    "FRAME_TRADE",
+    "FRAME_TRADES",
     "FRAME_ROLL",
     "FRAME_CHARGE",
+    "RECORD_SIZE",
     "FramedLog",
     "LogScan",
     "StringTable",
     "decode_charge",
     "decode_roll",
-    "decode_trade",
+    "decode_trades",
     "encode_trades",
     "encode_window",
     "frame",
@@ -100,7 +112,7 @@ __all__ = [
 ]
 
 MAGIC = b"\x89RPJ"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Log kinds, stored in the header: a reader refuses the other log's file.
 TRADE_LOG = 1
@@ -108,7 +120,7 @@ WINDOW_LOG = 2
 _LOG_NAMES = {TRADE_LOG: "trade journal", WINDOW_LOG: "window log"}
 
 FRAME_STRING = 1
-FRAME_TRADE = 2
+FRAME_TRADES = 2
 FRAME_ROLL = 3
 FRAME_CHARGE = 4
 
@@ -116,14 +128,30 @@ _HEADER = struct.Struct("<4sHH")
 _KEY = struct.Struct("<IB")  # payload length, frame type
 _HEAD = struct.Struct("<IBI")  # ... and the crc32 of those five bytes
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 _CRC = _U32
-_TRADE = struct.Struct("<QBIIddddddqI")
 _ROLL = struct.Struct("<QqqqdI")
 _NODE = struct.Struct("<qqI")
 _CHARGE = struct.Struct("<QIdI")
 
-_TRADE_KINDS = ("release", "replay", "charge")
-_TRADE_CODES = {kind: code for code, kind in enumerate(_TRADE_KINDS)}
+#: One trade of a ``TRADES`` frame, packed (no padding).
+_RECORD = np.dtype([
+    ("kind", "u1"),
+    ("consumer", "<u4"),
+    ("dataset", "<u4"),
+    ("low", "<f8"),
+    ("high", "<f8"),
+    ("alpha", "<f8"),
+    ("delta", "<f8"),
+    ("epsilon_prime", "<f8"),
+    ("price", "<f8"),
+    ("store_version", "<i8"),
+    ("label", "<u4"),
+])
+RECORD_SIZE = _RECORD.itemsize
+
+#: Label modes, in the high nibble of a record's kind byte.
+_DERIVED, _SUFFIXED, _EXPLICIT = 0, 1, 2
 
 _F64 = np.dtype("<f8")
 _I64 = np.dtype("<i8")
@@ -133,7 +161,7 @@ L = TypeVar("L", bound="FramedLog[Any]")
 
 
 def header(log_kind: int) -> bytes:
-    """The 8-byte file header of a v2 log of ``log_kind``."""
+    """The 8-byte file header of a v3 log of ``log_kind``."""
     return _HEADER.pack(MAGIC, FORMAT_VERSION, log_kind)
 
 
@@ -197,50 +225,130 @@ class StringTable:
 # ---------------------------------------------------------------------- #
 # Record layouts                                                         #
 # ---------------------------------------------------------------------- #
-def encode_trades(entries: "Iterable[JournalEntry]", strings: StringTable) -> bytes:
-    """Frames for ``entries``, preceded by any string they define first.
+def _string_ids(
+    names: Sequence[str], strings: StringTable
+) -> "Optional[npt.NDArray[np.uint32]]":
+    """The ids of ``names``, or ``None`` if one is not interned yet."""
+    ids = strings.ids
+    found = [ids.get(name) for name in names]
+    if None in found:
+        return None
+    return np.array(found, dtype=np.uint32)
 
-    The broker's hot path: one ``pack`` per record, the string lookups
-    inlined, and one head per distinct payload length.
+
+def _label_texts(
+    record: DispatchRecord,
+) -> "Tuple[npt.NDArray[np.uint8], Optional[List[Optional[str]]]]":
+    """Each row's label mode, and the string a non-derived mode refers to.
+
+    The kernel's rows are derived (the window id suffixes its streaming
+    releases) without formatting anything; a caller's label is reduced
+    to the derived form when it matches it, so the bytes depend only on
+    the entries, never on who built them.
+    """
+    size = len(record)
+    window = record.window
+    if window is not None:
+        modes = (record.kind == RELEASE).astype(np.uint8) * np.uint8(_SUFFIXED)
+    else:
+        modes = np.zeros(size, dtype=np.uint8)
+    explicit = record.labels
+    if explicit is None and window is None:
+        return modes, None
+    texts: List[Optional[str]] = [
+        window if mode else None for mode in modes.tolist()
+    ]
+    if explicit is not None:
+        modes = modes.copy()
+        for row, text in enumerate(explicit):
+            if text is None:
+                continue
+            base = label_of(
+                record.consumers[int(record.consumer[row])],
+                float(record.low[row]),
+                float(record.high[row]),
+            )
+            if text == base:
+                modes[row], texts[row] = _DERIVED, None
+            elif text.startswith(base + "@"):
+                modes[row], texts[row] = _SUFFIXED, text[len(base) + 1:]
+            else:
+                modes[row], texts[row] = _EXPLICIT, text
+    return modes, texts
+
+
+def _intern_in_row_order(
+    record: DispatchRecord,
+    texts: "Optional[List[Optional[str]]]",
+    strings: StringTable,
+    out: List[bytes],
+) -> None:
+    """Intern the record's new strings in row order: per row its
+    consumer, its dataset, then its label string -- so ids never depend
+    on how rows were grouped into appends."""
+    firsts: List[Tuple[int, int, str]] = []
+    for slot, (codes, names) in enumerate((
+        (record.consumer, record.consumers), (record.dataset, record.datasets),
+    )):
+        if _string_ids(names, strings) is not None:
+            continue
+        _, rows = np.unique(codes, return_index=True)
+        firsts.extend(
+            (int(row), slot, names[int(codes[row])]) for row in rows.tolist()
+        )
+    if texts is not None:
+        firsts.extend(
+            (row, 2, text) for row, text in enumerate(texts)
+            if text is not None and text not in strings.ids
+        )
+    for _, _, text in sorted(firsts):
+        strings.intern(text, out)
+
+
+def _record_bytes(
+    record: DispatchRecord, strings: StringTable, out: List[bytes]
+) -> bytes:
+    """The fixed-width records of ``record``; string frames go to ``out``."""
+    modes, texts = _label_texts(record)
+    consumers = _string_ids(record.consumers, strings)
+    datasets = _string_ids(record.datasets, strings)
+    if consumers is None or datasets is None or texts is not None:
+        _intern_in_row_order(record, texts, strings, out)
+        consumers = _string_ids(record.consumers, strings)
+        datasets = _string_ids(record.datasets, strings)
+        assert consumers is not None and datasets is not None
+    packed = np.zeros(len(record), dtype=_RECORD)
+    packed["kind"] = record.kind | (modes << np.uint8(4))
+    packed["consumer"] = consumers[record.consumer]
+    packed["dataset"] = datasets[record.dataset]
+    for name in FLOAT_COLUMNS:
+        packed[name] = getattr(record, name)
+    packed["store_version"] = record.store_version
+    if texts is not None:
+        ids = strings.ids
+        packed["label"] = [0 if text is None else ids[text] for text in texts]
+    return packed.tobytes()
+
+
+def encode_trades(
+    chunks: "Iterable[Tuple[int, DispatchRecord]]", strings: StringTable
+) -> bytes:
+    """One ``TRADES`` frame of ``chunks`` -- ``(first answer id, record)``
+    pairs with consecutive ids -- preceded by the strings they define.
+
+    The broker's hot path: no per-row object, pack, CRC or text; one
+    frame per call, whatever the number of rows.
     """
     out: List[bytes] = []
-    append = out.append
-    ids = strings.ids
-    intern = strings.intern
-    pack = _TRADE.pack
-    crc_pack = _CRC.pack
-    crc32 = zlib.crc32
-    heads: Dict[int, bytes] = {}
-    for entry in entries:
-        fields = entry.__dict__
-        label = fields["label"].encode("utf-8", "surrogatepass")
-        size = len(label)
-        consumer = ids.get(fields["consumer"])
-        if consumer is None:
-            consumer = intern(fields["consumer"], out)
-        dataset = ids.get(fields["dataset"])
-        if dataset is None:
-            dataset = intern(fields["dataset"], out)
-        head = heads.get(size)
-        if head is None:
-            head = heads[size] = _head(_TRADE.size + size, FRAME_TRADE)
-        payload = pack(
-            fields["answer_id"],
-            _TRADE_CODES[fields["kind"]],
-            consumer,
-            dataset,
-            fields["low"],
-            fields["high"],
-            fields["alpha"],
-            fields["delta"],
-            fields["epsilon_prime"],
-            fields["price"],
-            fields["store_version"],
-            size,
-        ) + label
-        append(head)
-        append(payload)
-        append(crc_pack(crc32(payload)))
+    body: List[bytes] = []
+    for first_id, record in chunks:
+        if not len(record):
+            continue
+        if not body:
+            body.append(_U64.pack(first_id))
+        body.append(_record_bytes(record, strings, out))
+    if body:
+        out.append(frame(FRAME_TRADES, b"".join(body)))
     return b"".join(out)
 
 
@@ -259,26 +367,65 @@ def _inline_text(payload: bytes, at: int) -> str:
     return payload[at:].decode("utf-8", "surrogatepass")
 
 
-def decode_trade(payload: bytes, strings: Sequence[str]) -> Dict[str, Any]:
-    """The fields of one ``TRADE`` payload, keyed as ``JournalEntry``'s."""
-    (answer_id, kind, consumer, dataset, low, high, alpha, delta,
-     epsilon_prime, price, store_version, _) = _TRADE.unpack_from(payload)
-    if kind >= len(_TRADE_KINDS):
-        raise JournalError(f"unknown trade kind code {kind}")
-    return {
-        "answer_id": answer_id,
-        "kind": _TRADE_KINDS[kind],
-        "consumer": _string(strings, consumer),
-        "dataset": _string(strings, dataset),
-        "low": low,
-        "high": high,
-        "alpha": alpha,
-        "delta": delta,
-        "epsilon_prime": epsilon_prime,
-        "price": price,
-        "store_version": store_version,
-        "label": _inline_text(payload, _TRADE.size - _U32.size),
-    }
+def _first_use_codes(
+    ids: "npt.NDArray[np.uint32]", strings: Sequence[str]
+) -> Tuple["npt.NDArray[np.intp]", List[str]]:
+    """Codes of string ``ids`` in first-use order, and their names."""
+    if len(ids) and int(ids.max()) >= len(strings):
+        raise JournalError(
+            f"string id {int(ids.max())} used before it is defined"
+        )
+    distinct, first, inverse = np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], [strings[int(distinct[j])] for j in order]
+
+
+def decode_trades(
+    payload: bytes, strings: Sequence[str]
+) -> Tuple[int, DispatchRecord]:
+    """``(first answer id, record)`` of one ``TRADES`` payload."""
+    rows, rest = divmod(len(payload) - _U64.size, _RECORD.itemsize)
+    if rows < 1 or rest:
+        raise JournalError("record length does not match its layout")
+    (first_id,) = _U64.unpack_from(payload)
+    packed = np.frombuffer(payload, dtype=_RECORD, offset=_U64.size)
+    kinds = packed["kind"] & np.uint8(0x0F)
+    modes = packed["kind"] >> np.uint8(4)
+    if int(kinds.max()) >= len(KINDS):
+        raise JournalError(f"unknown trade kind code {int(kinds.max())}")
+    if int(modes.max()) > _EXPLICIT:
+        raise JournalError(f"unknown label mode {int(modes.max())}")
+    consumer, consumers = _first_use_codes(packed["consumer"], strings)
+    dataset, datasets = _first_use_codes(packed["dataset"], strings)
+    record = DispatchRecord(
+        kind=kinds,
+        consumer=consumer,
+        consumers=consumers,
+        dataset=dataset,
+        datasets=datasets,
+        low=packed["low"],
+        high=packed["high"],
+        alpha=packed["alpha"],
+        delta=packed["delta"],
+        epsilon_prime=packed["epsilon_prime"],
+        price=packed["price"],
+        store_version=packed["store_version"],
+    )
+    if modes.any():
+        labels: List[Optional[str]] = [None] * rows
+        refs = packed["label"].tolist()
+        for row in np.flatnonzero(modes).tolist():
+            text = _string(strings, refs[row])
+            if modes[row] == _SUFFIXED:
+                text = f"{record.label(row)}@{text}"
+            labels[row] = text
+        record.labels = labels
+    record.check(JournalError)
+    return first_id, record
 
 
 def _array_bytes(values: Any, dtype: "np.dtype[Any]") -> bytes:
@@ -388,17 +535,24 @@ def decode_charge(
 class LogScan(Generic[E]):
     """What :func:`read_log` found in a file.
 
-    ``frames`` lists ``(type, start, end)`` of every kept frame, string
-    frames included; ``end`` is the offset just past the last of them
-    (0 when the file holds no whole header), ``size`` the file's length.
-    ``end < size`` means a torn tail that the next append cuts off.
+    ``chunks`` holds the entries of each kept record frame (a trade
+    journal's ``TRADES`` frame holds one append's); ``frames`` lists
+    ``(type, start, end)`` of every kept frame, string frames included;
+    ``end`` is the offset just past the last of them (0 when the file
+    holds no whole header), ``size`` the file's length.  ``end < size``
+    means a torn tail that the next append cuts off.
     """
 
-    records: List[E]
+    chunks: List[Sequence[E]]
     strings: List[str]
     frames: List[Tuple[int, int, int]]
     end: int
     size: int
+
+    @functools.cached_property
+    def records(self) -> List[E]:
+        """Every entry, oldest first."""
+        return list(itertools.chain.from_iterable(self.chunks))
 
 
 def sniff(data: bytes, source: object) -> Optional[int]:
@@ -424,14 +578,15 @@ def sniff(data: bytes, source: object) -> Optional[int]:
 def read_log(
     data: bytes,
     log_kind: int,
-    decode: "Callable[[int, bytes, Sequence[str]], E]",
+    decode: "Callable[[int, bytes, Sequence[str]], Sequence[E]]",
     source: object,
 ) -> "LogScan[E]":
     """Read every whole frame of a ``log_kind`` file.
 
     String frames build the table; every other frame goes through
     ``decode(type, payload, strings)``, which sees only the strings
-    defined before it.  Applies the torn-tail rule (module docstring).
+    defined before it and returns the frame's entries.  Applies the
+    torn-tail rule (module docstring).
     """
     found = sniff(data, source)
     if found is None:
@@ -443,7 +598,7 @@ def read_log(
             f"{source}: holds a {_LOG_NAMES[found]}, "
             f"not a {_LOG_NAMES[log_kind]}"
         )
-    records: List[E] = []
+    chunks: List[Sequence[E]] = []
     strings: List[str] = []
     frames: List[Tuple[int, int, int]] = []
     size = len(data)
@@ -483,7 +638,7 @@ def read_log(
                     payload[_U32.size:].decode("utf-8", "surrogatepass")
                 )
             else:
-                records.append(decode(frame_type, payload, strings))
+                chunks.append(decode(frame_type, payload, strings))
         except JournalError as exc:
             raise JournalError(f"{source}: frame at byte {pos}: {exc}") from None
         except (struct.error, ValueError) as exc:
@@ -497,14 +652,14 @@ def read_log(
     # A string is written in the same write as the record that first uses
     # it, so string frames after the last record belong to a torn write.
     kept, defined, end = whole
-    return LogScan(records, strings[:defined], frames[:kept], end, size)
+    return LogScan(chunks, strings[:defined], frames[:kept], end, size)
 
 
 # ---------------------------------------------------------------------- #
 # The shared append-only log                                             #
 # ---------------------------------------------------------------------- #
 class _FrameWriter:
-    """The append side of one v2 file: header, torn-tail cut, strings."""
+    """The append side of one v3 file: header, torn-tail cut, strings."""
 
     def __init__(
         self,
@@ -561,20 +716,21 @@ class _FrameWriter:
 
 
 class FramedLog(Generic[E]):
-    """Append-only, thread-safe log of ``E`` entries in format v2.
+    """Append-only, thread-safe log of ``E`` entries in format v3.
 
-    In memory by default; pass ``path`` to mirror every batch to a v2
+    In memory by default; pass ``path`` to mirror every batch to a v3
     file as one write + flush (no fsync).  A path that already holds a
     log is refused: reopen it with :meth:`load`, which resumes the id
-    sequence and the string table.  Subclasses fix the log kind and the
-    record layout.
+    sequence and the string table.  Entries are kept as the chunks they
+    were appended in; subclasses fix the log kind, the chunk type and
+    the record layout.
     """
 
     LOG_KIND: ClassVar[int]
 
     def __init__(self, path: "Optional[Union[str, Path]]" = None) -> None:
         self._lock = threading.Lock()
-        self._entries: List[E] = []  # guarded-by: _lock
+        self._chunks: List[Sequence[E]] = []  # guarded-by: _lock
         self._next_id = 1  # guarded-by: _lock
         self._path: Optional[Path] = Path(path) if path is not None else None
         self._writer: Optional[_FrameWriter] = (  # guarded-by: _lock
@@ -584,54 +740,61 @@ class FramedLog(Generic[E]):
 
     # Record layout hooks, one set per log kind ---------------------------
     @staticmethod
-    def _encode(entries: Sequence[Any], strings: StringTable) -> bytes:
+    def _encode(chunks: Sequence[Any], strings: StringTable) -> bytes:
+        """The frames of ``chunks`` (consecutive, oldest first)."""
         raise NotImplementedError
 
     @staticmethod
     def _decode(
         frame_type: int, payload: bytes, strings: Sequence[str]
-    ) -> Any:
+    ) -> Sequence[Any]:
+        """The entries of one record frame."""
         raise NotImplementedError
 
     @staticmethod
-    def _id_of(entry: Any) -> int:
+    def _first_id(chunk: Any) -> int:
+        """The id of a chunk's first entry."""
         raise NotImplementedError
 
     # Write path ---------------------------------------------------------
-    def _commit(self, entries: List[E]) -> None:  # holds: _lock
-        """Write ``entries`` (file-backed), then make them visible."""
+    def _commit(self, chunk: Sequence[E]) -> None:  # holds: _lock
+        """Write ``chunk`` (file-backed), then make it visible."""
         if self._writer is not None:
             encode = self._encode
-            self._writer.write(lambda strings: encode(entries, strings))
-        self._next_id += len(entries)
-        self._entries.extend(entries)
+            self._writer.write(lambda strings: encode([chunk], strings))
+        self._next_id += len(chunk)
+        if len(chunk):
+            self._chunks.append(chunk)
 
     # Read path ----------------------------------------------------------
     def entries(self) -> Tuple[E, ...]:
         """Immutable snapshot of every entry, oldest first."""
         with self._lock:
-            return tuple(self._entries)
+            chunks = list(self._chunks)
+        return tuple(itertools.chain.from_iterable(chunks))
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._next_id - 1
 
     @property
     def path(self) -> Optional[Path]:
-        """The backing v2 file, or ``None`` for an in-memory log."""
+        """The backing v3 file, or ``None`` for an in-memory log."""
         return self._path
 
     def checksum(self) -> str:
-        """SHA-256 of the v2 bytes a fresh file of these entries holds.
+        """SHA-256 of the v3 bytes a fresh file holds after appending
+        every entry in one call.
 
-        In-memory and file-backed logs of the same entries agree.
+        It depends only on the entries, never on how they were grouped
+        into appends, and in-memory and file-backed logs of the same
+        entries agree.  A file written by several appends holds the same
+        entries in more frames, so its own SHA-256 differs.
         """
-        entries = self.entries()
-        strings = StringTable()
-        digest = hashlib.sha256(header(self.LOG_KIND))
-        for start in range(0, len(entries), 4096):
-            digest.update(self._encode(entries[start:start + 4096], strings))
-        return digest.hexdigest()
+        with self._lock:
+            chunks = list(self._chunks)
+        blob = self._encode(chunks, StringTable())
+        return hashlib.sha256(header(self.LOG_KIND) + blob).hexdigest()
 
     def close(self) -> None:
         """Close the backing file (no-op for in-memory logs)."""
@@ -648,16 +811,18 @@ class FramedLog(Generic[E]):
     # Recovery entry point -----------------------------------------------
     @classmethod
     def read(cls, path: "Union[str, Path]") -> "LogScan[E]":
-        """Read a v2 file without opening it for append."""
+        """Read a v3 file without opening it for append."""
         source = Path(path)
         data = source.read_bytes() if source.exists() else b""
         scan = read_log(data, cls.LOG_KIND, cls._decode, source)
-        for expected, entry in enumerate(scan.records, start=1):
-            if cls._id_of(entry) != expected:
+        expected = 1
+        for chunk in scan.chunks:
+            if cls._first_id(chunk) != expected:
                 raise JournalError(
                     f"{source}: entry {expected} carries id "
-                    f"{cls._id_of(entry)}; ids must run 1, 2, 3, ..."
+                    f"{cls._first_id(chunk)}; ids must run 1, 2, 3, ..."
                 )
+            expected += len(chunk)
         return scan
 
     @classmethod
@@ -675,6 +840,6 @@ class FramedLog(Generic[E]):
         with log._lock:
             log._path = source
             log._writer = _FrameWriter(source, cls.LOG_KIND, scan)
-            log._entries.extend(scan.records)
-            log._next_id = len(scan.records) + 1
+            log._chunks.extend(scan.chunks)
+            log._next_id = sum(len(chunk) for chunk in scan.chunks) + 1
         return log

@@ -13,38 +13,43 @@ always a superset of the released answers and recovery can only
 over-count ε, never under-count it.
 
 The journal is append-only and fsync-free by default (in-memory); pass a
-``path`` to mirror every batch to a journal-format-v2 file
-(:mod:`repro.durability.codec`: CRC-framed, fixed-width binary records
-with interned strings) so it survives process death.  Entries carry
-everything the accounting layer needs to rebuild:
+``path`` to mirror every batch to a journal-format-v3 file
+(:mod:`repro.durability.codec`: one CRC-framed ``TRADES`` frame of
+fixed-width binary records per append, interned strings, labels derived
+on read) so it survives process death.  Entries carry everything the
+accounting layer needs to rebuild:
 ``(answer_id, query range, (α, δ), ε′, price, store_version)``.
+
+Each append is kept as the :class:`~repro.records.DispatchRecord` it came
+in -- the settlement kernel's one record per dispatch -- and the
+:class:`JournalEntry` views are built only when entries are read.
 ``repro journal-dump PATH`` prints a journal file as JSON lines.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from math import isfinite
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union, cast
 
 from repro.durability import codec
 from repro.errors import JournalError
+from repro.records import KINDS, ROW_FIELDS, DispatchRecord, RowViews, as_record
 
 __all__ = ["JournalEntry", "TradeJournal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
 
 #: Envelope identifiers of an entry's payload (:meth:`JournalEntry.to_payload`,
-#: one ``repro journal-dump`` line); the version is the on-disk format's.
+#: one ``repro journal-dump`` line).  The version is the payload layout's:
+#: it moves when an entry's fields change, not when the file encoding
+#: does (journal format v3 keeps the v2 entries, so dumps are unchanged).
 JOURNAL_FORMAT = "repro.trade-journal"
-JOURNAL_VERSION = codec.FORMAT_VERSION
+JOURNAL_VERSION = 2
 
 #: Entry kinds: a fresh noised release (spends ε′ > 0), the replay of an
 #: already-released answer (billed, but ε′ = 0 by post-processing), and a
 #: bare ε′ charge made outside the trade path -- a histogram or quantile
 #: release -- which spends budget but is never billed (price 0).
-ENTRY_KINDS = ("release", "replay", "charge")
-
-#: Fields that must hold finite numbers: the books never hold NaN/Infinity.
-_FINITE_FIELDS = ("low", "high", "alpha", "delta", "epsilon_prime", "price")
+ENTRY_KINDS = KINDS
 
 
 @dataclass(frozen=True)
@@ -70,36 +75,11 @@ class JournalEntry:
     label: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ENTRY_KINDS:
-            raise JournalError(
-                f"unknown journal entry kind {self.kind!r}; "
-                f"expected one of {ENTRY_KINDS}"
-            )
         if self.answer_id < 1:
             raise JournalError("answer_id must be >= 1")
-        # Unrolled rather than looped over _FINITE_FIELDS: this runs once
-        # per journaled trade on the broker's hot path.
-        if not (
-            isfinite(self.low)
-            and isfinite(self.high)
-            and isfinite(self.alpha)
-            and isfinite(self.delta)
-            and isfinite(self.epsilon_prime)
-            and isfinite(self.price)
-        ):
-            bad = [name for name in _FINITE_FIELDS
-                   if not isfinite(getattr(self, name))]
-            raise JournalError(f"{', '.join(bad)} must be finite")
-        if self.epsilon_prime < 0:
-            raise JournalError("epsilon_prime must be non-negative")
-        if self.price < 0:
-            raise JournalError("price must be non-negative")
-        if self.kind == "replay" and self.epsilon_prime != 0.0:
-            raise JournalError(
-                "replay entries are post-processing and must carry ε′ = 0"
-            )
-        if self.kind == "charge" and self.price != 0.0:
-            raise JournalError("charge entries are never billed; price must be 0")
+        fields = dict(self.__dict__)
+        del fields["answer_id"]
+        DispatchRecord.from_rows([fields], error=JournalError).check(JournalError)
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready dict with the format envelope (``journal-dump``).
@@ -145,60 +125,73 @@ class JournalEntry:
         return cls(**fields)
 
 
-#: Exactly the caller-supplied fields of a journal record (everything but
-#: the journal-assigned ``answer_id``).
-_RECORD_KEYS = frozenset((
-    "kind", "consumer", "dataset", "low", "high", "alpha", "delta",
-    "epsilon_prime", "price", "store_version", "label",
-))
+_ENTRY_FIELDS = ("answer_id",) + ROW_FIELDS
 
 
-def _make_entry(answer_id: int, record: "Mapping[str, Any]") -> JournalEntry:
-    """Build a validated entry, bypassing the frozen-dataclass ``__init__``.
-
-    Journaling sits on the broker's batched hot path and the frozen
-    ``__init__`` (one ``object.__setattr__`` per field) dominates its
-    cost; well-shaped records take the direct-``__dict__`` path and run
-    the same ``__post_init__`` validation.  Odd shapes fall back to the
-    strict constructor for its precise error.
-    """
-    if record.keys() != _RECORD_KEYS:
-        return JournalEntry(answer_id=answer_id, **dict(record))
+def _view(values: "Tuple[Any, ...]") -> JournalEntry:
+    """An entry of already-validated field ``values``, set one by one in
+    definition order past the frozen ``__init__`` (whose validation
+    builds a record), so the view is as compact as a constructed entry."""
     entry = object.__new__(JournalEntry)
-    entry.__dict__["answer_id"] = answer_id
-    entry.__dict__.update(record)
-    entry.__post_init__()
+    for name, value in zip(_ENTRY_FIELDS, values):
+        object.__setattr__(entry, name, value)
     return entry
+
+
+class _Chunk(RowViews[JournalEntry]):
+    """One append's entries: its record and first answer id.
+
+    The :class:`JournalEntry` views are built when the entries are read,
+    never stored.
+    """
+
+    __slots__ = ("first_id", "record")
+
+    def __init__(self, first_id: int, record: DispatchRecord) -> None:
+        self.first_id = first_id
+        self.record = record
+
+    def __len__(self) -> int:
+        return len(self.record)
+
+    def __iter__(self) -> Iterator[JournalEntry]:
+        for answer_id, row in enumerate(self.record.rows(), start=self.first_id):
+            yield _view((answer_id, *row))
+
+
+def _journal_record(rows: "Iterable[Mapping[str, Any]]") -> DispatchRecord:
+    return DispatchRecord.from_rows(rows, error=JournalError)
 
 
 class TradeJournal(codec.FramedLog[JournalEntry]):
     """Append-only, thread-safe write-ahead log of broker trades.
 
-    In-memory by default; pass ``path`` to mirror appends to a v2 file
-    (one write + flush per :meth:`append_many`, no fsync).  A path that
-    already holds a journal is refused; :meth:`load` re-opens it after a
-    crash and resumes the ``answer_id`` sequence and the string table.
+    In-memory by default; pass ``path`` to mirror appends to a v3 file
+    (one ``TRADES`` frame, one write + flush per :meth:`append_many`, no
+    fsync).  A path that already holds a journal is refused;
+    :meth:`load` re-opens it after a crash and resumes the ``answer_id``
+    sequence and the string table.
     """
 
     LOG_KIND = codec.TRADE_LOG
 
     @staticmethod
-    def _encode(
-        entries: "Sequence[JournalEntry]", strings: codec.StringTable
-    ) -> bytes:
-        return codec.encode_trades(entries, strings)
+    def _encode(chunks: "Sequence[_Chunk]", strings: codec.StringTable) -> bytes:
+        return codec.encode_trades(
+            ((chunk.first_id, chunk.record) for chunk in chunks), strings
+        )
 
     @staticmethod
     def _decode(
         frame_type: int, payload: bytes, strings: "Sequence[str]"
-    ) -> JournalEntry:
-        if frame_type != codec.FRAME_TRADE:
+    ) -> _Chunk:
+        if frame_type != codec.FRAME_TRADES:
             raise JournalError(f"unexpected frame type {frame_type}")
-        return JournalEntry(**codec.decode_trade(payload, strings))
+        return _Chunk(*codec.decode_trades(payload, strings))
 
     @staticmethod
-    def _id_of(entry: JournalEntry) -> int:
-        return entry.answer_id
+    def _first_id(chunk: _Chunk) -> int:
+        return chunk.first_id
 
     # ------------------------------------------------------------------ #
     # Write path                                                         #
@@ -208,22 +201,24 @@ class TradeJournal(codec.FramedLog[JournalEntry]):
         return self.append_many([fields])[0]
 
     def append_many(
-        self, records: "Iterable[Mapping[str, Any]]"
-    ) -> "List[JournalEntry]":
+        self, records: "Union[DispatchRecord, Iterable[Mapping[str, Any]]]"
+    ) -> "Sequence[JournalEntry]":
         """Journal several trades atomically, in order.
 
-        All entries of a batch land under one lock acquisition (and one
-        write + flush when file-backed), so a reader never observes a
-        half-journaled batch.  A record that fails validation journals
-        none of the batch.
+        ``records`` is the settlement kernel's dispatch record, or one
+        mapping of :class:`JournalEntry`'s fields (all but ``answer_id``)
+        per trade.  All entries of a batch land under one lock
+        acquisition (and, file-backed, as one ``TRADES`` frame in one
+        write + flush), so a reader never observes a half-journaled
+        batch.  A record that fails validation journals none of the
+        batch.  Returns the new entries (views built on read).
         """
+        record = as_record(records, _journal_record)
+        record.check(JournalError)
         with self._lock:
-            entries = [
-                _make_entry(answer_id, record)
-                for answer_id, record in enumerate(records, start=self._next_id)
-            ]
-            self._commit(entries)
-            return entries
+            chunk = _Chunk(self._next_id, record)
+            self._commit(chunk)
+            return chunk
 
     # ------------------------------------------------------------------ #
     # Read path                                                          #
@@ -231,7 +226,15 @@ class TradeJournal(codec.FramedLog[JournalEntry]):
     def entries_after(self, answer_id: int) -> "Tuple[JournalEntry, ...]":
         """Entries with ``answer_id`` strictly greater than the given one."""
         with self._lock:
-            return tuple(e for e in self._entries if e.answer_id > answer_id)
+            chunks = list(self._chunks)
+        ends = [
+            cast(_Chunk, chunk).first_id + len(chunk) - 1 for chunk in chunks
+        ]
+        start = bisect.bisect_right(ends, answer_id)
+        out: List[JournalEntry] = []
+        for chunk in chunks[start:]:
+            out.extend(entry for entry in chunk if entry.answer_id > answer_id)
+        return tuple(out)
 
     @property
     def last_answer_id(self) -> int:

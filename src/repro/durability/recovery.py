@@ -14,7 +14,11 @@ idempotent: replaying the same journal twice applies each entry once.
 Because brokers journal **before** they charge (journal-before-release),
 a crash between journal append and charge makes recovery *over*-count
 that trade's ε rather than under-count it, which is the safe direction
-for privacy.
+for privacy.  A crash *during* the append tears the dispatch's one
+``TRADES`` frame, which loading drops whole: none of those answers had
+been released, so nothing released goes uncounted.  The suffix replays
+through each book's bulk write path, so the rebuilt books fold their
+aggregates exactly as the live ones did.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datasets.citypulse import AIR_QUALITY_INDEXES, CityPulseDataset
 from repro.estimators.base import NodeSample
-from repro.pricing.ledger import BillingLedger, Transaction
+from repro.pricing.ledger import BillingLedger
 
 __all__ = [
     "save_samples",
@@ -152,22 +152,14 @@ def load_ledger(path: PathLike) -> BillingLedger:
     Transaction ids are preserved; new sales recorded afterwards continue
     from the highest loaded id.
     """
-    import itertools
-
     payload = _read(path, _LEDGER_FORMAT)
+    transactions = list(payload["transactions"])
     ledger = BillingLedger()
-    max_id = 0
-    for entry in payload["transactions"]:
-        txn = Transaction(
-            transaction_id=entry["transaction_id"],
-            consumer=entry["consumer"],
-            dataset=entry["dataset"],
-            alpha=entry["alpha"],
-            delta=entry["delta"],
-            price=entry["price"],
-            epsilon_prime=entry["epsilon_prime"],
-        )
-        ledger._append(txn)
-        max_id = max(max_id, txn.transaction_id)
-    ledger._ids = itertools.count(max_id + 1)
+    ledger.restore({
+        "transactions": transactions,
+        "next_transaction_id": 1 + max(
+            (entry["transaction_id"] for entry in transactions), default=0
+        ),
+        "journal_high_water": 0,
+    })
     return ledger

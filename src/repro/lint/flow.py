@@ -13,8 +13,9 @@ Three project rules run on top:
   :class:`~repro.lint.summaries.TaintWalker` RL001 runs, but raw-estimate
   taint is tracked *through project calls*, returns, and attribute
   stores until a ``repro.privacy`` sanitizer is reached.  Only findings
-  whose trace has at least two hops are reported: single-hop leaks are
-  RL001's findings.
+  whose trace leaves the reporting function are reported: a single-hop
+  leak, or one whose hops all lie in the function itself (laundered
+  through ``self.x``, say), is RL001's finding.
 * **RL007 budget-conservation** -- every path of a broker ``answer*``
   function that releases an answer must first be charged to the budget
   accountant AND committed to the write-ahead journal, across calls
@@ -315,6 +316,13 @@ def create_project_rules(only: Optional[Sequence[str]] = None) -> List[ProjectRu
 # ======================================================================
 
 
+def _within(hops: Sequence[Hop], path: str, func: ast.AST) -> bool:
+    """Whether every hop of a trace lies inside ``func`` (in ``path``)."""
+    first = getattr(func, "lineno", 0)
+    last = getattr(func, "end_lineno", None) or first
+    return all(hop.path == path and first <= hop.line <= last for hop in hops)
+
+
 class InterproceduralDpBoundaryRule(ProjectRule):
     """RL001i: raw-count taint tracked across project calls."""
 
@@ -338,9 +346,12 @@ class InterproceduralDpBoundaryRule(ProjectRule):
             for event in walker.events:
                 if event.value.level != TAINTED:
                     continue
-                if len(event.value.hops) < 2:
-                    # Single-hop == the source is visible right here;
-                    # RL001 reports it.
+                if len(event.value.hops) < 2 or _within(
+                    event.value.hops, ctx.rel_path, node
+                ):
+                    # The source is visible right here (one hop, or a
+                    # chain that never leaves this function, such as a
+                    # value laundered through ``self.x``): RL001's finding.
                     continue
                 if event.kind == "return":
                     message = (

@@ -9,12 +9,26 @@ the arbitrage benches can total an adversary's actual spending.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Protocol,
+    Tuple,
+    Union,
+)
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.errors import LedgerError
+from repro.records import DispatchRecord, RowViews, as_record, fold
 
-__all__ = ["Transaction", "BillingLedger", "TradeRecord"]
+__all__ = ["Transaction", "BillingLedger", "Sales", "TradeRecord"]
 
 
 class TradeRecord(Protocol):
@@ -72,43 +86,102 @@ class Transaction:
             raise LedgerError("epsilon_prime must be non-negative")
 
 
-@dataclass
+class Sales(RowViews[Transaction]):
+    """One :meth:`BillingLedger.record_many` call's sales: the record and
+    its transaction ids.  :class:`Transaction` views are built on read."""
+
+    __slots__ = ("ids", "record")
+
+    def __init__(self, ids: "npt.NDArray[np.int64]", record: DispatchRecord) -> None:
+        self.ids = ids
+        self.record = record
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        record = self.record
+        consumers, datasets = record.consumers, record.datasets
+        for txn_id, consumer, dataset, alpha, delta, price, epsilon_prime in zip(
+            self.ids.tolist(), record.consumer.tolist(), record.dataset.tolist(),
+            record.alpha.tolist(), record.delta.tolist(), record.price.tolist(),
+            record.epsilon_prime.tolist(),
+        ):
+            yield Transaction(
+                txn_id, consumers[consumer], datasets[dataset], alpha, delta,
+                price, epsilon_prime,
+            )
+
+
+#: A sale's fields; the rest of a row (of a journal record, say) is ignored.
+_SALE_FIELDS = ("consumer", "dataset", "alpha", "delta", "price", "epsilon_prime")
+
+#: What a sale leaves out of a dispatch record.  Its kind does not matter
+#: to the ledger; "release" keeps the record's replay and charge checks
+#: out of the way.
+_SALE_DEFAULTS: Mapping[str, Any] = {
+    "kind": "release", "low": 0.0, "high": 0.0, "store_version": 0,
+    "label": None,
+}
+
+
+def _sales(rows: "Iterable[Mapping[str, Any]]") -> DispatchRecord:
+    """A dispatch record of one mapping per sale (callers outside the
+    settlement kernel, and restore/replay)."""
+    sales = []
+    for row in rows:
+        missing = [name for name in _SALE_FIELDS if name not in row]
+        if missing:
+            raise LedgerError(f"a sale needs {list(_SALE_FIELDS)}; missing {missing}")
+        sales.append({name: row[name] for name in _SALE_FIELDS})
+    return DispatchRecord.from_rows(sales, _SALE_DEFAULTS, error=LedgerError)
+
+
 class BillingLedger:
     """Append-only transaction log with aggregate views.
 
-    Aggregates (total revenue, per-consumer and per-dataset totals) are
-    maintained incrementally on every append, so the serving layer's
+    Every write is one :class:`~repro.records.DispatchRecord`, kept whole
+    as one chunk; the :class:`Transaction` views are built when someone
+    reads them.  Aggregates (total revenue, per-consumer and per-dataset
+    totals) are folded in on every write, so the serving layer's
     admission checks stay O(1) regardless of ledger length.
     """
 
-    _transactions: List[Transaction] = field(default_factory=list)
-    _ids: "itertools.count[int]" = field(default_factory=lambda: itertools.count(1))
+    def __init__(self) -> None:
+        self._clear()
 
-    def __post_init__(self) -> None:
+    def _clear(self) -> None:
+        self._chunks: List[Sales] = []
+        self._count = 0
+        self._next_id = 1
         self._total_revenue: float = 0.0
         self._revenue_by_consumer: Dict[str, float] = {}
         self._revenue_by_dataset: Dict[str, float] = {}
         # Highest journal answer_id already folded into this ledger; the
         # idempotency floor for replay_journal (0 = nothing replayed yet).
         self._journal_high_water: int = 0
-        self._index(self._transactions)
 
-    def _index(self, txns: "Iterable[Transaction]") -> None:
-        """Fold appended transactions into the running aggregates, in order."""
-        total = self._total_revenue
-        by_consumer = self._revenue_by_consumer
-        by_dataset = self._revenue_by_dataset
-        for txn in txns:
-            price = txn.price
-            total += price
-            by_consumer[txn.consumer] = by_consumer.get(txn.consumer, 0.0) + price
-            by_dataset[txn.dataset] = by_dataset.get(txn.dataset, 0.0) + price
-        self._total_revenue = total
+    def _append(self, ids: "npt.NDArray[np.int64]", record: DispatchRecord) -> Sales:
+        """Keep one chunk and fold its prices into the aggregates.
 
-    def _append(self, txn: Transaction) -> None:
-        """Append and index one transaction (used by loaders too)."""
-        self._transactions.append(txn)
-        self._index((txn,))
+        Each aggregate is a left fold in sale order
+        (:func:`~repro.records.fold`), bit-equal to adding sale by sale.
+        """
+        record.check(LedgerError)
+        prices = record.price
+        self._total_revenue = fold(prices, self._total_revenue)
+        for totals, column, names in (
+            (self._revenue_by_consumer, "consumer", record.consumers),
+            (self._revenue_by_dataset, "dataset", record.datasets),
+        ):
+            for code, rows in record.groups(column):
+                name = names[code]
+                totals[name] = fold(prices[rows], totals.get(name, 0.0))
+        sales = Sales(ids, record)
+        if len(sales):
+            self._chunks.append(sales)
+            self._count += len(sales)
+        return sales
 
     def record(
         self,
@@ -120,51 +193,46 @@ class BillingLedger:
         epsilon_prime: float,
     ) -> Transaction:
         """Append a sale and return the immutable transaction record."""
-        txn = Transaction(
-            transaction_id=next(self._ids),
-            consumer=consumer,
-            dataset=dataset,
-            alpha=alpha,
-            delta=delta,
-            price=price,
-            epsilon_prime=epsilon_prime,
-        )
-        self._append(txn)
-        return txn
+        return self.record_many([{
+            "consumer": consumer,
+            "dataset": dataset,
+            "alpha": alpha,
+            "delta": delta,
+            "price": price,
+            "epsilon_prime": epsilon_prime,
+        }])[0]
 
     def record_many(
-        self, sales: "Iterable[Mapping[str, Any]]"
-    ) -> "List[Transaction]":
-        """Append one transaction per entry of ``sales``, in order.
+        self, sales: "Union[DispatchRecord, Iterable[Mapping[str, Any]]]"
+    ) -> "Sales":
+        """Append one transaction per row of ``sales``, in order.
 
-        Each entry supplies the keyword arguments of :meth:`record`
+        ``sales`` is the settlement kernel's dispatch record, or one
+        mapping per sale with the keyword arguments of :meth:`record`
         (``consumer``, ``dataset``, ``alpha``, ``delta``, ``price``,
-        ``epsilon_prime``); other keys -- the rest of a journal record --
-        are ignored.  Ids are assigned sequentially and the aggregates
+        ``epsilon_prime``; other keys -- the rest of a journal record --
+        are ignored).  Ids are assigned sequentially and the aggregates
         folded sale by sale, so the ledger ends up identical to recording
-        each sale individually.  Every transaction is validated before
-        the first is appended: one bad sale records none of them.  This
-        is the brokers' bulk path for batched answers.
+        each sale individually.  The whole batch is validated first: one
+        bad sale records none of them.  This is the brokers' bulk path.
+        Returns the new transactions (views built on read; ``.ids``
+        holds their ids).
         """
-        ids = self._ids
-        txns = [
-            Transaction(
-                next(ids), sale["consumer"], sale["dataset"], sale["alpha"],
-                sale["delta"], sale["price"], sale["epsilon_prime"],
-            )
-            for sale in sales
-        ]
-        self._transactions.extend(txns)
-        self._index(txns)
-        return txns
+        record = as_record(sales, _sales)
+        start = self._next_id
+        sales_chunk = self._append(
+            np.arange(start, start + len(record), dtype=np.int64), record
+        )
+        self._next_id = start + len(record)
+        return sales_chunk
 
     def __len__(self) -> int:
-        return len(self._transactions)
+        return self._count
 
     @property
     def transactions(self) -> Tuple[Transaction, ...]:
         """Immutable view of every recorded sale, oldest first."""
-        return tuple(self._transactions)
+        return tuple(itertools.chain.from_iterable(self._chunks))
 
     def total_revenue(self) -> float:
         """Sum of all sale prices (maintained incrementally, O(1))."""
@@ -184,7 +252,7 @@ class BillingLedger:
 
     def purchases_of(self, consumer: str) -> Tuple[Transaction, ...]:
         """All transactions of one consumer, oldest first."""
-        return tuple(t for t in self._transactions if t.consumer == consumer)
+        return tuple(t for t in self.transactions if t.consumer == consumer)
 
     # ------------------------------------------------------------------ #
     # Durability: snapshot / restore / journal replay                    #
@@ -197,42 +265,30 @@ class BillingLedger:
         :meth:`replay_journal` of the journal suffix reproduces the live
         ledger bit for bit — including transaction ids.
         """
+        transactions = self.transactions
         return {
-            "transactions": [
-                {
-                    "transaction_id": t.transaction_id,
-                    "consumer": t.consumer,
-                    "dataset": t.dataset,
-                    "alpha": t.alpha,
-                    "delta": t.delta,
-                    "price": t.price,
-                    "epsilon_prime": t.epsilon_prime,
-                }
-                for t in self._transactions
-            ],
+            "transactions": [dict(t.__dict__) for t in transactions],
             # The id counter only advances by appending, so the next id is
             # always one past the newest transaction.
             "next_transaction_id": (
-                self._transactions[-1].transaction_id + 1
-                if self._transactions
-                else 1
+                transactions[-1].transaction_id + 1 if transactions else 1
             ),
             "journal_high_water": self._journal_high_water,
         }
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
         """Replace this ledger's state with a :meth:`snapshot` copy."""
-        transactions = [
-            Transaction(**dict(payload)) for payload in snapshot["transactions"]
-        ]
-        next_id = int(snapshot["next_transaction_id"])
-        self._transactions = list(transactions)
-        self._ids = itertools.count(next_id)
-        self._total_revenue = 0.0
-        self._revenue_by_consumer = {}
-        self._revenue_by_dataset = {}
-        self._journal_high_water = int(snapshot["journal_high_water"])
-        self._index(self._transactions)
+        payloads = list(snapshot["transactions"])
+        high_water = int(snapshot["journal_high_water"])
+        self._clear()
+        if payloads:
+            ids = np.array(
+                [payload["transaction_id"] for payload in payloads],
+                dtype=np.int64,
+            )
+            self._append(ids, _sales(payloads))
+        self._next_id = int(snapshot["next_transaction_id"])
+        self._journal_high_water = high_water
 
     def replay_journal(self, entries: "Iterable[TradeRecord]") -> int:
         """Re-apply journaled trades this ledger has not yet seen.
@@ -244,10 +300,13 @@ class BillingLedger:
         Transactions are recorded through the normal write path, so the
         rebuilt ledger's transaction ids match the uninterrupted run's.
         ``charge`` entries (a histogram or quantile ε′ spend) were never
-        billed and record nothing.  Returns the number of entries applied.
+        billed and record nothing.  Entries must run in ``answer_id``
+        order; otherwise nothing is applied.  Returns the number of
+        entries applied.
         """
-        applied = 0
+        sales: List[Dict[str, Any]] = []
         previous = 0
+        high_water = self._journal_high_water
         for entry in entries:
             if entry.answer_id <= previous:
                 raise LedgerError(
@@ -255,19 +314,20 @@ class BillingLedger:
                     f"{entry.answer_id} after {previous}"
                 )
             previous = entry.answer_id
-            if entry.answer_id <= self._journal_high_water:
+            if entry.answer_id <= high_water:
                 continue
+            high_water = entry.answer_id
             if entry.kind == "charge":
-                self._journal_high_water = entry.answer_id
                 continue
-            self.record(
-                consumer=entry.consumer,
-                dataset=entry.dataset,
-                alpha=entry.alpha,
-                delta=entry.delta,
-                price=entry.price,
-                epsilon_prime=entry.epsilon_prime,
-            )
-            self._journal_high_water = entry.answer_id
-            applied += 1
-        return applied
+            sales.append({
+                "consumer": entry.consumer,
+                "dataset": entry.dataset,
+                "alpha": entry.alpha,
+                "delta": entry.delta,
+                "price": entry.price,
+                "epsilon_prime": entry.epsilon_prime,
+            })
+        if sales:
+            self.record_many(sales)
+        self._journal_high_water = high_water
+        return len(sales)

@@ -11,9 +11,23 @@ releases that would overspend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.errors import LedgerError, PrivacyBudgetExceededError
+from repro.records import LabelColumn, fold
 
 __all__ = ["BudgetAccountant", "BudgetEntry", "SpendRecord"]
 
@@ -56,25 +70,22 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
 
 
-def _fold(epsilons: Iterable[float], total: float = 0.0) -> float:
-    """Add ``epsilons`` to ``total`` one at a time, in order.
-
-    Adding a batch's pre-summed total in one step would round differently.
-    """
-    for epsilon in epsilons:
-        total += epsilon
-    return total
+#: One charge call's expenditures: the ε′ column and its labels.
+_Chunk = Tuple["npt.NDArray[np.float64]", Sequence[str]]
 
 
-@dataclass
+@dataclass(eq=False)
 class BudgetAccountant:
     """Per-dataset sequential-composition ε ledger.
 
-    Beside the history, each dataset keeps a running total that every
-    mutation folds its entries into one at a time, in charge order, so
+    Each dataset keeps the charges as the chunks they came in -- an ε′
+    column and its labels (the settlement kernel's are derived on read)
+    -- and a running total that every mutation folds its charges into
+    one at a time, in charge order (:func:`~repro.records.fold`), so
     :meth:`spent` answers in O(1) with the bits a left-to-right re-sum of
     the history would give (``sum()`` up to Python 3.11; 3.12's ``sum()``
-    compensates rounding and may differ in the last bit).
+    compensates rounding and may differ in the last bit).  The
+    :class:`BudgetEntry` views of :meth:`history` are built on read.
 
     Parameters
     ----------
@@ -85,16 +96,13 @@ class BudgetAccountant:
     """
 
     capacity: float = float("inf")
-    _spent: Dict[str, List[BudgetEntry]] = field(default_factory=dict)
+    _chunks: Dict[str, List[_Chunk]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
-        # Running left-fold total per dataset, kept in step with _spent.
-        self._totals: Dict[str, float] = {
-            dataset: _fold(e.epsilon for e in entries)
-            for dataset, entries in self._spent.items()
-        }
+        # Running left-fold total per dataset, kept in step with _chunks.
+        self._totals: Dict[str, float] = {}
         # Highest journal answer_id already folded into this accountant;
         # the idempotency floor for replay_journal (0 = nothing replayed).
         self._journal_high_water: int = 0
@@ -120,40 +128,36 @@ class BudgetAccountant:
         order, exactly as :meth:`charge_many` will fold them.
         """
         _check_epsilon(epsilon)
-        return _fold(pending, self.spent(dataset)) + epsilon <= self.capacity + 1e-12
+        return fold(pending, self.spent(dataset)) + epsilon <= self.capacity + 1e-12
 
     def charge(self, dataset: str, epsilon: float, label: str = "query") -> float:
         """Record an expenditure; returns the new cumulative total.
+
+        A one-row :meth:`charge_many`.
 
         Raises
         ------
         PrivacyBudgetExceededError
             If the charge would push the dataset past :attr:`capacity`.
         """
-        if not self.can_afford(dataset, epsilon):
-            raise PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: charging ε={epsilon:.6g} would exceed "
-                f"capacity {self.capacity:.6g} (already spent "
-                f"{self.spent(dataset):.6g})"
-            )
-        self._spent.setdefault(dataset, []).append(BudgetEntry(label, epsilon))
-        total = self._totals.get(dataset, 0.0) + epsilon
-        self._totals[dataset] = total
-        return total
+        return self.charge_many(dataset, [epsilon], [label])
 
     def charge_many(
         self,
         dataset: str,
-        epsilons: "List[float]",
-        labels: "List[str]",
+        epsilons: "Union[Sequence[float], npt.NDArray[np.float64]]",
+        labels: Sequence[str],
     ) -> float:
         """Record several expenditures at once; returns the new total.
 
-        Affordability is checked once against the *sum* (sequential
-        composition is additive), and the entries land in ``history`` in
-        order, and fold into the running total one by one, exactly as
-        repeated :meth:`charge` calls would -- but with one affordability
-        check, which is what makes the broker's batched trading path cheap.
+        ``epsilons`` and ``labels`` are parallel sequences (the settlement
+        kernel passes an ε′ column and a :class:`~repro.records.LabelColumn`,
+        whose labels are formatted only when read).  Affordability is
+        checked once against the *sum* (sequential composition is
+        additive), and the entries land in ``history`` in order, and fold
+        into the running total one by one, exactly as repeated
+        :meth:`charge` calls would -- but with one affordability check,
+        which is what makes the broker's batched trading path cheap.
 
         Raises
         ------
@@ -163,38 +167,43 @@ class BudgetAccountant:
         """
         if len(epsilons) != len(labels):
             raise ValueError("epsilons and labels must be parallel lists")
-        if not epsilons:
+        if len(epsilons) == 0:
             # An all-replay batch charges nothing; leave no trace of the
             # dataset in the books either.
             return self._totals.get(dataset, 0.0)
-        for epsilon in epsilons:
-            _check_epsilon(epsilon)
-        bulk = float(sum(epsilons))
+        column = np.array(epsilons, dtype=np.float64)
+        column.flags.writeable = False
+        if not column.min() >= 0:  # NaN fails too
+            _check_epsilon(float(column[~(column >= 0)][0]))
+        bulk = fold(column)
         if not self.can_afford(dataset, bulk):
             raise PrivacyBudgetExceededError(
                 f"dataset {dataset!r}: charging ε={bulk:.6g} in bulk would "
                 f"exceed capacity {self.capacity:.6g} (already spent "
                 f"{self.spent(dataset):.6g})"
             )
-        self._spent.setdefault(dataset, []).extend(
-            BudgetEntry(label, epsilon)
-            for label, epsilon in zip(labels, epsilons)
-        )
-        total = _fold(epsilons, self._totals.get(dataset, 0.0))
+        if not isinstance(labels, (tuple, LabelColumn)):
+            labels = tuple(labels)  # a caller's list may change later
+        self._chunks.setdefault(dataset, []).append((column, labels))
+        total = fold(column, self._totals.get(dataset, 0.0))
         self._totals[dataset] = total
         return total
 
     def history(self, dataset: str) -> Tuple[BudgetEntry, ...]:
         """Immutable view of the expenditures recorded for ``dataset``."""
-        return tuple(self._spent.get(dataset, ()))
+        return tuple(
+            BudgetEntry(label, epsilon)
+            for column, labels in self._chunks.get(dataset, ())
+            for label, epsilon in zip(labels, column.tolist())
+        )
 
     def datasets(self) -> Tuple[str, ...]:
         """Dataset keys with at least one recorded expenditure."""
-        return tuple(self._spent)
+        return tuple(self._chunks)
 
     def reset(self, dataset: str) -> None:
         """Forget all spending for ``dataset`` (e.g. after data rotation)."""
-        self._spent.pop(dataset, None)
+        self._chunks.pop(dataset, None)
         self._totals.pop(dataset, None)
 
     # ------------------------------------------------------------------ #
@@ -205,27 +214,32 @@ class BudgetAccountant:
         return {
             "capacity": self.capacity,
             "spent": {
-                dataset: [[entry.label, entry.epsilon] for entry in entries]
-                for dataset, entries in self._spent.items()
+                dataset: [[e.label, e.epsilon] for e in self.history(dataset)]
+                for dataset in self._chunks
             },
             "journal_high_water": self._journal_high_water,
         }
+
+    def _load(self, dataset: str, epsilons: List[float], labels: List[str]) -> None:
+        """Book charges that already happened: no capacity check."""
+        column = np.array(epsilons, dtype=np.float64)
+        column.flags.writeable = False
+        self._chunks.setdefault(dataset, []).append((column, labels))
+        self._totals[dataset] = fold(column, self._totals.get(dataset, 0.0))
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
         """Replace this accountant's state with a :meth:`snapshot` copy."""
         spent: Mapping[str, Iterable[Tuple[str, float]]] = snapshot["spent"]
         self.capacity = float(snapshot["capacity"])
-        self._spent = {
-            dataset: [
-                BudgetEntry(str(label), float(epsilon))
-                for label, epsilon in entries
-            ]
-            for dataset, entries in spent.items()
-        }
-        self._totals = {
-            dataset: _fold(e.epsilon for e in entries)
-            for dataset, entries in self._spent.items()
-        }
+        self._chunks = {}
+        self._totals = {}
+        for dataset, entries in spent.items():
+            entries = list(entries)
+            self._load(
+                dataset,
+                [float(epsilon) for _, epsilon in entries],
+                [str(label) for label, _ in entries],
+            )
         self._journal_high_water = int(snapshot["journal_high_water"])
 
     def replay_journal(self, entries: "Iterable[SpendRecord]") -> int:
@@ -239,10 +253,14 @@ class BudgetAccountant:
         happened, so recovery must record every journaled spend even if
         the dataset ends up over budget.  Under-counting ε after a crash
         would be a silent privacy leak; an over-budget ledger is loud and
-        auditable.  Returns the number of entries applied as spends.
+        auditable.  Entries must run in ``answer_id`` order; otherwise
+        nothing is applied.  Returns the number of entries applied as
+        spends.
         """
+        spends: Dict[str, Tuple[List[float], List[str]]] = {}
         applied = 0
         previous = 0
+        high_water = self._journal_high_water
         for entry in entries:
             if entry.answer_id <= previous:
                 raise LedgerError(
@@ -250,18 +268,18 @@ class BudgetAccountant:
                     f"{entry.answer_id} after {previous}"
                 )
             previous = entry.answer_id
-            if entry.answer_id <= self._journal_high_water:
+            if entry.answer_id <= high_water:
                 continue
-            self._journal_high_water = entry.answer_id
+            high_water = entry.answer_id
             if entry.kind == "replay":
                 # Replays are post-processing: billed, but never charged
                 # to the accountant, exactly as in live operation.
                 continue
-            self._spent.setdefault(entry.dataset, []).append(
-                BudgetEntry(entry.label, entry.epsilon_prime)
-            )
-            self._totals[entry.dataset] = (
-                self._totals.get(entry.dataset, 0.0) + entry.epsilon_prime
-            )
+            epsilons, labels = spends.setdefault(entry.dataset, ([], []))
+            epsilons.append(entry.epsilon_prime)
+            labels.append(entry.label)
             applied += 1
+        for dataset, (epsilons, labels) in spends.items():
+            self._load(dataset, epsilons, labels)
+        self._journal_high_water = high_water
         return applied

@@ -12,13 +12,14 @@ bit-exactly, even when the crash landed between the journal append and the
 in-memory apply (the chaos drill's kill point).
 
 A file-backed log uses the trade journal's on-disk format, journal format
-v2 (:mod:`repro.durability.codec`): one CRC-checked frame per entry, roll
+v3 (:mod:`repro.durability.codec`): one CRC-checked frame per entry, roll
 samples as raw little-endian ``float64``/``int64`` arrays, one write +
 flush per append, and the same torn-tail rule on load.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +36,10 @@ __all__ = [
     "STREAM_LOG_VERSION",
 ]
 
+#: Envelope of an entry's payload (one ``repro journal-dump`` line); the
+#: version is the payload layout's, which journal format v3 left as v2's.
 STREAM_LOG_FORMAT = "repro.stream-journal"
-STREAM_LOG_VERSION = codec.FORMAT_VERSION
+STREAM_LOG_VERSION = 2
 
 #: ``roll`` seals one shard's epoch (full sample payload); ``charge``
 #: records one window release's per-epoch ε spend.  Each kind's ``data``
@@ -117,7 +120,7 @@ class WindowLogEntry:
 class WindowLog(codec.FramedLog[WindowLogEntry]):
     """Append-only, thread-safe write-ahead log of window rolls and charges.
 
-    In-memory by default; pass ``path`` to mirror appends to a v2 file.
+    In-memory by default; pass ``path`` to mirror appends to a v3 file.
     :meth:`load` re-opens a file after a crash, dropping a torn last frame
     (the entry was never applied, by write-ahead ordering).
     """
@@ -126,25 +129,25 @@ class WindowLog(codec.FramedLog[WindowLogEntry]):
 
     @staticmethod
     def _encode(
-        entries: "Sequence[WindowLogEntry]", strings: codec.StringTable
+        chunks: "Sequence[Sequence[WindowLogEntry]]", strings: codec.StringTable
     ) -> bytes:
-        return codec.encode_window(entries, strings)
+        return codec.encode_window(itertools.chain.from_iterable(chunks), strings)
 
     @staticmethod
     def _decode(
         frame_type: int, payload: bytes, strings: "Sequence[str]"
-    ) -> WindowLogEntry:
+    ) -> "List[WindowLogEntry]":
         if frame_type == codec.FRAME_ROLL:
             seq, data = codec.decode_roll(payload)
-            return WindowLogEntry(seq, "roll", data)
+            return [WindowLogEntry(seq, "roll", data)]
         if frame_type == codec.FRAME_CHARGE:
             seq, data = codec.decode_charge(payload, strings)
-            return WindowLogEntry(seq, "charge", data)
+            return [WindowLogEntry(seq, "charge", data)]
         raise JournalError(f"unexpected frame type {frame_type}")
 
     @staticmethod
-    def _id_of(entry: WindowLogEntry) -> int:
-        return entry.seq
+    def _first_id(chunk: "Sequence[WindowLogEntry]") -> int:
+        return chunk[0].seq
 
     # ------------------------------------------------------------------
     # write path

@@ -18,6 +18,7 @@ from repro.durability.journal import (
     TradeJournal,
 )
 from repro.errors import JournalError
+from repro.records import DispatchRecord
 from tests.chaos.conftest import journal_record
 
 
@@ -89,7 +90,7 @@ class TestValidation:
         poisoned = SimpleNamespace(
             answer_id=2, **journal_record(price=float("nan"))
         )
-        path.write_bytes(reference_file([entry, poisoned]))
+        path.write_bytes(reference_file([[entry, poisoned]]))
         with pytest.raises(JournalError, match="price"):
             TradeJournal.load(path)
 
@@ -124,16 +125,24 @@ class TestFileBacked:
 
     def test_load_resumes_the_string_table(self, tmp_path):
         path = tmp_path / "journal.bin"
+        def trade(consumer):
+            return journal_record(consumer=consumer, label=f"{consumer}:[0.0,10.0]")
+
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record(consumer="a"))
+            journal.append(**trade("a"))
         with TradeJournal.load(path) as loaded:
-            loaded.append(**journal_record(consumer="b"))
-            loaded.append(**journal_record(consumer="a"))
+            loaded.append(**trade("b"))
+            loaded.append(**trade("a"))
             checksum = loaded.checksum()
         # One definition per string, ids in first-use order across the
         # reopen: the file is byte-identical to an uninterrupted one.
         assert TradeJournal.read(path).strings == ["a", "default", "b"]
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == checksum
+        uninterrupted = tmp_path / "uninterrupted.bin"
+        with TradeJournal(path=uninterrupted) as journal:
+            for consumer in ("a", "b", "a"):
+                journal.append(**trade(consumer))
+            assert journal.checksum() == checksum
+        assert path.read_bytes() == uninterrupted.read_bytes()
         reloaded = TradeJournal.load(path)
         assert [e.consumer for e in reloaded.entries()] == ["a", "b", "a"]
         reloaded.close()
@@ -168,7 +177,7 @@ class TestFileBacked:
         whole = path.read_bytes()
         # Simulate a crash mid-write: the first half of one more frame.
         third = codec.encode_trades(
-            [SimpleNamespace(answer_id=3, **journal_record())],
+            [(3, DispatchRecord.from_rows([journal_record()]))],
             codec.StringTable(["c1", "default"]),
         )
         with path.open("ab") as handle:
@@ -188,8 +197,10 @@ class TestFileBacked:
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append_many([journal_record() for _ in range(2)])
+            journal.append_many([journal_record() for _ in range(2)])
         data = bytearray(path.read_bytes())
-        data[data.index(b"c1:[0.0,10.0]")] ^= 0x01
+        _, start, end = TradeJournal.read(path).frames[2]
+        data[(start + end) // 2] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(JournalError, match="CRC"):
             TradeJournal.load(path)
@@ -211,19 +222,22 @@ class TestFileBacked:
         assert len(loaded) == 0
         assert loaded.last_answer_id == 0
 
-    def test_file_starts_with_the_v2_header(self, tmp_path):
+    def test_file_starts_with_the_v3_header(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
             journal.append(**journal_record())
-        assert path.read_bytes()[:8] == b"\x89RPJ\x02\x00\x01\x00"
+        assert path.read_bytes()[:8] == b"\x89RPJ\x03\x00\x01\x00"
 
     @pytest.mark.parametrize(
         "head, match",
         [
             (b"JUNK\x02\x00\x01\x00", "magic"),
             (b"\x89RPJ\x01\x00\x01\x00", "version 1"),
-            (b"\x89RPJ\x03\x00\x01\x00", "version 3"),
-            (b"\x89RPJ\x02\x00\x02\x00", "window log"),
+            (b"\x89RPJ\x02\x00\x01\x00", "version 2"),
+            # A v2 file is refused for its version before its log kind.
+            (b"\x89RPJ\x02\x00\x02\x00", "version 2"),
+            (b"\x89RPJ\x04\x00\x01\x00", "version 4"),
+            (b"\x89RPJ\x03\x00\x02\x00", "window log"),
             (b'{"format"', "magic"),
         ],
     )
@@ -252,10 +266,10 @@ def _reference_frame(frame_type, payload):
             + struct.pack("<I", zlib.crc32(payload)))
 
 
-def reference_file(entries):
-    """An independent v2 encoder: what a trade journal of ``entries``
-    must hold, byte for byte."""
-    out = [b"\x89RPJ" + struct.pack("<HH", 2, 1)]
+def reference_file(appends):
+    """An independent v3 encoder: what a trade journal must hold, byte
+    for byte, after ``appends`` (one list of entries per append)."""
+    out = [b"\x89RPJ" + struct.pack("<HH", 3, 1)]
     ids = {}
 
     def string_id(text):
@@ -266,14 +280,24 @@ def reference_file(entries):
             ))
         return ids[text]
 
-    for e in entries:
-        consumer, dataset = string_id(e.consumer), string_id(e.dataset)
-        label = e.label.encode("utf-8")
-        out.append(_reference_frame(2, struct.pack(
-            "<QBIIddddddqI", e.answer_id, ("release", "replay").index(e.kind),
-            consumer, dataset, e.low, e.high, e.alpha, e.delta,
-            e.epsilon_prime, e.price, e.store_version, len(label),
-        ) + label))
+    for entries in appends:
+        body = [struct.pack("<Q", entries[0].answer_id)]
+        for e in entries:
+            consumer, dataset = string_id(e.consumer), string_id(e.dataset)
+            base = f"{e.consumer}:[{float(e.low)},{float(e.high)}]"
+            if e.label == base:
+                mode, label = 0, 0  # derived on read
+            elif e.label.startswith(base + "@"):
+                mode, label = 1, string_id(e.label[len(base) + 1:])
+            else:
+                mode, label = 2, string_id(e.label)
+            kind = ("release", "replay", "charge").index(e.kind)
+            body.append(struct.pack(
+                "<BIIddddddqI", kind | mode << 4, consumer, dataset, e.low,
+                e.high, e.alpha, e.delta, e.epsilon_prime, e.price,
+                e.store_version, label,
+            ))
+        out.append(_reference_frame(2, b"".join(body)))
     return b"".join(out)
 
 
@@ -289,23 +313,26 @@ BYTE_IDENTITY_RECORDS = [
     journal_record(kind="replay", epsilon_prime=0.0, consumer="買い手"),
 ]
 
-#: SHA-256 of the v2 file holding BYTE_IDENTITY_RECORDS: pins the format.
+#: SHA-256 of the v3 file holding BYTE_IDENTITY_RECORDS in two appends
+#: (the first three, then the rest): pins the format.
 GOLDEN_SHA256 = (
-    "a1e9c052410e24376e4c4df6db752b713fac9d9aabdad364743431d46d8e63a8"
+    "d68e9ccc202b1798b66686c3375fe3d8f42c75ce3991afc77fe08b8adf0259ee"
 )
 
 
 class TestByteIdentity:
-    def test_file_bytes_match_golden_v2_encoding(self, tmp_path):
+    def test_file_bytes_match_golden_v3_encoding(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            entries = journal.append_many(BYTE_IDENTITY_RECORDS[:3])
-            entries += journal.append_many(BYTE_IDENTITY_RECORDS[3:])
+            first = journal.append_many(BYTE_IDENTITY_RECORDS[:3])
+            second = journal.append_many(BYTE_IDENTITY_RECORDS[3:])
             checksum = journal.checksum()
+        entries = list(first) + list(second)
         raw = path.read_bytes()
-        assert raw == reference_file(entries)
+        assert raw == reference_file([first, second])
         assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256
-        assert checksum == GOLDEN_SHA256
+        # The checksum is the file of the same entries in one append.
+        assert checksum == hashlib.sha256(reference_file([entries])).hexdigest()
         # Signed zero keeps its sign bit; strings are interned once each.
         assert struct.pack("<d", -0.0) in raw
         for text in ("default", "käufer-ü", "買い手"):
@@ -321,3 +348,88 @@ class TestByteIdentity:
         assert math.copysign(1.0, loaded.entries()[2].low) == -1.0
         assert loaded.checksum() == checksum
         loaded.close()
+
+
+def _kernel_record(rows, window=None):
+    """A record as the settlement kernel builds it: labels derived."""
+    kinds = {"release": 0, "replay": 1}
+    return DispatchRecord(
+        kind=[kinds[kind] for kind, *_ in rows],
+        consumer=[0] * len(rows),
+        consumers=[rows[0][1]],
+        dataset=[0] * len(rows),
+        datasets=["default"],
+        low=[low for _, _, low, _ in rows],
+        high=[high for *_, high in rows],
+        alpha=[0.1] * len(rows),
+        delta=[0.5] * len(rows),
+        epsilon_prime=[0.02 if kind == "release" else 0.0 for kind, *_ in rows],
+        price=[1.5] * len(rows),
+        store_version=[3] * len(rows),
+        window=window,
+    )
+
+
+class TestDerivedLabels:
+    """Kernel labels are not stored: they are rebuilt on read, bit for
+    bit, from the consumer, the range and the window."""
+
+    @pytest.mark.parametrize(
+        "consumer, low, high, label",
+        [
+            ("c1", -0.0, 1e-17, "c1:[-0.0,1e-17]"),
+            ("c1", 0.0, 2.5e300, "c1:[0.0,2.5e+300]"),
+            ("käufer-ü", 1.5, 2.5, "käufer-ü:[1.5,2.5]"),
+            ("買い手", 5e-324, 1.7976931348623157e308,
+             "買い手:[5e-324,1.7976931348623157e+308]"),
+        ],
+    )
+    def test_derived_label_round_trips(self, tmp_path, consumer, low, high, label):
+        path = tmp_path / "journal.bin"
+        with TradeJournal(path=path) as journal:
+            (entry,) = journal.append_many(
+                _kernel_record([("release", consumer, low, high)])
+            )
+        assert entry.label == label
+        assert label.encode("utf-8") not in path.read_bytes()
+        with TradeJournal.load(path) as loaded:
+            (decoded,) = loaded.entries()
+        assert decoded == entry
+        assert struct.pack("<d", decoded.low) == struct.pack("<d", low)
+
+    def test_a_window_suffixes_releases_only(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        rows = [("release", "c1", 1.0, 2.0), ("replay", "c1", 1.0, 2.0)]
+        with TradeJournal(path=path) as journal:
+            entries = journal.append_many(_kernel_record(rows, window="w7@e3"))
+        assert [e.label for e in entries] == ["c1:[1.0,2.0]@w7@e3", "c1:[1.0,2.0]"]
+        with TradeJournal.load(path) as loaded:
+            assert loaded.entries() == tuple(entries)
+        # The window id is one interned string; the labels are not stored.
+        assert path.read_bytes().count(b"w7@e3") == 1
+        assert b"c1:[" not in path.read_bytes()
+
+    def test_explicit_and_charge_labels_are_kept(self, tmp_path):
+        path = tmp_path / "journal.bin"
+        records = [
+            journal_record(label="a label of its own"),
+            journal_record(low=0, high=10, label="c1:[0,10]"),  # int bounds
+            journal_record(label="c1:[0.0,10.0]@w1"),
+            journal_record(label="c1:[0.0,10.0]"),  # the derived form
+            journal_record(kind="charge", consumer="", price=0.0,
+                           label="histogram[0,10]x4"),
+        ]
+        with TradeJournal(path=path) as journal:
+            entries = journal.append_many(records)
+        assert [e.label for e in entries] == [r["label"] for r in records]
+        raw = path.read_bytes()
+        for text in (b"a label of its own", b"c1:[0,10]", b"w1",
+                     b"histogram[0,10]x4"):
+            assert raw.count(text) == 1
+        assert b"c1:[0.0,10.0]" not in raw
+        with TradeJournal.load(path) as loaded:
+            assert [e.label for e in loaded.entries()] == [
+                r["label"] for r in records
+            ]
+            # Same entries, same checksum, however the labels came in.
+            assert loaded.checksum() == journal.checksum()

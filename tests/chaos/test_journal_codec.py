@@ -1,4 +1,4 @@
-"""Property tests: journal format v2 round-trips every entry bit-exactly.
+"""Property tests: journal format v3 round-trips every entry bit-exactly.
 
 Random trade records and window-log roll/charge entries go through a
 file-backed log and back through :meth:`load`.  Floats are compared by

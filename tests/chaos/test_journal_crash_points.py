@@ -1,10 +1,12 @@
 """Crash points of both file-backed write-ahead logs, at every frame.
 
-A file-backed log writes each batch -- a gateway dispatch's trades, one
-window roll or charge -- as one write of whole journal-format-v2 frames.
-A crash can cut the file anywhere in such a write.  These tests truncate
-a journal at every frame boundary and in the middle of every frame
-(torn headers and torn string-table frames included) and check that:
+A file-backed log writes each batch -- a gateway dispatch's trades (one
+``TRADES`` frame), one window roll or charge -- as one write of whole
+journal-format-v3 frames.  A crash can cut the file anywhere in such a
+write.  These tests truncate a journal at every frame boundary, in the
+middle of every frame (torn headers and torn string-table frames
+included) and at every byte of the first and last ``TRADES`` frame, and
+check that:
 
 * loading keeps exactly the whole record frames and leaves the crashed
   file as it found it until the next append;
@@ -43,16 +45,31 @@ RANGES = tuple((15.0 * i, 15.0 * i + 50.0) for i in range(6))
 HEADER = len(codec.header(codec.TRADE_LOG))
 
 
-def cut_points(frames) -> List[Tuple[int, int, int]]:
+def records_in(frame_type: int, start: int, end: int) -> int:
+    """How many entries a kept frame holds: a ``TRADES`` frame one per
+    69-byte record after its head and first answer id, any other record
+    frame one."""
+    if frame_type == codec.FRAME_STRING:
+        return 0
+    if frame_type == codec.FRAME_TRADES:
+        return (end - start - 9 - 8 - 4) // codec.RECORD_SIZE
+    return 1
+
+
+def cut_points(frames, every_byte=()) -> List[Tuple[int, int, int]]:
     """``(offset, whole records before it, type of the torn frame or 0)``
     at the start, inside and at the end of the header, and at the middle
-    and end of every frame."""
+    and end of every frame -- at every byte of the frames numbered in
+    ``every_byte``."""
     points = [(0, 0, 0), (HEADER // 2, 0, 0), (HEADER, 0, 0)]
     whole = 0
-    for frame_type, start, end in frames:
-        points.append(((start + end) // 2, whole, frame_type))
-        if frame_type != codec.FRAME_STRING:
-            whole += 1
+    for number, (frame_type, start, end) in enumerate(frames):
+        inside = (
+            range(start + 1, end) if number in every_byte
+            else [(start + end) // 2]
+        )
+        points.extend((offset, whole, frame_type) for offset in inside)
+        whole += records_in(frame_type, start, end)
         points.append((end, whole, 0))
     return points
 
@@ -143,10 +160,20 @@ def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
     entries = tuple(scan.records)
     assert len(entries) == boundaries[-1]
     assert scan.end == len(data)
-    points = cut_points(scan.frames)
-    assert len(points) == 2 * len(scan.frames) + 3
+    # One TRADES frame per dispatch; cut at every byte of the first and
+    # the last, and at the middle and end of every frame.
+    trades = [
+        number for number, (frame_type, _, _) in enumerate(scan.frames)
+        if frame_type == codec.FRAME_TRADES
+    ]
+    assert [len(chunk) for chunk in scan.chunks] == [
+        boundaries[0], boundaries[1] - boundaries[0]
+    ]
+    points = cut_points(scan.frames, every_byte=(trades[0], trades[-1]))
+    _, start, end = scan.frames[trades[-1]]
+    assert {offset for offset, _, _ in points} >= set(range(start, end + 1))
     torn = {frame_type for _, _, frame_type in points}
-    assert {codec.FRAME_STRING, codec.FRAME_TRADE} <= torn
+    assert {codec.FRAME_STRING, codec.FRAME_TRADES} <= torn
 
     for offset, whole, _ in points:
         crashed = tmp_path / f"cut-{offset}.journal"
@@ -175,13 +202,18 @@ def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
         assert spent >= released_epsilon(entries[:released])
 
         # The resumed journal cuts the tail, reuses the surviving string
-        # table, and writes exactly what an uninterrupted journal would.
+        # table, and writes exactly what an uninterrupted journal of the
+        # same appends would.
         resumed = recovered.append(**payload_of(entries[-1]))
         assert resumed.answer_id == whole + 1
         recovered.close()
         reloaded = TradeJournal.load(crashed)
         assert reloaded.entries() == entries[:whole] + (resumed,)
-        assert sha256(crashed) == reloaded.checksum()
+        uninterrupted = tmp_path / f"whole-{offset}.journal"
+        with TradeJournal(path=uninterrupted) as reference:
+            for chunk in TradeJournal.read(crashed).chunks:
+                reference.append_many([payload_of(entry) for entry in chunk])
+        assert sha256(crashed) == sha256(uninterrupted)
         assert reloaded.checksum() == in_memory(reloaded.entries()).checksum()
         reloaded.close()
 
@@ -199,7 +231,9 @@ def test_a_bad_crc_is_dropped_only_at_the_tail(two_dispatches, tmp_path):
     crashed = tmp_path / "bad-tail.journal"
     crashed.write_bytes(bytes(tail))
     with TradeJournal.load(crashed) as recovered:
-        assert len(recovered) == boundaries[-1] - 1
+        # The last frame is the second dispatch's TRADES frame: the
+        # whole dispatch goes, none of which was released.
+        assert len(recovered) == boundaries[-2]
 
     _, start, end = scan.frames[len(scan.frames) // 2]
     middle = bytearray(data)

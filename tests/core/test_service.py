@@ -147,3 +147,32 @@ class TestHistogramAndQuantile:
         true_median = float(np.median(service.truth.values))
         # Ozone spans ~[60, 130]; generous budget localizes well.
         assert abs(release.value - true_median) < 5.0
+
+
+class TestRefusedReleasesDrawNothing:
+    """A histogram or quantile the accountant refuses must not touch the
+    broker's rng, the sample store or the journal: every later answer
+    stays what it would have been had the release never been asked for."""
+
+    @pytest.mark.parametrize("release", ["histogram", "quantile"])
+    def test_refused_release_leaves_rng_store_and_journal(self, service, release):
+        import copy
+
+        from repro.durability.journal import TradeJournal
+        from repro.errors import PrivacyBudgetExceededError
+        from repro.privacy.budget import BudgetAccountant
+
+        broker = service.broker
+        broker.journal = TradeJournal()
+        broker.accountant = BudgetAccountant(capacity=1e-9)
+        rng_state = copy.deepcopy(broker.rng.bit_generator.state)
+        version = service.station.store_version
+        with pytest.raises(PrivacyBudgetExceededError):
+            if release == "histogram":
+                service.histogram(0.0, 200.0, buckets=4, epsilon=0.5)
+            else:
+                service.private_quantile(0.5, epsilon=0.5)
+        assert broker.rng.bit_generator.state == rng_state
+        assert service.station.store_version == version
+        assert len(broker.journal) == 0
+        assert broker.accountant.history(broker.dataset) == ()

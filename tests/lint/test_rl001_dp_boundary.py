@@ -209,3 +209,45 @@ class DataBroker:
     result = lint_snippet(source, rules=["RL001"])
     assert rule_ids(result) == ["RL001"]
     assert "PrivateAnswer(value=...)" in result.findings[0].message
+
+
+# ----------------------------------------------------------------------
+# RL001 and RL001i report a leak once between them
+# ----------------------------------------------------------------------
+LAUNDERED_IN_PLACE = """
+class DataBroker:
+    def answer(self, query, spec, consumer="anonymous"):
+        self.last = self.estimator.estimate(samples, query.low, query.high)
+        return PrivateAnswer(value=self.last)
+"""
+
+LAUNDERED_ACROSS_CALLS = """
+class DataBroker:
+    def answer(self, query, spec, consumer="anonymous"):
+        self.last = self._fetch(query)
+        return PrivateAnswer(value=self.last)
+
+    def _fetch(self, query):
+        return self.estimator.estimate(samples, query.low, query.high)
+"""
+
+
+def _both_rules(source, lint_snippet):
+    from repro.lint.flow import run_project_rules
+    from tests.lint.conftest import synth_contexts
+
+    intra = rule_ids(lint_snippet(source, rules=["RL001"]))
+    project, _, _ = run_project_rules(
+        synth_contexts({"repro/core/broker.py": source}), only=["RL001i"]
+    )
+    return intra + [finding.rule_id for finding in project]
+
+
+def test_a_leak_through_self_inside_one_function_is_reported_once(lint_snippet):
+    """The trace never leaves ``answer``: RL001's finding, not RL001i's."""
+    assert _both_rules(LAUNDERED_IN_PLACE, lint_snippet) == ["RL001"]
+
+
+def test_the_same_leak_split_across_functions_is_rl001i(lint_snippet):
+    """The trace runs through ``_fetch``: RL001 cannot see the source."""
+    assert _both_rules(LAUNDERED_ACROSS_CALLS, lint_snippet) == ["RL001i"]

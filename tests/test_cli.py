@@ -280,6 +280,18 @@ class TestClusterBench:
         assert code == 2
 
 
+#: ``repro journal-dump`` of the trades in
+#: ``test_kernel_trades_dump_exactly_as_before``, as printed before journal
+#: format v3 (and after it).
+DUMPED = (
+    '{"alpha": 0.2, "answer_id": 1, "consumer": "ann", "dataset": "default", "delta": 0.6, "epsilon_prime": 0.01714711127595905, "format": "repro.trade-journal", "high": 60.0, "kind": "release", "label": "ann:[10.0,60.0]", "low": 10.0, "price": 0.00025, "store_version": 1, "version": 2}\n'
+    '{"alpha": 0.2, "answer_id": 2, "consumer": "b\\u00f6", "dataset": "default", "delta": 0.6, "epsilon_prime": 0.01714711127595905, "format": "repro.trade-journal", "high": 70.0, "kind": "release", "label": "b\\u00f6:[20,70]", "low": 20.0, "price": 0.00025, "store_version": 1, "version": 2}\n'
+    '{"alpha": 0.2, "answer_id": 3, "consumer": "ann", "dataset": "default", "delta": 0.6, "epsilon_prime": 0.0, "format": "repro.trade-journal", "high": 60.0, "kind": "replay", "label": "ann:[10.0,60.0]", "low": 10.0, "price": 0.00025, "store_version": 1, "version": 2}\n'
+    '{"alpha": 0.2, "answer_id": 4, "consumer": "cy", "dataset": "default", "delta": 0.6, "epsilon_prime": 0.0, "format": "repro.trade-journal", "high": 60.0, "kind": "replay", "label": "cy:[10.0,60.0]", "low": 10.0, "price": 0.00025, "store_version": 1, "version": 2}\n'
+    '{"alpha": 0.0, "answer_id": 5, "consumer": "", "dataset": "default", "delta": 0.0, "epsilon_prime": 0.2809298036201614, "format": "repro.trade-journal", "high": 100.0, "kind": "charge", "label": "histogram[0.0,100.0]x4", "low": 0.0, "price": 0.0, "store_version": 1, "version": 2}\n'
+)
+
+
 class TestJournalDump:
     def test_trade_journal_prints_one_json_object_per_entry(
         self, tmp_path, capsys
@@ -309,6 +321,36 @@ class TestJournalDump:
         ]
         assert json.loads(lines[0])["format"] == "repro.trade-journal"
         assert "torn tail" in captured.err
+
+    def test_kernel_trades_dump_exactly_as_before(self, tmp_path, capsys):
+        """Journal format v3 derives kernel labels on read and batches
+        each dispatch into one frame; the dumped entries are what journal
+        format v2 printed, byte for byte."""
+        import numpy as np
+
+        from repro.core.query import AccuracySpec, RangeQuery
+        from repro.core.service import PrivateRangeCountingService
+        from repro.durability.journal import TradeJournal
+
+        path = tmp_path / "trades.journal"
+        service = PrivateRangeCountingService.from_values(
+            np.random.default_rng(0).uniform(0, 100, 500), k=4, seed=3
+        )
+        service.collect(0.5)
+        broker = service.broker
+        broker.journal = TradeJournal(path=path)
+        spec = AccuracySpec(0.2, 0.6)
+        ranges = [RangeQuery(10.0, 60.0), RangeQuery(20, 70), RangeQuery(10.0, 60.0)]
+        first = broker.answer_batch(
+            ranges, spec, ["ann", "bö", "ann"], replays={2: 0}
+        )
+        broker.answer_batch(
+            [RangeQuery(10.0, 60.0)], spec, ["cy"], replays={0: first[0]}
+        )
+        service.histogram(0.0, 100.0, 4, 0.5)
+        broker.journal.close()
+        assert main(["journal-dump", str(path)]) == 0
+        assert capsys.readouterr().out == DUMPED
 
     def test_window_log_is_told_apart_by_its_header(self, tmp_path, capsys):
         import json
