@@ -14,7 +14,8 @@ The bench JSONs mix two very different kinds of numbers:
 
 Anything that is neither (unrecognised numeric leaves) is treated as
 deterministic: new metrics should fail loudly until classified, not
-silently drift.
+silently drift.  String leaves (determinism checksums, modes, labels)
+are compared by exact equality.
 
 Used by the ``repro bench-compare`` CLI and the CI bench-smoke job,
 which regenerates the smoke artifact on every push and compares it
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "MetricDiff",
@@ -47,6 +48,9 @@ _TIMING_PATTERN = re.compile(
 #: drift audits land at ±1e-20 from float summation order).
 _ZERO_ATOL = 1e-9
 
+#: A compared leaf: numbers as floats, strings verbatim.
+Leaf = Union[float, str]
+
 
 def classify_metric(path: str) -> str:
     """``"timing"`` or ``"deterministic"`` for a dotted metric path."""
@@ -61,14 +65,16 @@ class MetricDiff:
     """One leaf-level comparison between baseline and candidate."""
 
     path: str
-    kind: str  # "deterministic" | "timing" | "missing" | "added"
-    baseline: Optional[float]
-    candidate: Optional[float]
+    kind: str  # "deterministic" | "timing" | "exact" | "missing" | "added"
+    baseline: Optional[Leaf]
+    candidate: Optional[Leaf]
     ok: bool
 
     @property
     def rel_change(self) -> Optional[float]:
-        if self.baseline is None or self.candidate is None:
+        if not (
+            isinstance(self.baseline, float) and isinstance(self.candidate, float)
+        ):
             return None
         scale = max(abs(self.baseline), _ZERO_ATOL)
         return (self.candidate - self.baseline) / scale
@@ -90,20 +96,23 @@ class BenchComparison:
         return not self.failures
 
 
-def _numeric_leaves(node: object, prefix: str = "") -> Iterator[Tuple[str, float]]:
-    """Yield ``(dotted_path, value)`` for every numeric leaf, sorted."""
+def _leaves(node: object, prefix: str = "") -> Iterator[Tuple[str, Leaf]]:
+    """Yield ``(dotted_path, value)`` for every numeric or string leaf,
+    sorted."""
     if isinstance(node, bool):
         return
     if isinstance(node, (int, float)):
         yield prefix, float(node)
         return
-    if isinstance(node, dict):
+    if isinstance(node, str):
+        yield prefix, node
+    elif isinstance(node, dict):
         for key in sorted(node):
             path = f"{prefix}.{key}" if prefix else str(key)
-            yield from _numeric_leaves(node[key], path)
+            yield from _leaves(node[key], path)
     elif isinstance(node, (list, tuple)):
         for i, item in enumerate(node):
-            yield from _numeric_leaves(item, f"{prefix}[{i}]")
+            yield from _leaves(item, f"{prefix}[{i}]")
 
 
 def _within(baseline: float, candidate: float, rel_tol: float) -> bool:
@@ -150,8 +159,8 @@ def compare_bench(
         )
     base_results = baseline.get("results", baseline)
     cand_results = candidate.get("results", candidate)
-    base_leaves = dict(_numeric_leaves(base_results))
-    cand_leaves = dict(_numeric_leaves(cand_results))
+    base_leaves = dict(_leaves(base_results))
+    cand_leaves = dict(_leaves(cand_results))
 
     diffs: List[MetricDiff] = []
     for path in sorted(base_leaves.keys() | cand_leaves.keys()):
@@ -172,6 +181,11 @@ def compare_bench(
             # them -- but surface them so the adoption is deliberate.
             diffs.append(MetricDiff(path, "added", None, cand_value, True))
             continue
+        if isinstance(base_value, str) or isinstance(cand_value, str):
+            # A checksum matches or it does not: no tolerance applies.
+            ok = base_value == cand_value
+            diffs.append(MetricDiff(path, "exact", base_value, cand_value, ok))
+            continue
         kind = classify_metric(path)
         if kind == "timing":
             if timing_tol is None:
@@ -186,6 +200,10 @@ def compare_bench(
     return BenchComparison(
         benchmark=base_name or cand_name, diffs=tuple(diffs)
     )
+
+
+def _show(value: Optional[Leaf]) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else repr(value)
 
 
 def format_comparison(
@@ -203,15 +221,17 @@ def format_comparison(
     for diff in rows:
         status = "ok" if diff.ok else "FAIL"
         if diff.kind == "missing":
-            detail = f"baseline={diff.baseline:.6g} missing from candidate"
+            detail = f"baseline={_show(diff.baseline)} missing from candidate"
         elif diff.kind == "added":
-            detail = f"candidate={diff.candidate:.6g} not in baseline"
+            detail = f"candidate={_show(diff.candidate)} not in baseline"
         else:
             change = diff.rel_change
             detail = (
-                f"baseline={diff.baseline:.6g} candidate={diff.candidate:.6g} "
-                f"({change:+.2%})"
+                f"baseline={_show(diff.baseline)} "
+                f"candidate={_show(diff.candidate)}"
             )
+            if change is not None:
+                detail += f" ({change:+.2%})"
         lines.append(f"  {status:>4} [{diff.kind}] {diff.path}: {detail}")
     if not comparison.failures:
         lines.append("  all gated metrics within tolerance")

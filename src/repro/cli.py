@@ -59,6 +59,11 @@ from repro.pricing.variance_model import VarianceModel
 
 __all__ = ["main", "build_parser"]
 
+_WINDOW_HELP = (
+    "batching window in seconds, an upper bound: a batch closes sooner "
+    "once arrivals go quiet"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--devices", type=int, default=16)
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--window", type=float, default=0.002,
-                       help="batching window in seconds")
+                       help=_WINDOW_HELP)
     serve.add_argument("--max-batch", type=int, default=128)
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the privacy-aware answer cache")
@@ -209,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--records", type=int, default=17568)
     loadgen.add_argument("--devices", type=int, default=16)
     loadgen.add_argument("--seed", type=int, default=7)
-    loadgen.add_argument("--window", type=float, default=0.002)
+    loadgen.add_argument("--window", type=float, default=0.002,
+                         help=_WINDOW_HELP)
     loadgen.add_argument("--max-batch", type=int, default=128)
     loadgen.add_argument("--no-cache", action="store_true")
     loadgen.add_argument("--json", metavar="PATH",
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="build shards without failover replicas")
     cserve.add_argument("--seed", type=int, default=7)
     cserve.add_argument("--window", type=float, default=0.002,
-                        help="batching window in seconds")
+                        help=_WINDOW_HELP)
     cserve.add_argument("--max-batch", type=int, default=128)
     cserve.add_argument("--no-cache", action="store_true",
                         help="disable the privacy-aware answer cache")
@@ -277,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     cbench.add_argument("--seed", type=int, default=11,
                         help="seeds channels, samplers, and noise draws; "
                              "accounting fields are reproducible per seed")
-    cbench.add_argument("--window", type=float, default=0.004)
+    cbench.add_argument("--window", type=float, default=0.004,
+                        help=_WINDOW_HELP)
     cbench.add_argument("--max-batch", type=int, default=64)
     cbench.add_argument("--no-baseline", action="store_true",
                         help="skip the single-station baseline phase")
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "provisioned for")
     sserve.add_argument("--seed", type=int, default=13)
     sserve.add_argument("--window", type=float, default=0.002,
-                        help="gateway batching window in seconds")
+                        help="gateway " + _WINDOW_HELP)
     sserve.add_argument("--max-batch", type=int, default=128)
     sserve.add_argument("--no-cache", action="store_true",
                         help="disable the privacy-aware answer cache")
@@ -910,8 +917,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     telemetry = gateway.telemetry
     dispatches = telemetry.histogram("gateway.batch_width").count
     broker_calls = int(telemetry.value("gateway.broker_calls"))
+    mean_width = result.completed / dispatches if dispatches else 0.0
     payload["dispatches"] = dispatches
     payload["broker_calls"] = broker_calls
+    payload["mean_batch_width"] = mean_width
     print(
         format_table(
             ["metric", "value"],
@@ -926,7 +935,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         # must coalesce them (mean width > 1); a paced open loop slower
         # than the window legitimately dispatches one at a time.
         must_coalesce = args.mode == "closed" and args.consumers * args.pipeline > 1
-        mean_width = result.completed / dispatches if dispatches else 0.0
         healthy = (
             result.throughput_qps > 0
             and result.failed == 0

@@ -9,6 +9,18 @@ vectorized ``answer_batch`` -- so the 30x batched trading path is reached
 by *uncoordinated* callers, not only by one caller hand-assembling a
 batch.
 
+The window is an upper bound, not a fixed wait.  A worker closes a batch
+early once the queue has gone *quiet*: the batch is at least as wide as the
+worker's last one, and nothing has arrived for eight times the 90th
+percentile of the arrival gaps inside its recent batches.  A closed loop
+(every client waiting on this batch) then dispatches as soon as its burst
+is in, instead of idling out the window.  A paced stream keeps its width:
+its batches close early only if the sender stalls for about eight of its
+own gaps once the batch is already as wide as the last.  The 90th
+percentile ignores the run of tiny gaps a sender makes when it catches up,
+and the width condition ignores a pause part-way through a burst.  A
+worker that has seen fewer than 16 gaps waits the full window.
+
 Semantics, relative to direct broker calls:
 
 * **Same books.** Every request is separately noised and separately
@@ -74,6 +86,13 @@ __all__ = ["ServingConfig", "ServingGateway"]
 #: feeds the brownout ladder is measured.
 _MISS_RATE_WINDOW = 128
 
+#: Arrival gaps a worker remembers (about four 64-wide batches).
+_GAP_HISTORY = 256
+#: Gaps a worker must have seen before it closes a batch on a quiet gap.
+_MIN_GAPS = 16
+#: The quiet gap is this many times the remembered gaps' 90th percentile.
+_QUIET_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -82,13 +101,17 @@ class ServingConfig:
     Parameters
     ----------
     batch_window:
-        Seconds, measured from the oldest queued request's arrival, that
-        a worker waits for more requests to coalesce into the same broker
-        batch.  Requests already queued join the batch (up to
-        ``max_batch``) even once the window has passed; ``0`` dispatches
-        one request at a time.  The fundamental latency/throughput dial:
-        larger windows mean wider batches (more amortization) but add up
-        to ``batch_window`` of queueing latency per request.
+        Upper bound, in seconds from the oldest queued request's arrival,
+        on how long a worker waits for more requests to coalesce into the
+        same broker batch.  The worker closes the batch sooner once
+        arrivals stop: no new request for a quiet gap it derives from
+        the arrival spacing of its past batches, once the batch is as
+        wide as its last one (see the module docstring).
+        Requests already queued join the batch (up to ``max_batch``) even
+        once the window has passed; ``0`` dispatches one request at a
+        time.  The fundamental latency/throughput dial: larger windows
+        allow wider batches (more amortization) from a paced stream but
+        add up to ``batch_window`` of queueing latency per request.
     max_batch:
         Hard cap on coalesced batch width; a full batch dispatches
         immediately without waiting out the window.
@@ -177,6 +200,14 @@ _STOP = object()
 #: immediately (without closing the gateway), leaving queued requests for
 #: a later :meth:`ServingGateway.spawn_worker` or for ``stop()``'s drain.
 _KILL = object()
+
+
+def _quiet_gap(gaps: "Deque[float]") -> Optional[float]:
+    """Silence after which a worker may close its batch early, or ``None``
+    (wait out the window) while it has seen too few arrival gaps."""
+    if len(gaps) < _MIN_GAPS:
+        return None
+    return _QUIET_FACTOR * sorted(gaps)[int(0.9 * (len(gaps) - 1))]
 
 
 class ServingGateway:
@@ -460,6 +491,11 @@ class ServingGateway:
     # ------------------------------------------------------------------
     def _worker(self) -> None:
         window = self.config.batch_window
+        # What this worker has seen of the stream: the arrival gaps inside
+        # its recent batches, and its last batch's width.  Locals, not
+        # gateway state: each worker learns on its own, with no lock.
+        gaps: Deque[float] = deque(maxlen=_GAP_HISTORY)
+        width = self.config.max_batch
         while True:
             first = self._queue.get()
             if not isinstance(first, _Request):  # _STOP or _KILL
@@ -471,24 +507,42 @@ class ServingGateway:
             # (up to max_batch); a zero window keeps width-1 batches in
             # FIFO order.
             deadline = first.enqueued_at + window
-            exit_seen = False
-            while window > 0 and len(batch) < self.config.max_batch:
-                remaining = deadline - time.perf_counter()
+            quiet = _quiet_gap(gaps)
+            last = first.enqueued_at
+            reason = "window"
+            while window > 0:
+                if len(batch) >= self.config.max_batch:
+                    reason = "full"
+                    break
+                # A batch may close on a quiet gap only once it is as wide
+                # as the last one: a pause part-way through a burst, or a
+                # paced stream slower than the gap estimate, waits on.
+                close = deadline
+                if quiet is not None and len(batch) >= width:
+                    close = min(deadline, last + quiet)
                 try:
-                    item = self._queue.get(timeout=max(remaining, 0.0))
+                    item = self._queue.get(
+                        timeout=max(close - time.perf_counter(), 0.0)
+                    )
                 except queue.Empty:
+                    if close < deadline:
+                        reason = "quiet"
                     break
                 if not isinstance(item, _Request):  # _STOP or _KILL
                     # A killed worker still dispatches the batch in hand
                     # (requeueing would break FIFO order); surviving a
                     # crash *mid-charge* is the journal's job, not the
                     # queue's.
-                    exit_seen = True
+                    reason = "stop"
                     break
                 batch.append(item)
+                gaps.append(item.enqueued_at - last)
+                last = max(last, item.enqueued_at)
+            self.telemetry.inc(f"gateway.batch_close.{reason}")
             self._dispatch(batch)
-            if exit_seen:
+            if reason == "stop":
                 return
+            width = len(batch)
 
     def _drain_remaining(self) -> None:
         batch: List[_Request] = []
@@ -501,6 +555,7 @@ class ServingGateway:
                 continue
             batch.append(item)
         if batch:
+            self.telemetry.inc("gateway.batch_close.stop")
             self._dispatch(batch)
 
     # ------------------------------------------------------------------

@@ -130,6 +130,17 @@ class TestCompareBench:
         same = {"benchmark": "cluster", "results": results()}
         assert compare_bench(base, same).ok
 
+    def test_string_leaves_compared_exactly(self):
+        base = results(journal_checksum="7da933fb", mode="closed")
+        cand = results(journal_checksum="7da933fc", mode="closed")
+        comparison = compare_bench(base, cand, rel_tol=1.0)
+        assert [(f.path, f.kind) for f in comparison.failures] == [
+            ("journal_checksum", "exact")
+        ]
+        assert "'7da933fb'" in format_comparison(comparison)
+        assert compare_bench(base, cand, ignore=("journal_checksum",)).ok
+        assert compare_bench(base, dict(base)).ok
+
     def test_list_leaves_compared_by_index(self):
         base = results(series=[1.0, 2.0, 3.0])
         cand = results(series=[1.0, 2.5, 3.0])

@@ -147,7 +147,8 @@ class TestEquivalence:
 
 
 class TestBatchingWindow:
-    """The window runs from the oldest request's arrival, not from pickup.
+    """The window runs from the oldest request's arrival, not from pickup,
+    and is an upper bound: a batch closes early once arrivals go quiet.
 
     Timings are generous (tenths of seconds) so the checks cannot flake.
     """
@@ -215,6 +216,62 @@ class TestBatchingWindow:
         assert (widths["count"], widths["max"]) == (6, 1)
         ids = [answer.transaction_id for answer in answers]
         assert ids == sorted(ids) and len(set(ids)) == 6
+
+    def warm_up(self, service):
+        """A started gateway (1 s window) whose worker has seen a burst: a
+        full batch of ``2 * MAX_BATCH`` and a window-closed one of
+        ``MAX_BATCH``, 22 gaps of back-to-back arrivals in all."""
+        config = ServingConfig(
+            batch_window=1.0, max_batch=2 * self.MAX_BATCH, enable_cache=False
+        )
+        gateway = service.serve(config=config).start()
+        for future in self.presubmit(gateway, 3 * self.MAX_BATCH):
+            future.result(timeout=10.0)
+        return gateway
+
+    def test_burst_then_silence_dispatches_before_the_window(self, service):
+        with self.warm_up(service) as gateway:
+            start = time.perf_counter()
+            for future in self.presubmit(gateway, self.MAX_BATCH):
+                future.result(timeout=10.0)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+        counters = gateway.telemetry.snapshot()["counters"]
+        assert counters["gateway.batch_close.full"] == 1
+        assert counters["gateway.batch_close.window"] == 1
+        assert counters["gateway.batch_close.quiet"] >= 1
+
+    def test_paced_stream_without_history_coalesces(self, service):
+        config = ServingConfig(batch_window=0.5, enable_cache=False)
+        with service.serve(config=config) as gateway:
+            futures = []
+            for i in range(8):
+                futures.append(
+                    gateway.submit_range(*RANGES[i % len(RANGES)], ALPHA, DELTA)
+                )
+                time.sleep(0.02)
+            for future in futures:
+                future.result(timeout=10.0)
+        widths = gateway.telemetry.histogram("gateway.batch_width")
+        assert (widths.count, widths.sum) == (1, 8)
+        counters = gateway.telemetry.snapshot()["counters"]
+        assert counters["gateway.batch_close.window"] == 1
+
+    def test_paced_stream_after_a_burst_still_coalesces(self, service):
+        # The burst taught a sub-millisecond quiet gap, far below this
+        # stream's 20 ms spacing; the batch still may not close on it
+        # before it is as wide as the last one.
+        with self.warm_up(service) as gateway:
+            futures = []
+            for i in range(self.MAX_BATCH):
+                time.sleep(0.02)
+                futures.append(
+                    gateway.submit_range(*RANGES[i % len(RANGES)], ALPHA, DELTA)
+                )
+            for future in futures:
+                future.result(timeout=10.0)
+        widths = gateway.telemetry.histogram("gateway.batch_width").summary()
+        assert (widths["count"], widths["min"]) == (3, self.MAX_BATCH)
 
 
 class TestCaching:
@@ -330,6 +387,29 @@ class TestTelemetry:
         coalesce = snap["histograms"]["gateway.coalesce_s"]
         assert coalesce["count"] == snap["histograms"]["gateway.batch_width"]["count"]
         assert coalesce["max"] <= gateway.config.batch_window + 0.5
+
+    def test_every_dispatch_counts_one_close_reason(self, service):
+        config = ServingConfig(batch_window=0.01, max_batch=4, enable_cache=False)
+        with service.serve(config=config) as gateway:
+            for future in [
+                gateway.submit_range(*RANGES[i % len(RANGES)], ALPHA, DELTA)
+                for i in range(10)
+            ]:
+                future.result(timeout=10.0)
+        # A gateway that never started drains its queue at stop().
+        idle = service.serve(config=config)
+        idle.submit_range(*RANGES[0], ALPHA, DELTA)
+        idle.stop()
+        for served, reasons in ((gateway, ("full", "window")), (idle, ("stop",))):
+            counters = served.telemetry.snapshot()["counters"]
+            closes = {
+                name.rsplit(".", 1)[1]: count
+                for name, count in counters.items()
+                if name.startswith("gateway.batch_close.")
+            }
+            assert set(closes) <= set(reasons)
+            widths = served.telemetry.histogram("gateway.batch_width")
+            assert sum(closes.values()) == widths.count
 
     def test_dispatch_books_everything_before_its_first_future_resolves(self):
         """A dispatch writes every counter and histogram it touches before

@@ -241,6 +241,9 @@ class TestLoadgen:
 
         results = json.loads(out_json.read_text())["results"]
         assert 0 < results["broker_calls"] <= results["dispatches"]
+        assert results["mean_batch_width"] == pytest.approx(
+            results["completed"] / results["dispatches"]
+        )
 
 
 class TestClusterBench:
