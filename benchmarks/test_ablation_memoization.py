@@ -4,7 +4,8 @@ Identical repeated queries can be served from a cache of already-released
 answers: re-releasing a published value is post-processing (zero
 additional ε), and the Example 4.1 adversary's averaged portfolio
 collapses to a single cheap answer.  This bench quantifies both effects
-against a deliberately attackable price sheet.
+against a deliberately attackable price sheet, buying through the
+serving gateway with its answer cache off (fresh noise) and on.
 """
 
 from __future__ import annotations
@@ -18,20 +19,34 @@ from repro.core.query import AccuracySpec, RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.pricing.functions import PowerLawVariancePricing
 from repro.pricing.variance_model import VarianceModel
+from repro.serving import ServingConfig
 
 TARGET = AccuracySpec(alpha=0.05, delta=0.8)
 QUERY_BOUNDS = (80.0, 110.0)
 
 
-def _service(values, memoize):
+def _service(values):
     pricing = PowerLawVariancePricing(
         VarianceModel(n=len(values)), exponent=2.0, base_price=1e10
     )
-    service = PrivateRangeCountingService.from_values(
+    return PrivateRangeCountingService.from_values(
         values, k=DEVICE_COUNT, dataset="ozone", seed=13, pricing=pricing
     )
-    service.broker.memoize_answers = memoize
-    return service
+
+
+class GatewayBroker:
+    """The ``pricing``/``quote``/``answer`` surface the adversary buys
+    through, served by a gateway."""
+
+    def __init__(self, broker, gateway):
+        self.pricing = broker.pricing
+        self.quote = broker.quote
+        self._gateway = gateway
+
+    def answer(self, query, spec, consumer="anonymous"):
+        return self._gateway.answer(
+            query.low, query.high, spec.alpha, spec.delta, consumer=consumer
+        )
 
 
 def test_ablation_memoization_defense(citypulse, benchmark, save_result):
@@ -46,9 +61,13 @@ def test_ablation_memoization_defense(citypulse, benchmark, save_result):
     def run():
         rows = []
         for memoize in (False, True):
-            service = _service(values, memoize)
-            adversary = ArbitrageConsumer(name="eve")
-            outcome = adversary.attempt(service.broker, query, TARGET)
+            service = _service(values)
+            config = ServingConfig(enable_cache=memoize)
+            with service.serve(config) as gateway:
+                adversary = ArbitrageConsumer(name="eve")
+                outcome = adversary.attempt(
+                    GatewayBroker(service.broker, gateway), query, TARGET
+                )
             n = service.n
             rows.append(
                 (

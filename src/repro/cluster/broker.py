@@ -9,7 +9,9 @@ the marketplace, and the load generators route through it unchanged.
 The shards are groups of the fleet's own base stations, and the
 RankCounting estimate is a sum of per-node terms, so the coordinator
 pools the touched shards' samples and releases each answer with **one**
-plan and **one** Laplace draw.  Per batch it
+plan and **one** Laplace draw.  It supplies the sample views of the
+shared release pipeline (:func:`~repro.core.broker.release_views`); per
+batch the pipeline
 
 1. **routes** each query: :meth:`ClusterBroker.route_for_range`
    classifies every shard against the range by its value band
@@ -22,13 +24,14 @@ plan and **one** Laplace draw.  Per batch it
    whole fleet to its provisioning rate first when the stored sample
    cannot support the target (so every shard keeps one rate), and
    admits atomically;
-3. **gathers** the queried shards' samples (concurrently for wide
-   scatters, with replica failover, breaker bypass and hedging per
-   shard -- a lane only reads, so it has no side effects to undo), runs
-   one ``estimate_many`` per touched set over those samples in global
-   node order, and adds the exact-cover totals;
-4. **draws** the batch's noise in one ``sample_laplace_many`` from its
-   own ``rng``, clips, and **settles** through the settlement kernel
+3. **gathers** the admitted rows' queried shards' samples (concurrently
+   for wide scatters, with replica failover, breaker bypass and hedging
+   per shard -- a lane only reads, so it has no side effects to undo),
+   runs one ``estimate_many`` per touched set over those samples in
+   global node order, and adds the exact-cover totals;
+4. **draws** the batch's noise in one ``sample_laplace_many`` from the
+   coordinator's own ``rng`` (metadata-only rows draw nothing), clips,
+   and **settles** through the settlement kernel
    (:mod:`repro.core.settlement`): one journal record, one
    :class:`~repro.pricing.ledger.BillingLedger` transaction and one
    :class:`~repro.privacy.budget.BudgetAccountant` entry per query at
@@ -50,8 +53,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -68,30 +72,26 @@ from typing import (
 import numpy as np
 
 from repro.cluster.health import ShardBreakerBoard, ShardHealthMonitor
-from repro.cluster.planning import (
-    RoutePlan,
-    degraded_delta,
-    route_query,
-    zero_plan,
-)
+from repro.cluster.planning import RoutePlan, degraded_delta, route_query
 from repro.cluster.shard import SampleRead, ShardRuntime, build_shards
+from repro.core.broker import (
+    SampleView,
+    Trading,
+    plan_views,
+    release_views,
+    stage_timer,
+)
 from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import (
-    admit,
-    drawing,
-    open_batch,
-    release_batch,
-    replay,
-)
+from repro.core.settlement import Batch, open_batch, replay
 from repro.datasets.partition import ShardBand
+from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator, RankIndex
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.pricing.variance_model import VarianceModel
 from repro.privacy.budget import BudgetAccountant
-from repro.privacy.laplace import sample_laplace_many
 from repro.privacy.optimizer import PrivacyPlan
 from repro.resilience.deadline import (
     Deadline,
@@ -112,11 +112,6 @@ __all__ = ["ClusterAnswer", "ClusterBroker"]
 #: GIL-bound, so a thread handoff costs more than it buys until the
 #: scatter is genuinely wide.
 _INLINE_SCATTER_MAX = 4
-
-#: The pooled estimator: one ``estimate_many`` over the touched shards'
-#: samples concatenated in global node order, the plain broker's
-#: summation order.
-_ESTIMATOR = RankCountingEstimator()
 
 
 @dataclass(frozen=True)
@@ -323,11 +318,13 @@ class _ClusterPlannerView:
         the route, not just the tier.
         """
         broker = self._broker
-        return broker._route_plan(broker.route_for_range(low, high, spec), p)
+        route = broker.route_for_range(low, high, spec)
+        view = broker._route_view(route, p, float(broker.n))
+        return plan_views(broker._plan_memo, [(view, route.spec)])[0]
 
 
 @dataclass
-class ClusterBroker:
+class ClusterBroker(Trading):
     """Scatter-gather ``(α, δ)``-range counting over shard runtimes.
 
     Parameters
@@ -348,6 +345,10 @@ class ClusterBroker:
     shards: "List[ShardRuntime]"
     pricing: PricingFunction
     dataset: str = "default"
+    #: The pooled estimator: one ``estimate_many`` per touched shard set,
+    #: over its samples in global node order (the plain broker's
+    #: summation order).
+    estimator: RangeCountingEstimator = field(default_factory=RankCountingEstimator)
     ledger: BillingLedger = field(default_factory=BillingLedger)
     accountant: BudgetAccountant = field(default_factory=BudgetAccountant)
     # The one noise stream of every cluster release.  Mirrors
@@ -493,10 +494,6 @@ class ClusterBroker:
         with self._lock:
             return self._first_degraded_wall
 
-    def quote(self, spec: AccuracySpec) -> float:
-        """Cluster list price of an ``(α, δ)`` product."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
     # ------------------------------------------------------------------
     # range-aware routing
     # ------------------------------------------------------------------
@@ -540,36 +537,43 @@ class ClusterBroker:
             sum(self._shard_n[j] for j in shards),
         )
 
-    def _route_plan(self, route: RoutePlan, p: float) -> PrivacyPlan:
-        """The pooled plan of one route at rate ``p``.
+    def _route_view(self, route: RoutePlan, p: float, bound: float) -> SampleView:
+        """One route's view before its gather: the queried shards' shape
+        plus the exact-cover total, or -- when every shard is pruned or
+        exactly covered -- the public metadata of its exact shards."""
+        if route.queried:
+            k, n = self._shape(route.queried)
+            return SampleView(k=k, n=n, p=p, bound=bound, offset=float(route.exact_n))
+        k = sum(self._shard_k[j] for j in route.exact)
+        return SampleView(
+            k=k, n=route.exact_n, p=p, bound=bound,
+            offset=float(route.exact_n), sampled=False,
+        )
 
-        Problem (3) over the queried shards' shape ``(k_t, n_t)`` at
-        ``(α_t, δ)``; a metadata-only route (every shard pruned or
-        exactly covered) spends nothing.
+    def _views(
+        self, routes: Dict[int, RoutePlan], batch: Batch, rows: List[int]
+    ) -> List[Tuple[SampleView, AccuracySpec]]:
+        """Route each row and top the fleet up; then one view per touched
+        shard set and exact cover, each row planned at its route's
+        ``(α_t, δ)``.
+
+        As for the plain broker, a target the stored sample cannot
+        support first tops the whole fleet up (so every shard keeps one
+        rate) to the provisioning rate of its consumer tier, and every
+        route is then planned at the final post-top-up rate.  ``routes``
+        collects each row's route for :meth:`_gather_views`.
         """
-        if not route.queried:
-            k = sum(self._shard_k[j] for j in route.exact)
-            return zero_plan(route.spec, n=route.exact_n, k=k)
-        k, n = self._shape(route.queried)
-        return self._plan_memo.plan(route.spec, p, k, n)
-
-    def _plan_routes(
-        self, routes: "Sequence[RoutePlan]", specs: "Sequence[AccuracySpec]"
-    ) -> "List[PrivacyPlan]":
-        """One pooled plan per route, solved once per distinct shape and target.
-
-        As :meth:`DataBroker._plan_each <repro.core.broker.DataBroker>`:
-        a target the stored sample cannot support first tops the whole
-        fleet up (so every shard keeps one rate) to the provisioning rate
-        of its consumer tier ``specs[i]``; every route is then planned at
-        the final post-top-up rate.
-        """
+        for i in rows:
+            query = batch.queries[i]
+            routes[i] = self.route_for_range(query.low, query.high, batch.specs[i])
+        self._observe_routes(routes.values())
         targets: "Dict[Tuple[Tuple[int, ...], float, float], Tuple[RoutePlan, AccuracySpec]]" = {}
-        for route, spec in zip(routes, specs):
+        for i in rows:
+            route = routes[i]
             if route.queried:
                 targets.setdefault(
                     (route.queried, route.spec.alpha, route.spec.delta),
-                    (route, spec),
+                    (route, batch.specs[i]),
                 )
         for route, spec in targets.values():
             planner = self._plan_memo.planner(*self._shape(route.queried))
@@ -578,31 +582,66 @@ class ClusterBroker:
                 continue
             target = self._planner_view.required_rate(spec)
             self.ensure_rate(max(target, p if p > 0 else target))
-        p = self._station_view.sampling_rate
-        plans = {
-            key: self._route_plan(route, p)
-            for key, (route, _) in targets.items()
-        }
-        return [
-            plans[(route.queried, route.spec.alpha, route.spec.delta)]
-            if route.queried
-            else self._route_plan(route, p)
-            for route in routes
-        ]
+        p, bound = self._station_view.sampling_rate, float(self.n)
+        views: "Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], SampleView]" = {}
+        pairs: List[Tuple[SampleView, AccuracySpec]] = []
+        for i in rows:
+            route = routes[i]
+            key = (route.queried, route.exact)
+            view = views.get(key)
+            if view is None:
+                view = views[key] = self._route_view(route, p, bound)
+            pairs.append((view, route.spec))
+        return pairs
+
+    def _gather_views(
+        self,
+        routes: Dict[int, RoutePlan],
+        rows: List[int],
+        views: List[SampleView],
+    ) -> "Tuple[List[SampleView], List[Dict[str, Any]]]":
+        """Read the admitted rows' queried shards -- concurrently for wide
+        scatters -- and give each touched set's views its pooled index.
+
+        A shard whose primary is down answers from its replica and only
+        marks the answers degraded.
+        """
+        admitted = [routes[i] for i in rows]
+        with stage_timer(self, "cluster.scatter_s"):
+            reads = self._gather(admitted)
+        pooled: "Dict[int, SampleView]" = {}
+        gathered: List[SampleView] = []
+        extras: "List[Dict[str, Any]]" = []
+        degraded_answers = 0
+        for route, view in zip(admitted, views):
+            if route.queried:
+                with_index = pooled.get(id(view))
+                if with_index is None:
+                    index = self._pooled_index(route.queried, reads)
+                    with_index = pooled[id(view)] = replace(view, indexes=(index,))
+                view = with_index
+            gathered.append(view)
+            answer_degraded = tuple(j for j in route.queried if reads[j].replica)
+            degraded_answers += bool(answer_degraded)
+            extras.append(dict(
+                degraded_shards=answer_degraded,
+                delta_reported=degraded_delta(
+                    route.spec.delta,
+                    len(answer_degraded),
+                    self.replica_confidence,
+                ),
+                pruned_shards=route.pruned,
+                exact_shards=route.exact,
+                route_signature=route.signature,
+            ))
+        if degraded_answers:
+            self._emit("cluster.degraded_answers", degraded_answers)
+        return gathered, extras
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) one fleet-wide collection round, concurrently."""
         with self._station_view.fleet_round():
             self._fan_out(lambda shard: shard.ensure_rate(p))
-
-    def answer(
-        self,
-        query: RangeQuery,
-        spec: AccuracySpec,
-        consumer: str = "anonymous",
-    ) -> ClusterAnswer:
-        """Scatter-gather one query (see :meth:`answer_batch`)."""
-        return self.answer_batch([query], spec, consumer=consumer)[0]
 
     def answer_batch(
         self,
@@ -631,85 +670,14 @@ class ClusterBroker:
             self, "cluster", queries, spec, consumer,
             replays=replays, deadlines=deadlines,
         )
-        fresh = batch.fresh
-        route_of: "Dict[int, RoutePlan]" = {}
-        routes: "List[RoutePlan]" = []
-        plans: "List[PrivacyPlan]" = []
-        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
-        extras: "List[Dict[str, Any]]" = []
-        with drawing(batch):
-            route_of = {
-                i: self.route_for_range(
-                    batch.queries[i].low, batch.queries[i].high, batch.specs[i]
-                )
-                for i in fresh
-            }
-            plans = self._plan_routes(
-                list(route_of.values()), [batch.specs[i] for i in fresh]
-            )
-            fresh, plans = admit(self, batch, fresh, plans)
-            routes = [route_of[i] for i in fresh]
-            with self._timer("cluster.scatter_s"):
-                reads = self._gather(routes)
-            with self._timer("cluster.gather_s"):
-                # Each touched shard set is one pooled estimate_many over
-                # its shards' rank index (samples in global node order --
-                # the plain broker's summation order) plus the exact-cover
-                # totals.
-                estimates = np.asarray(
-                    [float(route.exact_n) for route in routes], dtype=np.float64
-                )
-                groups: "Dict[Tuple[int, ...], List[int]]" = {}
-                for k, route in enumerate(routes):
-                    if route.queried:
-                        groups.setdefault(route.queried, []).append(k)
-                for queried, ks in groups.items():
-                    estimates[ks] += _ESTIMATOR.estimate_many(
-                        self._pooled_index(queried, reads),
-                        [(routes[k].low, routes[k].high) for k in ks],
-                    )
-                # One draw per row with queried shards; a metadata-only
-                # row releases its public totals.
-                drawn = [k for k, route in enumerate(routes) if route.queried]
-                noise = np.zeros(len(routes), dtype=np.float64)
-                noise[drawn] = sample_laplace_many(
-                    [plans[k].noise_scale for k in drawn], self.rng
-                )
-                raw_values = estimates + noise
-                released = np.clip(raw_values, 0.0, float(self.n))
-            degraded_answers = 0
-            for route in routes:
-                answer_degraded = tuple(
-                    j for j in route.queried if reads[j].replica
-                )
-                degraded_answers += bool(answer_degraded)
-                extras.append(dict(
-                    degraded_shards=answer_degraded,
-                    delta_reported=degraded_delta(
-                        route.spec.delta,
-                        len(answer_degraded),
-                        self.replica_confidence,
-                    ),
-                    pruned_shards=route.pruned,
-                    exact_shards=route.exact,
-                    route_signature=route.signature,
-                ))
-            if degraded_answers:
-                self._emit("cluster.degraded_answers", degraded_answers)
-
-        outcomes = release_batch(
+        routes: Dict[int, RoutePlan] = {}
+        return release_views(
             self,
             batch,
+            partial(self._views, routes),
             answer_type=ClusterAnswer,
-            rows=fresh,
-            plans=plans,
-            value=released,
-            raw_value=raw_values,
-            sample_estimate=estimates,
-            extras=extras,
+            gather=partial(self._gather_views, routes),
         )
-        self._observe_routes(route_of.values())
-        return outcomes
 
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously pooled answer at ε′ = 0.
@@ -816,7 +784,7 @@ class ClusterBroker:
             if hedge_after is not None:
                 read = self._hedged_read(shard, hedge_after)
             else:
-                with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
+                with stage_timer(self, f"cluster.shard{shard.shard_id}.answer_s"):
                     read = shard.read_samples(gate=not bypass)
         except Exception:
             if breaker is not None:
@@ -845,7 +813,7 @@ class ClusterBroker:
 
         def gated_lane() -> SampleRead:
             with deadline_scope(request_deadline):
-                with self._timer(f"cluster.shard{shard.shard_id}.answer_s"):
+                with stage_timer(self, f"cluster.shard{shard.shard_id}.answer_s"):
                     return shard.read_samples(cancel=cancel)
 
         future = self._hedge_pool().submit(gated_lane)
@@ -857,7 +825,7 @@ class ClusterBroker:
         # gated lane out of its ingress wait (it raises HedgeLostRace into
         # its own future, which nobody reads).
         self._emit(f"cluster.shard{shard.shard_id}.hedges")
-        with self._timer(f"cluster.shard{shard.shard_id}.hedge_s"):
+        with stage_timer(self, f"cluster.shard{shard.shard_id}.hedge_s"):
             result = shard.read_samples(gate=False)
         won = not future.done()
         cancel.set()
@@ -902,11 +870,6 @@ class ClusterBroker:
             executor = self._executor
         futures = [executor.submit(fn, item) for item in items]
         return [f.result() for f in futures]
-
-    def _timer(self, name: str):
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.timer(name)
 
     def _emit(self, name: str, amount: float = 1.0) -> None:
         if self.telemetry is not None:

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from repro.core.planner import zero_plan
 from repro.core.query import AccuracySpec
 from repro.datasets.partition import ShardBand
-from repro.privacy.optimizer import PrivacyPlan
 
 __all__ = [
     "ALPHA_BOOST_CAP",
@@ -44,28 +44,6 @@ __all__ = [
     "RoutePlan",
     "route_query",
 ]
-
-
-def zero_plan(spec: AccuracySpec, n: int = 0, k: int = 0) -> PrivacyPlan:
-    """The plan of a release that spent nothing.
-
-    Describes an answer derived purely from public partition metadata
-    (pruned and exactly-covered shards): no sampling error reserved, no
-    noise injected, ε = ε′ = 0.
-    """
-    return PrivacyPlan(
-        alpha=spec.alpha,
-        delta=spec.delta,
-        alpha_prime=0.0,
-        delta_prime=1.0,
-        epsilon=0.0,
-        epsilon_prime=0.0,
-        sensitivity=0.0,
-        noise_scale=0.0,
-        p=1.0,
-        k=k,
-        n=n,
-    )
 
 
 def degraded_delta(delta: float, degraded_shards: int, factor: float) -> float:

@@ -166,10 +166,6 @@ class ShardRuntime:
         """Record count of this shard."""
         return self.primary_station.n
 
-    @property
-    def has_failover(self) -> bool:
-        return self.replica is not None
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------

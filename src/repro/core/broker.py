@@ -1,18 +1,29 @@
-"""The data broker: the trading pipeline's orchestrator (Section II-A).
+"""The data broker, and the one release pipeline every broker runs.
 
-For each purchased query the broker
+The paper's trade runs plan → estimate → perturb → charge (Section II-A).
+:func:`release_views` writes the middle once, over *sample views*
+(:class:`SampleView`): each broker only supplies the views its fresh
+rows are estimated from, and the settlement kernel
+(:mod:`repro.core.settlement`) charges.  For each batch the pipeline
 
-1. **plans** -- checks the stored sample supports the ``(α, δ)`` target,
-   triggering an incremental top-up collection when it does not;
-2. **estimates** -- runs RankCounting over the per-node samples to get an
-   ``(α', δ')``-range counting;
-3. **perturbs** -- adds Laplace noise at the optimizer's ε so the noisy
-   answer is still an ``(α, δ)``-range counting with the smallest amplified
-   budget ε′ (optimization problem (3));
-4. **charges** -- hands the noisy answers to the settlement kernel
-   (:mod:`repro.core.settlement`), which journals the trade, prices it,
-   records the sale in the billing ledger and the ε′ in the privacy
-   accountant.
+1. **plans** -- the broker's view source runs any top-up and gives each
+   fresh row its view and ``(α, δ)`` target; each row is planned once
+   per (view shape, tier) through the broker's :class:`PlanMemo`, and
+   every consumer is admitted atomically against the budget books;
+2. **estimates** -- one ``estimate_many`` per rank index, over the rows
+   that share it, added onto each view's exact offset;
+3. **perturbs** -- one Laplace draw over the rows that have queried
+   samples, at each plan's noise scale, so the noisy answer is still an
+   ``(α, δ)``-range counting with the smallest amplified budget ε′
+   (optimization problem (3)), clipped to ``[0, n]``;
+4. **charges** -- hands the released answers to the settlement kernel,
+   which journals the trade, prices it, records the sale in the billing
+   ledger and the ε′ in the privacy accountant.
+
+The stages are timed as ``<prefix>.plan_s`` / ``estimate_s`` /
+``charge_s`` (``broker``, ``cluster`` or ``streaming``).  The plain
+:class:`DataBroker`'s view is its base station's committed round, after
+a top-up to every fresh tier.
 """
 
 from __future__ import annotations
@@ -21,29 +32,40 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     ContextManager,
+    Dict,
+    List,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
     overload,
 )
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.planner import PlanMemo, QueryPlanner
+from repro.core.planner import PlanMemo, QueryPlanner, zero_plan
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import (
+    Batch,
+    Broker,
+    WindowBooks,
     admit,
-    drawing,
     open_batch,
     release_batch,
     replay,
 )
 from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
-from repro.estimators.rank import RankCountingEstimator
+from repro.estimators.rank import RankCountingEstimator, RankIndex
 from repro.iot.base_station import BaseStation
 from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
@@ -56,11 +78,236 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
     from repro.durability.journal import TradeJournal
     from repro.serving.telemetry import MetricsRegistry
 
-__all__ = ["DataBroker"]
+__all__ = [
+    "DataBroker",
+    "SampleView",
+    "Trading",
+    "plan_views",
+    "release_views",
+    "stage_timer",
+]
+
+_A = TypeVar("_A", bound=PrivateAnswer)
+
+
+@dataclass(frozen=True)
+class SampleView:
+    """The sample a group of fresh rows is planned over and estimated from.
+
+    ``k``/``n``/``p`` is the fleet shape the rows are planned at and
+    ``bound`` the clip bound of their releases.  A row's estimate is
+    ``offset`` (a routed cluster's exact-cover total) plus each index's
+    estimate, in order: a streaming window's epochs oldest first.  An
+    unsampled view is public metadata: its rows release ``offset`` with
+    a zero plan and draw no noise.  ``window`` carries streaming's
+    per-epoch books.
+    """
+
+    k: int
+    n: int
+    p: float
+    bound: float
+    indexes: Tuple[RankIndex, ...] = ()
+    offset: float = 0.0
+    sampled: bool = True
+    window: Optional[WindowBooks] = None
+
+
+#: A broker's view source: it runs any top-up, then gives each of the
+#: batch's fresh ``rows`` its view and the ``(α, δ)`` it is planned at.
+ViewSource = Callable[[Batch, List[int]], List[Tuple[SampleView, AccuracySpec]]]
+
+#: The cluster's gather, run after admission over the admitted rows and
+#: their views: the views with their rank indexes, and each row's extra
+#: answer fields.
+Gather = Callable[
+    [List[int], List[SampleView]],
+    Tuple[List[SampleView], List[Dict[str, Any]]],
+]
+
+
+class ReleasingBroker(Broker, Protocol):
+    """What :func:`release_views` reads of a broker beyond its books."""
+
+    @property
+    def estimator(self) -> RangeCountingEstimator: ...
+    @property
+    def rng(self) -> np.random.Generator: ...
+    @property
+    def _plan_memo(self) -> PlanMemo: ...
+
+
+def stage_timer(broker: Broker, name: str) -> "ContextManager[Any]":
+    """A stage timer into the broker's telemetry, or a no-op."""
+    telemetry = broker.telemetry
+    return nullcontext() if telemetry is None else telemetry.timer(name)
+
+
+def plan_views(
+    memo: PlanMemo, pairs: Sequence[Tuple[SampleView, AccuracySpec]]
+) -> List[PrivacyPlan]:
+    """Each row's plan: problem (3) over its view's shape at its target,
+    or the zero plan of public metadata; looked up once per (view, tier)."""
+    solved: Dict[Tuple[int, float, float], PrivacyPlan] = {}
+    plans: List[PrivacyPlan] = []
+    for view, target in pairs:
+        key = (id(view), target.alpha, target.delta)
+        plan = solved.get(key)
+        if plan is None:
+            plan = solved[key] = (
+                memo.plan(target, view.p, view.k, view.n) if view.sampled
+                else zero_plan(target, n=view.n, k=view.k)
+            )
+        plans.append(plan)
+    return plans
+
+
+def _estimate_many(
+    estimator: RangeCountingEstimator,
+    index: RankIndex,
+    ranges: Sequence[Tuple[float, float]],
+) -> "npt.NDArray[np.float64]":
+    """``estimate_many`` over one rank index (bit-identical to scalar
+    ``estimate``), or the scalar loop for an estimator without it."""
+    estimate_many = getattr(estimator, "estimate_many", None)
+    if estimate_many is not None:
+        return np.asarray(estimate_many(index, ranges), dtype=np.float64)
+    return np.asarray([
+        estimator.estimate(index, low, high).estimate for low, high in ranges
+    ], dtype=np.float64)
+
+
+def _estimate(
+    estimator: RangeCountingEstimator,
+    batch: Batch,
+    rows: Sequence[int],
+    views: Sequence[SampleView],
+) -> "npt.NDArray[np.float64]":
+    """Each row's offset plus its view's index estimates, in order.
+
+    Rows whose views share their indexes are estimated together: one
+    ``estimate_many`` per index.  ``0.0 + e`` is ``e``, so a view with
+    one index and no offset releases the index's own estimate.
+    """
+    estimates = np.array([view.offset for view in views], dtype=np.float64)
+    groups: Dict[Tuple[RankIndex, ...], List[int]] = {}
+    for k, view in enumerate(views):
+        if view.indexes:
+            groups.setdefault(view.indexes, []).append(k)
+    queries = batch.queries
+    for indexes, ks in groups.items():
+        ranges = [(queries[rows[k]].low, queries[rows[k]].high) for k in ks]
+        for index in indexes:
+            estimates[ks] += _estimate_many(estimator, index, ranges)
+    return estimates
+
+
+def release_views(
+    broker: ReleasingBroker,
+    batch: Batch,
+    source: ViewSource,
+    *,
+    answer_type: Type[_A],
+    gather: Optional[Gather] = None,
+    store_version: Optional[int] = None,
+) -> "List[Union[_A, Exception]]":
+    """Plan, admit, estimate, perturb and settle a batch's fresh rows.
+
+    ``source`` supplies each fresh row's view and target (see
+    :data:`ViewSource`); ``gather``, when given, completes the admitted
+    rows' views (the cluster's shard reads) and adds their extra answer
+    fields.  The Laplace noise of every sampled row comes from one
+    ``sample_laplace_many`` draw on the broker's ``rng``, in row order,
+    which consumes the generator exactly like per-row draws.  An error
+    in the view source, planning or estimation raises in a strict batch;
+    in a per-row one it refuses the fresh rows and the replays still
+    settle.  ``store_version`` is what the rows are journaled at (the
+    broker's current one by default).
+    """
+    prefix = batch.prefix
+    rows = batch.fresh
+    views: List[SampleView] = []
+    plans: List[PrivacyPlan] = []
+    window: Optional[WindowBooks] = None
+    extras: Optional[List[Dict[str, Any]]] = None
+    estimates = raw_values = released = np.zeros(0, dtype=np.float64)
+    try:
+        with stage_timer(broker, f"{prefix}.plan_s"):
+            pairs = source(batch, rows)
+            plans = plan_views(broker._plan_memo, pairs)
+        if pairs:
+            window = pairs[0][0].window
+        view_of = {row: view for row, (view, _) in zip(rows, pairs)}
+        rows, plans = admit(broker, batch, rows, plans, window)
+        views = [view_of[row] for row in rows]
+        if rows:
+            if gather is not None:
+                views, extras = gather(rows, views)
+            with stage_timer(broker, f"{prefix}.estimate_s"):
+                estimates = _estimate(broker.estimator, batch, rows, views)
+            # One draw over the rows with queried samples; metadata-only
+            # rows draw nothing and release their offset.
+            sampled = [view.sampled for view in views]
+            scales = [plan.noise_scale for plan, s in zip(plans, sampled) if s]
+            noise = np.zeros(len(rows), dtype=np.float64)
+            noise[sampled] = sample_laplace_many(scales, broker.rng)
+            raw_values = estimates + noise
+            released = np.clip(raw_values, 0.0, [view.bound for view in views])
+    except Exception as exc:  # repro-lint: shed -- lands on the refused rows
+        if batch.strict:
+            raise
+        batch.refuse(batch.fresh, exc)
+
+    with stage_timer(broker, f"{prefix}.charge_s"):
+        return release_batch(
+            broker,
+            batch,
+            answer_type=answer_type,
+            rows=rows,
+            plans=plans,
+            value=released,
+            raw_value=raw_values,
+            sample_estimate=estimates,
+            extras=extras,
+            store_version=store_version,
+            window=window,
+        )
+
+
+class _Batched(Protocol):
+    def answer_batch(
+        self, queries: Sequence[RangeQuery], spec: AccuracySpec, consumer: str
+    ) -> Sequence[PrivateAnswer]: ...
+
+
+class Trading:
+    """The entry points every broker derives from its price sheet and its
+    ``answer_batch``."""
+
+    pricing: PricingFunction
+
+    def quote(self, spec: AccuracySpec) -> float:
+        """List price of an ``(α, δ)`` product (no data is touched)."""
+        return self.pricing.price(spec.alpha, spec.delta)
+
+    def answer(
+        self: _Batched,
+        query: RangeQuery,
+        spec: AccuracySpec,
+        consumer: str = "anonymous",
+    ) -> PrivateAnswer:
+        """Run the full trade for one query: a one-query ``answer_batch``.
+
+        Returns the answer released to the consumer, or raises the error
+        that refused it.  Cost of any triggered top-up round lands on the
+        network meter; the privacy cost ε′ is charged to the accountant
+        under the broker's dataset key.
+        """
+        return self.answer_batch([query], spec, consumer)[0]
 
 
 @dataclass
-class DataBroker:
+class DataBroker(Trading):
     """Answers priced, differentially private ``(α, δ)``-range counting.
 
     Parameters
@@ -97,7 +344,6 @@ class DataBroker:
     auto_top_up: bool = True
     planner_grid_points: int = 512
     policy: BrokerPolicy = field(default_factory=BrokerPolicy)
-    memoize_answers: bool = False
     #: Optional :class:`~repro.serving.telemetry.MetricsRegistry`; when
     #: set, the broker reports stage timings and release counters under
     #: ``broker.*``.  Duck-typed (no serving import) to keep the core
@@ -111,9 +357,6 @@ class DataBroker:
     journal: "Optional[TradeJournal]" = None
 
     def __post_init__(self) -> None:
-        # Cache of released answers keyed by (range, tier); see
-        # ``memoize_answers`` in :meth:`answer_batch`.
-        self._answer_cache: "dict[tuple[float, float, float, float], PrivateAnswer]" = {}
         # Memo of optimizer runs: the grid search is a pure function of
         # (α, δ, p) for this broker's fixed fleet shape.
         self._plan_memo = PlanMemo(grid_points=self.planner_grid_points)
@@ -134,99 +377,53 @@ class DataBroker:
         """Memoized problem-(3) solve (pure in ``(α, δ, p)``)."""
         return self._plan_memo.plan(spec, p, self._planner.k, self._planner.n)
 
-    def quote(self, spec: AccuracySpec) -> float:
-        """List price of an ``(α, δ)`` product (no data is touched)."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
-    def _timer(self, name: str) -> "ContextManager[None]":
-        """A stage timer into the attached telemetry, or a no-op."""
-        if self.telemetry is None:
-            return nullcontext()
-        return self.telemetry.timer(name)
-
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously purchased answer to ``consumer`` at ε′ = 0.
 
         The settlement kernel's :func:`~repro.core.settlement.replay`:
         journaled and billed at list price, no budget charged.  A one-row
-        entry point for direct callers: neither the broker's memoized-answer
-        cache nor the serving layer's
-        :class:`~repro.serving.answer_cache.AnswerCache` calls it; both
-        settle their hits as ``replays=`` rows of :meth:`answer_batch`.
+        entry point for direct callers: the serving layer's
+        :class:`~repro.serving.answer_cache.AnswerCache` settles its hits
+        as ``replays=`` rows of :meth:`answer_batch` instead.
         """
         return replay(self, "broker", cached, consumer)
 
-    def _ensure_feasible(self, spec: AccuracySpec) -> None:
-        p = self.base_station.sampling_rate
-        if p > 0.0 and self._planner.supports(spec, p):
-            return
-        if not self.auto_top_up:
-            raise InfeasiblePlanError(
-                f"stored sample (p={p:.6g}) cannot support "
-                f"(alpha={spec.alpha}, delta={spec.delta}) and auto_top_up "
-                "is disabled"
-            )
-        target = self._planner.required_rate(spec)
-        self.base_station.ensure_rate(max(target, p if p > 0 else target))
+    def _views(
+        self, batch: Batch, rows: List[int]
+    ) -> List[Tuple[SampleView, AccuracySpec]]:
+        """The committed round, topped up first to every fresh tier.
 
-    def _plan_each(self, specs: "Sequence[AccuracySpec]") -> "list[PrivacyPlan]":
-        """One plan per spec, solved once per distinct ``(α, δ)`` tier.
-
-        Every tier is topped up to feasibility first and then planned at
-        the final post-top-up rate (tighter than planning earlier tiers at
-        the sparser pre-top-up rate; both are valid).
+        Every tier is made feasible before the round is read, so all
+        rows plan at the final post-top-up rate (tighter than planning
+        earlier tiers at the sparser pre-top-up rate; both are valid).
         """
-        tiers: "dict[tuple[float, float], AccuracySpec]" = {}
+        if not rows:
+            return []
+        specs = [batch.specs[i] for i in rows]
+        tiers: Dict[Tuple[float, float], AccuracySpec] = {}
         for spec in specs:
             tiers.setdefault((spec.alpha, spec.delta), spec)
-        for tier_spec in tiers.values():
-            self._ensure_feasible(tier_spec)
-        p = self.base_station.sampling_rate
-        plans = {tier: self._plan(tier_spec, p) for tier, tier_spec in tiers.items()}
-        return [plans[(spec.alpha, spec.delta)] for spec in specs]
-
-    def _estimate(self, queries: "Sequence[RangeQuery]") -> "npt.NDArray[np.float64]":
-        """Deterministic sample estimates: one vectorized ``estimate_many``
-        pass over the store's rank index (bit-identical to scalar
-        ``estimate``)."""
-        samples = self.base_station.rank_index()
-        ranges = [(query.low, query.high) for query in queries]
-        estimate_many = getattr(self.estimator, "estimate_many", None)
-        if estimate_many is not None:
-            return np.asarray(estimate_many(samples, ranges), dtype=np.float64)
-        return np.asarray([
-            self.estimator.estimate(samples, low, high).estimate
-            for low, high in ranges
-        ], dtype=np.float64)
-
-    def _perturb(
-        self,
-        estimates: "npt.NDArray[np.float64]",
-        plans: "Sequence[PrivacyPlan]",
-    ) -> "npt.NDArray[np.float64]":
-        """Add each plan's Laplace noise in one vectorized draw.
-
-        Consumes the generator's bitstream exactly like per-query draws,
-        so batching never changes an answer.
-        """
-        scales = np.asarray([plan.noise_scale for plan in plans])
-        noise = sample_laplace_many(scales, self.rng)
-        return np.asarray(estimates + noise, dtype=np.float64)
-
-    def answer(
-        self,
-        query: RangeQuery,
-        spec: AccuracySpec,
-        consumer: str = "anonymous",
-    ) -> PrivateAnswer:
-        """Run the full trade for one query: a one-query :meth:`answer_batch`.
-
-        Returns the :class:`PrivateAnswer` released to the consumer.  Cost
-        of any triggered top-up round lands on the network meter; the
-        privacy cost ε′ is charged to the accountant under this broker's
-        dataset key.
-        """
-        return self.answer_batch([query], spec, consumer)[0]
+        station = self.base_station
+        for tier in tiers.values():
+            p = station.sampling_rate
+            if p > 0.0 and self._planner.supports(tier, p):
+                continue
+            if not self.auto_top_up:
+                raise InfeasiblePlanError(
+                    f"stored sample (p={p:.6g}) cannot support "
+                    f"(alpha={tier.alpha}, delta={tier.delta}) and "
+                    "auto_top_up is disabled"
+                )
+            target = self._planner.required_rate(tier)
+            station.ensure_rate(max(target, p if p > 0 else target))
+        view = SampleView(
+            k=self._planner.k,
+            n=self._planner.n,
+            p=station.sampling_rate,
+            bound=float(station.n),
+            indexes=(station.rank_index(),),
+        )
+        return [(view, spec) for spec in specs]
 
     @overload
     def answer_batch(
@@ -288,61 +485,10 @@ class DataBroker:
         consumer is admitted on its own and one outcome -- answer or
         error -- comes back per row).  ``replays`` marks rows that
         re-release a cached answer, or an earlier row, at ε′ = 0;
-        ``deadlines`` give each row's expiry.  With ``memoize_answers`` a
-        query already answered -- earlier, or earlier in this batch -- is
-        re-released at ε′ = 0 too.
+        ``deadlines`` give each row's expiry.
         """
         batch = open_batch(
             self, "broker", queries, spec, consumer,
             replays=replays, deadlines=deadlines,
         )
-        fresh = batch.fresh
-        keys: "list[tuple[float, float, float, float]]" = []
-        if self.memoize_answers:
-            keys = [
-                (query.low, query.high, qspec.alpha, qspec.delta)
-                for query, qspec in zip(batch.queries, batch.specs)
-            ]
-            drawn: "list[int]" = []
-            first_of: "dict[tuple[float, float, float, float], int]" = {}
-            for i in fresh:
-                key = keys[i]
-                if key in self._answer_cache:
-                    batch.replays[i] = self._answer_cache[key]
-                elif key in first_of:
-                    batch.replays[i] = first_of[key]
-                else:
-                    first_of[key] = i
-                    drawn.append(i)
-            fresh = drawn
-
-        plans: "list[PrivacyPlan]" = []
-        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
-        with drawing(batch):
-            # Pure-replay tiers touch no data: only fresh rows are planned.
-            with self._timer("broker.batch.plan_s"):
-                plans = self._plan_each([batch.specs[i] for i in fresh])
-            fresh, plans = admit(self, batch, fresh, plans)
-            if fresh:
-                with self._timer("broker.batch.estimate_s"):
-                    estimates = self._estimate([batch.queries[i] for i in fresh])
-                raw_values = self._perturb(estimates, plans)
-                released = np.clip(raw_values, 0.0, float(self.base_station.n))
-
-        with self._timer("broker.batch.charge_s"):
-            outcomes = release_batch(
-                self,
-                batch,
-                answer_type=PrivateAnswer,
-                rows=fresh,
-                plans=plans,
-                value=released,
-                raw_value=raw_values,
-                sample_estimate=estimates,
-            )
-        if self.memoize_answers:
-            for i in fresh:
-                answer = outcomes[i]
-                if not isinstance(answer, Exception):
-                    self._answer_cache[keys[i]] = answer
-        return outcomes
+        return release_views(self, batch, self._views, answer_type=PrivateAnswer)

@@ -30,7 +30,7 @@ from repro.privacy.optimizer import (
     optimize_privacy_plan,
 )
 
-__all__ = ["PlanMemo", "QueryPlanner"]
+__all__ = ["PlanMemo", "QueryPlanner", "zero_plan"]
 
 
 @dataclass
@@ -160,3 +160,25 @@ class PlanMemo:
     def clear(self) -> None:
         """Forget every memoized plan (the next request re-solves)."""
         self._plans.clear()
+
+
+def zero_plan(spec: AccuracySpec, n: int = 0, k: int = 0) -> PrivacyPlan:
+    """The plan of a release that spent nothing.
+
+    Describes an answer derived purely from public partition metadata (a
+    routed cluster's pruned and exactly-covered shards): no sampling
+    error reserved, no noise injected, ε = ε′ = 0.
+    """
+    return PrivacyPlan(
+        alpha=spec.alpha,
+        delta=spec.delta,
+        alpha_prime=0.0,
+        delta_prime=1.0,
+        epsilon=0.0,
+        epsilon_prime=0.0,
+        sensitivity=0.0,
+        noise_scale=0.0,
+        p=1.0,
+        k=k,
+        n=n,
+    )

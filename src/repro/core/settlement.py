@@ -1,17 +1,18 @@
 """The settlement kernel: the one release path every broker trades through.
 
 The paper's trade runs plan → estimate → perturb → charge (Section II-A).
-The first three steps are each broker's *estimate source*:
+The first three steps are the release pipeline,
+:func:`~repro.core.broker.release_views`, run by every broker over the
+sample views it supplies:
 
-* :class:`~repro.core.broker.DataBroker` -- top-up, plan,
-  ``estimate_many``, Laplace draw;
-* :class:`~repro.streaming.broker.StreamingBroker` -- window snapshot,
-  pooled estimates, Laplace draw;
-* :class:`~repro.cluster.broker.ClusterBroker` -- route, top-up, plan
-  once over the touched shards, pooled ``estimate_many`` over their
-  samples, Laplace draw.
+* :class:`~repro.core.broker.DataBroker` -- its committed round, after
+  a top-up;
+* :class:`~repro.streaming.broker.StreamingBroker` -- its window
+  snapshot;
+* :class:`~repro.cluster.broker.ClusterBroker` -- one view per touched
+  shard set plus its exact totals, after routing and a fleet top-up.
 
-The charging half is identical for all three and lives only here:
+The charging half lives here, and the pipeline calls it:
 
 1. :func:`open_batch` -- deadline checkpoint, spec broadcast, dataset
    check, and the policy's spec-band / purchase-cap admission;
@@ -31,9 +32,8 @@ name per row, in which case each consumer's fresh rows are admitted
 atomically, in first-arrival order, against the running totals of the
 rows admitted before them, and a refusal fails only that consumer's
 rows (the call returns one outcome per row: the answer, or the error).
-Brokers run their estimate source inside :func:`drawing`, so that in a
-per-row call an error there refuses the fresh rows and the replays
-still settle.
+In a per-row call an error while the pipeline plans, estimates or
+draws refuses the fresh rows, and the replays still settle.
 
 Replay rows re-release an earlier answer at ε′ = 0: handing a released
 noisy count to another buyer is post-processing, so it is journaled and
@@ -45,14 +45,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -104,7 +102,6 @@ __all__ = [
     "Batch",
     "WindowBooks",
     "open_batch",
-    "drawing",
     "admit",
     "release_batch",
     "replay",
@@ -394,23 +391,6 @@ def open_batch(
             continue
         bought[name] = pending + len(rows)
     return batch
-
-
-@contextmanager
-def drawing(batch: Batch) -> Iterator[None]:
-    """Run a broker's estimate source over the batch's fresh rows.
-
-    In a per-row batch an error there refuses every fresh row still
-    live, and the call goes on to settle its replays; a strict batch
-    raises it.
-    """
-    if batch.strict:
-        yield
-        return
-    try:
-        yield
-    except Exception as exc:  # repro-lint: shed -- lands on the refused rows
-        batch.refuse(batch.fresh, exc)
 
 
 def admit(

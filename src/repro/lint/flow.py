@@ -344,7 +344,7 @@ class InterproceduralDpBoundaryRule(ProjectRule):
             assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             walker.run(node)
             for event in walker.events:
-                if event.value.level != TAINTED:
+                if event.value.level != TAINTED or event.settled:
                     continue
                 if len(event.value.hops) < 2 or _within(
                     event.value.hops, ctx.rel_path, node

@@ -82,7 +82,7 @@ class DpBoundaryRule(Rule):
         walker = TaintWalker(ctx, lambda call: [])
         walker.run(func)
         for event in walker.events:
-            if event.value.level != TAINTED:
+            if event.value.level != TAINTED or event.settled:
                 continue
             if event.kind == "return":
                 message = (

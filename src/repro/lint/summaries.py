@@ -134,7 +134,8 @@ PROPAGATORS = frozenset(
 #: ``*Answer(value=..., raw_value=...)`` construction is a sink.
 ANSWER_FIELDS = ("value", "raw_value")
 #: Calls whose ``ANSWER_FIELDS`` *keywords* are sinks too: the settlement
-#: kernel assembles released answers from them.
+#: kernel assembles released answers from them, so the answers it returns
+#: carry the taint of the ``value`` column they release.
 RELEASE_SINKS = frozenset({"release_batch"})
 
 
@@ -163,6 +164,9 @@ class SinkEvent:
     node: ast.AST
     value: Abstract
     detail: str = ""
+    #: A ``return`` of the kernel's answers (``return release_batch(...)``):
+    #: its columns are sinks of their own, so rules report those instead.
+    settled: bool = False
 
 
 #: Resolves a call to ``[(callee decl, its taint summary), ...]``.
@@ -259,9 +263,13 @@ class TaintWalker:
 
     def _check_sinks(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Return) and stmt.value is not None:
-            self.events.append(
-                SinkEvent("return", stmt, self.classify(stmt.value))
+            settled = (
+                isinstance(stmt.value, ast.Call)
+                and call_name(stmt.value) in RELEASE_SINKS
             )
+            self.events.append(SinkEvent(
+                "return", stmt, self.classify(stmt.value), settled=settled
+            ))
         if isinstance(
             stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr, ast.Return)
         ):
@@ -389,6 +397,13 @@ class TaintWalker:
                 TAINTED,
                 hops=(self._hop(node, f"taint source: `{callee}(...)`"),),
             )
+        if callee in RELEASE_SINKS:
+            # A helper that settles through the kernel and returns its
+            # answers hands its callers whatever ``value`` it released.
+            for kw in node.keywords:
+                if kw.arg == ANSWER_FIELDS[0]:
+                    return self.classify(kw.value)
+            return _CLEAN_VAL
         resolved = self.summarize_call(node)
         if resolved:
             return self._apply_summaries(node, callee, resolved)

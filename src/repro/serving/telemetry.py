@@ -9,7 +9,7 @@ The gateway, broker, answer cache, and load generators all report into one
   per-release ε′ spend) with count/sum/min/max and percentile queries.
 
 Metrics are named with dotted paths (``gateway.latency_s``,
-``broker.batch.estimate_s``) and created on first use; :meth:`snapshot`
+``broker.estimate_s``) and created on first use; :meth:`snapshot`
 returns a plain nested dict (JSON-ready) so exports never expose live
 mutable state.  The registry also offers terse helpers (``inc``,
 ``observe``, ``set_gauge``, ``timer``) so instrumented code stays one

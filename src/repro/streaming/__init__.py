@@ -32,10 +32,7 @@ from repro.streaming.window import (
     EpochSummary,
     WindowSummary,
     merge_epoch_summaries,
-    pooled_estimate,
-    pooled_estimate_many,
     pooled_rate,
-    pooled_samples,
     window_checksum,
 )
 
@@ -55,10 +52,7 @@ __all__ = [
     "WindowSummary",
     "build_streaming_cluster",
     "merge_epoch_summaries",
-    "pooled_estimate",
-    "pooled_estimate_many",
     "pooled_rate",
-    "pooled_samples",
     "rebuild_window_state",
     "run_streaming_bench",
     "streaming_bench_healthy",

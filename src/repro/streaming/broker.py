@@ -39,12 +39,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
-    ContextManager,
-    Dict,
     List,
     Mapping,
     Optional,
@@ -55,25 +53,19 @@ from typing import (
 
 import numpy as np
 
+from repro.core.broker import SampleView, Trading, release_views
 from repro.core.planner import PlanMemo
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import (
-    WindowBooks,
-    admit,
-    drawing,
-    open_batch,
-    release_batch,
-    replay,
-)
-from repro.errors import InsufficientSamplesError, StreamingError
+from repro.core.settlement import Batch, WindowBooks, open_batch, replay
+from repro.errors import StreamingError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
 from repro.pricing.functions import PricingFunction
 from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
+# Unused here: kept only as the attribute perfbench's tracer wraps.
 from repro.privacy.laplace import sample_laplace_many
-from repro.privacy.optimizer import PrivacyPlan
 from repro.resilience.deadline import Deadline
 from repro.streaming.accounting import EpochBudgetAccountant
 from repro.streaming.journal import WindowLog
@@ -81,7 +73,6 @@ from repro.streaming.window import (
     EpochSummary,
     WindowSummary,
     merge_epoch_summaries,
-    pooled_estimate_many,
     pooled_rate,
 )
 
@@ -206,7 +197,7 @@ class StreamingStation:
 
 
 @dataclass
-class StreamingBroker:
+class StreamingBroker(Trading):
     """Answers priced, private range counting over the live window.
 
     Parameters
@@ -273,10 +264,6 @@ class StreamingBroker:
         """Cache/gateway binding surface (store_version + subscribe_commits)."""
         return self.station
 
-    def quote(self, spec: AccuracySpec) -> float:
-        """List price of an ``(α, δ)`` product (no data is touched)."""
-        return self.pricing.price(spec.alpha, spec.delta)
-
     def routing_signature(self, query: RangeQuery, spec: AccuracySpec) -> str:
         """The window id answers are currently derived from.
 
@@ -286,19 +273,6 @@ class StreamingBroker:
         invalidation contract the gateway relies on across rolls.
         """
         return self.station.snapshot().window_id
-
-    def _timer(self, name: str) -> "ContextManager[Any]":
-        if self.telemetry is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return self.telemetry.timer(name)
-
-    def _plan(
-        self, spec: AccuracySpec, p: float, k: int, n: int
-    ) -> PrivacyPlan:
-        """Memoized problem-(3) solve for one window shape."""
-        return self._plan_memo.plan(spec, p, k, n)
 
     # ------------------------------------------------------------------
     # answering
@@ -313,15 +287,6 @@ class StreamingBroker:
         broker, so the serving cache and gateway work unchanged.
         """
         return replay(self, "streaming", cached, consumer)
-
-    def answer(
-        self,
-        query: RangeQuery,
-        spec: AccuracySpec,
-        consumer: str = "anonymous",
-    ) -> PrivateAnswer:
-        """Scalar convenience wrapper over :meth:`answer_batch`."""
-        return self.answer_batch([query], [spec], consumer)[0]
 
     @overload
     def answer_batch(
@@ -371,65 +336,37 @@ class StreamingBroker:
             replays=replays, deadlines=deadlines,
         )
         snapshot = self.station.snapshot()
-        fresh = batch.fresh
-        window: "Optional[WindowBooks]" = None
-        plans: "List[PrivacyPlan]" = []
-        estimates = raw_values = released = np.zeros(0, dtype=np.float64)
-        with drawing(batch):
-            if fresh and snapshot.node_count == 0:
-                raise InsufficientSamplesError(
-                    "window holds no samples yet; seal at least one "
-                    "non-empty epoch before answering"
-                )
-            n = snapshot.record_count
-            k = snapshot.node_count
-            p = pooled_rate(snapshot.epochs)
+        return release_views(
+            self,
+            batch,
+            partial(self._views, snapshot),
+            answer_type=PrivateAnswer,
+            store_version=snapshot.store_version,
+        )
 
-            # Plans once per distinct tier (InfeasiblePlanError
-            # propagates: streaming has no top-up escape hatch).
-            with self._timer("streaming.plan_s"):
-                tier_plans: "Dict[Tuple[float, float], PrivacyPlan]" = {}
-                for i in fresh:
-                    qspec = batch.specs[i]
-                    tier = (qspec.alpha, qspec.delta)
-                    if tier not in tier_plans:
-                        tier_plans[tier] = self._plan(qspec, p, k, n)
-                plans = [
-                    tier_plans[(batch.specs[i].alpha, batch.specs[i].delta)]
-                    for i in fresh
-                ]
-            window = WindowBooks(
+    def _views(
+        self, snapshot: WindowSnapshot, batch: Batch, rows: List[int]
+    ) -> List[Tuple[SampleView, AccuracySpec]]:
+        """The window snapshot: its live epochs' indexes, oldest first.
+
+        No top-up: a window without samples raises
+        :class:`~repro.errors.InsufficientSamplesError`, and an infeasible
+        tier :class:`~repro.errors.InfeasiblePlanError` when it is planned.
+        """
+        n = snapshot.record_count
+        view = SampleView(
+            k=snapshot.node_count,
+            n=n,
+            p=pooled_rate(snapshot.epochs),
+            bound=float(n),
+            indexes=tuple(
+                summary.rank_index for summary in snapshot.epochs if summary.samples
+            ),
+            window=WindowBooks(
                 accountant=self.epoch_accountant,
                 log=self.window_log,
                 epochs=list(snapshot.live_epochs),
                 window_id=snapshot.window_id,
-            )
-            fresh, plans = admit(self, batch, fresh, plans, window)
-
-            if fresh:
-                with self._timer("streaming.estimate_s"):
-                    ranges = [
-                        (batch.queries[i].low, batch.queries[i].high)
-                        for i in fresh
-                    ]
-                    estimates = pooled_estimate_many(
-                        snapshot.epochs, self.estimator, ranges
-                    )
-                scales = np.asarray([plan.noise_scale for plan in plans])
-                noise = sample_laplace_many(scales, self.rng)
-                raw_values = estimates + noise
-                released = np.clip(raw_values, 0.0, float(n))
-
-        with self._timer("streaming.charge_s"):
-            return release_batch(
-                self,
-                batch,
-                answer_type=PrivateAnswer,
-                rows=fresh,
-                plans=plans,
-                value=released,
-                raw_value=raw_values,
-                sample_estimate=estimates,
-                store_version=snapshot.store_version,
-                window=window,
-            )
+            ),
+        )
+        return [(view, batch.specs[i]) for i in rows]

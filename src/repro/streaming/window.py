@@ -26,22 +26,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InsufficientSamplesError, StreamingError
-from repro.estimators.base import NodeSample, RangeCountingEstimator
+from repro.estimators.base import NodeSample
 from repro.estimators.rank import RankIndex
 
 __all__ = [
     "EpochSummary",
     "WindowSummary",
     "merge_epoch_summaries",
-    "pooled_samples",
     "pooled_rate",
-    "pooled_estimate",
-    "pooled_estimate_many",
     "window_checksum",
 ]
 
@@ -250,60 +247,12 @@ class WindowSummary:
         self._epochs.clear()
 
 
-# ----------------------------------------------------------------------
-# pooled (cross-epoch) helpers -- StreamingBroker's estimation path;
-# the scalar pooled_estimate is the reference for pooled_estimate_many
-# ----------------------------------------------------------------------
-def pooled_samples(epochs: Sequence[EpochSummary]) -> List[NodeSample]:
-    """All node samples across ``epochs``, in epoch-then-rank order."""
-    return [s for summary in epochs for s in summary.samples]
-
-
 def pooled_rate(epochs: Sequence[EpochSummary]) -> float:
     """The sparsest live sample's rate -- it bounds certified accuracy."""
     rates = [s.p for summary in epochs for s in summary.samples]
     if not rates:
         raise InsufficientSamplesError("window holds no samples yet")
     return min(rates)
-
-
-def pooled_estimate(
-    epochs: Sequence[EpochSummary],
-    estimator: RangeCountingEstimator,
-    low: float,
-    high: float,
-) -> float:
-    """Window estimate: Σ per-epoch RankCounting estimates.
-
-    Each epoch's samples share one rate, so the estimator's shared-``p``
-    invariant holds per call even when rates differ across epochs.
-    """
-    return sum(
-        estimator.estimate(list(summary.samples), low, high).estimate
-        for summary in epochs
-        if summary.samples
-    )
-
-
-def pooled_estimate_many(
-    epochs: Sequence[EpochSummary],
-    estimator: RangeCountingEstimator,
-    ranges: Sequence[Tuple[float, float]],
-) -> np.ndarray:
-    """Vectorized :func:`pooled_estimate` over many ranges."""
-    totals = np.zeros(len(ranges), dtype=np.float64)
-    for summary in epochs:
-        if not summary.samples:
-            continue
-        estimate_many = getattr(estimator, "estimate_many", None)
-        if estimate_many is not None:
-            totals += np.asarray(estimate_many(summary.rank_index, ranges))
-        else:
-            totals += np.asarray([
-                estimator.estimate(list(summary.samples), low, high).estimate
-                for low, high in ranges
-            ])
-    return totals
 
 
 def window_checksum(epochs: Iterable[EpochSummary]) -> str:

@@ -4,8 +4,9 @@
 scalar ``answer()`` loop: same deterministic estimates (bit for bit),
 same noise stream, same ledger transactions, same accountant entries,
 same per-consumer policy counters -- only faster.  These tests pin that
-contract, including the memoized-answer cache (hits cost ε′ = 0) and the
-atomic batch admission semantics.
+contract, including replays of an earlier answer (ε′ = 0, whether it is
+a cached answer or an earlier row of the batch) and the atomic batch
+admission semantics.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from repro.privacy.budget import BudgetAccountant
 SPEC = AccuracySpec(alpha=0.12, delta=0.5)
 
 
-def make_service(seed=11, memoize=False, policy=None, capacity=None):
+def make_service(seed=11, policy=None, capacity=None):
     values = np.random.default_rng(4).uniform(0, 100, 5000)
     service = PrivateRangeCountingService.from_values(values, k=8, seed=seed)
-    service.broker.memoize_answers = memoize
     service.broker.journal = TradeJournal()
     if policy is not None:
         service.broker.policy = policy
@@ -42,23 +42,31 @@ def make_queries():
     ]
 
 
-def run_both(memoize):
-    """Answer the same workload on two identical stacks, scalar vs batch."""
-    scalar_svc, batch_svc = make_service(memoize=memoize), make_service(
-        memoize=memoize
-    )
+def run_both(replay):
+    """Answer the same workload on two identical stacks, scalar vs batch.
+
+    With ``replay`` the duplicate query re-releases its first answer: the
+    scalar loop replays the cached answer, the batch replays row 1.
+    """
+    scalar_svc, batch_svc = make_service(), make_service()
     queries = make_queries()
     scalar = [
-        scalar_svc.broker.answer(q, SPEC, consumer="carol") for q in queries
+        scalar_svc.broker.answer(q, SPEC, consumer="carol") for q in queries[:4]
     ]
-    batch = batch_svc.broker.answer_batch(queries, SPEC, consumer="carol")
+    scalar += scalar_svc.broker.answer_batch(
+        queries[4:], SPEC, consumer="carol",
+        replays={0: scalar[1]} if replay else None,
+    )
+    batch = batch_svc.broker.answer_batch(
+        queries, SPEC, consumer="carol", replays={4: 1} if replay else None
+    )
     return scalar_svc, batch_svc, scalar, batch
 
 
 class TestBitIdenticalAnswers:
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_answers_match_scalar_loop(self, memoize):
-        _, _, scalar, batch = run_both(memoize)
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_answers_match_scalar_loop(self, replay):
+        _, _, scalar, batch = run_both(replay)
         for s, b in zip(scalar, batch):
             assert b.sample_estimate == s.sample_estimate
             assert b.raw_value == s.raw_value
@@ -69,48 +77,50 @@ class TestBitIdenticalAnswers:
             assert b.consumer == s.consumer
 
     def test_in_batch_duplicate_is_cache_hit_when_memoized(self):
-        svc = make_service(memoize=True)
-        batch = svc.broker.answer_batch(make_queries(), SPEC, consumer="c")
+        svc = make_service()
+        batch = svc.broker.answer_batch(
+            make_queries(), SPEC, consumer="c", replays={4: 1}
+        )
         assert batch[4].raw_value == batch[1].raw_value
         # Only four fresh releases were charged, as in the scalar loop.
         assert len(svc.broker.accountant.history("default")) == 4
 
     def test_duplicates_fresh_when_not_memoized(self):
-        svc = make_service(memoize=False)
+        svc = make_service()
         batch = svc.broker.answer_batch(make_queries(), SPEC, consumer="c")
         assert batch[4].raw_value != batch[1].raw_value
         assert len(svc.broker.accountant.history("default")) == 5
 
 
 class TestAccountingParity:
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_ledger_transactions_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_ledger_transactions_identical(self, replay):
+        scalar_svc, batch_svc, _, _ = run_both(replay)
         assert (
             batch_svc.broker.ledger.transactions
             == scalar_svc.broker.ledger.transactions
         )
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_accountant_history_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_accountant_history_identical(self, replay):
+        scalar_svc, batch_svc, _, _ = run_both(replay)
         assert batch_svc.broker.accountant.history(
             "default"
         ) == scalar_svc.broker.accountant.history("default")
         assert batch_svc.privacy_spent() == scalar_svc.privacy_spent()
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_journal_checksum_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_journal_checksum_identical(self, replay):
+        scalar_svc, batch_svc, _, _ = run_both(replay)
         assert len(batch_svc.broker.journal) == len(make_queries())
         assert (
             batch_svc.broker.journal.checksum()
             == scalar_svc.broker.journal.checksum()
         )
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_policy_counters_identical(self, memoize):
-        scalar_svc, batch_svc, _, _ = run_both(memoize)
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_policy_counters_identical(self, replay):
+        scalar_svc, batch_svc, _, _ = run_both(replay)
         for svc_pair in ((scalar_svc, batch_svc),):
             a, b = svc_pair
             assert b.broker.policy.purchases_by(
@@ -294,7 +304,13 @@ class TestBulkBooks:
             ))
         before = self.books(broker)
         batch = open_batch(broker, "broker", queries, specs, "c")
-        plans = broker._plan_each(specs)
+        broker.base_station.ensure_rate(
+            max(broker.planner.required_rate(spec) for spec in specs)
+        )
+        plans = [
+            broker.planner.plan(spec, broker.base_station.sampling_rate)
+            for spec in specs
+        ]
         if fault == "negative_epsilon":
             plans[1] = dataclasses.replace(
                 plans[1], epsilon_prime=-0.5 * plans[0].epsilon_prime

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.query import RangeQuery
+from repro.core.query import AccuracySpec, RangeQuery
 from repro.errors import InvalidQueryError
 from repro.estimators.base import NodeData, NodeSample
 from repro.estimators.rank import RankCountingEstimator, RankIndex
@@ -315,10 +315,14 @@ class TestRankIndexStaleness:
         station.ensure_rate(0.4)
         after = station.rank_index()
         assert after is not before
+        # The broker's release path estimates from the rebuilt index.
+        answers = service.broker.answer_batch(
+            [RangeQuery(low=lo, high=hi) for lo, hi in self.RANGES],
+            AccuracySpec(alpha=0.3, delta=0.3),
+        )
+        assert station.sampling_rate == 0.4  # no further top-up ran
         assert_bits_equal(
-            service.broker._estimate(
-                [RangeQuery(low=lo, high=hi) for lo, hi in self.RANGES]
-            ),
+            np.array([answer.sample_estimate for answer in answers]),
             self.fresh(station.samples(), self.RANGES),
         )
 
@@ -342,8 +346,10 @@ class TestRankIndexStaleness:
         )
 
     def test_streaming_roll(self):
-        from repro.streaming.broker import StreamingStation
-        from repro.streaming.window import EpochSummary, pooled_estimate_many
+        from repro.pricing.functions import InverseVariancePricing
+        from repro.pricing.variance_model import VarianceModel
+        from repro.streaming.broker import StreamingBroker, StreamingStation
+        from repro.streaming.window import EpochSummary
 
         def summary(epoch):
             rng = np.random.default_rng(epoch)
@@ -355,21 +361,29 @@ class TestRankIndexStaleness:
                                 record_count=180, rate=0.5)
 
         station = StreamingStation(window_epochs=2)
-        est = RankCountingEstimator()
+        floor = AccuracySpec(alpha=0.9, delta=0.1)
+        broker = StreamingBroker(
+            station=station,
+            pricing=InverseVariancePricing(VarianceModel(n=360)),
+            floor=floor,
+        )
+        queries = [
+            RangeQuery(low=lo, high=hi, dataset="stream") for lo, hi in self.RANGES
+        ]
         for epoch in range(4):
             station.commit_roll([summary(epoch)])
             epochs = station.snapshot().epochs
             expected = np.zeros(len(self.RANGES))
             for live in epochs:
                 expected += self.fresh(live.samples, self.RANGES)
+            answers = broker.answer_batch(queries, floor)
             assert_bits_equal(
-                pooled_estimate_many(epochs, est, self.RANGES), expected
+                np.array([answer.sample_estimate for answer in answers]), expected
             )
             assert [e.epoch for e in epochs] == list(range(max(0, epoch - 1), epoch + 1))
 
     def test_cluster_failover_to_a_diverged_replica(self, uniform_nodes):
         from repro.cluster.broker import ClusterBroker
-        from repro.core.query import AccuracySpec
 
         values = np.concatenate([n.values for n in uniform_nodes])
         cluster = ClusterBroker.from_values(values, k=8, shards=2, seed=3)

@@ -22,18 +22,22 @@ TELEMETRY = "src/repro/serving/telemetry.py"
 # ----------------------------------------------------------------------
 # seeded mutations (exact anchors into the HEAD sources)
 # ----------------------------------------------------------------------
+#: The release pipeline's perturbation moved into a helper that returns
+#: the raw estimates -- every broker releases through the pipeline, so
+#: all three ``answer_batch`` paths leak.
 MUTATION_RL001I = {
     BROKER: [
         (
-            "            raw_values = self._perturb(estimates, plans)\n",
-            "            raw_values = self._release_value(estimates, plans)\n",
+            "            raw_values = estimates + noise\n",
+            "            raw_values = _release_value(estimates, noise)\n",
         ),
         (
-            "    def answer_batch(",
-            "    def _release_value(self, raw, plans):\n"
-            "        return raw\n"
+            "def release_views(",
+            "def _release_value(raw, noise):\n"
+            "    return raw\n"
             "\n"
-            "    def answer_batch(",
+            "\n"
+            "def release_views(",
         ),
     ]
 }
@@ -76,17 +80,17 @@ MUTATION_KERNEL_JOURNAL = {
 MUTATION_RL007_HEDGE = {
     CLUSTER: [
         (
-            "        outcomes = release_batch(\n"
+            "        return release_views(\n"
             "            self,\n"
             "            batch,\n",
-            "        outcomes = self._settle_and_bill(\n"
+            "        return self._settle_and_bill(\n"
             "            batch,\n",
         ),
         (
             "    def answer_batch(",
-            "    def _settle_and_bill(self, batch, **columns):\n"
+            "    def _settle_and_bill(self, batch, source, **columns):\n"
             "        if self.hedging is None or self.hedging.hedges_won == 0:\n"
-            "            return release_batch(self, batch, **columns)\n"
+            "            return release_views(self, batch, source, **columns)\n"
             "        self.journal.append_many(self._trade_records(batch))\n"
             "        txns = self.ledger.record_many(self._sales(batch))\n"
             "        return self._assemble(batch, txns, **columns)\n"
@@ -137,9 +141,16 @@ def test_head_tree_has_no_interprocedural_findings(head_contexts):
 # ----------------------------------------------------------------------
 def test_rl001i_taint_through_helper_return(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL001I, only=["RL001i"])
-    assert [f.rule_id for f in findings] == ["RL001i", "RL001i"]
+    # Every broker releases through the pipeline: each one's
+    # answer_batch leaks.
+    assert [f.rule_id for f in findings] == ["RL001i"] * 3
+    assert {f.message.split(" ", 1)[0] for f in findings} == {
+        "DataBroker.answer_batch",
+        "ClusterBroker.answer_batch",
+        "StreamingBroker.answer_batch",
+    }
+    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
     for finding in findings:
-        assert finding.path == BROKER
         assert len(finding.trace) >= 2, "expected a multi-hop call chain"
         notes = [hop.note for hop in finding.trace]
         assert any("_release_value" in note for note in notes)
@@ -166,9 +177,10 @@ def test_rl007_conditional_charge_in_callee(mutated_project):
         assert "accountant is never charged" in finding.message
         notes = [hop.note for hop in finding.trace]
         assert any(
-            "release_batch" in note and "some of its paths" in note
+            "release_views" in note and "some of its paths" in note
             for note in notes
         )
+        assert any("release_batch" in note for note in notes)
         assert any("_charge_large" in note for note in notes)
 
 
@@ -250,9 +262,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "            released = np.clip(raw_values, 0.0, float(self.base_station.n))",
+                "            released = np.clip(raw_values, 0.0, [view.bound for view in views])",
                 "            bounded = raw_values\n"
-                "            released = np.clip(bounded, 0.0, float(self.base_station.n))",
+                "            released = np.clip(bounded, 0.0, [view.bound for view in views])",
             ),
         ]
     }

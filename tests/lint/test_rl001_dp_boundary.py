@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.flow import run_project_rules
 from repro.lint.summaries import PROPAGATORS
-from tests.lint.conftest import rule_ids
+from tests.lint.conftest import rule_ids, synth_contexts
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -111,26 +112,38 @@ class StreamingBroker:
     assert rule_ids(result) == ["RL001", "RL001"]
 
 
+#: Every broker's answer_batch: each releases through the one pipeline
+#: in ``core/broker.py``.
+LANE_ENTRIES = {
+    "DataBroker.answer_batch",
+    "ClusterBroker.answer_batch",
+    "StreamingBroker.answer_batch",
+}
+
+
+def _entries(findings):
+    return {f.message.split(" ", 1)[0] for f in findings}
+
+
 def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
-    """Acceptance criterion: deleting the Laplace perturbation from
-    ``DataBroker``'s batch release path produces findings on
-    ``answer_batch``.  The draw lives in the ``_perturb`` helper, so the
-    whole-program RL001i, which follows the call, is the rule that sees
-    it."""
+    """Acceptance criterion: deleting the Laplace perturbation from the
+    release pipeline's single draw produces findings on every broker's
+    ``answer_batch``.  The draw lives in ``release_views``, which each
+    ``answer_batch`` calls, so the whole-program RL001i, which follows
+    the call, is the rule that sees it."""
     findings, _, _ = mutated_project(
         {
             "src/repro/core/broker.py": [
                 (
-                    "noise = sample_laplace_many(scales, self.rng)",
-                    "noise = np.zeros_like(scales)",
+                    "noise[sampled] = sample_laplace_many(scales, broker.rng)",
+                    "noise[sampled] = np.zeros_like(scales)",
                 )
             ]
         },
         only=["RL001i"],
     )
-    assert "RL001i" in [f.rule_id for f in findings]
-    assert any("answer_batch" in f.message for f in findings)
-
+    assert {f.rule_id for f in findings} == {"RL001i"}
+    assert _entries(findings) == LANE_ENTRIES
 
 def test_element_stores_carry_taint_and_noise(lint_snippet):
     """``col[rows] += estimate_many(...)`` taints ``col``; an element
@@ -149,26 +162,26 @@ class ClusterBroker:
     assert "raw_value" in result.findings[0].message
 
 
-def test_seeded_mutation_of_cluster_draw_is_caught(lint_snippet):
-    """Acceptance criterion: deleting the coordinator's one Laplace draw
-    from ``ClusterBroker.answer_batch`` releases the pooled estimates
-    raw.  The pooled ``estimate_many`` and the draw both sit in
-    ``answer_batch``, so the intra-function RL001 sees it."""
+def test_seeded_mutation_of_cluster_draw_is_caught(mutated_project, lint_snippet):
+    """Acceptance criterion: deleting the pipeline's one Laplace draw
+    releases the cluster's pooled estimates raw -- and every other
+    lane's -- so RL001i fires on each ``answer_batch``, while the
+    unmutated cluster source is clean."""
     rel = "src/repro/cluster/broker.py"
     source = (REPO_ROOT / rel).read_text(encoding="utf-8")
-    mutated = source.replace(
-        "                noise[drawn] = sample_laplace_many(\n"
-        "                    [plans[k].noise_scale for k in drawn], self.rng\n"
-        "                )\n",
-        "",
-    )
-    assert mutated != source, "mutation target not found; fixture out of date"
     assert rule_ids(lint_snippet(
         source, rel_path=rel.removeprefix("src/"), rules=["RL001"]
     )) == []
-    result = lint_snippet(mutated, rel_path=rel.removeprefix("src/"), rules=["RL001"])
-    assert rule_ids(result) == ["RL001", "RL001"]
-    assert all("answer_batch" in f.message for f in result.findings)
+    findings, _, _ = mutated_project(
+        {
+            "src/repro/core/broker.py": [
+                ("            noise[sampled] = sample_laplace_many(scales, broker.rng)\n", ""),
+            ]
+        },
+        only=["RL001i"],
+    )
+    assert _entries(findings) == LANE_ENTRIES
+    assert rel in {f.path for f in findings}
 
 
 def test_seeded_mutation_of_scalar_answer_is_caught(lint_snippet):
@@ -185,17 +198,21 @@ def test_seeded_mutation_of_scalar_answer_is_caught(lint_snippet):
     assert "RL001" in rule_ids(result)
 
 
-def test_cluster_release_of_listed_estimates_is_caught(lint_snippet):
-    """Releasing the coordinator's pooled estimates raw through
-    ``list(...)`` is a single-hop leak: RL001i leaves it to RL001, so
-    RL001 must see taint through ``list``."""
-    rel = "src/repro/cluster/broker.py"
+def test_cluster_release_of_listed_estimates_is_caught(mutated_project):
+    """Releasing the pooled estimates raw through ``list(...)`` in the
+    release pipeline: the kernel's answers carry the taint of the value
+    column they release, so every lane's ``answer_batch`` -- the cluster's
+    included -- returns it, through ``list``."""
+    rel = "src/repro/core/broker.py"
     source = (REPO_ROOT / rel).read_text(encoding="utf-8")
     assert source.count("value=released,") == 1, "fixture out of date"
-    mutated = source.replace("value=released,", "value=list(estimates),")
-    result = lint_snippet(mutated, rel_path=rel.removeprefix("src/"), rules=["RL001"])
-    assert rule_ids(result) == ["RL001"]
-    assert "release_batch(value=...)" in result.findings[0].message
+    findings, _, _ = mutated_project(
+        {rel: [("value=released,", "value=list(estimates),")]},
+        only=["RL001i"],
+    )
+    assert _entries(findings) == LANE_ENTRIES
+    assert "src/repro/cluster/broker.py" in {f.path for f in findings}
+    assert all("never Laplace-perturbed" in f.message for f in findings)
 
 
 @pytest.mark.parametrize("propagator", sorted(PROPAGATORS))
@@ -251,3 +268,33 @@ def test_a_leak_through_self_inside_one_function_is_reported_once(lint_snippet):
 def test_the_same_leak_split_across_functions_is_rl001i(lint_snippet):
     """The trace runs through ``_fetch``: RL001 cannot see the source."""
     assert _both_rules(LAUNDERED_ACROSS_CALLS, lint_snippet) == ["RL001i"]
+
+
+def test_a_settling_helper_returns_the_taint_of_its_value_column():
+    """A helper that settles through the kernel and returns its answers
+    hands its caller the taint of the ``value`` it released: RL001i
+    reports the caller's return when the value is raw, and nothing when
+    it is noised."""
+    files = synth_contexts({
+        "src/repro/core/broker.py": """
+            def settle(broker, batch, estimates, noise):
+                return release_batch(broker, batch, value=estimates + noise)
+
+
+            def leak(broker, batch, estimates):
+                return release_batch(broker, batch, value=list(estimates))
+
+
+            class DataBroker:
+                def answer_batch(self, queries, spec, consumer="anonymous"):
+                    estimates = self.estimator.estimate_many(samples, ranges)
+                    return settle(self, batch, estimates, sample_laplace_many(scales, self.rng))
+
+                def answer_leaky(self, queries, spec, consumer="anonymous"):
+                    estimates = self.estimator.estimate_many(samples, ranges)
+                    return leak(self, batch, estimates)
+        """,
+    })
+    findings, _, _ = run_project_rules(files, only=["RL001i"])
+    assert [f.message.split(" ", 1)[0] for f in findings] == ["DataBroker.answer_leaky"]
+    assert "returns a count-derived value" in findings[0].message

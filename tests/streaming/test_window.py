@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.query import AccuracySpec, RangeQuery
 from repro.errors import InsufficientSamplesError, StreamingError
 from repro.estimators.base import NodeData
 from repro.estimators.rank import RankCountingEstimator
+from repro.pricing.functions import InverseVariancePricing
+from repro.pricing.variance_model import VarianceModel
+from repro.streaming.broker import StreamingBroker, StreamingStation
 from repro.streaming.window import (
     EpochSummary,
     WindowSummary,
     merge_epoch_summaries,
-    pooled_estimate,
-    pooled_estimate_many,
     pooled_rate,
     window_checksum,
 )
@@ -142,12 +144,27 @@ class TestWindowRing:
         assert ring.live_epochs == (10,)
 
 
+def window_estimates(epochs, ranges):
+    """The streaming broker's sample estimates of ``ranges`` over a
+    window holding ``epochs``."""
+    station = StreamingStation(window_epochs=len(epochs))
+    for summary in epochs:
+        station.commit_roll([summary])
+    floor = AccuracySpec(alpha=0.9, delta=0.1)
+    broker = StreamingBroker(
+        station=station,
+        pricing=InverseVariancePricing(VarianceModel(n=100)),
+        floor=floor,
+    )
+    queries = [RangeQuery(low=lo, high=hi, dataset="stream") for lo, hi in ranges]
+    return [answer.sample_estimate for answer in broker.answer_batch(queries, floor)]
+
+
 class TestPooledHelpers:
     def test_pooled_estimate_sums_epochs(self):
-        estimator = RankCountingEstimator()
         a = make_summary(0, [1], rate=1.0, seed=5)
         b = make_summary(1, [2], rate=1.0, seed=7)
-        total = pooled_estimate([a, b], estimator, 0.0, 100.0)
+        (total,) = window_estimates([a, b], [(0.0, 100.0)])
         # At rate 1.0 the estimate is exact: all 40 records are in range.
         assert total == pytest.approx(40.0)
 
@@ -158,11 +175,13 @@ class TestPooledHelpers:
             make_summary(1, [3], seed=7),
         ]
         ranges = [(0.0, 30.0), (30.0, 100.0)]
-        many = pooled_estimate_many(epochs, estimator, ranges)
+        many = window_estimates(epochs, ranges)
         for i, (low, high) in enumerate(ranges):
-            assert many[i] == pytest.approx(
-                pooled_estimate(epochs, estimator, low, high)
-            )
+            # The epochs' scalar estimates, summed oldest first.
+            expected = 0.0
+            for summary in epochs:
+                expected += estimator.estimate(list(summary.samples), low, high).estimate
+            assert many[i] == expected
 
     def test_pooled_rate_is_sparsest(self):
         epochs = [
