@@ -320,7 +320,7 @@ class _ClusterPlannerView:
         broker = self._broker
         route = broker.route_for_range(low, high, spec)
         view = broker._route_view(route, p, float(broker.n))
-        return plan_views(broker._plan_memo, [(view, route.spec)])[0]
+        return plan_views(broker._plan_memo, [view], [route.spec])[0]
 
 
 @dataclass
@@ -552,7 +552,7 @@ class ClusterBroker(Trading):
 
     def _views(
         self, routes: Dict[int, RoutePlan], batch: Batch, rows: List[int]
-    ) -> List[Tuple[SampleView, AccuracySpec]]:
+    ) -> Tuple[List[SampleView], List[AccuracySpec]]:
         """Route each row and top the fleet up; then one view per touched
         shard set and exact cover, each row planned at its route's
         ``(α_t, δ)``.
@@ -584,15 +584,15 @@ class ClusterBroker(Trading):
             self.ensure_rate(max(target, p if p > 0 else target))
         p, bound = self._station_view.sampling_rate, float(self.n)
         views: "Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], SampleView]" = {}
-        pairs: List[Tuple[SampleView, AccuracySpec]] = []
+        of_row: List[SampleView] = []
         for i in rows:
             route = routes[i]
             key = (route.queried, route.exact)
             view = views.get(key)
             if view is None:
                 view = views[key] = self._route_view(route, p, bound)
-            pairs.append((view, route.spec))
-        return pairs
+            of_row.append(view)
+        return of_row, [routes[i].spec for i in rows]
 
     def _gather_views(
         self,

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     ContextManager,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
@@ -89,15 +92,20 @@ __all__ = [
 
 _A = TypeVar("_A", bound=PrivateAnswer)
 
+_SAMPLED, _BOUND = attrgetter("sampled"), attrgetter("bound")
+_NOISE_SCALE = attrgetter("noise_scale")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SampleView:
     """The sample a group of fresh rows is planned over and estimated from.
 
     ``k``/``n``/``p`` is the fleet shape the rows are planned at and
-    ``bound`` the clip bound of their releases.  A row's estimate is
-    ``offset`` (a routed cluster's exact-cover total) plus each index's
-    estimate, in order: a streaming window's epochs oldest first.  An
+    ``bound`` the clip bound of their releases.  A row's estimate is its
+    indexes' estimates summed in order (a streaming window's epochs
+    oldest first), onto ``offset`` when there is one: a routed cluster's
+    exact-cover total, or ``0.0`` where the sum starts at zero.  Without
+    an offset it is the first index's own estimate plus the rest.  An
     unsampled view is public metadata: its rows release ``offset`` with
     a zero plan and draw no noise.  ``window`` carries streaming's
     per-epoch books.
@@ -108,14 +116,16 @@ class SampleView:
     p: float
     bound: float
     indexes: Tuple[RankIndex, ...] = ()
-    offset: float = 0.0
+    offset: Optional[float] = None
     sampled: bool = True
     window: Optional[WindowBooks] = None
 
 
 #: A broker's view source: it runs any top-up, then gives each of the
 #: batch's fresh ``rows`` its view and the ``(α, δ)`` it is planned at.
-ViewSource = Callable[[Batch, List[int]], List[Tuple[SampleView, AccuracySpec]]]
+ViewSource = Callable[
+    [Batch, List[int]], Tuple[List[SampleView], List[AccuracySpec]]
+]
 
 #: The cluster's gather, run after admission over the admitted rows and
 #: their views: the views with their rank indexes, and each row's extra
@@ -144,22 +154,28 @@ def stage_timer(broker: Broker, name: str) -> "ContextManager[Any]":
 
 
 def plan_views(
-    memo: PlanMemo, pairs: Sequence[Tuple[SampleView, AccuracySpec]]
+    memo: PlanMemo, views: Sequence[SampleView], targets: Sequence[AccuracySpec]
 ) -> List[PrivacyPlan]:
     """Each row's plan: problem (3) over its view's shape at its target,
-    or the zero plan of public metadata; looked up once per (view, tier)."""
-    solved: Dict[Tuple[int, float, float], PrivacyPlan] = {}
-    plans: List[PrivacyPlan] = []
-    for view, target in pairs:
-        key = (id(view), target.alpha, target.delta)
-        plan = solved.get(key)
-        if plan is None:
-            plan = solved[key] = (
-                memo.plan(target, view.p, view.k, view.n) if view.sampled
-                else zero_plan(target, n=view.n, k=view.k)
-            )
-        plans.append(plan)
-    return plans
+    or the zero plan of public metadata.
+
+    Looked up once per distinct (view, target) object -- the targets are
+    usually a few shared tier objects -- and the memo solves once per
+    shape and tier.
+    """
+    if not views:
+        return []
+    keys: Sequence[Hashable] = list(map(id, targets))
+    if views.count(views[0]) < len(views):
+        keys = list(zip(map(id, views), keys))
+    solved: Dict[Hashable, PrivacyPlan] = {}
+    for key, i in dict(zip(keys, range(len(keys)))).items():
+        view, target = views[i], targets[i]
+        solved[key] = (
+            memo.plan(target, view.p, view.k, view.n) if view.sampled
+            else zero_plan(target, n=view.n, k=view.k)
+        )
+    return list(map(solved.__getitem__, keys))
 
 
 def _estimate_many(
@@ -182,24 +198,45 @@ def _estimate(
     batch: Batch,
     rows: Sequence[int],
     views: Sequence[SampleView],
+    uniform: bool,
 ) -> "npt.NDArray[np.float64]":
-    """Each row's offset plus its view's index estimates, in order.
+    """Each row's estimate: its view's index estimates summed in order,
+    onto the view's offset when it has one.
 
-    Rows whose views share their indexes are estimated together: one
-    ``estimate_many`` per index.  ``0.0 + e`` is ``e``, so a view with
-    one index and no offset releases the index's own estimate.
+    Rows whose views share their indexes are estimated together, one
+    ``estimate_many`` per index; ``uniform`` says every row has the
+    first row's view.
     """
-    estimates = np.array([view.offset for view in views], dtype=np.float64)
-    groups: Dict[Tuple[RankIndex, ...], List[int]] = {}
-    for k, view in enumerate(views):
-        if view.indexes:
-            groups.setdefault(view.indexes, []).append(k)
     queries = batch.queries
+    if uniform:
+        groups = {views[0].indexes: list(range(len(views)))}
+    else:
+        groups = {}
+        for k, view in enumerate(views):
+            groups.setdefault(view.indexes, []).append(k)
+    estimates = np.zeros(len(views), dtype=np.float64)
     for indexes, ks in groups.items():
         ranges = [(queries[rows[k]].low, queries[rows[k]].high) for k in ks]
+        total: "Optional[npt.NDArray[np.float64]]" = None
+        if views[ks[0]].offset is not None:
+            total = np.array([views[k].offset for k in ks], dtype=np.float64)
         for index in indexes:
-            estimates[ks] += _estimate_many(estimator, index, ranges)
+            part = _estimate_many(estimator, index, ranges)
+            total = part if total is None else total + part
+        assert total is not None, "a view has an index or an offset"
+        if len(ks) == len(views):
+            return total
+        estimates[ks] = total
     return estimates
+
+
+def _spread(
+    noise: "npt.NDArray[np.float64]", sampled: Sequence[bool]
+) -> "npt.NDArray[np.float64]":
+    """The draws of the sampled rows in place, and 0.0 for the rest."""
+    out = np.zeros(len(sampled), dtype=np.float64)
+    out[np.asarray(sampled, dtype=bool)] = noise
+    return out
 
 
 def release_views(
@@ -233,26 +270,32 @@ def release_views(
     estimates = raw_values = released = np.zeros(0, dtype=np.float64)
     try:
         with stage_timer(broker, f"{prefix}.plan_s"):
-            pairs = source(batch, rows)
-            plans = plan_views(broker._plan_memo, pairs)
-        if pairs:
-            window = pairs[0][0].window
-        view_of = {row: view for row, (view, _) in zip(rows, pairs)}
-        rows, plans = admit(broker, batch, rows, plans, window)
-        views = [view_of[row] for row in rows]
+            views, targets = source(batch, rows)
+            plans = plan_views(broker._plan_memo, views, targets)
+        if views:
+            window = views[0].window
+        admitted, plans = admit(broker, batch, rows, plans, window)
+        if len(admitted) < len(rows):
+            view_of = dict(zip(rows, views))
+            views = [view_of[row] for row in admitted]
+        rows = admitted
         if rows:
             if gather is not None:
                 views, extras = gather(rows, views)
+            uniform = views.count(views[0]) == len(views)
             with stage_timer(broker, f"{prefix}.estimate_s"):
-                estimates = _estimate(broker.estimator, batch, rows, views)
-            # One draw over the rows with queried samples; metadata-only
-            # rows draw nothing and release their offset.
-            sampled = [view.sampled for view in views]
-            scales = [plan.noise_scale for plan, s in zip(plans, sampled) if s]
-            noise = np.zeros(len(rows), dtype=np.float64)
-            noise[sampled] = sample_laplace_many(scales, broker.rng)
+                estimates = _estimate(broker.estimator, batch, rows, views, uniform)
+            sampled = list(map(_SAMPLED, views))
+            scales = list(map(_NOISE_SCALE, compress(plans, sampled)))
+            noise = sample_laplace_many(scales, broker.rng)
+            if len(scales) < len(rows):
+                # Metadata-only rows draw nothing: they release their offset.
+                noise = _spread(noise, sampled)
             raw_values = estimates + noise
-            released = np.clip(raw_values, 0.0, [view.bound for view in views])
+            bounds: Union[float, List[float]] = (
+                views[0].bound if uniform else list(map(_BOUND, views))
+            )
+            released = np.clip(raw_values, 0.0, bounds)
     except Exception as exc:  # repro-lint: shed -- lands on the refused rows
         if batch.strict:
             raise
@@ -390,7 +433,7 @@ class DataBroker(Trading):
 
     def _views(
         self, batch: Batch, rows: List[int]
-    ) -> List[Tuple[SampleView, AccuracySpec]]:
+    ) -> Tuple[List[SampleView], List[AccuracySpec]]:
         """The committed round, topped up first to every fresh tier.
 
         Every tier is made feasible before the round is read, so all
@@ -398,11 +441,13 @@ class DataBroker(Trading):
         earlier tiers at the sparser pre-top-up rate; both are valid).
         """
         if not rows:
-            return []
-        specs = [batch.specs[i] for i in rows]
-        tiers: Dict[Tuple[float, float], AccuracySpec] = {}
-        for spec in specs:
-            tiers.setdefault((spec.alpha, spec.delta), spec)
+            return [], []
+        specs = list(map(batch.specs.__getitem__, rows))
+        # Each distinct tier, in order of first appearance.
+        tiers = {
+            (spec.alpha, spec.delta): spec
+            for spec in dict(zip(map(id, specs), specs)).values()
+        }
         station = self.base_station
         for tier in tiers.values():
             p = station.sampling_rate
@@ -423,7 +468,7 @@ class DataBroker(Trading):
             bound=float(station.n),
             indexes=(station.rank_index(),),
         )
-        return [(view, spec) for spec in specs]
+        return [view] * len(rows), specs
 
     @overload
     def answer_batch(

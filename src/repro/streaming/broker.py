@@ -346,7 +346,7 @@ class StreamingBroker(Trading):
 
     def _views(
         self, snapshot: WindowSnapshot, batch: Batch, rows: List[int]
-    ) -> List[Tuple[SampleView, AccuracySpec]]:
+    ) -> Tuple[List[SampleView], List[AccuracySpec]]:
         """The window snapshot: its live epochs' indexes, oldest first.
 
         No top-up: a window without samples raises
@@ -362,6 +362,7 @@ class StreamingBroker(Trading):
             indexes=tuple(
                 summary.rank_index for summary in snapshot.epochs if summary.samples
             ),
+            offset=0.0,
             window=WindowBooks(
                 accountant=self.epoch_accountant,
                 log=self.window_log,
@@ -369,4 +370,4 @@ class StreamingBroker(Trading):
                 window_id=snapshot.window_id,
             ),
         )
-        return [(view, batch.specs[i]) for i in rows]
+        return [view] * len(rows), [batch.specs[i] for i in rows]

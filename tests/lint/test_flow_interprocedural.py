@@ -262,9 +262,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "            released = np.clip(raw_values, 0.0, [view.bound for view in views])",
+                "            released = np.clip(raw_values, 0.0, bounds)",
                 "            bounded = raw_values\n"
-                "            released = np.clip(bounded, 0.0, [view.bound for view in views])",
+                "            released = np.clip(bounded, 0.0, bounds)",
             ),
         ]
     }

@@ -135,8 +135,8 @@ def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
         {
             "src/repro/core/broker.py": [
                 (
-                    "noise[sampled] = sample_laplace_many(scales, broker.rng)",
-                    "noise[sampled] = np.zeros_like(scales)",
+                    "noise = sample_laplace_many(scales, broker.rng)",
+                    "noise = np.zeros_like(scales)",
                 )
             ]
         },
@@ -175,7 +175,7 @@ def test_seeded_mutation_of_cluster_draw_is_caught(mutated_project, lint_snippet
     findings, _, _ = mutated_project(
         {
             "src/repro/core/broker.py": [
-                ("            noise[sampled] = sample_laplace_many(scales, broker.rng)\n", ""),
+                ("            noise = sample_laplace_many(scales, broker.rng)\n", ""),
             ]
         },
         only=["RL001i"],
