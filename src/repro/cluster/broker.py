@@ -84,7 +84,7 @@ from repro.core.broker import (
 from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import Batch, open_batch, replay
+from repro.core.settlement import Batch, open_batch
 from repro.datasets.partition import ShardBand
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator, RankIndex
@@ -682,11 +682,13 @@ class ClusterBroker(Trading):
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously pooled answer at ε′ = 0.
 
-        The settlement kernel's :func:`~repro.core.settlement.replay`, as
-        for :meth:`DataBroker.replay`: list price, zero budget, one
+        A one-row :meth:`answer_batch` replay, as for
+        :meth:`DataBroker.replay`: list price, zero budget, one
         consolidated ledger entry showing the hand-over.
         """
-        return replay(self, "cluster", cached, consumer)
+        return self.answer_batch(
+            [cached.query], cached.spec, consumer, replays={0: cached}
+        )[0]
 
     def breaker_open_fraction(self) -> float:
         """Share of shard lanes with a non-closed breaker (0.0 unwired).

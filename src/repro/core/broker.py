@@ -64,7 +64,6 @@ from repro.core.settlement import (
     admit,
     open_batch,
     release_batch,
-    replay,
 )
 from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
@@ -423,13 +422,13 @@ class DataBroker(Trading):
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously purchased answer to ``consumer`` at ε′ = 0.
 
-        The settlement kernel's :func:`~repro.core.settlement.replay`:
-        journaled and billed at list price, no budget charged.  A one-row
-        entry point for direct callers: the serving layer's
-        :class:`~repro.serving.answer_cache.AnswerCache` settles its hits
-        as ``replays=`` rows of :meth:`answer_batch` instead.
+        A one-row :meth:`answer_batch` replay: journaled and billed at
+        list price, no budget charged (re-releasing a released value is
+        post-processing).
         """
-        return replay(self, "broker", cached, consumer)
+        return self.answer_batch(
+            [cached.query], cached.spec, consumer, replays={0: cached}
+        )[0]
 
     def _views(
         self, batch: Batch, rows: List[int]

@@ -37,7 +37,7 @@ draws refuses the fresh rows, and the replays still settle.
 
 Replay rows re-release an earlier answer at ε′ = 0: handing a released
 noisy count to another buyer is post-processing, so it is journaled and
-billed but charges no budget.  :func:`replay` is the one-row form.
+billed but charges no budget.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ __all__ = [
     "open_batch",
     "admit",
     "release_batch",
-    "replay",
 ]
 
 _A = TypeVar("_A", bound=PrivateAnswer)
@@ -767,28 +766,3 @@ def _resold(cached: _A, consumer: str, price: float, transaction_id: int) -> _A:
     object.__setattr__(answer, "price", price)
     object.__setattr__(answer, "transaction_id", transaction_id)
     return answer
-
-
-def replay(
-    broker: Broker, prefix: str, cached: _A, consumer: str
-) -> _A:
-    """Re-release a previously purchased answer to ``consumer``.
-
-    Re-releasing a released value is post-processing: it costs **zero**
-    privacy budget (nothing is charged to any accountant and the policy
-    settles ε′ = 0) and it starves averaging attacks, since m identical
-    answers average to themselves.  The sale is still journaled, billed
-    at list price and recorded with ``epsilon_prime=0``, so the books
-    show every hand-over.  A one-row call of the batch path.
-    """
-    batch = open_batch(
-        broker, prefix, [cached.query], cached.spec, consumer,
-        replays={0: cached},
-    )
-    outcome = release_batch(
-        broker, batch, answer_type=type(cached), rows=[], plans=[],
-        value=[], raw_value=[], sample_estimate=[],
-    )[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome

@@ -57,7 +57,7 @@ from repro.core.broker import SampleView, Trading, release_views
 from repro.core.planner import PlanMemo
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
-from repro.core.settlement import Batch, WindowBooks, open_batch, replay
+from repro.core.settlement import Batch, WindowBooks, open_batch
 from repro.errors import StreamingError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
@@ -280,13 +280,14 @@ class StreamingBroker(Trading):
     def replay(self, cached: PrivateAnswer, consumer: str) -> PrivateAnswer:
         """Re-release a previously purchased answer to ``consumer``.
 
-        Post-processing through the settlement kernel's
-        :func:`~repro.core.settlement.replay`: zero privacy cost (no
+        A one-row :meth:`answer_batch` replay: zero privacy cost (no
         accountant charge, no epoch-ledger charge), billed at list price,
         journaled with ε′ = 0 -- the same replay contract as the one-shot
         broker, so the serving cache and gateway work unchanged.
         """
-        return replay(self, "streaming", cached, consumer)
+        return self.answer_batch(
+            [cached.query], cached.spec, consumer, replays={0: cached}
+        )[0]
 
     @overload
     def answer_batch(
@@ -353,6 +354,8 @@ class StreamingBroker(Trading):
         :class:`~repro.errors.InsufficientSamplesError`, and an infeasible
         tier :class:`~repro.errors.InfeasiblePlanError` when it is planned.
         """
+        if not rows:
+            return [], []
         n = snapshot.record_count
         view = SampleView(
             k=snapshot.node_count,

@@ -112,12 +112,12 @@ class StreamingBroker:
     assert rule_ids(result) == ["RL001", "RL001"]
 
 
-#: Every broker's answer_batch: each releases through the one pipeline
-#: in ``core/broker.py``.
+#: Every broker's answer_batch, and the one-row replay that calls it:
+#: each releases through the one pipeline in ``core/broker.py``.
 LANE_ENTRIES = {
-    "DataBroker.answer_batch",
-    "ClusterBroker.answer_batch",
-    "StreamingBroker.answer_batch",
+    f"{broker}.{entry}"
+    for broker in ("DataBroker", "ClusterBroker", "StreamingBroker")
+    for entry in ("answer_batch", "replay")
 }
 
 
