@@ -72,15 +72,9 @@ from typing import (
 import numpy as np
 
 from repro.cluster.health import ShardBreakerBoard, ShardHealthMonitor
-from repro.cluster.planning import RoutePlan, degraded_delta, route_query
+from repro.cluster.planning import RoutePlan, degraded_delta, route_query, zero_plan
 from repro.cluster.shard import SampleRead, ShardRuntime, build_shards
-from repro.core.broker import (
-    SampleView,
-    Trading,
-    plan_views,
-    release_views,
-    stage_timer,
-)
+from repro.core.broker import SampleView, Trading, release_views, stage_timer
 from repro.core.planner import PlanMemo, QueryPlanner
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
@@ -319,8 +313,9 @@ class _ClusterPlannerView:
         """
         broker = self._broker
         route = broker.route_for_range(low, high, spec)
-        view = broker._route_view(route, p, float(broker.n))
-        return plan_views(broker._plan_memo, [view], [route.spec])[0]
+        if not route.queried:
+            return zero_plan(route.spec, n=route.exact_n, k=broker._shape(route.exact)[0])
+        return broker._plan_memo.plan(route.spec, p, *broker._shape(route.queried))
 
 
 @dataclass
@@ -544,9 +539,8 @@ class ClusterBroker(Trading):
         if route.queried:
             k, n = self._shape(route.queried)
             return SampleView(k=k, n=n, p=p, bound=bound, offset=float(route.exact_n))
-        k = sum(self._shard_k[j] for j in route.exact)
         return SampleView(
-            k=k, n=route.exact_n, p=p, bound=bound,
+            k=self._shape(route.exact)[0], n=route.exact_n, p=p, bound=bound,
             offset=float(route.exact_n), sampled=False,
         )
 
@@ -582,7 +576,7 @@ class ClusterBroker(Trading):
                 continue
             target = self._planner_view.required_rate(spec)
             self.ensure_rate(max(target, p if p > 0 else target))
-        p, bound = self._station_view.sampling_rate, float(self.n)
+        p, bound = self._station_view.sampling_rate, float(sum(self._shard_n))
         views: "Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], SampleView]" = {}
         of_row: List[SampleView] = []
         for i in rows:

@@ -84,7 +84,6 @@ __all__ = [
     "DataBroker",
     "SampleView",
     "Trading",
-    "plan_views",
     "release_views",
     "stage_timer",
 ]
@@ -152,7 +151,7 @@ def stage_timer(broker: Broker, name: str) -> "ContextManager[Any]":
     return nullcontext() if telemetry is None else telemetry.timer(name)
 
 
-def plan_views(
+def _plan_views(
     memo: PlanMemo, views: Sequence[SampleView], targets: Sequence[AccuracySpec]
 ) -> List[PrivacyPlan]:
     """Each row's plan: problem (3) over its view's shape at its target,
@@ -270,7 +269,7 @@ def release_views(
     try:
         with stage_timer(broker, f"{prefix}.plan_s"):
             views, targets = source(batch, rows)
-            plans = plan_views(broker._plan_memo, views, targets)
+            plans = _plan_views(broker._plan_memo, views, targets)
         if views:
             window = views[0].window
         admitted, plans = admit(broker, batch, rows, plans, window)
