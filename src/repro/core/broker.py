@@ -437,6 +437,8 @@ class DataBroker(Trading):
         Every tier is made feasible before the round is read, so all
         rows plan at the final post-top-up rate (tighter than planning
         earlier tiers at the sparser pre-top-up rate; both are valid).
+        The fleet's ``n`` -- the plans' and the clip bound -- is the one
+        the broker was built for (its pricing is checked against it).
         """
         if not rows:
             return [], []
@@ -463,7 +465,7 @@ class DataBroker(Trading):
             k=self._planner.k,
             n=self._planner.n,
             p=station.sampling_rate,
-            bound=float(station.n),
+            bound=float(self._planner.n),
             indexes=(station.rank_index(),),
         )
         return [view] * len(rows), specs
