@@ -11,7 +11,7 @@ rows are estimated from, and the settlement kernel
    per (view shape, tier) through the broker's :class:`PlanMemo`, and
    every consumer is admitted atomically against the budget books;
 2. **estimates** -- one ``estimate_many`` per rank index, over the rows
-   that share it, added onto each view's exact offset;
+   that share it, summed onto each view's offset when it has one;
 3. **perturbs** -- one Laplace draw over the rows that have queried
    samples, at each plan's noise scale, so the noisy answer is still an
    ``(α, δ)``-range counting with the smallest amplified budget ε′

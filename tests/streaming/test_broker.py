@@ -106,6 +106,23 @@ class TestAnswering:
         with pytest.raises(InsufficientSamplesError):
             broker.answer(RangeQuery(low=0.0, high=1.0, dataset="stream"), FLOOR)
 
+    def test_empty_window_still_replays(self):
+        """A replay re-releases a published answer and reads no samples."""
+        cached = make_broker(epochs=2).answer(
+            RangeQuery(low=20.0, high=70.0, dataset="stream"), FLOOR, "alice"
+        )
+        broker = StreamingBroker(
+            station=StreamingStation(window_epochs=4),
+            pricing=InverseVariancePricing(VarianceModel(n=150), base_price=10.0),
+            floor=FLOOR,
+        )
+        (again,) = broker.answer_batch(
+            [cached.query], cached.spec, "bob", replays={0: cached}
+        )
+        assert again.value == cached.value
+        assert broker.accountant.spent("stream") == 0.0
+        assert len(broker.ledger) == 1
+
 
 class TestAdmission:
     def test_floor_bands_reject_sharper_tiers(self):
