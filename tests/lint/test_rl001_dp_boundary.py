@@ -145,6 +145,7 @@ def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
     assert {f.rule_id for f in findings} == {"RL001i"}
     assert _entries(findings) == LANE_ENTRIES
 
+
 def test_element_stores_carry_taint_and_noise(lint_snippet):
     """``col[rows] += estimate_many(...)`` taints ``col``; an element
     store of a Laplace draw noises its container."""
