@@ -46,6 +46,7 @@ from repro.serving.gateway import ServingGateway
 from repro.serving.loadgen import (
     Workload,
     _ensure_feasible,
+    booked_accounting,
     expected_accounting,
 )
 
@@ -426,8 +427,9 @@ class ChaosHarness:
             for entry in self.journal.entries()
             if entry.kind == "release"
         )
-        epsilon_spent = broker.accountant.spent(broker.dataset)
-        revenue = broker.ledger.total_revenue()
+        # Summed like the expectation (``math.fsum``), so the drift below
+        # does not depend on the order the trades settled in.
+        revenue, epsilon_spent = booked_accounting(broker)
 
         # Invariant 1: every released answer's ε′ is accounted for.
         inv_account = released_epsilon <= epsilon_spent + _SUM_TOL

@@ -27,7 +27,8 @@ import numpy.typing as npt
 
 from repro.core.query import AccuracySpec
 from repro.errors import ReproError
-from repro.records import DispatchRecord, fold
+from repro.privacy.budget import ChargeBook, Epsilons
+from repro.records import DispatchRecord, fold_capped
 
 __all__ = ["PolicyViolationError", "BrokerPolicy"]
 
@@ -80,25 +81,11 @@ class BrokerPolicy:
     ) -> None:
         """Raise :class:`PolicyViolationError` unless the request may run.
 
-        ``pending`` counts purchases by ``consumer`` already admitted but
-        not yet settled (earlier rows of the same settlement call).
+        A one-row :meth:`admit_batch`: ``pending`` counts purchases by
+        ``consumer`` already admitted but not yet settled (earlier rows of
+        the same settlement call).
         """
-        if not self.min_alpha <= spec.alpha <= self.max_alpha:
-            raise PolicyViolationError(
-                f"alpha={spec.alpha} outside sellable band "
-                f"[{self.min_alpha}, {self.max_alpha}]"
-            )
-        if not self.min_delta <= spec.delta <= self.max_delta:
-            raise PolicyViolationError(
-                f"delta={spec.delta} outside sellable band "
-                f"[{self.min_delta}, {self.max_delta}]"
-            )
-        purchases = self._purchases.get(consumer, 0) + pending
-        if purchases >= self.max_purchases_per_consumer:
-            raise PolicyViolationError(
-                f"consumer {consumer!r} reached the purchase cap "
-                f"({self.max_purchases_per_consumer})"
-            )
+        self.admit_batch(consumer, [spec], pending)
 
     def admit_batch(
         self, consumer: str, specs: "list[AccuracySpec]", pending: int = 0
@@ -135,10 +122,12 @@ class BrokerPolicy:
                 f"{purchases} already bought)"
             )
 
-    def can_release(self, consumer: str, epsilon_prime: float) -> bool:
-        """Whether releasing ``epsilon_prime`` to ``consumer`` fits the cap."""
+    def can_release(self, consumer: str, epsilon_prime: Epsilons) -> bool:
+        """Whether releasing ``epsilon_prime`` (one ε′ or a column) to
+        ``consumer`` fits the cap: its left fold onto the consumer's
+        running total, as :meth:`settle_many` records it, is within it."""
         spent = self._epsilon_spent.get(consumer, 0.0)
-        return spent + epsilon_prime <= self.max_epsilon_per_consumer + 1e-12
+        return ChargeBook.fits(epsilon_prime, [spent], self.max_epsilon_per_consumer)
 
     def settle(self, consumer: str, epsilon_prime: float) -> None:
         """Record a completed release against the consumer's caps.
@@ -170,18 +159,21 @@ class BrokerPolicy:
     def _settle(
         self, groups: "list[tuple[str, npt.NDArray[np.float64]]]"
     ) -> None:
-        totals = [
-            fold(epsilons, self._epsilon_spent.get(consumer, 0.0))
-            for consumer, epsilons in groups
-        ]
-        for (consumer, _), total in zip(groups, totals):
-            if not total <= self.max_epsilon_per_consumer + 1e-12:
+        totals: Dict[str, float] = {}
+        for consumer, epsilons in groups:
+            total = fold_capped(
+                epsilons,
+                self._epsilon_spent.get(consumer, 0.0),
+                self.max_epsilon_per_consumer,
+            )
+            if total is None:
                 raise PolicyViolationError(
                     f"consumer {consumer!r} would exceed the per-consumer "
                     f"privacy cap {self.max_epsilon_per_consumer}"
                 )
-        for (consumer, epsilons), total in zip(groups, totals):
-            self._epsilon_spent[consumer] = total
+            totals[consumer] = total
+        for consumer, epsilons in groups:
+            self._epsilon_spent[consumer] = totals[consumer]
             self._purchases[consumer] = (
                 self._purchases.get(consumer, 0) + len(epsilons)
             )

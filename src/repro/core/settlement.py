@@ -83,6 +83,7 @@ from repro.records import (
     DispatchRecord,
     LabelColumn,
     codes_of,
+    fold,
     group_rows,
 )
 from repro.resilience.deadline import (
@@ -403,43 +404,48 @@ def admit(
 
     ``rows`` are the rows that will be charged and ``plans`` their plans
     (replays cost nothing).  Consumers are admitted in the order their
-    groups settle (:meth:`Batch.groups`), each as one sum against the
-    totals of the consumers admitted before it, so a consumer's rows
-    complete in full or charge nothing.  Returns the admitted rows and
-    their plans.
+    groups settle (:meth:`Batch.groups`), each as one ε′ column folded
+    onto a provisional running total per book -- the consumer's, the
+    dataset's and each live epoch's -- that already holds the groups
+    admitted before it: exactly the sums :func:`release_batch` has the
+    books record, so a group admitted here is never refused there.  A
+    consumer's rows complete in full or charge nothing.  Returns the
+    admitted rows and their plans.
     """
     positions: Dict[str, List[int]] = {name: [] for name in batch.groups()}
     for k, row in enumerate(rows):
         positions.setdefault(batch.consumers[row], []).append(k)
-    policy, dataset = _policy(broker), broker.dataset
-    charged: List[float] = []
+    policy, dataset, accountant = _policy(broker), broker.dataset, broker.accountant
+    # Each consumer has one group, so its own total needs no provisional copy.
+    spent = accountant.spent(dataset)
+    epochs = [] if window is None else [
+        window.accountant.spent(dataset, epoch) for epoch in window.epochs
+    ]
     for consumer, ks in positions.items():
         if not ks:
             continue
         epsilons = [plans[k].epsilon_prime for k in ks]
-        total = sum(epsilons)
         exc: Optional[Exception] = None
-        if not policy.can_release(consumer, total):
+        if not policy.can_release(consumer, epsilons):
             exc = PolicyViolationError(
                 f"consumer {consumer!r} would exceed the per-consumer "
                 "privacy cap"
             )
-        elif not broker.accountant.can_afford(dataset, total, charged):
+        elif not accountant.can_afford(dataset, epsilons, spent):
             exc = PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: batch of {len(ks)} releases "
-                f"(ε′={total:.6g}) would exceed capacity "
-                f"{broker.accountant.capacity:.6g}"
+                f"dataset {dataset!r}: batch of {len(ks)} releases would "
+                f"exceed capacity {accountant.capacity:.6g}"
             )
         elif window is not None and not window.accountant.can_afford(
-            dataset, window.epochs, total, charged
+            dataset, window.epochs, epsilons, epochs
         ):
             exc = PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: batch ε′={total:.6g} would exceed "
-                f"the per-epoch capacity {window.accountant.capacity:.6g} on "
-                f"window epochs {window.epochs}"
+                f"dataset {dataset!r}: batch would exceed the per-epoch "
+                f"capacity {window.accountant.capacity:.6g} on {window.epochs}"
             )
         if exc is None:
-            charged.extend(epsilons)
+            spent = fold(epsilons, spent)
+            epochs = [fold(epsilons, total) for total in epochs]
         else:
             batch.refuse([rows[k] for k in ks], exc)
     kept = [k for k, row in enumerate(rows) if row not in batch.failed]
@@ -595,11 +601,11 @@ def release_batch(
     the journal appends it first (and, for streaming, every epoch charge
     is logged to the window log), then the policy settles it, the
     accountant -- and each live epoch ledger -- is charged, and the
-    ledger records one sale per row.  The accountant is charged once per
-    consumer group, against the very sum :func:`admit` checked, so a
-    group admitted there is never refused here, after its trades are
-    journaled.  Returns one outcome per row, in row order: its answer,
-    or the error that refused it.
+    ledger records one sale per row.  The accountant and each live epoch
+    ledger are charged once per consumer group, with the very fold
+    :func:`admit` checked, so a group admitted there is never refused
+    here, after its trades are journaled.  Returns one outcome per row,
+    in row order: its answer, or the error that refused it.
     """
     dataset = broker.dataset
     if store_version is None:
@@ -627,16 +633,17 @@ def release_batch(
     # Without a journal this is the first check of the records, still
     # before any book moves.
     records.check(LedgerError)
-    # Streaming's per-epoch books take one labelled charge per release.
-    epoch_charges = [] if window is None else list(zip(
-        records.epsilon_prime[releases].tolist(), LabelColumn(records, releases)
-    ))
     if window is not None and window.log is not None:
-        for epsilon_prime, label in epoch_charges:
+        # One logged charge per release, so recovery rebuilds the
+        # per-epoch books row by row.
+        for epsilon_prime, label in zip(
+            records.epsilon_prime[releases].tolist(),
+            LabelColumn(records, releases),
+        ):
             window.log.append_charge(dataset, window.epochs, epsilon_prime, label)
     policy.settle_many(records)
-    # One charge per consumer group, each against the very sum admit()
-    # checked it with, so an admitted group is never refused here.  The
+    # One charge per consumer group on every book, each the very fold
+    # admit() checked, so an admitted group is never refused here.  The
     # first call (empty when every row is a replay) runs on every path.
     first, *rest = [
         (records.epsilon_prime[positions], LabelColumn(records, positions))
@@ -646,10 +653,8 @@ def release_batch(
     for epsilons, labels in rest:
         broker.accountant.charge_many(dataset, epsilons, labels)
     if window is not None:
-        for epsilon_prime, label in epoch_charges:
-            window.accountant.charge_window(
-                dataset, window.epochs, epsilon_prime, label
-            )
+        for epsilons, labels in [first, *rest]:
+            window.accountant.charge_many(dataset, window.epochs, epsilons, labels)
     sales = broker.ledger.record_many(records)
 
     telemetry = broker.telemetry

@@ -7,7 +7,9 @@ expressions to project functions:
 * plain names resolve through the enclosing module's functions, classes
   (to ``__init__``), and ``from``-imports;
 * ``self.method(...)`` resolves through the enclosing class and its
-  project-local bases (class-attribute lookup);
+  project-local bases (class-attribute lookup), and to every override
+  in a project subclass (``self`` may be one at runtime: a base class's
+  ``answer`` calling ``self.answer_batch`` reaches each broker's);
 * ``self.attr.method(...)`` resolves through the attribute's declared
   type -- dataclass field annotations and ``self.attr = ClassName(...)``
   assignments in ``__init__``/``__post_init__`` -- and, failing that,
@@ -170,6 +172,8 @@ class CallGraph:
         self.functions: Dict[str, FunctionDecl] = {}
         #: class simple-name -> every project class with that name.
         self.class_index: Dict[str, List[ClassDecl]] = {}
+        #: base simple-name -> every project class that names it a base.
+        self.subclasses: Dict[str, List[ClassDecl]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -212,6 +216,8 @@ class CallGraph:
                 decl.bases.append(base_name.rsplit(".", 1)[-1])
         table.classes[node.name] = decl
         self.class_index.setdefault(node.name, []).append(decl)
+        for base_name in decl.bases:
+            self.subclasses.setdefault(base_name, []).append(decl)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(ctx, table, item, cls_decl=decl)
@@ -337,7 +343,7 @@ class CallGraph:
             if len(rest) == 1:
                 return self._method_in_class_tree(
                     caller.module, caller.cls, rest[0]
-                )
+                ) + self._overrides(caller.cls, rest[0])
             if len(rest) == 2:
                 attr, meth = rest
                 return self._method_on_attr(caller.module, caller.cls, attr, meth)
@@ -454,6 +460,23 @@ class CallGraph:
             if found:
                 return found
         return []
+
+    def _overrides(self, cls_name: str, meth: str) -> List[FunctionDecl]:
+        """``meth`` as defined in each project subclass of ``cls_name``,
+        at any depth."""
+        out: List[FunctionDecl] = []
+        seen = {cls_name}
+        pending = [cls_name]
+        while pending:
+            for decl in self.subclasses.get(pending.pop(), []):
+                if decl.name in seen:
+                    continue
+                seen.add(decl.name)
+                pending.append(decl.name)
+                fid = decl.methods.get(meth)
+                if fid is not None:
+                    out.append(self.functions[fid])
+        return out
 
     # ------------------------------------------------------------------
     # introspection helpers

@@ -14,9 +14,12 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
+    Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
+    Optional,
     Protocol,
     Sequence,
     Tuple,
@@ -27,9 +30,9 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import LedgerError, PrivacyBudgetExceededError
-from repro.records import LabelColumn, fold
+from repro.records import LabelColumn, fold, fold_capped
 
-__all__ = ["BudgetAccountant", "BudgetEntry", "SpendRecord"]
+__all__ = ["BudgetAccountant", "BudgetEntry", "ChargeBook", "SpendRecord"]
 
 
 class SpendRecord(Protocol):
@@ -64,28 +67,110 @@ class BudgetEntry:
     epsilon: float
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # ``not epsilon >= 0`` also rejects NaN, which ``epsilon < 0`` lets through.
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
-
-
 #: One charge call's expenditures: the ε′ column and its labels.
 _Chunk = Tuple["npt.NDArray[np.float64]", Sequence[str]]
+#: One ε′ or a column of them.
+Epsilons = Union[float, Sequence[float], "npt.NDArray[np.float64]"]
+
+
+class ChargeBook:
+    """Sequential-composition ε ledgers, one per key.
+
+    Each key keeps its charges as the chunks they came in -- an ε′
+    column and its labels (the settlement kernel's are derived on read)
+    -- and a running total that every charge folds into one at a time,
+    in charge order (:func:`~repro.records.fold`), so :meth:`spent`
+    answers in O(1) with the bits a left-to-right re-sum of the history
+    would give (``sum()`` up to Python 3.11; 3.12's ``sum()`` compensates
+    rounding and may differ in the last bit).  The lifetime accountant
+    keys it by dataset, the per-epoch one by ``(dataset, epoch)``.
+    """
+
+    __slots__ = ("chunks", "totals")
+
+    def __init__(self) -> None:
+        self.chunks: Dict[Hashable, List[_Chunk]] = {}
+        self.totals: Dict[Hashable, float] = {}
+
+    @staticmethod
+    def column(epsilons: Epsilons) -> "npt.NDArray[np.float64]":
+        """``epsilons`` as a read-only column; ``ValueError`` unless every
+        ε′ is non-negative (NaN is not)."""
+        column = np.array(epsilons, dtype=np.float64, ndmin=1)
+        column.flags.writeable = False
+        if len(column) and not column.min() >= 0:
+            bad = float(column[~(column >= 0)][0])
+            raise ValueError(f"epsilon must be non-negative, got {bad!r}")
+        return column
+
+    @staticmethod
+    def fits(epsilon: Epsilons, totals: Iterable[float], capacity: float) -> bool:
+        """Whether ``epsilon`` (one ε′ or a column), folded onto each of
+        ``totals``, stays within ``capacity``
+        (:func:`~repro.records.fold_capped`).  A lone ε′ is checked at
+        once, a column's rows when they are charged."""
+        column = epsilon
+        if isinstance(column, (int, float)):
+            column = ChargeBook.column(column)
+        for total in totals:
+            if fold_capped(column, total, capacity) is None:
+                return False
+        return True
+
+    def spent(self, key: Hashable) -> float:
+        """The running total of ``key``'s charges."""
+        return self.totals.get(key, 0.0)
+
+    def charge(
+        self,
+        keys: Sequence[Hashable],
+        epsilons: "Union[Sequence[float], npt.NDArray[np.float64]]",
+        labels: Sequence[str],
+        capacity: float = float("inf"),
+    ) -> Optional[int]:
+        """Book ``epsilons`` (with their parallel ``labels``) under every
+        key, each folded onto the key's running total -- unless that fold
+        exceeds ``capacity`` on a key (:func:`~repro.records.fold_capped`):
+        then nothing is booked and that key's position is returned.
+
+        No charges book nothing and leave no trace of the keys.
+        """
+        if len(epsilons) != len(labels):
+            raise ValueError("epsilons and labels must be parallel lists")
+        column = ChargeBook.column(epsilons)
+        if not len(column):
+            return None
+        totals: List[float] = []
+        for key in keys:
+            total = fold_capped(column, self.spent(key), capacity)
+            if total is None:
+                return len(totals)
+            totals.append(total)
+        if not isinstance(labels, (tuple, LabelColumn)):
+            labels = tuple(labels)  # a caller's list may change later
+        for key, total in zip(keys, totals):
+            self.chunks.setdefault(key, []).append((column, labels))
+            self.totals[key] = total
+        return None
+
+    def entries(self, key: Hashable) -> Iterator[Tuple[str, float]]:
+        """``(label, ε′)`` of each of ``key``'s charges, in charge order."""
+        for column, labels in self.chunks.get(key, ()):
+            yield from zip(labels, column.tolist())
+
+    def pop(self, key: Hashable) -> float:
+        """Forget ``key``'s charges; returns their total."""
+        self.chunks.pop(key, None)
+        return self.totals.pop(key, 0.0)
 
 
 @dataclass(eq=False)
 class BudgetAccountant:
     """Per-dataset sequential-composition ε ledger.
 
-    Each dataset keeps the charges as the chunks they came in -- an ε′
-    column and its labels (the settlement kernel's are derived on read)
-    -- and a running total that every mutation folds its charges into
-    one at a time, in charge order (:func:`~repro.records.fold`), so
-    :meth:`spent` answers in O(1) with the bits a left-to-right re-sum of
-    the history would give (``sum()`` up to Python 3.11; 3.12's ``sum()``
-    compensates rounding and may differ in the last bit).  The
-    :class:`BudgetEntry` views of :meth:`history` are built on read.
+    The charges live in a :class:`ChargeBook` keyed by dataset, so
+    :meth:`spent` is O(1); the :class:`BudgetEntry` views of
+    :meth:`history` are built on read.
 
     Parameters
     ----------
@@ -96,13 +181,11 @@ class BudgetAccountant:
     """
 
     capacity: float = float("inf")
-    _chunks: Dict[str, List[_Chunk]] = field(default_factory=dict, repr=False)
+    _book: ChargeBook = field(default_factory=ChargeBook, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
-        # Running left-fold total per dataset, kept in step with _chunks.
-        self._totals: Dict[str, float] = {}
         # Highest journal answer_id already folded into this accountant;
         # the idempotency floor for replay_journal (0 = nothing replayed).
         self._journal_high_water: int = 0
@@ -112,23 +195,24 @@ class BudgetAccountant:
 
         O(1): the running left fold of the history in charge order.
         """
-        return self._totals.get(dataset, 0.0)
+        return self._book.spent(dataset)
 
     def remaining(self, dataset: str) -> float:
         """Budget headroom left for ``dataset``."""
         return self.capacity - self.spent(dataset)
 
     def can_afford(
-        self, dataset: str, epsilon: float, pending: Sequence[float] = ()
+        self, dataset: str, epsilon: Epsilons, total: Optional[float] = None
     ) -> bool:
-        """Whether charging ``epsilon`` against ``dataset`` would fit.
+        """Whether charging ``epsilon`` (one ε′ or a column) would fit.
 
-        ``pending`` are charges already admitted but not yet recorded;
-        they are folded into the running total first, one by one in
-        order, exactly as :meth:`charge_many` will fold them.
+        It fits when its left fold onto ``total`` -- the dataset's
+        running total, or the one the charges admitted before it will
+        leave -- is within :attr:`capacity`, exactly as
+        :meth:`charge_many` decides (:func:`~repro.records.fold_capped`).
         """
-        _check_epsilon(epsilon)
-        return fold(pending, self.spent(dataset)) + epsilon <= self.capacity + 1e-12
+        spent = self.spent(dataset) if total is None else total
+        return ChargeBook.fits(epsilon, [spent], self.capacity)
 
     def charge(self, dataset: str, epsilon: float, label: str = "query") -> float:
         """Record an expenditure; returns the new cumulative total.
@@ -152,12 +236,11 @@ class BudgetAccountant:
 
         ``epsilons`` and ``labels`` are parallel sequences (the settlement
         kernel passes an ε′ column and a :class:`~repro.records.LabelColumn`,
-        whose labels are formatted only when read).  Affordability is
-        checked once against the *sum* (sequential composition is
-        additive), and the entries land in ``history`` in order, and fold
-        into the running total one by one, exactly as repeated
-        :meth:`charge` calls would -- but with one affordability check,
-        which is what makes the broker's batched trading path cheap.
+        whose labels are formatted only when read).  The entries land in
+        ``history`` in order and fold into the running total one by one,
+        exactly as repeated :meth:`charge` calls would; the charge fits
+        when that fold is within :attr:`capacity` (one check, which is
+        what makes the broker's batched trading path cheap).
 
         Raises
         ------
@@ -165,46 +248,28 @@ class BudgetAccountant:
             If the combined charge would push the dataset past
             :attr:`capacity`; nothing is recorded in that case.
         """
-        if len(epsilons) != len(labels):
-            raise ValueError("epsilons and labels must be parallel lists")
-        if len(epsilons) == 0:
-            # An all-replay batch charges nothing; leave no trace of the
-            # dataset in the books either.
-            return self._totals.get(dataset, 0.0)
-        column = np.array(epsilons, dtype=np.float64)
-        column.flags.writeable = False
-        if not column.min() >= 0:  # NaN fails too
-            _check_epsilon(float(column[~(column >= 0)][0]))
-        bulk = fold(column)
-        if not self.can_afford(dataset, bulk):
+        if self._book.charge([dataset], epsilons, labels, self.capacity) is not None:
             raise PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: charging ε={bulk:.6g} in bulk would "
-                f"exceed capacity {self.capacity:.6g} (already spent "
+                f"dataset {dataset!r}: charging ε={fold(epsilons):.6g} in bulk "
+                f"would exceed capacity {self.capacity:.6g} (already spent "
                 f"{self.spent(dataset):.6g})"
             )
-        if not isinstance(labels, (tuple, LabelColumn)):
-            labels = tuple(labels)  # a caller's list may change later
-        self._chunks.setdefault(dataset, []).append((column, labels))
-        total = fold(column, self._totals.get(dataset, 0.0))
-        self._totals[dataset] = total
-        return total
+        return self.spent(dataset)
 
     def history(self, dataset: str) -> Tuple[BudgetEntry, ...]:
         """Immutable view of the expenditures recorded for ``dataset``."""
         return tuple(
             BudgetEntry(label, epsilon)
-            for column, labels in self._chunks.get(dataset, ())
-            for label, epsilon in zip(labels, column.tolist())
+            for label, epsilon in self._book.entries(dataset)
         )
 
     def datasets(self) -> Tuple[str, ...]:
         """Dataset keys with at least one recorded expenditure."""
-        return tuple(self._chunks)
+        return tuple(self._book.chunks)
 
     def reset(self, dataset: str) -> None:
         """Forget all spending for ``dataset`` (e.g. after data rotation)."""
-        self._chunks.pop(dataset, None)
-        self._totals.pop(dataset, None)
+        self._book.pop(dataset)
 
     # ------------------------------------------------------------------ #
     # Durability: snapshot / restore / journal replay                    #
@@ -215,28 +280,21 @@ class BudgetAccountant:
             "capacity": self.capacity,
             "spent": {
                 dataset: [[e.label, e.epsilon] for e in self.history(dataset)]
-                for dataset in self._chunks
+                for dataset in self._book.chunks
             },
             "journal_high_water": self._journal_high_water,
         }
-
-    def _load(self, dataset: str, epsilons: List[float], labels: List[str]) -> None:
-        """Book charges that already happened: no capacity check."""
-        column = np.array(epsilons, dtype=np.float64)
-        column.flags.writeable = False
-        self._chunks.setdefault(dataset, []).append((column, labels))
-        self._totals[dataset] = fold(column, self._totals.get(dataset, 0.0))
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
         """Replace this accountant's state with a :meth:`snapshot` copy."""
         spent: Mapping[str, Iterable[Tuple[str, float]]] = snapshot["spent"]
         self.capacity = float(snapshot["capacity"])
-        self._chunks = {}
-        self._totals = {}
+        self._book = ChargeBook()
         for dataset, entries in spent.items():
             entries = list(entries)
-            self._load(
-                dataset,
+            # Charges that already happened: no capacity check.
+            self._book.charge(
+                [dataset],
                 [float(epsilon) for _, epsilon in entries],
                 [str(label) for label, _ in entries],
             )
@@ -280,6 +338,6 @@ class BudgetAccountant:
             labels.append(entry.label)
             applied += 1
         for dataset, (epsilons, labels) in spends.items():
-            self._load(dataset, epsilons, labels)
+            self._book.charge([dataset], epsilons, labels)  # uncapped
         self._journal_high_water = high_water
         return applied

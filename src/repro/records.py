@@ -50,7 +50,9 @@ __all__ = [
     "ROW_FIELDS",
     "RowViews",
     "codes_of",
+    "SLACK",
     "fold",
+    "fold_capped",
     "group_rows",
     "label_of",
 ]
@@ -74,15 +76,33 @@ Codes = npt.NDArray[np.intp]
 def fold(values: "Union[Sequence[float], F64]", total: float = 0.0) -> float:
     """``total`` plus ``values`` added one at a time, left to right.
 
-    ``np.add.accumulate`` adds strictly in order, so this is bit-equal to
-    a Python ``for`` loop of ``+=`` (``np.sum`` pairs terms up and is not).
+    A plain loop of float ``+=`` (``sum`` compensates rounding from
+    Python 3.12 and ``np.sum`` pairs terms up; neither is a left fold).
+    For the few dozen values a dispatch charges at once it also beats
+    ``np.add.accumulate``, whose result is the same.
     """
-    if len(values) == 0:
-        return total
-    seeded = np.empty(len(values) + 1, dtype=np.float64)
-    seeded[0] = total
-    seeded[1:] = values
-    return float(np.add.accumulate(seeded)[-1])
+    for value in values.tolist() if isinstance(values, np.ndarray) else values:
+        total += value
+    return float(total)
+
+
+#: Rounding slack of every capped-ε book (:func:`fold_capped`).
+SLACK = 1e-12
+
+
+def fold_capped(
+    values: "Union[Sequence[float], F64]", total: float, capacity: float
+) -> Optional[float]:
+    """``fold(values, total)`` if it is at most ``capacity`` + :data:`SLACK`,
+    else ``None``.
+
+    The one capped-ε check: a charge fits a book when the left fold of
+    its ε′ column onto the book's running total -- the very sum the book
+    records -- stays within the cap.  Every budget book and admission
+    decide with it.
+    """
+    after = fold(values, total)
+    return after if after <= capacity + SLACK else None
 
 
 def label_of(consumer: str, low: float, high: float) -> str:

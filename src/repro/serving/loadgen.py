@@ -25,12 +25,13 @@ change must preserve.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import AccuracySpec
 from repro.errors import RateLimitedError, ServiceOverloadedError
@@ -158,7 +159,9 @@ def expected_accounting(
 ) -> Tuple[float, float]:
     """The exact serial-baseline books for this request multiset.
 
-    Returns ``(expected_revenue, expected_epsilon)``.  Every request is
+    Returns ``(expected_revenue, expected_epsilon)``, each summed with
+    ``math.fsum`` (as :func:`booked_accounting` sums the books), so the
+    expectation does not depend on request order.  Every request is
     billed at list price.  With the gateway cache enabled, only the first
     occurrence of each ``(range, tier)`` pair spends its plan's ε′ -- all
     repeats replay at zero -- matching what serial calls against a
@@ -172,13 +175,13 @@ def expected_accounting(
     # shards are free), exposed through the duck-typed ``plan_for_range``;
     # plain brokers spend per tier only.
     plan_for_range = getattr(broker.planner, "plan_for_range", None)
-    revenue = 0.0
-    epsilon = 0.0
+    prices: List[float] = []
+    epsilons: List[float] = []
     plans: Dict[Tuple[float, ...], float] = {}
     seen: set = set()
     for (low, high), spec in requests:
         tier = (spec.alpha, spec.delta)
-        revenue += broker.pricing.price(*tier)
+        prices.append(broker.pricing.price(*tier))
         key = (low, high) + tier
         if gateway.cache is not None and key in seen:
             continue
@@ -189,8 +192,21 @@ def expected_accounting(
                 plans[plan_key] = plan_for_range(low, high, spec, p).epsilon_prime
             else:
                 plans[plan_key] = broker.planner.plan(spec, p).epsilon_prime
-        epsilon += plans[plan_key]
-    return revenue, epsilon
+        epsilons.append(plans[plan_key])
+    return math.fsum(prices), math.fsum(epsilons)
+
+
+def booked_accounting(broker: Any) -> Tuple[float, float]:
+    """``(revenue, epsilon)`` of a broker's ledger and accountant entries.
+
+    Summed with ``math.fsum``, like :func:`expected_accounting`: both are
+    the exactly rounded sum of their multiset, so the drift between them
+    does not depend on the order the entries were settled in.
+    """
+    return (
+        math.fsum(t.price for t in broker.ledger.transactions),
+        math.fsum(e.epsilon for e in broker.accountant.history(broker.dataset)),
+    )
 
 
 def _ensure_feasible(gateway: ServingGateway, workload: Workload) -> None:
@@ -283,7 +299,7 @@ def _result(
     if gateway.cache is not None:
         stats = gateway.cache.stats
         cache_hits, cache_hit_rate = stats.hits, stats.hit_rate
-    broker = gateway.broker
+    revenue, epsilon = booked_accounting(gateway.broker)
     return LoadgenResult(
         mode=mode,
         consumers=consumers,
@@ -297,8 +313,8 @@ def _result(
         latency_p99_ms=latency.percentile(99.0) * 1e3,
         cache_hits=cache_hits,
         cache_hit_rate=cache_hit_rate,
-        epsilon_spent=broker.accountant.spent(broker.dataset),
-        revenue=broker.ledger.total_revenue(),
+        epsilon_spent=epsilon,
+        revenue=revenue,
         expected_epsilon=expected[1],
         expected_revenue=expected[0],
     )

@@ -24,25 +24,28 @@ This module is in the strict-mypy scope (CI lint job).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.errors import PrivacyBudgetExceededError, StreamingError
-from repro.privacy.composition import sequential_composition
+from repro.privacy.budget import BudgetEntry, ChargeBook, Epsilons
+from repro.records import fold
 
 __all__ = ["EpochBudgetAccountant", "EpochCharge"]
 
 
-@dataclass(frozen=True)
-class EpochCharge:
-    """One recorded expenditure against one epoch's ledger."""
-
-    label: str
-    epsilon: float
+#: One recorded expenditure against one epoch's ledger.
+EpochCharge = BudgetEntry
 
 
 @dataclass
 class EpochBudgetAccountant:
     """Per-``(dataset, epoch)`` sequential-composition ε ledgers with expiry.
+
+    The ledgers are one :class:`~repro.privacy.budget.ChargeBook` keyed
+    by ``(dataset, epoch)``, so :meth:`spent` is O(1).
 
     Parameters
     ----------
@@ -54,9 +57,7 @@ class EpochBudgetAccountant:
     """
 
     capacity: float = float("inf")
-    _spent: Dict[Tuple[str, int], List[EpochCharge]] = field(
-        default_factory=dict
-    )
+    _book: ChargeBook = field(default_factory=ChargeBook, repr=False)
     _floor: Dict[str, int] = field(default_factory=dict)
     _reclaimed: Dict[str, float] = field(default_factory=dict)
 
@@ -69,10 +70,7 @@ class EpochBudgetAccountant:
     # ------------------------------------------------------------------
     def spent(self, dataset: str, epoch: int) -> float:
         """Cumulative ε′ charged to one epoch's ledger (0 once expired)."""
-        entries = self._spent.get((dataset, epoch), [])
-        if not entries:
-            return 0.0
-        return sequential_composition([e.epsilon for e in entries])
+        return self._book.spent((dataset, epoch))
 
     def window_spent(self, dataset: str, epochs: Sequence[int]) -> float:
         """Per-record leakage bound over a window: the *max* epoch ledger.
@@ -90,25 +88,19 @@ class EpochBudgetAccountant:
         Bounded by ``live-epoch count × capacity`` -- the quantity the
         acceptance bench asserts does not grow with stream length.
         """
-        floor = self._floor.get(dataset, 0)
-        return float(
-            sum(
-                sequential_composition([e.epsilon for e in entries])
-                for (name, epoch), entries in self._spent.items()
-                if name == dataset and epoch >= floor and entries
-            )
-        )
+        return float(sum(self._live(dataset).values()))
 
     def live_epochs(self, dataset: str) -> Tuple[int, ...]:
         """Epoch indexes of ``dataset`` with a live, non-empty ledger."""
+        return tuple(sorted(self._live(dataset)))
+
+    def _live(self, dataset: str) -> Dict[int, float]:
+        """Each live, non-empty epoch ledger's total, in first-charge order."""
         floor = self._floor.get(dataset, 0)
-        return tuple(
-            sorted(
-                epoch
-                for (name, epoch), entries in self._spent.items()
-                if name == dataset and epoch >= floor and entries
-            )
-        )
+        return {
+            epoch: total for (name, epoch), total in self._book.totals.items()
+            if name == dataset and epoch >= floor
+        }
 
     def reclaimed(self, dataset: str) -> float:
         """Total ε reclaimed by expiry so far (audit counter)."""
@@ -125,31 +117,20 @@ class EpochBudgetAccountant:
         self,
         dataset: str,
         epochs: Sequence[int],
-        epsilon: float,
-        pending: Sequence[float] = (),
+        epsilon: Epsilons,
+        totals: Optional[Sequence[float]] = None,
     ) -> bool:
-        """Whether charging ``epsilon`` to *every* epoch in ``epochs`` fits.
+        """Whether charging ``epsilon`` (one ε′ or a column) to *every*
+        epoch in ``epochs`` fits.
 
-        ``pending`` are window charges already admitted but not yet
-        recorded; each epoch's total counts them as if charged first.
+        It fits an epoch when its left fold onto the epoch's running
+        total -- or onto ``totals``, one per epoch: the totals the charges
+        admitted before it will leave -- is within :attr:`capacity`,
+        exactly as :meth:`charge_many` decides.
         """
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        return all(
-            self._spent_with(dataset, epoch, pending) + epsilon
-            <= self.capacity + 1e-12
-            for epoch in epochs
-        )
-
-    def _spent_with(
-        self, dataset: str, epoch: int, pending: Sequence[float]
-    ) -> float:
-        if not pending:
-            return self.spent(dataset, epoch)
-        entries = self._spent.get((dataset, epoch), [])
-        return sequential_composition(
-            [e.epsilon for e in entries] + list(pending)
-        )
+        if totals is None:
+            totals = [self.spent(dataset, epoch) for epoch in epochs]
+        return ChargeBook.fits(epsilon, totals, self.capacity)
 
     def charge_window(
         self,
@@ -160,13 +141,27 @@ class EpochBudgetAccountant:
     ) -> float:
         """Charge one window release's ε′ to every covered epoch.
 
-        Atomic: affordability is checked for all epochs before any ledger
-        mutates.  Charging an expired epoch is a programming error -- the
-        broker must never answer over epochs that left the window.
-        Returns the post-charge :meth:`window_spent`.
+        A one-row :meth:`charge_many`.
         """
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        return self.charge_many(dataset, epochs, [epsilon], [label])
+
+    def charge_many(
+        self,
+        dataset: str,
+        epochs: Sequence[int],
+        epsilons: "Union[Sequence[float], npt.NDArray[np.float64]]",
+        labels: Sequence[str],
+    ) -> float:
+        """Charge several window releases' ε′ to every covered epoch.
+
+        ``epsilons`` and ``labels`` are parallel; each epoch's ledger
+        folds them in one by one, exactly as repeated
+        :meth:`charge_window` calls would.  Atomic: affordability is
+        checked for all epochs before any ledger mutates.  Charging an
+        expired epoch is a programming error -- the broker must never
+        answer over epochs that left the window.  Returns the
+        post-charge :meth:`window_spent`.
+        """
         if not epochs:
             raise ValueError("a window charge needs at least one epoch")
         floor = self._floor.get(dataset, 0)
@@ -176,19 +171,16 @@ class EpochBudgetAccountant:
                 f"dataset {dataset!r}: epochs {expired} are expired "
                 f"(floor is {floor}); refusing to charge a dead ledger"
             )
-        if not self.can_afford(dataset, epochs, epsilon):
-            worst = max(epochs, key=lambda e: self.spent(dataset, e))
+        keys = [(dataset, epoch) for epoch in epochs]
+        worst = self._book.charge(keys, epsilons, labels, self.capacity)
+        if worst is not None:
             raise PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: charging ε={epsilon:.6g} to epoch "
-                f"{worst} would exceed per-epoch capacity "
+                f"dataset {dataset!r}: charging ε={fold(epsilons):.6g} to epoch "
+                f"{epochs[worst]} would exceed per-epoch capacity "
                 f"{self.capacity:.6g} (already spent "
-                f"{self.spent(dataset, worst):.6g})"
+                f"{self.spent(dataset, epochs[worst]):.6g})"
             )
-        for epoch in epochs:
-            self._spent.setdefault((dataset, epoch), []).append(
-                EpochCharge(label, epsilon)
-            )
-        return self.window_spent(dataset, list(epochs))
+        return self.window_spent(dataset, epochs)
 
     # ------------------------------------------------------------------
     # expiry
@@ -202,18 +194,11 @@ class EpochBudgetAccountant:
         """
         floor = max(self._floor.get(dataset, 0), epoch)
         self._floor[dataset] = floor
-        reclaimed = 0.0
         dead = [
-            key
-            for key in self._spent
+            key for key in self._book.totals
             if key[0] == dataset and key[1] < floor
         ]
-        for key in dead:
-            entries = self._spent.pop(key)
-            if entries:
-                reclaimed += sequential_composition(
-                    [e.epsilon for e in entries]
-                )
+        reclaimed = fold([self._book.pop(key) for key in dead])
         if reclaimed:
             self._reclaimed[dataset] = (
                 self._reclaimed.get(dataset, 0.0) + reclaimed
@@ -228,10 +213,13 @@ class EpochBudgetAccountant:
         self, dataset: str, epoch: int
     ) -> Tuple[EpochCharge, ...]:
         """Immutable view of one epoch ledger's recorded charges."""
-        return tuple(self._spent.get((dataset, epoch), ()))
+        return tuple(
+            EpochCharge(label, epsilon)
+            for label, epsilon in self._book.entries((dataset, epoch))
+        )
 
     def datasets(self) -> Tuple[str, ...]:
         """Dataset keys with at least one live or historical ledger."""
-        names = {key[0] for key in self._spent}
+        names = {key[0] for key in self._book.totals}
         names.update(self._floor)
         return tuple(sorted(names))

@@ -142,13 +142,14 @@ def test_head_tree_has_no_interprocedural_findings(head_contexts):
 def test_rl001i_taint_through_helper_return(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL001I, only=["RL001i"])
     # Every broker releases through the pipeline: each one's
-    # answer_batch, and the one-row replay that calls it, leaks.
-    assert [f.rule_id for f in findings] == ["RL001i"] * 6
+    # answer_batch, the one-row replay that calls it, and the shared
+    # Trading.answer, whose self.answer_batch reaches every broker's, leak.
+    assert [f.rule_id for f in findings] == ["RL001i"] * 7
     assert {f.message.split(" ", 1)[0] for f in findings} == {
         f"{broker}.{entry}"
         for broker in ("DataBroker", "ClusterBroker", "StreamingBroker")
         for entry in ("answer_batch", "replay")
-    }
+    } | {"Trading.answer"}
     assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
     for finding in findings:
         assert len(finding.trace) >= 2, "expected a multi-hop call chain"

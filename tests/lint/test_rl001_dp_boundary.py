@@ -112,13 +112,14 @@ class StreamingBroker:
     assert rule_ids(result) == ["RL001", "RL001"]
 
 
-#: Every broker's answer_batch, and the one-row replay that calls it:
-#: each releases through the one pipeline in ``core/broker.py``.
+#: Every broker's answer_batch, the one-row replay that calls it, and
+#: the shared ``Trading.answer`` whose ``self.answer_batch`` reaches each
+#: broker's: all release through the one pipeline in ``core/broker.py``.
 LANE_ENTRIES = {
     f"{broker}.{entry}"
     for broker in ("DataBroker", "ClusterBroker", "StreamingBroker")
     for entry in ("answer_batch", "replay")
-}
+} | {"Trading.answer"}
 
 
 def _entries(findings):

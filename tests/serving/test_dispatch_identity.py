@@ -37,6 +37,7 @@ from repro.estimators.base import NodeData
 from repro.estimators.rank import RankCountingEstimator
 from repro.pricing.functions import InverseVariancePricing
 from repro.pricing.variance_model import VarianceModel
+from repro.records import SLACK, fold
 from repro.resilience.deadline import Deadline, ManualClock, deadline_scope
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.answer_cache import AnswerCache
@@ -447,39 +448,32 @@ def test_dataset_budget_runs_out_between_groups(kind, monkeypatch):
 def budget_edge(kind: str):
     """A no-cache dispatch and a capacity at its exact budget edge.
 
-    The per-consumer sequence admits each consumer against the
-    accountant's running total -- the left fold of every earlier charge
-    -- plus the consumer's own sum; the last consumer's check is the
-    tightest.  The capacity admits that check but not the bulk sum of
-    the whole dispatch, which rounds a few ulps higher: one bulk charge
-    of every consumer would be refused after the trades were journaled.
+    Admission folds each consumer's charges onto the accountant's running
+    total, so the last consumer's check is the tightest: the left fold of
+    every charge in settlement order, which is also the total the
+    accountant records.  The capacity admits that fold.  The dispatch is
+    one where the last consumer's charges, summed first and then added to
+    the fold of every earlier charge, give a different total, so the
+    test sits on a real rounding edge.
     """
     for seed in range(64):
         warm, requests = mixed_dispatch(kind, seed=seed, size=24)
         twin = build(kind)
         by_hand(twin, requests, warm, cache=False)
-        spent = 0.0
-        runs: List[Tuple[str, List[float]]] = []
-        for entry in twin.accountant.history(twin.dataset):
-            name = entry.label.split(":")[0]
-            if name == "warm":
-                spent += entry.epsilon
-            elif runs and runs[-1][0] == name:
-                runs[-1][1].append(entry.epsilon)
-            else:
-                runs.append((name, [entry.epsilon]))
-        total = spent
-        for _, epsilons in runs[:-1]:
-            for epsilon in epsilons:
-                total += epsilon
-        edge = total + sum(runs[-1][1])
-        bulk = spent + sum(e for _, epsilons in runs for e in epsilons)
-        capacity = edge - 1e-12
-        while capacity + 1e-12 < edge:
+        history = twin.accountant.history(twin.dataset)
+        last = history[-1].label.split(":")[0]
+        tail = 1
+        while history[-tail - 1].label.split(":")[0] == last:
+            tail += 1
+        epsilons = [entry.epsilon for entry in history]
+        edge = fold(epsilons)
+        summed = fold(epsilons[:-tail]) + sum(epsilons[-tail:])
+        capacity = edge - SLACK
+        while capacity + SLACK < edge:
             capacity = math.nextafter(capacity, math.inf)
-        if bulk > capacity + 1e-12:
+        if summed != edge:
             return warm, requests, capacity
-    raise AssertionError("no dispatch whose bulk sum rounds above its fold")
+    raise AssertionError("no dispatch whose summed last group rounds off its fold")
 
 
 @pytest.mark.parametrize("kind", REFUSAL_KINDS)
@@ -491,7 +485,7 @@ def test_budget_edge_decisions_match_the_per_consumer_sequence(kind):
 
     got, broker = compare(kind, warm, requests, cache=False, setup=setup)
     assert not any(isinstance(outcome, Exception) for outcome in got)
-    assert broker.accountant.spent(broker.dataset) <= capacity + 1e-12
+    assert broker.accountant.spent(broker.dataset) <= capacity + SLACK
     _, accountant = recover_accounting(broker.journal)
     assert accountant.spent(broker.dataset) == broker.accountant.spent(broker.dataset)
 

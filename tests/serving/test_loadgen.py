@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.query import AccuracySpec
+from repro.pricing.ledger import BillingLedger
+from repro.privacy.budget import BudgetAccountant
+from repro.records import fold
 from repro.serving import (
     ServingConfig,
     Workload,
@@ -12,7 +17,11 @@ from repro.serving import (
     run_open_loop,
     write_bench_json,
 )
-from repro.serving.loadgen import read_bench_json
+from repro.serving.loadgen import (
+    booked_accounting,
+    expected_accounting,
+    read_bench_json,
+)
 
 from .conftest import RANGES, TIERS
 
@@ -80,6 +89,33 @@ class TestClosedLoop:
         assert result.epsilon_spent > 0.0
         assert abs(result.epsilon_drift) < 1e-6
         assert abs(result.revenue_drift) < 1e-6
+
+
+class TestDriftAudit:
+    def test_drift_does_not_depend_on_settlement_order(self):
+        # A stub broker whose price and ε′ of a tier are both its α.
+        tiers = [AccuracySpec(alpha=a, delta=0.5) for a in (0.1, 0.2, 0.3)]
+        broker = SimpleNamespace(
+            dataset="d",
+            pricing=SimpleNamespace(price=lambda alpha, delta: alpha),
+            planner=SimpleNamespace(
+                plan=lambda spec, p: SimpleNamespace(epsilon_prime=spec.alpha)
+            ),
+            base_station=SimpleNamespace(sampling_rate=1.0),
+            ledger=BillingLedger(),
+            accountant=BudgetAccountant(),
+        )
+        gateway = SimpleNamespace(broker=broker, cache=None)
+        requests = [((0.0, 1.0), spec) for spec in tiers]
+        for spec in reversed(tiers):  # settled in the other order
+            broker.ledger.record("c", "d", spec.alpha, 0.5, spec.alpha, spec.alpha)
+            broker.accountant.charge("d", spec.alpha)
+        alphas = [spec.alpha for spec in tiers]
+        assert broker.ledger.total_revenue() != fold(alphas)  # left folds differ
+        revenue, epsilon = booked_accounting(broker)
+        want_revenue, want_epsilon = expected_accounting(gateway, requests)
+        assert revenue - want_revenue == 0.0
+        assert epsilon - want_epsilon == 0.0
 
 
 class TestOpenLoop:
