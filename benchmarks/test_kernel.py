@@ -8,6 +8,8 @@ driven by 47 direct ``DataBroker.answer_batch`` calls of 64 distinct
 dispatch.  Each book's bulk entry point is timed where the kernel calls
 it, and the report gives microseconds per row for
 
+* ``intake`` -- ``open_batch`` plus ``admit``: the batch's validation,
+  policy admission and budget admission;
 * ``records`` -- building the dispatch's one columnar record;
 * ``journal`` -- ``TradeJournal.append_many`` (one ``TRADES`` frame);
 * ``policy``, ``accountant``, ``ledger`` -- the policy settle, the
@@ -15,11 +17,19 @@ it, and the report gives microseconds per row for
 * ``answers`` -- the rest of ``release_batch``: answer assembly;
 
 plus the whole ``release_batch`` and ``answer_batch`` per row, and the
-cost of one single-row ``DataBroker.answer()`` call.  Results go to
-``benchmarks/results/BENCH_kernel.json`` and ``kernel.txt``.
+cost of one single-row ``DataBroker.answer()`` call.  Two more views of
+the same path:
 
-Set ``REPRO_BENCH_SMOKE=1`` for a short run (CI's bench-smoke job);
-nothing here asserts a timing.
+* a width sweep: ``answer_batch`` at 1, 4, 16 and 64 rows a dispatch,
+  in microseconds per row and per dispatch (the fixed cost a dispatch
+  pays whatever its width);
+* gateway against kernel at width 64: a started ``ServingGateway``
+  whose batches close full at 64 requests, timed from the first
+  ``submit`` to the last answer, against the direct ``answer_batch``.
+
+Results go to ``benchmarks/results/BENCH_kernel.json`` and
+``kernel.txt``.  Set ``REPRO_BENCH_SMOKE=1`` for a short run (CI's
+bench-smoke job); nothing here asserts a timing.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from repro.core import settlement
 from repro.core.query import RangeQuery
 from repro.core.service import PrivateRangeCountingService
 from repro.durability.journal import TradeJournal
+from repro.serving.gateway import ServingConfig, ServingGateway
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -48,6 +59,11 @@ CONSUMERS = 4
 SINGLE_ROW_CALLS = 20 if SMOKE else 200
 #: Stages of release_batch timed on their own, in report order.
 STAGES = ("records", "journal", "policy", "accountant", "ledger")
+#: Dispatch widths of the sweep, and the rows each width trades.
+WIDTHS = (1, 4, 16, 64)
+SWEEP_ROWS = 64 if SMOKE else 512
+#: Width-64 dispatches sent through the gateway.
+GATEWAY_DISPATCHES = 4 if SMOKE else 24
 
 
 def _timed(seconds: Dict[str, float], stage: str, call: Callable) -> Callable:
@@ -75,14 +91,30 @@ def test_kernel_dispatch_cost_per_row(
     )
     for spec in DEFAULT_TIERS:
         broker._plan(spec, broker.base_station.sampling_rate)
-    ranges = make_workload(values, num_queries=WIDTH * DISPATCHES, seed=1).ranges
-    rows = [
+    sweep_rows = SWEEP_ROWS * len(WIDTHS)
+    gateway_rows = WIDTH * GATEWAY_DISPATCHES
+    ranges = make_workload(
+        values,
+        num_queries=WIDTH * DISPATCHES + sweep_rows + gateway_rows,
+        seed=1,
+    ).ranges
+    every_row = [
         (RangeQuery(low, high, dataset="ozone"),
          DEFAULT_TIERS[i % len(DEFAULT_TIERS)], f"c{i % CONSUMERS}")
         for i, (low, high) in enumerate(ranges)
     ]
+    rows = every_row[:WIDTH * DISPATCHES]
+    sweep = every_row[len(rows):len(rows) + sweep_rows]
+    through_gateway = every_row[len(rows) + sweep_rows:]
 
     seconds: Dict[str, float] = defaultdict(float)
+    monkeypatch.setattr(
+        core_broker, "open_batch",
+        _timed(seconds, "intake", core_broker.open_batch),
+    )
+    monkeypatch.setattr(
+        core_broker, "admit", _timed(seconds, "intake", core_broker.admit)
+    )
     monkeypatch.setattr(
         settlement, "_dispatch_record",
         _timed(seconds, "records", settlement._dispatch_record),
@@ -116,6 +148,15 @@ def test_kernel_dispatch_cost_per_row(
     assert len(broker.accountant.history("ozone")) == traded
     journal_bytes = broker.journal.path.stat().st_size
     dispatched = dict(seconds)
+    # The stage timers come off: what follows times whole calls.
+    monkeypatch.undo()
+    for book, method in (
+        (broker.journal, "append_many"),
+        (broker.policy, "settle_many"),
+        (broker.accountant, "charge_many"),
+        (broker.ledger, "record_many"),
+    ):
+        delattr(book, method)
 
     # One single-row answer() per call: the scalar face of the same path.
     query, spec, _ = rows[0]
@@ -124,7 +165,53 @@ def test_kernel_dispatch_cost_per_row(
         broker.answer(query, spec, consumer="solo")
     single_row_us = (time.perf_counter() - began) / SINGLE_ROW_CALLS * 1e6
 
-    per_row = {stage: dispatched[stage] / traded * 1e6 for stage in STAGES}
+    # Dispatch cost by width: the same path, 1 to 64 rows a call.
+    widths: Dict[str, Dict[str, float]] = {}
+    for index, width in enumerate(WIDTHS):
+        chunk = sweep[index * SWEEP_ROWS:(index + 1) * SWEEP_ROWS]
+        began = time.perf_counter()
+        for start in range(0, len(chunk), width):
+            batch = chunk[start:start + width]
+            broker.answer_batch(
+                [query for query, _, _ in batch],
+                [spec for _, spec, _ in batch],
+                [consumer for _, _, consumer in batch],
+            )
+        took = time.perf_counter() - began
+        widths[str(width)] = {
+            "dispatches": len(chunk) // width,
+            "us_per_row": took / len(chunk) * 1e6,
+            "us_per_dispatch": took / (len(chunk) // width) * 1e6,
+        }
+
+    # The same width-64 dispatches through a started gateway: submit,
+    # queue, coalesce, dispatch and resolve around the kernel.
+    gateway = ServingGateway(
+        broker, config=ServingConfig(batch_window=1.0, max_batch=WIDTH)
+    ).start()
+    gateway_s = submit_s = 0.0
+    try:
+        for start in range(0, len(through_gateway), WIDTH):
+            batch = through_gateway[start:start + WIDTH]
+            began = time.perf_counter()
+            futures = [
+                gateway.submit(query, spec, consumer=consumer)
+                for query, spec, consumer in batch
+            ]
+            submit_s += time.perf_counter() - began
+            for future in futures:
+                future.result(timeout=60.0)
+            gateway_s += time.perf_counter() - began
+    finally:
+        gateway.stop()
+    assert gateway.telemetry.histogram("gateway.batch_width").count == (
+        GATEWAY_DISPATCHES
+    )
+
+    per_row = {"intake": dispatched["intake"] / traded * 1e6}
+    per_row.update(
+        (stage, dispatched[stage] / traded * 1e6) for stage in STAGES
+    )
     per_row["answers"] = (
         dispatched["release_batch"] - sum(dispatched[stage] for stage in STAGES)
     ) / traded * 1e6
@@ -137,6 +224,14 @@ def test_kernel_dispatch_cost_per_row(
         "answer_batch_us_per_row": dispatched["answer_batch"] / traded * 1e6,
         "single_row_answer_us": single_row_us,
         "journal_bytes_per_answer": journal_bytes / traded,
+        "widths": widths,
+        "gateway_vs_kernel": {
+            "width": WIDTH,
+            "dispatches": GATEWAY_DISPATCHES,
+            "gateway_us_per_row": gateway_s / len(through_gateway) * 1e6,
+            "submit_us_per_row": submit_s / len(through_gateway) * 1e6,
+            "kernel_us_per_row": dispatched["answer_batch"] / traded * 1e6,
+        },
     }
     save_json("kernel", results)
     lines = [
@@ -148,6 +243,16 @@ def test_kernel_dispatch_cost_per_row(
         f"  {'answer_batch':<14}{results['answer_batch_us_per_row']:>10.2f}",
         f"  single-row answer(): {single_row_us:.1f} us per call",
         f"  journal bytes per answer: {results['journal_bytes_per_answer']:.1f}",
+        f"  {'width':<14}{'us/row':>10}{'us/dispatch':>14}",
+        *(
+            f"  {width:<14}{cost['us_per_row']:>10.2f}"
+            f"{cost['us_per_dispatch']:>14.1f}"
+            for width, cost in widths.items()
+        ),
+        f"  width {WIDTH} through the gateway: "
+        f"{results['gateway_vs_kernel']['gateway_us_per_row']:.2f} us/row "
+        f"(submit {results['gateway_vs_kernel']['submit_us_per_row']:.2f}), "
+        f"kernel alone {results['gateway_vs_kernel']['kernel_us_per_row']:.2f}",
     ]
     save_result("kernel", "\n".join(lines))
     assert all(value >= 0.0 for value in per_row.values()) or pytest.fail(

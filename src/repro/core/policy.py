@@ -99,7 +99,8 @@ class BrokerPolicy:
         as for :meth:`admit`.
         """
         seen: "set[tuple[float, float]]" = set()
-        for spec in specs:
+        # Rows share a few tier objects: check each object once.
+        for spec in {id(spec): spec for spec in specs}.values():
             key = (spec.alpha, spec.delta)
             if key in seen:
                 continue

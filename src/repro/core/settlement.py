@@ -115,6 +115,11 @@ Column = Union[Sequence[float], npt.NDArray[np.float64]]
 #: What a replay row re-releases: a cached answer, or an earlier row.
 Source = Union[PrivateAnswer, int]
 
+_LOW, _HIGH = operator.attrgetter("low"), operator.attrgetter("high")
+_ALPHA, _DELTA = operator.attrgetter("alpha"), operator.attrgetter("delta")
+_DATASET = operator.attrgetter("dataset")
+_EPSILON_PRIME = operator.attrgetter("epsilon_prime")
+
 
 class _Versioned(Protocol):
     @property
@@ -182,6 +187,8 @@ class Batch:
     @property
     def fresh(self) -> List[int]:
         """Rows still to be estimated and noised, in order."""
+        if not (self.replays or self.failed):
+            return list(range(len(self.queries)))
         return [
             i for i in range(len(self.queries))
             if i not in self.replays and i not in self.failed
@@ -198,8 +205,9 @@ class Batch:
         if cached is not None:
             return cached
         groups: Dict[str, List[int]] = {}
+        skip = self.standalone | self.failed.keys()
         for i, consumer in enumerate(self.consumers):
-            if i not in self.standalone and i not in self.failed:
+            if i not in skip:
                 groups.setdefault(consumer, []).append(i)
         self._groups.clear()
         self._groups[len(self.failed)] = groups
@@ -213,14 +221,19 @@ class Batch:
         recorded exactly as :func:`admit` summed them.  A caller that
         lists each consumer's purchases together gets plain row order.
         """
-        groups = self.groups()
+        groups = self.groups().values()
+        alone = [i for i in self.standalone if i not in self.failed]
+        if not alone:
+            return [i for rows in groups for i in rows]
+        # Groups are in first-row order; slot each lone row in between.
+        starts = {rows[0]: rows for rows in groups}
         order: List[int] = []
-        for i, consumer in enumerate(self.consumers):
-            if i in self.standalone:
-                if i not in self.failed:
-                    order.append(i)
-            elif groups.get(consumer, [-1])[0] == i:
-                order.extend(groups[consumer])
+        for i in sorted([*starts, *alone]):
+            rows = starts.get(i)
+            if rows is None:
+                order.append(i)
+            else:
+                order.extend(rows)
         return order
 
     def refuse(self, rows: Sequence[int], exc: Exception) -> None:
@@ -359,33 +372,39 @@ def open_batch(
     )
     _check_deadlines(batch, f"{prefix}.answer_batch")
 
+    # One dataset check per call: only a call that names another
+    # dataset looks its rows up.
+    served = ("default", broker.dataset)
+    foreign: Dict[int, str] = {}
+    if not set(map(_DATASET, batch.queries)).issubset(served):
+        foreign = {
+            i: query.dataset for i, query in enumerate(batch.queries)
+            if query.dataset not in served
+        }
+    # Each consumer group is admitted at its first row, and each replay
+    # of a cached answer at its own row, in row order: the purchases
+    # admitted before a row are its ``pending`` count.
     policy = _policy(broker)
     groups = batch.groups()
+    cached = [
+        i for i, source in replayed.items()
+        if not isinstance(source, int) and i not in batch.failed
+    ]
+    starts: Dict[int, List[int]] = {rows[0]: rows for rows in groups.values()}
     bought: Dict[str, int] = {}
-    for i, name in enumerate(consumers):
-        if i in batch.failed or isinstance(replayed.get(i), int):
-            continue
+    for i in sorted([*starts, *cached]):
+        name = consumers[i]
         pending = bought.get(name, 0)
-        if i in replayed:
-            try:
-                policy.admit(name, specs[i], pending)
-            except PolicyViolationError as exc:
-                batch.refuse([i], exc)
-                continue
-            bought[name] = pending + 1
-            continue
-        rows = groups[name]
-        if i != rows[0]:
-            continue
+        rows = starts.get(i, [i])
         try:
-            for row in rows:
-                query = batch.queries[row]
-                if query.dataset not in ("default", broker.dataset):
-                    raise ValueError(
-                        f"query targets dataset {query.dataset!r}, {prefix} "
-                        f"serves {broker.dataset!r}"
-                    )
-            policy.admit_batch(name, [specs[row] for row in rows], pending)
+            if foreign:
+                for row in rows:
+                    if row in foreign and row not in replayed:
+                        raise ValueError(
+                            f"query targets dataset {foreign[row]!r}, "
+                            f"{prefix} serves {broker.dataset!r}"
+                        )
+            policy.admit_batch(name, list(map(specs.__getitem__, rows)), pending)
         except (ValueError, PolicyViolationError) as exc:
             batch.refuse(rows, exc)
             continue
@@ -412,19 +431,22 @@ def admit(
     consumer's rows complete in full or charge nothing.  Returns the
     admitted rows and their plans.
     """
-    positions: Dict[str, List[int]] = {name: [] for name in batch.groups()}
-    for k, row in enumerate(rows):
-        positions.setdefault(batch.consumers[row], []).append(k)
+    # Each consumer's ε′ column, read off its group's rows.
+    epsilon_of = dict(zip(rows, map(_EPSILON_PRIME, plans)))
+    columns: Dict[str, List[int]] = {}
+    for consumer, group in batch.groups().items():
+        charged = [row for row in group if row in epsilon_of]
+        if charged:
+            columns[consumer] = charged
     policy, dataset, accountant = _policy(broker), broker.dataset, broker.accountant
     # Each consumer has one group, so its own total needs no provisional copy.
     spent = accountant.spent(dataset)
     epochs = [] if window is None else [
         window.accountant.spent(dataset, epoch) for epoch in window.epochs
     ]
-    for consumer, ks in positions.items():
-        if not ks:
-            continue
-        epsilons = [plans[k].epsilon_prime for k in ks]
+    refused = False
+    for consumer, charged in columns.items():
+        epsilons = list(map(epsilon_of.__getitem__, charged))
         exc: Optional[Exception] = None
         if not policy.can_release(consumer, epsilons):
             exc = PolicyViolationError(
@@ -433,7 +455,7 @@ def admit(
             )
         elif not accountant.can_afford(dataset, epsilons, spent):
             exc = PrivacyBudgetExceededError(
-                f"dataset {dataset!r}: batch of {len(ks)} releases would "
+                f"dataset {dataset!r}: batch of {len(charged)} releases would "
                 f"exceed capacity {accountant.capacity:.6g}"
             )
         elif window is not None and not window.accountant.can_afford(
@@ -447,7 +469,10 @@ def admit(
             spent = fold(epsilons, spent)
             epochs = [fold(epsilons, total) for total in epochs]
         else:
-            batch.refuse([rows[k] for k in ks], exc)
+            batch.refuse(charged, exc)
+            refused = True
+    if not refused:
+        return list(rows), list(plans)
     kept = [k for k, row in enumerate(rows) if row not in batch.failed]
     return [rows[k] for k in kept], [plans[k] for k in kept]
 
@@ -485,10 +510,6 @@ def _live_rows(batch: Batch, policy: BrokerPolicy) -> List[int]:
         bought[consumer] = bought.get(consumer, 0) + 1
         live.append(i)
     return live
-
-
-_LOW, _HIGH = operator.attrgetter("low"), operator.attrgetter("high")
-_ALPHA, _DELTA = operator.attrgetter("alpha"), operator.attrgetter("delta")
 
 
 def _dispatch_record(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -103,15 +104,28 @@ class AnswerCache:
         range-aware routing leave it empty.  ``store_version`` stays at
         index 5 -- :meth:`invalidate_before` depends on it.
         """
-        return (
-            query.dataset,
-            query.low,
-            query.high,
-            spec.alpha,
-            spec.delta,
-            store_version,
-            routing,
-        )
+        return AnswerCache.keys_for([query], [spec], store_version, [routing])[0]
+
+    @staticmethod
+    def keys_for(
+        queries: "Sequence[RangeQuery]",
+        specs: "Sequence[AccuracySpec]",
+        store_version: int,
+        routing: Optional[Sequence[str]] = None,
+    ) -> List[CacheKey]:
+        """:meth:`key_for` of each ``(query, spec)`` pair, built column-wise.
+
+        ``routing`` gives one route signature per pair, or ``None`` for a
+        broker without range-aware routing.
+        """
+        signatures: Iterable[str] = repeat("") if routing is None else routing
+        return [
+            (
+                query.dataset, query.low, query.high,
+                spec.alpha, spec.delta, store_version, signature,
+            )
+            for query, spec, signature in zip(queries, specs, signatures)
+        ]
 
     # ------------------------------------------------------------------
     # lookup / insert

@@ -39,11 +39,22 @@ Semantics, relative to direct broker calls:
   bounded queue refuse work *before* any data is touched; refusals never
   bill and never spend ε.
 
-Thread model: ``submit`` may be called from any number of threads.
-Workers coalesce independently but dispatch under one lock -- the broker
-mutates shared state (RNG stream, ledger, accountant), so dispatch is
-serialized by design; concurrency buys queueing/coalescing overlap and
-keeps callers unblocked, while throughput comes from batch width.
+Thread model: ``submit`` may be called from any number of threads.  It
+takes one short intake lock, to count the request against
+``queue_depth`` (an exact bound on admitted requests not yet taken into
+a dispatch), and hands the request to an unbounded
+:class:`queue.SimpleQueue`; it writes no metric.  Worker sentinels
+(``stop``, ``kill_worker``) go through the same queue uncounted, so they
+never block.  Workers coalesce independently but dispatch under one
+lock -- the broker mutates shared state (RNG stream, ledger,
+accountant), so dispatch is serialized by design; concurrency buys
+queueing/coalescing overlap and keeps callers unblocked, while
+throughput comes from batch width.  Everything a request costs beyond
+its future is paid per dispatch on the worker: the dispatch takes its
+batch off the queued count and publishes ``gateway.submitted`` and
+``gateway.queue_depth`` (counters kept locally, merged when read:
+:meth:`ServingGateway.snapshot` adds any count not yet published), then
+builds cache keys, coalescing and broker rows column by column.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.core.broker import DataBroker
@@ -160,6 +172,8 @@ class ServingConfig:
 
 
 class _Request:
+    """One admitted request on its way to a dispatch."""
+
     __slots__ = (
         "query",
         "spec",
@@ -175,17 +189,18 @@ class _Request:
         query: RangeQuery,
         spec: AccuracySpec,
         consumer: str,
-        admitted_price: float = 0.0,
-        deadline: Optional[Deadline] = None,
+        admitted_price: float,
+        deadline: Optional[Deadline],
     ) -> None:
         self.query = query
         self.spec = spec
         self.consumer = consumer
         self.future: "Future[PrivateAnswer]" = Future()
         self.enqueued_at = time.perf_counter()
-        #: the quote reserved with admission at submit time; released
-        #: verbatim on finish/fail so a brownout-repriced answer can never
-        #: strand or over-release a reservation.
+        #: the quote reserved with admission at submit time (0.0 without
+        #: admission); released verbatim on finish/fail so a
+        #: brownout-repriced answer can never strand or over-release a
+        #: reservation.
         self.admitted_price = admitted_price
         self.deadline = deadline
 
@@ -273,9 +288,16 @@ class ServingGateway:
         self.admission = admission
         if self.admission is not None and self.admission.ledger is None:
             self.admission.ledger = broker.ledger
-        self._queue: "queue.Queue[object]" = queue.Queue(
-            maxsize=self.config.queue_depth
-        )
+        #: Admitted requests and worker sentinels, in arrival order.  The
+        #: queue itself is unbounded: ``_queued`` bounds the requests, so
+        #: a sentinel never counts against ``queue_depth`` and never blocks.
+        self._inbox: "queue.SimpleQueue[object]" = queue.SimpleQueue()
+        self._intake_lock = threading.Lock()
+        #: Admitted requests not yet taken into a dispatch.
+        self._queued = 0  # guarded-by: _intake_lock
+        #: Admitted requests not yet counted in ``gateway.submitted``;
+        #: each dispatch publishes them, and :meth:`snapshot` adds them.
+        self._unpublished = 0  # guarded-by: _intake_lock
         self._dispatch_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._threads: List[threading.Thread] = []  # guarded-by: _state_lock
@@ -314,7 +336,7 @@ class ServingGateway:
             self._closed = True
             threads = list(self._threads)
         for _ in threads:
-            self._queue.put(_STOP)
+            self._inbox.put(_STOP)
         for thread in threads:
             thread.join()
         # Never-started gateways (or anything racing past the sentinels)
@@ -340,7 +362,8 @@ class ServingGateway:
 
     def pending(self) -> int:
         """Requests currently queued (admitted, not yet dispatched)."""
-        return self._queue.qsize()
+        with self._intake_lock:
+            return self._queued
 
     # ------------------------------------------------------------------
     # fault injection / recovery hooks (used by repro.chaos)
@@ -358,7 +381,7 @@ class ServingGateway:
                 raise GatewayClosedError("gateway already stopped")
             if not self._started:
                 raise GatewayClosedError("gateway not started")
-        self._queue.put(_KILL)
+        self._inbox.put(_KILL)
         self.telemetry.inc("gateway.worker_kills")
 
     def spawn_worker(self) -> None:
@@ -421,27 +444,29 @@ class ServingGateway:
                     f"{retry_after:.3f}s",
                     retry_after=retry_after,
                 )
-        price = self.broker.quote(spec)
+        # Only admission reads the quote.
+        price = 0.0
         if self.admission is not None:
+            price = self.broker.quote(spec)
             self.admission.admit(consumer, price)
-        deadline: Optional[Deadline] = None
-        if self.config.request_ttl is not None:
-            deadline = Deadline.after(self.config.request_ttl, clock=self.clock)
-        request = _Request(
-            query, spec, consumer, admitted_price=price, deadline=deadline
-        )
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
+        with self._intake_lock:
+            admitted = self._queued < self.config.queue_depth
+            if admitted:
+                self._queued += 1
+                self._unpublished += 1
+        if not admitted:
             if self.admission is not None:
                 self.admission.release(consumer, price)
             self.telemetry.inc("gateway.shed")
             raise ServiceOverloadedError(
                 f"request queue is full ({self.config.queue_depth} deep); "
                 "retry later or widen the batching window"
-            ) from None
-        self.telemetry.inc("gateway.submitted")
-        self.telemetry.set_gauge("gateway.queue_depth", self._queue.qsize())
+            )
+        deadline: Optional[Deadline] = None
+        if self.config.request_ttl is not None:
+            deadline = Deadline.after(self.config.request_ttl, clock=self.clock)
+        request = _Request(query, spec, consumer, price, deadline)
+        self._inbox.put(request)
         return request.future
 
     def submit_range(
@@ -472,8 +497,22 @@ class ServingGateway:
         ).result(timeout=timeout)
 
     def snapshot(self) -> Dict[str, object]:
-        """Telemetry snapshot plus cache stats, JSON-ready."""
+        """Telemetry snapshot plus cache stats, JSON-ready.
+
+        ``gateway.submitted`` also counts the requests admitted since the
+        last dispatch published the count.
+        """
         snap: Dict[str, object] = dict(self.telemetry.snapshot())
+        # Read after the snapshot, so it never counts fewer submissions
+        # than the snapshot's served and failed requests.
+        with self._intake_lock:
+            unpublished = self._unpublished
+            submitted = self.telemetry.value("gateway.submitted") + unpublished
+        if unpublished:
+            counters = cast(Dict[str, float], snap["counters"])
+            snap["counters"] = dict(
+                sorted({**counters, "gateway.submitted": submitted}.items())
+            )
         if self.cache is not None:
             stats = self.cache.stats
             snap["cache"] = {
@@ -497,7 +536,7 @@ class ServingGateway:
         gaps: Deque[float] = deque(maxlen=_GAP_HISTORY)
         width = self.config.max_batch
         while True:
-            first = self._queue.get()
+            first = self._inbox.get()
             if not isinstance(first, _Request):  # _STOP or _KILL
                 return
             batch = [first]
@@ -521,7 +560,7 @@ class ServingGateway:
                 if quiet is not None and len(batch) >= width:
                     close = min(deadline, last + quiet)
                 try:
-                    item = self._queue.get(
+                    item = self._inbox.get(
                         timeout=max(close - time.perf_counter(), 0.0)
                     )
                 except queue.Empty:
@@ -548,7 +587,7 @@ class ServingGateway:
         batch: List[_Request] = []
         while True:
             try:
-                item = self._queue.get_nowait()
+                item = self._inbox.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP or item is _KILL:
@@ -561,7 +600,20 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def _take(self, count: int) -> None:
+        """Take ``count`` queued requests into a dispatch, and publish the
+        intake's counters: once per dispatch, not once per request."""
+        with self._intake_lock:
+            self._queued -= count
+            queued, submitted = self._queued, self._unpublished
+            self._unpublished = 0
+            # Still under the lock, so snapshot() never counts them twice.
+            if submitted:
+                self.telemetry.inc("gateway.submitted", submitted)
+        self.telemetry.set_gauge("gateway.queue_depth", queued)
+
     def _dispatch(self, batch: "List[_Request]") -> None:
+        self._take(len(batch))
         with self._dispatch_lock:
             started = time.perf_counter()
             settled = self._dispatch_locked(batch)
@@ -579,7 +631,11 @@ class ServingGateway:
 
     def _dispatch_locked(self, batch: "List[_Request]") -> "List[_Settled]":
         """Serve one batch: each request with its outcome, in resolution
-        order, and whether it was a replay."""
+        order, and whether it was a replay.
+
+        Column-wise: requests are named by their position in the batch,
+        and each step is one pass over the positions it concerns.
+        """
         self.telemetry.observe("gateway.batch_width", len(batch))
         # batch[0] is the oldest request (the queue is FIFO).
         self.telemetry.observe(
@@ -588,93 +644,99 @@ class ServingGateway:
         settled: "List[_Settled]" = []
 
         # 0. Deadline check: requests past their deadline fail fast,
-        #    before any billing or budget is touched.
-        fresh_enough: List[_Request] = []
-        for request in batch:
-            if request.deadline is not None and request.deadline.expired():
-                self._miss_window.append(True)
-                settled.append((request, DeadlineExceededError(
-                    f"request from {request.consumer!r} sat in the queue "
-                    f"{-request.deadline.remaining():.3f}s past its "
-                    "deadline"
-                ), False))
-            else:
-                self._miss_window.append(False)
-                fresh_enough.append(request)
-        if settled:
-            self.telemetry.inc("gateway.deadline_exceeded", len(settled))
-        batch = fresh_enough
+        #    before any billing or budget is touched.  Only a gateway
+        #    with a request_ttl gives requests a deadline.
+        if self.config.request_ttl is None:
+            self._miss_window.extend([False] * len(batch))
+        else:
+            fresh_enough: List[_Request] = []
+            for request in batch:
+                deadline = cast(Deadline, request.deadline)
+                if deadline.expired():
+                    self._miss_window.append(True)
+                    settled.append((request, DeadlineExceededError(
+                        f"request from {request.consumer!r} sat in the queue "
+                        f"{-deadline.remaining():.3f}s past its deadline"
+                    ), False))
+                else:
+                    self._miss_window.append(False)
+                    fresh_enough.append(request)
+            if settled:
+                self.telemetry.inc("gateway.deadline_exceeded", len(settled))
+            batch = fresh_enough
         self._observe_overload()
         if not batch:
             return settled
 
         store_version = self.broker.base_station.store_version
-        pending: List[_Request] = []
-
+        queries = [request.query for request in batch]
+        specs = [request.spec for request in batch]
         # Range-aware brokers key cached releases on the route signature
         # too (pruned/exact-cover answers must never alias a broadcast).
         sig_fn = getattr(self.broker, "routing_signature", None)
 
-        def key_of(request: "_Request", version: int) -> CacheKey:
-            routing = "" if sig_fn is None else sig_fn(request.query, request.spec)
-            return AnswerCache.key_for(request.query, request.spec, version, routing)
+        def keys_at(
+            at_queries: List[RangeQuery], at_specs: List[AccuracySpec], version: int
+        ) -> List[CacheKey]:
+            routing = (
+                None if sig_fn is None else list(map(sig_fn, at_queries, at_specs))
+            )
+            return AnswerCache.keys_for(at_queries, at_specs, version, routing)
 
         # 1. Cache hits: identical to an already-released answer at the
         #    current store version -- replayed at list price, ε′ = 0.
-        hits: List[Tuple[_Request, PrivateAnswer]] = []
-        keys: Dict[int, CacheKey] = {}  # id(request) -> its cache key
-        if self.cache is not None:
-            keys = {id(request): key_of(request, store_version) for request in batch}
-            found = self.cache.get_many(list(keys.values()))
-            for request, cached in zip(batch, found):
-                if cached is None:
-                    pending.append(request)
-                else:
-                    hits.append((request, cached))
+        # 2. In-window coalescing of the misses: the first occurrence of
+        #    a (query, tier) key is released fresh, later occurrences
+        #    replay it -- exactly the cache semantics, inside one window.
+        hits: List[int] = []  # batch positions
+        found: "List[Optional[PrivateAnswer]]" = []
+        fresh: List[int] = []  # batch positions
+        dups: List[Tuple[int, int]] = []  # (batch position, index into fresh)
+        keys: List[CacheKey] = []
+        if self.cache is None:
+            fresh = list(range(len(batch)))
         else:
-            pending = batch
-
-        # 2. In-window coalescing of duplicates: the first occurrence of a
-        #    (query, tier) key is released fresh, later occurrences replay
-        #    it -- exactly the cache semantics, applied inside one window.
-        fresh: List[_Request] = []
-        dups: List[Tuple[_Request, int]] = []  # (request, index into fresh)
-        if self.cache is not None:
-            seen: Dict[CacheKey, int] = {}
-            for request in pending:
-                key = keys[id(request)]
-                if key in seen:
-                    dups.append((request, seen[key]))
+            keys = keys_at(queries, specs, store_version)
+            found = self.cache.get_many(keys)
+            first: Dict[CacheKey, int] = {}
+            for i, hit in enumerate(found):
+                if hit is not None:
+                    hits.append(i)
+                    continue
+                source = first.setdefault(keys[i], len(fresh))
+                if source == len(fresh):
+                    fresh.append(i)
                 else:
-                    seen[key] = len(fresh)
-                    fresh.append(request)
-        else:
-            fresh = pending
+                    dups.append((i, source))
 
         # 2b. Brownout ladder: a fresh request may be served at an
         #     explicitly weaker contract (wider α, lower reported δ).
         #     The served spec re-enters the normal plan/price path, so
         #     the weaker contract is the one journaled and billed; the
         #     answer carries both specs for provenance.
-        served_specs: List[AccuracySpec] = [r.spec for r in fresh]
-        rungs: List[str] = ["none"] * len(fresh)
-        shed: List[bool] = [False] * len(fresh)
-        if self.brownout is not None:
-            for idx, request in enumerate(fresh):
-                decision = self.brownout.decide(request.spec)
+        served_specs = [specs[i] for i in fresh]
+        rungs: List[str] = []
+        live: List[int] = []  # indexes into fresh that were not shed
+        if self.brownout is None:
+            live = list(range(len(fresh)))
+        else:
+            rungs = ["none"] * len(fresh)
+            for idx, i in enumerate(fresh):
+                decision = self.brownout.decide(specs[i])
                 if decision.served is None:
                     # The ladder climbed to shed while this request sat
                     # queued.  Refuse it now: never billed, never planned.
-                    shed[idx] = True
                     self.telemetry.inc("gateway.brownout.shed")
-                    settled.append((request, BrownoutShedError(
+                    settled.append((batch[i], BrownoutShedError(
                         "gateway reached the shed brownout rung while the "
                         "request was queued",
                         retry_after=self.brownout.config.retry_after,
                     ), False))
-                else:
-                    served_specs[idx] = decision.served
-                    rungs[idx] = decision.rung if decision.served != request.spec else "none"
+                    continue
+                served_specs[idx] = decision.served
+                if decision.served != specs[i]:
+                    rungs[idx] = decision.rung
+                live.append(idx)
 
         # 3. One broker call for the whole dispatch, rows in this order:
         #    cache hits as replays; fresh releases grouped by consumer
@@ -684,59 +746,55 @@ class ServingGateway:
         #    so a refusal fails only that consumer's rows; the call runs
         #    under the latest member deadline so shared stages (cluster
         #    fan-out) never abort a row that still has time.
-        queries: List[RangeQuery] = []
-        specs: List[AccuracySpec] = []
-        consumers: List[str] = []
-        deadlines: List[Optional[Deadline]] = []
-        replays: Dict[int, "PrivateAnswer | int"] = {}
-
-        def add_row(request: _Request, query: RangeQuery, spec: AccuracySpec) -> int:
-            queries.append(query)
-            specs.append(spec)
-            consumers.append(request.consumer)
-            deadlines.append(request.deadline)
-            return len(queries) - 1
-
-        for request, cached in hits:
-            replays[add_row(request, cached.query, cached.spec)] = cached
-        groups: "Dict[str, List[int]]" = {}
-        for idx, request in enumerate(fresh):
-            if not shed[idx]:
-                groups.setdefault(request.consumer, []).append(idx)
-        row_of: Dict[int, int] = {}  # fresh index -> row
-        for indices in groups.values():
-            for idx in indices:
-                row_of[idx] = add_row(fresh[idx], fresh[idx].query, served_specs[idx])
-        dup_rows: List[Optional[int]] = []
-        for request, source_index in dups:
-            source_row = row_of.get(source_index)
-            if source_row is None:
-                dup_rows.append(None)
-                continue
-            row = add_row(request, fresh[source_index].query, served_specs[source_index])
-            replays[row] = source_row
-            dup_rows.append(row)
+        groups: Dict[str, List[int]] = {}
+        for idx in live:
+            groups.setdefault(batch[fresh[idx]].consumer, []).append(idx)
+        grouped = [idx for members in groups.values() for idx in members]
+        first_row = len(hits)
+        row_of = dict(zip(grouped, range(first_row, first_row + len(grouped))))
+        copies = [(i, source) for i, source in dups if source in row_of]
+        hit_answers = cast("List[PrivateAnswer]", [found[i] for i in hits])
+        rows = (
+            [batch[i] for i in hits]
+            + [batch[fresh[idx]] for idx in grouped]
+            + [batch[i] for i, _ in copies]
+        )
+        row_queries = (
+            [answer.query for answer in hit_answers]
+            + [queries[fresh[idx]] for idx in grouped]
+            + [queries[fresh[source]] for _, source in copies]
+        )
+        row_specs = (
+            [answer.spec for answer in hit_answers]
+            + [served_specs[idx] for idx in grouped]
+            + [served_specs[source] for _, source in copies]
+        )
+        replays: "Dict[int, PrivateAnswer | int]" = {}
+        replays.update(enumerate(hit_answers))
+        replays.update(zip(
+            range(first_row + len(grouped), len(rows)),
+            [row_of[source] for _, source in copies],
+        ))
+        deadlines: "Optional[List[Optional[Deadline]]]" = None
+        latest: Optional[Deadline] = None
+        if self.config.request_ttl is not None:
+            deadlines = [request.deadline for request in rows]
+            known = cast("List[Deadline]", deadlines[first_row:first_row + len(grouped)])
+            if known:
+                latest = max(known, key=lambda d: d.expires_at)
 
         outcomes: "Sequence[PrivateAnswer | Exception]" = []
-        if queries:
-            known = [
-                deadline for deadline in (deadlines[row] for row in row_of.values())
-                if deadline is not None
-            ]
-            latest = (
-                max(known, key=lambda d: d.expires_at)
-                if known and len(known) == len(row_of)
-                else None
-            )
+        if rows:
             self.telemetry.inc("gateway.broker_calls")
             try:
                 with deadline_scope(latest):
                     outcomes = self.broker.answer_batch(
-                        queries, specs, consumers,
+                        row_queries, row_specs,
+                        [request.consumer for request in rows],
                         replays=replays, deadlines=deadlines,
                     )
             except Exception as exc:  # repro-lint: shed -- fail every row of the call
-                outcomes = [exc] * len(queries)
+                outcomes = [exc] * len(rows)
 
         expired = {
             id(outcome) for outcome in outcomes
@@ -745,21 +803,20 @@ class ServingGateway:
         if expired:
             # One count per refused consumer group or replay.
             self.telemetry.inc("gateway.deadline_exceeded", len(expired))
-        hit_replays: "List[Tuple[_Request, PrivateAnswer | Exception]]" = [
-            (request, outcomes[row]) for row, (request, _) in enumerate(hits)
-        ]
 
+        # Each fresh request's answer (None if refused), under brownout
+        # marked with the rung it was served at.
+        fresh_outcomes = outcomes[first_row:first_row + len(grouped)]
         fresh_answers: "List[Optional[PrivateAnswer]]" = [None] * len(fresh)
-        for idx, row in row_of.items():
-            outcome = outcomes[row]
+        for idx, outcome in zip(grouped, fresh_outcomes):
             if isinstance(outcome, Exception):
                 continue
-            if rungs[idx] != "none":
+            if rungs and rungs[idx] != "none":
                 self.telemetry.inc(f"gateway.brownout.{rungs[idx]}")
                 outcome = replace(
                     outcome,
                     brownout_rung=rungs[idx],
-                    requested_spec=fresh[idx].spec,
+                    requested_spec=specs[fresh[idx]],
                 )
             fresh_answers[idx] = outcome
 
@@ -767,45 +824,55 @@ class ServingGateway:
         #    top-up during answer_batch bumps it; keys must match future
         #    lookups against the new store).
         if self.cache is not None:
-            post_version = self.broker.base_station.store_version
             # Brownout-degraded releases are never cached: once the
             # ladder descends, an identical request must get its full
             # contract again, not a replay of the weakened one.  A
             # mid-dispatch top-up bumps the version and can flip the
             # route; future lookups key against that state.
-            self.cache.put_many([
-                (
-                    keys[id(request)]
-                    if post_version == store_version
-                    else key_of(request, post_version),
-                    answer,
-                )
-                for request, answer in zip(fresh, fresh_answers)
+            cacheable = [
+                (i, answer) for i, answer in zip(fresh, fresh_answers)
                 if answer is not None and answer.brownout_rung == "none"
-            ])
+            ]
+            post_version = self.broker.base_station.store_version
+            new_keys = (
+                [keys[i] for i, _ in cacheable]
+                if post_version == store_version
+                else keys_at(
+                    [queries[i] for i, _ in cacheable],
+                    [specs[i] for i, _ in cacheable],
+                    post_version,
+                )
+            )
+            self.cache.put_many(zip(new_keys, [answer for _, answer in cacheable]))
 
         # 5. Settlement order: cache hits, then fresh rows, then
         #    duplicates as replays of their in-window source.
-        settled.extend(self._replayed(hit_replays))
-        for idx, row in row_of.items():
-            answer = fresh_answers[idx]
-            settled.append((fresh[idx], outcomes[row] if answer is None else answer, False))
+        settled.extend(self._replayed(list(zip(rows, outcomes[:first_row]))))
+        settled.extend(
+            (rows[row], outcome if answer is None else answer, False)
+            for row, answer, outcome in zip(
+                range(first_row, len(rows)),
+                [fresh_answers[idx] for idx in grouped],
+                fresh_outcomes,
+            )
+        )
+        copy_outcomes = iter(outcomes[first_row + len(grouped):])
         dup_replays: "List[Tuple[_Request, PrivateAnswer | Exception]]" = []
-        for (request, source_index), dup_row in zip(dups, dup_rows):
-            source = fresh_answers[source_index]
-            if source is None or dup_row is None:
-                dup_replays.append((request, ServiceOverloadedError(
+        for i, source in dups:
+            # The copy of a shed source has no row of its own.
+            copied = next(copy_outcomes) if source in row_of else None
+            answer = fresh_answers[source]
+            if copied is None or answer is None:
+                copied = ServiceOverloadedError(
                     "coalesced source release failed; retry"
-                )))
-                continue
-            outcome = outcomes[dup_row]
-            if not isinstance(outcome, Exception) and source.brownout_rung != "none":
-                outcome = replace(
-                    outcome,
-                    brownout_rung=source.brownout_rung,
-                    requested_spec=source.requested_spec,
                 )
-            dup_replays.append((request, outcome))
+            elif not isinstance(copied, Exception) and answer.brownout_rung != "none":
+                copied = replace(
+                    copied,
+                    brownout_rung=answer.brownout_rung,
+                    requested_spec=answer.requested_spec,
+                )
+            dup_replays.append((batch[i], copied))
         settled.extend(self._replayed(dup_replays))
         return settled
 
@@ -822,9 +889,7 @@ class ServingGateway:
             else 0.0
         )
         level = self.brownout.observe(OverloadSignals(
-            queue_fraction=min(
-                1.0, self._queue.qsize() / self.config.queue_depth
-            ),
+            queue_fraction=min(1.0, self.pending() / self.config.queue_depth),
             breaker_open_fraction=(
                 float(open_fraction_fn()) if open_fraction_fn else 0.0
             ),
@@ -860,28 +925,33 @@ class ServingGateway:
         Latencies are stamped now, as the dispatch resolves.
         """
         now = time.perf_counter()
-        latencies: List[float] = []
-        failed = replays = late = 0
-        for request, outcome, replay in settled:
-            if self.admission is not None:
+        if self.admission is not None:
+            for request, _, _ in settled:
                 self.admission.release(request.consumer, request.admitted_price)
-            if isinstance(outcome, Exception):
-                failed += 1
-                continue
-            replays += replay
-            if request.deadline is not None and request.deadline.expired():
-                # Invariant detector, not control flow: dispatch checks
-                # and broker-side deadline checkpoints should make this
-                # impossible; the overload drill asserts it stays zero.
-                late += 1
-            latencies.append(now - request.enqueued_at)
+        served = [
+            request for request, outcome, _ in settled
+            if not isinstance(outcome, Exception)
+        ]
+        failed = len(settled) - len(served)
+        replays = sum(replay for _, _, replay in settled)
         telemetry = self.telemetry
-        if late:
-            telemetry.inc("gateway.post_deadline_release", late)
+        if self.config.request_ttl is not None:
+            # Invariant detector, not control flow: dispatch checks and
+            # broker-side deadline checkpoints should make this
+            # impossible; the overload drill asserts it stays zero.
+            late = sum(
+                1 for request in served
+                if cast(Deadline, request.deadline).expired()
+            )
+            if late:
+                telemetry.inc("gateway.post_deadline_release", late)
         if replays:
             telemetry.inc("gateway.cache_replays", replays)
-        if latencies:
-            telemetry.inc("gateway.served", len(latencies))
-            telemetry.observe_many("gateway.latency_s", latencies)
+        if served:
+            telemetry.inc("gateway.served", len(served))
+            telemetry.observe_many(
+                "gateway.latency_s",
+                [now - request.enqueued_at for request in served],
+            )
         if failed:
             telemetry.inc("gateway.failed", failed)

@@ -24,9 +24,11 @@ change must preserve.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
+import queue
 import threading
 import time
 from collections import deque
@@ -37,6 +39,7 @@ from repro.core.query import AccuracySpec
 from repro.errors import RateLimitedError, ServiceOverloadedError
 from repro.iot.runtime import EventScheduler
 from repro.serving.gateway import ServingGateway
+from repro.serving.telemetry import Histogram
 
 __all__ = [
     "Workload",
@@ -116,6 +119,10 @@ class LoadgenResult:
     revenue: float
     expected_epsilon: float
     expected_revenue: float
+    #: Open loop: the 99th percentile of how late the generator sent an
+    #: arrival after its scheduled time (0 in a closed loop, which has no
+    #: schedule).
+    lateness_p99_ms: float = 0.0
 
     @property
     def epsilon_drift(self) -> float:
@@ -139,6 +146,7 @@ class LoadgenResult:
             "throughput_qps": self.throughput_qps,
             "latency_p50_ms": self.latency_p50_ms,
             "latency_p99_ms": self.latency_p99_ms,
+            "lateness_p99_ms": self.lateness_p99_ms,
             "cache_hits": self.cache_hits,
             "cache_hit_rate": self.cache_hit_rate,
             "epsilon_spent": self.epsilon_spent,
@@ -292,8 +300,13 @@ def _result(
     tally: _Tally,
     duration: float,
     expected: Tuple[float, float],
+    latency: Optional[Histogram] = None,
+    lateness: Optional[Histogram] = None,
 ) -> LoadgenResult:
-    latency = gateway.telemetry.histogram("gateway.latency_s")
+    """The run's result; latencies come from ``latency`` (seconds), or
+    from the gateway's submit-to-result ``gateway.latency_s``."""
+    if latency is None:
+        latency = gateway.telemetry.histogram("gateway.latency_s")
     cache_hits = 0
     cache_hit_rate = 0.0
     if gateway.cache is not None:
@@ -317,6 +330,9 @@ def _result(
         revenue=revenue,
         expected_epsilon=expected[1],
         expected_revenue=expected[0],
+        lateness_p99_ms=(
+            0.0 if lateness is None else lateness.percentile(99.0) * 1e3
+        ),
     )
 
 
@@ -379,6 +395,12 @@ def run_open_loop(
     fire in FIFO order) and replayed against the wall clock.  Shed
     arrivals are *dropped*, not retried -- that is the open-loop contract
     -- so the drift audit covers only the requests actually admitted.
+
+    Each request's latency runs from its *scheduled* arrival to its
+    answer (stamped by a done-callback), not from the ``submit`` call:
+    when the sender falls behind its timeline, that wait is the
+    service's too, and leaving it out would hide it (coordinated
+    omission).  ``lateness_p99_ms`` reports how late the sender ran.
     """
     if rate_qps <= 0 or duration_s <= 0:
         raise ValueError("rate_qps and duration_s must be positive")
@@ -389,16 +411,26 @@ def run_open_loop(
     tally = _Tally()
     futures: List = []
     admitted: "List[Tuple[Tuple[float, float], AccuracySpec]]" = []
+    #: Per admitted request: its scheduled arrival; its answer's stamp
+    #: arrives on ``stamps``.
+    due: List[float] = []
+    stamps: "queue.SimpleQueue[Tuple[int, float]]" = queue.SimpleQueue()
+    #: Per arrival: how late it was sent.
+    late: List[float] = []
     if not gateway.running:
         gateway.start()
 
     scheduler = EventScheduler()
+    start = 0.0  # set when the timeline starts
 
     def make_arrival(index: int) -> Callable[[], None]:
         (low, high), spec = workload.request(index)
         consumer = f"loadgen-{index % consumers}"
+        offset = index / rate_qps
 
         def arrive() -> None:
+            scheduled = start + offset
+            late.append(max(time.perf_counter() - scheduled, 0.0))
             try:
                 future = gateway.submit_range(
                     low, high, spec.alpha, spec.delta, consumer=consumer
@@ -407,8 +439,10 @@ def run_open_loop(
                 with tally.lock:
                     tally.shed_retries += 1
                 return
+            future.add_done_callback(functools.partial(_stamp, stamps, len(futures)))
             futures.append(future)
             admitted.append(((low, high), spec))
+            due.append(scheduled)
 
         return arrive
 
@@ -423,21 +457,38 @@ def run_open_loop(
         if lag > 0:
             time.sleep(lag)
         scheduler.run(until=next_time)
-    for future in futures:
+    # A future's callbacks run after its waiters wake, so wait for the
+    # stamps themselves, not for the results.
+    answered = [0.0] * len(futures)
+    for _ in futures:
         try:
-            future.result(timeout=timeout)
-            with tally.lock:
-                tally.completed += 1
-        except Exception:
+            slot, stamp = stamps.get(timeout=timeout)
+        except queue.Empty:
+            break  # the rest count as failed
+        answered[slot] = stamp
+    latency, lateness = Histogram(), Histogram()
+    for scheduled, done, future in zip(due, answered, futures):
+        if done and future.exception() is None:
+            tally.completed += 1
+            latency.observe(done - scheduled)
+        else:
             gateway.telemetry.inc("loadgen.errors")
-            with tally.lock:
-                tally.failed += 1
+            tally.failed += 1
+    lateness.observe_many(late)
     duration = time.perf_counter() - start
     expected = expected_accounting(gateway, admitted)
     return _result(
         gateway, "open", consumers, total, tally, duration,
         (expected[0] + base_revenue, expected[1] + base_epsilon),
+        latency=latency, lateness=lateness,
     )
+
+
+def _stamp(
+    stamps: "queue.SimpleQueue[Tuple[int, float]]", slot: int, _future: object
+) -> None:
+    """Done-callback: when request ``slot`` got its answer."""
+    stamps.put((slot, time.perf_counter()))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ caching semantics, and load shedding."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import sys
 import threading
 import time
 
@@ -368,6 +370,129 @@ class TestLoadShedding:
         gateway = service.serve(config=PASSTHROUGH, admission=admission)
         assert admission.ledger is service.broker.ledger
         gateway.stop()
+
+
+class TestIntake:
+    """The request queue: a count-bounded inbox whose counters are
+    published once per dispatch."""
+
+    @staticmethod
+    def _dead_and_full(service):
+        """A started gateway whose only worker was killed, with a full
+        queue: two requests queued at ``queue_depth=2``."""
+        gateway = service.serve(
+            config=ServingConfig(queue_depth=2, enable_cache=False)
+        )
+        gateway.start()
+        gateway.kill_worker()
+        waited = time.monotonic() + 5.0
+        while gateway.alive_workers and time.monotonic() < waited:
+            time.sleep(0.001)
+        assert gateway.alive_workers == 0
+        futures = [
+            gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(2)
+        ]
+        return gateway, futures
+
+    @staticmethod
+    def _returns(call) -> bool:
+        """Whether ``call()`` returns within 5 s (run on its own thread)."""
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        return not thread.is_alive()
+
+    def test_stop_returns_when_every_worker_is_dead_and_the_queue_full(
+        self, service
+    ):
+        gateway, futures = self._dead_and_full(service)
+        assert self._returns(gateway.stop), "stop() blocked on the full queue"
+        assert all(f.done() and f.exception() is None for f in futures)
+        assert len(service.broker.ledger) == 2
+
+    def test_kill_worker_returns_when_the_queue_is_full(self, service):
+        gateway, futures = self._dead_and_full(service)
+        assert self._returns(gateway.kill_worker), "kill_worker() blocked"
+        gateway.spawn_worker()  # serves the queued requests, then takes the kill
+        assert self._returns(gateway.stop)
+        assert all(f.done() and f.exception() is None for f in futures)
+
+    def test_queue_depth_is_exact_under_concurrent_submitters(self, service):
+        depth, threads, each = 10, 8, 5
+        gateway = service.serve(
+            config=ServingConfig(queue_depth=depth, enable_cache=False)
+        )  # never started: nothing leaves the queue
+        start = threading.Barrier(threads)
+        queued, shed = [], []
+
+        def submitter(t: int) -> None:
+            start.wait(timeout=5.0)
+            for i in range(each):
+                low, high = RANGES[(t + i) % len(RANGES)]
+                try:
+                    queued.append(gateway.submit_range(
+                        low, high, ALPHA, DELTA, consumer=f"c{t}"
+                    ))
+                except ServiceOverloadedError:
+                    shed.append(t)
+
+        workers = [
+            threading.Thread(target=submitter, args=(t,), daemon=True)
+            for t in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(queued) == gateway.pending() == depth
+        assert len(shed) == threads * each - depth
+        assert gateway.telemetry.value("gateway.shed") == len(shed)
+        gateway.stop()
+        assert all(f.exception() is None for f in queued)
+        assert len(service.broker.ledger) == depth
+
+    def test_submitted_is_served_plus_failed_after_stop(self, service):
+        gateway = service.serve(
+            config=ServingConfig(batch_window=0.002, max_batch=4)
+        ).start()
+        futures = [
+            gateway.submit_range(*RANGES[i % 6], ALPHA, DELTA) for i in range(12)
+        ]
+        # A query for another dataset fails in the broker.
+        futures.append(gateway.submit(
+            RangeQuery(0.0, 50.0, dataset="elsewhere"), TIERS[0]
+        ))
+        gateway.stop()
+        assert futures[-1].exception() is not None
+        counters = gateway.snapshot()["counters"]
+        assert counters["gateway.submitted"] == 13
+        assert counters["gateway.served"] + counters["gateway.failed"] == 13
+        assert gateway.telemetry.value("gateway.submitted") == 13
+        assert gateway.telemetry.value("gateway.queue_depth") == 0
+
+    def test_snapshot_counts_queued_requests_not_yet_dispatched(self, service):
+        gateway = service.serve(config=PASSTHROUGH)  # never started
+        for low, high in RANGES[:3]:
+            gateway.submit_range(low, high, ALPHA, DELTA)
+        assert gateway.snapshot()["counters"]["gateway.submitted"] == 3
+        # The registry itself hears of them at the next dispatch.
+        assert gateway.telemetry.value("gateway.submitted") == 0
+        gateway.stop()
+        assert gateway.telemetry.value("gateway.submitted") == 3
+        assert gateway.snapshot()["counters"]["gateway.submitted"] == 3
+
+    def test_submit_returns_a_concurrent_future(self, service):
+        gateway = service.serve(config=PASSTHROUGH)
+        future = gateway.submit_range(0.0, 50.0, ALPHA, DELTA)
+        assert isinstance(future, concurrent.futures.Future)
+        gateway.stop()
+        assert future.result(timeout=0).value is not None
 
 
 class TestTelemetry:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -132,6 +133,32 @@ class TestOpenLoop:
         assert result.failed == 0
         assert abs(result.epsilon_drift) < 1e-6
         assert abs(result.revenue_drift) < 1e-6
+
+    def test_latency_counts_the_wait_of_a_stalled_sender(
+        self, service, workload, monkeypatch
+    ):
+        """Latency runs from each arrival's scheduled time: arrivals due
+        while the sender was stuck in a slow submit waited too."""
+        gateway = service.serve(config=ServingConfig(batch_window=0.001))
+        submit_range = gateway.submit_range
+        stalled = []
+
+        def slow_submit(*args, **kwargs):
+            if not stalled:  # the first arrival holds the sender 30 ms
+                stalled.append(True)
+                time.sleep(0.03)
+            return submit_range(*args, **kwargs)
+
+        monkeypatch.setattr(gateway, "submit_range", slow_submit)
+        with gateway:
+            result = run_open_loop(
+                gateway, workload, rate_qps=1000.0, duration_s=0.1
+            )
+        assert result.completed == 100
+        # About 29 of the 100 arrivals were sent up to 29 ms late.
+        assert result.lateness_p99_ms >= 20.0
+        assert result.latency_p99_ms >= 20.0
+        assert result.to_payload()["lateness_p99_ms"] == result.lateness_p99_ms
 
     def test_rejects_nonpositive_rate(self, service, workload):
         with service.serve() as gateway:
