@@ -25,7 +25,10 @@ the same path:
   pays whatever its width);
 * gateway against kernel at width 64: a started ``ServingGateway``
   whose batches close full at 64 requests, timed from the first
-  ``submit`` to the last answer, against the direct ``answer_batch``.
+  ``submit`` to the last answer, against the direct ``answer_batch``;
+  and the objects the cyclic garbage collector tracks per pending
+  request (the ``gc.get_objects()`` count added by 64 requests queued on
+  a gateway that never starts, then cancelled untraded).
 
 Results go to ``benchmarks/results/BENCH_kernel.json`` and
 ``kernel.txt``.  Set ``REPRO_BENCH_SMOKE=1`` for a short run (CI's
@@ -34,6 +37,7 @@ bench-smoke job); nothing here asserts a timing.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import defaultdict
@@ -208,6 +212,23 @@ def test_kernel_dispatch_cost_per_row(
         GATEWAY_DISPATCHES
     )
 
+    # What a pending request holds for the cyclic collector: a batch of
+    # requests queued on a gateway that never starts, counted while they
+    # wait, then cancelled so stop() drains them untraded.
+    idle = ServingGateway(
+        broker, config=ServingConfig(max_batch=WIDTH, enable_cache=False)
+    )
+    pending: list = []
+    gc.collect()
+    tracked = len(gc.get_objects())
+    for query, spec, consumer in through_gateway[:WIDTH]:
+        pending.append(idle.submit(query, spec, consumer=consumer))
+    tracked = len(gc.get_objects()) - tracked
+    for future in pending:
+        future.cancel()
+    idle.stop()
+    assert idle.telemetry.value("gateway.cancelled") == WIDTH
+
     per_row = {"intake": dispatched["intake"] / traded * 1e6}
     per_row.update(
         (stage, dispatched[stage] / traded * 1e6) for stage in STAGES
@@ -231,6 +252,7 @@ def test_kernel_dispatch_cost_per_row(
             "gateway_us_per_row": gateway_s / len(through_gateway) * 1e6,
             "submit_us_per_row": submit_s / len(through_gateway) * 1e6,
             "kernel_us_per_row": dispatched["answer_batch"] / traded * 1e6,
+            "gc_objects_per_pending_request": tracked / WIDTH,
         },
     }
     save_json("kernel", results)
@@ -253,6 +275,8 @@ def test_kernel_dispatch_cost_per_row(
         f"{results['gateway_vs_kernel']['gateway_us_per_row']:.2f} us/row "
         f"(submit {results['gateway_vs_kernel']['submit_us_per_row']:.2f}), "
         f"kernel alone {results['gateway_vs_kernel']['kernel_us_per_row']:.2f}",
+        f"  gc-tracked objects per pending request: "
+        f"{results['gateway_vs_kernel']['gc_objects_per_pending_request']:.2f}",
     ]
     save_result("kernel", "\n".join(lines))
     assert all(value >= 0.0 for value in per_row.values()) or pytest.fail(

@@ -55,6 +55,20 @@ batch off the queued count and publishes ``gateway.submitted`` and
 ``gateway.queue_depth`` (counters kept locally, merged when read:
 :meth:`ServingGateway.snapshot` adds any count not yet published), then
 builds cache keys, coalescing and broker rows column by column.
+
+Each request is its own :class:`concurrent.futures.Future`, and every
+request of a gateway shares the gateway's one condition instead of
+building a lock of its own.  Futures are claimed and resolved once per
+dispatch under that condition: taking a batch claims all its requests at
+once (a request cancelled while queued leaves the batch there, before any
+data is touched: never billed, no ε spent, its admission reservation
+released, counted in ``gateway.cancelled``), and settling a dispatch sets
+every outcome, in settlement order, in one acquisition with one
+``notify_all``.  Done-callbacks then run in the same order, still under
+the dispatch lock, after every book and metric of the dispatch is
+written.  Because one condition wakes every waiter of the gateway,
+``result()`` and ``exception()`` wait on a predicate (this future
+settled), never on a bare wake-up.
 """
 
 from __future__ import annotations
@@ -64,6 +78,15 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+# The stdlib's future states; stable since Python 3.2, and pinned by the
+# gateway's future-contract tests.
+from concurrent.futures._base import (
+    CANCELLED,
+    CANCELLED_AND_NOTIFIED,
+    FINISHED,
+    PENDING,
+    RUNNING,
+)
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (
@@ -171,31 +194,44 @@ class ServingConfig:
             raise ValueError("request_ttl must be positive (or None)")
 
 
-class _Request:
-    """One admitted request on its way to a dispatch."""
+#: States in which a future's outcome is fixed: ``result()`` no longer waits.
+_SETTLED = frozenset((CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED))
 
-    __slots__ = (
-        "query",
-        "spec",
-        "consumer",
-        "future",
-        "enqueued_at",
-        "deadline",
-        "admitted_price",
-    )
+
+class _Request(Future[PrivateAnswer]):
+    """One admitted request on its way to a dispatch, and its own future.
+
+    A stock :class:`~concurrent.futures.Future` whose lock is the
+    gateway's one condition: the gateway claims and resolves its requests
+    a dispatch at a time under that condition (see the module docstring).
+    Only the waits are overridden, because a shared condition wakes every
+    waiter at each dispatch; everything else is the stdlib's.
+    """
+
+    # Stdlib internals the type stubs leave out.
+    _done_callbacks: "List[Callable[[Future[PrivateAnswer]], object]]"
+    _invoke_callbacks: Callable[[], None]
 
     def __init__(
         self,
+        condition: threading.Condition,
         query: RangeQuery,
         spec: AccuracySpec,
         consumer: str,
         admitted_price: float,
         deadline: Optional[Deadline],
     ) -> None:
+        # Future.__init__ would build a Condition per request; the
+        # gateway's shared one stands in for it.
+        self._condition = condition
+        self._state = PENDING  # guarded-by: _condition
+        self._result = None  # guarded-by: _condition
+        self._exception = None  # guarded-by: _condition
+        self._waiters = []  # guarded-by: _condition
+        self._done_callbacks = []  # guarded-by: _condition
         self.query = query
         self.spec = spec
         self.consumer = consumer
-        self.future: "Future[PrivateAnswer]" = Future()
         self.enqueued_at = time.perf_counter()
         #: the quote reserved with admission at submit time (0.0 without
         #: admission); released verbatim on finish/fail so a
@@ -203,6 +239,35 @@ class _Request:
         #: reservation.
         self.admitted_price = admitted_price
         self.deadline = deadline
+
+    @property
+    def future(self) -> "_Request":
+        """The request's future: the request itself."""
+        return self
+
+    def result(self, timeout: Optional[float] = None) -> PrivateAnswer:
+        self._wait(timeout)
+        return super().result(0)
+
+    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
+        self._wait(timeout)
+        return super().exception(0)
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Block until this future settles or ``timeout`` passes.
+
+        The condition is the gateway's, so a wake-up may be another
+        dispatch's: wait on the predicate, not on one notification.
+        """
+        # Benign race: a lock-free fast-path read.  A settled state never
+        # changes again; a stale unsettled read just takes the lock.
+        if self._state in _SETTLED:  # repro-lint: disable=RL003
+            return
+        with self._condition:
+            self._condition.wait_for(self._settled, timeout)
+
+    def _settled(self) -> bool:  # holds: _condition
+        return self._state in _SETTLED
 
 
 #: A dispatched request, its outcome, and whether it was served as a replay.
@@ -298,6 +363,12 @@ class ServingGateway:
         #: Admitted requests not yet counted in ``gateway.submitted``;
         #: each dispatch publishes them, and :meth:`snapshot` adds them.
         self._unpublished = 0  # guarded-by: _intake_lock
+        #: The one condition of every request future of this gateway; it
+        #: guards each request's future state (see ``_Request.__init__``).
+        #: An ``RLock`` underneath, since ``concurrent.futures.wait`` takes
+        #: it once per future.  A dispatch takes it once to claim its
+        #: batch and once to resolve it.
+        self._condition = threading.Condition()
         self._dispatch_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._threads: List[threading.Thread] = []  # guarded-by: _state_lock
@@ -465,9 +536,9 @@ class ServingGateway:
         deadline: Optional[Deadline] = None
         if self.config.request_ttl is not None:
             deadline = Deadline.after(self.config.request_ttl, clock=self.clock)
-        request = _Request(query, spec, consumer, price, deadline)
+        request = _Request(self._condition, query, spec, consumer, price, deadline)
         self._inbox.put(request)
-        return request.future
+        return request
 
     def submit_range(
         self,
@@ -614,6 +685,9 @@ class ServingGateway:
 
     def _dispatch(self, batch: "List[_Request]") -> None:
         self._take(len(batch))
+        batch = self._claim(batch)
+        if not batch:
+            return
         with self._dispatch_lock:
             started = time.perf_counter()
             settled = self._dispatch_locked(batch)
@@ -623,11 +697,54 @@ class ServingGateway:
             )
             # Every book and metric of the dispatch is written before any
             # caller sees its answer; futures resolve in settlement order.
+            self._resolve(settled)
+
+    def _claim(self, batch: "List[_Request]") -> "List[_Request]":
+        """Take a batch's futures into a dispatch, under one acquisition.
+
+        The stdlib's ``set_running_or_notify_cancel``, once per batch: a
+        pending request starts running (``cancel()`` now fails); one
+        cancelled while queued is marked notified, its ``wait()`` and
+        ``as_completed()`` waiters are told, and it leaves the batch
+        before any data is touched -- never billed, no ε spent, its
+        admission reservation released.
+        """
+        claimed: List[_Request] = []
+        cancelled: List[_Request] = []
+        with self._condition:
+            for request in batch:
+                if request._state == PENDING:
+                    request._state = RUNNING
+                    claimed.append(request)
+                else:  # cancelled while queued
+                    request._state = CANCELLED_AND_NOTIFIED
+                    for waiter in request._waiters:
+                        waiter.add_cancelled(request)
+                    cancelled.append(request)
+        if cancelled:
+            if self.admission is not None:
+                for request in cancelled:
+                    self.admission.release(request.consumer, request.admitted_price)
+            self.telemetry.inc("gateway.cancelled", len(cancelled))
+        return claimed
+
+    def _resolve(self, settled: "List[_Settled]") -> None:
+        """Set every outcome of a dispatch under one acquisition and one
+        ``notify_all``, then run the done-callbacks in settlement order."""
+        with self._condition:
             for request, outcome, _ in settled:
+                request._state = FINISHED
                 if isinstance(outcome, Exception):
-                    request.future.set_exception(outcome)
+                    request._exception = outcome
+                    for waiter in request._waiters:
+                        waiter.add_exception(request)
                 else:
-                    request.future.set_result(outcome)
+                    request._result = outcome
+                    for waiter in request._waiters:
+                        waiter.add_result(request)
+            self._condition.notify_all()
+        for request, _, _ in settled:
+            request._invoke_callbacks()
 
     def _dispatch_locked(self, batch: "List[_Request]") -> "List[_Settled]":
         """Serve one batch: each request with its outcome, in resolution

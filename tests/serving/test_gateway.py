@@ -495,6 +495,257 @@ class TestIntake:
         assert future.result(timeout=0).value is not None
 
 
+class TestCancellation:
+    """A request cancelled while queued leaves its batch when a dispatch
+    claims it: never billed, no ε spent, its reservation released."""
+
+    @staticmethod
+    def _three_with_the_middle_cancelled(service):
+        admission = AdmissionController()
+        gateway = service.serve(config=PASSTHROUGH, admission=admission)
+        price = service.broker.quote(TIERS[0])
+        # Room for exactly three purchases: a reservation left behind by
+        # the cancelled request would refuse the third.
+        admission.register("alice", deposit=3 * price)
+        futures = [
+            gateway.submit_range(*RANGES[i], ALPHA, DELTA, consumer="alice")
+            for i in range(3)
+        ]
+        assert futures[1].cancel()
+        return gateway, admission, price, futures
+
+    @staticmethod
+    def _twin_books(batches):
+        """Books of a twin stack that traded only ``batches`` of ranges."""
+        twin = build_service()
+        for batch in batches:
+            twin.broker.answer_batch(
+                [RangeQuery(*RANGES[i], dataset=twin.broker.dataset) for i in batch],
+                [TIERS[0]] * len(batch),
+                consumer="alice",
+            )
+        return twin
+
+    @staticmethod
+    def _assert_same_books(service, twin):
+        broker = service.broker
+        assert broker.ledger.transactions == twin.broker.ledger.transactions
+        assert broker.accountant.history(broker.dataset) == (
+            twin.broker.accountant.history(twin.broker.dataset)
+        )
+
+    @staticmethod
+    def _assert_counts_add_up(gateway, cancelled):
+        counters = gateway.snapshot()["counters"]
+        assert counters.get("gateway.cancelled", 0) == cancelled
+        assert counters["gateway.submitted"] == (
+            counters.get("gateway.served", 0)
+            + counters.get("gateway.failed", 0)
+            + cancelled
+        )
+
+    def test_a_started_worker_skips_it_and_stays_alive(self, service):
+        gateway, admission, price, futures = self._three_with_the_middle_cancelled(
+            service
+        )
+        gateway.start()
+        for i in (0, 2):
+            assert futures[i].result(timeout=10.0).value is not None
+        assert futures[1].cancelled() and futures[1].done()
+        with pytest.raises(concurrent.futures.CancelledError):
+            futures[1].result(timeout=0)
+        assert gateway.alive_workers == 1
+        # The worker serves later requests, and the released reservation
+        # leaves room in the deposit for a third purchase.
+        fourth = gateway.submit_range(*RANGES[3], ALPHA, DELTA, consumer="alice")
+        assert fourth.result(timeout=10.0).value is not None
+        gateway.stop()
+        self._assert_same_books(service, self._twin_books([(0, 2), (3,)]))
+        self._assert_counts_add_up(gateway, cancelled=1)
+
+    def test_stop_drain_skips_it(self, service):
+        gateway, admission, price, futures = self._three_with_the_middle_cancelled(
+            service
+        )
+        gateway.stop()  # never started: the drain dispatches the queue
+        assert all(futures[i].result(timeout=0).value is not None for i in (0, 2))
+        assert futures[1].cancelled()
+        admission.admit("alice", price)  # the reservation was released
+        self._assert_same_books(service, self._twin_books([(0, 2)]))
+        self._assert_counts_add_up(gateway, cancelled=1)
+
+    def test_a_batch_of_only_cancelled_requests_touches_nothing(self, service):
+        gateway = service.serve(config=PASSTHROUGH)
+        futures = [gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(2)]
+        assert all(future.cancel() for future in futures)
+        gateway.stop()
+        assert all(future.cancelled() for future in futures)
+        assert len(service.broker.ledger) == 0
+        assert gateway.telemetry.value("gateway.broker_calls") == 0
+        self._assert_counts_add_up(gateway, cancelled=2)
+
+
+    def test_cancels_racing_claims_under_concurrent_submitters(self, service):
+        """Every ``cancel()`` that returns True is a request dropped
+        untraded; every other request is served: a lost state update on
+        the shared condition breaks one of the counts."""
+        threads, each = 4, 24
+        gateway = service.serve(
+            config=ServingConfig(batch_window=0.001, max_batch=8, enable_cache=False)
+        ).start()
+        start = threading.Barrier(threads)
+        futures, cancelled = [], []
+        lock = threading.Lock()
+
+        def submitter(t: int) -> None:
+            start.wait(timeout=5.0)
+            for i in range(each):
+                future = gateway.submit_range(
+                    *RANGES[(t + i) % len(RANGES)], ALPHA, DELTA, consumer=f"c{t}"
+                )
+                won = i % 2 == 1 and future.cancel()
+                with lock:
+                    futures.append(future)
+                    if won:
+                        cancelled.append(future)
+
+        workers = [
+            threading.Thread(target=submitter, args=(t,), daemon=True)
+            for t in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        gateway.stop()
+        assert all(future.done() for future in futures)
+        assert {f for f in futures if f.cancelled()} == set(cancelled)
+        served = [f for f in futures if not f.cancelled()]
+        assert all(f.exception(timeout=0) is None for f in served)
+        assert len(service.broker.ledger) == len(served)
+        self._assert_counts_add_up(gateway, cancelled=len(cancelled))
+
+
+class TestFutureContract:
+    """The gateway's futures behave as stock ``concurrent.futures``
+    futures, although they share one condition per gateway."""
+
+    def test_wait_first_and_all_completed(self, service):
+        gateway = service.serve(config=PASSTHROUGH)  # started below
+        futures = [gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(3)]
+        starter = threading.Timer(0.05, gateway.start)
+        starter.start()
+        first = concurrent.futures.wait(
+            futures, timeout=10.0, return_when=concurrent.futures.FIRST_COMPLETED
+        )
+        assert first.done
+        every = concurrent.futures.wait(
+            futures, timeout=10.0, return_when=concurrent.futures.ALL_COMPLETED
+        )
+        assert every.done == set(futures) and not every.not_done
+        starter.join()
+        gateway.stop()
+
+    def test_as_completed_hears_of_a_cancellation_at_the_claim(self, service):
+        gateway = service.serve(config=PASSTHROUGH)
+        futures = [gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(3)]
+
+        def cancel_then_start() -> None:
+            futures[1].cancel()
+            gateway.start()
+
+        starter = threading.Timer(0.05, cancel_then_start)
+        starter.start()
+        # as_completed waits on all three from before the cancel: only
+        # the claim's notice lets it yield the cancelled one.
+        assert set(concurrent.futures.as_completed(futures, timeout=10.0)) == set(
+            futures
+        )
+        starter.join()
+        gateway.stop()
+        assert futures[1].cancelled()
+
+    def test_done_callbacks_before_and_after_completion(self, service):
+        gateway = service.serve(config=PASSTHROUGH)
+        future = gateway.submit_range(*RANGES[0], ALPHA, DELTA)
+        before, after = [], []
+        future.add_done_callback(before.append)
+        assert not before
+        gateway.stop()
+        assert before == [future]
+        future.add_done_callback(after.append)  # runs at once, here
+        assert after == [future]
+
+    def test_states_and_cancel_once_claimed(self, service, monkeypatch):
+        gateway = service.serve(config=PASSTHROUGH)
+        futures = [gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(2)]
+        assert [(f.done(), f.running(), f.cancelled()) for f in futures] == [
+            (False, False, False)
+        ] * 2
+        seen = []
+        answer_batch = service.broker.answer_batch
+
+        def observing(*args, **kwargs):
+            # Mid-dispatch: both requests are claimed and cannot cancel.
+            seen.append([(f.running(), f.cancel(), f.done()) for f in futures])
+            return answer_batch(*args, **kwargs)
+
+        monkeypatch.setattr(service.broker, "answer_batch", observing)
+        gateway.stop()
+        assert seen == [[(True, False, False)] * 2]
+        assert [(f.done(), f.running(), f.cancelled()) for f in futures] == [
+            (True, False, False)
+        ] * 2
+        assert all(f.cancel() is False for f in futures)
+
+    def test_a_wait_outlives_an_earlier_dispatchs_wake_up(
+        self, service, monkeypatch
+    ):
+        """One condition wakes every waiter at each dispatch: a caller
+        waiting on a later dispatch's future must not time out early."""
+        gateway = service.serve(
+            config=ServingConfig(batch_window=0.0, max_batch=1, enable_cache=False)
+        )
+        early, late = (gateway.submit_range(*RANGES[i], ALPHA, DELTA) for i in range(2))
+        release_late = threading.Event()
+        calls = []
+        answer_batch = service.broker.answer_batch
+
+        def holding_the_second(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                release_late.wait(timeout=10.0)
+            return answer_batch(*args, **kwargs)
+
+        monkeypatch.setattr(service.broker, "answer_batch", holding_the_second)
+        outcome = []
+
+        def wait_late() -> None:
+            try:
+                outcome.append(late.result(timeout=10.0))
+            except Exception as exc:  # a spurious TimeoutError lands here
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=wait_late, daemon=True)
+        waiter.start()
+        time.sleep(0.05)  # let the waiter block on the shared condition
+        gateway.start()
+        assert early.result(timeout=10.0).value is not None
+        time.sleep(0.05)  # the early notify_all has reached the waiter
+        assert not outcome, f"woken early with {outcome!r}"
+        release_late.set()
+        waiter.join(timeout=10.0)
+        gateway.stop()
+        assert len(outcome) == 1 and not isinstance(outcome[0], Exception)
+        assert late.exception(timeout=0) is None
+
+
 class TestTelemetry:
     def test_snapshot_covers_gateway_broker_and_cache(self, service):
         with service.serve() as gateway:
