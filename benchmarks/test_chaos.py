@@ -83,10 +83,13 @@ def test_journal_overhead_and_chaos_acceptance(
     # deltas, which swing +-20% at these (tens of ms) scales.  The
     # twin-stack wall times are still reported, unasserted.
     def build(journal=None):
+        """A stack journaling into ``journal`` (the broker's own
+        in-memory journal by default)."""
         service = PrivateRangeCountingService.from_values(
             values, k=DEVICE_COUNT, seed=3
         )
-        service.broker.journal = journal
+        if journal is not None:
+            service.broker.journal = journal
         return service
 
     class TimedJournal(TradeJournal):
@@ -106,7 +109,7 @@ def test_journal_overhead_and_chaos_acceptance(
     )
 
     baseline_s = min(
-        _timed_batches(build(journal=None), ranges) for _ in range(REPEATS)
+        _timed_batches(build(), ranges) for _ in range(REPEATS)
     )
     timed_file = None
     for repeat in range(REPEATS):
@@ -157,7 +160,7 @@ def test_journal_overhead_and_chaos_acceptance(
     lines = [
         "chaos / durability benchmark",
         f"  batched trades timed      {trades_timed}",
-        f"  baseline (no journal)     {baseline_s:.4f}s",
+        f"  baseline (memory journal) {baseline_s:.4f}s",
         f"  in-memory journal         {memory_s:.4f}s "
         f"(in-situ overhead {overhead_pct:+.2f}%)",
         f"  file-backed journal       {file_s:.4f}s "

@@ -413,9 +413,9 @@ class ChaosHarness:
 
         txn_epsilon: "Dict[int, float]" = {}
         txn_price: "Dict[int, float]" = {}
-        for txn in broker.ledger.snapshot()["transactions"]:
-            txn_epsilon[txn["transaction_id"]] = txn["epsilon_prime"]
-            txn_price[txn["transaction_id"]] = txn["price"]
+        for txn in broker.ledger.transactions:
+            txn_epsilon[txn.transaction_id] = txn.epsilon_prime
+            txn_price[txn.transaction_id] = txn.price
 
         resolved.sort(key=lambda pair: pair[0].step)
         released_epsilon = sum(
@@ -468,13 +468,7 @@ class ChaosHarness:
                 f"{expected_epsilon!r}; revenue {revenue!r} vs expected "
                 f"{expected_revenue!r}"
             )
-        recovered_ledger, recovered_accountant = recover_accounting(
-            self.journal, capacity=broker.accountant.capacity
-        )
-        final_exact = books_equal(
-            recovered_ledger, recovered_accountant,
-            broker.ledger, broker.accountant,
-        )
+        final_exact = books_equal(recover_accounting(self.journal, broker), broker)
         if not final_exact:
             inv_drift = False
             failures.append(

@@ -17,11 +17,10 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.chaos.schedule import FaultEvent
+from repro.core.settlement import Books
 from repro.durability.journal import TradeJournal
 from repro.durability.recovery import recover_accounting
 from repro.iot.channel import BurstChannel, Channel
-from repro.pricing.ledger import BillingLedger
-from repro.privacy.budget import BudgetAccountant
 from repro.serving.gateway import ServingGateway
 
 __all__ = ["FaultInjector", "books_equal"]
@@ -32,26 +31,23 @@ __all__ = ["FaultInjector", "books_equal"]
 SLOW_SHARD_LATENCY_S = 0.05
 
 
-def books_equal(
-    ledger_a: BillingLedger,
-    accountant_a: BudgetAccountant,
-    ledger_b: BillingLedger,
-    accountant_b: BudgetAccountant,
-) -> bool:
-    """Whether two (ledger, accountant) pairs hold bit-identical accounting.
+def books_equal(a: Books, b: Books) -> bool:
+    """Whether two brokers (or recovered books) hold bit-identical books.
 
-    Compares the transaction logs (ids included), the next transaction
-    id, and the accountant's per-dataset spend history.  Exact float
-    equality is intentional: recovery promises *bit-identical* books, not
-    approximately-equal ones.  Journal high-water marks are bookkeeping
-    of the recovery machinery itself and are excluded.
+    Compares the transaction logs (ids included), the accountant's
+    per-dataset spend history and the policy's per-consumer counters
+    (ε′ released, purchases).  Exact float equality is intentional:
+    recovery promises *bit-identical* books, not approximately-equal
+    ones.  Caps are configuration, not books, and are not compared.
     """
-    snap_a, snap_b = ledger_a.snapshot(), ledger_b.snapshot()
-    if snap_a["transactions"] != snap_b["transactions"]:
-        return False
-    if snap_a["next_transaction_id"] != snap_b["next_transaction_id"]:
-        return False
-    return accountant_a.snapshot()["spent"] == accountant_b.snapshot()["spent"]
+    def books(x: Books) -> Tuple[Any, ...]:
+        return (
+            x.ledger.transactions,
+            {d: x.accountant.history(d) for d in x.accountant.datasets()},
+            {} if x.policy is None else x.policy.counters(),
+        )
+
+    return books(a) == books(b)
 
 
 class FaultInjector:
@@ -152,31 +148,25 @@ class FaultInjector:
     def _crash_broker(self, event: FaultEvent) -> None:
         """Crash the broker's books and rebuild them from the journal.
 
-        Under ``gateway.quiesce()`` (no trade mid-charge): recover a
-        fresh (ledger, accountant) pair from the journal, verify it is
-        bit-identical to the live pair, then *swap it in* — the broker
-        continues on the recovered books, so any recovery inexactness
-        surfaces as drift in the end-of-run audit as well as in the
-        ``recoveries_exact`` verdicts.
+        Under ``gateway.quiesce()`` (no trade mid-charge): recover fresh
+        books (ledger, accountant, policy) from the journal, verify they
+        are bit-identical to the live ones, then *swap them in* — the
+        broker continues on the recovered books, so any recovery
+        inexactness surfaces as drift in the end-of-run audit as well as
+        in the ``recoveries_exact`` verdicts.
         """
         broker = self.gateway.broker
         started = time.perf_counter()
         with self.gateway.quiesce():
-            ledger, accountant = recover_accounting(
-                self.journal, capacity=broker.accountant.capacity
-            )
-            exact = books_equal(
-                ledger, accountant, broker.ledger, broker.accountant
-            )
-            self.recoveries_exact.append(exact)
+            recovered = recover_accounting(self.journal, broker)
+            self.recoveries_exact.append(books_equal(recovered, broker))
             old_ledger = broker.ledger
-            broker.ledger = ledger
-            broker.accountant = accountant
+            broker.ledger, broker.accountant, broker.policy = recovered
             if (
                 self.gateway.admission is not None
                 and self.gateway.admission.ledger is old_ledger
             ):
-                self.gateway.admission.ledger = ledger
+                self.gateway.admission.ledger = recovered.ledger
         self.telemetry.observe(
             "chaos.recovery_latency_s", time.perf_counter() - started
         )

@@ -39,8 +39,8 @@ __all__ = ["OverloadReport", "OverloadHarness"]
 
 #: Exact-match tolerance for per-answer float comparisons.  Delivered
 #: specs are produced by one arithmetic path and re-checked through the
-#: same expressions, so equality is exact; this guards only repr/float64
-#: round-trips through ledger snapshots.
+#: same expressions, so equality is exact; this guards only float64
+#: round-trips through the ledger's columns.
 _EXACT_TOL = 0.0
 
 
@@ -132,8 +132,8 @@ class OverloadHarness(ChaosHarness):
         # Invariant 5: per-answer rung honesty against the ledger.
         inv_honesty = True
         txns: "Dict[int, Dict[str, Any]]" = {
-            txn["transaction_id"]: txn
-            for txn in self.gateway.broker.ledger.snapshot()["transactions"]
+            txn.transaction_id: vars(txn)
+            for txn in self.gateway.broker.ledger.transactions
         }
         rung_counts: "Dict[str, int]" = {}
         for entry, answer in resolved:

@@ -80,6 +80,7 @@ from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import Batch, open_batch
 from repro.datasets.partition import ShardBand
+from repro.durability.journal import TradeJournal
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator, RankIndex
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
@@ -96,7 +97,6 @@ from repro.resilience.deadline import (
 from repro.resilience.hedging import HedgePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.durability.journal import TradeJournal
     from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["ClusterAnswer", "ClusterBroker"]
@@ -354,10 +354,11 @@ class ClusterBroker(Trading):
     replica_confidence: float = 0.9
     monitor: Optional[ShardHealthMonitor] = None
     telemetry: "Optional[MetricsRegistry]" = None
-    #: Optional :class:`~repro.durability.journal.TradeJournal`; when set,
-    #: every trade is journaled *before* the pooled answer is
-    #: released or the cluster books mutate (journal-before-release).
-    journal: "Optional[TradeJournal]" = None
+    #: The write-ahead :class:`~repro.durability.journal.TradeJournal`
+    #: (in memory unless a file-backed one is assigned): every trade is
+    #: journaled *before* the pooled answer is released or the cluster
+    #: books mutate (journal-before-release).
+    journal: TradeJournal = field(default_factory=TradeJournal)
     #: Optional per-shard circuit breakers
     #: (:class:`~repro.cluster.health.ShardBreakerBoard`).  An open
     #: breaker routes that shard's sample reads through the bypass lane

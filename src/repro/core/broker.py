@@ -65,6 +65,7 @@ from repro.core.settlement import (
     open_batch,
     release_batch,
 )
+from repro.durability.journal import TradeJournal
 from repro.errors import InfeasiblePlanError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator, RankIndex
@@ -77,7 +78,6 @@ from repro.privacy.optimizer import PrivacyPlan
 from repro.resilience.deadline import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
-    from repro.durability.journal import TradeJournal
     from repro.serving.telemetry import MetricsRegistry
 
 __all__ = [
@@ -390,12 +390,13 @@ class DataBroker(Trading):
     #: ``broker.*``.  Duck-typed (no serving import) to keep the core
     #: layer dependency-free.
     telemetry: "Optional[MetricsRegistry]" = None
-    #: Optional :class:`~repro.durability.journal.TradeJournal`; when set,
-    #: every trade is journaled *before* the answer is released or any
-    #: accounting state mutates (journal-before-release), so
+    #: The write-ahead :class:`~repro.durability.journal.TradeJournal`
+    #: (in memory unless a file-backed one is assigned): every trade is
+    #: journaled *before* the answer is released or any accounting state
+    #: mutates (journal-before-release), so
     #: :func:`~repro.durability.recovery.recover_accounting` can rebuild
     #: the exact books after a crash.
-    journal: "Optional[TradeJournal]" = None
+    journal: TradeJournal = field(default_factory=TradeJournal)
 
     def __post_init__(self) -> None:
         # Memo of optimizer runs: the grid search is a pure function of

@@ -20,7 +20,7 @@ charges nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -189,3 +189,11 @@ class BrokerPolicy:
     def purchases_by(self, consumer: str) -> int:
         """Number of completed purchases by one consumer."""
         return self._purchases.get(consumer, 0)
+
+    def counters(self) -> Dict[str, Tuple[float, int]]:
+        """Each consumer's ``(ε′ released, purchases)``, in first-purchase
+        order."""
+        return {
+            consumer: (self._epsilon_spent[consumer], purchases)
+            for consumer, purchases in self._purchases.items()
+        }

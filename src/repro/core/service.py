@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.broker import DataBroker
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
+from repro.core.settlement import post_record
 from repro.core.trading import Marketplace
 from repro.datasets.citypulse import CityPulseDataset
 from repro.datasets.partition import partition_even
@@ -36,6 +37,7 @@ from repro.iot.network import Network
 from repro.iot.topology import FlatTopology
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.variance_model import VarianceModel
+from repro.records import CHARGE, DispatchRecord
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
     from repro.serving.admission import AdmissionController
@@ -335,9 +337,12 @@ class PrivateRangeCountingService:
 
         if not (epsilon > 0 and 0.0 < min_rate <= 1.0):
             return
-        broker = self.broker
         rate = max(self.station.sampling_rate, min_rate)
-        epsilon_prime = amplified_epsilon(epsilon, rate)
+        self._check_affordable(amplified_epsilon(epsilon, rate))
+
+    def _check_affordable(self, epsilon_prime: float) -> None:
+        """Raise unless the accountant can afford ``epsilon_prime``."""
+        broker = self.broker
         if not broker.accountant.can_afford(broker.dataset, epsilon_prime):
             raise PrivacyBudgetExceededError(
                 f"dataset {broker.dataset!r}: a release at ε′={epsilon_prime:.6g} "
@@ -346,32 +351,34 @@ class PrivateRangeCountingService:
             )
 
     def _charge(self, epsilon_prime: float, label: str, low: float, high: float) -> None:
-        """Journal, then charge, an ε′ spend made outside the trade path.
+        """Journal, then post, an ε′ spend made outside the trade path.
 
-        Journal-before-charge, as for every trade: a crash in between makes
-        recovery over-count ε, never under-count it.  A charge the
+        One ``charge`` row (never billed, no purchase) down the trades'
+        own write path: journal-before-charge, so a crash in between makes
+        recovery over-count ε, never under-count it, then
+        :func:`~repro.core.settlement.post_record`.  A charge the
         accountant would refuse journals nothing and raises
-        :class:`~repro.errors.PrivacyBudgetExceededError` from ``charge``.
+        :class:`~repro.errors.PrivacyBudgetExceededError`.
         """
         broker = self.broker
-        journal = broker.journal
-        if journal is not None and broker.accountant.can_afford(
-            broker.dataset, epsilon_prime
-        ):
-            journal.append(
-                kind="charge",
-                consumer="",
-                dataset=broker.dataset,
-                low=low,
-                high=high,
-                alpha=0.0,
-                delta=0.0,
-                epsilon_prime=epsilon_prime,
-                price=0.0,
-                store_version=self.station.store_version,
-                label=label,
-            )
-        broker.accountant.charge(broker.dataset, epsilon_prime, label=label)
+        self._check_affordable(epsilon_prime)
+        record = DispatchRecord(
+            kind=[CHARGE],
+            consumer=[0],
+            consumers=[""],
+            dataset=[0],
+            datasets=[broker.dataset],
+            low=[low],
+            high=[high],
+            alpha=[0.0],
+            delta=[0.0],
+            epsilon_prime=[epsilon_prime],
+            price=[0.0],
+            store_version=[self.station.store_version],
+            labels=[label],
+        )
+        broker.journal.append_many(record)
+        post_record(broker, record)
 
     def estimate_quantile(self, q: float, min_rate: float = 0.1) -> float:
         """Broker-internal ``q``-quantile estimate from the stored sample.

@@ -26,6 +26,12 @@ The charging half lives here, and the pipeline calls it:
    (journal-before-release), then hand the same record to the policy,
    the accountant(s) and the ledger, and assemble the answers.
 
+:func:`post_record` is the one write from a journaled record to the
+policy, the accountant and the ledger: live settlement, a histogram or
+quantile charge and crash recovery
+(:func:`~repro.durability.recovery.recover_accounting`) all post
+through it, so recovered books are the live books by construction.
+
 One call may serve many consumers: ``consumer`` is either one name for
 every row (the *strict* form, which raises on the first refusal) or one
 name per row, in which case each consumer's fresh rows are admitted
@@ -74,17 +80,17 @@ from repro.errors import (
     PrivacyBudgetExceededError,
 )
 from repro.pricing.functions import PricingFunction
-from repro.pricing.ledger import BillingLedger
+from repro.pricing.ledger import BillingLedger, Sales
 from repro.privacy.budget import BudgetAccountant
 from repro.privacy.optimizer import PrivacyPlan
 from repro.records import (
+    CHARGE,
     RELEASE,
     REPLAY,
     DispatchRecord,
     LabelColumn,
     codes_of,
     fold,
-    group_rows,
 )
 from repro.resilience.deadline import (
     Deadline,
@@ -105,6 +111,8 @@ __all__ = [
     "open_batch",
     "admit",
     "release_batch",
+    "Books",
+    "post_record",
 ]
 
 _A = TypeVar("_A", bound=PrivateAnswer)
@@ -126,21 +134,26 @@ class _Versioned(Protocol):
     def store_version(self) -> int: ...
 
 
-class Broker(Protocol):
-    """The books and metadata a broker hands the kernel."""
+class Books(Protocol):
+    """The three books a dispatch record is posted to (:func:`post_record`)."""
 
-    @property
-    def dataset(self) -> str: ...
     @property
     def policy(self) -> Optional[BrokerPolicy]: ...
     @property
     def accountant(self) -> BudgetAccountant: ...
     @property
     def ledger(self) -> BillingLedger: ...
+
+
+class Broker(Books, Protocol):
+    """The books and metadata a broker hands the kernel."""
+
+    @property
+    def dataset(self) -> str: ...
     @property
     def pricing(self) -> PricingFunction: ...
     @property
-    def journal(self) -> "Optional[TradeJournal]": ...
+    def journal(self) -> "TradeJournal": ...
     @property
     def telemetry(self) -> "Optional[MetricsRegistry]": ...
     @property
@@ -259,24 +272,46 @@ class WindowBooks:
     window_id: str
 
 
-def _policy(broker: Broker) -> BrokerPolicy:
-    policy = broker.policy
+def _policy(books: Books) -> BrokerPolicy:
+    policy = books.policy
     assert policy is not None, "brokers install a policy at construction"
     return policy
 
 
-def _journal_trades(
-    journal: "Optional[TradeJournal]", record: DispatchRecord
-) -> None:
-    """Commit trades to the write-ahead journal, pre-release.
+def post_record(books: Books, record: DispatchRecord) -> Sales:
+    """Write one journaled dispatch record into the books.
 
-    Runs before any policy, accountant or ledger write and before an
-    answer leaves the kernel: a crash after the append can only make
-    recovery *over*-count ε, never under-count it.  No-op when no journal
-    is attached.
+    The one write path from a record to the books: the kernel posts each
+    dispatch's record here right after the journal append, a histogram
+    or quantile spend posts its one ``charge`` row, and recovery posts
+    every journaled record, oldest first.  The policy settles every row
+    but a ``charge`` (a spend outside the trade path is no purchase),
+    the accountant is charged once per run of ε′-spending rows
+    (:meth:`~repro.records.DispatchRecord.charge_runs`) -- for the
+    kernel's records once per consumer group, the very fold
+    :func:`admit` checked, so an admitted group is never refused here --
+    and the ledger bills every row but a ``charge``.  Returns the new
+    sales.
     """
-    if journal is not None:
-        journal.append_many(record)
+    record.check(LedgerError)
+    billed = record
+    if record.kind.any():
+        sold = np.flatnonzero(record.kind != CHARGE)
+        if len(sold) < len(record):
+            billed = record.take(sold)
+    _policy(books).settle_many(billed)
+    accountant = books.accountant
+    charges: "List[Tuple[str, npt.NDArray[np.float64], Sequence[str]]]" = [
+        (record.datasets[code], record.epsilon_prime[rows], LabelColumn(record, rows))
+        for code, rows in record.charge_runs()
+    ]
+    # The first charge runs on every path: empty when every row is a
+    # replay (an empty charge books nothing under any key).
+    first, *rest = charges or [("", record.epsilon_prime[:0], ())]
+    accountant.charge_many(*first)
+    for dataset, epsilons, labels in rest:
+        accountant.charge_many(dataset, epsilons, labels)
+    return books.ledger.record_many(billed)
 
 
 def _check_deadlines(batch: Batch, stage: str) -> None:
@@ -620,13 +655,13 @@ def release_batch(
     :meth:`Batch.settlement_order`, and every book takes that record
     whole, with per-entry contents identical to one-at-a-time trading:
     the journal appends it first (and, for streaming, every epoch charge
-    is logged to the window log), then the policy settles it, the
-    accountant -- and each live epoch ledger -- is charged, and the
-    ledger records one sale per row.  The accountant and each live epoch
-    ledger are charged once per consumer group, with the very fold
-    :func:`admit` checked, so a group admitted there is never refused
-    here, after its trades are journaled.  Returns one outcome per row,
-    in row order: its answer, or the error that refused it.
+    is logged to the window log), :func:`post_record` writes it into the
+    policy, the accountant and the ledger, and each live epoch ledger is
+    charged.  The accountant and each live epoch ledger are charged once
+    per consumer group, with the very fold :func:`admit` checked, so a
+    group admitted there is never refused here, after its trades are
+    journaled.  Returns one outcome per row, in row order: its answer, or
+    the error that refused it.
     """
     dataset = broker.dataset
     if store_version is None:
@@ -639,64 +674,42 @@ def release_batch(
     records = _dispatch_record(
         broker, batch, live, rows, plans, store_version, window
     )
-    # Each consumer group's charges, in the order its first one settles.
-    if records.kind.any():
-        releases = np.flatnonzero(records.kind == RELEASE)
-        runs = [
-            releases[positions]
-            for _, positions in group_rows(records.consumer[releases])
-        ]
-    else:
-        releases = np.arange(len(records))
-        runs = [positions for _, positions in records.groups()]
-
-    _journal_trades(broker.journal, records)
-    # Without a journal this is the first check of the records, still
-    # before any book moves.
-    records.check(LedgerError)
+    broker.journal.append_many(records)
     if window is not None and window.log is not None:
         # One logged charge per release, so recovery rebuilds the
         # per-epoch books row by row.
-        for epsilon_prime, label in zip(
-            records.epsilon_prime[releases].tolist(),
-            LabelColumn(records, releases),
-        ):
-            window.log.append_charge(dataset, window.epochs, epsilon_prime, label)
-    policy.settle_many(records)
-    # One charge per consumer group on every book, each the very fold
-    # admit() checked, so an admitted group is never refused here.  The
-    # first call (empty when every row is a replay) runs on every path.
-    first, *rest = [
-        (records.epsilon_prime[positions], LabelColumn(records, positions))
-        for positions in runs or [releases]
-    ]
-    broker.accountant.charge_many(dataset, *first)
-    for epsilons, labels in rest:
-        broker.accountant.charge_many(dataset, epsilons, labels)
+        for _, positions in records.charge_runs():
+            for epsilon_prime, label in zip(
+                records.epsilon_prime[positions].tolist(),
+                LabelColumn(records, positions),
+            ):
+                window.log.append_charge(dataset, window.epochs, epsilon_prime, label)
+    sales = post_record(broker, records)
     if window is not None:
-        for epsilons, labels in [first, *rest]:
-            window.accountant.charge_many(dataset, window.epochs, epsilons, labels)
-    sales = broker.ledger.record_many(records)
+        # Each live epoch ledger, once per consumer group, as admit() checked.
+        for _, positions in records.charge_runs():
+            window.accountant.charge_many(
+                dataset, window.epochs, records.epsilon_prime[positions],
+                LabelColumn(records, positions),
+            )
 
     telemetry = broker.telemetry
     if telemetry is not None:
         prefix = batch.prefix
-        if len(releases):
+        released = records.epsilon_prime[records.kind == RELEASE].tolist()
+        if released:
             telemetry.inc(f"{prefix}.batches")
-            telemetry.inc(f"{prefix}.answers", len(releases))
-            telemetry.inc(
-                f"{prefix}.epsilon_spent",
-                sum(records.epsilon_prime[releases].tolist()),
-            )
+            telemetry.inc(f"{prefix}.answers", len(released))
+            telemetry.inc(f"{prefix}.epsilon_spent", sum(released))
             telemetry.observe(f"{prefix}.batch_width", len(live))
-        if len(live) > len(releases):
-            telemetry.inc(f"{prefix}.replays", len(live) - len(releases))
+        if len(live) > len(released):
+            telemetry.inc(f"{prefix}.replays", len(live) - len(released))
 
     # Per-row columns indexed by batch row, read once as plain numbers.
     size = len(batch.queries)
     at = np.array(live, dtype=np.intp)
     txn_ids = np.zeros(size, dtype=np.int64)
-    txn_ids[at] = sales.ids
+    txn_ids[at] = np.arange(sales.first_id, sales.first_id + len(live))
     txn_prices = np.zeros(size, dtype=np.float64)
     txn_prices[at] = records.price
     column = np.full(size, -1, dtype=np.intp)

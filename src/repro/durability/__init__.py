@@ -4,10 +4,9 @@
 Brokers append every trade to a :class:`TradeJournal` *before* releasing
 the answer (journal-before-release: the settlement kernel's order,
 checked by lint rule RL007);
-:func:`recover_accounting` rebuilds a bit-identical
-``(BillingLedger, BudgetAccountant)`` pair from the journal — optionally
-fast-forwarded from an :class:`AccountingSnapshot` — without ever
-double-charging a journaled answer or under-counting ε.
+:func:`recover_accounting` folds the journal into a bit-identical ledger,
+accountant and policy through the same write path live trading uses,
+without ever double-charging a journaled answer or under-counting ε.
 """
 
 from repro.durability.journal import (
@@ -16,18 +15,13 @@ from repro.durability.journal import (
     JournalEntry,
     TradeJournal,
 )
-from repro.durability.recovery import (
-    AccountingSnapshot,
-    recover_accounting,
-    snapshot_accounting,
-)
+from repro.durability.recovery import BrokerBooks, recover_accounting
 
 __all__ = [
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
     "JournalEntry",
     "TradeJournal",
-    "AccountingSnapshot",
+    "BrokerBooks",
     "recover_accounting",
-    "snapshot_accounting",
 ]

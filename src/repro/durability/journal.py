@@ -56,9 +56,8 @@ ENTRY_KINDS = KINDS
 class JournalEntry:
     """One journaled trade, written before the answer leaves the broker.
 
-    ``answer_id`` is assigned by the journal, monotonically from 1, and is
-    the idempotency key for recovery: replaying the same journal twice
-    applies each entry exactly once.
+    ``answer_id`` is assigned by the journal, 1, 2, 3, ... in append
+    order; recovery folds the entries in that order into fresh books.
     """
 
     answer_id: int
@@ -235,6 +234,12 @@ class TradeJournal(codec.FramedLog[JournalEntry]):
         for chunk in chunks[start:]:
             out.extend(entry for entry in chunk if entry.answer_id > answer_id)
         return tuple(out)
+
+    def records(self) -> "Tuple[DispatchRecord, ...]":
+        """Each append's dispatch record, oldest first."""
+        with self._lock:
+            chunks = list(self._chunks)
+        return tuple(cast(_Chunk, chunk).record for chunk in chunks)
 
     @property
     def last_answer_id(self) -> int:

@@ -20,6 +20,7 @@ from typing import Dict, List, Union
 import numpy as np
 
 from repro.datasets.citypulse import AIR_QUALITY_INDEXES, CityPulseDataset
+from repro.errors import LedgerError
 from repro.estimators.base import NodeSample
 from repro.pricing.ledger import BillingLedger
 
@@ -149,17 +150,17 @@ def save_ledger(path: PathLike, ledger: BillingLedger) -> None:
 def load_ledger(path: PathLike) -> BillingLedger:
     """Rebuild a billing ledger saved by :func:`save_ledger`.
 
-    Transaction ids are preserved; new sales recorded afterwards continue
-    from the highest loaded id.
+    The sales are recorded again, in order, so their ids must run 1, 2,
+    3, ... as the ledger assigns them (:class:`~repro.errors.LedgerError`
+    otherwise); new sales recorded afterwards continue from the last.
     """
     payload = _read(path, _LEDGER_FORMAT)
     transactions = list(payload["transactions"])
+    ids = [entry["transaction_id"] for entry in transactions]
+    if ids != list(range(1, len(ids) + 1)):
+        raise LedgerError(
+            f"{path}: transaction ids must run 1, 2, 3, ...; got {ids[:8]}"
+        )
     ledger = BillingLedger()
-    ledger.restore({
-        "transactions": transactions,
-        "next_transaction_id": 1 + max(
-            (entry["transaction_id"] for entry in transactions), default=0
-        ),
-        "journal_high_water": 0,
-    })
+    ledger.record_many(transactions)
     return ledger

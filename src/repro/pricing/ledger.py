@@ -17,54 +17,14 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Protocol,
     Tuple,
     Union,
 )
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.errors import LedgerError
 from repro.records import DispatchRecord, RowViews, as_record, fold
 
-__all__ = ["Transaction", "BillingLedger", "Sales", "TradeRecord"]
-
-
-class TradeRecord(Protocol):
-    """Structural view of a journaled trade (``repro.durability`` entry).
-
-    Declared locally so the strictly-typed pricing layer never imports the
-    durability package: any object exposing these attributes — in practice
-    :class:`repro.durability.journal.JournalEntry` — can be replayed.
-    """
-
-    @property
-    def answer_id(self) -> int: ...
-
-    @property
-    def kind(self) -> str: ...
-
-    @property
-    def consumer(self) -> str: ...
-
-    @property
-    def dataset(self) -> str: ...
-
-    @property
-    def alpha(self) -> float: ...
-
-    @property
-    def delta(self) -> float: ...
-
-    @property
-    def price(self) -> float: ...
-
-    @property
-    def epsilon_prime(self) -> float: ...
-
-    @property
-    def label(self) -> str: ...
+__all__ = ["Transaction", "BillingLedger", "Sales"]
 
 
 @dataclass(frozen=True)
@@ -88,24 +48,25 @@ class Transaction:
 
 class Sales(RowViews[Transaction]):
     """One :meth:`BillingLedger.record_many` call's sales: the record and
-    its transaction ids.  :class:`Transaction` views are built on read."""
+    the first transaction id (the ids run on by one).
+    :class:`Transaction` views are built on read."""
 
-    __slots__ = ("ids", "record")
+    __slots__ = ("first_id", "record")
 
-    def __init__(self, ids: "npt.NDArray[np.int64]", record: DispatchRecord) -> None:
-        self.ids = ids
+    def __init__(self, first_id: int, record: DispatchRecord) -> None:
+        self.first_id = first_id
         self.record = record
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.record)
 
     def __iter__(self) -> Iterator[Transaction]:
         record = self.record
         consumers, datasets = record.consumers, record.datasets
         for txn_id, consumer, dataset, alpha, delta, price, epsilon_prime in zip(
-            self.ids.tolist(), record.consumer.tolist(), record.dataset.tolist(),
-            record.alpha.tolist(), record.delta.tolist(), record.price.tolist(),
-            record.epsilon_prime.tolist(),
+            itertools.count(self.first_id), record.consumer.tolist(),
+            record.dataset.tolist(), record.alpha.tolist(), record.delta.tolist(),
+            record.price.tolist(), record.epsilon_prime.tolist(),
         ):
             yield Transaction(
                 txn_id, consumers[consumer], datasets[dataset], alpha, delta,
@@ -127,7 +88,7 @@ _SALE_DEFAULTS: Mapping[str, Any] = {
 
 def _sales(rows: "Iterable[Mapping[str, Any]]") -> DispatchRecord:
     """A dispatch record of one mapping per sale (callers outside the
-    settlement kernel, and restore/replay)."""
+    settlement kernel)."""
     sales = []
     for row in rows:
         missing = [name for name in _SALE_FIELDS if name not in row]
@@ -142,46 +103,18 @@ class BillingLedger:
 
     Every write is one :class:`~repro.records.DispatchRecord`, kept whole
     as one chunk; the :class:`Transaction` views are built when someone
-    reads them.  Aggregates (total revenue, per-consumer and per-dataset
-    totals) are folded in on every write, so the serving layer's
-    admission checks stay O(1) regardless of ledger length.
+    reads them.  Transaction ids run 1, 2, 3, ... in recording order.
+    Aggregates (total revenue, per-consumer and per-dataset totals) are
+    folded in on every write, so the serving layer's admission checks
+    stay O(1) regardless of ledger length.
     """
 
     def __init__(self) -> None:
-        self._clear()
-
-    def _clear(self) -> None:
         self._chunks: List[Sales] = []
         self._count = 0
-        self._next_id = 1
         self._total_revenue: float = 0.0
         self._revenue_by_consumer: Dict[str, float] = {}
         self._revenue_by_dataset: Dict[str, float] = {}
-        # Highest journal answer_id already folded into this ledger; the
-        # idempotency floor for replay_journal (0 = nothing replayed yet).
-        self._journal_high_water: int = 0
-
-    def _append(self, ids: "npt.NDArray[np.int64]", record: DispatchRecord) -> Sales:
-        """Keep one chunk and fold its prices into the aggregates.
-
-        Each aggregate is a left fold in sale order
-        (:func:`~repro.records.fold`), bit-equal to adding sale by sale.
-        """
-        record.check(LedgerError)
-        prices = record.price
-        self._total_revenue = fold(prices, self._total_revenue)
-        for totals, column, names in (
-            (self._revenue_by_consumer, "consumer", record.consumers),
-            (self._revenue_by_dataset, "dataset", record.datasets),
-        ):
-            for code, rows in record.groups(column):
-                name = names[code]
-                totals[name] = fold(prices[rows], totals.get(name, 0.0))
-        sales = Sales(ids, record)
-        if len(sales):
-            self._chunks.append(sales)
-            self._count += len(sales)
-        return sales
 
     def record(
         self,
@@ -215,16 +148,27 @@ class BillingLedger:
         folded sale by sale, so the ledger ends up identical to recording
         each sale individually.  The whole batch is validated first: one
         bad sale records none of them.  This is the brokers' bulk path.
-        Returns the new transactions (views built on read; ``.ids``
-        holds their ids).
+        Returns the new transactions (views built on read;
+        ``.first_id`` is the first one's id).
         """
         record = as_record(sales, _sales)
-        start = self._next_id
-        sales_chunk = self._append(
-            np.arange(start, start + len(record), dtype=np.int64), record
-        )
-        self._next_id = start + len(record)
-        return sales_chunk
+        record.check(LedgerError)
+        # Each aggregate is a left fold in sale order
+        # (:func:`~repro.records.fold`), bit-equal to adding sale by sale.
+        prices = record.price
+        self._total_revenue = fold(prices, self._total_revenue)
+        for totals, column, names in (
+            (self._revenue_by_consumer, "consumer", record.consumers),
+            (self._revenue_by_dataset, "dataset", record.datasets),
+        ):
+            for code, rows in record.groups(column):
+                name = names[code]
+                totals[name] = fold(prices[rows], totals.get(name, 0.0))
+        chunk = Sales(self._count + 1, record)
+        if len(chunk):
+            self._chunks.append(chunk)
+            self._count += len(chunk)
+        return chunk
 
     def __len__(self) -> int:
         return self._count
@@ -253,81 +197,3 @@ class BillingLedger:
     def purchases_of(self, consumer: str) -> Tuple[Transaction, ...]:
         """All transactions of one consumer, oldest first."""
         return tuple(t for t in self.transactions if t.consumer == consumer)
-
-    # ------------------------------------------------------------------ #
-    # Durability: snapshot / restore / journal replay                    #
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable copy of the full ledger state.
-
-        Captures the transaction log, the *next* transaction id, and the
-        journal high-water mark, so :meth:`restore` followed by
-        :meth:`replay_journal` of the journal suffix reproduces the live
-        ledger bit for bit — including transaction ids.
-        """
-        transactions = self.transactions
-        return {
-            "transactions": [dict(t.__dict__) for t in transactions],
-            # The id counter only advances by appending, so the next id is
-            # always one past the newest transaction.
-            "next_transaction_id": (
-                transactions[-1].transaction_id + 1 if transactions else 1
-            ),
-            "journal_high_water": self._journal_high_water,
-        }
-
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Replace this ledger's state with a :meth:`snapshot` copy."""
-        payloads = list(snapshot["transactions"])
-        high_water = int(snapshot["journal_high_water"])
-        self._clear()
-        if payloads:
-            ids = np.array(
-                [payload["transaction_id"] for payload in payloads],
-                dtype=np.int64,
-            )
-            self._append(ids, _sales(payloads))
-        self._next_id = int(snapshot["next_transaction_id"])
-        self._journal_high_water = high_water
-
-    def replay_journal(self, entries: "Iterable[TradeRecord]") -> int:
-        """Re-apply journaled trades this ledger has not yet seen.
-
-        Entries at or below the journal high-water mark are skipped, so
-        replaying the same journal twice — or replaying a full journal on
-        top of a snapshot that already contains its prefix — records each
-        sale exactly once (the *never double-charges* half of recovery).
-        Transactions are recorded through the normal write path, so the
-        rebuilt ledger's transaction ids match the uninterrupted run's.
-        ``charge`` entries (a histogram or quantile ε′ spend) were never
-        billed and record nothing.  Entries must run in ``answer_id``
-        order; otherwise nothing is applied.  Returns the number of
-        entries applied.
-        """
-        sales: List[Dict[str, Any]] = []
-        previous = 0
-        high_water = self._journal_high_water
-        for entry in entries:
-            if entry.answer_id <= previous:
-                raise LedgerError(
-                    f"journal replay out of order: answer_id "
-                    f"{entry.answer_id} after {previous}"
-                )
-            previous = entry.answer_id
-            if entry.answer_id <= high_water:
-                continue
-            high_water = entry.answer_id
-            if entry.kind == "charge":
-                continue
-            sales.append({
-                "consumer": entry.consumer,
-                "dataset": entry.dataset,
-                "alpha": entry.alpha,
-                "delta": entry.delta,
-                "price": entry.price,
-                "epsilon_prime": entry.epsilon_prime,
-            })
-        if sales:
-            self.record_many(sales)
-        self._journal_high_water = high_water
-        return len(sales)

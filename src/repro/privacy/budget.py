@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Dict,
     Hashable,
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -29,34 +26,10 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import LedgerError, PrivacyBudgetExceededError
+from repro.errors import PrivacyBudgetExceededError
 from repro.records import LabelColumn, fold, fold_capped
 
-__all__ = ["BudgetAccountant", "BudgetEntry", "ChargeBook", "SpendRecord"]
-
-
-class SpendRecord(Protocol):
-    """Structural view of a journaled trade's privacy spend.
-
-    Declared locally so the strictly-typed privacy layer never imports the
-    durability package: any object exposing these attributes — in practice
-    :class:`repro.durability.journal.JournalEntry` — can be replayed.
-    """
-
-    @property
-    def answer_id(self) -> int: ...
-
-    @property
-    def kind(self) -> str: ...
-
-    @property
-    def dataset(self) -> str: ...
-
-    @property
-    def epsilon_prime(self) -> float: ...
-
-    @property
-    def label(self) -> str: ...
+__all__ = ["BudgetAccountant", "BudgetEntry", "ChargeBook"]
 
 
 @dataclass(frozen=True)
@@ -186,9 +159,6 @@ class BudgetAccountant:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
-        # Highest journal answer_id already folded into this accountant;
-        # the idempotency floor for replay_journal (0 = nothing replayed).
-        self._journal_high_water: int = 0
 
     def spent(self, dataset: str) -> float:
         """Total ε′ spent so far against ``dataset``.
@@ -270,74 +240,3 @@ class BudgetAccountant:
     def reset(self, dataset: str) -> None:
         """Forget all spending for ``dataset`` (e.g. after data rotation)."""
         self._book.pop(dataset)
-
-    # ------------------------------------------------------------------ #
-    # Durability: snapshot / restore / journal replay                    #
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable copy of the full accounting state."""
-        return {
-            "capacity": self.capacity,
-            "spent": {
-                dataset: [[e.label, e.epsilon] for e in self.history(dataset)]
-                for dataset in self._book.chunks
-            },
-            "journal_high_water": self._journal_high_water,
-        }
-
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Replace this accountant's state with a :meth:`snapshot` copy."""
-        spent: Mapping[str, Iterable[Tuple[str, float]]] = snapshot["spent"]
-        self.capacity = float(snapshot["capacity"])
-        self._book = ChargeBook()
-        for dataset, entries in spent.items():
-            entries = list(entries)
-            # Charges that already happened: no capacity check.
-            self._book.charge(
-                [dataset],
-                [float(epsilon) for _, epsilon in entries],
-                [str(label) for label, _ in entries],
-            )
-        self._journal_high_water = int(snapshot["journal_high_water"])
-
-    def replay_journal(self, entries: "Iterable[SpendRecord]") -> int:
-        """Re-apply journaled privacy spends not yet folded in.
-
-        Entries at or below the journal high-water mark are skipped
-        (idempotent), replay entries carry ε′ = 0 and record nothing,
-        release and ``charge`` entries (a histogram or quantile spend)
-        fold in alike, and
-        — crucially — **capacity is not enforced**: the releases already
-        happened, so recovery must record every journaled spend even if
-        the dataset ends up over budget.  Under-counting ε after a crash
-        would be a silent privacy leak; an over-budget ledger is loud and
-        auditable.  Entries must run in ``answer_id`` order; otherwise
-        nothing is applied.  Returns the number of entries applied as
-        spends.
-        """
-        spends: Dict[str, Tuple[List[float], List[str]]] = {}
-        applied = 0
-        previous = 0
-        high_water = self._journal_high_water
-        for entry in entries:
-            if entry.answer_id <= previous:
-                raise LedgerError(
-                    f"journal replay out of order: answer_id "
-                    f"{entry.answer_id} after {previous}"
-                )
-            previous = entry.answer_id
-            if entry.answer_id <= high_water:
-                continue
-            high_water = entry.answer_id
-            if entry.kind == "replay":
-                # Replays are post-processing: billed, but never charged
-                # to the accountant, exactly as in live operation.
-                continue
-            epsilons, labels = spends.setdefault(entry.dataset, ([], []))
-            epsilons.append(entry.epsilon_prime)
-            labels.append(entry.label)
-            applied += 1
-        for dataset, (epsilons, labels) in spends.items():
-            self._book.charge([dataset], epsilons, labels)  # uncapped
-        self._journal_high_water = high_water
-        return applied

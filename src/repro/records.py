@@ -178,7 +178,7 @@ class DispatchRecord:
             raise ValueError(f"the columns are not all {size} rows long")
 
     # ------------------------------------------------------------------ #
-    # Construction from rows (callers outside the kernel, and recovery)  #
+    # Construction from rows (callers outside the kernel)                #
     # ------------------------------------------------------------------ #
     @classmethod
     def from_rows(
@@ -294,6 +294,56 @@ class DispatchRecord:
         if cached is None:
             cached = self._groups[column] = group_rows(getattr(self, column))
         return cached
+
+    def charge_runs(self) -> "List[Tuple[int, Codes]]":
+        """``(dataset code, rows)`` per maximal run of one consumer's rows
+        on one dataset among the rows that spend ε′ (every kind but a
+        replay), in order.  Cached.
+
+        The settlement kernel records each consumer's rows as one block,
+        so a record of its fresh releases has its consumer groups as runs
+        (read off the cached :meth:`groups`, without another pass).
+        """
+        cached = self._groups.get("runs")
+        if cached is None and not self.kind.any() and len(self.datasets) == 1:
+            groups = self.groups()
+            if all(rows[-1] - rows[0] < len(rows) for _, rows in groups):
+                cached = self._groups["runs"] = [(0, rows) for _, rows in groups]
+        if cached is None:
+            rows = np.flatnonzero(self.kind != REPLAY)
+            consumer, dataset = self.consumer[rows], self.dataset[rows]
+            starts = np.flatnonzero(
+                (consumer[1:] != consumer[:-1]) | (dataset[1:] != dataset[:-1])
+            ) + 1
+            bounds = [0, *starts.tolist(), len(rows)]
+            cached = self._groups["runs"] = [
+                (int(dataset[start]), rows[start:end])
+                for start, end in zip(bounds, bounds[1:])
+                if end > start
+            ]
+        return cached
+
+    def take(self, rows: Codes) -> "DispatchRecord":
+        """A record of ``rows`` only, in their order; the name lists stay."""
+        return DispatchRecord(
+            kind=self.kind[rows],
+            consumer=self.consumer[rows],
+            consumers=self.consumers,
+            dataset=self.dataset[rows],
+            datasets=self.datasets,
+            low=self.low[rows],
+            high=self.high[rows],
+            alpha=self.alpha[rows],
+            delta=self.delta[rows],
+            epsilon_prime=self.epsilon_prime[rows],
+            price=self.price[rows],
+            store_version=self.store_version[rows],
+            labels=(
+                None if self.labels is None
+                else [self.labels[row] for row in rows.tolist()]
+            ),
+            window=self.window,
+        )
 
     # ------------------------------------------------------------------ #
     # Reading rows back                                                  #

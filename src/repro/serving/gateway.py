@@ -363,6 +363,10 @@ class ServingGateway:
         #: Admitted requests not yet counted in ``gateway.submitted``;
         #: each dispatch publishes them, and :meth:`snapshot` adds them.
         self._unpublished = 0  # guarded-by: _intake_lock
+        #: Set by :meth:`stop` before it drains: a request counted and
+        #: put on the inbox under this lock before then is drained, and
+        #: one that comes after is refused.
+        self._intake_closed = False  # guarded-by: _intake_lock
         #: The one condition of every request future of this gateway; it
         #: guards each request's future state (see ``_Request.__init__``).
         #: An ``RLock`` underneath, since ``concurrent.futures.wait`` takes
@@ -406,6 +410,8 @@ class ServingGateway:
                 return
             self._closed = True
             threads = list(self._threads)
+        with self._intake_lock:
+            self._intake_closed = True
         for _ in threads:
             self._inbox.put(_STOP)
         for thread in threads:
@@ -503,7 +509,7 @@ class ServingGateway:
         full.
         """
         # Benign race: a lock-free fast-path read.  A submit racing stop()
-        # is caught anyway -- stop() drains the queue and fails leftovers.
+        # is refused under the intake lock below.
         if self._closed:  # repro-lint: disable=RL003
             raise GatewayClosedError("gateway is stopped")
         if self.brownout is not None:
@@ -520,24 +526,29 @@ class ServingGateway:
         if self.admission is not None:
             price = self.broker.quote(spec)
             self.admission.admit(consumer, price)
+        deadline: Optional[Deadline] = None
+        if self.config.request_ttl is not None:
+            deadline = Deadline.after(self.config.request_ttl, clock=self.clock)
+        request = _Request(self._condition, query, spec, consumer, price, deadline)
+        # Counted and enqueued in one intake section, so stop() either
+        # drains this request or it is refused here.
         with self._intake_lock:
-            admitted = self._queued < self.config.queue_depth
+            closed = self._intake_closed
+            admitted = not closed and self._queued < self.config.queue_depth
             if admitted:
                 self._queued += 1
                 self._unpublished += 1
+                self._inbox.put(request)
         if not admitted:
             if self.admission is not None:
                 self.admission.release(consumer, price)
+            if closed:
+                raise GatewayClosedError("gateway is stopped")
             self.telemetry.inc("gateway.shed")
             raise ServiceOverloadedError(
                 f"request queue is full ({self.config.queue_depth} deep); "
                 "retry later or widen the batching window"
             )
-        deadline: Optional[Deadline] = None
-        if self.config.request_ttl is not None:
-            deadline = Deadline.after(self.config.request_ttl, clock=self.clock)
-        request = _Request(self._condition, query, spec, consumer, price, deadline)
-        self._inbox.put(request)
         return request
 
     def submit_range(

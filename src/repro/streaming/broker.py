@@ -58,6 +58,7 @@ from repro.core.planner import PlanMemo
 from repro.core.policy import BrokerPolicy
 from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import Batch, WindowBooks, open_batch
+from repro.durability.journal import TradeJournal
 from repro.errors import StreamingError
 from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator
@@ -77,7 +78,6 @@ from repro.streaming.window import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
-    from repro.durability.journal import TradeJournal
     from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["StreamingBroker", "StreamingStation", "WindowSnapshot"]
@@ -240,7 +240,7 @@ class StreamingBroker(Trading):
     policy: Optional[BrokerPolicy] = None
     planner_grid_points: int = 512
     telemetry: "Optional[MetricsRegistry]" = None
-    journal: "Optional[TradeJournal]" = None
+    journal: TradeJournal = field(default_factory=TradeJournal)
     window_log: Optional[WindowLog] = None
 
     def __post_init__(self) -> None:

@@ -91,11 +91,19 @@ class TestDataBrokerJournal:
         assert len(broker.journal) == 1
         assert len(broker.ledger) == 0
 
-    def test_no_journal_attached_is_a_noop(self):
-        service = build_service()
-        service.broker.journal = None
-        answer = service.answer(10.0, 70.0, 0.1, 0.5, consumer="alice")
-        assert answer.plan.epsilon_prime > 0
+    def test_every_broker_journals_in_memory_by_default(self):
+        values = np.random.default_rng(0).uniform(0.0, 200.0, RECORDS)
+        for shards in (1, 2):
+            service = PrivateRangeCountingService.from_values(
+                values, k=DEVICES, seed=11, shards=shards
+            )
+            journal = service.broker.journal
+            assert isinstance(journal, TradeJournal)
+            assert journal.path is None
+            answer = service.answer(10.0, 70.0, 0.1, 0.5, consumer="alice")
+            assert [e.epsilon_prime for e in journal.entries()] == [
+                answer.plan.epsilon_prime
+            ]
 
 
 class TestClusterBrokerJournal:

@@ -12,8 +12,10 @@ check that:
   file as it found it until the next append;
 * recovery (:func:`~repro.durability.recovery.recover_accounting` for
   the trade journal, :meth:`StreamingCluster.recover` for the window log)
-  is bit-exact against the same prefix recovered from memory, and never
-  books less ε′ than was released;
+  is bit-exact against the same prefix recovered from memory -- and, for
+  the trade journal, against a twin broker that ran only the surviving
+  dispatches, policy counters included -- and never books less ε′ than
+  was released;
 * the first append after the load cuts the torn tail, resumes the id
   sequence and the string table, and leaves a file byte-identical to an
   uninterrupted log of the same entries.
@@ -96,34 +98,50 @@ def dispatch(broker, requests) -> None:
             future.result(timeout=30.0)
 
 
+def trading_broker():
+    values = np.random.default_rng(4).uniform(0.0, 100.0, 2_000)
+    service = PrivateRangeCountingService.from_values(values, k=4, seed=9)
+    service.collect(0.4)
+    return service.broker
+
+
+NAMES = ("c0", "c1", "c2")
+FIRST = [
+    (NAMES[i % 3], RANGES[i % len(RANGES)], TIERS[i % 2]) for i in range(9)
+]
+# The second dispatch repeats half the first (cache-hit replays) and buys
+# new ranges, with an in-window duplicate and a new consumer, so it
+# defines a string of its own.
+SECOND = FIRST[:4] + [
+    ("c2", (5.0, 95.0), TIERS[0]), ("c0", (5.0, 95.0), TIERS[0]),
+    ("c3", (1.0, 30.0), TIERS[1]),
+]
+
+
 @pytest.fixture(scope="module")
 def two_dispatches(tmp_path_factory):
     """A journal file written by two dispatches, the entry counts after
     each, and the live books."""
     path = tmp_path_factory.mktemp("journal") / "trades.journal"
-    values = np.random.default_rng(4).uniform(0.0, 100.0, 2_000)
-    service = PrivateRangeCountingService.from_values(values, k=4, seed=9)
-    service.collect(0.4)
-    broker = service.broker
+    broker = trading_broker()
     broker.journal = TradeJournal(path=path)
-    names = ("c0", "c1", "c2")
-    first = [
-        (names[i % 3], RANGES[i % len(RANGES)], TIERS[i % 2]) for i in range(9)
-    ]
-    # The second dispatch repeats half the first (cache-hit replays) and
-    # buys new ranges, with an in-window duplicate and a new consumer, so
-    # it defines a string of its own.
-    second = first[:4] + [
-        ("c2", (5.0, 95.0), TIERS[0]), ("c0", (5.0, 95.0), TIERS[0]),
-        ("c3", (1.0, 30.0), TIERS[1]),
-    ]
-    dispatch(broker, first)
+    dispatch(broker, FIRST)
     after_first = len(broker.journal)
-    dispatch(broker, second)
+    dispatch(broker, SECOND)
     broker.journal.close()
     kinds = {entry.kind for entry in broker.journal.entries()}
     assert kinds == {"release", "replay"}
     return path, [after_first, len(broker.journal)], broker
+
+
+@pytest.fixture(scope="module")
+def twins(two_dispatches):
+    """Twin brokers that ran only the surviving dispatches, by the number
+    of entries those journaled."""
+    _, boundaries, broker = two_dispatches
+    first_only = trading_broker()
+    dispatch(first_only, FIRST)
+    return {0: trading_broker(), boundaries[0]: first_only, boundaries[1]: broker}
 
 
 def full_dataset(entries) -> str:
@@ -153,8 +171,8 @@ def in_memory(entries) -> TradeJournal:
     return journal
 
 
-def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
-    path, boundaries, broker = two_dispatches
+def test_every_cut_recovers_the_whole_entries(two_dispatches, twins, tmp_path):
+    path, boundaries, _ = two_dispatches
     data = path.read_bytes()
     scan = TradeJournal.read(path)
     entries = tuple(scan.records)
@@ -184,15 +202,14 @@ def test_every_cut_recovers_the_whole_entries(two_dispatches, tmp_path):
         assert recovered.last_answer_id == whole
 
         # Bit-exact against the same prefix held in memory, and against
-        # the live books for the whole file.
-        ledger, accountant = recover_accounting(recovered)
-        assert books_equal(
-            ledger, accountant, *recover_accounting(in_memory(entries[:whole]))
-        )
-        if whole == len(entries):
-            assert books_equal(
-                ledger, accountant, broker.ledger, broker.accountant
-            )
+        # a twin broker that ran only the surviving dispatches (the live
+        # broker, for the whole file), policy included.
+        books = recover_accounting(recovered)
+        assert books_equal(books, recover_accounting(in_memory(entries[:whole])))
+        twin = twins[whole]
+        assert books_equal(books, twin)
+        assert books.policy == twin.policy, offset
+        accountant = books.accountant
 
         # Answers leave the gateway only after their dispatch's write
         # completed, so the released ones are those of whole dispatches.

@@ -83,7 +83,7 @@ def books(broker, consumers: Sequence[str]) -> list:
     dataset = broker.dataset
     state = [
         len(broker.journal), broker.journal.checksum(),
-        broker.ledger.snapshot(),
+        broker.ledger.transactions,
         broker.accountant.history(dataset), broker.accountant.spent(dataset),
         [broker.policy.epsilon_spent_by(c) for c in consumers],
         [broker.policy.purchases_by(c) for c in consumers],

@@ -48,17 +48,17 @@ MUTATION_RL001I = {
 MUTATION_RL007 = {
     SETTLEMENT: [
         (
-            "    broker.accountant.charge_many(dataset, *first)\n",
-            "    _charge_large(broker, *first)\n",
+            "    accountant.charge_many(*first)\n",
+            "    _charge_large(books, *first)\n",
         ),
         (
-            "def release_batch(",
-            "def _charge_large(broker, charges, labels):\n"
+            "def post_record(",
+            "def _charge_large(books, dataset, charges, labels):\n"
             "    if sum(charges) > 1.0:\n"
-            "        broker.accountant.charge_many(broker.dataset, charges, labels)\n"
+            "        books.accountant.charge_many(dataset, charges, labels)\n"
             "\n"
             "\n"
-            "def release_batch(",
+            "def post_record(",
         ),
     ]
 }
@@ -68,7 +68,7 @@ MUTATION_RL007 = {
 #: longer see once the append moved into the kernel).
 MUTATION_KERNEL_JOURNAL = {
     SETTLEMENT: [
-        ("    _journal_trades(broker.journal, records)\n", ""),
+        ("    broker.journal.append_many(records)\n", ""),
     ]
 }
 

@@ -119,7 +119,6 @@ class TestIncrementalAggregates:
         assert bulk.total_revenue() == one_by_one.total_revenue()
         assert bulk.revenue_by_consumer() == one_by_one.revenue_by_consumer()
         assert bulk.revenue_by_dataset() == one_by_one.revenue_by_dataset()
-        assert bulk.snapshot() == one_by_one.snapshot()
 
     @pytest.mark.parametrize("field", ["price", "epsilon_prime"])
     def test_record_many_with_one_bad_sale_records_nothing(self, field):

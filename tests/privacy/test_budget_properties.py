@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability.journal import JournalEntry
+from repro.core.policy import BrokerPolicy
+from repro.core.settlement import post_record
+from repro.durability.recovery import BrokerBooks
 from repro.errors import PrivacyBudgetExceededError
+from repro.pricing.ledger import BillingLedger
 from repro.privacy.budget import BudgetAccountant
+from repro.records import DispatchRecord
 
 charges = st.lists(
     st.floats(min_value=0.0, max_value=0.5), min_size=0, max_size=20
@@ -110,9 +114,8 @@ _ops = st.one_of(
         st.sampled_from(_DATASETS),
         st.lists(_eps, min_size=0, max_size=8),
     ),
-    st.tuples(st.just("restore"), st.just(None), st.just(None)),
     st.tuples(
-        st.just("replay"),
+        st.just("post"),
         st.sampled_from(_DATASETS),
         st.lists(st.tuples(st.booleans(), _eps), min_size=0, max_size=6),
     ),
@@ -120,24 +123,24 @@ _ops = st.one_of(
 )
 
 
-def _journal_spends(first_id, dataset, specs):
-    return [
-        JournalEntry(
-            answer_id=first_id + i,
-            kind="release" if release else "replay",
-            consumer="c",
-            dataset=dataset,
-            low=0.0,
-            high=1.0,
-            alpha=0.1,
-            delta=0.5,
-            epsilon_prime=eps if release else 0.0,
-            price=1.0,
-            store_version=1,
-            label=f"j{first_id + i}",
-        )
+def _journal_spends(dataset, specs):
+    """A dispatch record of releases and replays, as the journal holds it."""
+    return DispatchRecord.from_rows(
+        {
+            "kind": "release" if release else "replay",
+            "consumer": "c",
+            "dataset": dataset,
+            "low": 0.0,
+            "high": 1.0,
+            "alpha": 0.1,
+            "delta": 0.5,
+            "epsilon_prime": eps if release else 0.0,
+            "price": 1.0,
+            "store_version": 1,
+            "label": f"j{i}",
+        }
         for i, (release, eps) in enumerate(specs)
-    ]
+    )
 
 
 @given(
@@ -148,7 +151,6 @@ def _journal_spends(first_id, dataset, specs):
 def test_running_total_is_left_fold_of_history(ops, capacity):
     """Every mutation keeps spent() bit-equal to a fold over history()."""
     acc = BudgetAccountant(capacity=capacity)
-    next_id = 1
     for op, dataset, arg in ops:
         if op == "charge":
             try:
@@ -160,12 +162,15 @@ def test_running_total_is_left_fold_of_history(ops, capacity):
                 acc.charge_many(dataset, arg, [f"m{i}" for i in range(len(arg))])
             except PrivacyBudgetExceededError:
                 pass
-        elif op == "restore":
-            acc.restore(acc.snapshot())
-        elif op == "replay":
-            entries = _journal_spends(next_id, dataset, arg)
-            next_id += len(entries)
-            acc.replay_journal(entries)
+        elif op == "post":
+            # The one write path from a journaled record to the books.
+            try:
+                post_record(
+                    BrokerBooks(BillingLedger(), acc, BrokerPolicy()),
+                    _journal_spends(dataset, arg),
+                )
+            except PrivacyBudgetExceededError:
+                pass
         else:
             acc.reset(dataset)
         for name in _DATASETS:

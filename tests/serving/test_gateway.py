@@ -457,6 +457,46 @@ class TestIntake:
         assert all(f.exception() is None for f in queued)
         assert len(service.broker.ledger) == depth
 
+    def test_a_submit_racing_stop_settles_or_is_refused(self, service):
+        """A request admitted while ``stop()`` runs either reaches the
+        inbox before the drain, and settles, or is refused with its
+        admission reservation released; it is never left queued."""
+
+        class SlowAdmission(AdmissionController):
+            def admit(self, consumer: str, price: float = 0.0) -> None:
+                super().admit(consumer, price)
+                time.sleep(0.2)
+
+        admission = SlowAdmission()
+        gateway = service.serve(
+            config=ServingConfig(enable_cache=False), admission=admission
+        ).start()
+        price = service.broker.quote(TIERS[0])
+        admission.register("slow", deposit=price)
+        outcome: list = []
+
+        def submit() -> None:
+            try:
+                outcome.append(gateway.submit_range(
+                    *RANGES[0], ALPHA, DELTA, consumer="slow"
+                ))
+            except GatewayClosedError as exc:
+                outcome.append(exc)
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
+        time.sleep(0.05)
+        gateway.stop()
+        submitter.join(timeout=5.0)
+        (result,) = outcome
+        if isinstance(result, GatewayClosedError):
+            assert len(service.broker.ledger) == 0
+            admission.admit("slow", price)  # nothing is left reserved
+        else:
+            assert result.exception(timeout=2.0) is None
+            assert len(service.broker.ledger) == 1
+        assert gateway.pending() == 0
+
     def test_submitted_is_served_plus_failed_after_stop(self, service):
         gateway = service.serve(
             config=ServingConfig(batch_window=0.002, max_batch=4)

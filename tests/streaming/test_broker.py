@@ -46,7 +46,7 @@ def make_broker(epochs=2, journal=None, accountant=None, seed=7, **kwargs):
         station=station,
         pricing=InverseVariancePricing(VarianceModel(n=150), base_price=10.0),
         floor=FLOOR,
-        journal=journal,
+        journal=TradeJournal() if journal is None else journal,
         accountant=accountant or BudgetAccountant(),
         rng=np.random.default_rng(seed),
         **kwargs,

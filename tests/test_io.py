@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.citypulse import generate_citypulse
+from repro.errors import LedgerError
 from repro.estimators.base import NodeData
 from repro.io import (
     load_dataset_values,
@@ -112,3 +113,17 @@ class TestLedgerRoundTrip:
         path = tmp_path / "ledger.json"
         save_ledger(path, BillingLedger())
         assert len(load_ledger(path)) == 0
+
+    @pytest.mark.parametrize("ids", [[2], [1, 3], [2, 1], [1, 1]])
+    def test_ids_not_one_to_n_are_refused(self, tmp_path, ids):
+        ledger = BillingLedger()
+        for _ in ids:
+            ledger.record("alice", "ozone", 0.1, 0.5, 10.0, 0.01)
+        path = tmp_path / "ledger.json"
+        save_ledger(path, ledger)
+        payload = json.loads(path.read_text())
+        for entry, txn_id in zip(payload["transactions"], ids):
+            entry["transaction_id"] = txn_id
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LedgerError, match="must run 1, 2, 3"):
+            load_ledger(path)
