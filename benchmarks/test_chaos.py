@@ -27,7 +27,7 @@ from repro.core.service import PrivateRangeCountingService
 from repro.durability.journal import TradeJournal
 from repro.serving import ServingConfig, Workload
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 TIERS = (
     AccuracySpec(alpha=0.1, delta=0.5),

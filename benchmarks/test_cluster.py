@@ -23,7 +23,7 @@ import os
 from benchmarks.conftest import DEVICE_COUNT
 from repro.cluster.bench import DEFAULT_TIERS, run_cluster_bench
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: The cluster bench runs a bigger fleet than the single-station benches:
 #: the paper-scale federation claim is k ≥ 64 devices across the shards.

@@ -55,7 +55,7 @@ from repro.core.service import PrivateRangeCountingService
 from repro.durability.journal import TradeJournal
 from repro.serving.gateway import ServingConfig, ServingGateway
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 WIDTH = 64
 DISPATCHES = 8 if SMOKE else 47

@@ -34,7 +34,7 @@ from repro.serving.telemetry import MetricsRegistry
 from repro.resilience import HedgePolicy
 from repro.resilience.breaker import BreakerConfig
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 SEED = 31
 SHARDS = 2

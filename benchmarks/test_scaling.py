@@ -27,7 +27,7 @@ from repro.datasets.partition import partition_even
 from repro.estimators.base import NodeData
 from repro.estimators.rank import RankCountingEstimator
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Accumulated across this module's benches; each contributing test
 #: rewrites BENCH_scaling.json so the final file carries every section.

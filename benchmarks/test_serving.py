@@ -24,7 +24,7 @@ from repro.core.query import AccuracySpec
 from repro.core.service import PrivateRangeCountingService
 from repro.serving import ServingConfig, Workload, run_closed_loop
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 CONSUMERS = 4
 REQUESTS_PER_CONSUMER = 125  # 500 total

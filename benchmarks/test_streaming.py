@@ -30,7 +30,7 @@ from repro.streaming.bench import (
     streaming_bench_healthy,
 )
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 EPOCHS = 8 if SMOKE else 12
 SHARDS = 4

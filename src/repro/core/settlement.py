@@ -300,17 +300,10 @@ def post_record(books: Books, record: DispatchRecord) -> Sales:
         if len(sold) < len(record):
             billed = record.take(sold)
     _policy(books).settle_many(billed)
-    accountant = books.accountant
-    charges: "List[Tuple[str, npt.NDArray[np.float64], Sequence[str]]]" = [
-        (record.datasets[code], record.epsilon_prime[rows], LabelColumn(record, rows))
-        for code, rows in record.charge_runs()
-    ]
-    # The first charge runs on every path: empty when every row is a
-    # replay (an empty charge books nothing under any key).
-    first, *rest = charges or [("", record.epsilon_prime[:0], ())]
-    accountant.charge_many(*first)
-    for dataset, epsilons, labels in rest:
-        accountant.charge_many(dataset, epsilons, labels)
+    for code, rows in record.charge_runs():
+        books.accountant.charge_many(
+            record.datasets[code], record.epsilon_prime[rows], LabelColumn(record, rows)
+        )
     return books.ledger.record_many(billed)
 
 

@@ -3,7 +3,7 @@
 ``repro.durability`` makes the broker's books survive process death.
 Brokers append every trade to a :class:`TradeJournal` *before* releasing
 the answer (journal-before-release: the settlement kernel's order,
-checked by lint rule RL007);
+pinned by ``tests/chaos/test_broker_journal.py``);
 :func:`recover_accounting` folds the journal into a bit-identical ledger,
 accountant and policy through the same write path live trading uses,
 without ever double-charging a journaled answer or under-counting ε.

@@ -7,10 +7,10 @@ noise but *before* recording the ε-spend silently leaks privacy budget.
 :class:`TradeJournal` closes that window with a write-ahead log: every
 trade is appended to the journal **before** the answer is released or
 any ledger/accountant/policy state is mutated (the journal-before-release
-invariant of the settlement kernel, statically checked by lint rule
-RL007), so the journal is
-always a superset of the released answers and recovery can only
-over-count ε, never under-count it.
+invariant of the settlement kernel, pinned by
+``tests/chaos/test_broker_journal.py``), so the journal is always a
+superset of the released answers and recovery can only over-count ε,
+never under-count it.
 
 The journal is append-only and fsync-free by default (in-memory); pass a
 ``path`` to mirror every batch to a journal-format-v3 file
@@ -28,9 +28,8 @@ in -- the settlement kernel's one record per dispatch -- and the
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union, cast
+from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union, cast
 
 from repro.durability import codec
 from repro.errors import JournalError
@@ -195,10 +194,6 @@ class TradeJournal(codec.FramedLog[JournalEntry]):
     # ------------------------------------------------------------------ #
     # Write path                                                         #
     # ------------------------------------------------------------------ #
-    def append(self, **fields: Any) -> JournalEntry:
-        """Journal one trade; assigns the next ``answer_id`` and returns it."""
-        return self.append_many([fields])[0]
-
     def append_many(
         self, records: "Union[DispatchRecord, Iterable[Mapping[str, Any]]]"
     ) -> "Sequence[JournalEntry]":
@@ -222,19 +217,6 @@ class TradeJournal(codec.FramedLog[JournalEntry]):
     # ------------------------------------------------------------------ #
     # Read path                                                          #
     # ------------------------------------------------------------------ #
-    def entries_after(self, answer_id: int) -> "Tuple[JournalEntry, ...]":
-        """Entries with ``answer_id`` strictly greater than the given one."""
-        with self._lock:
-            chunks = list(self._chunks)
-        ends = [
-            cast(_Chunk, chunk).first_id + len(chunk) - 1 for chunk in chunks
-        ]
-        start = bisect.bisect_right(ends, answer_id)
-        out: List[JournalEntry] = []
-        for chunk in chunks[start:]:
-            out.extend(entry for entry in chunk if entry.answer_id > answer_id)
-        return tuple(out)
-
     def records(self) -> "Tuple[DispatchRecord, ...]":
         """Each append's dispatch record, oldest first."""
         with self._lock:

@@ -9,8 +9,8 @@ comparison on accounting values, and silently swallowed exceptions.
 :mod:`repro.lint.rules`) with per-line suppressions, a checked-in
 baseline, and a CI-friendly CLI (``repro lint``).  The interprocedural
 layer (:mod:`repro.lint.flow`, ``--interprocedural``) adds the
-whole-program rules RL001i, RL007 and RL009 over a project call graph
-with per-function summaries.
+whole-program rules RL001i and RL009 over a project call graph with
+per-function summaries.
 """
 
 from repro.lint.baseline import Baseline
@@ -26,7 +26,7 @@ from repro.lint.findings import Finding, Hop
 from repro.lint.suppressions import CommentMap
 
 # Importing the rules module registers RL001-RL005 on default_registry;
-# importing flow registers RL001i/RL007/RL009 on project_registry.
+# importing flow registers RL001i/RL009 on project_registry.
 from repro.lint import rules as _rules  # noqa: F401
 from repro.lint.flow import (
     ProjectContext,

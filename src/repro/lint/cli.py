@@ -72,7 +72,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--interprocedural",
         action="store_true",
-        help="run the whole-program rules (RL001i, RL007, RL009) over the "
+        help="run the whole-program rules (RL001i, RL009) over the "
         "project call graph in addition to the per-file rules",
     )
     parser.add_argument(

@@ -5,9 +5,9 @@ CallGraph` and a demand-driven, memoized propagator over the per-function
 summaries of :mod:`repro.lint.summaries`: a summary is computed the first
 time any caller asks for it, callee summaries are requested recursively,
 and recursion cycles resolve to the empty summary (one-pass
-approximation; the accounting/answer paths under check are acyclic).
+approximation; the answer paths under check are acyclic).
 
-Three project rules run on top:
+Two project rules run on top:
 
 * **RL001i dp-boundary-flow** -- the same
   :class:`~repro.lint.summaries.TaintWalker` RL001 runs, but raw-estimate
@@ -16,16 +16,6 @@ Three project rules run on top:
   whose trace leaves the reporting function are reported: a single-hop
   leak, or one whose hops all lie in the function itself (laundered
   through ``self.x``, say), is RL001's finding.
-* **RL007 budget-conservation** -- every path of a broker ``answer*``
-  function that releases an answer must first be charged to the budget
-  accountant AND committed to the write-ahead journal, across calls
-  (the brokers discharge both through the settlement kernel); an
-  ε′ = 0 ``replay*`` path owes the journal commit only.  Conditional
-  effects in the *own* body are accepted (an all-replay batch
-  legitimately charges nothing); an obligation discharged through a
-  resolved callee requires the callee to perform it on **every** path.
-  This subsumes the retired intra-function RL006 journal-before-release,
-  which could not see a journal append made inside the kernel.
 * **RL009 lock-order** -- the global lock acquisition graph (``with``
   statements plus ``# holds:`` entry annotations, class-level lock
   keys, transitive callee acquisitions) must be acyclic; cycles are
@@ -54,26 +44,18 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.callgraph import CallGraph, FunctionDecl, call_name
+from repro.lint.callgraph import CallGraph, FunctionDecl
 from repro.lint.engine import FileContext
 from repro.lint.findings import Finding, Hop
 from repro.lint.summaries import (
-    EFFECT_CHARGE,
-    EFFECT_JOURNAL,
-    EMPTY_EFFECTS,
     EMPTY_LOCKS,
     TAINTED,
-    EffectSummary,
     LockEdge,
     LockSummary,
     TaintSummary,
     TaintWalker,
-    compute_effect_summary,
     compute_lock_summary,
     compute_taint_summary,
-    header_exprs,
-    intrinsic_effects,
-    iter_calls,
 )
 
 __all__ = [
@@ -86,8 +68,8 @@ __all__ = [
 ]
 
 #: Modules whose ``answer*``/``replay*`` paths release answers, plus the
-#: settlement kernel they all release through: the scope of RL001,
-#: RL001i and RL007.  ``repro.resilience`` is inside the scope because
+#: settlement kernel they all release through: the scope of RL001 and
+#: RL001i.  ``repro.resilience`` is inside the scope because
 #: brownout/hedging helpers sit on the release path: any future
 #: ``answer*`` helper that moves there keeps the same static guarantees.
 BROKER_MODULES = (
@@ -111,8 +93,6 @@ class ProjectContext:
         self.graph = CallGraph.build(self.files)
         self._taint: Dict[str, TaintSummary] = {}
         self._taint_active: Set[str] = set()
-        self._effects: Dict[str, EffectSummary] = {}
-        self._effects_active: Set[str] = set()
         self._locks: Dict[str, LockSummary] = {}
         self._locks_active: Set[str] = set()
 
@@ -151,40 +131,6 @@ class ProjectContext:
             ]
 
         return resolve
-
-    def effect_summary(self, decl: FunctionDecl) -> EffectSummary:
-        cached = self._effects.get(decl.fid)
-        if cached is not None:
-            return cached
-        if decl.fid in self._effects_active:
-            return EMPTY_EFFECTS
-        self._effects_active.add(decl.fid)
-        try:
-            summary = compute_effect_summary(
-                decl,
-                self.ctx_for(decl),
-                lambda call: self.merged_effects(call, decl),
-            )
-        finally:
-            self._effects_active.discard(decl.fid)
-        self._effects[decl.fid] = summary
-        return summary
-
-    def merged_effects(
-        self, call: ast.Call, caller: FunctionDecl
-    ) -> Optional[EffectSummary]:
-        """Join of every resolved candidate: must=AND, may=OR."""
-        decls = self.graph.resolve_call(call, caller)
-        if not decls:
-            return None
-        summaries = [self.effect_summary(decl) for decl in decls]
-        must = frozenset.intersection(*(s.must for s in summaries))
-        may = frozenset().union(*(s.may for s in summaries))
-        sites: Dict[str, Tuple[Hop, ...]] = {}
-        for summary in summaries:
-            for effect, hops in summary.sites.items():
-                sites.setdefault(effect, hops)
-        return EffectSummary(must=must, may=may, sites=sites)
 
     def lock_summary(self, decl: FunctionDecl) -> LockSummary:
         cached = self._locks.get(decl.fid)
@@ -374,187 +320,6 @@ class InterproceduralDpBoundaryRule(ProjectRule):
 
 
 # ======================================================================
-# RL007 -- budget conservation
-# ======================================================================
-
-
-def _is_delegation(expr: Optional[ast.expr]) -> bool:
-    node = expr
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return isinstance(node, ast.Call) and call_name(node).startswith(
-        ("answer", "replay")
-    )
-
-
-class _ReleaseWalker:
-    """Path walk of one ``answer*`` / ``replay*`` body checking that the
-    ``required`` effects (charge and journal; journal only for a replay)
-    dominate each release (non-delegating ``return <value>``).
-
-    ``have`` accumulates effects observed on the current path.  Own-body
-    intrinsics merge may-style across branches (the author sees the
-    condition; an all-replay batch charges nothing by design), while a
-    resolved callee only contributes its **must** effects -- a callee
-    that charges on just one branch does not discharge the obligation.
-    """
-
-    def __init__(
-        self,
-        project: ProjectContext,
-        decl: FunctionDecl,
-        required: Tuple[str, ...],
-    ) -> None:
-        self.project = project
-        self.decl = decl
-        #: Effects every release of this function owes.
-        self.required = required
-        self.ctx = project.ctx_for(decl)
-        self.findings: List[Finding] = []
-        #: effect -> trace hops of a site where it only *may* happen
-        #: (conditional inside a callee) -- used to sharpen messages.
-        self.weak: Dict[str, Tuple[Hop, ...]] = {}
-
-    def _hop(self, node: ast.AST, note: str) -> Hop:
-        line = getattr(node, "lineno", 1)
-        return Hop(
-            path=self.ctx.rel_path,
-            line=line,
-            note=note,
-            line_text=self.ctx.line_text(line).strip(),
-        )
-
-    def _absorb_calls(self, part: ast.AST, have: Set[str]) -> None:
-        for node in iter_calls(part):
-            have |= intrinsic_effects(node)
-            summary = self.project.merged_effects(node, self.decl)
-            if summary is None:
-                continue
-            have |= summary.must
-            for effect in summary.may - summary.must:
-                if effect not in self.weak:
-                    inner = summary.sites.get(effect, ())
-                    self.weak[effect] = (
-                        self._hop(
-                            node,
-                            f"`{call_name(node)}(...)` performs the "
-                            f"{effect} only on some of its paths",
-                        ),
-                    ) + inner
-
-    def walk(self, stmts: Sequence[ast.stmt], have: Set[str]) -> bool:
-        """Returns True when every path through ``stmts`` terminated."""
-        for stmt in stmts:
-            for part in header_exprs(stmt):
-                self._absorb_calls(part, have)
-            if isinstance(stmt, ast.Return):
-                if stmt.value is not None and not _is_delegation(stmt.value):
-                    self._check_release(stmt, have)
-                return True
-            if isinstance(stmt, ast.Raise):
-                return True
-            if isinstance(stmt, ast.If):
-                branch_have = set(have)
-                else_have = set(have)
-                body_done = self.walk(stmt.body, branch_have)
-                else_done = self.walk(stmt.orelse, else_have)
-                if body_done and else_done:
-                    return True
-                survivors = [
-                    state
-                    for state, done in (
-                        (branch_have, body_done),
-                        (else_have, else_done),
-                    )
-                    if not done
-                ]
-                have.clear()
-                have.update(*survivors)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                loop_have = set(have)
-                self.walk(stmt.body, loop_have)
-                self.walk(stmt.orelse, loop_have)
-                have |= loop_have
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                if self.walk(stmt.body, have):
-                    return True
-            elif isinstance(stmt, ast.Try):
-                body_have = set(have)
-                self.walk(stmt.body, body_have)
-                have |= body_have
-                for handler in stmt.handlers:
-                    handler_have = set(have)
-                    self.walk(handler.body, handler_have)
-                    have |= handler_have
-                else_have = set(have)
-                self.walk(stmt.orelse, else_have)
-                have |= else_have
-                if self.walk(stmt.finalbody, have):
-                    return True
-        return False
-
-    def _check_release(self, stmt: ast.Return, have: Set[str]) -> None:
-        for effect, what, fix in (
-            (
-                EFFECT_CHARGE,
-                "the budget accountant is never charged",
-                "charge the accountant (accountant.charge/charge_many)",
-            ),
-            (
-                EFFECT_JOURNAL,
-                "the trade is never committed to the write-ahead journal",
-                "append the trade (self._journal_trades or journal.append)",
-            ),
-        ):
-            if effect in have or effect not in self.required:
-                continue
-            trace: Tuple[Hop, ...] = ()
-            detail = ""
-            if effect in self.weak:
-                trace = self.weak[effect]
-                detail = " on every path of the callee it delegates to"
-            self.findings.append(
-                self.project.finding(
-                    "RL007",
-                    self.ctx,
-                    stmt,
-                    f"{self.decl.qualname} releases an answer on a path "
-                    f"where {what}; {fix}{detail} before the return "
-                    "(budget conservation)",
-                    trace,
-                )
-            )
-
-
-class BudgetConservationRule(ProjectRule):
-    """RL007: release sites dominated by accountant charge + journal."""
-
-    rule_id = "RL007"
-    name = "budget-conservation"
-    rationale = (
-        "An answer released without a matching accountant charge and "
-        "journal commit breaks the paper's eps' accounting invariant: "
-        "the spend either never happens or cannot be recovered after a "
-        "crash.  The eps'=0 replay path charges nothing by construction "
-        "but still owes the journal commit."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for decl in project.graph.functions_in_module_prefix(BROKER_MODULES):
-            if decl.name.startswith("answer"):
-                required: Tuple[str, ...] = (EFFECT_CHARGE, EFFECT_JOURNAL)
-            elif decl.name.startswith("replay"):
-                required = (EFFECT_JOURNAL,)
-            else:
-                continue
-            node = decl.node
-            assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            walker = _ReleaseWalker(project, decl, required)
-            walker.walk(node.body, set())
-            yield from walker.findings
-
-
-# ======================================================================
 # RL009 -- lock order
 # ======================================================================
 
@@ -710,7 +475,6 @@ def _canonical_cycle(cycle: List[str]) -> Tuple[str, ...]:
 # ======================================================================
 
 project_registry.register(InterproceduralDpBoundaryRule)
-project_registry.register(BudgetConservationRule)
 project_registry.register(LockOrderRule)
 
 

@@ -22,9 +22,11 @@ linters cannot see:
   metric through :class:`~repro.serving.telemetry.MetricsRegistry`, or
   carry a ``# repro-lint: shed`` justification.
 
-Journal-before-release -- once the intra-function RL006 -- is enforced
-by the whole-program RL007 (:mod:`repro.lint.flow`), which follows the
-brokers into the settlement kernel where the journal append now lives.
+Journal-before-release and budget conservation -- once RL006 and then
+the whole-program RL007 -- are no lint rules: every broker releases
+through the one settlement path, which journals each dispatch before it
+posts the record to the books, and behaviour tests
+(``tests/chaos/test_broker_journal.py``) pin both.
 """
 
 from __future__ import annotations

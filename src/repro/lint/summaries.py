@@ -1,6 +1,6 @@
 """Per-function summaries for the interprocedural lint layer.
 
-Three summary families are computed per project function, each by one
+Two summary families are computed per project function, each by one
 structural walk of the function body, with callee knowledge supplied by
 the demand-driven propagator in :mod:`repro.lint.flow`:
 
@@ -11,11 +11,6 @@ the demand-driven propagator in :mod:`repro.lint.flow`:
   analysis interprocedural: a helper that merely returns its argument
   propagates the caller's taint, and a helper that noises its argument
   cleanses it.
-* **Effects** (:class:`EffectSummary`) -- which accounting effects the
-  function performs transitively (``charge``: the budget accountant is
-  debited; ``journal``: the write-ahead trade journal is appended to),
-  split into **must** (on every path) and **may** (on some path), with
-  call-chain trace hops to the first site.
 * **Locks** (:class:`LockSummary`) -- which locks the function acquires
   transitively (``with self._lock`` plus ``# holds:`` annotations), and
   the *ordering edges* observed inside it: lock B acquired -- directly
@@ -59,14 +54,8 @@ __all__ = [
     "TaintSummary",
     "TaintWalker",
     "SinkEvent",
-    "EffectSummary",
-    "EMPTY_EFFECTS",
-    "compute_effect_summary",
-    "intrinsic_effects",
     "iter_calls",
     "header_exprs",
-    "EFFECT_CHARGE",
-    "EFFECT_JOURNAL",
     "LockSummary",
     "LockEdge",
     "EMPTY_LOCKS",
@@ -512,32 +501,8 @@ def compute_taint_summary(
 
 
 # ======================================================================
-# accounting effects (charge / journal)
+# statement structure
 # ======================================================================
-
-EFFECT_CHARGE = "charge"
-EFFECT_JOURNAL = "journal"
-
-
-@dataclass(frozen=True)
-class EffectSummary:
-    """Accounting effects a function performs, transitively."""
-
-    must: FrozenSet[str] = frozenset()
-    may: FrozenSet[str] = frozenset()
-    sites: Dict[str, Tuple[Hop, ...]] = field(default_factory=dict)
-
-    @property
-    def conditional(self) -> FrozenSet[str]:
-        """Effects present on some but not all paths."""
-        return self.may - self.must
-
-
-EMPTY_EFFECTS = EffectSummary()
-
-#: Resolves a call to the merged EffectSummary of its project callees
-#: (or None when unresolved).
-ResolveEffects = Callable[[ast.Call], Optional[EffectSummary]]
 
 
 def iter_calls(node: ast.AST) -> Iterable[ast.Call]:
@@ -570,144 +535,6 @@ def header_exprs(stmt: ast.stmt) -> List[ast.AST]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return []
     return [stmt]
-
-
-def intrinsic_effects(node: ast.Call) -> FrozenSet[str]:
-    """Effects a call performs by name, independent of resolution.
-
-    A journal append is a ``_journal*`` helper call, ``append`` /
-    ``append_many`` on a journal, or a window log's ``append_charge``;
-    a charge is ``charge`` / ``charge_many`` / ``charge_window`` on a
-    dotted receiver containing ``accountant``.
-    """
-    callee = call_name(node)
-    effects: Set[str] = set()
-    dotted = dotted_name(node.func) or ""
-    if callee.startswith("_journal"):
-        effects.add(EFFECT_JOURNAL)
-    elif callee in ("append", "append_many") and "journal" in dotted.lower():
-        effects.add(EFFECT_JOURNAL)
-    elif callee == "append_charge" and (
-        "log" in dotted.lower() or "journal" in dotted.lower()
-    ):
-        effects.add(EFFECT_JOURNAL)
-    if callee in ("charge", "charge_many", "charge_window") and (
-        "accountant" in dotted.lower()
-    ):
-        effects.add(EFFECT_CHARGE)
-    return frozenset(effects)
-
-
-class _EffectWalker:
-    """Must/may effect analysis of one function body."""
-
-    def __init__(
-        self,
-        ctx: FileContext,
-        decl: FunctionDecl,
-        resolve: ResolveEffects,
-    ) -> None:
-        self.ctx = ctx
-        self.decl = decl
-        self.resolve = resolve
-        self.sites: Dict[str, Tuple[Hop, ...]] = {}
-
-    def _hop(self, node: ast.AST, note: str) -> Hop:
-        line = getattr(node, "lineno", 1)
-        return Hop(
-            path=self.ctx.rel_path,
-            line=line,
-            note=note,
-            line_text=self.ctx.line_text(line).strip(),
-        )
-
-    def _effects_of_call(self, node: ast.Call) -> Tuple[Set[str], Set[str]]:
-        """(must, may) effects of one call, recording first sites."""
-        must: Set[str] = set(intrinsic_effects(node))
-        may: Set[str] = set(must)
-        for effect in must:
-            self.sites.setdefault(
-                effect,
-                (self._hop(node, f"{effect} happens here"),),
-            )
-        callee_summary = self.resolve(node)
-        if callee_summary is not None:
-            must |= set(callee_summary.must)
-            may |= set(callee_summary.may)
-            for effect in callee_summary.may:
-                inner = callee_summary.sites.get(effect, ())
-                self.sites.setdefault(
-                    effect,
-                    (self._hop(node, f"calls into `{call_name(node)}`"),) + inner,
-                )
-        return must, may
-
-    def walk(self, stmts: Sequence[ast.stmt]) -> Tuple[Set[str], Set[str], bool]:
-        """Returns (must, may, terminated) for a statement block."""
-        must: Set[str] = set()
-        may: Set[str] = set()
-        for stmt in stmts:
-            # Calls in the statement *header* run when the statement
-            # runs; calls in branch/loop bodies are handled by the
-            # structural recursion below.  (Short-circuit operands are
-            # approximated as executed; the accounting paths under
-            # check do not hide charges in `and` chains.)
-            for part in header_exprs(stmt):
-                for node in iter_calls(part):
-                    call_must, call_may = self._effects_of_call(node)
-                    must |= call_must
-                    may |= call_may
-            if isinstance(stmt, (ast.Return, ast.Raise)):
-                return must, may, True
-            if isinstance(stmt, ast.If):
-                body_must, body_may, body_term = self.walk(stmt.body)
-                else_must, else_may, else_term = self.walk(stmt.orelse)
-                may |= body_may | else_may
-                if body_term and else_term:
-                    must |= body_must & else_must
-                    return must, may, True
-                if body_term:
-                    must |= else_must
-                elif else_term:
-                    must |= body_must
-                else:
-                    must |= body_must & else_must
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                _, loop_may, _ = self.walk(stmt.body)
-                _, else_may, _ = self.walk(stmt.orelse)
-                may |= loop_may | else_may
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner_must, inner_may, inner_term = self.walk(stmt.body)
-                must |= inner_must
-                may |= inner_may
-                if inner_term:
-                    return must, may, True
-            elif isinstance(stmt, ast.Try):
-                _, body_may, _ = self.walk(stmt.body)
-                may |= body_may
-                for handler in stmt.handlers:
-                    _, handler_may, _ = self.walk(handler.body)
-                    may |= handler_may
-                _, else_may, _ = self.walk(stmt.orelse)
-                may |= else_may
-                final_must, final_may, final_term = self.walk(stmt.finalbody)
-                must |= final_must
-                may |= final_may
-                if final_term:
-                    return must, may, True
-        return must, may, False
-
-
-def compute_effect_summary(
-    decl: FunctionDecl, ctx: FileContext, resolve: ResolveEffects
-) -> EffectSummary:
-    walker = _EffectWalker(ctx, decl, resolve)
-    node = decl.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    must, may, _ = walker.walk(node.body)
-    return EffectSummary(
-        must=frozenset(must), may=frozenset(may), sites=dict(walker.sites)
-    )
 
 
 # ======================================================================

@@ -25,9 +25,10 @@ from tests.chaos.conftest import journal_record
 class TestAppend:
     def test_ids_are_monotone_from_one(self):
         journal = TradeJournal()
-        first = journal.append(**journal_record())
-        second = journal.append(**journal_record(kind="replay",
-                                                 epsilon_prime=0.0))
+        first = journal.append_many([journal_record()])[0]
+        second = journal.append_many(
+            [journal_record(kind="replay", epsilon_prime=0.0)]
+        )[0]
         assert first.answer_id == 1
         assert second.answer_id == 2
         assert journal.last_answer_id == 2
@@ -41,12 +42,6 @@ class TestAppend:
         assert [e.low for e in journal.entries()] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert len(journal) == 5
 
-    def test_entries_after(self):
-        journal = TradeJournal()
-        journal.append_many([journal_record() for _ in range(4)])
-        suffix = journal.entries_after(2)
-        assert [e.answer_id for e in suffix] == [3, 4]
-
     def test_entry_fields_round_trip_payload(self):
         entry = JournalEntry(answer_id=7, **journal_record())
         payload = entry.to_payload()
@@ -58,19 +53,19 @@ class TestAppend:
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(JournalError):
-            TradeJournal().append(**journal_record(kind="refund"))
+            TradeJournal().append_many([journal_record(kind="refund")])
 
     def test_replay_must_carry_zero_epsilon(self):
         with pytest.raises(JournalError):
-            TradeJournal().append(
-                **journal_record(kind="replay", epsilon_prime=0.01)
+            TradeJournal().append_many(
+                [journal_record(kind="replay", epsilon_prime=0.01)]
             )
 
     def test_negative_price_and_epsilon_rejected(self):
         with pytest.raises(JournalError):
-            TradeJournal().append(**journal_record(price=-1.0))
+            TradeJournal().append_many([journal_record(price=-1.0)])
         with pytest.raises(JournalError):
-            TradeJournal().append(**journal_record(epsilon_prime=-0.01))
+            TradeJournal().append_many([journal_record(epsilon_prime=-0.01)])
 
     @pytest.mark.parametrize(
         "field", ["low", "high", "alpha", "delta", "epsilon_prime", "price"]
@@ -80,7 +75,7 @@ class TestValidation:
         """Strict JSON has no NaN/Infinity: they never reach the books."""
         journal = TradeJournal()
         with pytest.raises(JournalError, match=field):
-            journal.append(**journal_record(**{field: bad}))
+            journal.append_many([journal_record(**{field: bad})])
         assert len(journal) == 0
 
     def test_non_finite_file_line_rejected_on_load(self, tmp_path):
@@ -117,9 +112,9 @@ class TestFileBacked:
     def test_load_resumes_id_sequence(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record())
+            journal.append_many([journal_record()])
         loaded = TradeJournal.load(path)
-        resumed = loaded.append(**journal_record())
+        resumed = loaded.append_many([journal_record()])[0]
         assert resumed.answer_id == 2
         loaded.close()
 
@@ -129,10 +124,10 @@ class TestFileBacked:
             return journal_record(consumer=consumer, label=f"{consumer}:[0.0,10.0]")
 
         with TradeJournal(path=path) as journal:
-            journal.append(**trade("a"))
+            journal.append_many([trade("a")])
         with TradeJournal.load(path) as loaded:
-            loaded.append(**trade("b"))
-            loaded.append(**trade("a"))
+            loaded.append_many([trade("b")])
+            loaded.append_many([trade("a")])
             checksum = loaded.checksum()
         # One definition per string, ids in first-use order across the
         # reopen: the file is byte-identical to an uninterrupted one.
@@ -140,7 +135,7 @@ class TestFileBacked:
         uninterrupted = tmp_path / "uninterrupted.bin"
         with TradeJournal(path=uninterrupted) as journal:
             for consumer in ("a", "b", "a"):
-                journal.append(**trade(consumer))
+                journal.append_many([trade(consumer)])
             assert journal.checksum() == checksum
         assert path.read_bytes() == uninterrupted.read_bytes()
         reloaded = TradeJournal.load(path)
@@ -150,7 +145,7 @@ class TestFileBacked:
     def test_existing_journal_is_refused_without_load(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record())
+            journal.append_many([journal_record()])
         with pytest.raises(JournalError, match="load"):
             TradeJournal(path=path)
         with TradeJournal.load(path) as loaded:
@@ -159,12 +154,12 @@ class TestFileBacked:
     def test_invalid_record_journals_none_of_its_batch(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record())
+            journal.append_many([journal_record()])
             with pytest.raises(JournalError):
                 journal.append_many(
                     [journal_record(consumer="new"), journal_record(price=-1.0)]
                 )
-            assert journal.append(**journal_record()).answer_id == 2
+            assert journal.append_many([journal_record()])[0].answer_id == 2
         loaded = TradeJournal.load(path)
         assert [e.answer_id for e in loaded.entries()] == [1, 2]
         assert b"new" not in path.read_bytes()
@@ -185,7 +180,7 @@ class TestFileBacked:
         loaded = TradeJournal.load(path)
         assert len(loaded) == 2
         assert loaded.last_answer_id == 2
-        loaded.append(**journal_record())
+        loaded.append_many([journal_record()])
         loaded.close()
         assert path.read_bytes().startswith(whole)
         with TradeJournal.load(path) as reloaded:
@@ -225,7 +220,7 @@ class TestFileBacked:
     def test_file_starts_with_the_v3_header(self, tmp_path):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record())
+            journal.append_many([journal_record()])
         assert path.read_bytes()[:8] == b"\x89RPJ\x03\x00\x01\x00"
 
     @pytest.mark.parametrize(
@@ -244,7 +239,7 @@ class TestFileBacked:
     def test_wrong_magic_or_version_rejected(self, tmp_path, head, match):
         path = tmp_path / "journal.bin"
         with TradeJournal(path=path) as journal:
-            journal.append(**journal_record())
+            journal.append_many([journal_record()])
         path.write_bytes(head + path.read_bytes()[8:])
         with pytest.raises(JournalError, match=match):
             TradeJournal.load(path)
@@ -253,10 +248,10 @@ class TestFileBacked:
 class TestChecksum:
     def test_checksum_tracks_content(self):
         a, b = TradeJournal(), TradeJournal()
-        a.append(**journal_record())
-        b.append(**journal_record())
+        a.append_many([journal_record()])
+        b.append_many([journal_record()])
         assert a.checksum() == b.checksum()
-        b.append(**journal_record(kind="replay", epsilon_prime=0.0))
+        b.append_many([journal_record(kind="replay", epsilon_prime=0.0)])
         assert a.checksum() != b.checksum()
 
 

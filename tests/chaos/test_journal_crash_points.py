@@ -221,7 +221,7 @@ def test_every_cut_recovers_the_whole_entries(two_dispatches, twins, tmp_path):
         # The resumed journal cuts the tail, reuses the surviving string
         # table, and writes exactly what an uninterrupted journal of the
         # same appends would.
-        resumed = recovered.append(**payload_of(entries[-1]))
+        resumed = recovered.append_many([payload_of(entries[-1])])[0]
         assert resumed.answer_id == whole + 1
         recovered.close()
         reloaded = TradeJournal.load(crashed)

@@ -80,9 +80,9 @@ class TestReplayIdempotence:
 
     def test_replay_entries_bill_but_never_charge(self):
         journal = TradeJournal()
-        journal.append(**journal_record(epsilon_prime=0.02, price=1.5))
-        journal.append(
-            **journal_record(kind="replay", epsilon_prime=0.0, price=1.5)
+        journal.append_many([journal_record(epsilon_prime=0.02, price=1.5)])
+        journal.append_many(
+            [journal_record(kind="replay", epsilon_prime=0.0, price=1.5)]
         )
         ledger, accountant, policy = recover_accounting(journal)
         # Both trades are billed and bought; only the release spends ε.
@@ -190,6 +190,7 @@ class TestCapsSurviveRestart:
     ("rrrr", "abba", [[0], [1, 2], [3]]),
     ("rprr", "aaab", [[0, 2], [3]]),
     ("crrc", "-aa-", [[0], [1, 2], [3]]),
+    ("pppp", "abab", []),
 ])
 def test_the_accountant_is_charged_once_per_run(kinds, consumers, runs):
     """``post_record`` charges each run of one consumer's ε′-spending rows
@@ -373,9 +374,9 @@ class TestOutOfTradeCharges:
 
     def test_charge_entries_are_never_billed(self):
         with pytest.raises(JournalError):
-            TradeJournal().append(**journal_record(kind="charge", price=1.5))
+            TradeJournal().append_many([journal_record(kind="charge", price=1.5)])
         journal = TradeJournal()
-        journal.append(**journal_record(kind="charge", price=0.0))
+        journal.append_many([journal_record(kind="charge", price=0.0)])
         ledger, accountant, policy = recover_accounting(journal)
         assert len(ledger) == 0
         assert policy.counters() == {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos import books_equal
 from repro.cluster.broker import ClusterBroker
 from repro.cluster.health import ShardHealthMonitor
 from repro.core.query import AccuracySpec, RangeQuery
@@ -169,7 +170,10 @@ class TestPooledFailover:
         a = plain.answer_batch(self.QUERIES, self.SPEC, consumer="c")
         b = hedged.answer_batch(self.QUERIES, self.SPEC, consumer="c")
         assert hedged.hedging.hedges_fired >= 1
+        assert hedged.hedging.hedges_won >= 1
         assert [x.value for x in a] == [y.value for y in b]
+        # A won hedge changes how shard samples are read, never the books.
+        assert books_equal(plain, hedged)
         reference = np.random.default_rng(3 + 1)
         reference.random(len(self.QUERIES))
         assert hedged.rng.bit_generator.state == reference.bit_generator.state

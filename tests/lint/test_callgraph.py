@@ -1,5 +1,5 @@
 """Unit tests for the call graph and per-function summaries that back
-the interprocedural rules (RL001i, RL007-RL009)."""
+the interprocedural rules (RL001i, RL009)."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from repro.lint.callgraph import CallGraph, call_name, dotted_name
 from repro.lint.flow import ProjectContext
 from repro.lint.summaries import (
     CLEAN,
-    EFFECT_CHARGE,
-    EFFECT_JOURNAL,
     TAINTED,
     header_exprs,
     iter_calls,
@@ -178,37 +176,6 @@ def test_taint_summary_source_in_helper_is_tainted_regardless_of_args():
     summary = project.taint_summary(decl)
     assert summary.level == TAINTED
     assert any("taint source" in hop.note for hop in summary.trace)
-
-
-def test_effect_summary_must_vs_may_across_branches():
-    project = _project(
-        {
-            "repro/core/broker.py": """
-            class DataBroker:
-                def always(self, plan):
-                    self.accountant.charge("d", plan.epsilon_prime)
-                    self._journal_trades([])
-
-                def sometimes(self, plan):
-                    if plan.epsilon_prime > 1.0:
-                        self.accountant.charge("d", plan.epsilon_prime)
-                    self._journal_trades([])
-
-                def _journal_trades(self, rows):
-                    self.journal.append_many(rows)
-            """,
-        }
-    )
-    always = project.effect_summary(
-        project.graph.functions["repro.core.broker:DataBroker.always"]
-    )
-    assert EFFECT_CHARGE in always.must and EFFECT_JOURNAL in always.must
-    sometimes = project.effect_summary(
-        project.graph.functions["repro.core.broker:DataBroker.sometimes"]
-    )
-    assert EFFECT_CHARGE not in sometimes.must
-    assert EFFECT_CHARGE in sometimes.may
-    assert EFFECT_JOURNAL in sometimes.must
 
 
 def test_lock_summary_keys_are_class_qualified_and_edges_transitive():

@@ -131,7 +131,7 @@ def test_head_tree_is_clean(capsys):
 
 
 def test_head_tree_is_clean_interprocedurally(capsys):
-    """Meta-test: the whole-program rules (RL001i, RL007-RL009) raise no
+    """Meta-test: the whole-program rules (RL001i, RL009) raise no
     findings over src/ and tests/ at HEAD."""
     assert (
         lint_main(
@@ -172,6 +172,13 @@ def test_interprocedural_fixture_fails_via_cli(tmp_path, capsys):
 def test_unknown_rule_id_exits_two(tmp_path, capsys):
     root = _make_tree(tmp_path, "repro/serving/ok.py", "X = 1\n")
     assert lint_main(["--root", str(root), "--rules", "RL999"]) == 2
+    assert "unknown rule id" in capsys.readouterr().err
+
+
+def test_retired_rl007_is_an_unknown_rule_id(tmp_path, capsys):
+    root = _make_tree(tmp_path, "repro/serving/ok.py", "X = 1\n")
+    args = ["--root", str(root), "--interprocedural", "--rules", "RL007"]
+    assert lint_main(args) == 2
     assert "unknown rule id" in capsys.readouterr().err
 
 

@@ -16,7 +16,6 @@ from repro.lint.flow import run_project_rules
 BROKER = "src/repro/core/broker.py"
 CLUSTER = "src/repro/cluster/broker.py"
 STREAMING = "src/repro/streaming/broker.py"
-SETTLEMENT = "src/repro/core/settlement.py"
 TELEMETRY = "src/repro/serving/telemetry.py"
 
 # ----------------------------------------------------------------------
@@ -38,64 +37,6 @@ MUTATION_RL001I = {
             "\n"
             "\n"
             "def release_views(",
-        ),
-    ]
-}
-
-#: The settlement kernel's accountant charge moved into a helper that
-#: only charges "large" batches -- every broker settles through the
-#: kernel, so all three ``answer_batch`` paths release uncharged.
-MUTATION_RL007 = {
-    SETTLEMENT: [
-        (
-            "    accountant.charge_many(*first)\n",
-            "    _charge_large(books, *first)\n",
-        ),
-        (
-            "def post_record(",
-            "def _charge_large(books, dataset, charges, labels):\n"
-            "    if sum(charges) > 1.0:\n"
-            "        books.accountant.charge_many(dataset, charges, labels)\n"
-            "\n"
-            "\n"
-            "def post_record(",
-        ),
-    ]
-}
-
-#: The kernel stops journaling: journal-before-release is gone for every
-#: broker at once (the defect the retired intra-function RL006 could no
-#: longer see once the append moved into the kernel).
-MUTATION_KERNEL_JOURNAL = {
-    SETTLEMENT: [
-        ("    broker.journal.append_many(records)\n", ""),
-    ]
-}
-
-#: The hedged duplicate-release bug: a refactor routes the cluster's
-#: settlement through a helper that skips the accountant whenever a
-#: hedge won the race -- on the (wrong) theory that the losing lane
-#: already billed.  A hedged lane only reads shard samples and never
-#: touches the books, so the hedged branch releases answers uncharged.
-MUTATION_RL007_HEDGE = {
-    CLUSTER: [
-        (
-            "        return release_views(\n"
-            "            self,\n"
-            "            batch,\n",
-            "        return self._settle_and_bill(\n"
-            "            batch,\n",
-        ),
-        (
-            "    def answer_batch(",
-            "    def _settle_and_bill(self, batch, source, **columns):\n"
-            "        if self.hedging is None or self.hedging.hedges_won == 0:\n"
-            "            return release_views(self, batch, source, **columns)\n"
-            "        self.journal.append_many(self._trade_records(batch))\n"
-            "        txns = self.ledger.record_many(self._sales(batch))\n"
-            "        return self._assemble(batch, txns, **columns)\n"
-            "\n"
-            "    def answer_batch(",
         ),
     ]
 }
@@ -166,63 +107,7 @@ def test_rl001i_mutation_is_invisible_to_intra_rl001():
 
 
 # ----------------------------------------------------------------------
-# (b) RL007: charge moved to a callee that only charges on one branch
-# ----------------------------------------------------------------------
-def test_rl007_conditional_charge_in_callee(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL007, only=["RL007"])
-    # One kernel defect, one finding per broker that settles through it.
-    assert [f.rule_id for f in findings] == ["RL007"] * 3
-    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
-    for finding in findings:
-        assert "answer_batch" in finding.message
-        assert "accountant is never charged" in finding.message
-        notes = [hop.note for hop in finding.trace]
-        assert any(
-            "release_views" in note and "some of its paths" in note
-            for note in notes
-        )
-        assert any("release_batch" in note for note in notes)
-        assert any("_charge_large" in note for note in notes)
-
-
-def test_rl007_mutation_is_invisible_to_intra_rules():
-    assert _intra_findings(MUTATION_RL007, ["RL001"]) == []
-
-
-def test_rl007_catches_a_kernel_that_stops_journaling(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_KERNEL_JOURNAL, only=["RL007"])
-    # Every broker's answer_batch (each broker's one-row replay is an
-    # answer_batch call, so it settles through the same release_batch).
-    assert [f.rule_id for f in findings] == ["RL007"] * 3
-    assert {f.path for f in findings} == {BROKER, CLUSTER, STREAMING}
-    for finding in findings:
-        assert "answer_batch" in finding.message
-        assert "never committed to the write-ahead journal" in finding.message
-
-
-# ----------------------------------------------------------------------
-# (b') RL007: hedged duplicate release -- charge skipped when a hedge won
-# ----------------------------------------------------------------------
-def test_rl007_hedged_duplicate_release_is_caught(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL007_HEDGE, only=["RL007"])
-    assert [f.rule_id for f in findings] == ["RL007"]
-    finding = findings[0]
-    assert finding.path == CLUSTER
-    assert "accountant is never charged" in finding.message
-    assert "on every path of the callee" in finding.message
-    notes = [hop.note for hop in finding.trace]
-    assert any(
-        "_settle_and_bill" in note and "some of its paths" in note
-        for note in notes
-    )
-
-
-def test_rl007_hedged_mutation_is_invisible_to_intra_rules():
-    assert _intra_findings(MUTATION_RL007_HEDGE, ["RL001"]) == []
-
-
-# ----------------------------------------------------------------------
-# (c) RL009: inverted two-lock acquisition across modules
+# (b) RL009: inverted two-lock acquisition across modules
 # ----------------------------------------------------------------------
 def test_rl009_lock_order_inversion_across_modules(mutated_project):
     findings, _, _ = mutated_project(MUTATION_RL009, only=["RL009"])
@@ -249,8 +134,8 @@ def test_rl009_reports_each_cycle_once(mutated_project):
 # rule selection
 # ----------------------------------------------------------------------
 def test_project_rules_can_be_subset(mutated_project):
-    # Running only RL007 over the RL009 mutation reports nothing.
-    findings, _, _ = mutated_project(MUTATION_RL009, only=["RL007"])
+    # Running only RL001i over the RL009 mutation reports nothing.
+    findings, _, _ = mutated_project(MUTATION_RL009, only=["RL001i"])
     assert findings == []
 
 

@@ -73,7 +73,7 @@ def test_pragma_at_source_suppresses():
 def test_pragma_suppresses_only_the_named_rule():
     src = BROKER_SRC.replace(
         "        return raw",
-        "        return raw  # repro-lint: disable=RL007",
+        "        return raw  # repro-lint: disable=RL009",
     )
     findings, suppressed, _ = _run(src)
     assert [f.rule_id for f in findings] == ["RL001i", "RL001i"]
