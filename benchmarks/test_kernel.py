@@ -30,6 +30,13 @@ the same path:
   request (the ``gc.get_objects()`` count added by 64 requests queued on
   a gateway that never starts, then cancelled untraded).
 
+Beside it, the cluster kernel: 47 direct 64-row ``cluster_routed``-shaped
+dispatches -- ``ClusterBroker.answer_batch`` on a 4-shard range-sharded
+cluster over the same fleet, bimodal routed ranges
+(``make_routed_workload``) at the ``ROUTED_TIERS``, 4 consumers, a file
+journal -- in microseconds per row, with the ``estimate_many`` calls and
+the distinct touched shard sets per dispatch.
+
 Results go to ``benchmarks/results/BENCH_kernel.json`` and
 ``kernel.txt``.  Set ``REPRO_BENCH_SMOKE=1`` for a short run (CI's
 bench-smoke job); nothing here asserts a timing.
@@ -47,7 +54,7 @@ import pytest
 
 from benchmarks.conftest import DEVICE_COUNT
 from repro.analysis.metrics import make_workload
-from repro.cluster.bench import DEFAULT_TIERS
+from repro.cluster.bench import DEFAULT_TIERS, ROUTED_TIERS, make_routed_workload
 from repro.core import broker as core_broker
 from repro.core import settlement
 from repro.core.query import RangeQuery
@@ -68,6 +75,8 @@ WIDTHS = (1, 4, 16, 64)
 SWEEP_ROWS = 64 if SMOKE else 512
 #: Width-64 dispatches sent through the gateway.
 GATEWAY_DISPATCHES = 4 if SMOKE else 24
+#: Shards of the cluster kernel's range-sharded cluster.
+CLUSTER_SHARDS = 4
 
 
 def _timed(seconds: Dict[str, float], stage: str, call: Callable) -> Callable:
@@ -79,6 +88,61 @@ def _timed(seconds: Dict[str, float], stage: str, call: Callable) -> Callable:
             seconds[stage] += time.perf_counter() - started
 
     return wrapper
+
+
+def _cluster_dispatches(values, journal_path) -> Dict[str, float]:
+    """Direct width-64 ``cluster_routed``-shaped dispatches: microseconds
+    per row, estimate calls and touched shard sets per dispatch."""
+    service = PrivateRangeCountingService.from_values(
+        values, k=DEVICE_COUNT, dataset="ozone", seed=1,
+        shards=CLUSTER_SHARDS, partition="range-sharded",
+    )
+    broker = service.broker
+    broker.journal = TradeJournal(path=journal_path)
+    broker.ensure_rate(
+        max(broker.planner.required_rate(spec) for spec in ROUTED_TIERS)
+    )
+    rate = broker.base_station.sampling_rate
+    ranges = make_routed_workload(values, WIDTH * DISPATCHES, seed=1)
+    rows = [
+        (RangeQuery(low, high, dataset="ozone"),
+         ROUTED_TIERS[i % len(ROUTED_TIERS)], f"c{i % CONSUMERS}")
+        for i, (low, high) in enumerate(ranges)
+    ]
+    routes = [broker.route_for_range(q.low, q.high, spec) for q, spec, _ in rows]
+    for query, spec, _ in rows:  # warm the route and plan memos
+        broker.planner.plan_for_range(query.low, query.high, spec, rate)
+    calls = 0
+    estimate_many = broker.estimator.estimate_many
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return estimate_many(*args, **kwargs)
+
+    broker.estimator.estimate_many = counted  # type: ignore[method-assign]
+    took = 0.0
+    touched = 0
+    for start in range(0, len(rows), WIDTH):
+        batch = rows[start:start + WIDTH]
+        touched += len({r.queried for r in routes[start:start + WIDTH] if r.queried})
+        began = time.perf_counter()
+        outcomes = broker.answer_batch(
+            [query for query, _, _ in batch],
+            [spec for _, spec, _ in batch],
+            [consumer for _, _, consumer in batch],
+        )
+        took += time.perf_counter() - began
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    assert len(broker.journal) == len(rows)
+    return {
+        "shards": CLUSTER_SHARDS,
+        "dispatches": DISPATCHES,
+        "rows": len(rows),
+        "answer_batch_us_per_row": took / len(rows) * 1e6,
+        "estimate_calls_per_dispatch": calls / DISPATCHES,
+        "touched_sets_per_dispatch": touched / DISPATCHES,
+    }
 
 
 def test_kernel_dispatch_cost_per_row(
@@ -229,6 +293,8 @@ def test_kernel_dispatch_cost_per_row(
     idle.stop()
     assert idle.telemetry.value("gateway.cancelled") == WIDTH
 
+    cluster = _cluster_dispatches(values, tmp_path / "cluster.journal")
+
     per_row = {"intake": dispatched["intake"] / traded * 1e6}
     per_row.update(
         (stage, dispatched[stage] / traded * 1e6) for stage in STAGES
@@ -243,6 +309,7 @@ def test_kernel_dispatch_cost_per_row(
         "us_per_row": per_row,
         "release_batch_us_per_row": dispatched["release_batch"] / traded * 1e6,
         "answer_batch_us_per_row": dispatched["answer_batch"] / traded * 1e6,
+        "cluster_answer_batch_us_per_row": cluster["answer_batch_us_per_row"],
         "single_row_answer_us": single_row_us,
         "journal_bytes_per_answer": journal_bytes / traded,
         "widths": widths,
@@ -254,6 +321,7 @@ def test_kernel_dispatch_cost_per_row(
             "kernel_us_per_row": dispatched["answer_batch"] / traded * 1e6,
             "gc_objects_per_pending_request": tracked / WIDTH,
         },
+        "cluster": cluster,
     }
     save_json("kernel", results)
     lines = [
@@ -277,6 +345,13 @@ def test_kernel_dispatch_cost_per_row(
         f"kernel alone {results['gateway_vs_kernel']['kernel_us_per_row']:.2f}",
         f"  gc-tracked objects per pending request: "
         f"{results['gateway_vs_kernel']['gc_objects_per_pending_request']:.2f}",
+        f"Cluster: {DISPATCHES} direct {WIDTH}-row cluster_routed dispatches, "
+        f"{CLUSTER_SHARDS} range-sharded shards, file journal",
+        f"  {'answer_batch':<14}{cluster['answer_batch_us_per_row']:>10.2f} us/row",
+        f"  estimate calls per dispatch: "
+        f"{cluster['estimate_calls_per_dispatch']:.2f}",
+        f"  touched shard sets per dispatch: "
+        f"{cluster['touched_sets_per_dispatch']:.2f}",
     ]
     save_result("kernel", "\n".join(lines))
     assert all(value >= 0.0 for value in per_row.values()) or pytest.fail(

@@ -19,16 +19,16 @@ batch the pipeline
    skipped, exactly-covered shards answer from cached totals, and the
    ``t <= s`` straddling shards are *queried* at the boosted tolerance
    ``α_t`` and the consumer's own ``δ``;
-2. **plans** once per ``(touched set, α_t, δ)`` over the touched fleet
-   shape ``(k_t, n_t)`` at the fleet's sampling rate, topping up the
-   whole fleet to its provisioning rate first when the stored sample
-   cannot support the target (so every shard keeps one rate), and
-   admits atomically;
-3. **gathers** the admitted rows' queried shards' samples (concurrently
-   for wide scatters, with replica failover, breaker bypass and hedging
-   per shard -- a lane only reads, so it has no side effects to undo),
-   runs one ``estimate_many`` per touched set over those samples in
-   global node order, and adds the exact-cover totals;
+2. **plans** once per distinct touched set and interned ``(α_t, δ)``
+   target over the touched fleet shape ``(k_t, n_t)`` at the fleet's
+   sampling rate, topping up the whole fleet to its provisioning rate
+   first when the stored sample cannot support it (so every shard keeps
+   one rate), and admits atomically;
+3. **gathers** the admitted rows' queried shards' samples once
+   (concurrently for wide scatters, with replica failover, breaker
+   bypass and hedging per shard -- a lane only reads), runs **one**
+   ``estimate_many`` over the read shards with each row masked to its
+   touched shards, and adds the exact-cover totals;
 4. **draws** the batch's noise in one ``sample_laplace_many`` from the
    coordinator's own ``rng`` (metadata-only rows draw nothing), clips,
    and **settles** through the settlement kernel
@@ -54,7 +54,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import (
     TYPE_CHECKING,
@@ -70,6 +70,7 @@ from typing import (
 )
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.cluster.health import ShardBreakerBoard, ShardHealthMonitor
 from repro.cluster.planning import RoutePlan, degraded_delta, route_query, zero_plan
@@ -81,7 +82,6 @@ from repro.core.query import AccuracySpec, PrivateAnswer, RangeQuery
 from repro.core.settlement import Batch, open_batch
 from repro.datasets.partition import ShardBand
 from repro.durability.journal import TradeJournal
-from repro.estimators.base import RangeCountingEstimator
 from repro.estimators.rank import RankCountingEstimator, RankIndex
 from repro.pricing.functions import InverseVariancePricing, PricingFunction
 from repro.pricing.ledger import BillingLedger
@@ -100,6 +100,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.serving.telemetry import MetricsRegistry
 
 __all__ = ["ClusterAnswer", "ClusterBroker"]
+
+#: See ``ClusterBroker._read_index``.
+_ReadIndex = Tuple[tuple, RankIndex, "npt.NDArray[np.intp]", Dict[tuple, "npt.NDArray[np.bool_]"]]
 
 #: Scatters at or below this many shards run inline on the calling
 #: thread.  Per-shard work (a sample read, a collection round) is
@@ -340,10 +343,10 @@ class ClusterBroker(Trading):
     shards: "List[ShardRuntime]"
     pricing: PricingFunction
     dataset: str = "default"
-    #: The pooled estimator: one ``estimate_many`` per touched shard set,
-    #: over its samples in global node order (the plain broker's
-    #: summation order).
-    estimator: RangeCountingEstimator = field(default_factory=RankCountingEstimator)
+    #: The pooled estimator: one masked ``estimate_many`` per dispatch,
+    #: over the read shards' samples in global node order (the plain
+    #: broker's summation order).
+    estimator: RankCountingEstimator = field(default_factory=RankCountingEstimator)
     ledger: BillingLedger = field(default_factory=BillingLedger)
     accountant: BudgetAccountant = field(default_factory=BudgetAccountant)
     # The one noise stream of every cluster release.  Mirrors
@@ -404,9 +407,8 @@ class ClusterBroker(Trading):
         # Lazy executor for hedged gated lanes; separate from the scatter
         # pool so a wide scatter can never starve its own hedges.
         self._hedge_executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
-        # One rank index per touched shard set, with the reads it was
-        # built from; see _pooled_index.
-        self._indexes: "Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, bool, int], ...], RankIndex]]" = {}
+        # One rank index per read set; see _read_index.
+        self._indexes: "Dict[Tuple[int, ...], _ReadIndex]" = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -533,18 +535,6 @@ class ClusterBroker(Trading):
             sum(self._shard_n[j] for j in shards),
         )
 
-    def _route_view(self, route: RoutePlan, p: float, bound: float) -> SampleView:
-        """One route's view before its gather: the queried shards' shape
-        plus the exact-cover total, or -- when every shard is pruned or
-        exactly covered -- the public metadata of its exact shards."""
-        if route.queried:
-            k, n = self._shape(route.queried)
-            return SampleView(k=k, n=n, p=p, bound=bound, offset=float(route.exact_n))
-        return SampleView(
-            k=self._shape(route.exact)[0], n=route.exact_n, p=p, bound=bound,
-            offset=float(route.exact_n), sampled=False,
-        )
-
     def _views(
         self, routes: Dict[int, RoutePlan], batch: Batch, rows: List[int]
     ) -> Tuple[List[SampleView], List[AccuracySpec]]:
@@ -558,26 +548,25 @@ class ClusterBroker(Trading):
         route is then planned at the final post-top-up rate.  ``routes``
         collects each row's route for :meth:`_gather_views`.
         """
-        for i in rows:
-            query = batch.queries[i]
-            routes[i] = self.route_for_range(query.low, query.high, batch.specs[i])
-        self._observe_routes(routes.values())
         targets: "Dict[Tuple[Tuple[int, ...], float, float], Tuple[RoutePlan, AccuracySpec]]" = {}
         for i in rows:
-            route = routes[i]
+            query = batch.queries[i]
+            route = routes[i] = self.route_for_range(query.low, query.high, batch.specs[i])
             if route.queried:
                 targets.setdefault(
                     (route.queried, route.spec.alpha, route.spec.delta),
                     (route, batch.specs[i]),
                 )
+        self._observe_routes(routes.values())
+        p = self._station_view.sampling_rate
         for route, spec in targets.values():
             planner = self._plan_memo.planner(*self._shape(route.queried))
-            p = self._station_view.sampling_rate
             if p > 0.0 and planner.supports(route.spec, p):
                 continue
             target = self._planner_view.required_rate(spec)
             self.ensure_rate(max(target, p if p > 0 else target))
-        p, bound = self._station_view.sampling_rate, float(sum(self._shard_n))
+            p = self._station_view.sampling_rate
+        bound = float(sum(self._shard_n))
         views: "Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], SampleView]" = {}
         of_row: List[SampleView] = []
         for i in rows:
@@ -585,58 +574,60 @@ class ClusterBroker(Trading):
             key = (route.queried, route.exact)
             view = views.get(key)
             if view is None:
-                view = views[key] = self._route_view(route, p, bound)
+                # The queried shards' shape, or the exact ones' metadata.
+                view = views[key] = SampleView(
+                    *self._shape(route.queried or route.exact), p=p,
+                    bound=bound, sampled=bool(route.queried),
+                )
             of_row.append(view)
         return of_row, [routes[i].spec for i in rows]
 
     def _gather_views(
-        self,
-        routes: Dict[int, RoutePlan],
-        rows: List[int],
-        views: List[SampleView],
-    ) -> "Tuple[List[SampleView], List[Dict[str, Any]]]":
-        """Read the admitted rows' queried shards -- concurrently for wide
-        scatters -- and give each touched set's views its pooled index.
-
-        A shard whose primary is down answers from its replica and only
-        marks the answers degraded.
+        self, routes: Dict[int, RoutePlan], rows: List[int]
+    ) -> "Tuple[npt.NDArray[np.float64], List[Mapping[str, Any]]]":
+        """Read the admitted rows' queried shards once -- concurrently for
+        wide scatters -- and estimate every row in one ``estimate_many``
+        over them, each row masked to its touched shards' nodes (so it is
+        bit-identical to an estimate over its touched set alone), plus
+        its exact-cover total.  A shard whose primary is down answers
+        from its replica and only marks the answers degraded.
         """
         admitted = [routes[i] for i in rows]
         with stage_timer(self, "cluster.scatter_s"):
             reads = self._gather(admitted)
-        pooled: "Dict[int, SampleView]" = {}
-        gathered: List[SampleView] = []
-        extras: "List[Dict[str, Any]]" = []
-        degraded_answers = 0
-        for route, view in zip(admitted, views):
-            if route.queried:
-                with_index = pooled.get(id(view))
-                if with_index is None:
-                    index = self._pooled_index(route.queried, reads)
-                    with_index = pooled[id(view)] = replace(view, indexes=(index,))
-                view = with_index
-            gathered.append(view)
-            answer_degraded = tuple(j for j in route.queried if reads[j].replica)
-            degraded_answers += bool(answer_degraded)
-            extras.append(dict(
-                degraded_shards=answer_degraded,
-                delta_reported=degraded_delta(
-                    route.spec.delta,
-                    len(answer_degraded),
-                    self.replica_confidence,
-                ),
-                pruned_shards=route.pruned,
-                exact_shards=route.exact,
-                route_signature=route.signature,
-            ))
-        if degraded_answers:
-            self._emit("cluster.degraded_answers", degraded_answers)
-        return gathered, extras
+        with stage_timer(self, "cluster.estimate_s"):
+            estimates = np.array([r.exact_n for r in admitted], dtype=np.float64)
+            if reads:
+                _, index, owners, masks = self._read_index(reads)
+                for queried in {r.queried for r in admitted} - masks.keys():
+                    masks[queried] = np.isin(owners, queried)
+                estimates = self.estimator.estimate_many(
+                    index, [(r.low, r.high) for r in admitted],
+                    nodes=np.array([masks[r.queried] for r in admitted]).T,
+                ) + estimates
+        extras = [route.answer_fields for route in admitted]
+        degraded = {j for j, read in reads.items() if read.replica}
+        if degraded:
+            for k, route in enumerate(admitted):
+                shards = tuple(j for j in route.queried if j in degraded)
+                if shards:
+                    extras[k] = dict(
+                        extras[k],
+                        degraded_shards=shards,
+                        delta_reported=degraded_delta(
+                            route.spec.delta, len(shards), self.replica_confidence
+                        ),
+                    )
+            self._emit(
+                "cluster.degraded_answers",
+                sum(bool(fields["degraded_shards"]) for fields in extras),
+            )
+        return estimates, extras
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) one fleet-wide collection round, concurrently."""
         with self._station_view.fleet_round():
-            self._fan_out(lambda shard: shard.ensure_rate(p))
+            self._fan_out_over(self.shards, lambda shard: shard.ensure_rate(p))
 
     def answer_batch(
         self,
@@ -652,13 +643,13 @@ class ClusterBroker(Trading):
         Routes and plans every fresh row, admits each consumer atomically
         (a refused consumer draws no noise and charges nothing), gathers
         the queried shards' samples -- concurrently for wide scatters --
-        and pools them: one ``estimate_many`` per touched shard set, plus
-        the exact-cover totals, then one Laplace draw per query from the
-        coordinator's ``rng``.  A shard whose primary is down answers
-        from its replica and only marks the answers degraded.  The books
-        get one ledger transaction per query at cluster list price and
-        one accountant entry at the pooled plan's ε′.  ``consumer``,
-        ``replays`` and ``deadlines`` work as for
+        and pools them: one ``estimate_many`` over every row, each masked
+        to its touched shards, plus the exact-cover totals, then one
+        Laplace draw per query from the coordinator's ``rng``.  A shard
+        whose primary is down answers from its replica and only marks the
+        answers degraded.  The books get one ledger transaction per query
+        at cluster list price and one accountant entry at the pooled
+        plan's ε′.  ``consumer``, ``replays`` and ``deadlines`` work as for
         :meth:`DataBroker.answer_batch <repro.core.broker.DataBroker.answer_batch>`.
         """
         batch = open_batch(
@@ -722,24 +713,21 @@ class ClusterBroker(Trading):
             float(sum(1 for shard in self.shards if shard.primary_alive)),
         )
 
-    def _pooled_index(
-        self, queried: "Tuple[int, ...]", reads: "Dict[int, SampleRead]"
-    ) -> RankIndex:
-        """The rank index over ``queried``'s samples, in global node order.
-
-        Kept per touched shard set and rebuilt when any of its shards is
-        read from another station or store version, so at most one index
-        per set is alive.  A racing rebuild only builds the same index
-        twice.
+    def _read_index(self, reads: "Dict[int, SampleRead]") -> "_ReadIndex":
+        """The reads' sources, the rank index over their samples in global
+        node order, each estimating node's shard, and the node masks of
+        the touched sets seen.  Kept per read set and rebuilt when a shard
+        is read from another station or store version, so at most one
+        index per read set is alive; a racing rebuild only builds it twice.
         """
-        sources = tuple(
-            (j, reads[j].replica, reads[j].store_version) for j in queried
-        )
-        cached = self._indexes.get(queried)
+        sources = tuple((j, r.replica, r.store_version) for j, r in reads.items())
+        cached = self._indexes.get(tuple(reads))
         if cached is None or cached[0] != sources:
-            index = RankIndex([s for j in queried for s in reads[j].samples])
-            cached = self._indexes[queried] = (sources, index)
-        return cached[1]
+            samples = [(j, s) for j, read in reads.items() for s in read.samples]
+            owners = np.array([j for j, s in samples if s.node_size > 0], dtype=np.intp)
+            index = RankIndex([s for _, s in samples])
+            cached = self._indexes[tuple(reads)] = (sources, index, owners, {})
+        return cached
 
     def _gather(self, routes: "Sequence[RoutePlan]") -> "Dict[int, SampleRead]":
         """Read every queried shard's samples once, per shard index,
@@ -838,10 +826,6 @@ class ClusterBroker(Trading):
                     thread_name_prefix="repro-hedge",
                 )
             return self._hedge_executor
-
-    def _fan_out(self, fn):
-        """Apply ``fn`` to every shard, concurrently when ``s > 1``."""
-        return self._fan_out_over(self.shards, fn)
 
     def _fan_out_over(self, items, fn):
         """Apply ``fn`` to each item, concurrently when there are several.

@@ -11,7 +11,8 @@ rows are estimated from, and the settlement kernel
    per (view shape, tier) through the broker's :class:`PlanMemo`, and
    every consumer is admitted atomically against the budget books;
 2. **estimates** -- one ``estimate_many`` per rank index, over the rows
-   that share it, summed onto each view's offset when it has one;
+   that share it, summed onto each view's offset when it has one (the
+   cluster's gather estimates its rows itself);
 3. **perturbs** -- one Laplace draw over the rows that have queried
    samples, at each plan's noise scale, so the noisy answer is still an
    ``(α, δ)``-range counting with the smallest amplified budget ε′
@@ -101,12 +102,12 @@ class SampleView:
     ``k``/``n``/``p`` is the fleet shape the rows are planned at and
     ``bound`` the clip bound of their releases.  A row's estimate is its
     indexes' estimates summed in order (a streaming window's epochs
-    oldest first), onto ``offset`` when there is one: a routed cluster's
-    exact-cover total, or ``0.0`` where the sum starts at zero.  Without
-    an offset it is the first index's own estimate plus the rest.  An
-    unsampled view is public metadata: its rows release ``offset`` with
-    a zero plan and draw no noise.  ``window`` carries streaming's
-    per-epoch books.
+    oldest first), onto ``offset`` when there is one (``0.0`` where the
+    sum starts at zero).  Without an offset it is the first index's own
+    estimate plus the rest.  An unsampled view is public metadata: its
+    rows draw no noise and are planned with a zero plan.  A cluster's
+    views carry no indexes: its gather estimates their rows.  ``window``
+    carries streaming's per-epoch books.
     """
 
     k: int
@@ -125,12 +126,12 @@ ViewSource = Callable[
     [Batch, List[int]], Tuple[List[SampleView], List[AccuracySpec]]
 ]
 
-#: The cluster's gather, run after admission over the admitted rows and
-#: their views: the views with their rank indexes, and each row's extra
+#: The cluster's gather, run after admission over the admitted rows in
+#: place of the views' estimation: each row's estimate, and its extra
 #: answer fields.
 Gather = Callable[
-    [List[int], List[SampleView]],
-    Tuple[List[SampleView], List[Dict[str, Any]]],
+    [List[int]],
+    Tuple["npt.NDArray[np.float64]", List[Mapping[str, Any]]],
 ]
 
 
@@ -249,8 +250,8 @@ def release_views(
     """Plan, admit, estimate, perturb and settle a batch's fresh rows.
 
     ``source`` supplies each fresh row's view and target (see
-    :data:`ViewSource`); ``gather``, when given, completes the admitted
-    rows' views (the cluster's shard reads) and adds their extra answer
+    :data:`ViewSource`); ``gather``, when given, estimates the admitted
+    rows itself (the cluster's shard reads) and adds their extra answer
     fields.  The Laplace noise of every sampled row comes from one
     ``sample_laplace_many`` draw on the broker's ``rng``, in row order,
     which consumes the generator exactly like per-row draws.  An error
@@ -264,7 +265,7 @@ def release_views(
     views: List[SampleView] = []
     plans: List[PrivacyPlan] = []
     window: Optional[WindowBooks] = None
-    extras: Optional[List[Dict[str, Any]]] = None
+    extras: Optional[List[Mapping[str, Any]]] = None
     estimates = raw_values = released = np.zeros(0, dtype=np.float64)
     try:
         with stage_timer(broker, f"{prefix}.plan_s"):
@@ -278,11 +279,12 @@ def release_views(
             views = [view_of[row] for row in admitted]
         rows = admitted
         if rows:
-            if gather is not None:
-                views, extras = gather(rows, views)
             uniform = views.count(views[0]) == len(views)
-            with stage_timer(broker, f"{prefix}.estimate_s"):
-                estimates = _estimate(broker.estimator, batch, rows, views, uniform)
+            if gather is not None:
+                estimates, extras = gather(rows)
+            else:
+                with stage_timer(broker, f"{prefix}.estimate_s"):
+                    estimates = _estimate(broker.estimator, batch, rows, views, uniform)
             sampled = list(map(_SAMPLED, views))
             scales = list(map(_NOISE_SCALE, compress(plans, sampled)))
             noise = sample_laplace_many(scales, broker.rng)

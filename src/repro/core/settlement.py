@@ -10,7 +10,8 @@ sample views it supplies:
 * :class:`~repro.streaming.broker.StreamingBroker` -- its window
   snapshot;
 * :class:`~repro.cluster.broker.ClusterBroker` -- one view per touched
-  shard set plus its exact totals, after routing and a fleet top-up.
+  shard set and exact cover, after routing and a fleet top-up; its
+  gather estimates every row in one masked pass over the read shards.
 
 The charging half lives here, and the pipeline calls it:
 

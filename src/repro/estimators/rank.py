@@ -35,7 +35,7 @@ per-node variance at most ``8/p²`` and global variance at most ``8k/p²``
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from typing import Iterator, List, Sequence, Tuple, overload
+from typing import Iterator, List, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -129,6 +129,7 @@ class RankCountingEstimator:
         self,
         samples: "RankIndex | Sequence[NodeSample]",
         ranges: Sequence[Tuple[float, float]],
+        nodes: "Optional[np.ndarray]" = None,
     ) -> np.ndarray:
         """Vectorized batch estimation over many ``(low, high)`` ranges.
 
@@ -142,6 +143,16 @@ class RankCountingEstimator:
         rule then runs once over a (nodes × ranges) matrix, and its rows
         are added in node order, as the scalar path adds its per-node
         estimates.
+
+        ``nodes``, when given, is a boolean (nodes × ranges) mask over
+        the index's estimating nodes (those with ``node_size > 0``, in
+        order): each range then sums only its own nodes, and the
+        shared-rate check applies to each range's nodes alone.  A
+        masked-out entry adds ``+0.0``, and the sum starts at ``+0.0``;
+        under round-to-nearest a sum that starts at ``+0.0`` never
+        becomes ``-0.0``, and ``x + 0.0 == x`` for every other ``x``, so
+        each range's total is bit-identical to :meth:`estimate` over its
+        nodes' samples alone.
         """
         if not samples:
             raise ValueError("at least one node sample is required")
@@ -155,46 +166,68 @@ class RankCountingEstimator:
             raise InvalidQueryError("every range needs low <= high")
 
         index = samples if isinstance(samples, RankIndex) else RankIndex(samples)
-        # Same shared-rate validation as the scalar :meth:`estimate`, so a
-        # mixed-p sample list fails identically on both paths.
-        if index.mixed_rates:
-            raise ValueError("all node samples must share one sampling rate")
         totals = np.zeros(len(ranges), dtype=np.float64)
         if index.below.shape[0] == 0:
             return totals
-        if index.p <= 0.0:
-            raise ValueError("sampling probability must be positive to estimate")
-
-        # Per node: sampled values strictly below ``low`` and those
-        # <= ``high``, read off the prefix counts at the merged-order
-        # positions of the bounds.
-        idx_low = index.below[:, np.searchsorted(index.merged, lows, side="left")]
-        idx_high = index.below[:, np.searchsorted(index.merged, highs, side="right")]
-        has_pred = idx_low > 0
-        has_succ = idx_high < index.counts
-        r_pred = index.ranks[index.offsets + idx_low - 1]
-        r_succ = index.ranks[index.offsets + idx_high]
-        estimates = np.where(
-            has_pred,
-            np.where(
-                has_succ,
-                (r_succ - r_pred + 1) - index.two_over_p,
-                (index.sizes - r_pred + 1) - index.one_over_p,
-            ),
-            np.where(has_succ, r_succ - index.one_over_p, index.sizes),
-        )
+        # Same shared-rate validation as the scalar :meth:`estimate`, so a
+        # mixed-p sample list fails identically on both paths.
+        if index.mixed_rates or index.p <= 0.0:
+            _check_rates(index.rates, nodes)
+        estimates = _node_estimates(index, lows, highs)
+        if nodes is not None:
+            estimates = np.where(nodes, estimates, 0.0)
         # Row by row in node order: the scalar path's summation order.
         for row in estimates:
             totals += row
         return totals
 
 
+def _check_rates(rates: np.ndarray, nodes: "Optional[np.ndarray]") -> None:
+    """The scalar path's rate checks, over each range's nodes (all of an
+    index's estimating nodes without a mask): one shared ``p``, and a
+    positive one."""
+    if nodes is None:
+        nodes = np.ones((rates.shape[0], 1), dtype=bool)
+    # Each range's reference rate is its first node's, as in estimate().
+    first = rates[np.argmax(nodes, axis=0), 0]
+    if np.any(nodes & (np.abs(rates - first) > 1e-12)):
+        raise ValueError("all node samples must share one sampling rate")
+    if np.any(nodes.any(axis=0) & (first <= 0.0)):
+        raise ValueError("sampling probability must be positive to estimate")
+
+
+def _node_estimates(
+    index: "RankIndex", lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """The four-case rule over every estimating node and range: a
+    (nodes × ranges) matrix of per-node estimates."""
+    # Per node: sampled values strictly below ``low`` and those
+    # <= ``high``, read off the prefix counts at the merged-order
+    # positions of the bounds.
+    idx_low = index.below[:, np.searchsorted(index.merged, lows, side="left")]
+    idx_high = index.below[:, np.searchsorted(index.merged, highs, side="right")]
+    has_pred = idx_low > 0
+    has_succ = idx_high < index.counts
+    r_pred = index.ranks[index.offsets + idx_low - 1]
+    r_succ = index.ranks[index.offsets + idx_high]
+    estimates: np.ndarray = np.where(
+        has_pred,
+        np.where(
+            has_succ,
+            (r_succ - r_pred + 1) - index.two_over_p,
+            (index.sizes - r_pred + 1) - index.one_over_p,
+        ),
+        np.where(has_succ, r_succ - index.one_over_p, index.sizes),
+    )
+    return estimates
+
+
 class RankIndex(SequenceABC[NodeSample]):
     """One sample set, indexed for :meth:`RankCountingEstimator.estimate_many`.
 
     Built once per immutable sample set -- a base station's committed
-    round, a sealed streaming epoch, a cluster gather over one touched
-    shard set -- and reused by every batch until the set changes.  It is
+    round, a sealed streaming epoch, the shards one cluster dispatch
+    reads -- and reused by every batch until the set changes.  It is
     the sample sequence it was built from (so any estimator can read it)
     plus, over the nodes with ``node_size > 0`` in order:
 
@@ -204,8 +237,8 @@ class RankIndex(SequenceABC[NodeSample]):
     * ``ranks`` / ``offsets`` / ``counts`` -- the nodes' ranks
       concatenated (plus a trailing sentinel), each node's offset into
       them and its sample count;
-    * ``sizes``, ``one_over_p``, ``two_over_p`` -- per-node ``n_i``,
-      ``1/p`` and ``2/p``.
+    * ``sizes``, ``rates``, ``one_over_p``, ``two_over_p`` -- per-node
+      ``n_i``, ``p``, ``1/p`` and ``2/p``.
 
     A bound's position ``t`` in ``merged`` always falls between distinct
     values, where ``below[j, t]`` counts exactly node ``j``'s values on
@@ -215,7 +248,7 @@ class RankIndex(SequenceABC[NodeSample]):
 
     __slots__ = (
         "_samples", "p", "mixed_rates", "merged", "below", "ranks",
-        "offsets", "counts", "sizes", "one_over_p", "two_over_p",
+        "offsets", "counts", "sizes", "rates", "one_over_p", "two_over_p",
     )
 
     def __init__(self, samples: Sequence[NodeSample]) -> None:
@@ -251,9 +284,9 @@ class RankIndex(SequenceABC[NodeSample]):
         self.offsets = offsets[:, None]
         self.counts = counts[:, None]
         self.sizes = np.array([[s.node_size] for s in non_empty], dtype=np.int64)
-        ps = np.array([[s.p] for s in non_empty], dtype=np.float64)
-        self.one_over_p = 1.0 / ps
-        self.two_over_p = 2.0 / ps
+        self.rates = np.array([[s.p] for s in non_empty], dtype=np.float64)
+        self.one_over_p = 1.0 / self.rates
+        self.two_over_p = 2.0 / self.rates
 
     @overload
     def __getitem__(self, i: int) -> NodeSample: ...
