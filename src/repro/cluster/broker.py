@@ -19,8 +19,8 @@ batch the pipeline
    skipped, exactly-covered shards answer from cached totals, and the
    ``t <= s`` straddling shards are *queried* at the boosted tolerance
    ``α_t`` and the consumer's own ``δ``;
-2. **plans** once per distinct touched set and interned ``(α_t, δ)``
-   target over the touched fleet shape ``(k_t, n_t)`` at the fleet's
+2. **plans** once per distinct touched set and ``(α_t, δ)`` value
+   over the touched fleet shape ``(k_t, n_t)`` at the fleet's
    sampling rate, topping up the whole fleet to its provisioning rate
    first when the stored sample cannot support it (so every shard keeps
    one rate), and admits atomically;
@@ -404,6 +404,9 @@ class ClusterBroker(Trading):
         # Route memo keyed on (low, high, α, δ): routing is pure interval
         # classification over the immutable bands.
         self._route_cache: "Dict[Tuple[float, float, float, float], RoutePlan]" = {}  # guarded-by: _lock
+        # Healthy answers' cluster fields per (route signature, δ_t),
+        # shared read-only; cleared with the route memo.
+        self._answer_fields: "Dict[Tuple[str, float], Mapping[str, Any]]" = {}
         # Lazy executor for hedged gated lanes; separate from the scatter
         # pool so a wide scatter can never starve its own hedges.
         self._hedge_executor: "Optional[ThreadPoolExecutor]" = None  # guarded-by: _lock
@@ -517,6 +520,7 @@ class ClusterBroker(Trading):
         with self._lock:
             if len(self._route_cache) > 4096:
                 self._route_cache.clear()
+                self._answer_fields.clear()
             self._route_cache[key] = route
         return route
 
@@ -605,7 +609,7 @@ class ClusterBroker(Trading):
                     index, [(r.low, r.high) for r in admitted],
                     nodes=np.array([masks[r.queried] for r in admitted]).T,
                 ) + estimates
-        extras = [route.answer_fields for route in admitted]
+        extras = list(map(self._healthy_fields, admitted))
         degraded = {j for j, read in reads.items() if read.replica}
         if degraded:
             for k, route in enumerate(admitted):
@@ -623,6 +627,19 @@ class ClusterBroker(Trading):
                 sum(bool(fields["degraded_shards"]) for fields in extras),
             )
         return estimates, extras
+
+    def _healthy_fields(self, route: RoutePlan) -> "Mapping[str, Any]":
+        """A healthy gather's :class:`ClusterAnswer` fields for ``route``,
+        built once per signature and ``δ_t`` (a race builds them twice)."""
+        key = (route.signature, route.spec.delta)
+        fields = self._answer_fields.get(key)
+        if fields is None:
+            fields = self._answer_fields[key] = dict(
+                degraded_shards=(), delta_reported=route.spec.delta,
+                pruned_shards=route.pruned, exact_shards=route.exact,
+                route_signature=route.signature,
+            )
+        return fields
 
     def ensure_rate(self, p: float) -> None:
         """Run (or top up to) one fleet-wide collection round, concurrently."""
@@ -715,11 +732,10 @@ class ClusterBroker(Trading):
 
     def _read_index(self, reads: "Dict[int, SampleRead]") -> "_ReadIndex":
         """The reads' sources, the rank index over their samples in global
-        node order, each estimating node's shard, and the node masks of
-        the touched sets seen.  Kept per read set and rebuilt when a shard
-        is read from another station or store version, so at most one
-        index per read set is alive; a racing rebuild only builds it twice.
-        """
+        node order, each estimating node's shard, and the touched sets'
+        node masks.  Kept per read set and rebuilt when a shard is read
+        from another station or store version, so at most one index per
+        read set is alive; a racing rebuild only builds it twice."""
         sources = tuple((j, r.replica, r.store_version) for j, r in reads.items())
         cached = self._indexes.get(tuple(reads))
         if cached is None or cached[0] != sources:

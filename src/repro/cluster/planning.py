@@ -31,9 +31,7 @@ probability ``>= δ``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Any, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.planner import zero_plan
 from repro.core.query import AccuracySpec
@@ -98,9 +96,6 @@ class RoutePlan:
     #: Stable routing fingerprint for cache keys and provenance:
     #: ``"b"`` for a broadcast, else the exact shard partition.
     signature: str = field(init=False, compare=False)
-    #: A healthy gather's :class:`~repro.cluster.broker.ClusterAnswer`
-    #: fields, built once per route and copied into its answers.
-    answer_fields: Mapping[str, Any] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         signature = "b"
@@ -111,10 +106,6 @@ class RoutePlan:
                 ",".join(str(i) for i in self.queried),
             )
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "answer_fields", MappingProxyType(dict(
-            degraded_shards=(), delta_reported=self.spec.delta, pruned_shards=self.pruned,
-            exact_shards=self.exact, route_signature=signature,
-        )))
 
     @property
     def shards(self) -> int:
@@ -137,11 +128,6 @@ def _boosted_alpha(
     """
     boost = alpha * (float(n_total) / float(n_queried))
     return max(alpha, min(boost, alpha_cap, 0.999999))
-
-
-#: The routed ``(α_t, δ)`` spec, one object per value: the release
-#: pipeline plans once per distinct target object in a dispatch.
-_release_spec = lru_cache(maxsize=4096)(AccuracySpec)
 
 
 def route_query(
@@ -204,7 +190,7 @@ def route_query(
         if n_queried <= 0:
             raise ValueError("queried shards must hold at least one record")
         alpha_t = _boosted_alpha(spec.alpha, sum(sizes), n_queried, alpha_cap)
-        release = _release_spec(alpha_t, spec.delta)
+        release = AccuracySpec(alpha=alpha_t, delta=spec.delta)
     return RoutePlan(
         low=low,
         high=high,

@@ -10,9 +10,9 @@ rows are estimated from, and the settlement kernel
    fresh row its view and ``(α, δ)`` target; each row is planned once
    per (view shape, tier) through the broker's :class:`PlanMemo`, and
    every consumer is admitted atomically against the budget books;
-2. **estimates** -- one ``estimate_many`` per rank index, over the rows
-   that share it, summed onto each view's offset when it has one (the
-   cluster's gather estimates its rows itself);
+2. **estimates** -- one ``estimate_many`` per rank index of the batch's
+   view, over all its rows, summed onto the view's offset when it has
+   one (the cluster's gather estimates its rows itself);
 3. **perturbs** -- one Laplace draw over the rows that have queried
    samples, at each plan's noise scale, so the noisy answer is still an
    ``(α, δ)``-range counting with the smallest amplified budget ε′
@@ -91,7 +91,7 @@ __all__ = [
 
 _A = TypeVar("_A", bound=PrivateAnswer)
 
-_SAMPLED, _BOUND = attrgetter("sampled"), attrgetter("bound")
+_SAMPLED, _TIER = attrgetter("sampled"), attrgetter("alpha", "delta")
 _NOISE_SCALE = attrgetter("noise_scale")
 
 
@@ -105,8 +105,7 @@ class SampleView:
     oldest first), onto ``offset`` when there is one (``0.0`` where the
     sum starts at zero).  Without an offset it is the first index's own
     estimate plus the rest.  An unsampled view is public metadata: its
-    rows draw no noise and are planned with a zero plan.  A cluster's
-    views carry no indexes: its gather estimates their rows.  ``window``
+    rows draw no noise and are planned with a zero plan.  ``window``
     carries streaming's per-epoch books.
     """
 
@@ -122,6 +121,8 @@ class SampleView:
 
 #: A broker's view source: it runs any top-up, then gives each of the
 #: batch's fresh ``rows`` its view and the ``(α, δ)`` it is planned at.
+#: Without a gather every row gets one view; with one, the views only
+#: plan (a cluster's differ per touched shard set) and share one bound.
 ViewSource = Callable[
     [Batch, List[int]], Tuple[List[SampleView], List[AccuracySpec]]
 ]
@@ -158,13 +159,13 @@ def _plan_views(
     """Each row's plan: problem (3) over its view's shape at its target,
     or the zero plan of public metadata.
 
-    Looked up once per distinct (view, target) object -- the targets are
-    usually a few shared tier objects -- and the memo solves once per
-    shape and tier.
+    Looked up once per distinct view object and ``(α, δ)`` value -- a
+    cluster's routes carry equal targets as distinct objects -- and the
+    memo solves once per shape and tier.
     """
     if not views:
         return []
-    keys: Sequence[Hashable] = list(map(id, targets))
+    keys: Sequence[Hashable] = list(map(_TIER, targets))
     if views.count(views[0]) < len(views):
         keys = list(zip(map(id, views), keys))
     solved: Dict[Hashable, PrivacyPlan] = {}
@@ -196,37 +197,20 @@ def _estimate(
     estimator: RangeCountingEstimator,
     batch: Batch,
     rows: Sequence[int],
-    views: Sequence[SampleView],
-    uniform: bool,
+    view: SampleView,
 ) -> "npt.NDArray[np.float64]":
-    """Each row's estimate: its view's index estimates summed in order,
-    onto the view's offset when it has one.
-
-    Rows whose views share their indexes are estimated together, one
-    ``estimate_many`` per index; ``uniform`` says every row has the
-    first row's view.
-    """
+    """Each row's estimate: the view's index estimates summed in order,
+    onto its offset when it has one -- one ``estimate_many`` per index."""
     queries = batch.queries
-    if uniform:
-        groups = {views[0].indexes: list(range(len(views)))}
-    else:
-        groups = {}
-        for k, view in enumerate(views):
-            groups.setdefault(view.indexes, []).append(k)
-    estimates = np.zeros(len(views), dtype=np.float64)
-    for indexes, ks in groups.items():
-        ranges = [(queries[rows[k]].low, queries[rows[k]].high) for k in ks]
-        total: "Optional[npt.NDArray[np.float64]]" = None
-        if views[ks[0]].offset is not None:
-            total = np.array([views[k].offset for k in ks], dtype=np.float64)
-        for index in indexes:
-            part = _estimate_many(estimator, index, ranges)
-            total = part if total is None else total + part
-        assert total is not None, "a view has an index or an offset"
-        if len(ks) == len(views):
-            return total
-        estimates[ks] = total
-    return estimates
+    ranges = [(queries[row].low, queries[row].high) for row in rows]
+    total: "Optional[npt.NDArray[np.float64]]" = None
+    if view.offset is not None:
+        total = np.full(len(rows), view.offset, dtype=np.float64)
+    for index in view.indexes:
+        part = _estimate_many(estimator, index, ranges)
+        total = part if total is None else total + part
+    assert total is not None, "a view has an index or an offset"
+    return total
 
 
 def _spread(
@@ -279,23 +263,19 @@ def release_views(
             views = [view_of[row] for row in admitted]
         rows = admitted
         if rows:
-            uniform = views.count(views[0]) == len(views)
             if gather is not None:
                 estimates, extras = gather(rows)
             else:
                 with stage_timer(broker, f"{prefix}.estimate_s"):
-                    estimates = _estimate(broker.estimator, batch, rows, views, uniform)
+                    estimates = _estimate(broker.estimator, batch, rows, views[0])
             sampled = list(map(_SAMPLED, views))
             scales = list(map(_NOISE_SCALE, compress(plans, sampled)))
             noise = sample_laplace_many(scales, broker.rng)
             if len(scales) < len(rows):
-                # Metadata-only rows draw nothing: they release their offset.
+                # Metadata-only rows draw nothing: they release their estimate.
                 noise = _spread(noise, sampled)
             raw_values = estimates + noise
-            bounds: Union[float, List[float]] = (
-                views[0].bound if uniform else list(map(_BOUND, views))
-            )
-            released = np.clip(raw_values, 0.0, bounds)
+            released = np.clip(raw_values, 0.0, views[0].bound)
     except Exception as exc:  # repro-lint: shed -- lands on the refused rows
         if batch.strict:
             raise

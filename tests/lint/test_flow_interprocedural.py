@@ -147,9 +147,9 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
         BROKER: MUTATION_RL001I[BROKER]
         + [
             (
-                "            released = np.clip(raw_values, 0.0, bounds)",
+                "            released = np.clip(raw_values, 0.0, views[0].bound)",
                 "            bounded = raw_values\n"
-                "            released = np.clip(bounded, 0.0, bounds)",
+                "            released = np.clip(bounded, 0.0, views[0].bound)",
             ),
         ]
     }
