@@ -34,8 +34,9 @@ Beside it, the cluster kernel: 47 direct 64-row ``cluster_routed``-shaped
 dispatches -- ``ClusterBroker.answer_batch`` on a 4-shard range-sharded
 cluster over the same fleet, bimodal routed ranges
 (``make_routed_workload``) at the ``ROUTED_TIERS``, 4 consumers, a file
-journal -- in microseconds per row, with the ``estimate_many`` calls and
-the distinct touched shard sets per dispatch.
+journal -- in microseconds per row, the fastest of ``PASSES`` passes
+(each on a fresh broker), with the ``estimate_many`` calls and the
+distinct touched shard sets per dispatch.
 
 Results go to ``benchmarks/results/BENCH_kernel.json`` and
 ``kernel.txt``.  Set ``REPRO_BENCH_SMOKE=1`` for a short run (CI's
@@ -48,7 +49,7 @@ import gc
 import os
 import time
 from collections import defaultdict
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import pytest
 
@@ -77,6 +78,9 @@ SWEEP_ROWS = 64 if SMOKE else 512
 GATEWAY_DISPATCHES = 4 if SMOKE else 24
 #: Shards of the cluster kernel's range-sharded cluster.
 CLUSTER_SHARDS = 4
+#: Passes of the cluster kernel; one pass is ~50 ms, shorter than the
+#: host's run-to-run spread, so the report keeps the fastest.
+PASSES = 1 if SMOKE else 5
 
 
 def _timed(seconds: Dict[str, float], stage: str, call: Callable) -> Callable:
@@ -90,9 +94,10 @@ def _timed(seconds: Dict[str, float], stage: str, call: Callable) -> Callable:
     return wrapper
 
 
-def _cluster_dispatches(values, journal_path) -> Dict[str, float]:
-    """Direct width-64 ``cluster_routed``-shaped dispatches: microseconds
-    per row, estimate calls and touched shard sets per dispatch."""
+def _cluster_pass(values, journal_path) -> Tuple[float, int, int]:
+    """One pass of direct width-64 ``cluster_routed``-shaped dispatches on
+    a fresh broker: seconds in ``answer_batch``, ``estimate_many`` calls
+    and touched shard sets."""
     service = PrivateRangeCountingService.from_values(
         values, k=DEVICE_COUNT, dataset="ozone", seed=1,
         shards=CLUSTER_SHARDS, partition="range-sharded",
@@ -135,11 +140,24 @@ def _cluster_dispatches(values, journal_path) -> Dict[str, float]:
         took += time.perf_counter() - began
         assert not any(isinstance(outcome, Exception) for outcome in outcomes)
     assert len(broker.journal) == len(rows)
+    return took, calls, touched
+
+
+def _cluster_dispatches(values, journal_dir) -> Dict[str, float]:
+    """``PASSES`` cluster passes: the fastest pass's microseconds per row,
+    estimate calls and touched shard sets per dispatch."""
+    passes = [
+        _cluster_pass(values, journal_dir / f"cluster-{index}.journal")
+        for index in range(PASSES)
+    ]
+    _, calls, touched = passes[0]
+    rows = WIDTH * DISPATCHES
     return {
         "shards": CLUSTER_SHARDS,
         "dispatches": DISPATCHES,
-        "rows": len(rows),
-        "answer_batch_us_per_row": took / len(rows) * 1e6,
+        "rows": rows,
+        "passes": PASSES,
+        "answer_batch_us_per_row": min(took for took, _, _ in passes) / rows * 1e6,
         "estimate_calls_per_dispatch": calls / DISPATCHES,
         "touched_sets_per_dispatch": touched / DISPATCHES,
     }
@@ -293,7 +311,7 @@ def test_kernel_dispatch_cost_per_row(
     idle.stop()
     assert idle.telemetry.value("gateway.cancelled") == WIDTH
 
-    cluster = _cluster_dispatches(values, tmp_path / "cluster.journal")
+    cluster = _cluster_dispatches(values, tmp_path)
 
     per_row = {"intake": dispatched["intake"] / traded * 1e6}
     per_row.update(
@@ -346,7 +364,8 @@ def test_kernel_dispatch_cost_per_row(
         f"  gc-tracked objects per pending request: "
         f"{results['gateway_vs_kernel']['gc_objects_per_pending_request']:.2f}",
         f"Cluster: {DISPATCHES} direct {WIDTH}-row cluster_routed dispatches, "
-        f"{CLUSTER_SHARDS} range-sharded shards, file journal",
+        f"{CLUSTER_SHARDS} range-sharded shards, file journal, "
+        f"fastest of {PASSES} pass(es)",
         f"  {'answer_batch':<14}{cluster['answer_batch_us_per_row']:>10.2f} us/row",
         f"  estimate calls per dispatch: "
         f"{cluster['estimate_calls_per_dispatch']:.2f}",

@@ -5,11 +5,11 @@ correct: the DP boundary (every released count must be Laplace-
 perturbed), the determinism contract (seed-threaded RNGs everywhere),
 lock discipline in the threaded serving/cluster paths, exact float
 comparison on accounting values, and silently swallowed exceptions.
-``repro.lint`` encodes them as AST rules (RL001-RL005, see
-:mod:`repro.lint.rules`) with per-line suppressions, a checked-in
-baseline, and a CI-friendly CLI (``repro lint``).  The interprocedural
-layer (:mod:`repro.lint.flow`, ``--interprocedural``) adds the
-whole-program rules RL001i and RL009 over a project call graph with
+``repro.lint`` encodes them as rules with per-line suppressions, a
+checked-in baseline, and a CI-friendly CLI (``repro lint``).  Every run
+applies the per-file AST rules of :mod:`repro.lint.rules` (RL002-RL005)
+to each file, then the whole-program rules of :mod:`repro.lint.flow`
+(RL001, RL009) to all of them, over a project call graph with
 per-function summaries.
 """
 
@@ -18,6 +18,7 @@ from repro.lint.engine import (
     FileContext,
     LintEngine,
     LintResult,
+    ProjectRule,
     Rule,
     RuleRegistry,
     default_registry,
@@ -25,15 +26,10 @@ from repro.lint.engine import (
 from repro.lint.findings import Finding, Hop
 from repro.lint.suppressions import CommentMap
 
-# Importing the rules module registers RL001-RL005 on default_registry;
-# importing flow registers RL001i/RL009 on project_registry.
+# Importing the rules and flow modules registers RL002-RL005 and
+# RL001/RL009 on default_registry.
 from repro.lint import rules as _rules  # noqa: F401
-from repro.lint.flow import (
-    ProjectContext,
-    ProjectRule,
-    project_registry,
-    run_project_rules,
-)
+from repro.lint.flow import ProjectContext, run_project_rules
 
 __all__ = [
     "Baseline",
@@ -48,6 +44,5 @@ __all__ = [
     "Rule",
     "RuleRegistry",
     "default_registry",
-    "project_registry",
     "run_project_rules",
 ]

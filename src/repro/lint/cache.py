@@ -5,18 +5,18 @@ never looked up (no invalidation protocol, safe to delete at any time):
 
 * **Per-file** entries store the pickled :class:`FileContext` (the
   parsed AST plus comment map -- reparsing is the expensive part of a
-  lint run) together with that file's intra-rule findings and
+  lint run) together with that file's per-file rule findings and
   suppression count, keyed by ``sha256(rel_path, source, salt)`` where
   the salt covers the selected rule set and a digest of every source
   file of the :mod:`repro.lint` package, so an edited rule, summary or
   pickled layout never meets an entry the old code wrote.
-* **Per-tree** entries store the interprocedural pass's findings,
-  suppression count, and the memoized function summaries, keyed by the
-  hash of *every* file's content hash.  Function summaries depend on
-  callees in other files, so per-file caching of summaries would be
-  unsound; the tree hash makes the cached pass exact: any edited file
-  changes the key and the whole interprocedural pass re-runs (per-file
-  AST entries still hit, so only summaries are recomputed).
+* **Per-tree** entries store the project pass's findings and
+  suppression count (RL001, RL009), keyed by the hash of *every* file's
+  content hash.  Function summaries depend on callees in other files,
+  so per-file caching of project findings would be unsound; the tree
+  hash makes the cached pass exact: any edited file changes the key and
+  the whole project pass re-runs (per-file AST entries still hit, so
+  only summaries are recomputed).
 
 Entries are plain pickle files; a cache directory is never required for
 correctness and unreadable/corrupt entries count as misses.
@@ -155,7 +155,7 @@ class LintCache:
         )
 
     # ------------------------------------------------------------------
-    # per-tree (interprocedural) tier
+    # per-tree (project pass) tier
     # ------------------------------------------------------------------
     def load_tree(self, key: str) -> Optional[Dict[str, Any]]:
         payload = self._read(key)
@@ -163,19 +163,8 @@ class LintCache:
             return None
         return payload
 
-    def store_tree(
-        self,
-        key: str,
-        findings: List[Finding],
-        suppressed: int,
-        summaries: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def store_tree(self, key: str, findings: List[Finding], suppressed: int) -> None:
         self._write(
             key,
-            {
-                "kind": "tree",
-                "findings": list(findings),
-                "suppressed": suppressed,
-                "summaries": summaries or {},
-            },
+            {"kind": "tree", "findings": list(findings), "suppressed": suppressed},
         )

@@ -1,4 +1,4 @@
-"""Project call graph for the interprocedural lint layer (``repro.lint.flow``).
+"""Project call graph for the whole-program lint rules (``repro.lint.flow``).
 
 Builds module-level symbol tables (functions, classes, imports) from the
 parsed :class:`~repro.lint.engine.FileContext` set and resolves call
@@ -19,8 +19,8 @@ expressions to project functions:
 * ``module.func(...)`` resolves through import aliases.
 
 Resolution is deliberately conservative: a call that cannot be resolved
-returns no candidates and downstream analyses fall back to the same
-name-based heuristics the intra-function rules use.  Multiple candidates
+returns no candidates and downstream analyses fall back to name-based
+heuristics (the taint walk's known sources, sanitizers and propagators).  Multiple candidates
 (e.g. ``base_station`` may be a :class:`BaseStation` or a
 :class:`StreamingStation`) are all returned and joined by the caller.
 """

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint.baseline import Baseline
-from repro.lint.engine import LintEngine, LintResult
+from repro.lint.engine import LintEngine, LintResult, default_registry
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
 
@@ -70,12 +70,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="write the report to this file as well as stdout",
     )
     parser.add_argument(
-        "--interprocedural",
-        action="store_true",
-        help="run the whole-program rules (RL001i, RL009) over the "
-        "project call graph in addition to the per-file rules",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -98,27 +92,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _split_rules(only: List[str]) -> Optional[tuple]:
-    """Split ``--rules`` ids into (intra, project) lists; None if any id
-    is unknown to both registries."""
-    import repro.lint.rules  # noqa: F401  -- populate the registry
-    from repro.lint.engine import default_registry
-    from repro.lint.flow import project_registry
-
-    intra_ids = set(default_registry.rule_ids())
-    project_ids = set(project_registry.rule_ids())
-    intra = [rid for rid in only if rid in intra_ids]
-    project = [rid for rid in only if rid in project_ids]
-    unknown = [rid for rid in only if rid not in intra_ids | project_ids]
-    if unknown:
-        print(
-            f"repro lint: unknown rule id(s): {', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        return None
-    return intra, project
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed ``args``; returns exit code."""
     root = Path(args.root).resolve()
@@ -133,22 +106,11 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.rules:
         only = [rule_id.strip() for rule_id in args.rules.split(",") if rule_id.strip()]
 
-    import repro.lint.rules  # noqa: F401  -- populate the registry
-    from repro.lint.engine import default_registry
-
-    intra_only = only
-    project_only: Optional[List[str]] = None
-    if only is not None:
-        split = _split_rules(only)
-        if split is None:
-            return 2
-        intra_only, project_only = split
-
-    engine = LintEngine(
-        rules=default_registry.create(only=intra_only),
-        interprocedural=bool(getattr(args, "interprocedural", False)),
-        project_rules=project_only,
-    )
+    try:
+        engine = LintEngine(rules=default_registry.create(only=only))
+    except KeyError as exc:
+        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
+        return 2
 
     cache = None
     if getattr(args, "cache", False):
@@ -158,8 +120,6 @@ def run_lint(args: argparse.Namespace) -> int:
         if not cache_dir.is_absolute():
             cache_dir = root / cache_dir
         salt = "|".join(sorted(rule.rule_id for rule in engine.rules))
-        if engine.interprocedural:
-            salt += "|interprocedural"
         cache = LintCache(cache_dir, salt=salt)
 
     started = time.perf_counter()
@@ -179,7 +139,6 @@ def run_lint(args: argparse.Namespace) -> int:
                     "seconds": round(elapsed, 4),
                     "files_scanned": result.files_scanned,
                     "findings": len(result.findings),
-                    "interprocedural": engine.interprocedural,
                     "cache": {
                         "enabled": cache is not None,
                         "hits": getattr(cache, "hits", 0),

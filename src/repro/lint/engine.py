@@ -2,9 +2,12 @@
 
 The engine parses each Python file once into a :class:`FileContext`
 (AST + comment map + module name), hands the context to every
-registered :class:`Rule` whose :meth:`~Rule.applies_to` accepts it, and
+per-file :class:`Rule` whose :meth:`~Rule.applies_to` accepts it, and
 filters the resulting findings through per-line
-``# repro-lint: disable=`` pragmas.
+``# repro-lint: disable=`` pragmas.  Then every :class:`ProjectRule`
+runs once over all the files given (:mod:`repro.lint.flow`).  Both
+kinds share one registry, so a rule id names one rule whichever kind
+it is.
 
 Module names are computed from the path relative to the scan root with
 a leading ``src`` segment stripped, so ``src/repro/core/broker.py``
@@ -28,17 +31,20 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from repro.lint.findings import Finding
+from repro.lint.findings import Finding, Hop
 from repro.lint.suppressions import CommentMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow imports us)
     from repro.lint.cache import LintCache
+    from repro.lint.flow import ProjectContext
 
 __all__ = [
     "FileContext",
     "Rule",
+    "ProjectRule",
     "RuleRegistry",
     "default_registry",
     "LintEngine",
@@ -84,7 +90,14 @@ class FileContext:
             return self.lines[line - 1]
         return ""
 
-    def finding(self, rule_id: str, line: int, col: int, message: str) -> Finding:
+    def finding(
+        self,
+        rule_id: str,
+        line: int,
+        col: int,
+        message: str,
+        trace: Tuple[Hop, ...] = (),
+    ) -> Finding:
         """Build a :class:`Finding` with the fingerprint line text filled in."""
         return Finding(
             rule_id=rule_id,
@@ -93,6 +106,7 @@ class FileContext:
             col=col,
             message=message,
             line_text=self.line_text(line),
+            trace=trace,
         )
 
 
@@ -115,13 +129,31 @@ class Rule:
         raise NotImplementedError
 
 
+class ProjectRule:
+    """Base class for whole-program rules: one run per project, not per
+    file, over the call graph and summaries of a
+    :class:`~repro.lint.flow.ProjectContext`.  Suppression is
+    trace-aware and handled by :func:`repro.lint.flow.run_project_rules`.
+    """
+
+    rule_id: str = ""
+    name: str = ""
+    rationale: str = ""
+
+    def check_project(self, project: "ProjectContext") -> Iterable[Finding]:
+        raise NotImplementedError
+
+
+AnyRule = Union[Rule, ProjectRule]
+
+
 class RuleRegistry:
     """Maps rule ids to rule factories; rules self-register at import."""
 
     def __init__(self) -> None:
-        self._factories: Dict[str, Callable[[], Rule]] = {}
+        self._factories: Dict[str, Callable[[], AnyRule]] = {}
 
-    def register(self, factory: Callable[[], Rule]) -> Callable[[], Rule]:
+    def register(self, factory: Callable[[], AnyRule]) -> Callable[[], AnyRule]:
         probe = factory()
         if not probe.rule_id:
             raise ValueError(f"rule {factory!r} has no rule_id")
@@ -133,17 +165,16 @@ class RuleRegistry:
     def rule_ids(self) -> List[str]:
         return sorted(self._factories)
 
-    def create(self, only: Optional[Sequence[str]] = None) -> List[Rule]:
+    def create(self, only: Optional[Sequence[str]] = None) -> List[AnyRule]:
         wanted = self.rule_ids() if only is None else list(only)
-        rules: List[Rule] = []
-        for rule_id in wanted:
-            if rule_id not in self._factories:
-                raise KeyError(f"unknown rule id {rule_id!r}")
-            rules.append(self._factories[rule_id]())
-        return rules
+        unknown = [rule_id for rule_id in wanted if rule_id not in self._factories]
+        if unknown:
+            raise KeyError(f"unknown rule id(s): {', '.join(unknown)}")
+        return [self._factories[rule_id]() for rule_id in wanted]
 
 
-#: The process-wide registry that :mod:`repro.lint.rules` populates.
+#: The process-wide registry that :mod:`repro.lint.rules` and
+#: :mod:`repro.lint.flow` populate.
 default_registry = RuleRegistry()
 
 
@@ -174,71 +205,26 @@ def module_name(rel_path: Path) -> str:
 
 
 class LintEngine:
-    """Runs a set of rules over files or whole source trees.
+    """Runs a set of rules over source blobs or whole source trees.
 
-    With ``interprocedural=True``, :meth:`lint_paths` additionally runs
-    the whole-program rules of :mod:`repro.lint.flow` over the parsed
-    file set (single files via :meth:`lint_source` stay intra-only --
-    there is no project to analyse).  ``project_rules`` optionally
-    restricts which project rule ids run.
+    Every entry point takes one path: the per-file rules over each
+    parsed file, then the project rules over all the files given.  A
+    single blob (:meth:`lint_source`) is a one-file project.
     """
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        *,
-        interprocedural: bool = False,
-        project_rules: Optional[Sequence[str]] = None,
-    ) -> None:
-        if rules is None:
-            import repro.lint.rules  # noqa: F401  -- populates the registry
+    def __init__(self, rules: Optional[Sequence[AnyRule]] = None) -> None:
+        self.rules: List[AnyRule] = list(
+            default_registry.create() if rules is None else rules
+        )
+        self.file_rules = [rule for rule in self.rules if isinstance(rule, Rule)]
+        self.project_rules = [
+            rule for rule in self.rules if isinstance(rule, ProjectRule)
+        ]
 
-            rules = default_registry.create()
-        self.rules: List[Rule] = list(rules)
-        self.interprocedural = interprocedural
-        self.project_rules = list(project_rules) if project_rules is not None else None
-
-    # ------------------------------------------------------------------
-    # single-file entry points
-    # ------------------------------------------------------------------
-    def _check_ctx(self, ctx: FileContext) -> Tuple[List[Finding], int]:
-        """Intra-rule findings and suppression count for one context."""
-        findings: List[Finding] = []
-        suppressed = 0
-        for rule in self.rules:
-            if not rule.applies_to(ctx):
-                continue
-            for finding in rule.check(ctx):
-                if finding.rule_id in ctx.comments.disabled_rules(finding.line):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-        return findings, suppressed
-
-    def lint_source(
-        self, source: str, rel_path: str, result: Optional[LintResult] = None
-    ) -> LintResult:
+    def lint_source(self, source: str, rel_path: str) -> LintResult:
         """Lint one in-memory source blob addressed as ``rel_path``."""
-        result = result if result is not None else LintResult()
-        try:
-            ctx = FileContext.from_source(source, rel_path, module_name(Path(rel_path)))
-        except SyntaxError as exc:
-            result.parse_errors.append(f"{rel_path}: {exc.msg} (line {exc.lineno})")
-            return result
-        result.files_scanned += 1
-        findings, suppressed = self._check_ctx(ctx)
-        result.findings.extend(findings)
-        result.suppressed += suppressed
-        return result
+        return self._lint([self._entry(rel_path, source, None)], None)
 
-    def lint_file(self, path: Path, root: Path, result: Optional[LintResult] = None) -> LintResult:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(source, rel, result=result)
-
-    # ------------------------------------------------------------------
-    # tree walking
-    # ------------------------------------------------------------------
     def lint_paths(
         self,
         paths: Sequence[Path],
@@ -251,16 +237,19 @@ class LintEngine:
 
         Files are read and parsed in parallel (``jobs`` threads); the
         optional content-hash ``cache`` short-circuits both the per-file
-        parse+intra-rule work and, when no file changed at all, the
-        whole interprocedural pass.
+        parse+rule work and, when no file changed at all, the whole
+        project pass.
         """
-        result = LintResult()
         file_list: List[Path] = []
         for path in paths:
             file_list.extend(sorted(_iter_python_files(path)))
-
         entries = self._process_files(file_list, root, jobs=jobs, cache=cache)
+        return self._lint(entries, cache)
 
+    def _lint(
+        self, entries: Sequence["_FileEntry"], cache: Optional["LintCache"]
+    ) -> LintResult:
+        result = LintResult()
         files: Dict[str, FileContext] = {}
         file_keys: Dict[str, str] = {}
         for entry in entries:
@@ -275,7 +264,7 @@ class LintEngine:
             if entry.key is not None:
                 file_keys[entry.ctx.rel_path] = entry.key
 
-        if self.interprocedural and files:
+        if self.project_rules and files:
             self._run_project_pass(result, files, file_keys, cache)
 
         result.findings.sort(key=lambda f: f.sort_key)
@@ -305,6 +294,12 @@ class LintEngine:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
             return _FileEntry(error=f"{rel}: {exc}")
+        return self._entry(rel, source, cache)
+
+    def _entry(
+        self, rel: str, source: str, cache: Optional["LintCache"]
+    ) -> "_FileEntry":
+        """Parse one file and run the per-file rules over it."""
         key: Optional[str] = None
         if cache is not None:
             key = cache.file_key(rel, source)
@@ -320,7 +315,16 @@ class LintEngine:
             ctx = FileContext.from_source(source, rel, module_name(Path(rel)))
         except SyntaxError as exc:
             return _FileEntry(error=f"{rel}: {exc.msg} (line {exc.lineno})")
-        findings, suppressed = self._check_ctx(ctx)
+        findings: List[Finding] = []
+        suppressed = 0
+        for rule in self.file_rules:
+            if not rule.applies_to(ctx):
+                continue
+            for finding in rule.check(ctx):
+                if finding.rule_id in ctx.comments.disabled_rules(finding.line):
+                    suppressed += 1
+                else:
+                    findings.append(finding)
         if cache is not None and key is not None:
             cache.store_file(key, ctx, findings, suppressed)
         return _FileEntry(ctx=ctx, findings=findings, suppressed=suppressed, key=key)
@@ -342,9 +346,7 @@ class LintEngine:
                 result.findings.extend(payload["findings"])
                 result.suppressed += int(payload["suppressed"])
                 return
-        findings, suppressed, _project = run_project_rules(
-            files, only=self.project_rules
-        )
+        findings, suppressed = run_project_rules(files, self.project_rules)
         result.findings.extend(findings)
         result.suppressed += suppressed
         if cache is not None and tree_key is not None:
@@ -353,7 +355,7 @@ class LintEngine:
 
 @dataclass
 class _FileEntry:
-    """Per-file outcome of the (possibly parallel) parse+intra pass."""
+    """Per-file outcome of the (possibly parallel) parse+per-file-rule pass."""
 
     ctx: Optional[FileContext] = None
     findings: List[Finding] = field(default_factory=list)

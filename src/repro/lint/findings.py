@@ -65,8 +65,8 @@ class Finding:
     col: int
     message: str
     line_text: str = ""
-    #: Interprocedural call chain, sink first, taint/effect source last.
-    #: Empty for intra-function findings.
+    #: Call chain of a project-rule finding, sink first, taint/effect
+    #: source last.  Empty for per-file rule findings.
     trace: Tuple[Hop, ...] = field(default=())
 
     @property
@@ -79,7 +79,7 @@ class Finding:
         offending text twice in one file) are handled multiset-style by
         the baseline.
 
-        Interprocedural findings additionally hash the trace's **source
+        Findings with a trace additionally hash the trace's **source
         endpoint** (final hop) only -- a summary-hash of the trace, not
         the full call chain -- so refactors that add or re-route
         intermediate calls never spuriously invalidate a baselined

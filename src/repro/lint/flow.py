@@ -1,4 +1,4 @@
-"""Whole-program interprocedural rules (``repro lint --interprocedural``).
+"""Whole-program rules of ``repro lint``.
 
 :class:`ProjectContext` owns the project :class:`~repro.lint.callgraph.
 CallGraph` and a demand-driven, memoized propagator over the per-function
@@ -7,15 +7,16 @@ time any caller asks for it, callee summaries are requested recursively,
 and recursion cycles resolve to the empty summary (one-pass
 approximation; the answer paths under check are acyclic).
 
-Two project rules run on top:
+Two project rules run on top, in every ``repro lint`` run, over the
+files it is given:
 
-* **RL001i dp-boundary-flow** -- the same
-  :class:`~repro.lint.summaries.TaintWalker` RL001 runs, but raw-estimate
-  taint is tracked *through project calls*, returns, and attribute
-  stores until a ``repro.privacy`` sanitizer is reached.  Only findings
-  whose trace leaves the reporting function are reported: a single-hop
-  leak, or one whose hops all lie in the function itself (laundered
-  through ``self.x``, say), is RL001's finding.
+* **RL001 dp-boundary** -- the one DP-boundary rule: one
+  :class:`~repro.lint.summaries.TaintWalker` per broker ``answer*`` /
+  ``replay*`` function, with raw-estimate taint tracked *through project
+  calls*, returns, and attribute stores until a ``repro.privacy``
+  sanitizer is reached.  Each tainted return or answer construction is
+  reported once, whether its source lies in the function itself or
+  across a call chain.
 * **RL009 lock-order** -- the global lock acquisition graph (``with``
   statements plus ``# holds:`` entry annotations, class-level lock
   keys, transitive callee acquisitions) must be acyclic; cycles are
@@ -34,7 +35,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro.lint.callgraph import CallGraph, FunctionDecl
-from repro.lint.engine import FileContext
+from repro.lint.engine import FileContext, ProjectRule, default_registry
 from repro.lint.findings import Finding, Hop
 from repro.lint.summaries import (
     EMPTY_LOCKS,
@@ -60,16 +60,15 @@ from repro.lint.summaries import (
 
 __all__ = [
     "ProjectContext",
-    "ProjectRule",
-    "project_registry",
-    "create_project_rules",
+    "DpBoundaryRule",
+    "LockOrderRule",
     "run_project_rules",
     "BROKER_MODULES",
 ]
 
 #: Modules whose ``answer*``/``replay*`` paths release answers, plus the
-#: settlement kernel they all release through: the scope of RL001 and
-#: RL001i.  ``repro.resilience`` is inside the scope because
+#: settlement kernel they all release through: the scope of RL001.
+#: ``repro.resilience`` is inside the scope because
 #: brownout/hedging helpers sit on the release path: any future
 #: ``answer*`` helper that moves there keeps the same static guarantees.
 BROKER_MODULES = (
@@ -179,105 +178,22 @@ class ProjectContext:
         owner = decl.cls or decl.name
         return frozenset({f"{decl.module}.{owner}.{holds}"})
 
-    # ------------------------------------------------------------------
-    # finding construction
-    # ------------------------------------------------------------------
-    def finding(
-        self,
-        rule_id: str,
-        decl_or_ctx: object,
-        node: ast.AST,
-        message: str,
-        trace: Sequence[Hop] = (),
-    ) -> Finding:
-        ctx = (
-            decl_or_ctx
-            if isinstance(decl_or_ctx, FileContext)
-            else self.ctx_for(decl_or_ctx)  # type: ignore[arg-type]
-        )
-        line = getattr(node, "lineno", 1)
-        return Finding(
-            rule_id=rule_id,
-            path=ctx.rel_path,
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            line_text=ctx.line_text(line),
-            trace=tuple(trace),
-        )
-
 
 # ======================================================================
-# rule plumbing
+# RL001 -- dp-boundary
 # ======================================================================
 
 
-class ProjectRule:
-    """Base class for whole-program rules (one run per project, not per
-    file -- suppression is trace-aware and handled by the driver)."""
+class DpBoundaryRule(ProjectRule):
+    """RL001: count-derived values must be noised before release."""
 
-    rule_id: str = ""
-    name: str = ""
-    rationale: str = ""
-
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
-class ProjectRuleRegistry:
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[[], ProjectRule]] = {}
-
-    def register(self, factory: Callable[[], ProjectRule]) -> Callable[[], ProjectRule]:
-        probe = factory()
-        if not probe.rule_id:
-            raise ValueError(f"project rule {factory!r} has no rule_id")
-        if probe.rule_id in self._factories:
-            raise ValueError(f"duplicate project rule id {probe.rule_id}")
-        self._factories[probe.rule_id] = factory
-        return factory
-
-    def rule_ids(self) -> List[str]:
-        return sorted(self._factories)
-
-    def create(self, only: Optional[Sequence[str]] = None) -> List[ProjectRule]:
-        if only is None:
-            wanted = self.rule_ids()
-        else:
-            # ``--rules`` lists intra and project ids together; silently
-            # take the subset that belongs to this registry.
-            wanted = [rid for rid in only if rid in self._factories]
-        return [self._factories[rid]() for rid in wanted]
-
-
-project_registry = ProjectRuleRegistry()
-
-
-def create_project_rules(only: Optional[Sequence[str]] = None) -> List[ProjectRule]:
-    return project_registry.create(only=only)
-
-
-# ======================================================================
-# RL001i -- interprocedural dp-boundary
-# ======================================================================
-
-
-def _within(hops: Sequence[Hop], path: str, func: ast.AST) -> bool:
-    """Whether every hop of a trace lies inside ``func`` (in ``path``)."""
-    first = getattr(func, "lineno", 0)
-    last = getattr(func, "end_lineno", None) or first
-    return all(hop.path == path and first <= hop.line <= last for hop in hops)
-
-
-class InterproceduralDpBoundaryRule(ProjectRule):
-    """RL001i: raw-count taint tracked across project calls."""
-
-    rule_id = "RL001i"
-    name = "dp-boundary-flow"
+    rule_id = "RL001"
+    name = "dp-boundary"
     rationale = (
-        "Moving the Laplace draw into a helper (or deleting it there) "
-        "must not blind the DP boundary check: taint follows calls, "
-        "returns and attribute stores until a repro.privacy sanitizer."
+        "An exact or sampled count escaping the broker without Laplace "
+        "perturbation voids the paper's (eps, eps') guarantee (Def 2.2 / "
+        "Theorem 3.5); taint follows calls, returns and attribute stores "
+        "until a repro.privacy sanitizer."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -292,30 +208,26 @@ class InterproceduralDpBoundaryRule(ProjectRule):
             for event in walker.events:
                 if event.value.level != TAINTED or event.settled:
                     continue
-                if len(event.value.hops) < 2 or _within(
-                    event.value.hops, ctx.rel_path, node
-                ):
-                    # The source is visible right here (one hop, or a
-                    # chain that never leaves this function, such as a
-                    # value laundered through ``self.x``): RL001's finding.
-                    continue
                 if event.kind == "return":
                     message = (
                         f"{decl.qualname} returns a count-derived value "
-                        "that is never Laplace-perturbed anywhere along "
-                        "the call chain (interprocedural dp-boundary)"
-                    )
-                elif event.kind == "answer":
-                    message = (
-                        f"{decl.qualname} builds {event.detail} from an "
-                        "unperturbed estimate produced across a call "
+                        "that is never Laplace-perturbed along its call "
                         "chain; route it through sample_laplace/"
-                        "sample_laplace_many before release"
+                        "sample_laplace_many"
                     )
                 else:
-                    continue
-                yield project.finding(
-                    self.rule_id, ctx, event.node, message, event.value.hops
+                    message = (
+                        f"{decl.qualname} builds {event.detail} from an "
+                        "unperturbed count estimate; route it through "
+                        "sample_laplace/sample_laplace_many or the eps'=0 "
+                        "replay path"
+                    )
+                yield ctx.finding(
+                    self.rule_id,
+                    getattr(event.node, "lineno", 1),
+                    getattr(event.node, "col_offset", 0),
+                    message,
+                    event.value.hops,
                 )
 
 
@@ -474,8 +386,8 @@ def _canonical_cycle(cycle: List[str]) -> Tuple[str, ...]:
 # driver
 # ======================================================================
 
-project_registry.register(InterproceduralDpBoundaryRule)
-project_registry.register(LockOrderRule)
+default_registry.register(DpBoundaryRule)
+default_registry.register(LockOrderRule)
 
 
 def _is_suppressed(finding: Finding, files: Mapping[str, FileContext]) -> bool:
@@ -496,25 +408,19 @@ def _is_suppressed(finding: Finding, files: Mapping[str, FileContext]) -> bool:
 
 
 def run_project_rules(
-    files: Mapping[str, FileContext],
-    only: Optional[Sequence[str]] = None,
-    project: Optional[ProjectContext] = None,
-) -> Tuple[List[Finding], int, ProjectContext]:
-    """Run every project rule over ``files``.
+    files: Mapping[str, FileContext], rules: Sequence[ProjectRule]
+) -> Tuple[List[Finding], int]:
+    """Run ``rules`` over ``files`` as one project.
 
-    Returns ``(findings, suppressed_count, project_context)``; the
-    context is returned so callers (the cache layer) can persist its
-    memoized summaries.
+    Returns ``(findings, suppressed_count)``.
     """
-    if project is None:
-        project = ProjectContext(files)
+    project = ProjectContext(files)
     findings: List[Finding] = []
     suppressed = 0
-    for rule in create_project_rules(only):
+    for rule in rules:
         for finding in rule.check_project(project):
             if _is_suppressed(finding, files):
                 suppressed += 1
             else:
                 findings.append(finding)
-    findings.sort(key=lambda f: f.sort_key)
-    return findings, suppressed, project
+    return findings, suppressed

@@ -1,14 +1,11 @@
-"""The domain rules of ``repro.lint``.
+"""The per-file domain rules of ``repro.lint``.
 
 Each rule encodes one invariant of the trading system that generic
-linters cannot see:
+linters cannot see.  The whole-program rules -- RL001 dp-boundary
+(nothing derived from an exact or estimated count may leave the broker
+answer paths without a ``repro.privacy`` Laplace draw) and RL009
+lock-order -- live in :mod:`repro.lint.flow`; the per-file ones are:
 
-* **RL001 dp-boundary** -- nothing derived from an exact or estimated
-  count may leave the broker answer paths without passing through a
-  ``repro.privacy`` mechanism (Laplace perturbation); the ε′ = 0
-  ``replay`` path is post-processing and therefore exempt by
-  construction (it re-releases already-noised values).  It runs the
-  one taint walk of :mod:`repro.lint.summaries`, without call resolution.
 * **RL002 rng-discipline** -- the determinism contract (bit-identical
   scalar/batch/cluster answers) dies the moment any global or
   constant-seeded RNG sneaks in.
@@ -37,73 +34,13 @@ from typing import Dict, Iterator, List, Optional, Set
 from repro.lint.callgraph import call_name, dotted_name
 from repro.lint.engine import FileContext, Rule, default_registry
 from repro.lint.findings import Finding
-from repro.lint.flow import BROKER_MODULES
-from repro.lint.summaries import TAINTED, TaintWalker
 
 __all__ = [
-    "DpBoundaryRule",
     "RngDisciplineRule",
     "LockDisciplineRule",
     "AccountingFloatsRule",
     "BroadExceptRule",
 ]
-
-
-# ======================================================================
-# RL001 dp-boundary
-# ======================================================================
-
-class DpBoundaryRule(Rule):
-    """RL001: count-derived values must be noised before release.
-
-    Runs the shared :class:`~repro.lint.summaries.TaintWalker` with no
-    call resolution: every leak whose source is visible inside the
-    ``answer*``/``replay*`` function itself is reported here, including
-    the single-hop ones RL001i leaves alone.
-    """
-
-    rule_id = "RL001"
-    name = "dp-boundary"
-    rationale = (
-        "An exact or sampled count escaping the broker without Laplace "
-        "perturbation voids the paper's (eps, eps') guarantee (Def 2.2 / "
-        "Theorem 3.5)."
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module in BROKER_MODULES
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith(
-                ("answer", "replay")
-            ):
-                yield from self._check_function(ctx, node)
-
-    def _check_function(self, ctx: FileContext, func: ast.FunctionDef) -> Iterator[Finding]:
-        walker = TaintWalker(ctx, lambda call: [])
-        walker.run(func)
-        for event in walker.events:
-            if event.value.level != TAINTED or event.settled:
-                continue
-            if event.kind == "return":
-                message = (
-                    f"{func.name} returns a count-derived value that never "
-                    "passed through a repro.privacy mechanism "
-                    "(sample_laplace/sample_laplace_many)"
-                )
-            else:
-                message = (
-                    f"{func.name} builds {event.detail} from an unperturbed "
-                    "count estimate; route it through sample_laplace/"
-                    "sample_laplace_many or the eps'=0 replay path"
-                )
-            yield ctx.finding(
-                self.rule_id,
-                getattr(event.node, "lineno", 1),
-                getattr(event.node, "col_offset", 0),
-                message,
-            )
 
 
 # ======================================================================
@@ -468,7 +405,6 @@ class BroadExceptRule(Rule):
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
-default_registry.register(DpBoundaryRule)
 default_registry.register(RngDisciplineRule)
 default_registry.register(LockDisciplineRule)
 default_registry.register(AccountingFloatsRule)

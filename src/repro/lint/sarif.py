@@ -1,8 +1,8 @@
 """SARIF 2.1.0 output for ``repro lint --format sarif``.
 
 GitHub code scanning ingests this to annotate PR diffs.  Each finding
-becomes one ``result`` with a physical location; interprocedural
-findings additionally carry a ``codeFlow`` whose thread-flow locations
+becomes one ``result`` with a physical location; findings with a trace
+(RL001, RL009) additionally carry a ``codeFlow`` whose thread-flow locations
 replay the trace source-to-sink (SARIF convention: execution order),
 and every result exposes the baseline fingerprint under
 ``partialFingerprints`` so re-runs match up.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Sequence
 
+from repro.lint.engine import default_registry
 from repro.lint.findings import Finding
 
 __all__ = ["render_sarif"]
@@ -25,20 +26,10 @@ _SCHEMA = (
 
 
 def _rule_metadata() -> List[Dict[str, Any]]:
-    import repro.lint.rules  # noqa: F401  -- populate the registry
-    from repro.lint.engine import default_registry
-    from repro.lint.flow import create_project_rules
-
-    rules: List[Dict[str, Any]] = []
-    for rule in default_registry.create():
-        rules.append(_rule_entry(rule.rule_id, rule.name, rule.rationale))
-    for project_rule in create_project_rules():
-        rules.append(
-            _rule_entry(
-                project_rule.rule_id, project_rule.name, project_rule.rationale
-            )
-        )
-    return rules
+    return [
+        _rule_entry(rule.rule_id, rule.name, rule.rationale)
+        for rule in default_registry.create()
+    ]
 
 
 def _rule_entry(rule_id: str, name: str, rationale: str) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Per-function summaries for the interprocedural lint layer.
+"""Per-function summaries for the whole-program lint rules.
 
 Two summary families are computed per project function, each by one
 structural walk of the function body, with callee knowledge supplied by
@@ -21,9 +21,8 @@ This module is the one home of the DP taint analysis: the lattice
 dominates -- ``estimate + noise`` is perturbed -- at branch merges
 TAINTED dominates -- raw on any path is a leak), the vocabulary of
 sources, sanitizers, propagators and sinks, and :class:`TaintWalker`.
-Both DP-boundary rules run that walker: RL001
-(:mod:`repro.lint.rules`) with no call resolution, RL001i
-(:mod:`repro.lint.flow`) with callee summaries.
+The DP-boundary rule RL001 (:mod:`repro.lint.flow`) runs that walker
+with callee summaries.
 """
 
 from __future__ import annotations
@@ -166,9 +165,9 @@ class TaintWalker:
     """Generic forward taint walk over one function body.
 
     The one DP taint walk.  ``summarize_call`` resolves project calls to
-    their :class:`TaintSummary`: RL001 passes ``lambda call: []`` (every
-    call it does not know by name is clean), RL001i and the summary
-    computation pass the project's resolver.  Attribute stores
+    their :class:`TaintSummary` (RL001 and the summary computation pass
+    the project's resolver); a call it cannot resolve is clean unless it
+    is a known source, sanitizer or propagator.  Attribute stores
     (``self.x = raw`` then ``self.x`` later) are tracked via dotted
     environment keys.
     """
@@ -324,7 +323,7 @@ class TaintWalker:
                 stored = self.env[dotted]
                 if stored.level == TAINTED:
                     # Add a hop for the attribute store so the trace
-                    # (and RL001i's two-hop filter) see the indirection.
+                    # shows the indirection.
                     return Abstract(
                         TAINTED,
                         deps=stored.deps,

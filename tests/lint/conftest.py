@@ -2,7 +2,8 @@
 
 ``lint_snippet`` runs the engine over an in-memory source blob addressed
 as a virtual repo path (rules scope by module name, so the path controls
-which rules see the snippet).
+which rules see the snippet); the blob is a one-file project, so the
+whole-program rules run over it too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 
 from repro.lint import LintEngine, LintResult, default_registry
 from repro.lint.engine import FileContext, module_name
-import repro.lint.rules  # noqa: F401  -- ensure RL001-RL005 are registered
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -38,7 +38,7 @@ def rule_ids(result: LintResult) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# interprocedural helpers
+# whole-program helpers
 # ----------------------------------------------------------------------
 def synth_contexts(files: Dict[str, str]) -> Dict[str, FileContext]:
     """Parse a synthetic multi-file tree given as ``{rel_path: source}``."""
@@ -69,17 +69,15 @@ def head_contexts(head_sources) -> Dict[str, FileContext]:
 
 @pytest.fixture
 def mutated_project(head_sources, head_contexts):
-    """Run the project rules over HEAD with per-file string mutations.
+    """Run the project rules ``only`` over HEAD with per-file string
+    mutations; returns ``(findings, suppressed)``.
 
     ``mutations`` maps rel paths to ``(old, new)`` replacement pairs; each
     anchor must exist exactly (so fixtures fail loudly when the real
     source drifts).  Only mutated files are re-parsed.
     """
 
-    def run(
-        mutations: Dict[str, Sequence[Tuple[str, str]]],
-        only: Optional[List[str]] = None,
-    ):
+    def run(mutations: Dict[str, Sequence[Tuple[str, str]]], only: List[str]):
         from repro.lint.flow import run_project_rules
 
         files = dict(head_contexts)
@@ -89,6 +87,6 @@ def mutated_project(head_sources, head_contexts):
                 assert old in source, f"mutation anchor not found in {rel}: {old!r}"
                 source = source.replace(old, new, 1)
             files[rel] = FileContext.from_source(source, rel, module_name(Path(rel)))
-        return run_project_rules(files, only=only)
+        return run_project_rules(files, default_registry.create(only=only))
 
     return run

@@ -1,5 +1,5 @@
 """Unit tests for the call graph and per-function summaries that back
-the interprocedural rules (RL001i, RL009)."""
+the whole-program rules (RL001, RL009)."""
 
 from __future__ import annotations
 

@@ -125,19 +125,10 @@ def test_each_rule_fixture_injected_into_src_fails(tmp_path, capsys, rel_path, f
 
 
 def test_head_tree_is_clean(capsys):
-    """Meta-test: ``repro lint --fail-on-new`` exits 0 on the checked-in tree."""
-    assert lint_main(["--root", str(REPO_ROOT), "--fail-on-new"]) == 0
-    capsys.readouterr()
-
-
-def test_head_tree_is_clean_interprocedurally(capsys):
-    """Meta-test: the whole-program rules (RL001i, RL009) raise no
-    findings over src/ and tests/ at HEAD."""
+    """Meta-test: ``repro lint src tests --fail-on-new`` exits 0 on the
+    checked-in tree, per-file and whole-program rules alike."""
     assert (
-        lint_main(
-            ["--root", str(REPO_ROOT), "src", "tests", "--interprocedural", "--fail-on-new"]
-        )
-        == 0
+        lint_main(["--root", str(REPO_ROOT), "src", "tests", "--fail-on-new"]) == 0
     )
     capsys.readouterr()
 
@@ -161,11 +152,11 @@ def test_interprocedural_fixture_fails_via_cli(tmp_path, capsys):
             """
         ),
     )
-    # Invisible without --interprocedural, fatal with it.
-    assert lint_main(["--root", str(root)]) == 0
-    assert lint_main(["--root", str(root), "--interprocedural"]) == 1
+    # Plain ``repro lint`` follows the call into ``_finish``.
+    assert lint_main(["--root", str(root)]) == 1
     out = capsys.readouterr().out
-    assert "RL001i" in out
+    assert "RL001 DataBroker.answer builds PrivateAnswer(value=...)" in out
+    assert "_finish" in out
     assert "    via " in out  # the call chain is printed
 
 
@@ -177,20 +168,28 @@ def test_unknown_rule_id_exits_two(tmp_path, capsys):
 
 def test_retired_rl007_is_an_unknown_rule_id(tmp_path, capsys):
     root = _make_tree(tmp_path, "repro/serving/ok.py", "X = 1\n")
-    args = ["--root", str(root), "--interprocedural", "--rules", "RL007"]
-    assert lint_main(args) == 2
+    assert lint_main(["--root", str(root), "--rules", "RL007"]) == 2
     assert "unknown rule id" in capsys.readouterr().err
+
+
+def test_retired_rl001i_is_an_unknown_rule_id(tmp_path, capsys):
+    root = _make_tree(tmp_path, "repro/serving/ok.py", "X = 1\n")
+    assert lint_main(["--root", str(root), "--rules", "RL001i"]) == 2
+    assert "unknown rule id" in capsys.readouterr().err
+
+
+def test_interprocedural_flag_is_gone(tmp_path, capsys):
+    root = _make_tree(tmp_path, "repro/serving/ok.py", "X = 1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        lint_main(["--root", str(root), "--interprocedural"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --interprocedural" in capsys.readouterr().err
 
 
 def test_rules_flag_splits_across_registries(tmp_path, capsys):
     root = _make_tree(tmp_path, "repro/serving/bad.py", RL005_FIXTURE)
-    # A project-rule id is accepted alongside intra ids.
-    assert (
-        lint_main(
-            ["--root", str(root), "--interprocedural", "--rules", "RL005,RL009"]
-        )
-        == 1
-    )
+    # A project-rule id is accepted alongside per-file ids.
+    assert lint_main(["--root", str(root), "--rules", "RL005,RL009"]) == 1
     out = capsys.readouterr().out
     assert "RL005" in out
 
@@ -203,7 +202,6 @@ def test_bench_json_records_timing_and_cache_stats(tmp_path, capsys):
             [
                 "--root",
                 str(root),
-                "--interprocedural",
                 "--cache",
                 "--bench-json",
                 str(bench),
@@ -216,7 +214,7 @@ def test_bench_json_records_timing_and_cache_stats(tmp_path, capsys):
     assert payload["bench"] == "lint"
     assert payload["seconds"] >= 0
     assert payload["files_scanned"] == 1
-    assert payload["interprocedural"] is True
+    assert "interprocedural" not in payload
     assert payload["cache"]["enabled"] is True
     assert payload["cache"]["misses"] == 1
     assert (root / ".lint-cache").is_dir()

@@ -1,16 +1,13 @@
-"""Acceptance tests for the interprocedural rules over the real tree.
+"""Acceptance tests for the whole-program rules over the real tree.
 
-Each test applies one of the ISSUE's seeded mutations to a HEAD source
-file in memory and asserts (1) the whole-program rule fires with a full
-call-chain trace and (2) the corresponding intra-procedural rule stays
-blind to it -- the defect only exists across a call boundary.
+Each test applies a seeded mutation to a HEAD source file in memory and
+asserts that the whole-program rule fires with a full call-chain trace:
+the defect only exists across a call boundary.
 """
 
 from __future__ import annotations
 
-from tests.lint.conftest import REPO_ROOT, rule_ids
-
-from repro.lint import LintEngine, default_registry
+from repro.lint import LintEngine
 from repro.lint.flow import run_project_rules
 
 BROKER = "src/repro/core/broker.py"
@@ -55,37 +52,25 @@ MUTATION_RL009 = {
 }
 
 
-def _intra_findings(mutations, rules):
-    """Intra-procedural findings for each mutated file."""
-    engine = LintEngine(rules=default_registry.create(only=rules))
-    out = []
-    for rel, replacements in mutations.items():
-        source = (REPO_ROOT / rel).read_text(encoding="utf-8")
-        for old, new in replacements:
-            assert old in source, f"mutation anchor not found in {rel}"
-            source = source.replace(old, new, 1)
-        result = engine.lint_source(source, rel.removeprefix("src/"))
-        out.extend(result.findings)
-    return out
-
-
 # ----------------------------------------------------------------------
 # the clean tree
 # ----------------------------------------------------------------------
 def test_head_tree_has_no_interprocedural_findings(head_contexts):
-    findings, _suppressed, _project = run_project_rules(head_contexts)
+    findings, _suppressed = run_project_rules(
+        head_contexts, LintEngine().project_rules
+    )
     assert findings == []
 
 
 # ----------------------------------------------------------------------
-# (a) RL001i: Laplace deleted in a helper called by the answer path
+# (a) RL001: Laplace deleted in a helper called by the answer path
 # ----------------------------------------------------------------------
-def test_rl001i_taint_through_helper_return(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL001I, only=["RL001i"])
+def test_rl001_taint_through_helper_return(mutated_project):
+    findings, _ = mutated_project(MUTATION_RL001I, only=["RL001"])
     # Every broker releases through the pipeline: each one's
     # answer_batch, the one-row replay that calls it, and the shared
     # Trading.answer, whose self.answer_batch reaches every broker's, leak.
-    assert [f.rule_id for f in findings] == ["RL001i"] * 7
+    assert [f.rule_id for f in findings] == ["RL001"] * 7
     assert {f.message.split(" ", 1)[0] for f in findings} == {
         f"{broker}.{entry}"
         for broker in ("DataBroker", "ClusterBroker", "StreamingBroker")
@@ -102,15 +87,11 @@ def test_rl001i_taint_through_helper_return(mutated_project):
         assert rendered.count("    via ") == len(finding.trace)
 
 
-def test_rl001i_mutation_is_invisible_to_intra_rl001():
-    assert _intra_findings(MUTATION_RL001I, ["RL001"]) == []
-
-
 # ----------------------------------------------------------------------
 # (b) RL009: inverted two-lock acquisition across modules
 # ----------------------------------------------------------------------
 def test_rl009_lock_order_inversion_across_modules(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL009, only=["RL009"])
+    findings, _ = mutated_project(MUTATION_RL009, only=["RL009"])
     assert [f.rule_id for f in findings] == ["RL009"]
     finding = findings[0]
     assert "lock-order cycle" in finding.message
@@ -125,7 +106,7 @@ def test_rl009_lock_order_inversion_across_modules(mutated_project):
 
 
 def test_rl009_reports_each_cycle_once(mutated_project):
-    findings, _, _ = mutated_project(MUTATION_RL009, only=["RL009"])
+    findings, _ = mutated_project(MUTATION_RL009, only=["RL009"])
     messages = [f.message for f in findings]
     assert len(messages) == len(set(messages)) == 1
 
@@ -134,15 +115,15 @@ def test_rl009_reports_each_cycle_once(mutated_project):
 # rule selection
 # ----------------------------------------------------------------------
 def test_project_rules_can_be_subset(mutated_project):
-    # Running only RL001i over the RL009 mutation reports nothing.
-    findings, _, _ = mutated_project(MUTATION_RL009, only=["RL001i"])
+    # Running only RL001 over the RL009 mutation reports nothing.
+    findings, _ = mutated_project(MUTATION_RL009, only=["RL001"])
     assert findings == []
 
 
 def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_sources):
     """Summary-hash versioning: renaming an intermediate local variable
     between source and sink leaves the fingerprint unchanged."""
-    base, _, _ = mutated_project(MUTATION_RL001I, only=["RL001i"])
+    base, _ = mutated_project(MUTATION_RL001I, only=["RL001"])
     renamed = {
         BROKER: MUTATION_RL001I[BROKER]
         + [
@@ -153,5 +134,5 @@ def test_finding_fingerprints_survive_unrelated_refactors(mutated_project, head_
             ),
         ]
     }
-    after, _, _ = mutated_project(renamed, only=["RL001i"])
+    after, _ = mutated_project(renamed, only=["RL001"])
     assert {f.fingerprint for f in base} == {f.fingerprint for f in after}

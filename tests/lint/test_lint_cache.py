@@ -1,6 +1,6 @@
 """Cache semantics for ``repro lint --cache``: content-hash hits,
-invalidation on edit, tree-level short-circuit of the interprocedural
-pass, and parallel-parse equivalence."""
+invalidation on edit, tree-level short-circuit of the project pass, and
+parallel-parse equivalence."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ def _make_tree(tmp_path: Path) -> Path:
 
 
 def _engine() -> LintEngine:
-    return LintEngine(interprocedural=True)
+    return LintEngine()
 
 
 def test_second_run_hits_for_every_unchanged_file(tmp_path):
@@ -65,13 +65,13 @@ def test_tree_cache_short_circuits_interprocedural_pass(tmp_path, monkeypatch):
 
     cache = LintCache(cache_dir, salt="s")
     first = _engine().lint_paths([root / "src"], root, cache=cache)
-    assert any(f.rule_id == "RL001i" for f in first.findings)
+    assert any(f.rule_id == "RL001" for f in first.findings)
 
     # A second run must not invoke the project rules at all.
     import repro.lint.flow as flow
 
     def boom(*args, **kwargs):  # pragma: no cover - exercised on regression
-        raise AssertionError("interprocedural pass ran despite tree-cache hit")
+        raise AssertionError("project pass ran despite tree-cache hit")
 
     monkeypatch.setattr(flow, "run_project_rules", boom)
     cache = LintCache(cache_dir, salt="s")
@@ -87,9 +87,9 @@ def test_editing_one_file_invalidates_it_and_the_tree(tmp_path):
 
     cache = LintCache(cache_dir, salt="s")
     first = _engine().lint_paths([root / "src"], root, cache=cache)
-    assert any(f.rule_id == "RL001i" for f in first.findings)
+    assert any(f.rule_id == "RL001" for f in first.findings)
 
-    # Sanitize the helper: the RL001i finding must disappear even though
+    # Sanitize the helper: the RL001 finding must disappear even though
     # the tree-level entry from the first run still exists on disk.
     broker = root / "src" / "repro" / "core" / "broker.py"
     broker.write_text(
@@ -101,7 +101,7 @@ def test_editing_one_file_invalidates_it_and_the_tree(tmp_path):
     cache = LintCache(cache_dir, salt="s")
     second = _engine().lint_paths([root / "src"], root, cache=cache)
     assert cache.hits == 1 and cache.misses == 1  # other.py hit, broker.py miss
-    assert not any(f.rule_id == "RL001i" for f in second.findings)
+    assert not any(f.rule_id == "RL001" for f in second.findings)
 
 
 def test_salt_change_invalidates_everything(tmp_path):

@@ -1,4 +1,5 @@
-"""RL001 dp-boundary: taint tracking from count estimates to released answers."""
+"""RL001 dp-boundary: taint tracking from count estimates to released
+answers, inside one function and across calls."""
 
 from __future__ import annotations
 
@@ -6,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.flow import run_project_rules
 from repro.lint.summaries import PROPAGATORS
-from tests.lint.conftest import rule_ids, synth_contexts
+from tests.lint.conftest import rule_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -130,9 +130,8 @@ def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
     """Acceptance criterion: deleting the Laplace perturbation from the
     release pipeline's single draw produces findings on every broker's
     ``answer_batch``.  The draw lives in ``release_views``, which each
-    ``answer_batch`` calls, so the whole-program RL001i, which follows
-    the call, is the rule that sees it."""
-    findings, _, _ = mutated_project(
+    ``answer_batch`` calls; RL001 follows the call."""
+    findings, _ = mutated_project(
         {
             "src/repro/core/broker.py": [
                 (
@@ -141,9 +140,9 @@ def test_seeded_mutation_of_answer_batch_is_caught(mutated_project):
                 )
             ]
         },
-        only=["RL001i"],
+        only=["RL001"],
     )
-    assert {f.rule_id for f in findings} == {"RL001i"}
+    assert {f.rule_id for f in findings} == {"RL001"}
     assert _entries(findings) == LANE_ENTRIES
 
 
@@ -167,20 +166,20 @@ class ClusterBroker:
 def test_seeded_mutation_of_cluster_draw_is_caught(mutated_project, lint_snippet):
     """Acceptance criterion: deleting the pipeline's one Laplace draw
     releases the cluster's pooled estimates raw -- and every other
-    lane's -- so RL001i fires on each ``answer_batch``, while the
+    lane's -- so RL001 fires on each ``answer_batch``, while the
     unmutated cluster source is clean."""
     rel = "src/repro/cluster/broker.py"
     source = (REPO_ROOT / rel).read_text(encoding="utf-8")
     assert rule_ids(lint_snippet(
         source, rel_path=rel.removeprefix("src/"), rules=["RL001"]
     )) == []
-    findings, _, _ = mutated_project(
+    findings, _ = mutated_project(
         {
             "src/repro/core/broker.py": [
                 ("            noise = sample_laplace_many(scales, broker.rng)\n", ""),
             ]
         },
-        only=["RL001i"],
+        only=["RL001"],
     )
     assert _entries(findings) == LANE_ENTRIES
     assert rel in {f.path for f in findings}
@@ -208,9 +207,9 @@ def test_cluster_release_of_listed_estimates_is_caught(mutated_project):
     rel = "src/repro/core/broker.py"
     source = (REPO_ROOT / rel).read_text(encoding="utf-8")
     assert source.count("value=released,") == 1, "fixture out of date"
-    findings, _, _ = mutated_project(
+    findings, _ = mutated_project(
         {rel: [("value=released,", "value=list(estimates),")]},
-        only=["RL001i"],
+        only=["RL001"],
     )
     assert _entries(findings) == LANE_ENTRIES
     assert "src/repro/cluster/broker.py" in {f.path for f in findings}
@@ -231,7 +230,7 @@ class DataBroker:
 
 
 # ----------------------------------------------------------------------
-# RL001 and RL001i report a leak once between them
+# one walk reports each leak once
 # ----------------------------------------------------------------------
 LAUNDERED_IN_PLACE = """
 class DataBroker:
@@ -251,34 +250,24 @@ class DataBroker:
 """
 
 
-def _both_rules(source, lint_snippet):
-    from repro.lint.flow import run_project_rules
-    from tests.lint.conftest import synth_contexts
-
-    intra = rule_ids(lint_snippet(source, rules=["RL001"]))
-    project, _, _ = run_project_rules(
-        synth_contexts({"repro/core/broker.py": source}), only=["RL001i"]
-    )
-    return intra + [finding.rule_id for finding in project]
-
-
 def test_a_leak_through_self_inside_one_function_is_reported_once(lint_snippet):
-    """The trace never leaves ``answer``: RL001's finding, not RL001i's."""
-    assert _both_rules(LAUNDERED_IN_PLACE, lint_snippet) == ["RL001"]
+    """The trace never leaves ``answer``; every rule runs, one finding."""
+    assert rule_ids(lint_snippet(LAUNDERED_IN_PLACE)) == ["RL001"]
 
 
-def test_the_same_leak_split_across_functions_is_rl001i(lint_snippet):
-    """The trace runs through ``_fetch``: RL001 cannot see the source."""
-    assert _both_rules(LAUNDERED_ACROSS_CALLS, lint_snippet) == ["RL001i"]
+def test_the_same_leak_split_across_functions_is_reported_once(lint_snippet):
+    """The trace runs through ``_fetch``; every rule runs, one finding."""
+    result = lint_snippet(LAUNDERED_ACROSS_CALLS)
+    assert rule_ids(result) == ["RL001"]
+    assert any("_fetch" in hop.note for hop in result.findings[0].trace)
 
 
-def test_a_settling_helper_returns_the_taint_of_its_value_column():
+def test_a_settling_helper_returns_the_taint_of_its_value_column(lint_snippet):
     """A helper that settles through the kernel and returns its answers
-    hands its caller the taint of the ``value`` it released: RL001i
+    hands its caller the taint of the ``value`` it released: RL001
     reports the caller's return when the value is raw, and nothing when
     it is noised."""
-    files = synth_contexts({
-        "src/repro/core/broker.py": """
+    source = """
             def settle(broker, batch, estimates, noise):
                 return release_batch(broker, batch, value=estimates + noise)
 
@@ -295,8 +284,7 @@ def test_a_settling_helper_returns_the_taint_of_its_value_column():
                 def answer_leaky(self, queries, spec, consumer="anonymous"):
                     estimates = self.estimator.estimate_many(samples, ranges)
                     return leak(self, batch, estimates)
-        """,
-    })
-    findings, _, _ = run_project_rules(files, only=["RL001i"])
+        """
+    findings = lint_snippet(source, rules=["RL001"]).findings
     assert [f.message.split(" ", 1)[0] for f in findings] == ["DataBroker.answer_leaky"]
     assert "returns a count-derived value" in findings[0].message

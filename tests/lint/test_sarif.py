@@ -1,5 +1,5 @@
-"""SARIF 2.1.0 output: result shape, code flows for interprocedural
-traces, fingerprints, and baseline states."""
+"""SARIF 2.1.0 output: result shape, code flows for call-chain traces,
+fingerprints, and baseline states."""
 
 from __future__ import annotations
 
@@ -38,22 +38,23 @@ def _sarif_via_cli(tmp_path, capsys, *extra) -> dict:
 
 
 def test_sarif_run_shape_and_rule_metadata(tmp_path, capsys):
-    payload = _sarif_via_cli(tmp_path, capsys, "--interprocedural")
+    payload = _sarif_via_cli(tmp_path, capsys)
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    # Both registries are described, so code-scanning UIs can show help
-    # text for every rule that may appear.
-    assert {"RL001", "RL005", "RL001i", "RL009"} <= rule_ids
+    # Every registered rule is described, so code-scanning UIs can show
+    # help text for every rule that may appear.
+    assert {"RL001", "RL005", "RL009"} <= rule_ids
+    assert "RL001i" not in rule_ids
     assert all(rule["fullDescription"]["text"] for rule in run["tool"]["driver"]["rules"])
 
 
 def test_sarif_interprocedural_result_carries_code_flow(tmp_path, capsys):
-    payload = _sarif_via_cli(tmp_path, capsys, "--interprocedural")
+    payload = _sarif_via_cli(tmp_path, capsys)
     results = payload["runs"][0]["results"]
-    flows = [r for r in results if r["ruleId"] == "RL001i"]
-    assert flows, "expected an RL001i result"
+    flows = [r for r in results if r["ruleId"] == "RL001"]
+    assert flows, "expected an RL001 result"
     result = flows[0]
     assert result["level"] == "error"
     assert result["partialFingerprints"]["reproLint/fingerprint/v1"]
@@ -69,15 +70,15 @@ def test_sarif_interprocedural_result_carries_code_flow(tmp_path, capsys):
 def test_sarif_baseline_state_tracks_the_baseline(tmp_path, capsys):
     root = _make_tree(tmp_path)
     # Accept current findings, then ask for SARIF: everything unchanged.
-    lint_main(["--root", str(root), "--interprocedural", "--update-baseline"])
+    lint_main(["--root", str(root), "--update-baseline"])
     capsys.readouterr()
-    payload = _sarif_via_cli(tmp_path, capsys, "--interprocedural")
+    payload = _sarif_via_cli(tmp_path, capsys)
     states = {r["baselineState"] for r in payload["runs"][0]["results"]}
     assert states == {"unchanged"}
 
 
 def test_sarif_without_baseline_marks_results_new(tmp_path, capsys):
-    payload = _sarif_via_cli(tmp_path, capsys, "--interprocedural")
+    payload = _sarif_via_cli(tmp_path, capsys)
     states = {r["baselineState"] for r in payload["runs"][0]["results"]}
     assert states == {"new"}
 
@@ -88,6 +89,15 @@ def test_render_sarif_with_no_findings_is_an_empty_run():
 
 
 def test_intra_only_results_have_no_code_flows(tmp_path, capsys):
-    payload = _sarif_via_cli(tmp_path, capsys)  # no --interprocedural
-    for result in payload["runs"][0]["results"]:
-        assert "codeFlows" not in result
+    # A per-file rule's finding (RL005 here) carries no trace.
+    pump = tmp_path / "src" / "repro" / "serving" / "pump.py"
+    pump.parent.mkdir(parents=True)
+    pump.write_text(
+        "def pump(queue):\n    try:\n        queue.drain()\n"
+        "    except Exception:\n        pass\n",
+        encoding="utf-8",
+    )
+    lint_main(["--root", str(tmp_path), "--format", "sarif"])
+    results = json.loads(capsys.readouterr().out)["runs"][0]["results"]
+    assert [result["ruleId"] for result in results] == ["RL005"]
+    assert "codeFlows" not in results[0]
