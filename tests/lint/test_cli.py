@@ -125,8 +125,14 @@ def test_each_rule_fixture_injected_into_src_fails(tmp_path, capsys, rel_path, f
 
 
 def test_head_tree_is_clean(capsys):
-    """Meta-test: ``repro lint src tests --fail-on-new`` exits 0 on the
-    checked-in tree, per-file and whole-program rules alike."""
+    """Meta-test: ``repro lint --fail-on-new`` exits 0 on the checked-in tree."""
+    assert lint_main(["--root", str(REPO_ROOT), "--fail-on-new"]) == 0
+    capsys.readouterr()
+
+
+def test_head_tree_is_clean_interprocedurally(capsys):
+    """Meta-test: the whole-program rules (RL001, RL009) raise no findings
+    when src/ and tests/ are linted as one program."""
     assert (
         lint_main(["--root", str(REPO_ROOT), "src", "tests", "--fail-on-new"]) == 0
     )
